@@ -120,7 +120,7 @@ fn main() {
     let clean = DeltaTable::from_eager(Arc::clone(&base));
     let clean_src = clean.snapshot().expect("snapshot");
     let empty = measure(scale.reps, || {
-        assert_eq!(rollup(Query::scan_delta(&clean_src)), base_groups);
+        assert_eq!(rollup(Query::scan(&clean_src)), base_groups);
     });
 
     // Live merged scan: appends buffered, base rows tombstoned.
@@ -128,10 +128,10 @@ fn main() {
     live.append_rows(&batch).expect("append");
     live.delete(&dead).expect("delete");
     let live_src = live.snapshot().expect("snapshot");
-    let live_groups = rollup(Query::scan_delta(&live_src));
+    let live_groups = rollup(Query::scan(&live_src));
     assert!(live_groups >= base_groups);
     let merged = measure(scale.reps, || {
-        assert_eq!(rollup(Query::scan_delta(&live_src)), live_groups);
+        assert_eq!(rollup(Query::scan(&live_src)), live_groups);
     });
 
     // Compaction: drain the buffer through the dynamic encoder into a

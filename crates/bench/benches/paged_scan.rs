@@ -55,7 +55,7 @@ fn wide_db(rows: i64) -> Database {
 }
 
 fn run_query(t: &PagedTable) -> usize {
-    Query::scan_paged_columns(t, &["city", "c7"])
+    Query::scan_columns(t, &["city", "c7"])
         .aggregate(vec![0], vec![(AggFunc::Sum, 1, "s")])
         .rows()
         .len()

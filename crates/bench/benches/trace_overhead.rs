@@ -168,5 +168,5 @@ fn main() {
     report.table(&t);
     report.write();
     println!("\nThe disabled path is one relaxed atomic load per site; the traced");
-    println!("path reads the clock twice per operator and once per morsel.");
+    println!("path reads the clock twice per operator `next_block` call and once per morsel.");
 }

@@ -5,127 +5,88 @@
 //! come back as typed [`Value`] rows for display, or as raw blocks for
 //! programmatic use.
 
+use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tde_exec::aggregate::AggSpec;
 use tde_exec::expr::AggFunc;
-use tde_exec::merged_scan::MergedSource;
 use tde_exec::sort::SortOrder;
-use tde_exec::{Block, Expr, Schema};
+use tde_exec::{Block, Expr, Schema, Source};
 use tde_obs::{CacheSnapshot, Event, NodeSnapshot, Trace};
-use tde_pager::PagedTable;
 use tde_plan::strategic::OptimizerOptions;
 use tde_plan::{LogicalPlan, PlanBuilder};
-use tde_storage::{ColumnTelemetry, Table};
+use tde_storage::ColumnTelemetry;
 use tde_types::Value;
 
 /// A query under construction.
 pub struct Query {
     builder: PlanBuilder,
     opts: OptimizerOptions,
-    /// Paged tables the query scans, for buffer-pool telemetry in
-    /// [`Query::explain_analyze`].
-    paged: Vec<PagedTable>,
 }
 
 impl Query {
-    /// Start from a table scan.
-    pub fn scan(table: &Arc<Table>) -> Query {
+    /// Start from a scan of every column of `source`: an eager
+    /// `&Arc<Table>`, a `&PagedTable`, an `&Arc<MergedSource>` merge
+    /// snapshot, or whatever `DeltaExtract::source` hands back — the
+    /// query reads the same either way. On a paged source this loads
+    /// every column; prefer [`Query::scan_columns`] with a projection.
+    pub fn scan(source: impl Into<Source>) -> Query {
         Query {
-            builder: PlanBuilder::scan(table),
+            builder: PlanBuilder::scan(source),
             opts: OptimizerOptions::default(),
-            paged: Vec::new(),
         }
     }
 
-    /// Start from a projection scan.
-    pub fn scan_columns(table: &Arc<Table>, columns: &[&str]) -> Query {
+    /// Start from a projection scan. On a paged source only the named
+    /// columns' segments are read from disk, via the buffer pool.
+    pub fn scan_columns(source: impl Into<Source>, columns: &[&str]) -> Query {
         Query {
-            builder: PlanBuilder::scan_columns(table, columns),
+            builder: PlanBuilder::scan_columns(source, columns),
             opts: OptimizerOptions::default(),
-            paged: Vec::new(),
         }
     }
 
-    /// Start from a paged-table scan (loads every column — prefer
-    /// [`Query::scan_paged_columns`] with a projection).
-    pub fn scan_paged(table: &PagedTable) -> Query {
-        Query {
-            builder: PlanBuilder::scan_paged(table),
-            opts: OptimizerOptions::default(),
-            paged: vec![table.clone()],
-        }
+    // Exists only because the frozen benchmark package calls it.
+    #[doc(hidden)]
+    pub fn scan_paged_columns(table: &tde_pager::PagedTable, columns: &[&str]) -> Query {
+        Query::scan_columns(table, columns)
     }
 
-    /// Start from a paged projection scan: only the named columns'
-    /// segments are read from disk, via the buffer pool.
-    pub fn scan_paged_columns(table: &PagedTable, columns: &[&str]) -> Query {
-        Query {
-            builder: PlanBuilder::scan_paged_columns(table, columns),
-            opts: OptimizerOptions::default(),
-            paged: vec![table.clone()],
-        }
-    }
-
-    /// Start from a merge-on-read scan: base table ∪ delta −
-    /// tombstones, presented as one consistent table. The snapshot
-    /// comes from a delta store (crate `tde-delta`,
-    /// `DeltaTable::snapshot`).
-    pub fn scan_delta(source: &Arc<MergedSource>) -> Query {
-        Query {
-            builder: PlanBuilder::scan_merged(source),
-            opts: OptimizerOptions::default(),
-            paged: Vec::new(),
-        }
-    }
-
-    /// Start from a merge-on-read projection scan.
-    pub fn scan_delta_columns(source: &Arc<MergedSource>, columns: &[&str]) -> Query {
-        Query {
-            builder: PlanBuilder::scan_merged_columns(source, columns),
-            opts: OptimizerOptions::default(),
-            paged: Vec::new(),
-        }
+    // Exists only because the frozen benchmark package calls it.
+    #[doc(hidden)]
+    pub fn scan_delta_columns(
+        source: &Arc<tde_exec::merged_scan::MergedSource>,
+        columns: &[&str],
+    ) -> Query {
+        Query::scan_columns(source, columns)
     }
 
     /// Filter rows.
-    pub fn filter(self, predicate: Expr) -> Query {
-        Query {
-            builder: self.builder.filter(predicate),
-            opts: self.opts,
-            paged: self.paged,
-        }
+    pub fn filter(mut self, predicate: Expr) -> Query {
+        self.builder = self.builder.filter(predicate);
+        self
     }
 
     /// Compute output columns.
-    pub fn project(self, exprs: Vec<(String, Expr)>) -> Query {
-        Query {
-            builder: self.builder.project(exprs),
-            opts: self.opts,
-            paged: self.paged,
-        }
+    pub fn project(mut self, exprs: Vec<(String, Expr)>) -> Query {
+        self.builder = self.builder.project(exprs);
+        self
     }
 
     /// Group and aggregate.
-    pub fn aggregate(self, group_by: Vec<usize>, aggs: Vec<(AggFunc, usize, &str)>) -> Query {
+    pub fn aggregate(mut self, group_by: Vec<usize>, aggs: Vec<(AggFunc, usize, &str)>) -> Query {
         let aggs = aggs
             .into_iter()
             .map(|(f, c, n)| AggSpec::new(f, c, n))
             .collect();
-        Query {
-            builder: self.builder.aggregate(group_by, aggs),
-            opts: self.opts,
-            paged: self.paged,
-        }
+        self.builder = self.builder.aggregate(group_by, aggs);
+        self
     }
 
     /// Sort the result.
-    pub fn sort(self, keys: Vec<(usize, SortOrder)>) -> Query {
-        Query {
-            builder: self.builder.sort(keys),
-            opts: self.opts,
-            paged: self.paged,
-        }
+    pub fn sort(mut self, keys: Vec<(usize, SortOrder)>) -> Query {
+        self.builder = self.builder.sort(keys);
+        self
     }
 
     /// Override the optimizer options (the figure harnesses compare
@@ -154,7 +115,20 @@ impl Query {
         self.plan().explain()
     }
 
+    /// Execute, returning the output schema and raw blocks. Panics where
+    /// [`Query::try_run`] returns an error.
+    pub fn run(self) -> (Schema, Vec<Block>) {
+        self.try_run()
+            .unwrap_or_else(|e| panic!("query execution failed: {e}"))
+    }
+
     /// Execute, returning the output schema and raw blocks.
+    ///
+    /// Errors are the underlying [`std::io::Error`]: I/O and corruption
+    /// faults — failed demand loads, segment checksum mismatches (use
+    /// [`tde_io::checksum_mismatch_details`] to recognise corruption
+    /// specifically) — and `InvalidInput` for a projection naming a
+    /// column the source does not have.
     ///
     /// Always-on observability: when the process-wide metrics registry
     /// is enabled this records `tde_queries_total`,
@@ -164,126 +138,124 @@ impl Query {
     /// phase timings and the registry counter deltas this execution
     /// caused; when timeline tracing is on (see [`tde_obs::timeline`])
     /// the execution is bracketed by query begin/end markers and its
-    /// drained timeline lands in the trace ring. With none active the
-    /// only cost is three relaxed atomic loads.
-    pub fn run(self) -> (Schema, Vec<Block>) {
-        self.try_run()
-            .unwrap_or_else(|e| panic!("query execution failed: {e}"))
-    }
-
-    /// As [`Query::run`], but surfacing I/O and corruption faults —
-    /// failed demand loads, segment checksum mismatches — as errors
-    /// instead of panicking. The error is the underlying
-    /// [`std::io::Error`]; use [`tde_io::checksum_mismatch_details`] to
-    /// recognise corruption specifically. Failed executions stay
+    /// drained timeline lands in the trace ring. Failed executions stay
     /// observable: they bump `tde_queries_failed_total` and emit an
     /// error-tagged span/trace instead of vanishing.
-    pub fn try_run(self) -> std::io::Result<(Schema, Vec<Block>)> {
-        let Some(obs) = QueryObservation::begin() else {
-            let plan = self.plan();
-            return tde_plan::physical::try_run(&plan);
-        };
+    pub fn try_run(self) -> io::Result<(Schema, Vec<Block>)> {
+        self.execute(None).map(|x| (x.schema, x.blocks))
+    }
+
+    /// Plan, lower and drain under the always-on observation — the one
+    /// path behind every entry point, so each emits exactly one span and
+    /// one timeline trace, failed or not. `trace` adds the per-query
+    /// EXPLAIN ANALYZE recording.
+    fn execute(self, trace: Option<&Arc<Trace>>) -> io::Result<Executed> {
+        let obs = QueryObservation::begin();
         let t0 = Instant::now();
         let plan = self.plan();
         let plan_ns = t0.elapsed().as_nanos() as u64;
-        let plan_digest = obs.plan_digest(|| plan.explain());
-        let result = tde_plan::physical::try_run(&plan);
-        let elapsed_ns = t0.elapsed().as_nanos() as u64;
-        let phases = [
-            ("plan", plan_ns),
-            ("execute", elapsed_ns.saturating_sub(plan_ns)),
-        ];
-        match result {
-            Ok((schema, blocks)) => {
-                let rows: u64 = blocks.iter().map(|b| b.len as u64).sum();
-                obs.finish(&plan_digest, rows, elapsed_ns, None, &phases);
-                Ok((schema, blocks))
+        let digest = obs
+            .as_ref()
+            .map_or_else(String::new, |o| o.plan_digest(|| plan.explain()));
+        let t1 = Instant::now();
+        let result = match trace {
+            None => tde_plan::physical::try_run(&plan),
+            Some(trace) => {
+                let _guard = tde_obs::install(trace);
+                tde_plan::physical::try_execute_traced(&plan, trace).map(|op| {
+                    let schema = op.schema().clone();
+                    (schema, tde_exec::drain(op))
+                })
             }
-            Err(e) => {
-                obs.finish(&plan_digest, 0, elapsed_ns, Some(e.to_string()), &phases);
-                Err(e)
-            }
-        }
-    }
-
-    /// Execute with full instrumentation: every physical operator is
-    /// wrapped in a counting adapter, the tactical optimizer's decisions
-    /// and the dynamic encoder's re-encodings are recorded, and the
-    /// result carries per-table compression telemetry. The query still
-    /// runs to completion and its output is available on the report.
-    ///
-    /// The always-on layers see this entry point like any other: it
-    /// bumps the query metrics and emits exactly one
-    /// [`tde_obs::span::QuerySpan`] / timeline trace, the same as
-    /// [`Query::run`].
-    pub fn explain_analyze(self) -> ExplainAnalyze {
-        let obs = QueryObservation::begin();
-        let paged = self.paged.clone();
-        let t0_plan = Instant::now();
-        let plan = self.plan();
-        let plan_ns = t0_plan.elapsed().as_nanos() as u64;
-        let logical = plan.explain();
-        let trace = Trace::new();
-        let before: Vec<CacheSnapshot> = paged.iter().map(PagedTable::cache_snapshot).collect();
-        let (schema, blocks, elapsed) = {
-            let _guard = tde_obs::install(&trace);
-            let t0 = Instant::now();
-            let (schema, blocks) = tde_plan::physical::run_traced(&plan, &trace);
-            (schema, blocks, t0.elapsed())
         };
+        let elapsed = t1.elapsed();
         if let Some(obs) = obs {
             let exec_ns = elapsed.as_nanos() as u64;
-            let rows: u64 = blocks.iter().map(|b| b.len as u64).sum();
-            let digest = obs.plan_digest(|| logical.clone());
+            let rows = result
+                .as_ref()
+                .map_or(0, |(_, blocks)| blocks.iter().map(|b| b.len as u64).sum());
             obs.finish(
                 &digest,
                 rows,
                 plan_ns + exec_ns,
-                None,
+                result.as_ref().err().map(ToString::to_string),
                 &[("plan", plan_ns), ("execute", exec_ns)],
             );
         }
-        let caches: Vec<CacheReport> = paged
+        result.map(|(schema, blocks)| Executed {
+            plan,
+            schema,
+            blocks,
+            elapsed,
+        })
+    }
+
+    /// Execute with full instrumentation. Panics where
+    /// [`Query::try_explain_analyze`] returns an error.
+    pub fn explain_analyze(self) -> ExplainAnalyze {
+        self.try_explain_analyze()
+            .unwrap_or_else(|e| panic!("query execution failed: {e}"))
+    }
+
+    /// Execute with full instrumentation: every physical operator also
+    /// records into a per-query trace, the tactical optimizer's
+    /// decisions and the dynamic encoder's re-encodings are captured,
+    /// and the result carries per-table compression telemetry. The
+    /// query still runs to completion and its output is available on
+    /// the report.
+    ///
+    /// The always-on layers see this entry point like any other — same
+    /// metrics, one [`tde_obs::span::QuerySpan`] / timeline trace, same
+    /// errors as [`Query::try_run`] — and the per-operator numbers in
+    /// the report are the very measurements the timeline's operator
+    /// spans carry.
+    pub fn try_explain_analyze(self) -> io::Result<ExplainAnalyze> {
+        let sources = self.builder.as_plan().sources();
+        let before: Vec<Option<CacheSnapshot>> =
+            sources.iter().map(Source::cache_snapshot).collect();
+        let trace = Trace::new();
+        let x = self.execute(Some(&trace))?;
+        let caches = sources
             .iter()
             .zip(before)
-            .map(|(t, before)| {
-                let after = t.cache_snapshot();
-                CacheReport {
-                    table: t.name().to_owned(),
-                    delta: after.since(&before),
+            .filter_map(|(s, before)| {
+                let after = s.cache_snapshot()?;
+                Some(CacheReport {
+                    table: s.name().to_owned(),
+                    delta: after.since(&before?),
                     totals: after,
-                }
+                })
             })
             .collect();
-        let tables: Vec<(String, u64, Vec<ColumnTelemetry>)> = plan
-            .referenced_tables()
+        let tables = sources
             .iter()
+            .filter_map(Source::resident)
             .map(|t| (t.name.clone(), t.row_count(), t.compression_telemetry()))
             .collect();
-        let row_count = blocks.iter().map(|b| b.len as u64).sum();
-        ExplainAnalyze {
-            logical,
+        Ok(ExplainAnalyze {
+            logical: x.plan.explain(),
             operator_tree: trace.render_tree(),
             operators: trace.nodes(),
             events: trace.events(),
             tables,
             caches,
-            row_count,
-            elapsed,
-            schema,
-            blocks,
-        }
+            row_count: x.blocks.iter().map(|b| b.len as u64).sum(),
+            elapsed: x.elapsed,
+            schema: x.schema,
+            blocks: x.blocks,
+        })
     }
 
     /// Execute, returning typed value rows (convenient, not fast).
+    /// Panics where [`Query::try_rows`] returns an error.
     pub fn rows(self) -> Vec<Vec<Value>> {
         self.try_rows()
             .unwrap_or_else(|e| panic!("query execution failed: {e}"))
     }
 
-    /// As [`Query::rows`], surfacing I/O and corruption faults as
-    /// errors; see [`Query::try_run`].
-    pub fn try_rows(self) -> std::io::Result<Vec<Vec<Value>>> {
+    /// Execute, returning typed value rows; errors as
+    /// [`Query::try_run`].
+    pub fn try_rows(self) -> io::Result<Vec<Vec<Value>>> {
         let (schema, blocks) = self.try_run()?;
         let mut rows = Vec::new();
         for b in &blocks {
@@ -297,6 +269,15 @@ impl Query {
         }
         Ok(rows)
     }
+}
+
+/// What [`Query::execute`] hands back: the optimized plan it ran, the
+/// output, and the wall time of lowering + drain.
+struct Executed {
+    plan: LogicalPlan,
+    schema: Schema,
+    blocks: Vec<Block>,
+    elapsed: Duration,
 }
 
 /// One execution's always-on observability, shared by every entry
@@ -560,7 +541,7 @@ impl std::fmt::Display for ExplainAnalyze {
 mod tests {
     use super::*;
     use tde_exec::expr::CmpOp;
-    use tde_storage::{ColumnBuilder, EncodingPolicy};
+    use tde_storage::{ColumnBuilder, EncodingPolicy, Table};
     use tde_types::DataType;
 
     fn sales() -> Arc<Table> {
@@ -678,7 +659,7 @@ mod tests {
         let mut eager = Query::scan(&t)
             .aggregate(vec![0], vec![(AggFunc::Count, 1, "n")])
             .rows();
-        let report = Query::scan_paged(&pt)
+        let report = Query::scan(&pt)
             .aggregate(vec![0], vec![(AggFunc::Count, 1, "n")])
             .explain_analyze();
         let mut lazy: Vec<Vec<Value>> = {
@@ -705,10 +686,10 @@ mod tests {
         assert!(report.caches[0].delta.misses > 0);
         assert!(report.to_json().contains("\"caches\""));
         assert!(report.to_string().contains("== buffer pool =="));
-        assert!(report.operator_tree.contains("PagedScan"));
+        assert!(report.operator_tree.contains("residency=paged"));
 
         // A repeat run is all hits.
-        let again = Query::scan_paged(&pt)
+        let again = Query::scan(&pt)
             .aggregate(vec![0], vec![(AggFunc::Count, 1, "n")])
             .explain_analyze();
         assert_eq!(again.caches[0].delta.misses, 0);

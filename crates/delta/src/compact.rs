@@ -92,6 +92,16 @@ pub enum ScanSource {
     Merged(Arc<MergedSource>),
 }
 
+/// Either way it is one scan source: `Query::scan(extract.source(name)?)`.
+impl From<ScanSource> for tde_exec::Source {
+    fn from(source: ScanSource) -> tde_exec::Source {
+        match source {
+            ScanSource::Clean(table) => (&table).into(),
+            ScanSource::Merged(snapshot) => (&snapshot).into(),
+        }
+    }
+}
+
 /// A v2 paged extract plus the delta buffers of its mutated tables.
 #[derive(Debug)]
 pub struct DeltaExtract {

@@ -14,10 +14,8 @@ use crate::block::{Block, Field, Schema};
 use crate::cursor::RangeReader;
 use crate::handle::ColumnHandle;
 use crate::{BoxOp, Operator, BLOCK_ROWS};
-use std::io;
 use std::sync::Arc;
 use tde_encodings::metadata::Knowledge;
-use tde_pager::PagedTable;
 use tde_storage::Table;
 
 /// IndexedScan operator.
@@ -26,8 +24,7 @@ pub struct IndexedScan {
     /// (start, count, carried columns).
     ranges: Vec<(u64, u64)>,
     carried: Vec<Vec<i64>>, // column-major, parallel to ranges
-    /// The outer-table columns the qualified ranges read from (eager
-    /// table positions or pager-resolved columns).
+    /// The outer-table columns the qualified ranges read from.
     fetch: Vec<ColumnHandle>,
     schema: Schema,
     next_range: usize,
@@ -59,16 +56,6 @@ impl IndexedScan {
             })
             .collect();
         IndexedScan::from_handles(inner, handles)
-    }
-
-    /// Build against a paged outer table: the fetched columns resolve
-    /// through the buffer pool; unreferenced outer columns stay on disk.
-    pub fn new_paged(inner: BoxOp, outer: &PagedTable, fetch: &[&str]) -> io::Result<IndexedScan> {
-        let handles = fetch
-            .iter()
-            .map(|n| outer.column(n).map(ColumnHandle::Owned))
-            .collect::<io::Result<Vec<_>>>()?;
-        Ok(IndexedScan::from_handles(inner, handles))
     }
 
     /// Build from pre-resolved fetch handles.
@@ -132,6 +119,15 @@ impl IndexedScan {
             readers,
             sequential,
         }
+    }
+
+    /// Name the output columns. The IndexTable calls its value column
+    /// `value`; the plan knows which outer column it stands for.
+    pub fn with_names(mut self, names: &[String]) -> IndexedScan {
+        for (field, name) in self.schema.fields.iter_mut().zip(names) {
+            field.name.clone_from(name);
+        }
+        self
     }
 
     /// Total rows the qualified ranges cover.

@@ -7,6 +7,10 @@
 //! ([`flow_table::FlowTable`], [`sort::Sort`], the aggregates and the join
 //! inner sides).
 //!
+//! Scans read a [`source::Source`] — the one place that knows whether a
+//! table is fully resident, demand-loaded through the buffer pool, or a
+//! base + delta merge snapshot; every operator above sees columns.
+//!
 //! The paper's contributions live in:
 //!
 //! * [`dictionary_table`] — the DictionaryTable operator behind invisible
@@ -45,11 +49,13 @@ pub mod pushdown;
 pub mod rle_agg;
 pub mod scan;
 pub mod sort;
+pub mod source;
 pub mod tactical;
 pub mod topn;
 
 pub use block::{Block, Field, Repr, Schema};
 pub use expr::{AggFunc, CmpOp, Expr};
+pub use source::{Projection, Source};
 
 /// Rows per execution block — matches the encoding decompression block
 /// size so one decode call serves one block (paper §3.1).

@@ -38,15 +38,13 @@ use crate::aggregate::{
 };
 use crate::block::{Block, Schema};
 use crate::expr::{AggFunc, Expr};
-use crate::handle::ColumnHandle;
 use crate::hash::{GroupMap, HashStrategy, KeyPacking};
-use crate::merged_scan::{MergedScan, MergedSource};
-use crate::scan::TableScan;
+use crate::source::Projection;
 use crate::tactical;
 use crate::{Operator, BLOCK_ROWS};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Decompression blocks per morsel: large enough to amortize scheduling,
@@ -339,31 +337,8 @@ impl MorselPipeline {
     }
 }
 
-/// The scan a morsel pipeline ranges over.
-#[derive(Clone)]
-pub enum MorselSource {
-    /// Eager or paged columns, pre-resolved to handles (paged columns
-    /// go through the buffer pool at resolve time; workers then read
-    /// shared immutable segments).
-    Table {
-        /// The projected columns.
-        handles: Vec<ColumnHandle>,
-        /// Expand array-compressed columns to scalars at the scan.
-        expand: bool,
-    },
-    /// A merge-on-read snapshot: base ranges plus one delta morsel.
-    Merged {
-        /// The snapshot.
-        source: Arc<MergedSource>,
-        /// Projected column indices into the snapshot schema.
-        columns: Vec<usize>,
-        /// Expand array-compressed columns to scalars at the scan.
-        expand: bool,
-    },
-}
-
-/// One morsel: base decompression blocks `[lo, hi)`, plus the delta leg
-/// when `delta` (merged sources ride the delta with one morsel).
+/// One morsel: stored decompression blocks `[lo, hi)`, plus the delta
+/// leg when `delta` (an overlaid source rides its delta with one morsel).
 #[derive(Clone, Copy, Debug)]
 struct MorselRange {
     lo: usize,
@@ -379,12 +354,13 @@ enum MorselOut {
     Groups(Vec<(Vec<i64>, Vec<Acc>)>),
 }
 
-/// A full pipeline executed morsel-parallel: scan (eager, paged or
-/// merged) → optional pushed predicate → optional partial aggregate,
+/// A full pipeline executed morsel-parallel: scan of a resolved
+/// [`Projection`] → optional pushed predicate → optional partial aggregate,
 /// with a deterministic merge phase. Output is byte-identical to the
 /// serial pipeline; see the module docs for why.
 pub struct MorselExec {
-    source: MorselSource,
+    source: Projection,
+    expand: bool,
     predicate: Option<(Expr, bool)>,
     pipeline: MorselPipeline,
     degree: usize,
@@ -400,27 +376,19 @@ pub struct MorselExec {
 }
 
 impl MorselExec {
-    /// Build a morsel pipeline. `predicate` is `(expr, force_fallback)`
-    /// pushed into every ranged scan; `degree` is the worker count (1 =
-    /// run on the calling thread, still through the same merge path).
+    /// Build a morsel pipeline over `source`, scanned with or without
+    /// dictionary expansion (`expand`). `predicate` is `(expr,
+    /// force_fallback)` pushed into every ranged scan; `degree` is the
+    /// worker count (1 = run on the calling thread, still through the
+    /// same merge path).
     pub fn new(
-        source: MorselSource,
+        source: Projection,
+        expand: bool,
         predicate: Option<(Expr, bool)>,
         pipeline: MorselPipeline,
         degree: usize,
     ) -> MorselExec {
-        let source_schema = match &source {
-            MorselSource::Table { handles, expand } => {
-                Schema::new(handles.iter().map(|h| h.field(*expand)).collect())
-            }
-            MorselSource::Merged {
-                source,
-                columns,
-                expand,
-            } => MergedScan::new(Arc::clone(source), columns.clone(), *expand)
-                .schema()
-                .clone(),
-        };
+        let source_schema = source.schema(expand);
         let (schema, domains, strategy, packing) = match pipeline.agg_parts() {
             None => (
                 source_schema.clone(),
@@ -458,6 +426,7 @@ impl MorselExec {
         let morsels = Self::partition(&source);
         MorselExec {
             source,
+            expand,
             predicate,
             pipeline,
             degree: degree.max(1),
@@ -474,15 +443,9 @@ impl MorselExec {
     }
 
     /// Split the source into morsels of [`MORSEL_BLOCKS`] decompression
-    /// blocks (merged sources get the delta leg on one extra morsel).
-    fn partition(source: &MorselSource) -> Vec<MorselRange> {
-        let (rows, delta) = match source {
-            MorselSource::Table { handles, .. } => (
-                handles.iter().map(|h| h.col().len()).min().unwrap_or(0),
-                false,
-            ),
-            MorselSource::Merged { source, .. } => (source.base_rows(), source.delta_rows() > 0),
-        };
+    /// blocks (a delta leg rides on one extra morsel).
+    fn partition(source: &Projection) -> Vec<MorselRange> {
+        let (rows, delta) = source.extent();
         let nblocks = (rows as usize).div_ceil(BLOCK_ROWS);
         let mut morsels = Vec::with_capacity(nblocks.div_ceil(MORSEL_BLOCKS) + 1);
         let mut at = 0;
@@ -515,34 +478,11 @@ impl MorselExec {
         self.degree
     }
 
-    /// Build the ranged scan for one morsel. Quiet variants everywhere:
-    /// telemetry for the query is emitted once, not per morsel.
-    fn build_leg(&self, m: MorselRange) -> Box<dyn Operator> {
-        match &self.source {
-            MorselSource::Table { handles, expand } => {
-                let mut scan = TableScan::from_handles(handles.clone(), *expand);
-                if let Some((p, ff)) = &self.predicate {
-                    scan = scan.with_pushed_quiet(p.clone(), *ff);
-                }
-                Box::new(scan.with_block_range(m.lo, m.hi))
-            }
-            MorselSource::Merged {
-                source,
-                columns,
-                expand,
-            } => {
-                let mut scan = MergedScan::new(Arc::clone(source), columns.clone(), *expand);
-                if let Some((p, ff)) = &self.predicate {
-                    scan = scan.with_pushed(p.clone(), *ff);
-                }
-                Box::new(scan.with_morsel_range(m.lo, m.hi, m.delta))
-            }
-        }
-    }
-
     /// Run the pipeline over one morsel on the calling worker.
     fn run_morsel(&self, m: MorselRange) -> MorselOut {
-        let mut op = self.build_leg(m);
+        let mut op =
+            self.source
+                .morsel_scan(self.expand, self.predicate.as_ref(), m.lo, m.hi, m.delta);
         match &self.pipeline {
             MorselPipeline::Emit => {
                 let mut blocks = Vec::new();
@@ -735,8 +675,13 @@ mod tests {
     use super::*;
     use crate::aggregate::{HashAggregate, OrderedAggregate};
     use crate::expr::CmpOp;
+    use crate::handle::ColumnHandle;
+    use crate::merged_scan::{MergedScan, MergedSource};
+    use crate::scan::TableScan;
+    use crate::source::Source;
     use crate::{drain, BoxOp};
     use std::collections::BTreeSet;
+    use std::sync::Arc;
     use tde_storage::{ColumnBuilder, EncodingPolicy, Table};
     use tde_types::DataType;
 
@@ -904,6 +849,11 @@ mod tests {
 
     // ---- pipeline serial equivalence ----
 
+    /// Every column of `source`, resolved.
+    fn all(source: Source) -> Projection {
+        source.resolve(&source.column_names()).unwrap()
+    }
+
     fn table(rows: i64) -> Arc<Table> {
         let mut g = ColumnBuilder::new("g", DataType::Integer, EncodingPolicy::default());
         let mut v = ColumnBuilder::new("v", DataType::Integer, EncodingPolicy::default());
@@ -942,10 +892,8 @@ mod tests {
             let want = drain(Box::new(serial));
             for degree in [1usize, 2, 4, 8] {
                 let m = MorselExec::new(
-                    MorselSource::Table {
-                        handles: ColumnHandle::all(&t),
-                        expand: false,
-                    },
+                    all(Source::from(&t)),
+                    false,
                     predicate.clone(),
                     MorselPipeline::Emit,
                     degree,
@@ -981,10 +929,8 @@ mod tests {
             let want = drain(serial);
             for degree in [2usize, 4, 8] {
                 let m = MorselExec::new(
-                    MorselSource::Table {
-                        handles: ColumnHandle::all(&t),
-                        expand: false,
-                    },
+                    all(Source::from(&t)),
+                    false,
                     Some((pred(), false)),
                     MorselPipeline::HashAgg {
                         group_cols: group_cols.clone(),
@@ -1015,10 +961,8 @@ mod tests {
         let want = drain(serial);
         for degree in [2usize, 4, 8] {
             let m = MorselExec::new(
-                MorselSource::Table {
-                    handles: ColumnHandle::all(&t),
-                    expand: false,
-                },
+                all(Source::from(&t)),
+                false,
                 None,
                 MorselPipeline::OrderedAgg {
                     group_cols: vec![0],
@@ -1040,10 +984,8 @@ mod tests {
         // Predicate matching nothing → empty input to the aggregate.
         let none = Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::int(-1));
         let m = MorselExec::new(
-            MorselSource::Table {
-                handles: ColumnHandle::all(&t),
-                expand: false,
-            },
+            all(Source::from(&t)),
+            false,
             Some((none, false)),
             MorselPipeline::HashAgg {
                 group_cols: vec![],
@@ -1059,7 +1001,6 @@ mod tests {
 
     #[test]
     fn merged_source_pipelines_match_serial() {
-        use crate::merged_scan::MergedScan;
         let t = table(7000);
         let handles = ColumnHandle::all(&t);
         let fields: Vec<_> = handles.iter().map(|h| h.field(false)).collect();
@@ -1085,11 +1026,8 @@ mod tests {
             ));
             for degree in [2usize, 4] {
                 let m = MorselExec::new(
-                    MorselSource::Merged {
-                        source: Arc::clone(&src),
-                        columns: (0..3).collect(),
-                        expand: false,
-                    },
+                    all(Source::from(&src)),
+                    false,
                     Some((pred(), false)),
                     MorselPipeline::Emit,
                     degree,
@@ -1107,11 +1045,8 @@ mod tests {
                 specs(),
             )));
             let m = MorselExec::new(
-                MorselSource::Merged {
-                    source: Arc::clone(&src),
-                    columns: (0..3).collect(),
-                    expand: false,
-                },
+                all(Source::from(&src)),
+                false,
                 None,
                 MorselPipeline::HashAgg {
                     group_cols: vec![0],
@@ -1130,15 +1065,7 @@ mod tests {
     #[test]
     fn empty_table_pipelines() {
         let t = Arc::new(Table::new("e", vec![]));
-        let m = MorselExec::new(
-            MorselSource::Table {
-                handles: ColumnHandle::all(&t),
-                expand: false,
-            },
-            None,
-            MorselPipeline::Emit,
-            4,
-        );
+        let m = MorselExec::new(all(Source::from(&t)), false, None, MorselPipeline::Emit, 4);
         assert!(drain(Box::new(m)).is_empty());
     }
 }

@@ -1,117 +1,80 @@
-//! Operator instrumentation for EXPLAIN ANALYZE and always-on metrics.
+//! The one operator observer.
 //!
-//! [`Instrumented`] wraps any operator and bumps a shared [`OpStats`] on
-//! every `next_block` call: blocks and rows produced, plus the wall time
-//! spent inside the call (which, Volcano-style, includes the time spent
-//! pulling from children — the renderer reports inclusive times, like
-//! PostgreSQL's EXPLAIN ANALYZE). The adapter is only inserted by the
-//! traced lowering path; plain `execute` never pays for it.
+//! [`Observed`] wraps an operator and takes a single measurement per
+//! `next_block` call — the clock is read on entry and on return, so the
+//! first call's timestamp precedes whatever a blocking operator does in
+//! it — and hands that one measurement to every view that is on:
 //!
-//! [`Metered`] is the always-on counterpart: it bumps the process-wide
-//! per-operator-kind counters (`tde_operator_{blocks,rows}_total{op=…}`)
-//! through handles pre-resolved at lowering time. No clock reads — the
-//! per-block cost is two relaxed `fetch_add`s — and lowering only
-//! inserts it when the metrics registry is enabled, so disabled runs pay
-//! nothing at all.
+//! * [`OpStats`] — the per-query EXPLAIN ANALYZE node (traced lowering
+//!   only);
+//! * [`OperatorCounters`] — the process-wide
+//!   `tde_operator_{blocks,rows}_total{op=…}` metrics;
+//! * [`TimelineOp`] — the always-on timeline's operator span, from which
+//!   the slow-query log takes its top operators.
 //!
-//! `Metered` optionally carries a [`TimelineOp`] too, feeding the
-//! always-on timeline layer: per-block cost is counter arithmetic (the
-//! clock is read only at the operator's first block and at
-//! end-of-stream), and one `OperatorSpan` event is emitted when the
-//! operator is exhausted — or dropped early, via `TimelineOp`'s drop
-//! flush.
+//! Times are inclusive, Volcano-style: a call's nanoseconds include the
+//! time spent pulling from children, like PostgreSQL's EXPLAIN ANALYZE.
+//! Because every view is fed the same rows, blocks and nanoseconds, they
+//! cannot disagree. With only the metrics view on no clock is read; with
+//! every view off [`Observed::wrap`] returns the operator unwrapped.
 
 use crate::block::{Block, Schema};
 use crate::{BoxOp, Operator};
 use std::sync::Arc;
-use std::time::Instant;
 use tde_obs::metrics::OperatorCounters;
-use tde_obs::timeline::TimelineOp;
+use tde_obs::timeline::{now_ns, TimelineOp};
 use tde_obs::OpStats;
 
-/// An operator adapter recording blocks/rows/wall-time into [`OpStats`].
-pub struct Instrumented {
+/// An operator adapter feeding every enabled observability view from
+/// one measurement per `next_block` call.
+pub struct Observed {
     inner: BoxOp,
-    stats: Arc<OpStats>,
-}
-
-impl Instrumented {
-    /// Wrap `inner`, recording into `stats`.
-    pub fn new(inner: BoxOp, stats: Arc<OpStats>) -> Instrumented {
-        Instrumented { inner, stats }
-    }
-}
-
-impl Operator for Instrumented {
-    fn schema(&self) -> &Schema {
-        self.inner.schema()
-    }
-
-    fn next_block(&mut self) -> Option<Block> {
-        let t0 = Instant::now();
-        let block = self.inner.next_block();
-        let nanos = t0.elapsed().as_nanos() as u64;
-        match &block {
-            Some(b) => self.stats.record_block(b.len as u64, nanos),
-            None => self.stats.record_eos(nanos),
-        }
-        block
-    }
-}
-
-/// An operator adapter bumping the process-wide per-operator-kind
-/// counters on every produced block.
-pub struct Metered {
-    inner: BoxOp,
+    stats: Option<Arc<OpStats>>,
     counters: Option<OperatorCounters>,
     timeline: Option<TimelineOp>,
 }
 
-impl Metered {
-    /// Wrap `inner`, recording into `counters`.
-    pub fn new(inner: BoxOp, counters: OperatorCounters) -> Metered {
-        Metered::with_observers(inner, Some(counters), None)
-    }
-
-    /// Wrap `inner` with any combination of metrics counters and a
-    /// timeline operator span. Lowering passes whichever layers are
-    /// enabled; callers must pass at least one (wrapping with neither
-    /// is pure overhead).
-    pub fn with_observers(
+impl Observed {
+    /// Wrap `inner` for whichever views are on; with none, `inner` comes
+    /// back as it is.
+    pub fn wrap(
         inner: BoxOp,
+        stats: Option<Arc<OpStats>>,
         counters: Option<OperatorCounters>,
         timeline: Option<TimelineOp>,
-    ) -> Metered {
-        Metered {
+    ) -> BoxOp {
+        if stats.is_none() && counters.is_none() && timeline.is_none() {
+            return inner;
+        }
+        Box::new(Observed {
             inner,
+            stats,
             counters,
             timeline,
-        }
+        })
     }
 }
 
-impl Operator for Metered {
+impl Operator for Observed {
     fn schema(&self) -> &Schema {
         self.inner.schema()
     }
 
     fn next_block(&mut self) -> Option<Block> {
+        let timed = self.stats.is_some() || self.timeline.is_some();
+        let start_ns = if timed { now_ns() } else { 0 };
         let block = self.inner.next_block();
-        match &block {
-            Some(b) => {
-                if let Some(counters) = &self.counters {
-                    counters.blocks.inc();
-                    counters.rows.add(b.len as u64);
-                }
-                if let Some(tl) = &mut self.timeline {
-                    tl.on_block(b.len as u64);
-                }
-            }
-            None => {
-                if let Some(tl) = &mut self.timeline {
-                    tl.finish();
-                }
-            }
+        let nanos = if timed { now_ns() - start_ns } else { 0 };
+        let rows = block.as_ref().map(|b| b.len as u64);
+        if let Some(stats) = &self.stats {
+            stats.on_call(nanos, rows);
+        }
+        if let (Some(counters), Some(rows)) = (&self.counters, rows) {
+            counters.blocks.inc();
+            counters.rows.add(rows);
+        }
+        if let Some(timeline) = &mut self.timeline {
+            timeline.on_call(start_ns, nanos, rows);
         }
         block
     }
@@ -121,45 +84,41 @@ impl Operator for Metered {
 mod tests {
     use super::*;
     use crate::scan::TableScan;
-    use std::sync::Arc as StdArc;
+    use tde_obs::metrics::Counter;
     use tde_storage::{ColumnBuilder, EncodingPolicy, Table};
     use tde_types::DataType;
 
-    #[test]
-    fn counts_blocks_and_rows() {
+    fn scan() -> BoxOp {
         let mut b = ColumnBuilder::new("x", DataType::Integer, EncodingPolicy::default());
         for i in 0..2500i64 {
             b.append_i64(i);
         }
-        let t = StdArc::new(Table::new("t", vec![b.finish().column]));
-        let stats = OpStats::new();
-        let mut op = Instrumented::new(Box::new(TableScan::new(t)), stats.clone());
-        let mut rows = 0u64;
-        while let Some(b) = op.next_block() {
-            rows += b.len as u64;
-        }
-        let (blocks, srows, elapsed) = stats.snapshot();
-        assert_eq!(srows, rows);
-        assert_eq!(srows, 2500);
-        assert!(blocks >= 2); // 2500 rows span multiple 1024-row blocks
-        assert!(elapsed.as_nanos() > 0);
+        let t = Arc::new(Table::new("t", vec![b.finish().column]));
+        Box::new(TableScan::new(t))
     }
 
     #[test]
-    fn metered_bumps_operator_counters() {
-        use tde_obs::metrics::Counter;
-        let mut b = ColumnBuilder::new("x", DataType::Integer, EncodingPolicy::default());
-        for i in 0..2500i64 {
-            b.append_i64(i);
-        }
-        let t = StdArc::new(Table::new("t", vec![b.finish().column]));
+    fn one_measurement_feeds_stats_and_counters_alike() {
+        let stats = OpStats::new();
         let counters = OperatorCounters {
             blocks: Counter::new(),
             rows: Counter::new(),
         };
-        let mut op = Metered::new(Box::new(TableScan::new(t)), counters.clone());
-        while op.next_block().is_some() {}
-        assert_eq!(counters.rows.get(), 2500);
-        assert!(counters.blocks.get() >= 2);
+        let op = Observed::wrap(scan(), Some(stats.clone()), Some(counters.clone()), None);
+        assert_eq!(crate::count_rows(op), 2500);
+        let (blocks, rows, elapsed) = stats.snapshot();
+        assert_eq!(rows, 2500);
+        assert!(blocks >= 2); // 2500 rows span multiple 1024-row blocks
+        assert!(elapsed.as_nanos() > 0);
+        assert_eq!(counters.rows.get(), rows);
+        assert_eq!(counters.blocks.get(), blocks);
+    }
+
+    #[test]
+    fn nothing_to_feed_means_no_wrapper() {
+        let inner = scan();
+        let addr = &*inner as *const dyn Operator as *const u8;
+        let op = Observed::wrap(inner, None, None, None);
+        assert_eq!(&*op as *const dyn Operator as *const u8, addr);
     }
 }

@@ -74,35 +74,21 @@ impl TableScan {
         TableScan::from_handles(handles, false)
     }
 
-    /// Scan a projection of `table`. `expand_dictionaries` materializes
+    /// Scan named columns. `expand_dictionaries` materializes
     /// array-compressed columns to scalars at the scan (the baseline that
-    /// forgoes invisible joins).
-    pub fn with_columns(
-        table: Arc<Table>,
-        cols: Vec<usize>,
-        expand_dictionaries: bool,
-    ) -> TableScan {
-        let handles = cols
-            .into_iter()
-            .map(|idx| ColumnHandle::Shared {
+    /// forgoes invisible joins). Panics on a name the table does not
+    /// have; [`crate::Source::resolve`] is the fallible route.
+    pub fn project(table: Arc<Table>, names: &[&str], expand_dictionaries: bool) -> TableScan {
+        let handles = names
+            .iter()
+            .map(|n| ColumnHandle::Shared {
+                idx: table
+                    .column_index(n)
+                    .unwrap_or_else(|| panic!("no column {n}")),
                 table: Arc::clone(&table),
-                idx,
             })
             .collect();
         TableScan::from_handles(handles, expand_dictionaries)
-    }
-
-    /// Scan named columns.
-    pub fn project(table: Arc<Table>, names: &[&str], expand_dictionaries: bool) -> TableScan {
-        let cols = names
-            .iter()
-            .map(|n| {
-                table
-                    .column_index(n)
-                    .unwrap_or_else(|| panic!("no column {n}"))
-            })
-            .collect();
-        TableScan::with_columns(table, cols, expand_dictionaries)
     }
 
     /// Scan named columns of a paged table, resolving each through the

@@ -7,7 +7,7 @@
 //! After the interleaving, the engine's merged view must agree with a
 //! table rebuilt *from scratch* from the model's surviving rows:
 //!
-//! * the case's full plan over `Query::scan_delta` vs the rebuild, under
+//! * the case's full plan over `Query::scan` vs the rebuild, under
 //!   every build-policy variant the re-encoding oracle already uses (the
 //!   encoding axis of the matrix), and
 //! * every base-schema predicate through the merged scan's pushed-kernel,
@@ -195,7 +195,7 @@ pub fn delta_diff(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Discrepancy>
 
     // Encoding axis: the full plan over the merged view vs a from-scratch
     // rebuild of the final table, under every policy variant.
-    let merged_full = canon(spec.apply_plan(Query::scan_delta(&src)).rows());
+    let merged_full = canon(spec.apply_plan(Query::scan(&src)).rows());
     let rebuilt_spec = respec(spec, &slots);
     if let Err(e) = rebuilt_spec.validate() {
         ds.push(fail(format!("rebuilt spec invalid: {e}")));

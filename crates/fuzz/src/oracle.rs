@@ -7,8 +7,9 @@
 //!
 //! * **Differential** — `optimizer_diff` (rewrites on vs off, one flag at
 //!   a time), `kernel_diff` (compressed-domain kernel vs forced fallback
-//!   vs a plain Filter), `paged_diff` (paged v2 re-open vs the eager
-//!   in-memory table), `parallel_diff` (exchange routing modes and the §8
+//!   vs a plain Filter), `residency_diff` (the same plan over the table
+//!   held eager, paged cold, paged warm and merged with an empty delta),
+//!   `parallel_diff` (exchange routing modes and the §8
 //!   parallel indexed rollup vs serial execution), `morsel_parallel_diff`
 //!   (the whole plan at morsel degrees {2, 4, 8} vs serial — byte-for-byte,
 //!   blocks and metadata claims, not merely the same multiset), and
@@ -42,7 +43,7 @@ use tde_exec::expr::{eval, ComputeHeap};
 use tde_exec::filter::Filter;
 use tde_exec::parallel::parallel_indexed_aggregate;
 use tde_exec::scan::TableScan;
-use tde_exec::{AggFunc, Block, BoxOp, Expr, Operator, Schema};
+use tde_exec::{AggFunc, Block, BoxOp, Expr, Operator, Schema, Source};
 use tde_plan::strategic::OptimizerOptions;
 use tde_storage::{Column, Compression, Database, Table};
 use tde_types::sentinel::{NULL_I64, NULL_TOKEN};
@@ -115,7 +116,7 @@ pub fn run_case(spec: &CaseSpec) -> CaseReport {
     optimizer_diff(spec, &table, &mut ds);
     if spec.inject.is_none() {
         kernel_diff(spec, &table, &mut ds);
-        paged_diff(spec, &table, &mut ds);
+        residency_diff(spec, &table, &mut ds);
         parallel_diff(spec, &table, &mut ds);
         morsel_parallel_diff(spec, &table, &mut ds);
         tlp_partition(spec, &table, &mut ds);
@@ -349,16 +350,23 @@ pub fn kernel_diff(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Discrepancy
 
 static PAGED_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Paged v2 storage vs the eager in-memory table: save, open, run the
-/// full plan; re-open and run it again (buffer pool warm/cold paths).
-pub fn paged_diff(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Discrepancy>) {
+/// Residency must be invisible: the same case and the same plan through
+/// the one `Query::scan`, over the table held four ways — eager (the
+/// reference), paged with a cold pool, paged again on the now-warm pool,
+/// and merged with an empty delta over the paged base. Every leg must
+/// produce the eager leg's rows under the eager leg's column names and
+/// types; the warm pass, which runs the cold pass's very plan, must also
+/// repeat its output schema claim for claim.
+pub fn residency_diff(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Discrepancy>) {
+    let mut push = |detail: String| {
+        ds.push(Discrepancy {
+            oracle: "residency-diff",
+            detail,
+        })
+    };
     let dir = std::env::temp_dir().join("tde-fuzz");
     if let Err(e) = std::fs::create_dir_all(&dir) {
-        ds.push(Discrepancy {
-            oracle: "paged-diff",
-            detail: format!("temp dir: {e}"),
-        });
-        return;
+        return push(format!("temp dir: {e}"));
     }
     let path = dir.join(format!(
         "case_{}_{}_{}.tde2",
@@ -370,28 +378,62 @@ pub fn paged_diff(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Discrepancy>
     db.add_table((**table).clone());
     let result = (|| -> Result<(), String> {
         tde_pager::save_v2(&db, &path).map_err(|e| format!("save_v2: {e}"))?;
-        let eager = canon(spec.apply_plan(Query::scan(table)).rows());
-        for attempt in 0..2 {
-            let paged = tde_pager::PagedDatabase::open(&path).map_err(|e| format!("open: {e}"))?;
-            let pt = paged
-                .table("t")
-                .ok_or_else(|| "table missing from v2 file".to_string())?;
-            // Run twice against one pool: a cold pass and a warm pass.
-            for pass in 0..2 {
-                let lazy = canon(spec.apply_plan(Query::scan_paged(&pt)).rows());
-                if let Some(d) = diff("paged-v2", &lazy, "eager-v1", &eager) {
-                    return Err(format!("open #{attempt} pass #{pass}: {d}"));
-                }
+        let paged = tde_pager::PagedDatabase::open(&path).map_err(|e| format!("open: {e}"))?;
+        let pt = paged
+            .table("t")
+            .ok_or_else(|| "table missing from v2 file".to_string())?;
+        let run = |source: Source| -> Result<(Schema, Vec<Vec<Value>>), String> {
+            let (schema, blocks) = spec
+                .apply_plan(Query::scan(source))
+                .try_run()
+                .map_err(|e| e.to_string())?;
+            let mut rows = Vec::new();
+            for b in &blocks {
+                extend_rows(&mut rows, &schema, b);
             }
+            Ok((schema, canon(rows)))
+        };
+        let shape = |s: &Schema| -> Vec<(String, DataType)> {
+            s.fields.iter().map(|f| (f.name.clone(), f.dtype)).collect()
+        };
+        let (eager_schema, eager) = run(table.into())?;
+        // One leg: same rows, same column names and types as eager.
+        let leg = |leg: &str, source: Source| -> Result<Schema, String> {
+            let (schema, rows) = run(source).map_err(|e| format!("residency:{leg}: {e}"))?;
+            if let Some(d) = diff(
+                &format!("residency:{leg}"),
+                &rows,
+                "residency:eager",
+                &eager,
+            ) {
+                return Err(d);
+            }
+            if shape(&schema) != shape(&eager_schema) {
+                return Err(format!(
+                    "residency:{leg}: output columns {:?} != residency:eager: {:?}",
+                    shape(&schema),
+                    shape(&eager_schema)
+                ));
+            }
+            Ok(schema)
+        };
+        let cold = leg("paged-cold", (&pt).into())?;
+        let warm = leg("paged-warm", (&pt).into())?;
+        if format!("{warm:?}") != format!("{cold:?}") {
+            return Err(format!(
+                "residency:paged-warm: output schema {warm:?} != residency:paged-cold: {cold:?}"
+            ));
         }
+        // Taken last: a snapshot loads every base column through the pool.
+        let snapshot = tde_delta::DeltaTable::from_paged(pt.clone())
+            .snapshot()
+            .map_err(|e| format!("residency:merged-empty-delta: snapshot: {e}"))?;
+        leg("merged-empty-delta", (&snapshot).into())?;
         Ok(())
     })();
     std::fs::remove_file(&path).ok();
     if let Err(detail) = result {
-        ds.push(Discrepancy {
-            oracle: "paged-diff",
-            detail,
-        });
+        push(detail);
     }
 }
 

@@ -7,8 +7,8 @@
 //! through their headers. This crate records those choices, plus
 //! per-operator block/row/time counters, without perturbing the engine:
 //!
-//! * [`OpStats`] — three atomic counters an operator adapter bumps per
-//!   block;
+//! * [`OpStats`] — three atomic counters the operator observer bumps
+//!   per `next_block` call;
 //! * [`Event`] — a structured record of one decision, re-encoding or
 //!   conversion;
 //! * [`Trace`] — an arena of operator nodes plus an event log, rendered
@@ -354,8 +354,8 @@ impl Event {
     }
 }
 
-/// Per-operator counters, bumped once per block by the instrumenting
-/// adapter. Shared `Arc`s let the trace read while the operator runs.
+/// Per-operator counters, bumped once per `next_block` call by the
+/// operator observer. Shared `Arc`s let the trace read while the operator runs.
 #[derive(Debug, Default)]
 pub struct OpStats {
     /// Blocks produced.
@@ -372,16 +372,14 @@ impl OpStats {
         Arc::new(OpStats::default())
     }
 
-    /// Record one produced block.
-    pub fn record_block(&self, rows: u64, nanos: u64) {
-        self.blocks.fetch_add(1, Ordering::Relaxed);
-        self.rows.fetch_add(rows, Ordering::Relaxed);
+    /// Account one `next_block` call that ran for `nanos` and produced a
+    /// block of `rows` rows (`None` at end of stream).
+    pub fn on_call(&self, nanos: u64, rows: Option<u64>) {
         self.nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Record time spent producing end-of-stream (the final `None`).
-    pub fn record_eos(&self, nanos: u64) {
-        self.nanos.fetch_add(nanos, Ordering::Relaxed);
+        if let Some(rows) = rows {
+            self.blocks.fetch_add(1, Ordering::Relaxed);
+            self.rows.fetch_add(rows, Ordering::Relaxed);
+        }
     }
 
     /// Snapshot: (blocks, rows, elapsed).
@@ -785,9 +783,9 @@ mod tests {
         let trace = Trace::new();
         let (root, rs) = trace.add_node("Aggregate", None);
         let (_child, cs) = trace.add_node("Scan t [a, b]", Some(root));
-        cs.record_block(1024, 5_000);
-        cs.record_block(512, 4_000);
-        rs.record_block(3, 50_000);
+        cs.on_call(5_000, Some(1024));
+        cs.on_call(4_000, Some(512));
+        rs.on_call(50_000, Some(3));
         trace.set_label(root, "HashAggregate [strategy=Direct64K]");
         let tree = trace.render_tree();
         let lines: Vec<&str> = tree.lines().collect();
@@ -885,7 +883,7 @@ mod tests {
     fn poisoned_trace_recovers_and_reemits() {
         let trace = Trace::new();
         let (_, stats) = trace.add_node("Scan t", None);
-        stats.record_block(10, 100);
+        stats.on_call(100, Some(10));
         // Poison both internal mutexes: a panic while holding the raw
         // guards, exactly what an unwinding operator does.
         for poison in [true, false] {

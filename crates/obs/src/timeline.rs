@@ -13,8 +13,8 @@
 //!
 //! Recorded events ([`TimelineKind`]):
 //!
-//! * operator spans (kind, rows, blocks, wall duration, tree position),
-//!   emitted by the `Metered` adapter at end-of-stream;
+//! * operator spans (kind, rows, blocks, inclusive duration, tree
+//!   position), emitted by the operator observer;
 //! * morsel executions attributed to their worker index (plus the
 //!   work-stealing flag);
 //! * buffer-pool segment loads and evictions;
@@ -113,9 +113,11 @@ pub enum TimelineKind {
         /// The span-layer query id.
         query_id: u64,
     },
-    /// One operator's whole lifetime, emitted at end-of-stream by the
-    /// `Metered` adapter: wall span from first `next_block` call to
-    /// exhaustion, inclusive of children (Volcano pull).
+    /// One operator's whole lifetime, emitted by the operator observer
+    /// when the operator is dropped. It starts at the entry to the first
+    /// `next_block` call; `dur_ns` is the time spent inside `next_block`,
+    /// inclusive of children (Volcano pull), so a parent's span contains
+    /// its children's.
     OperatorSpan {
         /// Operator kind (first token of the plan label).
         op: String,
@@ -127,7 +129,8 @@ pub enum TimelineKind {
         blocks: u64,
         /// Rows produced by this operator.
         rows: u64,
-        /// Wall-clock span in nanoseconds (inclusive of children).
+        /// Nanoseconds inside `next_block` (inclusive of children) — the
+        /// figure EXPLAIN ANALYZE reports for the same operator.
         dur_ns: u64,
     },
     /// One morsel executed by a parallel worker.
@@ -283,13 +286,13 @@ pub fn next_op_id() -> u32 {
     NEXT_OP_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Per-operator timeline state held by the `Metered` adapter.
+/// Per-operator timeline state held by the operator observer.
 ///
-/// The hot path ([`TimelineOp::on_block`]) is counter arithmetic plus a
-/// clock read on the *first* block only; [`TimelineOp::finish`] (at
-/// end-of-stream, or on drop for operators abandoned early) reads the
-/// clock once more and emits a single
-/// [`TimelineKind::OperatorSpan`].
+/// The observer times every `next_block` call once and hands the same
+/// numbers to EXPLAIN ANALYZE and to [`TimelineOp::on_call`], so the
+/// span emitted here — one [`TimelineKind::OperatorSpan`], when the
+/// operator is dropped — carries exactly the blocks, rows and inclusive
+/// nanoseconds the other views report.
 #[derive(Debug)]
 pub struct TimelineOp {
     op: String,
@@ -298,6 +301,7 @@ pub struct TimelineOp {
     first_start_ns: Option<u64>,
     blocks: u64,
     rows: u64,
+    dur_ns: u64,
     finished: bool,
 }
 
@@ -312,19 +316,23 @@ impl TimelineOp {
             first_start_ns: None,
             blocks: 0,
             rows: 0,
+            dur_ns: 0,
             finished: false,
         }
     }
 
-    /// Account one produced block. Reads the clock only on the first
-    /// call.
+    /// Account one `next_block` call that was entered at `start_ns`
+    /// (see [`now_ns`]), ran for `nanos` and produced a block of `rows`
+    /// rows (`None` at end of stream). The span starts at the entry to
+    /// the first call — before a blocking operator does its work.
     #[inline]
-    pub fn on_block(&mut self, rows: u64) {
-        if self.first_start_ns.is_none() {
-            self.first_start_ns = Some(now_ns());
+    pub fn on_call(&mut self, start_ns: u64, nanos: u64, rows: Option<u64>) {
+        self.first_start_ns.get_or_insert(start_ns);
+        self.dur_ns += nanos;
+        if let Some(rows) = rows {
+            self.blocks += 1;
+            self.rows += rows;
         }
-        self.blocks += 1;
-        self.rows += rows;
     }
 
     /// Emit the operator span (idempotent; also called from `Drop`).
@@ -336,17 +344,15 @@ impl TimelineOp {
         if !enabled() {
             return;
         }
-        let end = now_ns();
-        let start = self.first_start_ns.unwrap_or(end);
         record_at(
-            start,
+            self.first_start_ns.unwrap_or_else(now_ns),
             TimelineKind::OperatorSpan {
                 op: std::mem::take(&mut self.op),
                 op_id: self.op_id,
                 parent: self.parent,
                 blocks: self.blocks,
                 rows: self.rows,
-                dur_ns: end.saturating_sub(start),
+                dur_ns: self.dur_ns,
             },
         );
     }
@@ -712,10 +718,10 @@ mod tests {
         let root = next_op_id();
         let child = next_op_id();
         let mut child_op = TimelineOp::new("scan", child, Some(root));
-        child_op.on_block(100);
+        child_op.on_call(now_ns(), 1, Some(100));
         child_op.finish();
         let mut root_op = TimelineOp::new("filter", root, None);
-        root_op.on_block(100);
+        root_op.on_call(now_ns(), 1, Some(100));
         root_op.finish();
         let mut trace = (*query_end(token, "d", 100, 1, None, &[])).clone();
         set_enabled(prev);

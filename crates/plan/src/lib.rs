@@ -18,5 +18,5 @@ pub mod physical;
 pub mod strategic;
 
 pub use logical::{LogicalPlan, PlanBuilder};
-pub use physical::{execute, try_execute};
+pub use physical::try_execute;
 pub use strategic::optimize;

@@ -9,10 +9,8 @@
 
 use std::sync::Arc;
 use tde_exec::aggregate::AggSpec;
-use tde_exec::merged_scan::MergedSource;
 use tde_exec::sort::SortOrder;
-use tde_exec::Expr;
-use tde_pager::PagedTable;
+use tde_exec::{Expr, Source};
 use tde_storage::Table;
 
 /// Operations pushed down onto a decompression join's inner side: a
@@ -37,12 +35,16 @@ impl InnerOps {
 /// A logical query plan.
 #[derive(Debug, Clone)]
 pub enum LogicalPlan {
-    /// Scan named columns of a stored table. `expand_dictionaries`
-    /// materializes array-compressed columns at the scan — the baseline
-    /// that forgoes invisible joins.
+    /// Scan named columns of a [`Source`] — the only scan leaf, whatever
+    /// the source's residency. A paged source resolves its columns
+    /// through the buffer pool at lowering time, so only the projected
+    /// columns' segments are read from disk; a merged source presents
+    /// base rows minus tombstones, then delta rows, as one table.
+    /// `expand_dictionaries` materializes array-compressed columns at
+    /// the scan — the baseline that forgoes invisible joins.
     Scan {
-        /// The table.
-        table: Arc<Table>,
+        /// What to read.
+        source: Source,
         /// Column names to produce, in order.
         columns: Vec<String>,
         /// Expand array compression inline.
@@ -50,34 +52,6 @@ pub enum LogicalPlan {
         /// A predicate (over the scan's output schema) pushed into the
         /// scan by the strategic optimizer; the scan answers it in the
         /// compressed domain where the column's encoding has a kernel.
-        predicate: Option<Expr>,
-    },
-    /// Scan named columns of a paged (v2) table: each column resolves
-    /// through the buffer pool at lowering time, so only the projected
-    /// columns' segments are read from disk.
-    PagedScan {
-        /// The lazy table handle.
-        table: PagedTable,
-        /// Column names to produce, in order.
-        columns: Vec<String>,
-        /// Expand array compression inline.
-        expand_dictionaries: bool,
-        /// A pushed-down predicate, as on [`LogicalPlan::Scan`].
-        predicate: Option<Expr>,
-    },
-    /// Merge-on-read scan over a base table plus its live delta
-    /// (crate `tde-delta`): base rows minus tombstones, then delta rows,
-    /// presented as one table. The base side keeps compressed-domain
-    /// kernels when no tombstones are live; the delta side always
-    /// evaluates per block.
-    MergedScan {
-        /// The merge snapshot.
-        source: Arc<MergedSource>,
-        /// Column names to produce, in order.
-        columns: Vec<String>,
-        /// Expand array compression inline.
-        expand_dictionaries: bool,
-        /// A pushed-down predicate, as on [`LogicalPlan::Scan`].
         predicate: Option<Expr>,
     },
     /// Row filter.
@@ -161,9 +135,7 @@ impl LogicalPlan {
     /// The output column names, for rewrites and tests.
     pub fn output_columns(&self) -> Vec<String> {
         match self {
-            LogicalPlan::Scan { columns, .. }
-            | LogicalPlan::PagedScan { columns, .. }
-            | LogicalPlan::MergedScan { columns, .. } => columns.clone(),
+            LogicalPlan::Scan { columns, .. } => columns.clone(),
             LogicalPlan::Filter { input, .. } | LogicalPlan::Morsel { input, .. } => {
                 input.output_columns()
             }
@@ -211,24 +183,22 @@ impl LogicalPlan {
         }
     }
 
-    /// Every stored table the plan references — scan sources plus
-    /// decompression-join sources — deduplicated by identity. Used by
-    /// EXPLAIN ANALYZE to report compression telemetry per table.
-    pub fn referenced_tables(&self) -> Vec<Arc<Table>> {
-        fn push(out: &mut Vec<Arc<Table>>, t: &Arc<Table>) {
-            if !out.iter().any(|x| Arc::ptr_eq(x, t)) {
-                out.push(t.clone());
+    /// Every source the plan reads — the scan leaf plus the tables behind
+    /// decompression joins — each once. EXPLAIN ANALYZE reports
+    /// compression and buffer-pool telemetry per source.
+    pub fn sources(&self) -> Vec<Source> {
+        fn push(out: &mut Vec<Source>, s: Source) {
+            let seen = |x: &Source| match (x.resident(), s.resident()) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                _ => false,
+            };
+            if !out.iter().any(seen) {
+                out.push(s);
             }
         }
-        fn collect(plan: &LogicalPlan, out: &mut Vec<Arc<Table>>) {
+        fn collect(plan: &LogicalPlan, out: &mut Vec<Source>) {
             match plan {
-                LogicalPlan::Scan { table, .. } => push(out, table),
-                // Paged scans load columns lazily; their cache telemetry
-                // is reported from the pool counters, not per-table.
-                LogicalPlan::PagedScan { .. } => {}
-                // Merged scans report through delta metrics and the
-                // merged-scan decision event, not per-table telemetry.
-                LogicalPlan::MergedScan { .. } => {}
+                LogicalPlan::Scan { source, .. } => push(out, source.clone()),
                 LogicalPlan::Filter { input, .. }
                 | LogicalPlan::Project { input, .. }
                 | LogicalPlan::Aggregate { input, .. }
@@ -236,9 +206,9 @@ impl LogicalPlan {
                 | LogicalPlan::Morsel { input, .. } => collect(input, out),
                 LogicalPlan::ExpandJoin { outer, source, .. } => {
                     collect(outer, out);
-                    push(out, &source.0);
+                    push(out, (&source.0).into());
                 }
-                LogicalPlan::IndexScan { source, .. } => push(out, &source.0),
+                LogicalPlan::IndexScan { source, .. } => push(out, (&source.0).into()),
             }
         }
         let mut out = Vec::new();
@@ -257,58 +227,14 @@ impl LogicalPlan {
         let pad = "  ".repeat(depth);
         match self {
             LogicalPlan::Scan {
-                table,
-                columns,
-                expand_dictionaries,
-                predicate,
-            } => {
-                out.push_str(&format!(
-                    "{pad}Scan {} [{}]{}{}\n",
-                    table.name,
-                    columns.join(", "),
-                    if *expand_dictionaries {
-                        " (expanded)"
-                    } else {
-                        ""
-                    },
-                    if predicate.is_some() { " +pred" } else { "" }
-                ));
-            }
-            LogicalPlan::PagedScan {
-                table,
-                columns,
-                expand_dictionaries,
-                predicate,
-            } => {
-                out.push_str(&format!(
-                    "{pad}PagedScan {} [{}]{}{}\n",
-                    table.name(),
-                    columns.join(", "),
-                    if *expand_dictionaries {
-                        " (expanded)"
-                    } else {
-                        ""
-                    },
-                    if predicate.is_some() { " +pred" } else { "" }
-                ));
-            }
-            LogicalPlan::MergedScan {
                 source,
                 columns,
                 expand_dictionaries,
                 predicate,
             } => {
                 out.push_str(&format!(
-                    "{pad}MergedScan {} [{}] (+{} delta, -{} tombstone){}{}\n",
-                    source.name(),
-                    columns.join(", "),
-                    source.delta_rows(),
-                    source.tombstone_count(),
-                    if *expand_dictionaries {
-                        " (expanded)"
-                    } else {
-                        ""
-                    },
+                    "{pad}{}{}\n",
+                    scan_label(source, columns, *expand_dictionaries),
                     if predicate.is_some() { " +pred" } else { "" }
                 ));
             }
@@ -386,49 +312,41 @@ impl LogicalPlan {
     }
 }
 
+/// The label of a scan over `source`, shared by EXPLAIN and the physical
+/// operator tree: `Scan <table> [<columns>] residency=<tag>`. The first
+/// token is the operator kind whatever the residency.
+pub(crate) fn scan_label(source: &Source, columns: &[String], expand_dictionaries: bool) -> String {
+    format!(
+        "Scan {} [{}]{} residency={source}",
+        source.name(),
+        columns.join(", "),
+        if expand_dictionaries {
+            " (expanded)"
+        } else {
+            ""
+        }
+    )
+}
+
 /// Fluent builder for logical plans.
 pub struct PlanBuilder {
     plan: LogicalPlan,
 }
 
 impl PlanBuilder {
-    /// Start from a full-table scan.
-    pub fn scan(table: &Arc<Table>) -> PlanBuilder {
-        let columns = table.columns.iter().map(|c| c.name.clone()).collect();
+    /// Start from a scan of every column of `source` (on a paged source
+    /// that loads every column — prefer [`PlanBuilder::scan_columns`]).
+    pub fn scan(source: impl Into<Source>) -> PlanBuilder {
+        let source = source.into();
+        let columns = source.column_names();
+        PlanBuilder::scan_columns(source.clone(), &columns)
+    }
+
+    /// Start from a projection scan: only the named columns are read.
+    pub fn scan_columns(source: impl Into<Source>, columns: &[&str]) -> PlanBuilder {
         PlanBuilder {
             plan: LogicalPlan::Scan {
-                table: table.clone(),
-                columns,
-                expand_dictionaries: false,
-                predicate: None,
-            },
-        }
-    }
-
-    /// Start from a full paged-table scan (loads every column — prefer
-    /// [`PlanBuilder::scan_paged_columns`] with a projection).
-    pub fn scan_paged(table: &PagedTable) -> PlanBuilder {
-        let columns = table
-            .column_names()
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        PlanBuilder {
-            plan: LogicalPlan::PagedScan {
-                table: table.clone(),
-                columns,
-                expand_dictionaries: false,
-                predicate: None,
-            },
-        }
-    }
-
-    /// Start from a paged projection scan: only the named columns'
-    /// segments will be read.
-    pub fn scan_paged_columns(table: &PagedTable, columns: &[&str]) -> PlanBuilder {
-        PlanBuilder {
-            plan: LogicalPlan::PagedScan {
-                table: table.clone(),
+                source: source.into(),
                 columns: columns.iter().map(|s| (*s).to_owned()).collect(),
                 expand_dictionaries: false,
                 predicate: None,
@@ -436,45 +354,19 @@ impl PlanBuilder {
         }
     }
 
-    /// Start from a full merge-on-read scan over a base + delta snapshot.
-    pub fn scan_merged(source: &Arc<MergedSource>) -> PlanBuilder {
-        let columns = source
-            .column_names()
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        PlanBuilder {
-            plan: LogicalPlan::MergedScan {
-                source: Arc::clone(source),
-                columns,
-                expand_dictionaries: false,
-                predicate: None,
-            },
-        }
+    // Exists only because the frozen benchmark package calls it.
+    #[doc(hidden)]
+    pub fn scan_paged_columns(table: &tde_pager::PagedTable, columns: &[&str]) -> PlanBuilder {
+        PlanBuilder::scan_columns(table, columns)
     }
 
-    /// Start from a merged projection scan.
-    pub fn scan_merged_columns(source: &Arc<MergedSource>, columns: &[&str]) -> PlanBuilder {
-        PlanBuilder {
-            plan: LogicalPlan::MergedScan {
-                source: Arc::clone(source),
-                columns: columns.iter().map(|s| (*s).to_owned()).collect(),
-                expand_dictionaries: false,
-                predicate: None,
-            },
-        }
-    }
-
-    /// Start from a projection scan.
-    pub fn scan_columns(table: &Arc<Table>, columns: &[&str]) -> PlanBuilder {
-        PlanBuilder {
-            plan: LogicalPlan::Scan {
-                table: table.clone(),
-                columns: columns.iter().map(|s| (*s).to_owned()).collect(),
-                expand_dictionaries: false,
-                predicate: None,
-            },
-        }
+    // Exists only because the frozen benchmark package calls it.
+    #[doc(hidden)]
+    pub fn scan_merged_columns(
+        source: &Arc<tde_exec::merged_scan::MergedSource>,
+        columns: &[&str],
+    ) -> PlanBuilder {
+        PlanBuilder::scan_columns(source, columns)
     }
 
     /// Add a filter.
@@ -516,6 +408,11 @@ impl PlanBuilder {
                 keys,
             },
         }
+    }
+
+    /// The plan built so far.
+    pub fn as_plan(&self) -> &LogicalPlan {
+        &self.plan
     }
 
     /// Finish.

@@ -6,18 +6,17 @@
 //! join implementation (fetch vs hash) and the aggregation flavour
 //! (ordered vs hash) chosen — from the metadata FlowTable just extracted.
 
-use crate::logical::{InnerOps, LogicalPlan};
+use crate::logical::{scan_label, InnerOps, LogicalPlan};
 use std::io;
 use std::sync::Arc;
 use tde_exec::aggregate::{AggSpec, HashAggregate, OrderedAggregate};
 use tde_exec::dictionary_table::dictionary_table;
 use tde_exec::filter::Filter;
 use tde_exec::flow_table::{flow_table, FlowTableOptions};
-use tde_exec::handle::ColumnHandle;
 use tde_exec::index_table::index_table;
 use tde_exec::indexed_scan::IndexedScan;
 use tde_exec::join::{Join, JoinKind};
-use tde_exec::obs::{Instrumented, Metered};
+use tde_exec::obs::Observed;
 use tde_exec::project::Project;
 use tde_exec::rle_agg::RunAggregate;
 use tde_exec::scan::TableScan;
@@ -46,34 +45,26 @@ impl<'a> Tracer<'a> {
         }
     }
 
-    /// Register an operator node under the current parent. A no-op
-    /// trace handle when tracing is off; the operator kind (the label's
-    /// first token) always feeds the per-operator metrics and, when the
-    /// timeline layer is on, its operator spans.
+    /// Register an operator node under the current parent (in the trace,
+    /// when one is recording). The operator kind — the label's first
+    /// token — names the per-operator metrics and timeline spans.
     fn node(&self, label: impl Into<String>) -> NodeCtx<'a> {
         let label = label.into();
         let kind = kind_of(&label);
-        let tl_id = tde_obs::timeline::enabled().then(tde_obs::timeline::next_op_id);
-        match self.trace {
-            None => NodeCtx {
-                trace: None,
-                id: None,
-                stats: None,
-                kind,
-                tl_id,
-                tl_parent: self.tl_parent,
-            },
+        let (id, stats) = match self.trace {
             Some(t) => {
                 let (id, stats) = t.add_node(label, self.parent);
-                NodeCtx {
-                    trace: Some(t),
-                    id: Some(id),
-                    stats: Some(stats),
-                    kind,
-                    tl_id,
-                    tl_parent: self.tl_parent,
-                }
+                (Some(id), Some(stats))
             }
+            None => (None, None),
+        };
+        NodeCtx {
+            trace: self.trace,
+            id,
+            stats,
+            kind,
+            tl_id: tde_obs::timeline::enabled().then(tde_obs::timeline::next_op_id),
+            tl_parent: self.tl_parent,
         }
     }
 }
@@ -114,47 +105,29 @@ impl<'a> NodeCtx<'a> {
         }
     }
 
-    /// Wrap the lowered operator in the instrumenting adapters: the
-    /// always-on per-operator-kind metrics (skipped entirely when the
-    /// registry is disabled), the always-on timeline operator span
-    /// (likewise skipped when `TDE_TRACE` is off) and, under tracing,
-    /// the per-query [`Instrumented`] stats.
+    /// Put the lowered operator under the one observer, handing it
+    /// whichever views are on: the per-query trace stats, the per-kind
+    /// metrics counters, the timeline operator span. With all of them
+    /// off the operator stays unwrapped.
     fn wrap(self, op: BoxOp) -> BoxOp {
         let counters = tde_obs::metrics::operator_counters(&self.kind);
         let timeline = self
             .tl_id
             .map(|id| tde_obs::timeline::TimelineOp::new(&self.kind, id, self.tl_parent));
-        let op = if counters.is_some() || timeline.is_some() {
-            Box::new(Metered::with_observers(op, counters, timeline)) as BoxOp
-        } else {
-            op
-        };
-        match self.stats {
-            Some(stats) => Box::new(Instrumented::new(op, stats)),
-            None => op,
-        }
+        Observed::wrap(op, self.stats, counters, timeline)
     }
 }
 
-/// Lower and instantiate a logical plan, surfacing I/O and corruption
-/// faults (failed demand loads, checksum mismatches) as errors instead
-/// of panicking. Planning bugs — a plan referencing a column its source
-/// does not have — still panic: those are programmer errors, not
-/// runtime faults.
+/// Lower and instantiate a logical plan. I/O and corruption faults
+/// (failed demand loads, checksum mismatches) and projections naming a
+/// column the source does not have come back as errors.
 pub fn try_execute(plan: &LogicalPlan) -> io::Result<BoxOp> {
     lower(plan, Tracer::off())
 }
 
-/// Lower and instantiate a logical plan.
-///
-/// Panics if lowering hits an I/O or corruption fault (e.g. a paged
-/// scan whose segment read fails); use [`try_execute`] where such
-/// faults must be handled.
-pub fn execute(plan: &LogicalPlan) -> BoxOp {
-    try_execute(plan).unwrap_or_else(|e| panic!("plan lowering failed: {e}"))
-}
-
-/// Fallible variant of [`execute_traced`]; see [`try_execute`].
+/// As [`try_execute`], with every operator also recording into `trace`.
+/// Combine with [`tde_obs::install`] to capture the decision/re-encoding
+/// events fired during lowering and execution too.
 pub fn try_execute_traced(plan: &LogicalPlan, trace: &Arc<Trace>) -> io::Result<BoxOp> {
     lower(
         plan,
@@ -166,109 +139,26 @@ pub fn try_execute_traced(plan: &LogicalPlan, trace: &Arc<Trace>) -> io::Result<
     )
 }
 
-/// Lower a plan with every operator wrapped in an instrumenting adapter
-/// recording into `trace`. Combine with [`tde_obs::install`] to also
-/// capture the decision/re-encoding events fired during lowering and
-/// execution.
-pub fn execute_traced(plan: &LogicalPlan, trace: &Arc<Trace>) -> BoxOp {
-    try_execute_traced(plan, trace).unwrap_or_else(|e| panic!("plan lowering failed: {e}"))
-}
-
 fn lower(plan: &LogicalPlan, tr: Tracer<'_>) -> io::Result<BoxOp> {
     match plan {
         LogicalPlan::Scan {
-            table,
-            columns,
-            expand_dictionaries,
-            predicate,
-        } => {
-            let label = format!(
-                "Scan {} [{}]{}",
-                table.name,
-                columns.join(", "),
-                if *expand_dictionaries {
-                    " (expanded)"
-                } else {
-                    ""
-                }
-            );
-            let mut node = tr.node(label.clone());
-            let names: Vec<&str> = columns.iter().map(String::as_str).collect();
-            let mut scan = TableScan::project(table.clone(), &names, *expand_dictionaries);
-            if let Some(pred) = predicate {
-                scan = scan.with_pushed(pred.clone(), false);
-                if let Some(kernel) = scan.pushed_kernel() {
-                    node.relabel(format!("{label} where [kernel={kernel}]"));
-                }
-            }
-            Ok(node.wrap(Box::new(scan)))
-        }
-        LogicalPlan::PagedScan {
-            table,
-            columns,
-            expand_dictionaries,
-            predicate,
-        } => {
-            let label = format!(
-                "PagedScan {} [{}]{}",
-                table.name(),
-                columns.join(", "),
-                if *expand_dictionaries {
-                    " (expanded)"
-                } else {
-                    ""
-                }
-            );
-            let mut node = tr.node(label.clone());
-            let names: Vec<&str> = columns.iter().map(String::as_str).collect();
-            // Demand loads happen here: a failed or corrupt segment read
-            // surfaces as an error, never as corrupt decoded data.
-            let mut scan = TableScan::paged(table, &names, *expand_dictionaries)?;
-            if let Some(pred) = predicate {
-                scan = scan.with_pushed(pred.clone(), false);
-                if let Some(kernel) = scan.pushed_kernel() {
-                    node.relabel(format!("{label} where [kernel={kernel}]"));
-                }
-            }
-            Ok(node.wrap(Box::new(scan)))
-        }
-        LogicalPlan::MergedScan {
             source,
             columns,
             expand_dictionaries,
             predicate,
         } => {
-            let label = format!(
-                "MergedScan {} [{}] (+{} delta, -{} tombstone){}",
-                source.name(),
-                columns.join(", "),
-                source.delta_rows(),
-                source.tombstone_count(),
-                if *expand_dictionaries {
-                    " (expanded)"
-                } else {
-                    ""
-                }
-            );
-            let mut node = tr.node(label.clone());
-            let cols: Vec<usize> = columns
-                .iter()
-                .map(|n| {
-                    source
-                        .index_of(n)
-                        .unwrap_or_else(|| panic!("no column {n:?} in merged source"))
-                })
-                .collect();
-            let mut scan = tde_exec::merged_scan::MergedScan::new(
-                Arc::clone(source),
-                cols,
-                *expand_dictionaries,
-            );
-            if let Some(pred) = predicate {
-                scan = scan.with_pushed(pred.clone(), false);
-            }
-            node.relabel(format!("{label} [mode={}]", scan.merge_mode()));
-            Ok(node.wrap(Box::new(scan)))
+            let names: Vec<&str> = columns.iter().map(String::as_str).collect();
+            // Demand loads happen here: a failed or corrupt segment read
+            // surfaces as an error, never as corrupt decoded data.
+            let (scan, how) = source
+                .resolve(&names)?
+                .scan(*expand_dictionaries, predicate.as_ref());
+            let label = scan_label(source, columns, *expand_dictionaries);
+            let node = tr.node(match how {
+                Some(how) => format!("{label} {how}"),
+                None => label,
+            });
+            Ok(node.wrap(scan))
         }
         LogicalPlan::Filter { input, predicate } => {
             let node = tr.node("Filter");
@@ -303,7 +193,14 @@ fn lower(plan: &LogicalPlan, tr: Tracer<'_>) -> io::Result<BoxOp> {
             inner,
             sort_by_value,
             fetch,
-        } => lower_index_scan(source, inner, *sort_by_value, fetch, tr),
+        } => lower_index_scan(
+            source,
+            inner,
+            *sort_by_value,
+            fetch,
+            &plan.output_columns(),
+            tr,
+        ),
     }
 }
 
@@ -390,127 +287,45 @@ fn build_morsel(
     input_plan: &LogicalPlan,
     degree: usize,
 ) -> Result<(tde_exec::morsel::MorselExec, &'static str), String> {
-    use tde_exec::morsel::{merge_safe, MorselExec, MorselPipeline, MorselSource};
+    use tde_exec::morsel::{merge_safe, MorselExec, MorselPipeline};
 
-    fn scan_parts(plan: &LogicalPlan) -> Result<(MorselSource, Option<Expr>), String> {
-        match plan {
-            LogicalPlan::Scan {
-                table,
-                columns,
-                expand_dictionaries,
-                predicate,
-            } => {
-                let handles = columns
-                    .iter()
-                    .map(|n| {
-                        table
-                            .column_index(n)
-                            .map(|idx| ColumnHandle::Shared {
-                                table: table.clone(),
-                                idx,
-                            })
-                            .ok_or_else(|| format!("no column {n:?} in table"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok((
-                    MorselSource::Table {
-                        handles,
-                        expand: *expand_dictionaries,
-                    },
-                    predicate.clone(),
-                ))
-            }
-            LogicalPlan::PagedScan {
-                table,
-                columns,
-                expand_dictionaries,
-                predicate,
-            } => {
-                let handles = columns
-                    .iter()
-                    .map(|n| {
-                        table
-                            .column(n)
-                            .map(ColumnHandle::Owned)
-                            .map_err(|e| format!("paged column {n:?}: {e}"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok((
-                    MorselSource::Table {
-                        handles,
-                        expand: *expand_dictionaries,
-                    },
-                    predicate.clone(),
-                ))
-            }
-            LogicalPlan::MergedScan {
-                source,
-                columns,
-                expand_dictionaries,
-                predicate,
-            } => {
-                let cols = columns
-                    .iter()
-                    .map(|n| {
-                        source
-                            .index_of(n)
-                            .ok_or_else(|| format!("no column {n:?} in merged source"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok((
-                    MorselSource::Merged {
-                        source: Arc::clone(source),
-                        columns: cols,
-                        expand: *expand_dictionaries,
-                    },
-                    predicate.clone(),
-                ))
-            }
-            _ => Err("pipeline does not bottom out in a rangeable scan".to_string()),
-        }
-    }
-
-    // A residual filter composes with any predicate the kernel-pushdown
-    // rewrite already folded into the scan: conjunction over the same
-    // source schema, evaluated per block — row-identical to the stacked
-    // Filter operator (which also drops fully-filtered blocks).
-    let and = |prior: Option<Expr>, p: &Expr| match prior {
-        Some(q) => Expr::And(Box::new(q), Box::new(p.clone())),
-        None => p.clone(),
-    };
-    let (source, predicate, agg) = match input_plan {
+    let (scan, filter, agg) = match input_plan {
         LogicalPlan::Aggregate {
             input,
             group_by,
             aggs,
-        } => {
-            let (source, predicate) = match input.as_ref() {
-                LogicalPlan::Filter {
-                    input,
-                    predicate: p,
-                } => {
-                    let (s, prior) = scan_parts(input)?;
-                    (s, Some(and(prior, p)))
-                }
-                p => scan_parts(p)?,
-            };
-            (source, predicate, Some((group_by.clone(), aggs.clone())))
-        }
-        LogicalPlan::Filter {
-            input,
-            predicate: p,
-        } => {
-            let (s, prior) = scan_parts(input)?;
-            (s, Some(and(prior, p)), None)
-        }
-        p => {
-            let (s, predicate) = scan_parts(p)?;
-            (s, predicate, None)
-        }
+        } => match input.as_ref() {
+            LogicalPlan::Filter { input, predicate } => {
+                (input.as_ref(), Some(predicate), Some((group_by, aggs)))
+            }
+            scan => (scan, None, Some((group_by, aggs))),
+        },
+        LogicalPlan::Filter { input, predicate } => (input.as_ref(), Some(predicate), None),
+        scan => (scan, None, None),
+    };
+    let LogicalPlan::Scan {
+        source,
+        columns,
+        expand_dictionaries,
+        predicate: pushed,
+    } = scan
+    else {
+        return Err("pipeline does not bottom out in a rangeable scan".to_string());
+    };
+    let names: Vec<&str> = columns.iter().map(String::as_str).collect();
+    let source = source.resolve(&names).map_err(|e| e.to_string())?;
+    let expand = *expand_dictionaries;
+    // A residual filter composes with any predicate the kernel-pushdown
+    // rewrite already folded into the scan: conjunction over the same
+    // source schema, evaluated per block — row-identical to the stacked
+    // Filter operator (which also drops fully-filtered blocks).
+    let predicate = match (pushed, filter) {
+        (Some(q), Some(p)) => Some(Expr::And(Box::new(q.clone()), Box::new(p.clone()))),
+        (q, p) => q.as_ref().or(p).cloned(),
     };
     // Probe run: resolves the source schema and the morsel count without
     // committing to a pipeline.
-    let probe = MorselExec::new(source.clone(), None, MorselPipeline::Emit, 1);
+    let probe = MorselExec::new(source.clone(), expand, None, MorselPipeline::Emit, 1);
     if probe.morsel_count() < 2 {
         return Err(format!(
             "{} morsel(s): nothing to spread across workers",
@@ -520,6 +335,7 @@ fn build_morsel(
     let (pipeline, what) = match agg {
         None => (MorselPipeline::Emit, "Scan"),
         Some((group_cols, aggs)) => {
+            let (group_cols, aggs) = (group_cols.clone(), aggs.clone());
             if !merge_safe(probe.source_schema(), &aggs) {
                 return Err(
                     "Sum over a Real column is order-dependent; partials do not merge exactly"
@@ -547,7 +363,13 @@ fn build_morsel(
         }
     };
     Ok((
-        MorselExec::new(source, predicate.map(|p| (p, false)), pipeline, degree),
+        MorselExec::new(
+            source,
+            expand,
+            predicate.map(|p| (p, false)),
+            pipeline,
+            degree,
+        ),
         what,
     ))
 }
@@ -561,33 +383,24 @@ fn lower_run_aggregate(
     aggs: &[AggSpec],
     tr: Tracer<'_>,
 ) -> Option<BoxOp> {
-    let (handle, predicate) = match input_plan {
-        LogicalPlan::Scan {
-            table,
-            columns,
-            expand_dictionaries: false,
-            predicate,
-        } if columns.len() == 1 => {
-            let idx = table.column_index(&columns[0])?;
-            (
-                ColumnHandle::Shared {
-                    table: table.clone(),
-                    idx,
-                },
-                predicate.as_ref(),
-            )
-        }
-        LogicalPlan::PagedScan {
-            table,
-            columns,
-            expand_dictionaries: false,
-            predicate,
-        } if columns.len() == 1 => {
-            let col = table.column(&columns[0]).ok()?;
-            (ColumnHandle::Owned(col), predicate.as_ref())
-        }
-        _ => return None,
+    let LogicalPlan::Scan {
+        source,
+        columns,
+        expand_dictionaries: false,
+        predicate,
+    } = input_plan
+    else {
+        return None;
     };
+    let [column] = columns.as_slice() else {
+        return None;
+    };
+    // Runs fold over the stored stream itself; an overlay has rows the
+    // stream does not. A failed resolve declines too — the serial
+    // lowering that follows reports it.
+    let projection = source.resolve(&[column.as_str()]).ok()?;
+    let handle = projection.stored()?[0].clone();
+    let predicate = predicate.as_ref();
     let agg = RunAggregate::try_new(handle, predicate, aggs)?;
     tde_obs::metrics::decision("aggregate", "rle-run-aggregate");
     tde_obs::emit(|| tde_obs::Event::Decision {
@@ -701,6 +514,7 @@ fn lower_index_scan(
     inner: &InnerOps,
     sort_by_value: bool,
     fetch: &[String],
+    output_columns: &[String],
     tr: Tracer<'_>,
 ) -> io::Result<BoxOp> {
     let src_col = &source.0.columns[source.1];
@@ -727,62 +541,16 @@ fn lower_index_scan(
         inner_op = Box::new(Sort::new(inner_op, vec![(vcol, SortOrder::Asc)]));
     }
     let fetch_refs: Vec<&str> = fetch.iter().map(String::as_str).collect();
-    Ok(node.wrap(Box::new(IndexedScan::new(
-        inner_op,
-        source.0.clone(),
-        &fetch_refs,
-    ))))
+    let scan = IndexedScan::new(inner_op, source.0.clone(), &fetch_refs);
+    Ok(node.wrap(Box::new(scan.with_names(output_columns))))
 }
 
-/// Run a plan to completion, returning every block (convenience for tests
-/// and examples).
-///
-/// Panics on I/O or corruption faults; see [`try_run`].
-pub fn run(plan: &LogicalPlan) -> (tde_exec::Schema, Vec<tde_exec::Block>) {
-    try_run(plan).unwrap_or_else(|e| panic!("query execution failed: {e}"))
-}
-
-/// Run a plan to completion, surfacing lowering-time I/O and corruption
-/// faults (failed segment reads, checksum mismatches) as errors.
+/// Run a plan to completion, returning the output schema and every
+/// block; errors as [`try_execute`].
 pub fn try_run(plan: &LogicalPlan) -> io::Result<(tde_exec::Schema, Vec<tde_exec::Block>)> {
-    let mut op = try_execute(plan)?;
+    let op = try_execute(plan)?;
     let schema = op.schema().clone();
-    let mut blocks = Vec::new();
-    while let Some(b) = op.next_block() {
-        blocks.push(b);
-    }
-    Ok((schema, blocks))
-}
-
-/// Run a plan with instrumentation, recording per-operator counters into
-/// `trace` (see [`execute_traced`]).
-pub fn run_traced(
-    plan: &LogicalPlan,
-    trace: &Arc<Trace>,
-) -> (tde_exec::Schema, Vec<tde_exec::Block>) {
-    let mut op = execute_traced(plan, trace);
-    let schema = op.schema().clone();
-    let mut blocks = Vec::new();
-    while let Some(b) = op.next_block() {
-        blocks.push(b);
-    }
-    (schema, blocks)
-}
-
-/// Render the result of a plan as rows of display strings (examples).
-pub fn run_to_strings(plan: &LogicalPlan) -> Vec<Vec<String>> {
-    let (schema, blocks) = run(plan);
-    let mut rows = Vec::new();
-    for b in &blocks {
-        for r in 0..b.len {
-            rows.push(
-                (0..schema.len())
-                    .map(|c| schema.fields[c].value_of(b.columns[c][r]).to_string())
-                    .collect(),
-            );
-        }
-    }
-    rows
+    Ok((schema, tde_exec::drain(op)))
 }
 
 #[cfg(test)]
@@ -822,7 +590,7 @@ mod tests {
     }
 
     fn agg_results(plan: &LogicalPlan) -> HashMap<i64, i64> {
-        let (_, blocks) = run(plan);
+        let (_, blocks) = try_run(plan).unwrap();
         let mut m = HashMap::new();
         for b in &blocks {
             for r in 0..b.len {
@@ -909,8 +677,8 @@ mod tests {
             "{}",
             parallel.explain()
         );
-        let (ss, sb) = run(&serial);
-        let (ps, pb) = run(&parallel);
+        let (ss, sb) = try_run(&serial).unwrap();
+        let (ps, pb) = try_run(&parallel).unwrap();
         assert_eq!(ss.fields.len(), ps.fields.len());
         // Byte-identical: same blocks, same order.
         assert_eq!(sb.len(), pb.len());
@@ -920,7 +688,7 @@ mod tests {
         }
         // The traced operator label carries the degree.
         let trace = Arc::new(tde_obs::Trace::new());
-        let mut op = execute_traced(&parallel, &trace);
+        let mut op = try_execute_traced(&parallel, &trace).unwrap();
         while op.next_block().is_some() {}
         let labels: Vec<String> = trace.nodes().iter().map(|n| n.label.clone()).collect();
         assert!(
@@ -945,7 +713,7 @@ mod tests {
         );
         assert!(opt.explain().contains("Morsel"));
         let trace = Arc::new(tde_obs::Trace::new());
-        let mut op = execute_traced(&opt, &trace);
+        let mut op = try_execute_traced(&opt, &trace).unwrap();
         let mut rows = 0;
         while let Some(b) = op.next_block() {
             rows += b.len;
@@ -979,7 +747,7 @@ mod tests {
             .build();
         let opt = optimize(plan, OptimizerOptions::default());
         assert!(opt.explain().contains("ExpandJoin"), "{}", opt.explain());
-        let (schema, blocks) = run(&opt);
+        let (schema, blocks) = try_run(&opt).unwrap();
         let total: usize = blocks.iter().map(|b| b.len).sum();
         assert_eq!(total, 10_000); // 100 of 300 days qualify
                                    // The expanded column is a scalar date again.
@@ -1015,7 +783,7 @@ mod tests {
                 )),
             },
         };
-        let (schema, blocks) = run(&plan);
+        let (schema, blocks) = try_run(&plan).unwrap();
         assert_eq!(schema.fields[0].name, "month");
         let total: usize = blocks.iter().map(|b| b.len).sum();
         assert_eq!(total, 10_000);

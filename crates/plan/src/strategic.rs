@@ -106,10 +106,7 @@ fn rewrite_children(plan: LogicalPlan, opts: OptimizerOptions) -> LogicalPlan {
 
 /// A scan the morsel executor can range over block-by-block.
 fn scan_like(plan: &LogicalPlan) -> bool {
-    matches!(
-        plan,
-        LogicalPlan::Scan { .. } | LogicalPlan::PagedScan { .. } | LogicalPlan::MergedScan { .. }
-    )
+    matches!(plan, LogicalPlan::Scan { .. })
 }
 
 /// Morsel-parallel wrap (§3.3/§8 generalized): with `parallelism >= 2`,
@@ -123,9 +120,7 @@ fn rewrite_morsel(plan: LogicalPlan, opts: OptimizerOptions) -> LogicalPlan {
     let eligible = match &plan {
         // A bare scan without a predicate gains nothing from
         // parallelism: the work is a copy, dominated by the merge.
-        LogicalPlan::Scan { predicate, .. }
-        | LogicalPlan::PagedScan { predicate, .. }
-        | LogicalPlan::MergedScan { predicate, .. } => predicate.is_some(),
+        LogicalPlan::Scan { predicate, .. } => predicate.is_some(),
         LogicalPlan::Filter { input, .. } => scan_like(input),
         LogicalPlan::Aggregate { input, .. } => match input.as_ref() {
             LogicalPlan::Filter { input, .. } => scan_like(input),
@@ -149,20 +144,24 @@ fn rewrite_filter_pushdown(plan: LogicalPlan, opts: OptimizerOptions) -> Logical
     let LogicalPlan::Filter { input, predicate } = plan else {
         return plan;
     };
-    let (table, columns, expand_dictionaries, scan_pred) = match input.as_ref() {
-        LogicalPlan::Scan {
-            table,
-            columns,
-            expand_dictionaries,
-            predicate,
-        } => (
-            table.clone(),
-            columns.clone(),
-            *expand_dictionaries,
-            predicate.clone(),
-        ),
-        _ => return rewrite_kernel_pushdown(input, predicate, opts),
+    let LogicalPlan::Scan {
+        source,
+        columns,
+        expand_dictionaries,
+        predicate: scan_pred,
+    } = input.as_ref()
+    else {
+        return rewrite_kernel_pushdown(input, predicate, opts);
     };
+    // The resident-only guard, in one place: rules 1–3 read the column's
+    // dictionary and run structure at plan time, so they fire only on a
+    // source whose table is in memory (see `Source::resident`). Every
+    // other source goes straight to kernel pushdown.
+    let Some(table) = source.resident().cloned() else {
+        return rewrite_kernel_pushdown(input, predicate, opts);
+    };
+    let (columns, expand_dictionaries, scan_pred) =
+        (columns.clone(), *expand_dictionaries, scan_pred.clone());
     let Some(col_idx) = predicate.single_column() else {
         return rewrite_kernel_pushdown(input, predicate, opts);
     };
@@ -248,8 +247,10 @@ fn rewrite_filter_pushdown(plan: LogicalPlan, opts: OptimizerOptions) -> Logical
 /// Kernel pushdown (§3.1): when the dictionary and index-table rules
 /// decline, a single-column predicate that compiles to a value set is
 /// folded into the scan itself, so the per-encoding kernels can answer
-/// it without decompression. Works for both eager and paged scans; a
-/// predicate already pushed (by a stacked filter) composes with `AND`.
+/// it without decompression — for every source alike (under a merge
+/// overlay the base side keeps its kernels when tombstone-free and the
+/// delta side evaluates per block). A predicate already pushed (by a
+/// stacked filter) composes with `AND`.
 fn rewrite_kernel_pushdown(
     input: Box<LogicalPlan>,
     predicate: Expr,
@@ -261,48 +262,20 @@ fn rewrite_kernel_pushdown(
     {
         return LogicalPlan::Filter { input, predicate };
     }
-    let compose = |prior: Option<Expr>| match prior {
-        Some(p) => Expr::And(Box::new(p), Box::new(predicate.clone())),
-        None => predicate.clone(),
-    };
     match *input {
         LogicalPlan::Scan {
-            table,
+            source,
             columns,
             expand_dictionaries,
             predicate: prior,
         } => LogicalPlan::Scan {
-            table,
-            columns,
-            expand_dictionaries,
-            predicate: Some(compose(prior)),
-        },
-        LogicalPlan::PagedScan {
-            table,
-            columns,
-            expand_dictionaries,
-            predicate: prior,
-        } => LogicalPlan::PagedScan {
-            table,
-            columns,
-            expand_dictionaries,
-            predicate: Some(compose(prior)),
-        },
-        // Merge-on-read scans accept pushed predicates too: the base
-        // side keeps its kernels (when tombstone-free), the delta side
-        // evaluates per block. The invisible-join and index-table rules
-        // never fire on merged scans — their dictionary/run structure
-        // describes the base alone, not the merged table.
-        LogicalPlan::MergedScan {
             source,
             columns,
             expand_dictionaries,
-            predicate: prior,
-        } => LogicalPlan::MergedScan {
-            source,
-            columns,
-            expand_dictionaries,
-            predicate: Some(compose(prior)),
+            predicate: Some(match prior {
+                Some(p) => Expr::And(Box::new(p), Box::new(predicate)),
+                None => predicate,
+            }),
         },
         other => LogicalPlan::Filter {
             input: Box::new(other),

@@ -78,20 +78,20 @@ fn main() {
     // rows on the fly, and tombstones filter both legs.
     let src = dt.snapshot().unwrap();
     println!("\nsum(qty) by city over the merged view:");
-    for row in rollup(Query::scan_delta(&src)) {
+    for row in rollup(Query::scan(&src)) {
         println!("  {row:?}");
     }
-    let filtered = Query::scan_delta(&src)
+    let filtered = Query::scan(&src)
         .filter(Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::int(8)))
         .rows();
     println!("rows with qty >= 8: {}", filtered.len());
 
     // Compaction drains the buffer through the dynamic encoder and
     // rebuilds a clean compressed table; answers must not change.
-    let before = rollup(Query::scan_delta(&src));
+    let before = rollup(Query::scan(&src));
     dt.compact().unwrap();
     assert!(dt.is_clean());
-    let after = rollup(Query::scan_delta(&dt.snapshot().unwrap()));
+    let after = rollup(Query::scan(&dt.snapshot().unwrap()));
     assert_eq!(before, after, "compaction changed query results");
     println!(
         "\ncompacted: {} rows in the new base, clean = {}",
@@ -127,7 +127,7 @@ fn main() {
     match ex.source("orders").unwrap() {
         ScanSource::Merged(src) => println!(
             "\nreopened with a live delta: {} merged rows",
-            Query::scan_delta(&src).rows().len()
+            Query::scan(&src).rows().len()
         ),
         ScanSource::Clean(_) => unreachable!("saved delta was lost"),
     }

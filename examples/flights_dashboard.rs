@@ -119,14 +119,13 @@ fn main() -> std::io::Result<()> {
         )],
     };
     println!("\n== flights per month (month computed on the date domain) ==");
-    let (schema, blocks) = physical::run(&plan);
+    let (_, blocks) = physical::try_run(&plan).expect("in-memory plan lowers");
     let mut rows3: Vec<(i64, i64)> = Vec::new();
     for b in &blocks {
         for r in 0..b.len {
             rows3.push((b.columns[0][r], b.columns[1][r]));
         }
     }
-    let _ = schema;
     rows3.sort_unstable();
     for (m, n) in rows3 {
         println!("  month {m:>2}: {n:>8} flights");

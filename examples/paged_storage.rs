@@ -50,7 +50,7 @@ fn main() {
 
     // A dashboard query touching 2 of the 41 columns. The executor
     // resolves them through the buffer pool; the other 39 stay on disk.
-    let report = Query::scan_paged_columns(&metrics, &["region", "m7"])
+    let report = Query::scan_columns(&metrics, &["region", "m7"])
         .filter(Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::int(5_000)))
         .aggregate(vec![0], vec![(AggFunc::Sum, 1, "total")])
         .explain_analyze();
@@ -64,7 +64,7 @@ fn main() {
     );
 
     // Run it again: every lookup is a pool hit, nothing touches the disk.
-    Query::scan_paged_columns(&metrics, &["region", "m7"])
+    Query::scan_columns(&metrics, &["region", "m7"])
         .aggregate(vec![0], vec![(AggFunc::Sum, 1, "total")])
         .rows();
     let warm = paged.cache_snapshot();

@@ -100,7 +100,7 @@ fn fingerprint(schema: &Schema, blocks: &[Block]) -> String {
 /// are constant regardless of cache state or morsel scheduling.
 fn paged_queries(t: &PagedTable, variant: usize) -> String {
     let (schema, blocks) = match variant % 4 {
-        0 => Query::scan_paged_columns(t, &["city", "c0", "c1"])
+        0 => Query::scan_columns(t, &["city", "c0", "c1"])
             .filter(Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::int(500_000)))
             .aggregate(
                 vec![0],
@@ -108,15 +108,15 @@ fn paged_queries(t: &PagedTable, variant: usize) -> String {
             )
             .with_parallelism(4)
             .run(),
-        1 => Query::scan_paged_columns(t, &["c5", "c6"])
+        1 => Query::scan_columns(t, &["c5", "c6"])
             .filter(Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::int(400_000)))
             .aggregate(vec![], vec![(AggFunc::Sum, 0, "s"), (AggFunc::Max, 1, "m")])
             .with_parallelism(2)
             .run(),
-        2 => Query::scan_paged_columns(t, &["c10", "c11", "c12"])
+        2 => Query::scan_columns(t, &["c10", "c11", "c12"])
             .filter(Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::int(40_000)))
             .run(),
-        _ => Query::scan_paged_columns(t, &["city", "c17"])
+        _ => Query::scan_columns(t, &["city", "c17"])
             .aggregate(vec![0], vec![(AggFunc::Sum, 1, "total")])
             .run(),
     };
@@ -272,7 +272,7 @@ fn failed_segment_load_does_not_poison_the_pool_slot() {
     // same handle matches the eager table, and the failed loads left no
     // phantom entries — resident bytes still reconcile with the counters.
     let sum: i64 = (0..5_000).map(noisy).sum();
-    let rows = Query::scan_paged_columns(&paged.table("orders").unwrap(), &["qty"])
+    let rows = Query::scan_columns(&paged.table("orders").unwrap(), &["qty"])
         .aggregate(vec![], vec![(AggFunc::Sum, 0, "s")])
         .rows();
     assert_eq!(rows, vec![vec![Value::Int(sum)]]);
@@ -360,7 +360,7 @@ fn live_delta_under_background_compaction_answers_consistently() {
                         (g.snapshot().unwrap(), g.merged_rows())
                     };
                     let query = || {
-                        Query::scan_delta(&src)
+                        Query::scan(&src)
                             .filter(Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::int(10)))
                             .aggregate(
                                 vec![2],
@@ -377,7 +377,7 @@ fn live_delta_under_background_compaction_answers_consistently() {
                              diverged from serial on the same snapshot"
                         );
                     }
-                    let full: u64 = Query::scan_delta(&src)
+                    let full: u64 = Query::scan(&src)
                         .aggregate(vec![], vec![(AggFunc::Count, 0, "n")])
                         .rows()
                         .iter()
@@ -412,7 +412,7 @@ fn live_delta_under_background_compaction_answers_consistently() {
     // the group emission order is an implementation detail.
     let quiesced = |g: &DeltaTable| {
         let src = g.snapshot().unwrap();
-        let mut rows = Query::scan_delta(&src)
+        let mut rows = Query::scan(&src)
             .filter(Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::int(10)))
             .aggregate(vec![2], vec![(AggFunc::Sum, 1, "total")])
             .with_parallelism(4)

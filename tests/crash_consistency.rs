@@ -304,7 +304,7 @@ fn scans_survive_transient_faults_with_retry_counters() {
 
     let expected = {
         let pdb = PagedDatabase::open_with_io(&path, PoolConfig::default(), &RealIo).unwrap();
-        tde::Query::scan_paged(&pdb.table("orders").unwrap()).rows()
+        tde::Query::scan(&pdb.table("orders").unwrap()).rows()
     };
 
     let before = tde::obs::metrics::global().snapshot();
@@ -314,7 +314,7 @@ fn scans_survive_transient_faults_with_retry_counters() {
         ..Default::default()
     });
     let pdb = PagedDatabase::open_with_io(&path, PoolConfig::default(), &fault).unwrap();
-    let rows = tde::Query::scan_paged(&pdb.table("orders").unwrap())
+    let rows = tde::Query::scan(&pdb.table("orders").unwrap())
         .try_rows()
         .expect("transient faults must be absorbed by bounded retry");
     assert_eq!(rows, expected, "faulted scan changed results");
@@ -344,7 +344,7 @@ fn corrupt_segment_surfaces_as_typed_query_error() {
     std::fs::write(&path, &bytes).unwrap();
 
     let pdb = PagedDatabase::open(&path).unwrap();
-    let err = tde::Query::scan_paged(&pdb.table("orders").unwrap())
+    let err = tde::Query::scan(&pdb.table("orders").unwrap())
         .try_rows()
         .expect_err("corrupt segment must fail the query");
     let details = tde::io::checksum_mismatch_details(&err)

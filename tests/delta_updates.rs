@@ -90,14 +90,14 @@ fn merged_view_matches_from_scratch_rebuild() {
         let rebuilt = build(model);
         // Full scans are bit-identical, in base-then-append order.
         assert_eq!(
-            Query::scan_delta(&src).rows(),
+            Query::scan(&src).rows(),
             Query::scan(&rebuilt).rows(),
             "merged scan diverged from rebuild"
         );
         // A pushed predicate agrees too.
         let pred = Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::int(4));
         assert_eq!(
-            Query::scan_delta(&src).filter(pred.clone()).rows(),
+            Query::scan(&src).filter(pred.clone()).rows(),
             Query::scan(&rebuilt).filter(pred).rows(),
             "filtered merged scan diverged from rebuild"
         );
@@ -111,7 +111,7 @@ fn merged_view_matches_from_scratch_rebuild() {
             rows
         };
         assert_eq!(
-            rollup(Query::scan_delta(&src)),
+            rollup(Query::scan(&src)),
             rollup(Query::scan(&rebuilt)),
             "merged rollup diverged from rebuild"
         );
@@ -186,7 +186,7 @@ fn compaction_restores_projection_laziness() {
     let ScanSource::Clean(t) = ex.source("wide").unwrap() else {
         panic!("compacted extract is not clean");
     };
-    let rows = Query::scan_paged_columns(&t, &["city", "c7"])
+    let rows = Query::scan_columns(&t, &["city", "c7"])
         .aggregate(vec![0], vec![(AggFunc::Sum, 1, "s")])
         .rows();
     assert_eq!(rows.len(), 5, "four base cities plus the appended one");
@@ -222,7 +222,7 @@ fn persisted_delta_survives_reopen_with_nulls() {
             .unwrap();
     }
     let before = match ex.source("orders").unwrap() {
-        ScanSource::Merged(src) => Query::scan_delta(&src).rows(),
+        ScanSource::Merged(src) => Query::scan(&src).rows(),
         ScanSource::Clean(_) => panic!("live delta reported clean"),
     };
     ex.save().unwrap();
@@ -230,7 +230,7 @@ fn persisted_delta_survives_reopen_with_nulls() {
 
     let ex = DeltaExtract::open(&path).unwrap();
     let after = match ex.source("orders").unwrap() {
-        ScanSource::Merged(src) => Query::scan_delta(&src).rows(),
+        ScanSource::Merged(src) => Query::scan(&src).rows(),
         ScanSource::Clean(_) => panic!("restored delta reported clean"),
     };
     assert_eq!(before, after, "persistence changed query results");

@@ -262,3 +262,160 @@ fn string_predicate_pushdown_agrees() {
     assert_eq!(clever, naive);
     assert!(clever > 0);
 }
+
+/// One table held the three ways a query can meet it: eager, paged
+/// (saved as v2 and reopened), and merged (an empty delta over the paged
+/// base). Columns: `d` dictionary-compressed dates, `k` a sorted
+/// run-length key, `v` a plain integer.
+fn three_residencies(name: &str) -> Vec<(&'static str, tde::exec::Source)> {
+    use tde::encodings::{EncodedStream, BLOCK_SIZE};
+    use tde::storage::{convert, Column, ColumnBuilder, Database, EncodingPolicy, Table};
+    use tde::types::{DataType, Width};
+
+    const ROWS: i64 = 20_000;
+    let days: Vec<i64> = (0..ROWS).map(|i| 9_000 + i % 200).collect();
+    let mut d = EncodedStream::new_dict(Width::W8, true, 8);
+    let keys: Vec<i64> = (0..ROWS).map(|i| i / 200).collect();
+    let mut k = EncodedStream::new_rle(Width::W8, true, Width::W4, Width::W1);
+    for (dc, kc) in days.chunks(BLOCK_SIZE).zip(keys.chunks(BLOCK_SIZE)) {
+        d.append_block(dc).unwrap();
+        k.append_block(kc).unwrap();
+    }
+    let mut d = Column::scalar("d", DataType::Date, d);
+    convert::dict_encoding_to_compression(&mut d);
+    let mut v = ColumnBuilder::new("v", DataType::Integer, EncodingPolicy::default());
+    for i in 0..ROWS {
+        v.append_i64((i * 7_919) % 1_000);
+    }
+    let table = Table::new(
+        "facts",
+        vec![
+            d,
+            Column::scalar("k", DataType::Integer, k),
+            v.finish().column,
+        ],
+    );
+
+    let path = tmp(name).join("facts.tde2");
+    let mut db = Database::new();
+    db.add_table(table.clone());
+    tde::pager::save_v2(&db, &path).unwrap();
+    let paged = tde::pager::PagedDatabase::open(&path)
+        .unwrap()
+        .table("facts")
+        .unwrap();
+    let merged = tde::delta::DeltaTable::from_paged(paged.clone())
+        .snapshot()
+        .unwrap();
+    vec![
+        ("eager", (&Arc::new(table)).into()),
+        ("paged", (&paged).into()),
+        ("merged", (&merged).into()),
+    ]
+}
+
+/// Residency changes no plan choice except the one documented guard:
+/// the invisible-join, IndexedScan and ordered-retrieval rewrites read
+/// dictionary and run structure off the stored column, so they fire for
+/// the resident source only; kernel pushdown and the morsel wrap fire
+/// for every source.
+#[test]
+fn plan_choices_are_stable_across_residencies() {
+    type Shape = fn(Query) -> Query;
+    fn between(col: usize, lo: i64, hi: i64) -> Expr {
+        Expr::And(
+            Box::new(Expr::cmp(CmpOp::Ge, Expr::col(col), Expr::int(lo))),
+            Box::new(Expr::cmp(CmpOp::Le, Expr::col(col), Expr::int(hi))),
+        )
+    }
+    // (query, the decompression-join rewrites it earns when resident,
+    //  whether its predicate is pushed into the scan otherwise)
+    let queries: [(&str, Shape, &[&str], bool); 4] = [
+        (
+            "dictionary-column filter",
+            |q| q.filter(Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::int(9_050))),
+            &["ExpandJoin"],
+            true,
+        ),
+        (
+            "RLE-column filter + group-by",
+            |q| {
+                q.filter(Expr::cmp(CmpOp::Gt, Expr::col(1), Expr::int(80)))
+                    .aggregate(vec![1], vec![(AggFunc::Max, 2, "mx")])
+            },
+            &["IndexedScan", " ordered"],
+            true,
+        ),
+        (
+            "range filter",
+            |q| q.filter(between(2, 100, 300)),
+            &[],
+            true,
+        ),
+        (
+            "bare group-by",
+            |q| q.aggregate(vec![2], vec![(AggFunc::Count, 0, "n")]),
+            &[],
+            false,
+        ),
+    ];
+    for (residency, source) in three_residencies("plan_stability") {
+        for (what, shape, resident_rewrites, pushes) in queries {
+            let plan = shape(Query::scan(source.clone()))
+                .with_parallelism(2)
+                .explain();
+            let ctx = format!("{what} over the {residency} source:\n{plan}");
+            // An IndexedScan replaces the scan leaf; every other plan
+            // keeps it, and the leaf says how the source is held.
+            assert_eq!(
+                plan.contains(&format!("Scan facts [d, k, v] residency={residency}")),
+                !plan.contains("IndexedScan"),
+                "{ctx}"
+            );
+            let rewritten = residency == "eager" && !resident_rewrites.is_empty();
+            for marker in ["ExpandJoin", "IndexedScan", " ordered"] {
+                assert_eq!(
+                    plan.contains(marker),
+                    rewritten && resident_rewrites.contains(&marker),
+                    "{marker}: {ctx}"
+                );
+            }
+            // Where no decompression join took the predicate, the scan
+            // does, and the pipeline is one the morsel executor runs.
+            assert_eq!(plan.contains("+pred"), pushes && !rewritten, "{ctx}");
+            assert_eq!(plan.contains("Morsel [parallel=2]"), !rewritten, "{ctx}");
+        }
+    }
+}
+
+/// A projection naming a column the source does not have is the same
+/// `InvalidInput` error — naming the source and the column — whatever
+/// the residency and whichever lowering path meets it.
+#[test]
+fn unknown_column_is_invalid_input_for_every_residency() {
+    type Shape = fn(Query) -> Query;
+    let shapes: [(&str, Shape); 3] = [
+        ("scan", |q| q),
+        ("grand total", |q| {
+            q.aggregate(vec![], vec![(AggFunc::Count, 0, "n")])
+        }),
+        ("morsel pipeline", |q| {
+            q.filter(Expr::cmp(CmpOp::Gt, Expr::col(0), Expr::int(5)))
+                .with_parallelism(2)
+        }),
+    ];
+    for (residency, source) in three_residencies("unknown_column") {
+        for (what, shape) in shapes {
+            let err = shape(Query::scan_columns(source.clone(), &["v", "nope"]))
+                .try_rows()
+                .expect_err("a missing column must not resolve");
+            let ctx = format!("{what} over the {residency} source: {err}");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{ctx}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains("\"nope\"") && msg.contains("\"facts\"") && msg.contains(residency),
+                "{ctx}"
+            );
+        }
+    }
+}

@@ -158,7 +158,7 @@ fn paged_scans_record_pool_and_segment_metrics() {
     let before = metrics::global().snapshot();
     let db = PagedDatabase::open(&path).unwrap();
     let t = db.table("demo").unwrap();
-    let n = Query::scan_paged_columns(&t, &["k", "v"])
+    let n = Query::scan_columns(&t, &["k", "v"])
         .aggregate(vec![0], vec![(AggFunc::Sum, 1, "s")])
         .rows()
         .len();

@@ -51,7 +51,7 @@ fn projection_of_two_columns_loads_only_their_segments() {
     assert_eq!(cold.bytes_cached, 0);
 
     // Query 2 of 50 columns.
-    let rows = Query::scan_paged_columns(&t, &["city", "c7"])
+    let rows = Query::scan_columns(&t, &["city", "c7"])
         .filter(Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::int(500)))
         .rows();
     assert_eq!(rows.len(), 2500);
@@ -73,7 +73,7 @@ fn repeated_scan_under_budget_is_all_hits() {
     let t = db.table("wide").unwrap();
 
     let agg = |t: &tde::pager::PagedTable| {
-        Query::scan_paged_columns(t, &["city", "c3"])
+        Query::scan_columns(t, &["city", "c3"])
             .aggregate(vec![0], vec![(AggFunc::Sum, 1, "s")])
             .rows()
     };
@@ -116,7 +116,7 @@ fn tiny_budget_evicts_but_stays_correct() {
     assert!(snap.evictions > 0, "tiny budget must evict: {snap:?}");
 
     // Values stay correct after eviction and reload.
-    let rows = Query::scan_paged_columns(&t, &["c0"]).rows();
+    let rows = Query::scan_columns(&t, &["c0"]).rows();
     assert_eq!(rows.len(), 5000);
     std::fs::remove_file(&path).ok();
 }

@@ -118,6 +118,8 @@ fn every_entry_point_emits_exactly_one_span() {
 /// Satellite: a query that fails mid-execution must not vanish from
 /// observability — it bumps `tde_queries_failed_total`, emits an
 /// error-tagged span, and leaves an error-tagged trace in the ring.
+/// That holds for every entry point, EXPLAIN ANALYZE included (which
+/// used to panic in lowering before the observation was settled).
 #[test]
 fn failed_queries_stay_observable() {
     let _guard = trace_lock().lock().unwrap();
@@ -132,58 +134,185 @@ fn failed_queries_stay_observable() {
     let db = PagedDatabase::open_with_io(&path, PoolConfig::default(), &io).unwrap();
     let t = db.table("fig10").unwrap();
 
-    let prev_trace = timeline::set_enabled(true);
-    let sink = span::MemorySink::new();
-    let prev_sink = span::set_span_sink(Some(sink.clone()));
-    let before = metrics::global().snapshot();
+    type EntryPoint = fn(Query) -> std::io::Result<()>;
+    let entry_points: [(&str, EntryPoint); 2] = [
+        ("try_run", |q| q.try_run().map(drop)),
+        ("try_explain_analyze", |q| q.try_explain_analyze().map(drop)),
+    ];
+    for (label, entry) in entry_points {
+        let prev_trace = timeline::set_enabled(true);
+        let sink = span::MemorySink::new();
+        let prev_sink = span::set_span_sink(Some(sink.clone()));
+        let before = metrics::global().snapshot();
 
-    // Every segment read from here on fails hard (no retry).
-    io.arm_hard_read_failures(u64::MAX);
-    let err = Query::scan_paged_columns(&t, &["g", "v"])
-        .try_run()
-        .expect_err("armed hard read failures must fail the query");
-    assert!(
-        err.to_string().contains("injected hard read failure"),
-        "{err}"
-    );
-    io.arm_hard_read_failures(0);
-
-    let after = metrics::global().snapshot();
-    let spans = sink.spans();
-    span::set_span_sink(prev_sink);
-    timeline::set_enabled(prev_trace);
-
-    if metrics::enabled() {
+        // Every segment read from here on fails hard (no retry).
+        io.arm_hard_read_failures(u64::MAX);
+        let err = entry(Query::scan_columns(&t, &["g", "v"]))
+            .expect_err("armed hard read failures must fail the query");
         assert!(
-            failed_queries_delta(&before, &after) >= 1,
-            "the failure must bump tde_queries_failed_total"
+            err.to_string().contains("injected hard read failure"),
+            "{label}: {err}"
         );
-    }
-    assert_eq!(spans.len(), 1, "the failed query still emits one span");
-    let s = &spans[0];
-    assert!(
-        s.error
-            .as_deref()
-            .is_some_and(|e| e.contains("injected hard read failure")),
-        "span must carry the error, got {:?}",
-        s.error
-    );
-    assert_eq!(s.rows_out, 0);
-    let json = s.to_json();
-    assert!(json.contains("\"error\":\""), "{json}");
-    tde_stats::minijson::parse(&json).unwrap();
+        io.arm_hard_read_failures(0);
 
-    let trace = timeline::find_trace(s.query_id).expect("failed query lands in the trace ring");
-    assert_eq!(trace.plan_digest, s.plan_digest);
-    assert!(trace
-        .error
-        .as_deref()
-        .is_some_and(|e| e.contains("injected hard read failure")));
-    let tef = tde_stats::tef::render_trace(&trace);
-    tde_stats::tef::validate_tef(&tef).unwrap();
-    assert!(tef.contains("injected hard read failure"));
+        let after = metrics::global().snapshot();
+        let spans = sink.spans();
+        span::set_span_sink(prev_sink);
+        timeline::set_enabled(prev_trace);
+
+        if metrics::enabled() {
+            assert_eq!(
+                failed_queries_delta(&before, &after),
+                1,
+                "{label}: the failure must bump tde_queries_failed_total once"
+            );
+        }
+        assert_eq!(
+            spans.len(),
+            1,
+            "{label}: the failed query still emits one span"
+        );
+        let s = &spans[0];
+        assert!(
+            s.error
+                .as_deref()
+                .is_some_and(|e| e.contains("injected hard read failure")),
+            "{label}: span must carry the error, got {:?}",
+            s.error
+        );
+        assert_eq!(s.rows_out, 0);
+        let json = s.to_json();
+        assert!(json.contains("\"error\":\""), "{json}");
+        tde_stats::minijson::parse(&json).unwrap();
+
+        let trace = timeline::find_trace(s.query_id).expect("failed query lands in the trace ring");
+        assert_eq!(trace.plan_digest, s.plan_digest);
+        assert!(trace
+            .error
+            .as_deref()
+            .is_some_and(|e| e.contains("injected hard read failure")));
+        let tef = tde_stats::tef::render_trace(&trace);
+        tde_stats::tef::validate_tef(&tef).unwrap();
+        assert!(tef.contains("injected hard read failure"));
+    }
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One measurement per operator feeds every view: for a blocking
+/// operator over a scan, the timeline's operator spans and the EXPLAIN
+/// ANALYZE nodes carry identical blocks, rows and inclusive nanoseconds,
+/// a parent's span contains its children's, and the operator the
+/// slow-query log would blame is the one that did the work. (The
+/// timeline used to start an operator's clock when its first block came
+/// *back* — after a blocking operator had finished — so hashing and
+/// sorting time was booked to the scan.)
+#[test]
+fn timeline_spans_and_explain_analyze_report_the_same_measurement() {
+    let _guard = trace_lock().lock().unwrap();
+
+    // 240k rows, an unsorted 1000-value key: hash group-by territory.
+    let mut k = ColumnBuilder::new("k", DataType::Integer, EncodingPolicy::default());
+    let mut v = ColumnBuilder::new("v", DataType::Integer, EncodingPolicy::default());
+    for i in 0..240_000i64 {
+        k.append_i64((i * 7_919) % 1_000);
+        v.append_i64((i * 2_654_435_761) % 1_000_000);
+    }
+    let t = Arc::new(Table::new(
+        "obs",
+        vec![k.finish().column, v.finish().column],
+    ));
+
+    type Shape = fn(Query) -> Query;
+    let shapes: [(&str, Shape); 2] = [
+        ("HashAggregate", |q| {
+            q.aggregate(vec![0], vec![(AggFunc::Sum, 1, "s")])
+        }),
+        ("Sort", |q| {
+            q.sort(vec![(1, tde::exec::sort::SortOrder::Asc)])
+        }),
+    ];
+    for (blocking, shape) in shapes {
+        let prev_trace = timeline::set_enabled(true);
+        let sink = span::MemorySink::new();
+        let prev_sink = span::set_span_sink(Some(sink.clone()));
+        let report = shape(Query::scan(&t)).explain_analyze();
+        let spans = sink.spans();
+        span::set_span_sink(prev_sink);
+        timeline::set_enabled(prev_trace);
+        assert_eq!(spans.len(), 1);
+        let trace = timeline::find_trace(spans[0].query_id).expect("trace retained");
+
+        // (kind, blocks, rows, inclusive ns) per operator, root first.
+        let explained: Vec<(String, u64, u64, u64)> = report
+            .operators
+            .iter()
+            .map(|n| {
+                let kind = n.label.split_whitespace().next().unwrap().to_owned();
+                (kind, n.blocks, n.rows, n.elapsed.as_nanos() as u64)
+            })
+            .collect();
+        struct Span<'a> {
+            op: &'a str,
+            id: u32,
+            parent: Option<u32>,
+            start: u64,
+            dur: u64,
+        }
+        let mut timed = Vec::new();
+        let mut on_timeline = Vec::new();
+        for e in &trace.events {
+            if let timeline::TimelineKind::OperatorSpan {
+                op,
+                op_id,
+                parent,
+                blocks,
+                rows,
+                dur_ns,
+            } = &e.kind
+            {
+                timed.push((op.clone(), *blocks, *rows, *dur_ns));
+                on_timeline.push(Span {
+                    op,
+                    id: *op_id,
+                    parent: *parent,
+                    start: e.ts_ns,
+                    dur: *dur_ns,
+                });
+            }
+        }
+        // Spans sort by start time: the root entered `next_block` first.
+        assert_eq!(
+            timed, explained,
+            "{blocking}: the two views disagree\n{}",
+            report.operator_tree
+        );
+        assert_eq!(explained.len(), 2, "{}", report.operator_tree);
+        assert_eq!(explained[0].0, blocking);
+        let (kind, blocks, rows, _) = &explained[1];
+        assert_eq!((kind.as_str(), *blocks, *rows), ("Scan", 235, 240_000));
+
+        for child in &on_timeline {
+            let Some(pid) = child.parent else { continue };
+            let parent = on_timeline.iter().find(|s| s.id == pid).unwrap();
+            assert!(
+                parent.start <= child.start && child.start + child.dur <= parent.start + parent.dur,
+                "{}'s span [{}, +{}] must contain {}'s [{}, +{}]",
+                parent.op,
+                parent.start,
+                parent.dur,
+                child.op,
+                child.start,
+                child.dur
+            );
+        }
+        assert_eq!(
+            trace.top_operators(1)[0].0,
+            blocking,
+            "self time must land on the blocking operator, not the scan: {:?}",
+            trace.top_operators(2)
+        );
+    }
 }
 
 /// The acceptance criterion: a morsel-parallel (degree 4) query over a
@@ -208,7 +337,7 @@ fn parallel_paged_query_produces_a_validated_worker_trace() {
     let sink = span::MemorySink::new();
     let prev_sink = span::set_span_sink(Some(sink.clone()));
 
-    let rows = Query::scan_paged_columns(&t, &["g", "v"])
+    let rows = Query::scan_columns(&t, &["g", "v"])
         .filter(Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::int(500_000)))
         .aggregate(vec![0], vec![(AggFunc::Count, 1, "n")])
         .with_parallelism(4)
