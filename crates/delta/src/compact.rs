@@ -52,14 +52,7 @@ impl DeltaTable {
         let name = self.name().to_owned();
         let src = self.snapshot()?;
         let scan = MergedScan::all(src, false);
-        let built = flow_table(
-            Box::new(scan),
-            &name,
-            FlowTableOptions {
-                policy,
-                parallel: true,
-            },
-        );
+        let built = flow_table(Box::new(scan), &name, FlowTableOptions { policy });
         let table = built.table;
         for c in &table.columns {
             tde_obs::metrics::compaction_rows_reencoded(

@@ -8,7 +8,7 @@
 
 use crate::block::{Block, Field, Repr, Schema};
 use crate::expr::AggFunc;
-use crate::hash::GroupMap;
+use crate::hash::{GroupMap, HashStrategy, KeyPacking};
 use crate::tactical;
 use crate::{BoxOp, Operator, BLOCK_ROWS};
 use tde_types::sentinel::{is_null_real, null_real, NULL_I64, NULL_TOKEN};
@@ -37,7 +37,7 @@ impl AggSpec {
 }
 
 #[derive(Clone, PartialEq)]
-pub(crate) enum Domain {
+enum Domain {
     Int,
     Real,
     Token,
@@ -48,7 +48,7 @@ pub(crate) enum Domain {
     Dict(std::sync::Arc<Vec<i64>>),
 }
 
-pub(crate) fn domain_of(f: &Field) -> Domain {
+fn domain_of(f: &Field) -> Domain {
     match (&f.repr, f.dtype) {
         (Repr::Token(_) | Repr::TokenCell(_), _) => Domain::Token,
         (Repr::DictIndex(dict), _) => Domain::Dict(dict.clone()),
@@ -57,19 +57,27 @@ pub(crate) fn domain_of(f: &Field) -> Domain {
     }
 }
 
+/// Whether `aggs` over `schema` merge exactly from partials computed
+/// over consecutive slices of the input. Integer/token/dict folds are
+/// associative and exact; Real sums are order-dependent (f64 addition),
+/// so the planner must keep them serial.
+pub fn merge_safe(schema: &Schema, aggs: &[AggSpec]) -> bool {
+    !aggs
+        .iter()
+        .any(|a| a.func == AggFunc::Sum && domain_of(&schema.fields[a.col]) == Domain::Real)
+}
+
 /// Accumulator state for one (group, agg) cell.
 #[derive(Clone, Copy)]
-pub(crate) struct Acc {
-    pub(crate) value: i64,
-    pub(crate) count: u64,
+struct Acc {
+    value: i64,
+    count: u64,
 }
 
-pub(crate) fn init_acc() -> Acc {
-    Acc { value: 0, count: 0 }
-}
+const INIT_ACC: Acc = Acc { value: 0, count: 0 };
 
 #[inline]
-pub(crate) fn fold(acc: &mut Acc, func: AggFunc, domain: &Domain, raw: i64) {
+fn fold(acc: &mut Acc, func: AggFunc, domain: &Domain, raw: i64) {
     // NULL inputs are skipped (except COUNT counts rows).
     if func == AggFunc::Count {
         acc.count += 1;
@@ -126,7 +134,7 @@ pub(crate) fn fold(acc: &mut Acc, func: AggFunc, domain: &Domain, raw: i64) {
 /// associative and commutative over the non-NULL inputs. Real sums are
 /// NOT merge-safe (f64 addition is order-dependent); the morsel planner
 /// declines parallelism for them rather than merge here.
-pub(crate) fn merge_acc(a: &mut Acc, b: &Acc, func: AggFunc, domain: &Domain) {
+fn merge_acc(a: &mut Acc, b: &Acc, func: AggFunc, domain: &Domain) {
     if func == AggFunc::Count {
         a.count += b.count;
         return;
@@ -161,7 +169,7 @@ pub(crate) fn merge_acc(a: &mut Acc, b: &Acc, func: AggFunc, domain: &Domain) {
     }
 }
 
-pub(crate) fn final_value(acc: &Acc, func: AggFunc, domain: &Domain) -> i64 {
+fn final_value(acc: &Acc, func: AggFunc, domain: &Domain) -> i64 {
     match func {
         AggFunc::Count => acc.count as i64,
         _ if acc.count == 0 => match domain {
@@ -173,7 +181,7 @@ pub(crate) fn final_value(acc: &Acc, func: AggFunc, domain: &Domain) -> i64 {
     }
 }
 
-pub(crate) fn output_schema(input: &Schema, group_cols: &[usize], aggs: &[AggSpec]) -> Schema {
+fn output_schema(input: &Schema, group_cols: &[usize], aggs: &[AggSpec]) -> Schema {
     let mut fields: Vec<Field> = group_cols
         .iter()
         .map(|&c| input.fields[c].clone())
@@ -198,7 +206,7 @@ pub(crate) fn output_schema(input: &Schema, group_cols: &[usize], aggs: &[AggSpe
     Schema::new(fields)
 }
 
-pub(crate) fn emit_blocks(rows: Vec<Vec<i64>>, ncols: usize) -> Vec<Block> {
+fn emit_blocks(rows: Vec<Vec<i64>>, ncols: usize) -> Vec<Block> {
     // rows is column-major already.
     let nrows = rows.first().map_or(0, Vec::len);
     let mut blocks = Vec::new();
@@ -214,102 +222,270 @@ pub(crate) fn emit_blocks(rows: Vec<Vec<i64>>, ncols: usize) -> Vec<Block> {
     blocks
 }
 
-/// Hash aggregation with a tactically chosen strategy.
-pub struct HashAggregate {
-    input: Option<BoxOp>,
-    group_cols: Vec<usize>,
-    aggs: Vec<AggSpec>,
-    schema: Schema,
-    domains: Vec<Domain>,
-    output: Vec<Block>,
-    next: usize,
-    /// The strategy that was chosen (visible for tests and explain).
-    pub strategy: crate::hash::HashStrategy,
-    packing: Option<crate::hash::KeyPacking>,
+/// How rows find their group — the §4.2.2 tactical choice, fixed when
+/// the core is built.
+enum Grouping {
+    /// A hash table on the key columns; groups come out in
+    /// first-occurrence order.
+    Hash(HashStrategy, Option<KeyPacking>),
+    /// Groups arrive contiguously: a key unlike the last opens a new run.
+    Ordered,
 }
 
-impl HashAggregate {
-    /// Aggregate `input` grouped by `group_cols`.
-    pub fn new(input: BoxOp, group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> HashAggregate {
-        let in_schema = input.schema();
-        let keys: Vec<&Field> = group_cols.iter().map(|&c| &in_schema.fields[c]).collect();
-        let (strategy, packing) = tactical::choose_hash_strategy(&keys);
-        let domains = aggs
-            .iter()
-            .map(|a| domain_of(&in_schema.fields[a.col]))
-            .collect();
-        let schema = output_schema(in_schema, &group_cols, &aggs);
-        HashAggregate {
-            input: Some(input),
-            group_cols,
-            aggs,
-            schema,
-            domains,
-            output: Vec::new(),
-            next: 0,
-            strategy,
-            packing,
+/// The groups of a [`Partial`], in output order.
+enum Groups {
+    /// Keys behind a hash index.
+    Indexed(GroupMap),
+    /// Keys alone: the runs of an ordered aggregation, or a hash partial
+    /// whose index was dropped for the hand-over to a merge.
+    Listed(Vec<Vec<i64>>),
+}
+
+impl Groups {
+    fn keys(&self) -> &[Vec<i64>] {
+        match self {
+            Groups::Indexed(map) => map.keys(),
+            Groups::Listed(keys) => keys,
         }
     }
 
-    fn run(&mut self) {
-        let mut input = self.input.take().expect("aggregate already ran");
-        let mut groups = GroupMap::new(self.strategy, self.packing.clone());
-        let mut accs: Vec<Vec<Acc>> = Vec::new(); // [group][agg]
-        let mut key = vec![0i64; self.group_cols.len()];
-        while let Some(block) = input.next_block() {
-            for r in 0..block.len {
-                for (k, &c) in self.group_cols.iter().enumerate() {
-                    key[k] = block.columns[c][r];
+    /// The group id for `key`: looked up or allocated in the index, or —
+    /// listed — the last run when it has this key, else a new run.
+    fn slot(&mut self, key: &[i64]) -> usize {
+        match self {
+            Groups::Indexed(map) => map.get_or_insert(key),
+            Groups::Listed(keys) => run_slot(keys, key),
+        }
+    }
+}
+
+#[inline]
+fn run_slot(keys: &mut Vec<Vec<i64>>, key: &[i64]) -> usize {
+    if keys.last().map(Vec::as_slice) != Some(key) {
+        keys.push(key.to_vec());
+    }
+    keys.len() - 1
+}
+
+/// Aggregation state over a contiguous slice of the input: its groups in
+/// output order, each with one accumulator per aggregate.
+pub(crate) struct Partial {
+    groups: Groups,
+    accs: Vec<Vec<Acc>>, // [group][agg]
+    key: Vec<i64>,       // row-key scratch
+}
+
+impl Partial {
+    /// Drop the hash index for the hand-over to [`AggCore::absorb`]: only
+    /// the groups and their order travel from a morsel task to the merge
+    /// (a direct-64K table per pending morsel would not be small).
+    pub(crate) fn without_index(mut self) -> Partial {
+        if let Groups::Indexed(map) = &self.groups {
+            self.groups = Groups::Listed(map.keys().to_vec());
+        }
+        self
+    }
+}
+
+/// The one partial-aggregation core. The serial operators, every morsel
+/// task and the morsel merge phase all aggregate through it: fold blocks
+/// into a [`Partial`], absorb later partials in input order, finish to
+/// blocks. Absorbing in order is what makes a split run reproduce the
+/// serial one byte for byte — hash groups keep first-occurrence order,
+/// and an ordered run cut by a task boundary is rejoined.
+pub(crate) struct AggCore {
+    group_cols: Vec<usize>,
+    aggs: Vec<AggSpec>,
+    domains: Vec<Domain>,
+    grouping: Grouping,
+    schema: Schema,
+}
+
+impl AggCore {
+    /// Hash aggregation of `input`-shaped blocks, the strategy chosen
+    /// tactically from the key columns' metadata.
+    pub(crate) fn hash(input: &Schema, group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> AggCore {
+        let keys: Vec<&Field> = group_cols.iter().map(|&c| &input.fields[c]).collect();
+        let (strategy, packing) = tactical::choose_hash_strategy(&keys);
+        AggCore::new(input, group_cols, aggs, Grouping::Hash(strategy, packing))
+    }
+
+    /// Ordered aggregation: `input`'s groups must arrive contiguously.
+    pub(crate) fn ordered(input: &Schema, group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> AggCore {
+        AggCore::new(input, group_cols, aggs, Grouping::Ordered)
+    }
+
+    fn new(
+        input: &Schema,
+        group_cols: Vec<usize>,
+        aggs: Vec<AggSpec>,
+        grouping: Grouping,
+    ) -> AggCore {
+        AggCore {
+            domains: aggs
+                .iter()
+                .map(|a| domain_of(&input.fields[a.col]))
+                .collect(),
+            schema: output_schema(input, &group_cols, &aggs),
+            group_cols,
+            aggs,
+            grouping,
+        }
+    }
+
+    /// The output schema: group keys, then aggregates.
+    pub(crate) fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// An empty partial.
+    pub(crate) fn start(&self) -> Partial {
+        Partial {
+            groups: match &self.grouping {
+                Grouping::Hash(strategy, packing) => {
+                    Groups::Indexed(GroupMap::new(*strategy, packing.clone()))
                 }
-                let g = groups.get_or_insert(&key);
-                if g == accs.len() {
-                    accs.push(vec![init_acc(); self.aggs.len()]);
-                }
-                for (a, spec) in self.aggs.iter().enumerate() {
-                    fold(
-                        &mut accs[g][a],
-                        spec.func,
-                        &self.domains[a],
-                        block.columns[spec.col][r],
-                    );
-                }
+                Grouping::Ordered => Groups::Listed(Vec::new()),
+            },
+            accs: Vec::new(),
+            key: vec![0; self.group_cols.len()],
+        }
+    }
+
+    /// Fold one block's rows into `p`.
+    pub(crate) fn fold_block(&self, p: &mut Partial, block: &Block) {
+        let Partial { groups, accs, key } = p;
+        // The grouping is matched per block, not per row: each arm
+        // instantiates its own copy of the row loop.
+        match groups {
+            Groups::Indexed(map) => self.fold_rows(block, accs, key, |k| map.get_or_insert(k)),
+            Groups::Listed(keys) => self.fold_rows(block, accs, key, |k| run_slot(keys, k)),
+        }
+    }
+
+    #[inline]
+    fn fold_rows(
+        &self,
+        block: &Block,
+        accs: &mut Vec<Vec<Acc>>,
+        key: &mut [i64],
+        mut slot: impl FnMut(&[i64]) -> usize,
+    ) {
+        for r in 0..block.len {
+            for (k, &c) in self.group_cols.iter().enumerate() {
+                key[k] = block.columns[c][r];
             }
-        }
-        // A global aggregate (no group keys) over empty input still
-        // produces one row of empty aggregates, SQL-style.
-        if self.group_cols.is_empty() && groups.is_empty() {
-            groups.get_or_insert(&[]);
-            accs.push(vec![init_acc(); self.aggs.len()]);
-        }
-        // Assemble column-major output: group keys then aggregates.
-        let ng = groups.len();
-        let ncols = self.group_cols.len() + self.aggs.len();
-        let mut cols: Vec<Vec<i64>> = vec![Vec::with_capacity(ng); ncols];
-        for (g, gk) in groups.keys().iter().enumerate() {
-            for (k, &v) in gk.iter().enumerate() {
-                cols[k].push(v);
+            let g = slot(key);
+            if g == accs.len() {
+                accs.push(vec![INIT_ACC; self.aggs.len()]);
             }
             for (a, spec) in self.aggs.iter().enumerate() {
-                cols[self.group_cols.len() + a].push(final_value(
-                    &accs[g][a],
+                fold(
+                    &mut accs[g][a],
+                    spec.func,
+                    &self.domains[a],
+                    block.columns[spec.col][r],
+                );
+            }
+        }
+    }
+
+    /// Fold everything `input` produces into one partial.
+    pub(crate) fn fold_all(&self, mut input: BoxOp) -> Partial {
+        let mut p = self.start();
+        while let Some(block) = input.next_block() {
+            self.fold_block(&mut p, &block);
+        }
+        p
+    }
+
+    /// Absorb `later`, a partial over the slice of input that directly
+    /// follows `p`'s. A group new to `p` is appended, so hash groups stay
+    /// in first-occurrence order; an ordered run that `later` continues
+    /// (its first key is `p`'s last) is merged back into one.
+    pub(crate) fn absorb(&self, p: &mut Partial, later: Partial) {
+        for (key, partial) in later.groups.keys().iter().zip(later.accs) {
+            let g = p.groups.slot(key);
+            if g == p.accs.len() {
+                p.accs.push(partial);
+                continue;
+            }
+            for (a, spec) in self.aggs.iter().enumerate() {
+                merge_acc(&mut p.accs[g][a], &partial[a], spec.func, &self.domains[a]);
+            }
+        }
+    }
+
+    /// Append the final values of `keys`' groups to column-major `out`:
+    /// group keys, then aggregates.
+    fn finalize(&self, keys: &[Vec<i64>], accs: &[Vec<Acc>], out: &mut [Vec<i64>]) {
+        for (gk, acc) in keys.iter().zip(accs) {
+            for (k, &v) in gk.iter().enumerate() {
+                out[k].push(v);
+            }
+            for (a, spec) in self.aggs.iter().enumerate() {
+                out[self.group_cols.len() + a].push(final_value(
+                    &acc[a],
                     spec.func,
                     &self.domains[a],
                 ));
             }
         }
-        self.output = emit_blocks(cols, ncols);
+    }
+
+    /// Finish `p` to output blocks.
+    pub(crate) fn finish(&self, mut p: Partial) -> Vec<Block> {
+        // A global hash aggregate (no group keys) over empty input still
+        // produces one row of empty aggregates, SQL-style.
+        if matches!(self.grouping, Grouping::Hash(..))
+            && self.group_cols.is_empty()
+            && p.accs.is_empty()
+        {
+            p.groups.slot(&[]);
+            p.accs.push(vec![INIT_ACC; self.aggs.len()]);
+        }
+        let ncols = self.schema.len();
+        let mut cols = vec![Vec::with_capacity(p.accs.len()); ncols];
+        self.finalize(p.groups.keys(), &p.accs, &mut cols);
+        emit_blocks(cols, ncols)
+    }
+}
+
+/// Hash aggregation with a tactically chosen strategy.
+pub struct HashAggregate {
+    input: Option<BoxOp>,
+    core: AggCore,
+    output: Vec<Block>,
+    next: usize,
+    /// The strategy that was chosen (visible for tests and explain).
+    pub strategy: HashStrategy,
+}
+
+impl HashAggregate {
+    /// Aggregate `input` grouped by `group_cols`.
+    pub fn new(input: BoxOp, group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> HashAggregate {
+        let core = AggCore::hash(input.schema(), group_cols, aggs);
+        let Grouping::Hash(strategy, _) = core.grouping else {
+            unreachable!("a hash core groups by hash")
+        };
+        HashAggregate {
+            input: Some(input),
+            core,
+            output: Vec::new(),
+            next: 0,
+            strategy,
+        }
     }
 }
 
 impl Operator for HashAggregate {
     fn schema(&self) -> &Schema {
-        &self.schema
+        self.core.schema()
     }
 
     fn next_block(&mut self) -> Option<Block> {
-        if self.input.is_some() {
-            self.run();
+        if let Some(input) = self.input.take() {
+            self.output = self.core.finish(self.core.fold_all(input));
         }
         let b = self.output.get(self.next).cloned();
         self.next += 1;
@@ -318,16 +494,14 @@ impl Operator for HashAggregate {
 }
 
 /// Ordered (sandwiched) aggregation over grouped input: groups must arrive
-/// contiguously. One pass, no hash table (paper §4.2.2).
+/// contiguously. One pass, no hash table (paper §4.2.2), and streaming —
+/// a run is emitted once the next one opens, not when the input ends.
 pub struct OrderedAggregate {
     input: BoxOp,
-    group_cols: Vec<usize>,
-    aggs: Vec<AggSpec>,
-    schema: Schema,
-    domains: Vec<Domain>,
-    current_key: Option<Vec<i64>>,
-    current: Vec<Acc>,
-    key_scratch: Vec<i64>,
+    core: AggCore,
+    /// The open run, preceded — between a fold and the flush that
+    /// follows it — by the runs the last block closed.
+    runs: Partial,
     pending: Vec<Vec<i64>>, // column-major finished groups
     done: bool,
 }
@@ -335,40 +509,29 @@ pub struct OrderedAggregate {
 impl OrderedAggregate {
     /// Aggregate grouped `input` by `group_cols`.
     pub fn new(input: BoxOp, group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> OrderedAggregate {
-        let in_schema = input.schema();
-        let domains = aggs
-            .iter()
-            .map(|a| domain_of(&in_schema.fields[a.col]))
-            .collect();
-        let schema = output_schema(in_schema, &group_cols, &aggs);
-        let ncols = group_cols.len() + aggs.len();
+        let core = AggCore::ordered(input.schema(), group_cols, aggs);
         OrderedAggregate {
             input,
-            group_cols,
-            aggs,
-            schema,
-            domains,
-            current_key: None,
-            current: Vec::new(),
-            key_scratch: Vec::new(),
-            pending: vec![Vec::new(); ncols],
+            runs: core.start(),
+            pending: vec![Vec::new(); core.schema().len()],
+            core,
             done: false,
         }
     }
 
-    fn flush_group(&mut self) {
-        if let Some(key) = self.current_key.take() {
-            for (k, v) in key.into_iter().enumerate() {
-                self.pending[k].push(v);
-            }
-            for (a, spec) in self.aggs.iter().enumerate() {
-                self.pending[self.group_cols.len() + a].push(final_value(
-                    &self.current[a],
-                    spec.func,
-                    &self.domains[a],
-                ));
-            }
-        }
+    /// Move every run but the last `keep` to `pending`.
+    fn flush(&mut self, keep: usize) {
+        let Groups::Listed(keys) = &mut self.runs.groups else {
+            unreachable!("an ordered core lists its runs")
+        };
+        let closed = keys.len().saturating_sub(keep);
+        self.core.finalize(
+            &keys[..closed],
+            &self.runs.accs[..closed],
+            &mut self.pending,
+        );
+        keys.drain(..closed);
+        self.runs.accs.drain(..closed);
     }
 
     fn pending_rows(&self) -> usize {
@@ -390,33 +553,19 @@ impl OrderedAggregate {
 
 impl Operator for OrderedAggregate {
     fn schema(&self) -> &Schema {
-        &self.schema
+        self.core.schema()
     }
 
     fn next_block(&mut self) -> Option<Block> {
         while !self.done && self.pending_rows() < BLOCK_ROWS {
-            let Some(block) = self.input.next_block() else {
-                self.flush_group();
-                self.done = true;
-                break;
-            };
-            for r in 0..block.len {
-                self.key_scratch.clear();
-                for &c in &self.group_cols {
-                    self.key_scratch.push(block.columns[c][r]);
+            match self.input.next_block() {
+                Some(block) => {
+                    self.core.fold_block(&mut self.runs, &block);
+                    self.flush(1);
                 }
-                if self.current_key.as_deref() != Some(&self.key_scratch[..]) {
-                    self.flush_group();
-                    self.current_key = Some(self.key_scratch.clone());
-                    self.current = vec![init_acc(); self.aggs.len()];
-                }
-                for (a, spec) in self.aggs.iter().enumerate() {
-                    fold(
-                        &mut self.current[a],
-                        spec.func,
-                        &self.domains[a],
-                        block.columns[spec.col][r],
-                    );
+                None => {
+                    self.flush(0);
+                    self.done = true;
                 }
             }
         }
@@ -487,6 +636,39 @@ mod tests {
         assert_eq!(n, 2500);
         assert_eq!(lo, 0);
         assert_eq!(hi, 96);
+    }
+
+    #[test]
+    fn ordered_aggregate_emits_before_its_input_ends() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        /// Counts the blocks pulled through it.
+        struct Counted(TableScan, Arc<AtomicUsize>);
+        impl Operator for Counted {
+            fn schema(&self) -> &Schema {
+                self.0.schema()
+            }
+            fn next_block(&mut self) -> Option<Block> {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                self.0.next_block()
+            }
+        }
+        // Five rows per group: a full output block closes after about
+        // five of the input's 49 blocks.
+        let t = table(50_000, 10_000);
+        let pulls = Arc::new(AtomicUsize::new(0));
+        let mut agg = OrderedAggregate::new(
+            Box::new(Counted(TableScan::new(t.clone()), pulls.clone())),
+            vec![0],
+            specs(),
+        );
+        let first = agg.next_block().unwrap();
+        assert_eq!(first.len, BLOCK_ROWS);
+        assert!(pulls.load(Ordering::Relaxed) < 10, "materialised its input");
+        let mut streamed = vec![first];
+        streamed.extend(std::iter::from_fn(|| agg.next_block()));
+        let rows: usize = streamed.iter().map(|b| b.len).sum();
+        assert_eq!(rows, 10_000);
+        assert!(pulls.load(Ordering::Relaxed) >= 49);
     }
 
     #[test]

@@ -3,38 +3,28 @@
 //! The stop-and-go operator at the heart of the paper's import and
 //! decompression-join machinery. Each column is encoded *independently*
 //! with the dynamic encoder, so the per-column work is distributed across
-//! the available cores — substituting processing power for memory and I/O
-//! bandwidth. The build step finishes with the §3.4 post-processing
-//! manipulations (optimal conversion, heap sorting, narrowing, metadata
-//! extraction), which is how a FlowTable on the inner side of an expansion
+//! the available cores (one task per column on the morsel runtime) —
+//! substituting processing power for memory and I/O bandwidth. The build
+//! step finishes with the §3.4 post-processing manipulations (optimal
+//! conversion, heap sorting, narrowing, metadata extraction), which is how a FlowTable on the inner side of an expansion
 //! join hands the tactical optimizer the metadata it needs (§4.1.2): a
 //! filtered dense token range re-asserts the *dense* property, a computed
 //! string column gets a sorted minimal-width heap, and so on.
 
 use crate::block::{Block, Field, Repr, Schema};
 use crate::expr::token_str;
+use crate::morsel::run_morsels;
 use crate::{BoxOp, Operator};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tde_storage::{BuiltColumn, ColumnBuilder, Compression, EncodingPolicy, Table};
 use tde_types::DataType;
 
 /// FlowTable configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FlowTableOptions {
     /// Column build policy (the strategic optimizer passes
     /// [`EncodingPolicy::inner_side`] for hash-join inners, §4.3).
     pub policy: EncodingPolicy,
-    /// Encode columns on separate threads.
-    pub parallel: bool,
-}
-
-impl Default for FlowTableOptions {
-    fn default() -> FlowTableOptions {
-        FlowTableOptions {
-            policy: EncodingPolicy::default(),
-            parallel: true,
-        }
-    }
 }
 
 /// The built table plus per-column build diagnostics.
@@ -61,21 +51,15 @@ pub fn build_from_blocks(
     opts: FlowTableOptions,
 ) -> BuiltTable {
     let ncols = schema.len();
-    let build_one = |i: usize| -> BuiltColumn {
-        let field = &schema.fields[i];
-        build_column(field, blocks, i, opts.policy)
-    };
-    let built: Vec<BuiltColumn> = if opts.parallel && ncols > 1 {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..ncols).map(|i| s.spawn(move || build_one(i))).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("column build panicked"))
-                .collect()
-        })
-    } else {
-        (0..ncols).map(build_one).collect()
-    };
+    // One task per column on the shared morsel runtime (§3.3: columns
+    // encode independently), as many workers as the platform has cores
+    // (asked once: the answer costs a few file reads on Linux).
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let degree = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from));
+    let built: Vec<BuiltColumn> = run_morsels(degree, ncols, |i| {
+        let i = i as usize;
+        build_column(&schema.fields[i], blocks, i, opts.policy)
+    });
     let mut reencodings = Vec::with_capacity(ncols);
     let mut columns = Vec::with_capacity(ncols);
     for b in built {
@@ -302,25 +286,89 @@ mod tests {
         assert_eq!(md.max, Some(2999));
     }
 
+    /// The E8 table (§4.3): a dense ascending id — a tiny delta stream
+    /// while its order holds — beside `val = i % 89`.
+    fn e8_table(rows: i64) -> Arc<Table> {
+        let mut id = ColumnBuilder::new("id", DataType::Integer, EncodingPolicy::default());
+        let mut val = ColumnBuilder::new("val", DataType::Integer, EncodingPolicy::default());
+        for i in 0..rows {
+            id.append_i64(i);
+            val.append_i64(i % 89);
+        }
+        Arc::new(Table::new(
+            "t",
+            vec![id.finish().column, val.finish().column],
+        ))
+    }
+
     #[test]
-    fn parallel_and_serial_builds_agree() {
-        let t = strings_table();
-        let a = flow_table(
-            Box::new(TableScan::new(t.clone())),
-            "a",
-            FlowTableOptions {
-                parallel: false,
-                ..Default::default()
-            },
+    fn disturbed_block_order_grows_the_encoding() {
+        // Why order is preserved upstream of encoders: the same filtered
+        // blocks, adjacent pairs swapped, encode much larger.
+        let t = e8_table(200_000);
+        let scan = TableScan::new(t);
+        let schema = scan.schema().clone();
+        let mut blocks = crate::drain(Box::new(scan));
+        for b in &mut blocks {
+            let keep: Vec<bool> = b.columns[1].iter().map(|&v| v % 89 < 60).collect();
+            b.filter(&keep);
+        }
+        let size = |blocks: &[Block]| {
+            build_from_blocks(&schema, blocks, "r", FlowTableOptions::default())
+                .table
+                .physical_size()
+        };
+        let in_order = size(&blocks);
+        for pair in blocks.chunks_exact_mut(2) {
+            pair.swap(0, 1);
+        }
+        let disturbed = size(&blocks);
+        assert!(
+            2 * disturbed >= 3 * in_order,
+            "in order {in_order} B, disturbed {disturbed} B"
         );
-        let b = flow_table(
-            Box::new(TableScan::new(t)),
-            "b",
+    }
+
+    #[test]
+    fn morsel_output_encodes_like_serial_output() {
+        // §4.3's guarantee, unconditional: a parallel pipeline feeding an
+        // encoder delivers the serial order, so the encoder makes the
+        // same choices and the table has the same physical size.
+        use crate::morsel::{MorselExec, MorselPipeline};
+        let t = e8_table(200_000);
+        let pred = Expr::cmp(CmpOp::Lt, Expr::col(1), Expr::int(60));
+        let serial = flow_table(
+            Box::new(TableScan::new(t.clone()).with_pushed(pred.clone(), false)),
+            "serial",
             FlowTableOptions::default(),
         );
-        for row in (0..5000).step_by(777) {
-            assert_eq!(a.table.columns[0].value(row), b.table.columns[0].value(row));
+        let source = crate::Source::from(&t).resolve(&["id", "val"]).unwrap();
+        let morsels = MorselExec::new(source, false, Some((pred, false)), MorselPipeline::Emit, 4);
+        let parallel = flow_table(Box::new(morsels), "parallel", FlowTableOptions::default());
+        assert_eq!(parallel.table.physical_size(), serial.table.physical_size());
+        for (p, s) in parallel.table.columns.iter().zip(&serial.table.columns) {
+            assert_eq!(p.data.algorithm(), s.data.algorithm(), "column {}", s.name);
         }
+    }
+
+    #[test]
+    fn panicking_column_build_surfaces_its_message() {
+        // A schema wider than the blocks: building column 1 indexes past
+        // the block's columns. The panic must arrive with that message,
+        // whichever worker hit it.
+        let schema = Schema::new(vec![
+            Field::scalar("a", DataType::Integer),
+            Field::scalar("b", DataType::Integer),
+        ]);
+        let blocks = vec![Block::new(vec![vec![1, 2, 3]])];
+        let panic = std::panic::catch_unwind(|| {
+            build_from_blocks(&schema, &blocks, "bad", FlowTableOptions::default())
+        })
+        .expect_err("column 1 has no data");
+        let msg = panic
+            .downcast_ref::<String>()
+            .expect("panic carries a message");
+        assert!(msg.contains("index out of bounds"), "{msg}");
     }
 
     #[test]

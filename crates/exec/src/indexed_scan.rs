@@ -130,6 +130,31 @@ impl IndexedScan {
         self
     }
 
+    /// Qualified index rows (one range each).
+    pub fn index_rows(&self) -> usize {
+        self.ranges.len()
+    }
+
+    /// A fresh scan of index rows `[lo, hi)` alone — one partition of
+    /// the index range (§8). Reading the partitions in order reads what
+    /// the whole scan reads.
+    pub fn partition(&self, lo: usize, hi: usize) -> IndexedScan {
+        IndexedScan {
+            ranges: self.ranges[lo..hi].to_vec(),
+            carried: self.carried.iter().map(|c| c[lo..hi].to_vec()).collect(),
+            fetch: self.fetch.clone(),
+            schema: self.schema.clone(),
+            next_range: 0,
+            range_off: 0,
+            readers: self
+                .fetch
+                .iter()
+                .map(|h| RangeReader::new(&h.col().data))
+                .collect(),
+            sequential: self.sequential,
+        }
+    }
+
     /// Total rows the qualified ranges cover.
     pub fn qualified_rows(&self) -> u64 {
         self.ranges.iter().map(|r| r.1).sum()

@@ -2,7 +2,7 @@
 //!
 //! Two operator styles exist: *flow* operators process one block of rows
 //! at a time ([`scan::TableScan`], [`filter::Filter`],
-//! [`project::Project`], [`exchange::Exchange`]); *stop-and-go* operators
+//! [`project::Project`]); *stop-and-go* operators
 //! must consume their whole input before producing output
 //! ([`flow_table::FlowTable`], [`sort::Sort`], the aggregates and the join
 //! inner sides).
@@ -24,14 +24,15 @@
 //! * [`tactical`] — the run-time optimizer choices: hash strategy by key
 //!   width (§2.3.4), fetch joins from dense/unique metadata (§2.3.5),
 //!   ordered vs hash aggregation (§4.2.2);
-//! * [`exchange`] — parallel block routing with the order-preserving mode
-//!   the strategic optimizer forces upstream of encoders (§4.3).
+//! * [`morsel`] — the one data-parallel runtime: scan pipelines, the §8
+//!   index rollup and FlowTable's column builds all run as tasks on its
+//!   work-stealing scheduler, reassembled in task order — which is how
+//!   §4.3's order preservation upstream of encoders holds by construction.
 
 pub mod aggregate;
 pub mod block;
 pub mod cursor;
 pub mod dictionary_table;
-pub mod exchange;
 pub mod expr;
 pub mod filter;
 pub mod flow_table;
@@ -43,7 +44,6 @@ pub mod join;
 pub mod merged_scan;
 pub mod morsel;
 pub mod obs;
-pub mod parallel;
 pub mod project;
 pub mod pushdown;
 pub mod rle_agg;

@@ -1,51 +1,52 @@
-//! Morsel-driven parallel pipelines (paper §3.3/§8).
+//! Morsel-driven parallel pipelines (paper §3.3/§8) — the engine's one
+//! data-parallel runtime.
 //!
-//! The engine's earlier parallelism was two narrow shapes: the per-block
-//! [`crate::exchange::Exchange`] map and the §8 partitioned index rollup.
-//! This module generalizes both: a whole pipeline — scan →
-//! kernel-pushed filter → partial aggregate — runs over *morsels*
-//! (ranges of decompression blocks) claimed by a fixed pool of
-//! work-stealing workers, followed by a deterministic merge phase.
+//! [`run_morsels`] is the only place in this crate that spawns worker
+//! threads. Everything that goes parallel is a list of independent tasks
+//! handed to it: the block ranges of a scan pipeline, the index
+//! partitions of the §8 rollup ([`MorselExec::rollup`]), the columns of
+//! a FlowTable build (§3.3). It returns results in task order and
+//! re-raises the first task panic with its message once every worker
+//! has stopped.
 //!
+//! A [`MorselExec`] runs a whole pipeline — task operator → partial
+//! aggregate — per task, followed by a deterministic merge phase.
 //! Determinism is the design constraint, not an afterthought: parallel
-//! output must be **byte-identical** to the serial pipeline.
+//! output must be **byte-identical** to the serial pipeline, which is
+//! also what keeps §4.3's promise that an encoder downstream sees rows
+//! in their original order.
 //!
-//! * Pass-through pipelines reassemble blocks in morsel order. Morsels
-//!   align on decompression-block boundaries, so each ranged scan emits
-//!   exactly the blocks the whole scan would (see
+//! * Pass-through pipelines reassemble blocks in task order. Scan
+//!   morsels align on decompression-block boundaries, so each ranged
+//!   scan emits exactly the blocks the whole scan would (see
 //!   `block_ranges_partition_the_scan` in [`crate::scan`]).
-//! * Hash-aggregate partials carry their groups in first-occurrence
-//!   order; merging morsels in morsel order reproduces the serial
-//!   insertion order exactly, and integer fold functions are
-//!   associative and commutative so [`merge_acc`] is exact. Real sums
-//!   are order-dependent — the planner declines parallelism for them.
-//! * Ordered-aggregate partials are runs of contiguous groups,
-//!   concatenated in morsel order with a boundary merge when the last
-//!   group of one morsel continues into the next — the same contract
-//!   `parallel_index` uses for the §8 rollup.
+//! * Aggregating pipelines fold each task through the shared
+//!   [`AggCore`] and absorb the partials in task order: hash groups keep
+//!   their first-occurrence order, and an ordered run that continues
+//!   across a task boundary is merged back into one. Integer folds are
+//!   associative and commutative, so the merge is exact; Real sums are
+//!   order-dependent — the planner declines parallelism for them.
 //!
 //! The scheduler is deliberately simple: per-worker [`RangeDeque`]s of
-//! contiguous morsel ids (one packed atomic word each — exhaustively
+//! contiguous task ids (one packed atomic word each — exhaustively
 //! model-checked below), owner pops from the front, idle workers steal
-//! from the back round-robin. No morsel is pushed after start, so
+//! from the back round-robin. No task is pushed after start, so
 //! all-deques-empty is a safe termination condition. A panicking worker
 //! poisons the run and drains every deque; the consumer then observes
 //! the panic instead of a silent partial result.
 
-use crate::aggregate::{
-    domain_of, emit_blocks, final_value, fold, init_acc, merge_acc, output_schema, Acc, AggSpec,
-    Domain,
-};
+use crate::aggregate::{merge_safe, AggCore, AggSpec};
 use crate::block::{Block, Schema};
-use crate::expr::{AggFunc, Expr};
-use crate::hash::{GroupMap, HashStrategy, KeyPacking};
+use crate::expr::Expr;
+use crate::indexed_scan::IndexedScan;
+use crate::scan::TableScan;
 use crate::source::Projection;
-use crate::tactical;
-use crate::{Operator, BLOCK_ROWS};
+use crate::{drain, BoxOp, Operator, BLOCK_ROWS};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
+use tde_storage::Table;
 
 /// Decompression blocks per morsel: large enough to amortize scheduling,
 /// small enough to steal (~4 × 1024 rows at the default block size).
@@ -146,26 +147,6 @@ impl RangeDeque {
         }
     }
 
-    /// Owner end: extend the pending range by `n` ids past the current
-    /// tail. Only meaningful before workers race on the deque (the
-    /// scheduler seeds everything up front); still a CAS so the model
-    /// can exercise push/steal interleavings.
-    pub fn push_back(&self, n: u32) {
-        let mut s = self.state.load(Ordering::Acquire);
-        loop {
-            let (head, tail) = unpack(s);
-            match self.state.compare_exchange_weak(
-                s,
-                pack(head, tail + n),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return,
-                Err(cur) => s = cur,
-            }
-        }
-    }
-
     /// Pending ids.
     pub fn remaining(&self) -> u32 {
         let (head, tail) = unpack(self.state.load(Ordering::Acquire));
@@ -257,8 +238,11 @@ where
                             .cloned()
                             .or_else(|| p.downcast_ref::<&str>().map(|s| (*s).to_string()))
                             .unwrap_or_else(|| "worker panicked".to_string());
+                        // First panic wins; later ones are its fallout.
                         let mut slot = poison.lock().unwrap_or_else(|e| e.into_inner());
-                        slot.get_or_insert(msg);
+                        if slot.is_none() {
+                            *slot = Some(msg);
+                        }
                         // Stop the run: claim everything still pending so
                         // the other workers exit their loops promptly.
                         for d in deques {
@@ -294,93 +278,58 @@ where
     results.into_iter().map(|d| d.out).collect()
 }
 
-/// Whether `aggs` over `schema` merge exactly from per-morsel partials.
-/// Integer/token/dict folds are associative and exact; Real sums are
-/// order-dependent (f64 addition), so the planner must keep them serial.
-pub fn merge_safe(schema: &Schema, aggs: &[AggSpec]) -> bool {
-    !aggs
-        .iter()
-        .any(|a| a.func == AggFunc::Sum && domain_of(&schema.fields[a.col]) == Domain::Real)
-}
-
-/// What the pipeline computes over each morsel (and how partials merge).
+/// What the pipeline computes over each task (and how partials merge).
 #[derive(Clone)]
 pub enum MorselPipeline {
-    /// Scan (+ pushed filter): blocks pass through, reassembled in
-    /// morsel order.
+    /// Pass-through: blocks reassembled in task order.
     Emit,
-    /// Hash aggregate: per-morsel partials merged by group key, group
+    /// Hash aggregate: per-task partials merged by group key, group
     /// order = serial insertion order.
     HashAgg {
-        /// Group-key column indices into the source schema.
+        /// Group-key column indices into the task schema.
         group_cols: Vec<usize>,
         /// Aggregates to compute.
         aggs: Vec<AggSpec>,
     },
-    /// Ordered (sandwiched) aggregate over grouped input: per-morsel
+    /// Ordered (sandwiched) aggregate over grouped input: per-task
     /// runs concatenated with a boundary merge.
     OrderedAgg {
-        /// Group-key column indices into the source schema.
+        /// Group-key column indices into the task schema.
         group_cols: Vec<usize>,
         /// Aggregates to compute.
         aggs: Vec<AggSpec>,
     },
 }
 
-impl MorselPipeline {
-    fn agg_parts(&self) -> Option<(&[usize], &[AggSpec])> {
-        match self {
-            MorselPipeline::Emit => None,
-            MorselPipeline::HashAgg { group_cols, aggs }
-            | MorselPipeline::OrderedAgg { group_cols, aggs } => Some((group_cols, aggs)),
-        }
-    }
+/// Morsels `source` splits into: [`MORSEL_BLOCKS`] decompression blocks
+/// each, plus one for a delta leg (an overlaid source rides its delta
+/// with one morsel) or for an empty source.
+pub fn morsel_count(source: &Projection) -> usize {
+    let (rows, delta) = source.extent();
+    let stored = (rows as usize).div_ceil(BLOCK_ROWS * MORSEL_BLOCKS);
+    stored + usize::from(delta || stored == 0)
 }
 
-/// One morsel: stored decompression blocks `[lo, hi)`, plus the delta
-/// leg when `delta` (an overlaid source rides its delta with one morsel).
-#[derive(Clone, Copy, Debug)]
-struct MorselRange {
-    lo: usize,
-    hi: usize,
-    delta: bool,
-}
-
-/// Per-morsel pipeline output.
-enum MorselOut {
-    Blocks(Vec<Block>),
-    /// (group key, accumulators) in first-occurrence order within the
-    /// morsel (hash) or contiguous-run order (ordered).
-    Groups(Vec<(Vec<i64>, Vec<Acc>)>),
-}
-
-/// A full pipeline executed morsel-parallel: scan of a resolved
-/// [`Projection`] → optional pushed predicate → optional partial aggregate,
-/// with a deterministic merge phase. Output is byte-identical to the
-/// serial pipeline; see the module docs for why.
+/// A full pipeline executed task-parallel: task *m*'s operator →
+/// optional partial aggregate, with a deterministic merge phase. Output
+/// is byte-identical to running the tasks' operators back to back
+/// through the serial aggregate; see the module docs for why.
 pub struct MorselExec {
-    source: Projection,
-    expand: bool,
-    predicate: Option<(Expr, bool)>,
-    pipeline: MorselPipeline,
+    tasks: usize,
+    task: Box<dyn Fn(u32) -> BoxOp + Send + Sync>,
+    /// `None` passes blocks through.
+    agg: Option<AggCore>,
     degree: usize,
     schema: Schema,
-    source_schema: Schema,
-    domains: Vec<Domain>,
-    strategy: HashStrategy,
-    packing: Option<KeyPacking>,
-    morsels: Vec<MorselRange>,
-    output: Vec<Block>,
-    next: usize,
-    ran: bool,
+    output: Option<std::vec::IntoIter<Block>>,
 }
 
 impl MorselExec {
     /// Build a morsel pipeline over `source`, scanned with or without
-    /// dictionary expansion (`expand`). `predicate` is `(expr,
-    /// force_fallback)` pushed into every ranged scan; `degree` is the
-    /// worker count (1 = run on the calling thread, still through the
-    /// same merge path).
+    /// dictionary expansion (`expand`): task *m* scans morsel *m*'s
+    /// block range. `predicate` is `(expr, force_fallback)` pushed into
+    /// every ranged scan; `degree` is the worker count (1 = run on the
+    /// calling thread, still through the same merge path).
     pub fn new(
         source: Projection,
         expand: bool,
@@ -388,89 +337,99 @@ impl MorselExec {
         pipeline: MorselPipeline,
         degree: usize,
     ) -> MorselExec {
-        let source_schema = source.schema(expand);
-        let (schema, domains, strategy, packing) = match pipeline.agg_parts() {
-            None => (
-                source_schema.clone(),
-                Vec::new(),
-                HashStrategy::Collision,
-                None,
-            ),
-            Some((group_cols, aggs)) => {
-                let keys: Vec<_> = group_cols
-                    .iter()
-                    .map(|&c| &source_schema.fields[c])
-                    .collect();
-                let (strategy, packing) = tactical::choose_hash_strategy(&keys);
-                let domains: Vec<Domain> = aggs
-                    .iter()
-                    .map(|a| domain_of(&source_schema.fields[a.col]))
-                    .collect();
-                // Real sums are not merge-safe (f64 addition is
-                // order-dependent); the planner must decline these.
-                debug_assert!(
-                    !aggs
-                        .iter()
-                        .zip(&domains)
-                        .any(|(a, d)| a.func == AggFunc::Sum && *d == Domain::Real),
-                    "Sum over Real is not morsel-mergeable"
-                );
-                (
-                    output_schema(&source_schema, group_cols, aggs),
-                    domains,
-                    strategy,
-                    packing,
-                )
+        let tasks = morsel_count(&source);
+        let nblocks = (source.extent().0 as usize).div_ceil(BLOCK_ROWS);
+        MorselExec::from_tasks(
+            source.schema(expand),
+            tasks,
+            move |m| {
+                let lo = (m as usize * MORSEL_BLOCKS).min(nblocks);
+                let hi = (lo + MORSEL_BLOCKS).min(nblocks);
+                // The task past the stored blocks is the delta leg.
+                source.morsel_scan(expand, predicate.as_ref(), lo, hi, lo == hi)
+            },
+            pipeline,
+            degree,
+        )
+    }
+
+    /// The §8 rollup: ordered aggregation by index value over the
+    /// qualified ranges of `outer`, one task per contiguous partition of
+    /// the (value-sorted, possibly rolled-up) IndexTable `index`. Task
+    /// *m* is an [`IndexedScan`] of partition *m* fetching `fetch`; a
+    /// value whose index rows straddle a partition boundary is rejoined
+    /// by the ordered merge, so partitions need not align with values.
+    /// `degree` caps both the partitions and the workers.
+    pub fn rollup(
+        index: &Arc<Table>,
+        outer: &Arc<Table>,
+        fetch: &[&str],
+        aggs: Vec<AggSpec>,
+        degree: usize,
+    ) -> MorselExec {
+        let whole = IndexedScan::new(
+            Box::new(TableScan::new(Arc::clone(index))),
+            Arc::clone(outer),
+            fetch,
+        );
+        let rows = whole.index_rows();
+        let per_task = rows.div_ceil(degree.clamp(1, rows.max(1)));
+        MorselExec::from_tasks(
+            whole.schema().clone(),
+            rows.div_ceil(per_task.max(1)),
+            move |m| {
+                let lo = m as usize * per_task;
+                Box::new(whole.partition(lo, (lo + per_task).min(rows)))
+            },
+            MorselPipeline::OrderedAgg {
+                group_cols: vec![0],
+                aggs,
+            },
+            degree,
+        )
+    }
+
+    /// The general form: `tasks` independent operators, each emitting
+    /// `schema`-shaped blocks; `task(m)` builds the *m*-th on whichever
+    /// worker claims it.
+    fn from_tasks(
+        schema: Schema,
+        tasks: usize,
+        task: impl Fn(u32) -> BoxOp + Send + Sync + 'static,
+        pipeline: MorselPipeline,
+        degree: usize,
+    ) -> MorselExec {
+        if let MorselPipeline::HashAgg { aggs, .. } | MorselPipeline::OrderedAgg { aggs, .. } =
+            &pipeline
+        {
+            // The planner must decline these; see [`merge_safe`].
+            debug_assert!(
+                merge_safe(&schema, aggs),
+                "Sum over Real is not morsel-mergeable"
+            );
+        }
+        let agg = match pipeline {
+            MorselPipeline::Emit => None,
+            MorselPipeline::HashAgg { group_cols, aggs } => {
+                Some(AggCore::hash(&schema, group_cols, aggs))
+            }
+            MorselPipeline::OrderedAgg { group_cols, aggs } => {
+                Some(AggCore::ordered(&schema, group_cols, aggs))
             }
         };
-        let morsels = Self::partition(&source);
         MorselExec {
-            source,
-            expand,
-            predicate,
-            pipeline,
+            tasks,
+            task: Box::new(task),
+            schema: agg.as_ref().map_or(schema, |a| a.schema().clone()),
+            agg,
             degree: degree.max(1),
-            schema,
-            source_schema,
-            domains,
-            strategy,
-            packing,
-            morsels,
-            output: Vec::new(),
-            next: 0,
-            ran: false,
+            output: None,
         }
     }
 
-    /// Split the source into morsels of [`MORSEL_BLOCKS`] decompression
-    /// blocks (a delta leg rides on one extra morsel).
-    fn partition(source: &Projection) -> Vec<MorselRange> {
-        let (rows, delta) = source.extent();
-        let nblocks = (rows as usize).div_ceil(BLOCK_ROWS);
-        let mut morsels = Vec::with_capacity(nblocks.div_ceil(MORSEL_BLOCKS) + 1);
-        let mut at = 0;
-        while at < nblocks {
-            let hi = (at + MORSEL_BLOCKS).min(nblocks);
-            morsels.push(MorselRange {
-                lo: at,
-                hi,
-                delta: false,
-            });
-            at = hi;
-        }
-        if delta || morsels.is_empty() {
-            morsels.push(MorselRange {
-                lo: nblocks,
-                hi: nblocks,
-                delta: true,
-            });
-        }
-        morsels
-    }
-
-    /// Morsel count (used by the planner's explain label and fallbacks).
+    /// Task count (used by the planner's explain label).
     pub fn morsel_count(&self) -> usize {
-        self.morsels.len()
+        self.tasks
     }
 
     /// The configured worker count.
@@ -478,172 +437,24 @@ impl MorselExec {
         self.degree
     }
 
-    /// Run the pipeline over one morsel on the calling worker.
-    fn run_morsel(&self, m: MorselRange) -> MorselOut {
-        let mut op =
-            self.source
-                .morsel_scan(self.expand, self.predicate.as_ref(), m.lo, m.hi, m.delta);
-        match &self.pipeline {
-            MorselPipeline::Emit => {
-                let mut blocks = Vec::new();
-                while let Some(b) = op.next_block() {
-                    blocks.push(b);
-                }
-                MorselOut::Blocks(blocks)
-            }
-            MorselPipeline::HashAgg { group_cols, aggs } => {
-                let mut groups = GroupMap::new(self.strategy, self.packing.clone());
-                let mut accs: Vec<Vec<Acc>> = Vec::new();
-                let mut key = vec![0i64; group_cols.len()];
-                while let Some(block) = op.next_block() {
-                    for r in 0..block.len {
-                        for (k, &c) in group_cols.iter().enumerate() {
-                            key[k] = block.columns[c][r];
-                        }
-                        let g = groups.get_or_insert(&key);
-                        if g == accs.len() {
-                            accs.push(vec![init_acc(); aggs.len()]);
-                        }
-                        for (a, spec) in aggs.iter().enumerate() {
-                            fold(
-                                &mut accs[g][a],
-                                spec.func,
-                                &self.domains[a],
-                                block.columns[spec.col][r],
-                            );
-                        }
-                    }
-                }
-                MorselOut::Groups(groups.keys().iter().cloned().zip(accs).collect())
-            }
-            MorselPipeline::OrderedAgg { group_cols, aggs } => {
-                let mut runs: Vec<(Vec<i64>, Vec<Acc>)> = Vec::new();
-                let mut key = Vec::with_capacity(group_cols.len());
-                while let Some(block) = op.next_block() {
-                    for r in 0..block.len {
-                        key.clear();
-                        for &c in group_cols {
-                            key.push(block.columns[c][r]);
-                        }
-                        if runs.last().map(|(k, _)| k.as_slice()) != Some(&key[..]) {
-                            runs.push((key.clone(), vec![init_acc(); aggs.len()]));
-                        }
-                        let accs = &mut runs.last_mut().expect("just pushed").1;
-                        for (a, spec) in aggs.iter().enumerate() {
-                            fold(
-                                &mut accs[a],
-                                spec.func,
-                                &self.domains[a],
-                                block.columns[spec.col][r],
-                            );
-                        }
-                    }
-                }
-                MorselOut::Groups(runs)
-            }
-        }
-    }
-
-    /// The merge phase: deterministic, single-threaded, in morsel order.
-    fn merge(&mut self, outs: Vec<MorselOut>) {
-        match &self.pipeline {
-            MorselPipeline::Emit => {
-                self.output = outs
-                    .into_iter()
-                    .flat_map(|o| match o {
-                        MorselOut::Blocks(bs) => bs,
-                        MorselOut::Groups(_) => unreachable!("emit pipeline"),
-                    })
-                    .collect();
-            }
-            MorselPipeline::HashAgg { group_cols, aggs } => {
-                let mut groups = GroupMap::new(self.strategy, self.packing.clone());
-                let mut accs: Vec<Vec<Acc>> = Vec::new();
-                for out in outs {
-                    let MorselOut::Groups(pairs) = out else {
-                        unreachable!("aggregate pipeline")
-                    };
-                    for (key, partial) in pairs {
-                        let g = groups.get_or_insert(&key);
-                        if g == accs.len() {
-                            accs.push(vec![init_acc(); aggs.len()]);
-                        }
-                        for (a, spec) in aggs.iter().enumerate() {
-                            merge_acc(&mut accs[g][a], &partial[a], spec.func, &self.domains[a]);
-                        }
-                    }
-                }
-                // A global aggregate over empty input still produces one
-                // row of empty aggregates, SQL-style (as serial does).
-                if group_cols.is_empty() && groups.is_empty() {
-                    groups.get_or_insert(&[]);
-                    accs.push(vec![init_acc(); aggs.len()]);
-                }
-                self.output = self.finish_groups(groups.keys(), &accs, group_cols, aggs);
-            }
-            MorselPipeline::OrderedAgg { group_cols, aggs } => {
-                let mut runs: Vec<(Vec<i64>, Vec<Acc>)> = Vec::new();
-                for out in outs {
-                    let MorselOut::Groups(pairs) = out else {
-                        unreachable!("aggregate pipeline")
-                    };
-                    for (key, partial) in pairs {
-                        match runs.last_mut() {
-                            // A group straddling the morsel boundary:
-                            // fold the continuation into the open run.
-                            Some((k, accs)) if *k == key => {
-                                for (a, spec) in aggs.iter().enumerate() {
-                                    merge_acc(
-                                        &mut accs[a],
-                                        &partial[a],
-                                        spec.func,
-                                        &self.domains[a],
-                                    );
-                                }
-                            }
-                            _ => runs.push((key, partial)),
-                        }
-                    }
-                }
-                let keys: Vec<Vec<i64>> = runs.iter().map(|(k, _)| k.clone()).collect();
-                let accs: Vec<Vec<Acc>> = runs.into_iter().map(|(_, a)| a).collect();
-                self.output = self.finish_groups(&keys, &accs, group_cols, aggs);
-            }
-        }
-    }
-
-    /// Finalize accumulators into column-major output blocks — the same
-    /// assembly the serial aggregates perform.
-    fn finish_groups(
-        &self,
-        keys: &[Vec<i64>],
-        accs: &[Vec<Acc>],
-        group_cols: &[usize],
-        aggs: &[AggSpec],
-    ) -> Vec<Block> {
-        let ncols = group_cols.len() + aggs.len();
-        let mut cols: Vec<Vec<i64>> = vec![Vec::with_capacity(keys.len()); ncols];
-        for (gk, acc) in keys.iter().zip(accs) {
-            for (k, &v) in gk.iter().enumerate() {
-                cols[k].push(v);
-            }
-            for (a, spec) in aggs.iter().enumerate() {
-                cols[group_cols.len() + a].push(final_value(&acc[a], spec.func, &self.domains[a]));
-            }
-        }
-        emit_blocks(cols, ncols)
-    }
-
-    fn run(&mut self) {
-        self.ran = true;
-        let morsels = self.morsels.clone();
+    /// Run every task, then the merge phase: deterministic,
+    /// single-threaded, in task order.
+    fn run(&self) -> Vec<Block> {
         if self.degree > 1 && tde_obs::metrics::enabled() {
             tde_obs::metrics::morsel_metrics().parallel_queries.inc();
         }
-        let outs = run_morsels(self.degree, morsels.len(), |m| {
-            self.run_morsel(morsels[m as usize])
+        let Some(agg) = &self.agg else {
+            let blocks = run_morsels(self.degree, self.tasks, |m| drain((self.task)(m)));
+            return blocks.into_iter().flatten().collect();
+        };
+        let partials = run_morsels(self.degree, self.tasks, |m| {
+            agg.fold_all((self.task)(m)).without_index()
         });
-        self.merge(outs);
+        let mut merged = agg.start();
+        for p in partials {
+            agg.absorb(&mut merged, p);
+        }
+        agg.finish(merged)
     }
 }
 
@@ -653,20 +464,10 @@ impl Operator for MorselExec {
     }
 
     fn next_block(&mut self) -> Option<Block> {
-        if !self.ran {
-            self.run();
+        if self.output.is_none() {
+            self.output = Some(self.run().into_iter());
         }
-        let b = self.output.get(self.next).cloned();
-        self.next += 1;
-        b
-    }
-}
-
-impl MorselExec {
-    /// The source schema the pipeline scans (the planner needs it to
-    /// resolve predicate/aggregate column indices).
-    pub fn source_schema(&self) -> &Schema {
-        &self.source_schema
+        self.output.as_mut().and_then(Iterator::next)
     }
 }
 
@@ -674,15 +475,15 @@ impl MorselExec {
 mod tests {
     use super::*;
     use crate::aggregate::{HashAggregate, OrderedAggregate};
-    use crate::expr::CmpOp;
+    use crate::expr::{AggFunc, CmpOp};
     use crate::handle::ColumnHandle;
+    use crate::index_table::{index_table, rollup_index};
     use crate::merged_scan::{MergedScan, MergedSource};
-    use crate::scan::TableScan;
     use crate::source::Source;
-    use crate::{drain, BoxOp};
     use std::collections::BTreeSet;
     use std::sync::Arc;
     use tde_storage::{ColumnBuilder, EncodingPolicy, Table};
+    use tde_types::datetime::{days_from_ymd, trunc_to_month};
     use tde_types::DataType;
 
     // ---- RangeDeque protocol ----
@@ -728,12 +529,25 @@ mod tests {
     fn deque_concurrent_claims_are_exactly_once() {
         const N: u32 = 10_000;
         let d = RangeDeque::new(0, N);
-        let claims: Vec<Mutex<Vec<u32>>> = (0..8).map(|_| Mutex::new(Vec::new())).collect();
+        let claims: Vec<Mutex<Vec<u32>>> = (0..9).map(|_| Mutex::new(Vec::new())).collect();
+        // Every claimer starts together, so pops, steals and the drain
+        // race on the one word.
+        let start = std::sync::Barrier::new(claims.len());
         std::thread::scope(|s| {
             for (t, slot) in claims.iter().enumerate() {
-                let d = &d;
+                let (d, start) = (&d, &start);
                 s.spawn(move || {
                     let mut mine = Vec::new();
+                    start.wait();
+                    if t == 8 {
+                        // The killer: let the others get going, then
+                        // claim whatever is left in one step.
+                        while d.remaining() > N / 2 {
+                            std::hint::spin_loop();
+                        }
+                        let (lo, hi) = d.drain();
+                        mine.extend(lo..hi);
+                    }
                     loop {
                         // Half the threads pop, half steal.
                         let got = if t % 2 == 0 {
@@ -757,70 +571,6 @@ mod tests {
         all.sort_unstable();
         assert_eq!(all, (0..N).collect::<Vec<_>>());
         assert_eq!(d.remaining(), 0);
-    }
-
-    /// Loom model of the push/steal/drain protocol: an owner pops and
-    /// pushes, a thief steals, a killer drains; every id must be claimed
-    /// exactly once. Under the offline loom shim this is bounded
-    /// stress; against real loom the same body explores interleavings
-    /// exhaustively (the deque is one word, so each op is one atomic
-    /// transition — exactly the granularity loom schedules at).
-    #[test]
-    fn deque_push_steal_drain_protocol_loom_model() {
-        loom::model(|| {
-            let d = loom::sync::Arc::new(RangeDeque::new(0, 3));
-            let claims = loom::sync::Arc::new(Mutex::new(Vec::new()));
-            let owner = {
-                let (d, claims) = (d.clone(), claims.clone());
-                loom::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    got.extend(d.pop_front());
-                    d.push_back(2); // ids 3, 4 join the pending range
-                    got.extend(d.pop_front());
-                    claims.lock().unwrap().extend(got);
-                })
-            };
-            let thief = {
-                let (d, claims) = (d.clone(), claims.clone());
-                loom::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    got.extend(d.steal_back());
-                    got.extend(d.steal_back());
-                    claims.lock().unwrap().extend(got);
-                })
-            };
-            let killer = {
-                let (d, claims) = (d.clone(), claims.clone());
-                loom::thread::spawn(move || {
-                    let (lo, hi) = d.drain();
-                    claims.lock().unwrap().extend(lo..hi);
-                })
-            };
-            owner.join().unwrap();
-            thief.join().unwrap();
-            killer.join().unwrap();
-            // The killer may have drained before the owner's push_back,
-            // so a late pop/steal can still claim the pushed ids — but
-            // nothing is ever claimed twice or invented.
-            let (_, _) = d.drain();
-            let mut got = claims.lock().unwrap().clone();
-            got.sort_unstable();
-            let mut dedup = got.clone();
-            dedup.dedup();
-            assert_eq!(got, dedup, "double-claimed ids: {got:?}");
-            assert!(got.iter().all(|&id| id < 5), "invented id: {got:?}");
-        });
-    }
-
-    #[test]
-    fn deque_push_back_extends_tail() {
-        let d = RangeDeque::new(3, 3);
-        assert_eq!(d.pop_front(), None);
-        d.push_back(2);
-        assert_eq!(d.remaining(), 2);
-        assert_eq!(d.steal_back(), Some(4));
-        assert_eq!(d.pop_front(), Some(3));
-        assert_eq!(d.drain(), (4, 4));
     }
 
     // ---- scheduler ----
@@ -1067,5 +817,161 @@ mod tests {
         let t = Arc::new(Table::new("e", vec![]));
         let m = MorselExec::new(all(Source::from(&t)), false, None, MorselPipeline::Emit, 4);
         assert!(drain(Box::new(m)).is_empty());
+    }
+
+    // ---- §8 index rollup ----
+
+    /// A sorted daily date column (RLE) plus a payload.
+    fn dated_table(days: i64, per_day: usize) -> (Arc<Table>, Vec<i64>, Vec<i64>) {
+        use tde_encodings::{EncodedStream, BLOCK_SIZE};
+        use tde_types::Width;
+        let d0 = days_from_ymd(1995, 1, 1);
+        let mut dates = Vec::new();
+        let mut pay = Vec::new();
+        for d in 0..days {
+            for j in 0..per_day {
+                dates.push(d0 + d);
+                pay.push((d * 31 + j as i64) % 1000);
+            }
+        }
+        let mut date_stream = EncodedStream::new_rle(Width::W8, true, Width::W4, Width::W4);
+        for c in dates.chunks(BLOCK_SIZE) {
+            date_stream.append_block(c).unwrap();
+        }
+        let pay_stream = tde_encodings::dynamic::encode_all(&pay, Width::W8, true).stream;
+        let t = Arc::new(Table::new(
+            "t",
+            vec![
+                tde_storage::Column::scalar("day", DataType::Date, date_stream),
+                tde_storage::Column::scalar("pay", DataType::Integer, pay_stream),
+            ],
+        ));
+        (t, dates, pay)
+    }
+
+    fn rows_of(op: MorselExec) -> Vec<Vec<i64>> {
+        let mut rows = Vec::new();
+        for b in drain(Box::new(op)) {
+            for r in 0..b.len {
+                rows.push(b.columns.iter().map(|c| c[r]).collect());
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn rollup_matches_serial_reference() {
+        let (t, dates, pay) = dated_table(60, 53);
+        let (idx, _) = index_table(&t.columns[0], "idx");
+        let aggs = vec![
+            AggSpec::new(AggFunc::Count, 1, "n"),
+            AggSpec::new(AggFunc::Max, 1, "mx"),
+        ];
+        let got = rows_of(MorselExec::rollup(&idx, &t, &["pay"], aggs, 4));
+        // Output is globally ordered by the index value.
+        assert!(got.windows(2).all(|w| w[0][0] < w[1][0]));
+        let mut reference: std::collections::BTreeMap<i64, (i64, i64)> = Default::default();
+        for (&d, &p) in dates.iter().zip(&pay) {
+            let e = reference.entry(d).or_insert((0, i64::MIN));
+            e.0 += 1;
+            e.1 = e.1.max(p);
+        }
+        assert_eq!(got.len(), reference.len());
+        for (g, (k, (n, mx))) in got.iter().zip(reference) {
+            assert_eq!(*g, vec![k, n, mx]);
+        }
+    }
+
+    #[test]
+    fn rollup_then_aggregate_months() {
+        // The full §8 proposal: roll daily dates up to month starts on the
+        // index (MIN(start), SUM(count)), then aggregate in parallel.
+        let (t, _, _) = dated_table(90, 29); // three months of 1995
+        let (idx, _) = index_table(&t.columns[0], "daily");
+        let (monthly, _) = rollup_index(&idx, trunc_to_month, "monthly");
+        assert_eq!(monthly.row_count(), 3);
+        let aggs = vec![AggSpec::new(AggFunc::Count, 1, "n")];
+        let jan = days_from_ymd(1995, 1, 1);
+        let feb = days_from_ymd(1995, 2, 1);
+        let mar = days_from_ymd(1995, 3, 1);
+        let want = vec![vec![jan, 31 * 29], vec![feb, 28 * 29], vec![mar, 31 * 29]];
+        assert_eq!(
+            rows_of(MorselExec::rollup(&monthly, &t, &["pay"], aggs.clone(), 3)),
+            want
+        );
+        // Partitions need not fall between values: the daily index
+        // relabelled (not merged) by month keeps its 90 rows, and four
+        // partitions of it cut months in two — the ordered merge rejoins
+        // them.
+        let mut value = ColumnBuilder::new("value", DataType::Date, EncodingPolicy::default());
+        for day in idx.columns[0].data.decode_all() {
+            value.append_i64(trunc_to_month(day));
+        }
+        let relabelled = Arc::new(Table::new(
+            "daily_by_month",
+            vec![
+                value.finish().column,
+                idx.columns[1].clone(),
+                idx.columns[2].clone(),
+            ],
+        ));
+        let cut = MorselExec::rollup(&relabelled, &t, &["pay"], aggs, 4);
+        assert_eq!(cut.morsel_count(), 4);
+        assert_eq!(rows_of(cut), want);
+    }
+
+    #[test]
+    fn rollup_single_partition_and_oversubscription() {
+        let (t, _, _) = dated_table(5, 11);
+        let (idx, _) = index_table(&t.columns[0], "idx");
+        let aggs = vec![AggSpec::new(AggFunc::Count, 1, "n")];
+        // More workers than index rows: clamps to one row per partition.
+        let many = MorselExec::rollup(&idx, &t, &["pay"], aggs.clone(), 64);
+        assert_eq!(many.morsel_count(), 5);
+        let many = rows_of(many);
+        assert_eq!(many.len(), 5);
+        // And a single worker degenerates to the serial pipeline.
+        let one = MorselExec::rollup(&idx, &t, &["pay"], aggs, 1);
+        assert_eq!(one.morsel_count(), 1);
+        assert_eq!(rows_of(one), many);
+    }
+
+    #[test]
+    fn panicking_rollup_task_surfaces_its_message() {
+        // A task operator that fails mid-stream, under the rollup's own
+        // pipeline shape: the consumer sees the task's message.
+        struct Boom(Schema);
+        impl Operator for Boom {
+            fn schema(&self) -> &Schema {
+                &self.0
+            }
+            fn next_block(&mut self) -> Option<Block> {
+                panic!("partition 2 unreadable")
+            }
+        }
+        let (t, _, _) = dated_table(40, 7);
+        let (idx, _) = index_table(&t.columns[0], "idx");
+        let whole = IndexedScan::new(Box::new(TableScan::new(idx)), Arc::clone(&t), &["pay"]);
+        let schema = whole.schema().clone();
+        let m = MorselExec::from_tasks(
+            schema.clone(),
+            4,
+            move |m| -> BoxOp {
+                if m == 2 {
+                    Box::new(Boom(schema.clone()))
+                } else {
+                    let lo = m as usize * 10;
+                    Box::new(whole.partition(lo, lo + 10))
+                }
+            },
+            MorselPipeline::OrderedAgg {
+                group_cols: vec![0],
+                aggs: vec![AggSpec::new(AggFunc::Count, 1, "n")],
+            },
+            4,
+        );
+        let r = catch_unwind(AssertUnwindSafe(|| drain(Box::new(m))));
+        let msg = *r.expect_err("must panic").downcast::<String>().unwrap();
+        assert!(msg.contains("partition 2 unreadable"), "{msg}");
     }
 }

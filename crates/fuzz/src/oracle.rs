@@ -9,10 +9,9 @@
 //!   a time), `kernel_diff` (compressed-domain kernel vs forced fallback
 //!   vs a plain Filter), `residency_diff` (the same plan over the table
 //!   held eager, paged cold, paged warm and merged with an empty delta),
-//!   `parallel_diff` (exchange routing modes and the §8
-//!   parallel indexed rollup vs serial execution), `morsel_parallel_diff`
-//!   (the whole plan at morsel degrees {2, 4, 8} vs serial — byte-for-byte,
-//!   blocks and metadata claims, not merely the same multiset), and
+//!   `morsel_parallel_diff` (the whole plan at morsel degrees {2, 4, 8} vs
+//!   serial — byte-for-byte, blocks and metadata claims, not merely the
+//!   same multiset — plus the §8 index rollup at 1 and 4 workers), and
 //!   [`crate::delta_oracle::delta_diff`] (merge-on-read over a mutated
 //!   delta store vs a from-scratch rebuild of the final logical table).
 //! * **Metamorphic** — `tlp_partition` (SQLancer-style predicate
@@ -29,7 +28,7 @@
 //! Row comparisons canonicalize (sort) value-level rows: hash aggregation
 //! order is nondeterministic by design, and several rewrites legitimately
 //! reorder rows. Where an operator *does* guarantee order (kernel scans,
-//! order-preserving exchange) the comparison is exact.
+//! morsel pipelines) the comparison is exact.
 
 use crate::spec::{CaseSpec, ColDtype, InjectKind, PlanOpSpec, Policy, PredSpec};
 use std::cmp::Ordering;
@@ -38,12 +37,10 @@ use std::sync::Arc;
 use tde_core::Query;
 use tde_encodings::{manipulate, Algorithm};
 use tde_exec::aggregate::AggSpec;
-use tde_exec::exchange::{BlockFn, Exchange, Routing};
-use tde_exec::expr::{eval, ComputeHeap};
 use tde_exec::filter::Filter;
-use tde_exec::parallel::parallel_indexed_aggregate;
+use tde_exec::morsel::MorselExec;
 use tde_exec::scan::TableScan;
-use tde_exec::{AggFunc, Block, BoxOp, Expr, Operator, Schema, Source};
+use tde_exec::{AggFunc, Block, BoxOp, Expr, Schema, Source};
 use tde_plan::strategic::OptimizerOptions;
 use tde_storage::{Column, Compression, Database, Table};
 use tde_types::sentinel::{NULL_I64, NULL_TOKEN};
@@ -117,7 +114,6 @@ pub fn run_case(spec: &CaseSpec) -> CaseReport {
     if spec.inject.is_none() {
         kernel_diff(spec, &table, &mut ds);
         residency_diff(spec, &table, &mut ds);
-        parallel_diff(spec, &table, &mut ds);
         morsel_parallel_diff(spec, &table, &mut ds);
         tlp_partition(spec, &table, &mut ds);
         reencode_invariance(spec, &table, &mut ds);
@@ -518,137 +514,16 @@ pub fn segment_byte_corruption(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec
     }
 }
 
-fn filter_block(schema: &Schema, expr: &Expr, b: Block) -> Block {
-    let mut ch = ComputeHeap::new();
-    let sel = eval(expr, schema, &b, &mut Some(&mut ch));
-    let keep: Vec<bool> = sel.data.iter().map(|&v| v != 0).collect();
-    let mut b = b;
-    b.filter(&keep);
-    b
-}
-
-/// Parallel execution vs serial: exchange routing in both modes over a
-/// per-block filter, and the §8 parallel indexed rollup when the case has
-/// an eligible (sorted, run-length) column.
-pub fn parallel_diff(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Discrepancy>) {
-    if let Some(pred) = base_preds(spec).first() {
-        let expr = pred.expr();
-        let serial = rows_of(Box::new(Filter::new(
-            Box::new(TableScan::new(table.clone())),
-            expr.clone(),
-        )));
-        let scan_schema = TableScan::new(table.clone()).schema().clone();
-        let f: BlockFn = {
-            let schema = scan_schema.clone();
-            let expr = expr.clone();
-            Arc::new(move |b| filter_block(&schema, &expr, b))
-        };
-        let as_completed = rows_of(Box::new(Exchange::new(
-            Box::new(TableScan::new(table.clone())),
-            f.clone(),
-            4,
-            Routing::AsCompleted,
-            scan_schema.clone(),
-        )));
-        if let Some(d) = diff(
-            "exchange-as-completed",
-            &canon(as_completed),
-            "serial",
-            &canon(serial.clone()),
-        ) {
-            ds.push(Discrepancy {
-                oracle: "parallel-diff",
-                detail: d,
-            });
-        }
-        let ordered = rows_of(Box::new(Exchange::new(
-            Box::new(TableScan::new(table.clone())),
-            f,
-            4,
-            Routing::OrderPreserving,
-            scan_schema,
-        )));
-        // Order-preserving routing guarantees the serial order exactly.
-        if let Some(d) = diff("exchange-order-preserving", &ordered, "serial", &serial) {
-            ds.push(Discrepancy {
-                oracle: "parallel-diff",
-                detail: d,
-            });
-        }
-    }
-
-    // §8 rollup: an RLE column whose values are sorted partitions by value.
-    let eligible = table.columns.iter().position(|c| {
-        c.dtype == DataType::Integer
-            && matches!(c.compression, Compression::None)
-            && c.data.algorithm() == Algorithm::RunLength
-            && c.metadata.sorted_asc.is_true()
-    });
-    if let Some(ci) = eligible {
-        let fetch_idx = table
-            .columns
-            .iter()
-            .position(|c| c.dtype == DataType::Integer && c.name != table.columns[ci].name)
-            .unwrap_or(ci);
-        let fetch_name = table.columns[fetch_idx].name.clone();
-        let (index, _) = tde_exec::index_table::index_table(&table.columns[ci], "idx");
-        let aggs = vec![
-            AggSpec::new(AggFunc::Count, 1, "n"),
-            AggSpec::new(AggFunc::Max, 1, "mx"),
-        ];
-        let serial = canon(
-            Query::scan(table)
-                .aggregate(
-                    vec![ci],
-                    vec![
-                        (AggFunc::Count, fetch_idx, "n"),
-                        (AggFunc::Max, fetch_idx, "mx"),
-                    ],
-                )
-                .with_optimizer(opts(false, false, false, false))
-                .rows(),
-        );
-        let one = {
-            let (schema, blocks) =
-                parallel_indexed_aggregate(&index, table, &[&fetch_name], aggs.clone(), 1);
-            let mut rows = Vec::new();
-            for b in &blocks {
-                extend_rows(&mut rows, &schema, b);
-            }
-            rows
-        };
-        let four = {
-            let (schema, blocks) =
-                parallel_indexed_aggregate(&index, table, &[&fetch_name], aggs, 4);
-            let mut rows = Vec::new();
-            for b in &blocks {
-                extend_rows(&mut rows, &schema, b);
-            }
-            rows
-        };
-        // Partitions concatenate in value order: 1 vs 4 workers is exact.
-        if let Some(d) = diff("rollup-4-workers", &four, "rollup-1-worker", &one) {
-            ds.push(Discrepancy {
-                oracle: "parallel-diff",
-                detail: d,
-            });
-        }
-        if let Some(d) = diff("rollup", &canon(one), "hash-aggregate", &serial) {
-            ds.push(Discrepancy {
-                oracle: "parallel-diff",
-                detail: d,
-            });
-        }
-    }
-}
-
-/// Morsel-driven parallel pipelines vs serial: the full plan at degrees
-/// {2, 4, 8} must be **byte-identical** to the serial run — the same
-/// blocks in the same order with the same values, and the same
-/// output-schema metadata claims — not merely the same multiset. The
-/// planner's serial fallbacks are part of the contract: a shape the
-/// morsel executor cannot run whole must lower to the identical serial
-/// pipeline, so this oracle applies to every generated plan.
+/// Parallel execution vs serial, all of it through the one morsel
+/// runtime. The full plan at degrees {2, 4, 8} must be **byte-identical**
+/// to the serial run — the same blocks in the same order with the same
+/// values, and the same output-schema metadata claims — not merely the
+/// same multiset. The planner's serial fallbacks are part of the
+/// contract: a shape the morsel executor cannot run whole must lower to
+/// the identical serial pipeline, so this leg applies to every generated
+/// plan. When the case has a sorted run-length integer column, the §8
+/// index rollup additionally runs at 1 and 4 workers: exact against each
+/// other, and canonicalised against the optimizer-off hash aggregate.
 pub fn morsel_parallel_diff(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Discrepancy>) {
     let (serial_schema, serial_blocks) = spec.apply_plan(Query::scan(table)).run();
     for degree in [2usize, 4, 8] {
@@ -683,6 +558,63 @@ pub fn morsel_parallel_diff(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Di
                 push(format!("block {i} differs from serial"));
                 break;
             }
+        }
+    }
+
+    // §8 rollup: an RLE column whose values are sorted gives a
+    // value-ordered index to partition.
+    let eligible = table.columns.iter().position(|c| {
+        c.dtype == DataType::Integer
+            && matches!(c.compression, Compression::None)
+            && c.data.algorithm() == Algorithm::RunLength
+            && c.metadata.sorted_asc.is_true()
+    });
+    if let Some(ci) = eligible {
+        let fetch_idx = table
+            .columns
+            .iter()
+            .position(|c| c.dtype == DataType::Integer && c.name != table.columns[ci].name)
+            .unwrap_or(ci);
+        let fetch_name = table.columns[fetch_idx].name.clone();
+        let (index, _) = tde_exec::index_table::index_table(&table.columns[ci], "idx");
+        let aggs = vec![
+            AggSpec::new(AggFunc::Count, 1, "n"),
+            AggSpec::new(AggFunc::Max, 1, "mx"),
+        ];
+        let serial = canon(
+            Query::scan(table)
+                .aggregate(
+                    vec![ci],
+                    vec![
+                        (AggFunc::Count, fetch_idx, "n"),
+                        (AggFunc::Max, fetch_idx, "mx"),
+                    ],
+                )
+                .with_optimizer(opts(false, false, false, false))
+                .rows(),
+        );
+        let rollup = |workers: usize| {
+            rows_of(Box::new(MorselExec::rollup(
+                &index,
+                table,
+                &[&fetch_name],
+                aggs.clone(),
+                workers,
+            )))
+        };
+        let (one, four) = (rollup(1), rollup(4));
+        // Partials merge in index order: 1 vs 4 workers is exact.
+        if let Some(d) = diff("rollup-4-workers", &four, "rollup-1-worker", &one) {
+            ds.push(Discrepancy {
+                oracle: "parallel-diff",
+                detail: d,
+            });
+        }
+        if let Some(d) = diff("rollup", &canon(one), "hash-aggregate", &serial) {
+            ds.push(Discrepancy {
+                oracle: "parallel-diff",
+                detail: d,
+            });
         }
     }
 }

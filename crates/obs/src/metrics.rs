@@ -889,7 +889,9 @@ pub fn pool_metrics() -> &'static PoolMetrics {
 }
 
 /// Pre-resolved morsel-scheduler instruments (tde-exec::morsel). One
-/// resolution per process; workers touch only relaxed atomics.
+/// resolution per process; workers touch only relaxed atomics. A
+/// "morsel" here is any task of that runtime: a query's block range, a
+/// FlowTable column build, a §8 rollup partition.
 #[derive(Debug, Clone)]
 pub struct MorselMetrics {
     /// `tde_morsels_dispatched_total` — morsels executed by workers.

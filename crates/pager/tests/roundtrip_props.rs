@@ -17,6 +17,7 @@ include!(concat!(
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use tde_pager::{save_v2, PagedDatabase};
 use tde_storage::{convert, Column, ColumnBuilder, Compression, Database, EncodingPolicy, Table};
 use tde_types::DataType;
@@ -127,7 +128,10 @@ fn assert_roundtrips(db: &Database) {
     // v2: paged, via a temp file, fully materialized back.
     let dir = std::env::temp_dir().join("tde_pager_props");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("prop_{}.tde2", std::process::id()));
+    // One file per call: the harness runs this file's tests in parallel.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let path = dir.join(format!("prop_{}_{call}.tde2", std::process::id()));
     save_v2(db, &path).unwrap();
     let paged = PagedDatabase::open(&path).unwrap();
     for t in &db.tables {

@@ -5,9 +5,8 @@
 //! plan shape before execution: it expresses decompression as joins
 //! against DictionaryTables and IndexTables ([`strategic`]), pushes
 //! single-column filters and computations onto the inner (compressed)
-//! side of those joins, restricts encoding choices for hash-join inner
-//! FlowTables, and forces order-preserving exchange routing upstream of
-//! encoders (§4.3). The *tactical* phase is delayed until run time and
+//! side of those joins, and restricts encoding choices for hash-join
+//! inner FlowTables (§4.3). The *tactical* phase is delayed until run time and
 //! lives in `tde_exec::tactical`: the physical lowering ([`physical`])
 //! materializes inner sides with FlowTable first, then lets the freshly
 //! extracted metadata pick fetch joins, hash strategies and ordered

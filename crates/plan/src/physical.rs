@@ -21,7 +21,7 @@ use tde_exec::project::Project;
 use tde_exec::rle_agg::RunAggregate;
 use tde_exec::scan::TableScan;
 use tde_exec::sort::{Sort, SortOrder};
-use tde_exec::{BoxOp, Expr, Field, Operator};
+use tde_exec::{BoxOp, Expr, Operator};
 use tde_obs::{OpStats, Trace};
 use tde_storage::EncodingPolicy;
 
@@ -204,8 +204,14 @@ fn lower(plan: &LogicalPlan, tr: Tracer<'_>) -> io::Result<BoxOp> {
     }
 }
 
-/// Tactical choice: ordered aggregation when the (single) group key is
-/// known sorted, hash aggregation otherwise (§4.2.2).
+/// The one tactical aggregation choice, made for the serial and the
+/// morsel lowering alike: ordered (sandwiched) aggregation when the
+/// single group key is known sorted, hash aggregation otherwise (§4.2.2).
+fn tactical_ordered(input: &tde_exec::Schema, group_by: &[usize]) -> bool {
+    let [key] = group_by else { return false };
+    tde_exec::tactical::can_aggregate_ordered(&[&input.fields[*key]])
+}
+
 fn lower_aggregate(
     input_plan: &LogicalPlan,
     group_by: &[usize],
@@ -219,14 +225,7 @@ fn lower_aggregate(
     }
     let mut node = tr.node("Aggregate");
     let input = lower(input_plan, node.child())?;
-    let ordered = group_by.len() == 1 && {
-        let keys: Vec<&Field> = group_by
-            .iter()
-            .map(|&c| &input.schema().fields[c])
-            .collect();
-        tde_exec::tactical::can_aggregate_ordered(&keys)
-    };
-    if ordered {
+    if tactical_ordered(input.schema(), group_by) {
         node.relabel(format!("OrderedAggregate group_by={group_by:?}"));
         Ok(node.wrap(Box::new(OrderedAggregate::new(
             input,
@@ -287,7 +286,8 @@ fn build_morsel(
     input_plan: &LogicalPlan,
     degree: usize,
 ) -> Result<(tde_exec::morsel::MorselExec, &'static str), String> {
-    use tde_exec::morsel::{merge_safe, MorselExec, MorselPipeline};
+    use tde_exec::aggregate::merge_safe;
+    use tde_exec::morsel::{morsel_count, MorselExec, MorselPipeline};
 
     let (scan, filter, agg) = match input_plan {
         LogicalPlan::Aggregate {
@@ -323,33 +323,24 @@ fn build_morsel(
         (Some(q), Some(p)) => Some(Expr::And(Box::new(q.clone()), Box::new(p.clone()))),
         (q, p) => q.as_ref().or(p).cloned(),
     };
-    // Probe run: resolves the source schema and the morsel count without
-    // committing to a pipeline.
-    let probe = MorselExec::new(source.clone(), expand, None, MorselPipeline::Emit, 1);
-    if probe.morsel_count() < 2 {
+    let morsels = morsel_count(&source);
+    if morsels < 2 {
         return Err(format!(
-            "{} morsel(s): nothing to spread across workers",
-            probe.morsel_count()
+            "{morsels} morsel(s): nothing to spread across workers"
         ));
     }
     let (pipeline, what) = match agg {
         None => (MorselPipeline::Emit, "Scan"),
         Some((group_cols, aggs)) => {
             let (group_cols, aggs) = (group_cols.clone(), aggs.clone());
-            if !merge_safe(probe.source_schema(), &aggs) {
+            let schema = source.schema(expand);
+            if !merge_safe(&schema, &aggs) {
                 return Err(
                     "Sum over a Real column is order-dependent; partials do not merge exactly"
                         .to_string(),
                 );
             }
-            // The same tactical test the serial lowering applies: ordered
-            // (sandwiched) aggregation when the single group key is known
-            // sorted, hash aggregation otherwise (§4.2.2).
-            let keys: Vec<&Field> = group_cols
-                .iter()
-                .map(|&c| &probe.source_schema().fields[c])
-                .collect();
-            if group_cols.len() == 1 && tde_exec::tactical::can_aggregate_ordered(&keys) {
+            if tactical_ordered(&schema, &group_cols) {
                 (
                     MorselPipeline::OrderedAgg { group_cols, aggs },
                     "OrderedAggregate",
@@ -449,7 +440,6 @@ fn lower_expand_join(
         "expand_inner",
         FlowTableOptions {
             policy: EncodingPolicy::inner_side(),
-            parallel: true,
         },
     );
     let inner_table = built.table;

@@ -18,8 +18,9 @@
 //!    experiment can compare both.
 //!
 //! The lowering in [`crate::physical`] completes the §4.3 hygiene: inner
-//! FlowTables get [`tde_storage::EncodingPolicy::inner_side`] and
-//! encoder-feeding exchanges are order-preserving.
+//! FlowTables get [`tde_storage::EncodingPolicy::inner_side`]. Order
+//! upstream of encoders needs no rule: morsel pipelines reassemble in
+//! task order.
 
 use crate::logical::{InnerOps, LogicalPlan};
 use tde_exec::Expr;

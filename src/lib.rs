@@ -25,7 +25,8 @@
 //!   FlowTable with parallel per-column encoding, DictionaryTable
 //!   invisible joins, IndexTable rank joins with IndexedScan, fetch
 //!   joins, direct/perfect/collision hashing, ordered aggregation, and
-//!   order-preserving Exchange.
+//!   one order-preserving morsel runtime for everything that goes
+//!   parallel.
 //! * **Planning** ([`plan`]): the strategic rewrites (decompression as
 //!   joins, predicate/computation pushdown) and the tactical lowering.
 //! * **Import** ([`textscan`]): TextScan with separator sniffing, type
