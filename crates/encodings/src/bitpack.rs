@@ -22,35 +22,120 @@ pub fn bits_for_max(max: u64) -> u8 {
 /// Pack `values` (each strictly less than `2^bits`, except `bits == 64`)
 /// into `out`, appending. `bits == 0` packs nothing.
 pub fn pack(values: &[u64], bits: u8, out: &mut Vec<u8>) {
+    pack_from(values.iter().copied(), values.len(), bits, out);
+}
+
+/// [`pack`] over the first `count` values of an iterator, so an encoder can
+/// compute each packed value on the way into the stream instead of staging
+/// a block of them. The iterator is always drained to `count` values, even
+/// when `bits == 0` stores none of them.
+///
+/// Values are assembled in a 64-bit word and stored a word at a time; a
+/// value straddling two words carries its high bits into the next one.
+pub(crate) fn pack_from(
+    values: impl Iterator<Item = u64>,
+    count: usize,
+    bits: u8,
+    out: &mut Vec<u8>,
+) {
     debug_assert!(bits <= 64);
+    let values = values.take(count);
     if bits == 0 {
+        values.for_each(drop);
         return;
     }
+    let start = out.len();
+    out.resize(start + packed_bytes(count, bits), 0);
+    let dst = &mut out[start..];
     if bits == 64 {
-        out.reserve(values.len() * 8);
-        for &v in values {
-            out.extend_from_slice(&v.to_le_bytes());
+        for (word, v) in dst.chunks_exact_mut(8).zip(values) {
+            word.copy_from_slice(&v.to_le_bytes());
         }
         return;
     }
     let mask = (1u64 << bits) - 1;
-    // 128-bit accumulator: up to 63 leftover bits plus a 64-bit value.
-    let mut acc: u128 = 0;
-    let mut acc_bits: u32 = 0;
-    out.reserve(packed_bytes(values.len(), bits));
-    for &v in values {
+    let bits = u32::from(bits);
+    let mut acc = 0u64;
+    let mut fill = 0u32;
+    let mut at = 0usize;
+    for v in values {
         debug_assert!(v <= mask, "value {v} does not fit in {bits} bits");
-        acc |= u128::from(v & mask) << acc_bits;
-        acc_bits += u32::from(bits);
-        while acc_bits >= 8 {
-            out.push((acc & 0xFF) as u8);
-            acc >>= 8;
-            acc_bits -= 8;
+        let v = v & mask;
+        acc |= v << fill;
+        fill += bits;
+        if fill >= 64 {
+            dst[at..at + 8].copy_from_slice(&acc.to_le_bytes());
+            at += 8;
+            fill -= 64;
+            // The part of `v` that did not fit (nothing when `fill == 0`:
+            // `v >> bits` is zero).
+            acc = v >> (bits - fill);
         }
     }
-    if acc_bits > 0 {
-        out.push((acc & 0xFF) as u8);
+    let tail = (fill as usize).div_ceil(8);
+    dst[at..at + tail].copy_from_slice(&acc.to_le_bytes()[..tail]);
+}
+
+/// [`pack_from`] for one physical block: pack `count` values, then pad with
+/// zero bits to the `block_size` values every stored block covers.
+pub(crate) fn pack_block_from(
+    values: impl Iterator<Item = u64>,
+    count: usize,
+    block_size: usize,
+    bits: u8,
+    out: &mut Vec<u8>,
+) {
+    let start = out.len();
+    pack_from(values, count, bits, out);
+    out.resize(start + packed_bytes(block_size, bits), 0);
+}
+
+/// The bits a packed value of `bits` bits must not have set.
+#[inline]
+pub(crate) fn too_wide(bits: u8) -> u64 {
+    if bits >= 64 {
+        0
+    } else {
+        u64::MAX << bits
     }
+}
+
+/// The values of a packed stream, read a word at a time — the inverse of
+/// [`pack_from`], for re-packing a stream at another width without
+/// materializing it.
+pub(crate) fn unpack_iter(data: &[u8], bits: u8, count: usize) -> impl Iterator<Item = u64> + '_ {
+    debug_assert!(bits <= 64);
+    let mask = if bits == 64 {
+        u64::MAX
+    } else {
+        (1u64 << bits) - 1
+    };
+    let bits = u32::from(bits);
+    let mut words = data.chunks(8).map(|w| {
+        let mut word = [0u8; 8];
+        word[..w.len()].copy_from_slice(w);
+        u64::from_le_bytes(word)
+    });
+    let mut acc = 0u64;
+    let mut have = 0u32;
+    (0..count).map(move |_| {
+        if bits == 0 {
+            return 0;
+        }
+        if have >= bits {
+            let v = acc & mask;
+            acc = if bits == 64 { 0 } else { acc >> bits };
+            have -= bits;
+            return v;
+        }
+        // `have < bits <= 64`: finish the value from the next word.
+        let next = words.next().expect("bitpack underflow");
+        let v = (acc | (next << have)) & mask;
+        let used = bits - have;
+        acc = if used == 64 { 0 } else { next >> used };
+        have = 64 - used;
+        v
+    })
 }
 
 /// Unpack `count` values of `bits` bits each from `data` into `out`,
@@ -138,6 +223,48 @@ mod tests {
                 .collect();
             roundtrip(&values, bits);
         }
+    }
+
+    #[test]
+    fn word_level_pack_matches_the_byte_level_definition() {
+        // The definition: value i occupies bits [i*bits, (i+1)*bits) of a
+        // little-endian bit stream.
+        for bits in 1..=64u8 {
+            let max = if bits == 64 {
+                u64::MAX
+            } else {
+                (1u64 << bits) - 1
+            };
+            for count in [1usize, 7, 31, 32, 33, 64, 100] {
+                let values: Vec<u64> = (0..count as u64)
+                    .map(|i| (i.wrapping_mul(0xD6E8_FEB8_6659_FD93) ^ (i << 17)) & max)
+                    .collect();
+                let mut expect = vec![0u8; packed_bytes(count, bits)];
+                for (i, &v) in values.iter().enumerate() {
+                    for b in 0..bits as usize {
+                        if v >> b & 1 == 1 {
+                            let pos = i * bits as usize + b;
+                            expect[pos / 8] |= 1 << (pos % 8);
+                        }
+                    }
+                }
+                let mut packed = vec![0xAA]; // appends after existing bytes
+                pack(&values, bits, &mut packed);
+                assert_eq!(packed[0], 0xAA);
+                assert_eq!(&packed[1..], &expect[..], "bits={bits} count={count}");
+                let back: Vec<u64> = unpack_iter(&expect, bits, count).collect();
+                assert_eq!(back, values, "bits={bits} count={count}");
+            }
+        }
+    }
+
+    #[test]
+    fn pack_from_drains_its_iterator_even_at_zero_bits() {
+        let mut seen = 0;
+        let mut out = Vec::new();
+        pack_from((0..10).inspect(|_| seen += 1).map(|_| 0), 10, 0, &mut out);
+        assert_eq!((seen, out.len()), (10, 0));
+        assert_eq!(unpack_iter(&[], 0, 3).collect::<Vec<_>>(), vec![0; 3]);
     }
 
     #[test]

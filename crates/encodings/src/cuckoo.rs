@@ -86,6 +86,18 @@ impl CuckooMap {
         }
     }
 
+    /// Remove `key` if present (the dictionary append takes back the
+    /// entries of a block that turned out not to fit).
+    pub fn remove(&mut self, key: i64) {
+        for slot in [self.h1(key), self.h2(key)] {
+            if matches!(self.slots[slot], Some((k, _)) if k == key) {
+                self.slots[slot] = None;
+                self.len -= 1;
+                return;
+            }
+        }
+    }
+
     /// Attempt a bounded cuckoo walk; returns the homeless entry on failure.
     fn try_place(&mut self, mut entry: (i64, u16)) -> Option<(i64, u16)> {
         let mut slot = self.h1(entry.0);
@@ -164,6 +176,21 @@ mod tests {
         assert_eq!(m.get(i64::MAX), Some(1));
         assert_eq!(m.get(-1), Some(2));
         assert_eq!(m.get(2), None);
+    }
+
+    #[test]
+    fn remove_forgets_only_that_key() {
+        let mut m = CuckooMap::with_capacity(8);
+        for i in 0..50i64 {
+            m.insert(i * 31, i as u16);
+        }
+        m.remove(31 * 7);
+        m.remove(12345); // absent: no effect
+        assert_eq!(m.len(), 49);
+        assert_eq!(m.get(31 * 7), None);
+        assert_eq!(m.get(31 * 8), Some(8));
+        m.insert(31 * 7, 99);
+        assert_eq!(m.get(31 * 7), Some(99));
     }
 
     #[test]

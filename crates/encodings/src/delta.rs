@@ -42,24 +42,61 @@ pub fn block_bytes(h: &HeaderView) -> usize {
     8 + bitpack::packed_bytes(h.block_size, h.bits)
 }
 
+/// `v1 - v0 - min_delta` when it lies in `[0, 2^bits)`, computed without
+/// leaving 64-bit arithmetic: each of the two subtractions may wrap, and a
+/// wrap moves the result by exactly 2^64 in a direction its sign gives
+/// away, so the wraps are counted and the true value reconstructed.
+fn packed_delta(v0: i64, v1: i64, min_delta: i64, bits: u8) -> Option<u64> {
+    let (d1, wrapped1) = v1.overflowing_sub(v0);
+    let (d2, wrapped2) = d1.overflowing_sub(min_delta);
+    // A wrapped difference that came out negative lost 2^64; one that came
+    // out non-negative gained it.
+    let lost = |wrapped: bool, d: i64| match (wrapped, d < 0) {
+        (false, _) => 0,
+        (true, true) => 1,
+        (true, false) => -1,
+    };
+    let fits = match lost(wrapped1, d1) + lost(wrapped2, d2) {
+        // The true value is `d2`.
+        0 => d2 >= 0 && d2 as u64 & bitpack::too_wide(bits) == 0,
+        // The true value is `d2 + 2^64`, at least 2^63.
+        1 => d2 < 0 && bits == 64,
+        _ => false,
+    };
+    fits.then_some(d2 as u64)
+}
+
 /// Append one block. Fails without modifying the buffer if any
 /// within-block delta falls outside `[min_delta, min_delta + 2^bits)`.
 pub fn append_block(buf: &mut Vec<u8>, h: &HeaderView, vals: &[i64]) -> Result<(), EncodingFull> {
     let md = min_delta(buf);
-    let limit = 1i128 << h.bits;
-    let mut packed = Vec::with_capacity(h.block_size);
-    packed.push(0u64);
-    for w in vals.windows(2) {
-        let d = (w[1] as i128) - (w[0] as i128) - (md as i128);
-        if d < 0 || d >= limit {
-            return Err(EncodingFull::ValueOutOfRange);
-        }
-        packed.push(d as u64);
-    }
-    packed.resize(h.block_size, 0);
+    let start = buf.len();
     buf.reserve(block_bytes(h));
     buf.extend_from_slice(&vals[0].to_le_bytes());
-    bitpack::pack(&packed, h.bits, buf);
+    let too_wide = bitpack::too_wide(h.bits);
+    let mut out_of_range = false;
+    let mut wrapped = false;
+    // Packed value 0 is zero: the block header carries the first value.
+    let deltas = std::iter::once(0).chain(vals.windows(2).map(|w| {
+        let (d1, wrapped1) = w[1].overflowing_sub(w[0]);
+        let (d2, wrapped2) = d1.overflowing_sub(md);
+        wrapped |= wrapped1 | wrapped2;
+        out_of_range |= d2 as u64 & too_wide != 0;
+        d2 as u64 & !too_wide
+    }));
+    bitpack::pack_block_from(deltas, vals.len(), h.block_size, h.bits, buf);
+    if wrapped || h.bits == 64 {
+        // Rare: a difference left the i64 range (or every bit pattern is
+        // a legal packed value), so the masked test above proves nothing.
+        // The packed bits are right whenever the exact test passes.
+        out_of_range = vals
+            .windows(2)
+            .any(|w| packed_delta(w[0], w[1], md, h.bits).is_none());
+    }
+    if out_of_range {
+        buf.truncate(start);
+        return Err(EncodingFull::ValueOutOfRange);
+    }
     Ok(())
 }
 

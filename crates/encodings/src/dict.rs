@@ -15,7 +15,6 @@ use crate::bitpack;
 use crate::cuckoo::CuckooMap;
 use crate::header::{self, HeaderView};
 use crate::{Algorithm, EncodingFull, DICT_MAX_BITS};
-use std::collections::HashMap;
 use tde_types::Width;
 
 /// Offset of the entry count within the header.
@@ -89,34 +88,60 @@ pub fn append_block(
 ) -> Result<(), EncodingFull> {
     let capacity = 1usize << h.bits;
     let existing = entry_count(buf);
-    let mut packed = Vec::with_capacity(h.block_size);
-    let mut pending: Vec<i64> = Vec::new();
-    let mut pending_map: HashMap<i64, u16> = HashMap::new();
-    for &v in vals {
-        let idx = if let Some(i) = index.get(v) {
-            i
-        } else if let Some(&i) = pending_map.get(&v) {
-            i
-        } else {
-            let i = existing + pending.len();
+    let start = buf.len();
+    // Values first seen in this block, in order of appearance. They enter
+    // `index` at once (so a second occurrence finds them) and the header
+    // only when the whole block is known to fit.
+    let mut fresh: Vec<i64> = Vec::new();
+    let mut full = false;
+    let indexes = vals.iter().map(|&v| match index.get(v) {
+        Some(i) => u64::from(i),
+        None => {
+            let i = existing + fresh.len();
             if i >= capacity {
-                return Err(EncodingFull::DictionaryFull);
+                full = true;
+                return 0;
             }
-            pending.push(v);
-            pending_map.insert(v, i as u16);
-            i as u16
-        };
-        packed.push(u64::from(idx));
+            fresh.push(v);
+            index.insert(v, i as u16);
+            i as u64
+        }
+    });
+    bitpack::pack_block_from(indexes, vals.len(), h.block_size, h.bits, buf);
+    if full {
+        for &v in &fresh {
+            index.remove(v);
+        }
+        buf.truncate(start);
+        return Err(EncodingFull::DictionaryFull);
     }
-    // Commit: write the new entries, then the packed indexes.
-    for (k, &v) in pending.iter().enumerate() {
-        let i = existing + k;
-        set_entry(buf, h, i, v);
-        index.insert(v, i as u16);
+    for (k, &v) in fresh.iter().enumerate() {
+        set_entry(buf, h, existing + k, v);
     }
-    header::put_u64(buf, OFF_ENTRY_COUNT, (existing + pending.len()) as u64);
-    packed.resize(h.block_size, 0);
-    bitpack::pack(&packed, h.bits, buf);
+    header::put_u64(buf, OFF_ENTRY_COUNT, (existing + fresh.len()) as u64);
+    Ok(())
+}
+
+/// Re-pack the dictionary stream `old` into `fresh`, an empty dictionary
+/// stream of another bit width: the entries are copied in order and the
+/// packed indexes re-packed, nothing is looked up. Fails, leaving `fresh`
+/// untouched, if `fresh` has no room for the entries.
+pub(crate) fn repack(old: &[u8], oh: &HeaderView, fresh: &mut Vec<u8>) -> Result<(), EncodingFull> {
+    let fh = HeaderView::parse(fresh);
+    debug_assert_eq!(fh.block_size, oh.block_size);
+    let entries = entry_count(old);
+    if entries > 1usize << fh.bits {
+        return Err(EncodingFull::DictionaryFull);
+    }
+    for i in 0..entries {
+        set_entry(fresh, &fh, i, entry(old, oh, i));
+    }
+    header::put_u64(fresh, OFF_ENTRY_COUNT, entries as u64);
+    for (at, n) in oh.blocks(bitpack::packed_bytes(oh.block_size, oh.bits)) {
+        let indexes = bitpack::unpack_iter(&old[at..], oh.bits, n);
+        bitpack::pack_block_from(indexes, n, fh.block_size, fh.bits, fresh);
+    }
+    header::put_u64(fresh, header::OFF_LOGICAL_SIZE, oh.logical_size);
     Ok(())
 }
 

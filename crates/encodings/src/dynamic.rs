@@ -13,7 +13,7 @@
 //! (`dynamic_stability` bench) reproduces on our generator.
 
 use crate::stats::{choose_encoding_with, AllowedAlgorithms, ColumnStats, EncodingSpec};
-use crate::{EncodedStream, EncodingFull, BLOCK_SIZE};
+use crate::{dict, frame, Algorithm, EncodedStream, EncodingFull, BLOCK_SIZE};
 use tde_types::Width;
 
 /// Streaming encoder that adapts its encoding to the data (paper §3.2).
@@ -152,12 +152,6 @@ impl DynamicEncoder {
     /// already include the failed block) and rewrite the stream.
     fn reencode_with(&mut self, vals: &[i64]) {
         self.reencodings += 1;
-        let mut existing = self
-            .stream
-            .as_ref()
-            .expect("reencode without stream")
-            .decode_all();
-        existing.extend_from_slice(vals);
         let from = self.spec;
         self.spec = choose_encoding_with(
             &self.stats,
@@ -174,13 +168,39 @@ impl DynamicEncoder {
             rows: self.stats.count,
             kind: tde_obs::ReencodeKind::MidLoad,
         });
-        let mut fresh = self.spec.build(self.width, self.signed);
-        for chunk in existing.chunks(BLOCK_SIZE) {
-            fresh
-                .append_block(chunk)
-                .expect("encoding chosen from covering statistics must accept all values");
-        }
+        let existing = self.stream.take().expect("reencode without stream");
+        let mut fresh = self.rewritten(&existing, self.spec);
+        fresh
+            .append_block(vals)
+            .expect("encoding chosen from covering statistics must accept all values");
         self.stream = Some(fresh);
+    }
+
+    /// The values of `stream` under the encoding `to`. A frame-of-reference
+    /// stream moving to another frame or width, and a dictionary stream
+    /// moving to another index width, are re-packed block by block — the
+    /// common mid-load widening; any other change decodes and re-appends.
+    /// Both routes produce the same bytes.
+    fn rewritten(&self, stream: &EncodedStream, to: EncodingSpec) -> EncodedStream {
+        const COVERED: &str = "encoding chosen from covering statistics must accept all values";
+        let mut fresh = to.build(self.width, self.signed);
+        let h = stream.header();
+        match (h.algorithm, to) {
+            (Algorithm::FrameOfReference, EncodingSpec::Frame { .. }) => {
+                frame::repack(stream.as_bytes(), &h, &mut fresh.buf).expect(COVERED);
+                EncodedStream::from_buf(fresh.buf)
+            }
+            (Algorithm::Dictionary, EncodingSpec::Dict { .. }) => {
+                dict::repack(stream.as_bytes(), &h, &mut fresh.buf).expect(COVERED);
+                EncodedStream::from_buf(fresh.buf)
+            }
+            _ => {
+                for chunk in stream.decode_all().chunks(BLOCK_SIZE) {
+                    fresh.append_block(chunk).expect(COVERED);
+                }
+                fresh
+            }
+        }
     }
 
     /// Finish the column. With `convert_to_optimal`, compare the current
@@ -201,12 +221,7 @@ impl DynamicEncoder {
                 self.prefer_dictionary,
             );
             if optimal != self.spec {
-                let mut fresh = optimal.build(self.width, self.signed);
-                for chunk in stream.decode_all().chunks(BLOCK_SIZE) {
-                    fresh
-                        .append_block(chunk)
-                        .expect("optimal encoding must accept all values");
-                }
+                let fresh = self.rewritten(&stream, optimal);
                 if fresh.physical_size() < stream.physical_size() {
                     tde_obs::metrics::reencode("final-convert");
                     tde_obs::emit(|| tde_obs::Event::Reencode {
@@ -243,7 +258,6 @@ pub fn encode_all(vals: &[i64], width: Width, signed: bool) -> EncodeResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Algorithm;
 
     #[test]
     fn roundtrips_arbitrary_data() {
@@ -323,6 +337,56 @@ mod tests {
         let r = enc.finish(true);
         assert!(r.stream.physical_size() <= before);
         assert_eq!(r.stream.decode_all(), vals);
+    }
+
+    #[test]
+    fn repacking_equals_decoding_and_reappending() {
+        // Frame -> frame and dictionary -> dictionary rewrites take the
+        // re-pack route; it must produce the bytes of the generic one,
+        // with whole blocks and with a ragged (sealed) last block.
+        let enc = DynamicEncoder::with_defaults(Width::W8, true);
+        let reappended = |stream: &EncodedStream, to: EncodingSpec| {
+            let mut fresh = to.build(Width::W8, true);
+            for chunk in stream.decode_all().chunks(BLOCK_SIZE) {
+                fresh.append_block(chunk).unwrap();
+            }
+            fresh
+        };
+        for rows in [BLOCK_SIZE, 3 * BLOCK_SIZE, 3 * BLOCK_SIZE + 77, 5] {
+            let vals: Vec<i64> = (0..rows as i64).map(|i| 1000 + (i * 37) % 200).collect();
+            let frame = |frame, bits| EncodingSpec::Frame { frame, bits };
+            let dict = |bits| EncodingSpec::Dict { bits };
+            for (from, to) in [
+                (frame(1000, 8), frame(-5, 13)),
+                (frame(1000, 8), frame(1000, 8)),
+                (frame(900, 20), frame(1000, 8)),
+                (frame(0, 64), frame(i64::MIN, 64)),
+                (dict(8), dict(9)),
+                (dict(9), dict(8)),
+                (dict(8), dict(15)),
+            ] {
+                let mut stream = from.build(Width::W8, true);
+                for chunk in vals.chunks(BLOCK_SIZE) {
+                    stream.append_block(chunk).unwrap();
+                }
+                let fast = enc.rewritten(&stream, to);
+                let slow = reappended(&stream, to);
+                assert_eq!(
+                    fast.as_bytes(),
+                    slow.as_bytes(),
+                    "{from:?} -> {to:?}, {rows} rows"
+                );
+                assert_eq!(fast.sealed, slow.sealed);
+                assert_eq!(fast.decode_all(), vals);
+                // The re-packed stream keeps accepting blocks like the other.
+                if !fast.sealed {
+                    let (mut fast, mut slow) = (fast, slow);
+                    fast.append_block(&vals[..BLOCK_SIZE.min(rows)]).unwrap();
+                    slow.append_block(&vals[..BLOCK_SIZE.min(rows)]).unwrap();
+                    assert_eq!(fast.as_bytes(), slow.as_bytes());
+                }
+            }
+        }
     }
 
     #[test]

@@ -162,6 +162,19 @@ impl HeaderView {
         HeaderView::try_parse(buf).expect("corrupt encoded stream header")
     }
 
+    /// Where each physical block of `block_bytes` bytes starts in the
+    /// buffer, and how many logical values it holds (`block_size`, except
+    /// a ragged last block).
+    pub(crate) fn blocks(&self, block_bytes: usize) -> impl Iterator<Item = (usize, usize)> {
+        let (rows, per_block, first) = (
+            self.logical_size as usize,
+            self.block_size,
+            self.data_offset,
+        );
+        (0..rows.div_ceil(per_block))
+            .map(move |b| (first + b * block_bytes, per_block.min(rows - b * per_block)))
+    }
+
     /// Fallible parse for untrusted input (e.g. files from disk).
     pub fn try_parse(buf: &[u8]) -> Option<HeaderView> {
         if buf.len() < COMMON_LEN {

@@ -34,7 +34,8 @@ pub fn header_envelope(stream: &EncodedStream) -> Option<(i64, i64)> {
             let span = if h.bits >= 64 {
                 return None; // envelope covers (almost) everything
             } else {
-                (1i64 << h.bits) - 1
+                // In u64: at 63 bits `1i64 << bits` is already negative.
+                ((1u64 << h.bits) - 1) as i64
             };
             Some((lo, lo.checked_add(span)?))
         }

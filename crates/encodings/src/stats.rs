@@ -13,21 +13,26 @@ use tde_types::Width;
 
 /// A fast open-addressing set of `i64` values, bounded by the dictionary
 /// limit. Statistics run per inserted value on the import hot path, so the
-/// general-purpose hasher is replaced by a multiply-shift probe.
+/// general-purpose hasher is replaced by a multiply-shift probe over one
+/// array: a free slot holds [`DistinctSet::FREE`], and whether that value
+/// itself is a member is kept beside the table.
 #[derive(Debug, Clone)]
 pub struct DistinctSet {
     slots: Vec<i64>,
-    used: Vec<bool>,
+    holds_free_value: bool,
     shift: u32,
     len: usize,
 }
 
 impl DistinctSet {
+    /// Marks a free slot (an arbitrary, unlikely value).
+    const FREE: i64 = 0x5A5A_5A5A_A5A5_A5A5_u64 as i64;
+
     fn new() -> DistinctSet {
         let cap = 64usize;
         DistinctSet {
-            slots: vec![0; cap],
-            used: vec![false; cap],
+            slots: vec![DistinctSet::FREE; cap],
+            holds_free_value: false,
             shift: 64 - cap.trailing_zeros(),
             len: 0,
         }
@@ -47,41 +52,56 @@ impl DistinctSet {
     pub fn iter(&self) -> impl Iterator<Item = i64> + '_ {
         self.slots
             .iter()
-            .zip(&self.used)
-            .filter(|(_, &u)| u)
-            .map(|(&v, _)| v)
+            .copied()
+            .filter(|&v| v != DistinctSet::FREE)
+            .chain(self.holds_free_value.then_some(DistinctSet::FREE))
     }
 
+    /// Where the probe for `v` starts.
     #[inline]
-    fn insert(&mut self, v: i64) {
+    fn home(&self, v: i64) -> usize {
+        ((v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// Insert `v`; whether it was new.
+    #[inline]
+    fn insert(&mut self, v: i64) -> bool {
+        if v == DistinctSet::FREE {
+            let new = !self.holds_free_value;
+            self.holds_free_value = true;
+            self.len += usize::from(new);
+            return new;
+        }
         let mask = self.slots.len() - 1;
-        let mut i = ((v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        let mut i = self.home(v);
         loop {
-            if !self.used[i] {
-                self.used[i] = true;
+            let held = self.slots[i];
+            if held == v {
+                return false;
+            }
+            if held == DistinctSet::FREE {
                 self.slots[i] = v;
                 self.len += 1;
                 if self.len * 4 > self.slots.len() * 3 {
                     self.grow();
                 }
-                return;
-            }
-            if self.slots[i] == v {
-                return;
+                return true;
             }
             i = (i + 1) & mask;
         }
     }
 
     fn grow(&mut self) {
-        let values: Vec<i64> = self.iter().collect();
         let cap = self.slots.len() * 2;
-        self.slots = vec![0; cap];
-        self.used = vec![false; cap];
+        let old = std::mem::replace(&mut self.slots, vec![DistinctSet::FREE; cap]);
         self.shift = 64 - cap.trailing_zeros();
-        self.len = 0;
-        for v in values {
-            self.insert(v);
+        let mask = cap - 1;
+        for v in old.into_iter().filter(|&v| v != DistinctSet::FREE) {
+            let mut i = self.home(v);
+            while self.slots[i] != DistinctSet::FREE {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = v;
         }
     }
 }
@@ -140,59 +160,72 @@ impl ColumnStats {
         }
     }
 
-    /// Fold a block of values into the statistics.
+    /// Fold a block of values into the statistics: one pass per family of
+    /// statistics, each a plain reduction over the block with no
+    /// per-value branching on what was seen before.
     pub fn update(&mut self, vals: &[i64]) {
+        let (Some(&first), Some(&last)) = (vals.first(), vals.last()) else {
+            return;
+        };
+        self.count += vals.len() as u64;
+
+        // Envelope and NULLs.
+        let (mut min, mut max, mut nulls) = (self.min, self.max, 0u64);
         for &v in vals {
-            self.count += 1;
-            let repeat = self.last == Some(v);
-            if v < self.min {
-                self.min = v;
-            }
-            if v > self.max {
-                self.max = v;
-            }
-            if v == NULL_I64 {
-                self.null_count += 1;
-            }
-            match self.last {
-                Some(prev) => {
-                    let d = v.wrapping_sub(prev);
-                    // An overflowing delta poisons the delta statistics:
-                    // no delta-family encoding can represent it.
-                    if (v >= prev) != (d >= 0) {
-                        self.delta_overflow = true;
-                    }
-                    if d < self.min_delta {
-                        self.min_delta = d;
-                    }
-                    if d > self.max_delta {
-                        self.max_delta = d;
-                    }
-                    if v == prev {
-                        self.current_run += 1;
-                    } else {
-                        self.runs += 1;
-                        self.max_run = self.max_run.max(self.current_run);
-                        self.current_run = 1;
-                    }
+            min = min.min(v);
+            max = max.max(v);
+            nulls += u64::from(v == NULL_I64);
+        }
+        (self.min, self.max) = (min, max);
+        self.null_count += nulls;
+
+        // Neighbour pairs, the value before the block included: delta
+        // range, run boundaries.
+        let (mut min_delta, mut max_delta) = (self.min_delta, self.max_delta);
+        let mut overflow = false;
+        let (mut runs, mut run, mut max_run) = match self.last {
+            Some(_) => (self.runs, self.current_run, self.max_run),
+            // The very first value opens the first run.
+            None => (1, 1, 1),
+        };
+        let mut pair = |prev: i64, v: i64| {
+            let d = v.wrapping_sub(prev);
+            // An overflowing delta poisons the delta statistics: no
+            // delta-family encoding can represent it.
+            overflow |= (v >= prev) != (d >= 0);
+            min_delta = min_delta.min(d);
+            max_delta = max_delta.max(d);
+            let same = v == prev;
+            runs += u64::from(!same);
+            run = if same { run + 1 } else { 1 };
+            max_run = max_run.max(run);
+        };
+        if let Some(prev) = self.last {
+            pair(prev, first);
+        }
+        for w in vals.windows(2) {
+            pair(w[0], w[1]);
+        }
+        (self.min_delta, self.max_delta) = (min_delta, max_delta);
+        self.delta_overflow |= overflow;
+        (self.runs, self.current_run, self.max_run) = (runs, run, max_run);
+
+        // The distinct set, only while it is still tracked.
+        if let Some(set) = &mut self.distinct {
+            let mut prev = self.last;
+            let mut overfull = false;
+            for &v in vals {
+                if prev != Some(v) && set.insert(v) && set.len() > (1 << DICT_MAX_BITS) {
+                    overfull = true;
+                    break;
                 }
-                None => {
-                    self.runs = 1;
-                    self.current_run = 1;
-                }
+                prev = Some(v);
             }
-            self.last = Some(v);
-            if repeat {
-                continue;
-            }
-            if let Some(set) = &mut self.distinct {
-                set.insert(v);
-                if set.len() > (1 << DICT_MAX_BITS) {
-                    self.distinct = None;
-                }
+            if overfull {
+                self.distinct = None;
             }
         }
-        self.max_run = self.max_run.max(self.current_run);
+        self.last = Some(last);
     }
 
     /// Distinct value count if it is still being tracked (≤ 2¹⁵).
@@ -490,6 +523,18 @@ mod tests {
         assert_eq!(s.runs, 3);
         assert_eq!(s.max_run, 3);
         assert_eq!(s.cardinality(), Some(3));
+    }
+
+    #[test]
+    fn distinct_set_counts_the_free_marker_as_a_value() {
+        let vals: Vec<i64> = (0..300)
+            .map(|i| [DistinctSet::FREE, i % 70, -(i % 70)][i as usize % 3])
+            .collect();
+        let s = stats_of(&vals);
+        let expect: std::collections::BTreeSet<i64> = vals.iter().copied().collect();
+        assert_eq!(s.cardinality(), Some(expect.len() as u64));
+        let got: std::collections::BTreeSet<i64> = s.distinct_values().unwrap().iter().collect();
+        assert_eq!(got, expect);
     }
 
     #[test]

@@ -17,6 +17,9 @@
 //!   `(delta …)` append/delete/compact interleaving replayed against a
 //!   `tde-delta` store must match a from-scratch rebuild of the final
 //!   logical table across the encoding×predicate matrix.
+//! * [`import_oracle`] — the import leg: seeded flat files through
+//!   TextScan against a row-loop reference importer, and arbitrary bytes
+//!   against "a table or an error, never a panic".
 //! * [`shrink`] — the fixpoint reducer minimizing rows, columns, plan
 //!   operators and predicates while preserving the original failure.
 //!
@@ -25,6 +28,7 @@
 
 pub mod delta_oracle;
 pub mod gen;
+pub mod import_oracle;
 pub mod oracle;
 pub mod shrink;
 pub mod spec;

@@ -8,13 +8,16 @@
 //!
 //! A sweep generates one case per seed, runs every oracle family, and on
 //! failure shrinks the case and pins it under the corpus directory as a
-//! self-contained `.case` repro. Exit status: 0 = clean sweep (or, with
+//! self-contained `.case` repro. Every seed also runs the import leg (a
+//! rendered flat file against the row-loop reference importer, arbitrary
+//! bytes against "never a panic"); its failing inputs are pinned as
+//! `import_seed_N_{structured,arbitrary}.txt`. Exit status: 0 = clean sweep (or, with
 //! `--inject`, every injected bug caught), 1 = findings (or a missed
 //! injection), 2 = usage error.
 
 use std::time::Instant;
 use tde_fuzz::spec::{CaseSpec, InjectKind, Injection};
-use tde_fuzz::{eligible_injection_column, gen, run_case_catching, shrink};
+use tde_fuzz::{eligible_injection_column, gen, import_oracle, run_case_catching, shrink};
 
 struct Args {
     seed_start: u64,
@@ -185,6 +188,17 @@ fn sweep(args: &Args) -> i32 {
             }
         }
         ran += 1;
+        if args.inject.is_none() {
+            let found = import_oracle::run_import_seed(seed);
+            if !found.is_empty() {
+                let summary = summarize(&found);
+                println!("seed {seed}: FAIL (import leg)\n  {summary}");
+                if let Err(e) = pin_import_inputs(&args.corpus_dir, seed) {
+                    eprintln!("  could not pin the inputs: {e}");
+                }
+                failures.push((seed, summary));
+            }
+        }
         let report = run_case_catching(&spec);
         if report.clean() {
             if args.inject.is_some() {
@@ -193,13 +207,7 @@ fn sweep(args: &Args) -> i32 {
             continue;
         }
         let outcome = shrink(&spec, args.shrink_budget);
-        let summary = outcome
-            .report
-            .discrepancies
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join("; ");
+        let summary = summarize(&outcome.report.discrepancies);
         println!(
             "seed {seed}: FAIL ({} -> {} row(s) after {} shrink eval(s))",
             spec.rows(),
@@ -253,6 +261,25 @@ fn sweep(args: &Args) -> i32 {
             1
         }
     }
+}
+
+fn summarize(found: &[tde_fuzz::Discrepancy]) -> String {
+    let lines: Vec<String> = found.iter().map(ToString::to_string).collect();
+    lines.join("; ")
+}
+
+/// Write the import leg's two inputs for `seed` where the repro cases go.
+fn pin_import_inputs(dir: &std::path::Path, seed: u64) -> std::io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    for (kind, bytes) in [
+        ("structured", import_oracle::structured_input(seed)),
+        ("arbitrary", import_oracle::arbitrary_input(seed)),
+    ] {
+        let path = dir.join(format!("import_seed_{seed}_{kind}.txt"));
+        std::fs::write(&path, bytes)?;
+        println!("  pinned {}", path.display());
+    }
+    Ok(())
 }
 
 fn pin_case(

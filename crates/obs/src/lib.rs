@@ -156,6 +156,28 @@ pub enum Event {
         /// Whether the end-of-load optimal conversion fired.
         final_converted: bool,
     },
+    /// A flat-file import finished (TextScan, §5.1). The three phase
+    /// times add up to the call: `scan` finds record and field boundaries
+    /// (schema inference included), `build` parses the fields and feeds
+    /// the column builders, `finish` closes the columns.
+    Import {
+        /// Name of the produced table.
+        table: String,
+        /// Bytes of text read.
+        bytes: u64,
+        /// Rows imported.
+        rows: u64,
+        /// Columns in the file.
+        columns: u64,
+        /// Fields that did not parse and were stored as NULL.
+        parse_errors: u64,
+        /// Nanoseconds finding boundaries.
+        scan_nanos: u64,
+        /// Nanoseconds parsing fields and building columns.
+        build_nanos: u64,
+        /// Nanoseconds finishing the columns.
+        finish_nanos: u64,
+    },
 }
 
 impl std::fmt::Display for Event {
@@ -242,6 +264,23 @@ impl std::fmt::Display for Event {
                     } else {
                         ""
                     }
+                )
+            }
+            Event::Import {
+                table,
+                bytes,
+                rows,
+                columns,
+                parse_errors,
+                scan_nanos,
+                build_nanos,
+                finish_nanos,
+            } => {
+                write!(
+                    f,
+                    "[import] {table}: {bytes} bytes, {rows} rows x {columns} columns, \
+                     {parse_errors} parse error(s); scan {scan_nanos} ns, \
+                     parse+build {build_nanos} ns, finish {finish_nanos} ns"
                 )
             }
         }
@@ -350,6 +389,22 @@ impl Event {
                     final_converted
                 )
             }
+            Event::Import {
+                table,
+                bytes,
+                rows,
+                columns,
+                parse_errors,
+                scan_nanos,
+                build_nanos,
+                finish_nanos,
+            } => format!(
+                "{{\"kind\":\"import\",\"table\":\"{}\",\"bytes\":{bytes},\"rows\":{rows},\
+                 \"columns\":{columns},\"parse_errors\":{parse_errors},\
+                 \"scan_nanos\":{scan_nanos},\"build_nanos\":{build_nanos},\
+                 \"finish_nanos\":{finish_nanos}}}",
+                json_escape(table)
+            ),
         }
     }
 }

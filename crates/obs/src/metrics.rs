@@ -812,6 +812,36 @@ pub fn delta_metrics() -> &'static DeltaMetrics {
     })
 }
 
+/// Record one flat-file import: `tde_import_bytes_total`,
+/// `tde_import_rows_total`, `tde_import_parse_errors_total`.
+#[inline]
+pub fn import(bytes: u64, rows: u64, parse_errors: u64) {
+    if !enabled() {
+        return;
+    }
+    static BYTES: OnceLock<Arc<Counter>> = OnceLock::new();
+    static ROWS: OnceLock<Arc<Counter>> = OnceLock::new();
+    static ERRORS: OnceLock<Arc<Counter>> = OnceLock::new();
+    cached_counter(
+        &BYTES,
+        "tde_import_bytes_total",
+        "Bytes of flat-file text imported",
+    )
+    .add(bytes);
+    cached_counter(
+        &ROWS,
+        "tde_import_rows_total",
+        "Rows imported from flat files",
+    )
+    .add(rows);
+    cached_counter(
+        &ERRORS,
+        "tde_import_parse_errors_total",
+        "Imported fields that failed to parse and were stored as NULL",
+    )
+    .add(parse_errors);
+}
+
 /// Record one delta compaction: count plus duration histogram.
 #[inline]
 pub fn compaction(nanos: u64) {

@@ -419,10 +419,11 @@ mod tests {
         assert!(!t.has_delta() && !t.has_tombstone());
         assert_eq!(t.delta_bytes().unwrap(), None);
         let dir = path.parent().unwrap();
+        // This file's own temporaries: other tests save into the directory.
         let leftovers: Vec<_> = std::fs::read_dir(dir)
             .unwrap()
             .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
+            .filter(|e| e.file_name().to_string_lossy().contains(".aux.tde2.tmp."))
             .collect();
         assert!(leftovers.is_empty(), "stray temp files: {leftovers:?}");
         std::fs::remove_file(&path).ok();

@@ -108,6 +108,14 @@ pub struct ColumnBuilder {
     accel: Option<HeapAccelerator>,
 }
 
+/// Hand the staged values to the encoder once they make a whole block.
+fn flush_full_block(pending: &mut Vec<i64>, enc: &mut DynamicEncoder) {
+    if pending.len() == BLOCK_SIZE {
+        enc.append_block(pending);
+        pending.clear();
+    }
+}
+
 impl ColumnBuilder {
     /// A builder for a column of `dtype` under `policy`.
     pub fn new(name: impl Into<String>, dtype: DataType, policy: EncodingPolicy) -> ColumnBuilder {
@@ -153,19 +161,25 @@ impl ColumnBuilder {
 
     fn push_raw(&mut self, v: i64) {
         self.pending.push(v);
-        if self.pending.len() == BLOCK_SIZE {
-            self.enc.append_block(&self.pending);
-            self.pending.clear();
-        }
+        flush_full_block(&mut self.pending, &mut self.enc);
     }
 
     /// Append already-storage-encoded values: scalars with sentinel NULLs,
     /// f64 bit patterns, or heap tokens (strings must instead go through
-    /// [`ColumnBuilder::append_str`]).
-    pub fn append_raw(&mut self, vals: &[i64]) {
-        for &v in vals {
-            self.push_raw(v);
+    /// [`ColumnBuilder::append_str`]). Whole blocks go to the encoder
+    /// straight from `vals`; only a ragged head or tail is staged.
+    pub fn append_raw(&mut self, mut vals: &[i64]) {
+        if !self.pending.is_empty() {
+            let take = vals.len().min(BLOCK_SIZE - self.pending.len());
+            self.pending.extend_from_slice(&vals[..take]);
+            vals = &vals[take..];
+            flush_full_block(&mut self.pending, &mut self.enc);
         }
+        let mut blocks = vals.chunks_exact(BLOCK_SIZE);
+        for block in &mut blocks {
+            self.enc.append_block(block);
+        }
+        self.pending.extend_from_slice(blocks.remainder());
     }
 
     /// Append one integral scalar (Integer/Date/Timestamp/Bool domain).
@@ -183,18 +197,23 @@ impl ColumnBuilder {
     /// Append one string (or NULL), interning through the accelerator
     /// when one is attached.
     pub fn append_str(&mut self, s: Option<&str>) {
+        self.append_strs([s]);
+    }
+
+    /// Append a run of strings (or NULLs) — [`ColumnBuilder::append_str`]
+    /// for a whole block of fields at a time.
+    pub fn append_strs<'a>(&mut self, strs: impl IntoIterator<Item = Option<&'a str>>) {
         debug_assert!(self.dtype.is_string());
-        let token = match s {
-            None => NULL_TOKEN,
-            Some(s) => {
-                let heap = self.heap.as_mut().expect("string builder has a heap");
-                match &mut self.accel {
-                    Some(acc) => acc.intern(heap, s),
-                    None => heap.append(s),
-                }
-            }
-        };
-        self.push_raw(token as i64);
+        let heap = self.heap.as_mut().expect("string builder has a heap");
+        for s in strs {
+            let token = match (s, &mut self.accel) {
+                (None, _) => NULL_TOKEN,
+                (Some(s), Some(acc)) => acc.intern(heap, s),
+                (Some(s), None) => heap.append(s),
+            };
+            self.pending.push(token as i64);
+            flush_full_block(&mut self.pending, &mut self.enc);
+        }
     }
 
     /// Append a boxed value (slow path for convenience APIs).

@@ -60,11 +60,17 @@ impl StringHeap {
 
     /// Fetch any entry including the NULL entry (which is empty).
     pub fn get_raw(&self, token: u64) -> &str {
+        std::str::from_utf8(self.entry_bytes(token)).expect("heap corruption: non-UTF-8 entry")
+    }
+
+    /// The bytes of an entry, unvalidated — what the accelerator compares
+    /// a probe against.
+    #[inline]
+    pub fn entry_bytes(&self, token: u64) -> &[u8] {
         let at = token as usize;
         let len =
             u32::from_le_bytes(self.bytes[at..at + ENTRY_HEADER].try_into().unwrap()) as usize;
-        std::str::from_utf8(&self.bytes[at + ENTRY_HEADER..at + ENTRY_HEADER + len])
-            .expect("heap corruption: non-UTF-8 entry")
+        &self.bytes[at + ENTRY_HEADER..at + ENTRY_HEADER + len]
     }
 
     /// Number of entries, excluding the reserved NULL entry.

@@ -35,8 +35,18 @@ pub fn parse_i64(field: &[u8]) -> Result<Option<i64>, ()> {
     if digits.is_empty() || digits.len() > 19 {
         return Err(());
     }
+    // Eighteen digits cannot overflow; only a nineteenth needs checking.
+    let (head, last) = digits.split_at(digits.len().min(18));
     let mut v: i64 = 0;
-    for &b in digits {
+    let mut all_digits = true;
+    for &b in head {
+        all_digits &= b.is_ascii_digit();
+        v = v * 10 + i64::from(b.wrapping_sub(b'0') & 0xF);
+    }
+    if !all_digits {
+        return Err(());
+    }
+    if let [b] = last {
         if !b.is_ascii_digit() {
             return Err(());
         }
@@ -49,8 +59,20 @@ pub fn parse_i64(field: &[u8]) -> Result<Option<i64>, ()> {
     Ok(Some(if neg { -v } else { v }))
 }
 
+/// Powers of ten a double holds exactly.
+const EXACT_POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
 /// Parse a real number: optional sign, digits, optional `.digits`,
 /// optional exponent. No locale, no grouping separators.
+///
+/// The result is correctly rounded — the double `str::parse` returns.
+/// When the decimal significand is below 2⁵³ and the decimal exponent
+/// within ±22, significand and power of ten are both exact doubles and
+/// one multiplication or division rounds once; everything else (long
+/// significands, large exponents) goes to the standard library.
 pub fn parse_f64(field: &[u8]) -> Result<Option<f64>, ()> {
     let f = trim(field);
     if f.is_empty() {
@@ -71,22 +93,25 @@ pub fn parse_f64(field: &[u8]) -> Result<Option<f64>, ()> {
     let mut mantissa: u64 = 0;
     let mut scale: i32 = 0;
     let mut digits = 0usize;
-    while i < f.len() && f[i].is_ascii_digit() {
-        if mantissa < u64::MAX / 16 {
-            mantissa = mantissa * 10 + u64::from(f[i] - b'0');
+    // Whether `mantissa` holds every digit (it stops taking them at 2⁵³).
+    let mut exact = true;
+    let mut take = |b: u8, fraction: bool| {
+        if exact && mantissa < (1 << 53) / 10 {
+            mantissa = mantissa * 10 + u64::from(b - b'0');
+            scale -= i32::from(fraction);
         } else {
-            scale += 1;
+            exact = false;
         }
+    };
+    while i < f.len() && f[i].is_ascii_digit() {
+        take(f[i], false);
         digits += 1;
         i += 1;
     }
     if i < f.len() && f[i] == b'.' {
         i += 1;
         while i < f.len() && f[i].is_ascii_digit() {
-            if mantissa < u64::MAX / 16 {
-                mantissa = mantissa * 10 + u64::from(f[i] - b'0');
-                scale -= 1;
-            }
+            take(f[i], true);
             digits += 1;
             i += 1;
         }
@@ -110,7 +135,9 @@ pub fn parse_f64(field: &[u8]) -> Result<Option<f64>, ()> {
         };
         let mut edigits = 0;
         while i < f.len() && f[i].is_ascii_digit() {
-            exp = exp * 10 + i32::from(f[i] - b'0');
+            exp = exp
+                .saturating_mul(10)
+                .saturating_add(i32::from(f[i] - b'0'));
             edigits += 1;
             i += 1;
         }
@@ -124,7 +151,16 @@ pub fn parse_f64(field: &[u8]) -> Result<Option<f64>, ()> {
     if i != f.len() {
         return Err(());
     }
-    let v = mantissa as f64 * 10f64.powi(scale + exp);
+    let exp10 = exp.saturating_add(scale);
+    let v = match EXACT_POW10.get(exp10.unsigned_abs() as usize) {
+        Some(&pow) if exact && exp10 < 0 => mantissa as f64 / pow,
+        Some(&pow) if exact => mantissa as f64 * pow,
+        // The grammar accepted above is a subset of the standard one.
+        _ => {
+            let text = std::str::from_utf8(&f[usize::from(neg)..]).map_err(|_| ())?;
+            text.parse::<f64>().map_err(|_| ())?
+        }
+    };
     Ok(Some(if neg { -v } else { v }))
 }
 
@@ -135,30 +171,24 @@ pub fn parse_date(field: &[u8]) -> Result<Option<i64>, ()> {
     if f.is_empty() {
         return Ok(None);
     }
-    if f.len() != 10 {
-        return Err(());
-    }
+    let f: &[u8; 10] = f.try_into().map_err(|_| ())?;
     let sep = f[4];
     if (sep != b'-' && sep != b'/') || f[7] != sep {
         return Err(());
     }
-    let num = |s: &[u8]| -> Result<u32, ()> {
-        let mut v = 0u32;
-        for &b in s {
-            if !b.is_ascii_digit() {
-                return Err(());
-            }
-            v = v * 10 + u32::from(b - b'0');
-        }
-        Ok(v)
-    };
-    let y = num(&f[0..4])? as i32;
-    let m = num(&f[5..7])?;
-    let d = num(&f[8..10])?;
-    if !(1..=12).contains(&m) || d < 1 || d > days_in_month(y, m) {
+    // Digit values; anything that was not a digit comes out above 9.
+    let d = |i: usize| u32::from(f[i].wrapping_sub(b'0'));
+    let digits = [d(0), d(1), d(2), d(3), d(5), d(6), d(8), d(9)];
+    if digits.iter().any(|&v| v > 9) {
         return Err(());
     }
-    Ok(Some(days_from_ymd(y, m, d)))
+    let y = (digits[0] * 1000 + digits[1] * 100 + digits[2] * 10 + digits[3]) as i32;
+    let m = digits[4] * 10 + digits[5];
+    let day = digits[6] * 10 + digits[7];
+    if !(1..=12).contains(&m) || day < 1 || day > days_in_month(y, m) {
+        return Err(());
+    }
+    Ok(Some(days_from_ymd(y, m, day)))
 }
 
 /// Parse `YYYY-MM-DD HH:MM:SS` (or with `T`) into microseconds since the

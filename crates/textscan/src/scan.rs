@@ -12,23 +12,45 @@
 //!   [`Table`] through [`ColumnBuilder`]s (the TextScan + FlowTable
 //!   combined system of §5.2).
 //!
+//! All three tokenizing levels run the one scanner,
+//! [`crate::sniff::scan_records`], and differ only in the sink they hand
+//! it. The import sink writes each field's chunk-relative `(start, end)`
+//! into a column-major range table; when a chunk of rows is full, every
+//! column parses its own slice of the table — a typed loop chosen once per
+//! chunk that fills 1024-value blocks and hands them whole to the column's
+//! builder.
+//!
 //! Column parsers produce independent output from shared read-only state,
-//! so blocks are parsed with one thread per column (§5.1.2). With the
-//! buffer-oriented parsers this scales; with [`ParserKind::LocaleLocking`]
-//! it reproduces the order-of-magnitude collapse the paper describes.
+//! so a chunk's columns are parsed by a small set of workers (§5.1.2).
+//! With the buffer-oriented parsers this scales; with
+//! [`ParserKind::LocaleLocking`] it reproduces the order-of-magnitude
+//! collapse the paper describes.
 
 use crate::infer::{infer_schema, InferredSchema};
 use crate::locale;
 use crate::parsers;
-use crate::sniff::split_fields;
+use crate::sniff::{scan_records, RecordSink};
+use parking_lot::Mutex;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
+use tde_encodings::BLOCK_SIZE;
 use tde_storage::{BuiltColumn, ColumnBuilder, EncodingPolicy, Table};
-use tde_types::sentinel::NULL_I64;
-use tde_types::{sentinel, DataType};
+use tde_types::sentinel::{NULL_I64, NULL_REAL_BITS};
+use tde_types::DataType;
 
 /// Rows tokenized per processing chunk.
-const ROWS_PER_CHUNK: usize = 16_384;
+const ROWS_PER_CHUNK: usize = 8 * BLOCK_SIZE;
+
+/// Input text an import brings per worker. Workers start and join once
+/// per chunk, so what one returns depends on where the kernel places it:
+/// beside the caller it takes a share of every chunk's columns, on the
+/// caller's own core the two only trade places. On the two-core reference
+/// host that choice moved a 1.4 MB import between 4.6 and 8.7 ms (5.2 ms
+/// on one thread) from one process to the next, so an import too short
+/// for the placement to matter runs on the calling thread.
+const BYTES_PER_WORKER: usize = 8 << 20;
 
 /// How much of the file to parse (the Fig 4 levels).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +82,8 @@ pub struct ImportOptions {
     pub schema: Option<Vec<(String, DataType)>>,
     /// Force header presence; inferred when absent.
     pub has_header: Option<bool>,
-    /// Parse columns on separate threads.
+    /// Parse a chunk's columns on a set of workers, when the input is
+    /// large enough to repay them.
     pub parallel: bool,
     /// Parser family.
     pub parser: ParserKind,
@@ -114,17 +137,24 @@ pub fn read_bandwidth(path: impl AsRef<Path>) -> io::Result<(u64, u64)> {
 /// Fig 4 level 2: find record and field boundaries; returns
 /// `(bytes, rows, fields)`.
 pub fn tokenize(path: impl AsRef<Path>) -> io::Result<(u64, u64, u64)> {
+    struct Count {
+        rows: u64,
+        fields: u64,
+    }
+    impl RecordSink for Count {
+        fn field(&mut self, _start: usize, _end: usize) {
+            self.fields += 1;
+        }
+        fn end_record(&mut self, _end: usize, _next: usize) -> bool {
+            self.rows += 1;
+            true
+        }
+    }
     let data = std::fs::read(path)?;
     let schema = infer_schema(&data);
-    let mut rows = 0u64;
-    let mut fields = 0u64;
-    let mut scratch = Vec::new();
-    for_each_line(&data, |line| {
-        split_fields(line, schema.separator, &mut scratch);
-        rows += 1;
-        fields += scratch.len() as u64;
-    });
-    Ok((data.len() as u64, rows, fields))
+    let mut count = Count { rows: 0, fields: 0 };
+    scan_records(&data, schema.separator, &mut count);
+    Ok((data.len() as u64, count.rows, count.fields))
 }
 
 /// Fig 4 level 3: crack the file into one text file per column, without
@@ -132,11 +162,39 @@ pub fn tokenize(path: impl AsRef<Path>) -> io::Result<(u64, u64, u64)> {
 /// approximately the same I/O as writing heap entries (§5.1.4). Returns
 /// `(bytes_read, bytes_written)`.
 pub fn split(path: impl AsRef<Path>, out_dir: impl AsRef<Path>) -> io::Result<(u64, u64)> {
+    struct Crack<'a> {
+        data: &'a [u8],
+        writers: Vec<io::BufWriter<std::fs::File>>,
+        col: usize,
+        in_header: bool,
+        written: u64,
+        failed: io::Result<()>,
+    }
+    impl RecordSink for Crack<'_> {
+        fn field(&mut self, start: usize, end: usize) {
+            let col = self.col;
+            self.col += 1;
+            if self.in_header || self.failed.is_err() {
+                return;
+            }
+            if let Some(w) = self.writers.get_mut(col) {
+                self.failed = w
+                    .write_all(b"\"")
+                    .and_then(|()| w.write_all(&self.data[start..end]))
+                    .and_then(|()| w.write_all(b"\"\n"));
+                self.written += (end - start) as u64 + 3;
+            }
+        }
+        fn end_record(&mut self, _end: usize, _next: usize) -> bool {
+            self.col = 0;
+            self.in_header = false;
+            self.failed.is_ok()
+        }
+    }
     let data = std::fs::read(&path)?;
     let schema = infer_schema(&data);
     std::fs::create_dir_all(&out_dir)?;
-    let ncols = schema.names.len();
-    let mut writers: Vec<io::BufWriter<std::fs::File>> = (0..ncols)
+    let writers = (0..schema.names.len())
         .map(|c| {
             let p = out_dir.as_ref().join(format!("col_{c}.txt"));
             Ok(io::BufWriter::with_capacity(
@@ -145,159 +203,347 @@ pub fn split(path: impl AsRef<Path>, out_dir: impl AsRef<Path>) -> io::Result<(u
             ))
         })
         .collect::<io::Result<_>>()?;
-    let mut written = 0u64;
-    let mut scratch = Vec::new();
-    let mut first = true;
-    for_each_line(&data, |line| {
-        if first {
-            first = false;
-            if schema.has_header {
-                return;
-            }
-        }
-        split_fields(line, schema.separator, &mut scratch);
-        for (c, f) in scratch.iter().enumerate().take(ncols) {
-            let w = &mut writers[c];
-            let _ = w.write_all(b"\"");
-            let _ = w.write_all(f);
-            let _ = w.write_all(b"\"\n");
-            written += f.len() as u64 + 3;
-        }
-    });
-    for mut w in writers {
+    let mut crack = Crack {
+        data: &data,
+        writers,
+        col: 0,
+        in_header: schema.has_header,
+        written: 0,
+        failed: Ok(()),
+    };
+    scan_records(&data, schema.separator, &mut crack);
+    crack.failed?;
+    for mut w in crack.writers {
         w.flush()?;
     }
-    Ok((data.len() as u64, written))
+    Ok((data.len() as u64, crack.written))
 }
 
-/// Iterate the lines of `data` (no trailing-newline requirement). The
-/// callback receives slices tied to `data`'s lifetime so callers can keep
-/// field ranges across lines.
-fn for_each_line<'a>(data: &'a [u8], mut f: impl FnMut(&'a [u8])) {
-    let mut start = 0;
-    for (i, &b) in data.iter().enumerate() {
-        if b == b'\n' {
-            let end = if i > start && data[i - 1] == b'\r' {
-                i - 1
-            } else {
-                i
-            };
-            f(&data[start..end]);
-            start = i + 1;
+/// The field ranges of one chunk of rows, column-major: column `c`'s
+/// ranges are `cells[c * stride..][..rows]`, each relative to `base`, the
+/// chunk's offset in the input. Offsets relative to the chunk keep 32-bit
+/// ranges valid for inputs of any size; a single chunk past 4 GiB is
+/// refused rather than wrapped.
+struct ChunkRanges {
+    cells: Vec<(u32, u32)>,
+    ncols: usize,
+    stride: usize,
+    base: usize,
+    rows: usize,
+    col: usize,
+}
+
+impl ChunkRanges {
+    fn new(ncols: usize) -> ChunkRanges {
+        // A cache line of slack between columns, so the sixteen-odd write
+        // cursors the tokenizer advances together do not all map to the
+        // same cache sets.
+        let stride = ROWS_PER_CHUNK + 8;
+        ChunkRanges {
+            cells: vec![(0, 0); ncols * stride],
+            ncols,
+            stride,
+            base: 0,
+            rows: 0,
+            col: 0,
         }
     }
-    if start < data.len() {
-        f(&data[start..]);
+
+    /// Start an empty chunk at input offset `base`.
+    fn restart(&mut self, base: usize) {
+        self.base = base;
+        self.rows = 0;
+        self.col = 0;
+    }
+
+    /// The next field of the current row: input bytes `start..end`.
+    /// Fields past the last column are dropped.
+    #[inline]
+    fn field(&mut self, start: usize, end: usize) {
+        if self.col < self.ncols {
+            // Truncation is caught per row, by `end_row`.
+            self.cells[self.col * self.stride + self.rows] =
+                ((start - self.base) as u32, (end - self.base) as u32);
+        }
+        self.col += 1;
+    }
+
+    /// Close the current row, whose text ends at input offset `end`.
+    /// Columns the row did not reach read as empty (NULL).
+    fn end_row(&mut self, end: usize) -> io::Result<()> {
+        if u32::try_from(end - self.base).is_err() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "{ROWS_PER_CHUNK} consecutive rows span more than 4 GiB (at byte {})",
+                    self.base
+                ),
+            ));
+        }
+        for col in self.col..self.ncols {
+            self.cells[col * self.stride + self.rows] = (0, 0);
+        }
+        self.col = 0;
+        self.rows += 1;
+        Ok(())
+    }
+
+    fn column(&self, col: usize) -> &[(u32, u32)] {
+        &self.cells[col * self.stride..][..self.rows]
     }
 }
 
-/// One column's parse work for a chunk of rows.
-struct ColumnTask<'a> {
-    dtype: DataType,
-    builder: Option<ColumnBuilder>,
-    split_buf: Vec<u8>,
-    errors: u64,
-    name: &'a str,
+/// The text of one chunk, as the column parsers see it.
+struct ChunkText<'a> {
+    bytes: &'a [u8],
+    /// The same bytes as a string when the whole chunk is valid UTF-8
+    /// (checked once): separators are ASCII, so every field then is too.
+    text: Option<&'a str>,
 }
 
-impl ColumnTask<'_> {
-    /// Parse this column's fields out of the interleaved range table:
-    /// entries `col, col + stride, col + 2·stride, …` of `ranges`. Reading
-    /// with a stride avoids materializing a per-column copy of the ranges
-    /// for every chunk (the tokenizer output is shared read-only state,
-    /// §5.1.2).
-    fn parse_chunk(
-        &mut self,
-        data: &[u8],
-        ranges: &[(u32, u32)],
-        col: usize,
-        stride: usize,
-        kind: ParserKind,
-    ) {
-        let picks = ranges.iter().skip(col).step_by(stride);
+/// One column's parse state across the chunks of an import.
+struct ColumnTask {
+    dtype: DataType,
+    builder: Option<ColumnBuilder>,
+    built: Option<BuiltColumn>,
+    split_buf: Vec<u8>,
+    errors: u64,
+}
+
+/// Parse one column of a chunk with `parse`, a block at a time; returns
+/// the number of fields that did not parse (stored as `null`).
+fn parse_blocks<T>(
+    bytes: &[u8],
+    ranges: &[(u32, u32)],
+    builder: &mut ColumnBuilder,
+    null: i64,
+    parse: impl Fn(&[u8]) -> Result<Option<T>, ()>,
+    raw: impl Fn(T) -> i64,
+) -> u64 {
+    let mut errors = 0;
+    let mut block = [0i64; BLOCK_SIZE];
+    for ranges in ranges.chunks(BLOCK_SIZE) {
+        for (slot, &(a, b)) in block.iter_mut().zip(ranges) {
+            *slot = match parse(&bytes[a as usize..b as usize]) {
+                Ok(Some(v)) => raw(v),
+                Ok(None) => null,
+                Err(()) => {
+                    errors += 1;
+                    null
+                }
+            };
+        }
+        builder.append_raw(&block[..ranges.len()]);
+    }
+    errors
+}
+
+/// The scalar parse of one column of a chunk: [`parse_blocks`] compiled
+/// once per (type, parser family), the family picked here, outside the
+/// loop.
+fn parse_scalars<T>(
+    chunk: &ChunkText,
+    ranges: &[(u32, u32)],
+    builder: &mut ColumnBuilder,
+    kind: ParserKind,
+    (buffer, locale): (
+        impl Fn(&[u8]) -> Result<Option<T>, ()>,
+        impl Fn(&[u8]) -> Result<Option<T>, ()>,
+    ),
+    null: i64,
+    raw: impl Fn(T) -> i64,
+) -> u64 {
+    match kind {
+        ParserKind::Buffer => parse_blocks(chunk.bytes, ranges, builder, null, buffer, raw),
+        ParserKind::LocaleLocking => parse_blocks(chunk.bytes, ranges, builder, null, locale, raw),
+    }
+}
+
+impl ColumnTask {
+    /// Parse this column's fields of one chunk. The loop is picked here,
+    /// once per chunk, so the per-field work carries no type dispatch.
+    fn parse_chunk(&mut self, chunk: &ChunkText, ranges: &[(u32, u32)], kind: ParserKind) {
         let Some(builder) = self.builder.as_mut() else {
             // Scalars mode string column: split into a text buffer.
-            for &(a, b) in picks {
+            for &(a, b) in ranges {
                 self.split_buf.push(b'"');
                 self.split_buf
-                    .extend_from_slice(&data[a as usize..b as usize]);
+                    .extend_from_slice(&chunk.bytes[a as usize..b as usize]);
                 self.split_buf.extend_from_slice(b"\"\n");
             }
             return;
         };
-        for &(a, b) in picks {
-            let field = &data[a as usize..b as usize];
-            match self.dtype {
-                DataType::Str => {
-                    if field.is_empty() {
-                        builder.append_str(None);
-                    } else {
-                        match std::str::from_utf8(field) {
-                            Ok(s) => builder.append_str(Some(s)),
-                            Err(_) => {
-                                self.errors += 1;
-                                builder.append_str(None);
-                            }
-                        }
-                    }
-                }
-                DataType::Real => {
-                    let parsed = match kind {
-                        ParserKind::Buffer => parsers::parse_f64(field),
-                        ParserKind::LocaleLocking => locale::parse_f64_locale(field),
-                    };
-                    match parsed {
-                        Ok(Some(v)) => builder.append_f64(v),
-                        Ok(None) => builder.append_f64(sentinel::null_real()),
-                        Err(()) => {
-                            self.errors += 1;
-                            builder.append_f64(sentinel::null_real());
-                        }
-                    }
-                }
-                DataType::Bool => {
-                    let parsed = match kind {
-                        ParserKind::Buffer => parsers::parse_bool(field),
-                        ParserKind::LocaleLocking => locale::parse_bool_locale(field),
-                    };
-                    match parsed {
-                        Ok(Some(v)) => builder.append_i64(i64::from(v)),
-                        Ok(None) => builder.append_i64(NULL_I64),
-                        Err(()) => {
-                            self.errors += 1;
-                            builder.append_i64(NULL_I64);
-                        }
-                    }
-                }
-                DataType::Integer | DataType::Date | DataType::Timestamp => {
-                    let parsed = match (self.dtype, kind) {
-                        (DataType::Integer, ParserKind::Buffer) => parsers::parse_i64(field),
-                        (DataType::Integer, ParserKind::LocaleLocking) => {
-                            locale::parse_i64_locale(field)
-                        }
-                        (DataType::Date, ParserKind::Buffer) => parsers::parse_date(field),
-                        (DataType::Date, ParserKind::LocaleLocking) => {
-                            locale::parse_date_locale(field)
-                        }
-                        (DataType::Timestamp, ParserKind::Buffer) => {
-                            parsers::parse_timestamp(field)
-                        }
-                        (DataType::Timestamp, ParserKind::LocaleLocking) => {
-                            locale::parse_timestamp_locale(field)
-                        }
-                        _ => unreachable!(),
-                    };
-                    match parsed {
-                        Ok(Some(v)) => builder.append_i64(v),
-                        Ok(None) => builder.append_i64(NULL_I64),
-                        Err(()) => {
-                            self.errors += 1;
-                            builder.append_i64(NULL_I64);
-                        }
-                    }
-                }
+        let int = |v: i64| v;
+        self.errors += match self.dtype {
+            DataType::Integer => {
+                let parsers = (parsers::parse_i64, locale::parse_i64_locale);
+                parse_scalars(chunk, ranges, builder, kind, parsers, NULL_I64, int)
             }
+            DataType::Date => {
+                let parsers = (parsers::parse_date, locale::parse_date_locale);
+                parse_scalars(chunk, ranges, builder, kind, parsers, NULL_I64, int)
+            }
+            DataType::Timestamp => {
+                let parsers = (parsers::parse_timestamp, locale::parse_timestamp_locale);
+                parse_scalars(chunk, ranges, builder, kind, parsers, NULL_I64, int)
+            }
+            DataType::Bool => {
+                let parsers = (parsers::parse_bool, locale::parse_bool_locale);
+                parse_scalars(chunk, ranges, builder, kind, parsers, NULL_I64, i64::from)
+            }
+            DataType::Real => {
+                let parsers = (parsers::parse_f64, locale::parse_f64_locale);
+                let bits = |v: f64| v.to_bits() as i64;
+                parse_scalars(
+                    chunk,
+                    ranges,
+                    builder,
+                    kind,
+                    parsers,
+                    NULL_REAL_BITS as i64,
+                    bits,
+                )
+            }
+            DataType::Str => {
+                let mut errors = 0;
+                builder.append_strs(ranges.iter().map(|&(a, b)| {
+                    let (a, b) = (a as usize, b as usize);
+                    if a == b {
+                        return None;
+                    }
+                    let field = match chunk.text {
+                        Some(text) => text.get(a..b),
+                        // Some field of the chunk is not UTF-8: find out
+                        // which ones.
+                        None => std::str::from_utf8(&chunk.bytes[a..b]).ok(),
+                    };
+                    errors += u64::from(field.is_none());
+                    field
+                }));
+                errors
+            }
+        };
+    }
+
+    fn finish(&mut self) {
+        self.built = self.builder.take().map(ColumnBuilder::finish);
+    }
+}
+
+/// Run `work` on every column task, heaviest first. With more than one
+/// worker the columns are claimed from a shared counter by `workers`
+/// threads (this one included), so a chunk costs one spawn per extra
+/// worker, not one per column.
+fn for_each_column(
+    tasks: &[Mutex<ColumnTask>],
+    heaviest_first: &[usize],
+    workers: usize,
+    work: impl Fn(usize, &mut ColumnTask) + Sync,
+) {
+    if workers <= 1 {
+        for &col in heaviest_first {
+            work(col, &mut tasks[col].lock());
         }
+        return;
+    }
+    // Relaxed: the counter only hands out indexes; each task is reached
+    // through its mutex and the scope's join publishes the results.
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        while let Some(&col) = heaviest_first.get(next.fetch_add(1, Ordering::Relaxed)) {
+            work(col, &mut tasks[col].lock());
+        }
+    };
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(claim);
+        }
+        claim();
+    });
+}
+
+/// The import sink: collects a chunk of field ranges, then has the column
+/// tasks parse it.
+struct Importer<'a> {
+    data: &'a [u8],
+    ranges: ChunkRanges,
+    tasks: Vec<Mutex<ColumnTask>>,
+    heaviest_first: Vec<usize>,
+    workers: usize,
+    parser: ParserKind,
+    /// Whether any column takes its fields as strings.
+    wants_text: bool,
+    in_header: bool,
+    rows: u64,
+    failed: io::Result<()>,
+    build_time: std::time::Duration,
+}
+
+impl Importer<'_> {
+    /// [`for_each_column`] over this import's tasks, for work covering
+    /// `rows` rows per column: less than a block does not repay a thread.
+    fn for_each_column(&self, rows: usize, work: impl Fn(usize, &mut ColumnTask) + Sync) {
+        let workers = if rows < BLOCK_SIZE { 1 } else { self.workers };
+        for_each_column(&self.tasks, &self.heaviest_first, workers, work);
+    }
+
+    /// Parse the collected chunk, which ends where the record at `next`
+    /// begins.
+    fn flush(&mut self, next: usize) {
+        let rows = self.ranges.rows;
+        if rows == 0 {
+            return;
+        }
+        let started = Instant::now();
+        let bytes = &self.data[self.ranges.base..next];
+        let chunk = ChunkText {
+            bytes,
+            text: self
+                .wants_text
+                .then(|| std::str::from_utf8(bytes).ok())
+                .flatten(),
+        };
+        let (ranges, parser) = (&self.ranges, self.parser);
+        self.for_each_column(rows, |col, task| {
+            task.parse_chunk(&chunk, ranges.column(col), parser);
+        });
+        self.rows += rows as u64;
+        self.ranges.restart(next);
+        self.build_time += started.elapsed();
+    }
+}
+
+impl RecordSink for Importer<'_> {
+    #[inline]
+    fn field(&mut self, start: usize, end: usize) {
+        self.ranges.field(start, end);
+    }
+
+    fn end_record(&mut self, end: usize, next: usize) -> bool {
+        if self.in_header {
+            self.in_header = false;
+            self.ranges.restart(next);
+            return true;
+        }
+        if let Err(refused) = self.ranges.end_row(end) {
+            self.failed = Err(refused);
+            return false;
+        }
+        if self.ranges.rows == ROWS_PER_CHUNK {
+            self.flush(next);
+        }
+        true
+    }
+}
+
+/// Relative parse + build cost of a column, for claiming the heaviest
+/// first: strings intern, reals and dates parse, integers barely do.
+fn weight(task: &ColumnTask) -> u32 {
+    match (task.dtype, task.builder.is_some()) {
+        (DataType::Str, true) => 5,
+        (DataType::Real, _) => 3,
+        (DataType::Date | DataType::Timestamp, _) => 2,
+        _ => 1,
     }
 }
 
@@ -307,9 +553,27 @@ pub fn import_file(path: impl AsRef<Path>, options: &ImportOptions) -> io::Resul
     import_bytes(&data, options)
 }
 
+/// How many workers (the calling thread included) parse an import of
+/// `bytes` bytes on a host with `cores` cores.
+fn worker_count(parallel: bool, bytes: usize, cores: usize) -> usize {
+    if parallel {
+        cores.min(bytes / BYTES_PER_WORKER).max(1)
+    } else {
+        1
+    }
+}
+
 /// Import from an in-memory byte stream (the operator reads from a
 /// memory-mapped byte stream in the paper; a slice models that).
 pub fn import_bytes(data: &[u8], options: &ImportOptions) -> io::Result<ImportResult> {
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let workers = worker_count(options.parallel, data.len(), cores);
+    import_on(data, options, workers)
+}
+
+/// [`import_bytes`] on `workers` workers.
+fn import_on(data: &[u8], options: &ImportOptions, workers: usize) -> io::Result<ImportResult> {
+    let started = Instant::now();
     let mut schema = infer_schema(data);
     if let Some(explicit) = &options.schema {
         schema.names = explicit.iter().map(|(n, _)| n.clone()).collect();
@@ -320,7 +584,7 @@ pub fn import_bytes(data: &[u8], options: &ImportOptions) -> io::Result<ImportRe
     }
     let ncols = schema.names.len();
 
-    let mut tasks: Vec<ColumnTask> = schema
+    let tasks: Vec<ColumnTask> = schema
         .names
         .iter()
         .zip(&schema.types)
@@ -330,88 +594,73 @@ pub fn import_bytes(data: &[u8], options: &ImportOptions) -> io::Result<ImportRe
                 dtype,
                 builder: wants_builder
                     .then(|| ColumnBuilder::new(name.clone(), dtype, options.policy)),
+                built: None,
                 split_buf: Vec::new(),
                 errors: 0,
-                name,
             }
         })
         .collect();
+    let mut heaviest_first: Vec<usize> = (0..ncols).collect();
+    heaviest_first.sort_by_key(|&c| std::cmp::Reverse(weight(&tasks[c])));
 
-    // Tokenize into chunks of rows, then hand each chunk's field ranges to
-    // the per-column parsers.
-    let mut ranges: Vec<(u32, u32)> = Vec::with_capacity(ROWS_PER_CHUNK * ncols);
-    let mut rows_in_chunk = 0usize;
-    let mut scratch: Vec<&[u8]> = Vec::new();
-    let base = data.as_ptr() as usize;
-    let mut first = true;
-    let flush = |tasks: &mut Vec<ColumnTask>, ranges: &[(u32, u32)], rows: usize| {
-        if rows == 0 {
-            return;
-        }
-        if options.parallel && tasks.len() > 1 {
-            std::thread::scope(|s| {
-                for (c, task) in tasks.iter_mut().enumerate() {
-                    s.spawn(move || task.parse_chunk(data, ranges, c, ncols, options.parser));
-                }
-            });
-        } else {
-            for (c, task) in tasks.iter_mut().enumerate() {
-                task.parse_chunk(data, ranges, c, ncols, options.parser);
-            }
-        }
+    let mut importer = Importer {
+        data,
+        ranges: ChunkRanges::new(ncols),
+        wants_text: tasks
+            .iter()
+            .any(|t| t.dtype == DataType::Str && t.builder.is_some()),
+        tasks: tasks.into_iter().map(Mutex::new).collect(),
+        heaviest_first,
+        workers: workers.min(ncols),
+        parser: options.parser,
+        in_header: schema.has_header,
+        rows: 0,
+        failed: Ok(()),
+        build_time: std::time::Duration::ZERO,
     };
-    for_each_line(data, |line| {
-        if first {
-            first = false;
-            if schema.has_header {
-                return;
-            }
-        }
-        split_fields(line, schema.separator, &mut scratch);
-        for c in 0..ncols {
-            match scratch.get(c) {
-                Some(f) => {
-                    let off = (f.as_ptr() as usize - base) as u32;
-                    ranges.push((off, off + f.len() as u32));
-                }
-                // Short row: the missing field is NULL (empty range).
-                None => ranges.push((0, 0)),
-            }
-        }
-        rows_in_chunk += 1;
-        if rows_in_chunk == ROWS_PER_CHUNK {
-            flush(&mut tasks, &ranges, rows_in_chunk);
-            ranges.clear();
-            rows_in_chunk = 0;
-        }
-    });
-    flush(&mut tasks, &ranges, rows_in_chunk);
+    scan_records(data, schema.separator, &mut importer);
+    std::mem::replace(&mut importer.failed, Ok(()))?;
+    importer.flush(data.len());
+    let scanned = Instant::now();
 
+    importer.for_each_column(importer.rows as usize, |_, task| task.finish());
     let mut columns = Vec::with_capacity(ncols);
     let mut reencodings = Vec::with_capacity(ncols);
     let mut parse_errors = 0u64;
     let mut split_bytes = 0u64;
-    for task in tasks {
+    for (task, name) in importer.tasks.into_iter().zip(&schema.names) {
+        let task = task.into_inner();
         parse_errors += task.errors;
         split_bytes += task.split_buf.len() as u64;
-        if let Some(builder) = task.builder {
-            let BuiltColumn {
-                column,
-                reencodings: re,
-                ..
-            } = builder.finish();
-            reencodings.push((task.name.to_owned(), re));
-            columns.push(column);
+        if let Some(built) = task.built {
+            reencodings.push((name.clone(), built.reencodings));
+            columns.push(built.column);
         }
     }
-    Ok(ImportResult {
+    let result = ImportResult {
         table: Table::new(options.table_name.clone(), columns),
         reencodings,
         parse_errors,
         bytes_read: data.len() as u64,
         split_bytes,
         schema,
-    })
+    };
+
+    tde_obs::metrics::import(result.bytes_read, importer.rows, parse_errors);
+    tde_obs::emit(|| {
+        let build = importer.build_time;
+        tde_obs::Event::Import {
+            table: options.table_name.clone(),
+            bytes: result.bytes_read,
+            rows: importer.rows,
+            columns: ncols as u64,
+            parse_errors,
+            scan_nanos: ((scanned - started).saturating_sub(build)).as_nanos() as u64,
+            build_nanos: build.as_nanos() as u64,
+            finish_nanos: scanned.elapsed().as_nanos() as u64,
+        }
+    });
+    Ok(result)
 }
 
 /// Convenience: split-column output paths for a given table path.
@@ -512,27 +761,51 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_agree() {
-        let serial = import_bytes(
-            SAMPLE,
-            &ImportOptions {
-                parallel: false,
-                ..ImportOptions::default()
-            },
-        )
-        .unwrap();
-        let parallel = import_bytes(
-            SAMPLE,
-            &ImportOptions {
-                parallel: true,
-                ..ImportOptions::default()
-            },
-        )
-        .unwrap();
-        for (a, b) in serial.table.columns.iter().zip(&parallel.table.columns) {
-            for row in 0..serial.table.row_count() {
-                assert_eq!(a.value(row), b.value(row));
-            }
+    fn small_imports_stay_on_the_calling_thread() {
+        assert_eq!(worker_count(true, 6 << 20, 16), 1);
+        assert_eq!(worker_count(true, 2 * BYTES_PER_WORKER, 16), 2);
+        assert_eq!(worker_count(true, 2 * BYTES_PER_WORKER, 1), 1);
+        assert_eq!(worker_count(true, 1 << 30, 16), 16);
+        assert_eq!(worker_count(false, 1 << 30, 16), 1);
+    }
+
+    #[test]
+    fn the_worker_count_does_not_show() {
+        // Several chunks of every type, with NULLs, unparsable fields and
+        // short rows; more workers than columns is clamped.
+        let mut data = Vec::new();
+        for i in 0..3 * ROWS_PER_CHUNK + 100 {
+            let line = match i % 101 {
+                0 => format!("{i}|\n"),
+                1 => format!("x|s{}|oops|1995-13-40|\n", i % 7),
+                _ => format!(
+                    "{i}|s{}|{}.25|1995-01-{:02}|\n",
+                    i % 977,
+                    i % 50,
+                    1 + i % 28
+                ),
+            };
+            data.extend_from_slice(line.as_bytes());
+        }
+        let bytes = |r: &ImportResult| -> Vec<Vec<u8>> {
+            r.table
+                .columns
+                .iter()
+                .map(|c| {
+                    let mut b = c.data.as_bytes().to_vec();
+                    b.extend_from_slice(c.heap().map_or(&[][..], |h| h.as_bytes()));
+                    b
+                })
+                .collect()
+        };
+        let options = ImportOptions::default();
+        let one = import_on(&data, &options, 1).unwrap();
+        assert!(one.parse_errors > 0);
+        for workers in [2, 3, 9] {
+            let many = import_on(&data, &options, workers).unwrap();
+            assert_eq!(bytes(&many), bytes(&one), "{workers} workers");
+            assert_eq!(many.parse_errors, one.parse_errors);
+            assert_eq!(many.reencodings, one.reencodings);
         }
     }
 
@@ -579,6 +852,93 @@ mod tests {
         assert!(written > 0);
         let col1 = std::fs::read_to_string(out.join("col_1.txt")).unwrap();
         assert_eq!(col1, "\"alpha\"\n\"beta\"\n\"alpha\"\n\"gamma\"\n");
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn ranges_are_relative_to_a_chunk_anywhere_in_the_input() {
+        // A chunk that starts past 4 GiB: the stored ranges are offsets
+        // into the chunk, not into the file.
+        let base = (5usize << 32) + 17;
+        let mut ranges = ChunkRanges::new(2);
+        ranges.restart(base);
+        ranges.field(base, base + 3);
+        ranges.field(base + 4, base + 9);
+        ranges.field(base + 10, base + 11); // past the last column: dropped
+        ranges.end_row(base + 11).unwrap();
+        ranges.field(base + 12, base + 12);
+        ranges.end_row(base + 12).unwrap(); // short row: NULL-padded
+        assert_eq!(ranges.column(0), &[(0, 3), (12, 12)]);
+        assert_eq!(ranges.column(1), &[(4, 9), (0, 0)]);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_chunk_past_four_gib_is_refused_not_wrapped() {
+        let mut ranges = ChunkRanges::new(1);
+        ranges.restart(100);
+        ranges.field(100, 107);
+        ranges.end_row(107).unwrap();
+        // The next row ends 4 GiB + 5 bytes into the chunk.
+        let far = 100 + (1usize << 32) + 5;
+        ranges.field(108, far);
+        let err = ranges.end_row(far).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(ranges.rows, 1, "the refused row is not recorded");
+    }
+
+    #[test]
+    fn chunk_boundaries_do_not_show() {
+        // Three chunks and a ragged tail, on one worker and on two, with
+        // a multi-byte string so whole-chunk UTF-8 validation is on the
+        // path.
+        let rows = 2 * ROWS_PER_CHUNK + 777;
+        let mut data = Vec::new();
+        for i in 0..rows {
+            data.extend_from_slice(format!("{i}|é{}|{}.5|\n", i % 97, i % 13).as_bytes());
+        }
+        for workers in [1, 2] {
+            let r = import_on(&data, &ImportOptions::default(), workers).unwrap();
+            assert_eq!(r.table.row_count(), rows as u64);
+            assert_eq!(r.parse_errors, 0);
+            for i in [
+                0,
+                ROWS_PER_CHUNK - 1,
+                ROWS_PER_CHUNK,
+                2 * ROWS_PER_CHUNK,
+                rows - 1,
+            ] {
+                assert_eq!(r.table.columns[0].value(i as u64), Value::Int(i as i64));
+                assert_eq!(
+                    r.table.columns[1].value(i as u64),
+                    Value::Str(format!("é{}", i % 97))
+                );
+                assert_eq!(
+                    r.table.columns[2].value(i as u64),
+                    Value::Real((i % 13) as f64 + 0.5)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_nulls_only_its_own_field() {
+        // One bad field fails the chunk's whole-text validation; the
+        // per-field fallback must keep every other string.
+        let mut data = Vec::new();
+        for i in 0..200 {
+            if i == 150 {
+                data.extend_from_slice(b"150|bad\xFFbytes|x|\n");
+            } else {
+                data.extend_from_slice(format!("{i}|name{i}|x|\n").as_bytes());
+            }
+        }
+        let r = import_bytes(&data, &ImportOptions::default()).unwrap();
+        assert_eq!(r.parse_errors, 1);
+        assert_eq!(r.table.columns[1].value(150), Value::Null);
+        assert_eq!(r.table.columns[1].value(149), Value::Str("name149".into()));
+        assert_eq!(r.table.columns[1].value(151), Value::Str("name151".into()));
+        assert_eq!(r.table.columns[2].value(150), Value::Str("x".into()));
     }
 
     #[test]

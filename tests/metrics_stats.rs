@@ -310,6 +310,85 @@ fn exports_parse_as_prometheus_and_json() {
     }
 }
 
+/// An import shows up in the event trace (once, with phase times that
+/// account for the call) and in the metrics catalogue.
+#[test]
+fn import_reports_its_phases_and_moves_its_counters() {
+    use std::fmt::Write as _;
+    let mut text = String::from("id,when,word,amount\n");
+    for i in 0..60_000 {
+        let day = 1 + i % 28;
+        writeln!(text, "{i},1997-03-{day:02},w{},{}.25", i % 300, i % 1000).unwrap();
+    }
+    text.push_str("oops,1997-03-01,w,1.0\n"); // one field that will not parse
+    let options = tde::textscan::ImportOptions {
+        table_name: "metrics_stats_import".into(),
+        ..Default::default()
+    };
+
+    let before = metrics::global().snapshot();
+    let trace = tde::obs::Trace::new();
+    let guard = tde::obs::install(&trace);
+    let started = std::time::Instant::now();
+    let result = tde::textscan::import_bytes(text.as_bytes(), &options).unwrap();
+    let wall = started.elapsed().as_nanos() as u64;
+    drop(guard);
+    assert_eq!(result.table.row_count(), 60_001);
+    assert_eq!(result.parse_errors, 1);
+
+    let imports: Vec<_> = trace
+        .events()
+        .into_iter()
+        .filter(|e| matches!(e, tde::obs::Event::Import { table, .. } if table == "metrics_stats_import"))
+        .collect();
+    assert_eq!(imports.len(), 1, "one event per import");
+    let tde::obs::Event::Import {
+        bytes,
+        rows,
+        columns,
+        parse_errors,
+        scan_nanos,
+        build_nanos,
+        finish_nanos,
+        ..
+    } = imports[0]
+    else {
+        unreachable!()
+    };
+    assert_eq!(
+        (bytes, rows, columns, parse_errors),
+        (text.len() as u64, 60_001, 4, 1)
+    );
+    assert!(scan_nanos > 0 && build_nanos > 0 && finish_nanos > 0);
+    let phases = scan_nanos + build_nanos + finish_nanos;
+    assert!(
+        phases <= wall && phases as f64 >= wall as f64 * 0.95,
+        "phases {phases} ns must account for the call's {wall} ns"
+    );
+    assert!(imports[0]
+        .to_string()
+        .contains("[import] metrics_stats_import"));
+    let json = tde_stats::minijson::parse(&imports[0].to_json()).expect("event JSON parses");
+    assert_eq!(json.get("kind").and_then(|k| k.as_str()), Some("import"));
+
+    if metrics::enabled() {
+        let deltas = metrics::global().snapshot().counter_deltas(&before);
+        let delta = |name: &str| -> u64 {
+            deltas
+                .iter()
+                .filter(|(k, _)| k.starts_with(name))
+                .map(|(_, v)| *v)
+                .sum()
+        };
+        assert!(delta("tde_import_bytes_total") >= text.len() as u64);
+        assert!(delta("tde_import_rows_total") >= 60_001);
+        assert!(delta("tde_import_parse_errors_total") >= 1);
+        let scrape = tde_stats::prometheus::validate(&tde_stats::prometheus_text())
+            .expect("text exposition validates");
+        assert!(scrape.value("tde_import_rows_total", &[]).unwrap_or(0.0) >= 60_001.0);
+    }
+}
+
 #[test]
 fn explain_analyze_still_reports_while_metrics_run() {
     // The per-query `explain_analyze` path and the always-on registry
