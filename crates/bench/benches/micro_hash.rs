@@ -32,7 +32,7 @@ fn bench_strategies(c: &mut Criterion) {
             |b, keys| {
                 b.iter(|| {
                     let packing = (strategy != HashStrategy::Collision).then(|| packing.clone());
-                    let mut m = GroupMap::new(strategy, packing);
+                    let mut m = GroupMap::new(strategy, packing, 2);
                     let mut acc = 0usize;
                     for k in keys {
                         acc += m.get_or_insert(k);

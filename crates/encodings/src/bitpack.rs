@@ -138,36 +138,51 @@ pub(crate) fn unpack_iter(data: &[u8], bits: u8, count: usize) -> impl Iterator<
     })
 }
 
+/// Random access into packed `bits`-bit values — what every decode loop
+/// and compressed-domain kernel reads packed data through, so a block is
+/// unpacked straight into its consumer (a frame add, a dictionary
+/// lookup, a predicate test) with no staging vector in between.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Packed<'a> {
+    data: &'a [u8],
+    bits: u8,
+    mask: u64,
+}
+
+impl<'a> Packed<'a> {
+    /// The values packed at the start of `data`.
+    pub(crate) fn new(data: &'a [u8], bits: u8) -> Packed<'a> {
+        debug_assert!(bits <= 64);
+        let mask = if bits >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << bits) - 1
+        };
+        Packed { data, bits, mask }
+    }
+
+    /// Value `i`: one unaligned 8-byte load, a shift and a mask. A value
+    /// within 8 bytes of the end of `data`, or wider than 57 bits (which
+    /// can straddle nine bytes), takes the byte-wise path.
+    #[inline(always)]
+    pub(crate) fn get(&self, i: usize) -> u64 {
+        let bit = i * self.bits as usize;
+        let byte = bit >> 3;
+        match self.data.get(byte..byte + 8) {
+            Some(word) if self.bits <= 57 => {
+                let word = u64::from_le_bytes(word.try_into().expect("an 8-byte slice"));
+                (word >> (bit & 7)) & self.mask
+            }
+            _ => get_one(self.data, self.bits, i),
+        }
+    }
+}
+
 /// Unpack `count` values of `bits` bits each from `data` into `out`,
 /// appending. `bits == 0` appends `count` zeros.
 pub fn unpack(data: &[u8], bits: u8, count: usize, out: &mut Vec<u64>) {
-    debug_assert!(bits <= 64);
-    out.reserve(count);
-    if bits == 0 {
-        out.extend(std::iter::repeat_n(0, count));
-        return;
-    }
-    if bits == 64 {
-        debug_assert!(data.len() >= count * 8);
-        for chunk in data[..count * 8].chunks_exact(8) {
-            out.push(u64::from_le_bytes(chunk.try_into().unwrap()));
-        }
-        return;
-    }
-    let mask = (1u64 << bits) - 1;
-    let mut acc: u128 = 0;
-    let mut acc_bits: u32 = 0;
-    let mut bytes = data.iter();
-    for _ in 0..count {
-        while acc_bits < u32::from(bits) {
-            let b = *bytes.next().expect("bitpack underflow");
-            acc |= u128::from(b) << acc_bits;
-            acc_bits += 8;
-        }
-        out.push((acc as u64) & mask);
-        acc >>= bits;
-        acc_bits -= u32::from(bits);
-    }
+    let packed = Packed::new(data, bits);
+    out.extend((0..count).map(|i| packed.get(i)));
 }
 
 /// Read the single value at index `idx` from a packed stream without

@@ -105,14 +105,13 @@ pub fn decode_block(buf: &[u8], h: &HeaderView, block_idx: usize, out: &mut Vec<
     let md = min_delta(buf);
     let start = h.data_offset + block_idx * block_bytes(h);
     let base = header::get_i64(buf, start);
-    let mut packed = Vec::with_capacity(h.block_size);
-    bitpack::unpack(&buf[start + 8..], h.bits, h.block_size, &mut packed);
+    let packed = bitpack::Packed::new(&buf[start + 8..], h.bits);
     let mut v = base;
     out.push(v);
-    for &p in &packed[1..] {
-        v = v.wrapping_add(md).wrapping_add(p as i64);
-        out.push(v);
-    }
+    out.extend((1..h.block_size).map(|i| {
+        v = v.wrapping_add(md).wrapping_add(packed.get(i) as i64);
+        v
+    }));
 }
 
 /// Random access: jump to the block base, then accumulate within the block.

@@ -145,13 +145,62 @@ pub(crate) fn repack(old: &[u8], oh: &HeaderView, fresh: &mut Vec<u8>) -> Result
     Ok(())
 }
 
-/// Decode a full physical block.
-pub fn decode_block(buf: &[u8], h: &HeaderView, block_idx: usize, out: &mut Vec<i64>) {
+/// The packed indexes of physical block `block_idx`.
+pub(crate) fn block_codes<'a>(
+    buf: &'a [u8],
+    h: &HeaderView,
+    block_idx: usize,
+) -> bitpack::Packed<'a> {
     let block_bytes = bitpack::packed_bytes(h.block_size, h.bits);
-    let start = h.data_offset + block_idx * block_bytes;
-    let mut packed = Vec::with_capacity(h.block_size);
-    bitpack::unpack(&buf[start..], h.bits, h.block_size, &mut packed);
-    out.extend(packed.iter().map(|&p| entry(buf, h, p as usize)));
+    bitpack::Packed::new(&buf[h.data_offset + block_idx * block_bytes..], h.bits)
+}
+
+/// Decode a full physical block, reading each value's entry from the
+/// header. A sequential reader decodes through
+/// [`decode_block_with_entries`] instead, reading the entries once.
+pub fn decode_block(buf: &[u8], h: &HeaderView, block_idx: usize, out: &mut Vec<i64>) {
+    decode_block_with_entries(buf, h, block_idx, &[], out);
+}
+
+/// The value of `code`: from `entries` (the stream's entries read once)
+/// when it holds it, else — an empty slice, or a code past them (never
+/// written by an append) — from its header slot.
+#[inline]
+fn entry_value(buf: &[u8], h: &HeaderView, entries: &[i64], code: u64) -> i64 {
+    match entries.get(code as usize) {
+        Some(&v) => v,
+        None => entry(buf, h, code as usize),
+    }
+}
+
+/// [`decode_block`] through `entries`, the stream's entries read once.
+pub fn decode_block_with_entries(
+    buf: &[u8],
+    h: &HeaderView,
+    block_idx: usize,
+    entries: &[i64],
+    out: &mut Vec<i64>,
+) {
+    let codes = block_codes(buf, h, block_idx);
+    out.extend((0..h.block_size).map(|i| entry_value(buf, h, entries, codes.get(i))));
+}
+
+/// [`decode_block_with_entries`] for only the rows at `positions`
+/// (local to block `block_idx`).
+pub fn gather_block(
+    buf: &[u8],
+    h: &HeaderView,
+    block_idx: usize,
+    positions: &[u32],
+    entries: &[i64],
+    out: &mut Vec<i64>,
+) {
+    let codes = block_codes(buf, h, block_idx);
+    out.extend(
+        positions
+            .iter()
+            .map(|&i| entry_value(buf, h, entries, codes.get(i as usize))),
+    );
 }
 
 /// Random access.
@@ -165,13 +214,6 @@ pub fn get(buf: &[u8], h: &HeaderView, idx: u64) -> i64 {
 /// indexes become the new column data.
 pub fn get_index(buf: &[u8], h: &HeaderView, idx: u64) -> u64 {
     bitpack::get_one(&buf[h.data_offset..], h.bits, idx as usize)
-}
-
-/// Decode a block of packed indexes (not values).
-pub fn decode_index_block(buf: &[u8], h: &HeaderView, block_idx: usize, out: &mut Vec<u64>) {
-    let block_bytes = bitpack::packed_bytes(h.block_size, h.bits);
-    let start = h.data_offset + block_idx * block_bytes;
-    bitpack::unpack(&buf[start..], h.bits, h.block_size, out);
 }
 
 #[cfg(test)]

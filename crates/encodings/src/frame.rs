@@ -89,14 +89,39 @@ pub(crate) fn repack(old: &[u8], oh: &HeaderView, fresh: &mut Vec<u8>) -> Result
     Ok(())
 }
 
-/// Decode a full physical block.
+/// The packed offsets of physical block `block_idx`.
+pub(crate) fn block_offsets<'a>(
+    buf: &'a [u8],
+    h: &HeaderView,
+    block_idx: usize,
+) -> bitpack::Packed<'a> {
+    let block_bytes = bitpack::packed_bytes(h.block_size, h.bits);
+    bitpack::Packed::new(&buf[h.data_offset + block_idx * block_bytes..], h.bits)
+}
+
+/// Decode a full physical block, adding the frame as each offset is
+/// unpacked.
 pub fn decode_block(buf: &[u8], h: &HeaderView, block_idx: usize, out: &mut Vec<i64>) {
     let frame = frame_value(buf);
-    let block_bytes = bitpack::packed_bytes(h.block_size, h.bits);
-    let start = h.data_offset + block_idx * block_bytes;
-    let mut packed = Vec::with_capacity(h.block_size);
-    bitpack::unpack(&buf[start..], h.bits, h.block_size, &mut packed);
-    out.extend(packed.iter().map(|&p| frame.wrapping_add(p as i64)));
+    let offsets = block_offsets(buf, h, block_idx);
+    out.extend((0..h.block_size).map(|i| frame.wrapping_add(offsets.get(i) as i64)));
+}
+
+/// Decode only the rows at `positions` (local to block `block_idx`).
+pub fn gather_block(
+    buf: &[u8],
+    h: &HeaderView,
+    block_idx: usize,
+    positions: &[u32],
+    out: &mut Vec<i64>,
+) {
+    let frame = frame_value(buf);
+    let offsets = block_offsets(buf, h, block_idx);
+    out.extend(
+        positions
+            .iter()
+            .map(|&i| frame.wrapping_add(offsets.get(i as usize) as i64)),
+    );
 }
 
 /// Random access.

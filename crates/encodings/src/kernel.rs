@@ -1,30 +1,36 @@
 //! Compressed-domain predicate kernels (paper §3.3–§3.4).
 //!
-//! A pushed-down single-column predicate is first compiled (by the
+//! A pushed-down conjunct over one column is first compiled (by the
 //! execution layer) into a [`ValueSet`] — a normalized set of closed
 //! `i64` intervals whose membership test is *exactly* the predicate's
 //! truth value on a raw stored value, NULL sentinel included. Each
-//! encoding then answers the predicate against its compressed form:
+//! encoding then narrows a block's [`Selection`] against its compressed
+//! form:
 //!
-//! * **run-length** (§3.1.5): test once per run, emit or skip the whole
+//! * **run-length** (§3.1.5): test once per run, keep or drop the whole
 //!   run — [`Strategy::Rle`];
 //! * **dictionary** (§3.1.4): evaluate over the ≤2^15 dictionary entries
-//!   once, then compare packed codes against the resulting code set —
-//!   [`Strategy::DictCodes`];
+//!   once, then test each selected row's packed code against the result
+//!   — [`Strategy::DictCodes`];
 //! * **affine** (§3.1.3): solve `base + row·delta ∈ [lo, hi]` in closed
 //!   form for the matching row interval — no decode at all;
 //! * **delta** (§3.1.2) with a non-negative minimum delta (header-proved
 //!   sorted): binary-search the interval boundaries into row ranges;
 //! * **frame-of-reference** (§3.1.1): the header envelope
-//!   `[frame, frame + 2^bits - 1]` decides all-match / none-match;
-//!   partial overlap falls back to decode-then-eval.
+//!   `[frame, frame + 2^bits - 1]` decides all-match / none-match; on
+//!   partial overlap the value set is shifted by the frame and the
+//!   packed offsets are tested as they are unpacked — [`Matcher`] in the
+//!   offset domain, never slower than decoding and testing the values.
 //!
-//! [`PredicateKernel::build`] returns `None` for shapes it cannot answer
-//! exactly; the scan then falls back to the decode-then-eval path, which
-//! remains the semantics oracle (`tests/compressed_kernels_diff.rs`).
+//! [`PredicateKernel::build`] returns `None` for the encodings with no
+//! compressed-domain answer (raw, unsorted delta); the scan then decodes
+//! and tests the values with the same [`Matcher`], and the decoded
+//! evaluation remains the semantics oracle
+//! (`tests/compressed_kernels_diff.rs`).
 
 use crate::metadata::{ColumnMetadata, Knowledge};
-use crate::{affine, dict, manipulate, rle, Algorithm, EncodedStream};
+use crate::selection::Selection;
+use crate::{affine, dict, frame, manipulate, rle, Algorithm, EncodedStream};
 use tde_types::sentinel::NULL_I64;
 
 /// Smallest non-sentinel value: comparison predicates never match the
@@ -219,40 +225,6 @@ impl ValueSet {
     }
 }
 
-/// Which rows of one decompression block a kernel selected, in local row
-/// coordinates. `Skip` lets the scan advance every cursor without
-/// decoding anything.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BlockSelection {
-    /// Every row of the block matches.
-    All,
-    /// No row matches; the block can be skipped without decoding.
-    Skip,
-    /// The rows in these half-open `[start, end)` local ranges match
-    /// (sorted, disjoint, non-empty).
-    Ranges(Vec<(usize, usize)>),
-}
-
-impl BlockSelection {
-    /// Number of selected rows, given the block's row count.
-    pub fn selected(&self, rows: usize) -> usize {
-        match self {
-            BlockSelection::All => rows,
-            BlockSelection::Skip => 0,
-            BlockSelection::Ranges(rs) => rs.iter().map(|&(lo, hi)| hi - lo).sum(),
-        }
-    }
-}
-
-/// Collapse sorted disjoint local ranges to the compact selection form.
-pub fn selection_from_ranges(ranges: Vec<(usize, usize)>, rows: usize) -> BlockSelection {
-    match ranges.as_slice() {
-        [] => BlockSelection::Skip,
-        [(0, hi)] if *hi == rows => BlockSelection::All,
-        _ => BlockSelection::Ranges(ranges),
-    }
-}
-
 /// What the column metadata alone decides about a pushed predicate:
 /// `Some(true)` — every row matches; `Some(false)` — no row matches;
 /// `None` — undecided, consult the stream kernel or fall back.
@@ -274,6 +246,86 @@ pub fn metadata_selection(meta: &ColumnMetadata, set: &ValueSet) -> Option<bool>
     }
 }
 
+/// A value set as the per-value test the selection loops run: closed
+/// intervals over a `u64` key held as `(start, span)`, a key `k` matching
+/// when `k.wrapping_sub(start) <= span` — one subtraction and one compare
+/// per interval, whichever side of zero (or of the `u64` wrap) the
+/// interval lies on. The key is a raw stored value (`v as u64`, see
+/// [`Matcher::values`]) or a frame-of-reference offset.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Matcher {
+    arcs: Vec<(u64, u64)>,
+}
+
+impl Matcher {
+    /// The test for raw stored values: `v as u64` matches exactly when
+    /// `v` is in `set` (`v - lo <= hi - lo` is exact modulo 2^64).
+    pub fn values(set: &ValueSet) -> Matcher {
+        Matcher {
+            arcs: set
+                .ivs
+                .iter()
+                .map(|&(lo, hi)| (lo as u64, hi.wrapping_sub(lo) as u64))
+                .collect(),
+        }
+    }
+
+    /// The test for frame-of-reference offsets `p <= max`: `p` matches
+    /// exactly when `frame.wrapping_add(p)` — the value decoding yields
+    /// — is in `set`. Each value interval shifts by the frame into an arc
+    /// of the offset circle, which is clipped to `[0, max]`.
+    fn offsets(set: &ValueSet, frame: i64, max: u64) -> Matcher {
+        let mut segs: Vec<(u64, u64)> = Vec::with_capacity(set.ivs.len() + 1);
+        for &(lo, hi) in &set.ivs {
+            let start = lo.wrapping_sub(frame) as u64;
+            let span = hi.wrapping_sub(lo) as u64;
+            let (head, tail) = match start.checked_add(span) {
+                Some(end) => ((start, end), None),
+                None => ((start, u64::MAX), Some((0, start.wrapping_add(span)))),
+            };
+            for (a, b) in std::iter::once(head).chain(tail) {
+                if a <= max {
+                    segs.push((a, b.min(max)));
+                }
+            }
+        }
+        segs.sort_unstable();
+        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(segs.len());
+        for (a, b) in segs {
+            match merged.last_mut() {
+                Some(last) if a <= last.1.saturating_add(1) => last.1 = last.1.max(b),
+                _ => merged.push((a, b)),
+            }
+        }
+        Matcher {
+            arcs: merged.into_iter().map(|(a, b)| (a, b - a)).collect(),
+        }
+    }
+
+    /// Whether no key matches.
+    pub fn is_empty(&self) -> bool {
+        self.arcs.is_empty()
+    }
+
+    /// Whether `k` matches.
+    #[inline]
+    pub fn contains(&self, k: u64) -> bool {
+        self.arcs.iter().any(|&(s, w)| k.wrapping_sub(s) <= w)
+    }
+
+    /// Narrow `sel` to the rows `i` whose key `key(i)` matches; the loop
+    /// is specialised for the common single-interval set.
+    #[inline]
+    pub fn narrow(&self, sel: &mut Selection, key: impl Fn(usize) -> u64) {
+        match self.arcs.as_slice() {
+            [] => sel.clear(),
+            [(_, u64::MAX)] => {}
+            &[(s, w)] => sel.retain(|i| key(i).wrapping_sub(s) <= w),
+            _ => sel.retain(|i| self.contains(key(i))),
+        }
+    }
+}
+
 /// Per-encoding evaluation strategy, chosen once per stream.
 enum Strategy {
     /// Global half-open row ranges, fully resolved at build time
@@ -281,43 +333,59 @@ enum Strategy {
     /// all/none answers).
     Ranges(Vec<(u64, u64)>),
     /// Sequential run walk: one membership test per run, whole runs
-    /// emitted or skipped. Blocks must be evaluated in order.
+    /// kept or dropped. Blocks must be evaluated in order.
     Rle {
         set: ValueSet,
         run: usize,
         within: u64,
         pos: u64,
+        /// The block's matching local row ranges (reused).
+        kept: Vec<(usize, usize)>,
     },
-    /// The predicate evaluated once over the dictionary entries; packed
-    /// codes are then tested against the resulting code set.
-    DictCodes { keep: Vec<bool>, scratch: Vec<u64> },
+    /// The predicate evaluated once over the dictionary entries; each
+    /// selected row's packed code indexes the result.
+    DictCodes { keep: Vec<bool> },
+    /// Frame-of-reference offsets tested against the value set shifted
+    /// by the frame, read straight from the packed block.
+    Offsets(Matcher),
 }
 
 /// A compiled compressed-domain predicate evaluator for one stream.
 pub struct PredicateKernel {
     strategy: Strategy,
     kind: &'static str,
+    /// The selection [`PredicateKernel::eval_block`] answers into.
+    scratch: Selection,
+}
+
+fn kernel(strategy: Strategy, kind: &'static str) -> PredicateKernel {
+    PredicateKernel {
+        strategy,
+        kind,
+        scratch: Selection::default(),
+    }
 }
 
 impl PredicateKernel {
     /// Compile `set` against the stream's encoding. `None` means the
-    /// shape has no exact compressed-domain answer (the caller falls
-    /// back to decode-then-eval).
+    /// encoding has no compressed-domain answer (the caller decodes and
+    /// tests the values).
     pub fn build(stream: &EncodedStream, set: &ValueSet) -> Option<PredicateKernel> {
         let h = stream.header();
         let buf = stream.as_bytes();
         let n = stream.len();
         match h.algorithm {
             Algorithm::Affine => Some(build_affine(buf, n, set)?),
-            Algorithm::RunLength => Some(PredicateKernel {
-                strategy: Strategy::Rle {
+            Algorithm::RunLength => Some(kernel(
+                Strategy::Rle {
                     set: set.clone(),
                     run: 0,
                     within: 0,
                     pos: 0,
+                    kept: Vec::new(),
                 },
-                kind: "rle-run-skip",
-            }),
+                "rle-run-skip",
+            )),
             Algorithm::Dictionary => {
                 let keep: Vec<bool> = dict::entries(buf, &h)
                     .into_iter()
@@ -328,31 +396,26 @@ impl PredicateKernel {
                 } else if keep.iter().all(|&k| k) {
                     Strategy::Ranges(vec![(0, n)])
                 } else {
-                    Strategy::DictCodes {
-                        keep,
-                        scratch: Vec::new(),
-                    }
+                    Strategy::DictCodes { keep }
                 };
-                Some(PredicateKernel {
-                    strategy,
-                    kind: "dict-domain",
-                })
+                Some(kernel(strategy, "dict-domain"))
             }
             Algorithm::FrameOfReference => {
-                let (lo, hi) = manipulate::header_envelope(stream)?;
-                if !set.overlaps(lo, hi) {
-                    Some(PredicateKernel {
-                        strategy: Strategy::Ranges(Vec::new()),
-                        kind: "for-envelope",
-                    })
-                } else if set.covers(lo, hi) {
-                    Some(PredicateKernel {
-                        strategy: Strategy::Ranges(vec![(0, n)]),
-                        kind: "for-envelope",
-                    })
+                let max = if h.bits >= 64 {
+                    u64::MAX
                 } else {
-                    None
-                }
+                    (1u64 << h.bits) - 1
+                };
+                let offsets = Matcher::offsets(set, frame::frame_value(buf), max);
+                // The header envelope `[frame, frame + max]` decides the
+                // whole stream when the set misses or covers it.
+                Some(if offsets.is_empty() {
+                    kernel(Strategy::Ranges(Vec::new()), "for-envelope")
+                } else if offsets.arcs == [(0, max)] {
+                    kernel(Strategy::Ranges(vec![(0, n)]), "for-envelope")
+                } else {
+                    kernel(Strategy::Offsets(offsets), "for-offset")
+                })
             }
             Algorithm::Delta => {
                 if !manipulate::header_proves_sorted(stream) {
@@ -366,10 +429,10 @@ impl PredicateKernel {
                         ranges.push((start, end));
                     }
                 }
-                Some(PredicateKernel {
-                    strategy: Strategy::Ranges(merge_row_ranges(ranges)),
-                    kind: "delta-sorted-range",
-                })
+                Some(kernel(
+                    Strategy::Ranges(merge_row_ranges(ranges)),
+                    "delta-sorted-range",
+                ))
             }
             Algorithm::None => None,
         }
@@ -410,53 +473,46 @@ impl PredicateKernel {
         }
     }
 
-    /// Resolve the selection for decompression block `block_idx`
-    /// containing `rows` logical rows. The RLE strategy is stateful:
-    /// blocks must be presented in stream order.
-    pub fn eval_block(
-        &mut self,
-        stream: &EncodedStream,
-        block_idx: usize,
-        rows: usize,
-    ) -> BlockSelection {
+    /// Narrow `sel` — a selection over decompression block `block_idx`
+    /// (`sel.rows()` logical rows) — to the rows the predicate accepts.
+    /// The RLE strategy is stateful: every block must be presented, in
+    /// stream order, even when `sel` is already empty.
+    pub fn narrow(&mut self, stream: &EncodedStream, block_idx: usize, sel: &mut Selection) {
         let h = stream.header();
+        let rows = sel.rows();
         let start = block_idx as u64 * h.block_size as u64;
         match &mut self.strategy {
             Strategy::Ranges(rs) => {
                 let end = start + rows as u64;
-                let mut out = Vec::new();
                 let from = rs.partition_point(|&(_, rend)| rend <= start);
-                for &(rlo, rhi) in &rs[from..] {
-                    if rlo >= end {
-                        break;
-                    }
-                    let lo = rlo.max(start);
-                    let hi = rhi.min(end);
-                    if lo < hi {
-                        out.push(((lo - start) as usize, (hi - start) as usize));
-                    }
-                }
-                selection_from_ranges(out, rows)
+                sel.retain_ranges(rs[from..].iter().take_while(|r| r.0 < end).map(
+                    |&(rlo, rhi)| {
+                        (
+                            (rlo.max(start) - start) as usize,
+                            (rhi.min(end) - start) as usize,
+                        )
+                    },
+                ));
             }
             Strategy::Rle {
                 set,
                 run,
                 within,
                 pos,
+                kept,
             } => {
                 debug_assert_eq!(*pos, start, "RLE kernel blocks must arrive in order");
-                let buf = stream.as_bytes();
-                let mut out: Vec<(usize, usize)> = Vec::new();
+                kept.clear();
                 let mut at = 0usize;
-                let mut runs = rle::run_iter_from(buf, &h, *run);
+                let mut runs = rle::run_iter_from(stream.as_bytes(), &h, *run);
                 while at < rows {
                     let Some((v, c)) = runs.next() else { break };
                     let avail = (c - *within) as usize;
                     let take = avail.min(rows - at);
                     if set.contains(v) {
-                        match out.last_mut() {
+                        match kept.last_mut() {
                             Some(last) if last.1 == at => last.1 = at + take,
-                            _ => out.push((at, at + take)),
+                            _ => kept.push((at, at + take)),
                         }
                     }
                     at += take;
@@ -468,24 +524,34 @@ impl PredicateKernel {
                     }
                 }
                 *pos += rows as u64;
-                selection_from_ranges(out, rows)
+                sel.retain_ranges(kept.iter().copied());
             }
-            Strategy::DictCodes { keep, scratch } => {
-                scratch.clear();
-                dict::decode_index_block(stream.as_bytes(), &h, block_idx, scratch);
-                scratch.truncate(rows);
-                let mut out: Vec<(usize, usize)> = Vec::new();
-                for (i, &code) in scratch.iter().enumerate() {
-                    if keep[code as usize] {
-                        match out.last_mut() {
-                            Some(last) if last.1 == i => last.1 = i + 1,
-                            _ => out.push((i, i + 1)),
-                        }
-                    }
-                }
-                selection_from_ranges(out, rows)
+            Strategy::DictCodes { keep } => {
+                let codes = dict::block_codes(stream.as_bytes(), &h, block_idx);
+                // A code past the entries was never written by an append.
+                sel.retain(|i| keep.get(codes.get(i) as usize) == Some(&true));
+            }
+            Strategy::Offsets(m) => {
+                let offsets = frame::block_offsets(stream.as_bytes(), &h, block_idx);
+                m.narrow(sel, |i| offsets.get(i));
             }
         }
+    }
+
+    /// The kernel on its own: the rows of decompression block
+    /// `block_idx` (`rows` logical rows) that match. Blocks must arrive
+    /// in order, as for [`PredicateKernel::narrow`].
+    pub fn eval_block(
+        &mut self,
+        stream: &EncodedStream,
+        block_idx: usize,
+        rows: usize,
+    ) -> &Selection {
+        let mut sel = std::mem::take(&mut self.scratch);
+        sel.select_all(rows);
+        self.narrow(stream, block_idx, &mut sel);
+        self.scratch = sel;
+        &self.scratch
     }
 }
 
@@ -533,10 +599,7 @@ fn build_affine(buf: &[u8], n: u64, set: &ValueSet) -> Option<PredicateKernel> {
     let base = affine::base(buf);
     let delta = affine::delta(buf);
     if n == 0 {
-        return Some(PredicateKernel {
-            strategy: Strategy::Ranges(Vec::new()),
-            kind: "affine-closed-form",
-        });
+        return Some(kernel(Strategy::Ranges(Vec::new()), "affine-closed-form"));
     }
     // The progression must be exact in i64 for the closed form to equal
     // the decoded values; a wrapped stream falls back.
@@ -550,10 +613,7 @@ fn build_affine(buf: &[u8], n: u64, set: &ValueSet) -> Option<PredicateKernel> {
         } else {
             Vec::new()
         };
-        return Some(PredicateKernel {
-            strategy: Strategy::Ranges(ranges),
-            kind: "affine-const",
-        });
+        return Some(kernel(Strategy::Ranges(ranges), "affine-const"));
     }
     let (b, d) = (base as i128, delta as i128);
     let mut ranges = Vec::with_capacity(set.intervals().len());
@@ -571,10 +631,10 @@ fn build_affine(buf: &[u8], n: u64, set: &ValueSet) -> Option<PredicateKernel> {
             ranges.push((rlo as u64, rhi as u64 + 1));
         }
     }
-    Some(PredicateKernel {
-        strategy: Strategy::Ranges(merge_row_ranges(ranges)),
-        kind: "affine-closed-form",
-    })
+    Some(kernel(
+        Strategy::Ranges(merge_row_ranges(ranges)),
+        "affine-closed-form",
+    ))
 }
 
 fn floor_div(a: i128, b: i128) -> i128 {
@@ -618,6 +678,13 @@ mod tests {
             .collect()
     }
 
+    fn picked(sel: &Selection, start: u64) -> Vec<u64> {
+        match sel.positions() {
+            None => (start..start + sel.rows() as u64).collect(),
+            Some(p) => p.iter().map(|&p| start + u64::from(p)).collect(),
+        }
+    }
+
     fn kernel_rows(stream: &EncodedStream, set: &ValueSet) -> Option<Vec<u64>> {
         let mut k = PredicateKernel::build(stream, set)?;
         let h = stream.header();
@@ -627,16 +694,7 @@ mod tests {
         let mut done = 0usize;
         while done < n {
             let rows = (n - done).min(h.block_size);
-            let start = done as u64;
-            match k.eval_block(stream, block, rows) {
-                BlockSelection::All => out.extend(start..start + rows as u64),
-                BlockSelection::Skip => {}
-                BlockSelection::Ranges(rs) => {
-                    for (lo, hi) in rs {
-                        out.extend(start + lo as u64..start + hi as u64);
-                    }
-                }
-            }
+            out.extend(picked(k.eval_block(stream, block, rows), done as u64));
             done += rows;
             block += 1;
         }
@@ -751,7 +809,7 @@ mod tests {
         let mut done = 0usize;
         for b in 0..nblocks {
             let rows = (n - done).min(h.block_size);
-            reference.push(k.eval_block(&s, b, rows));
+            reference.push(picked(k.eval_block(&s, b, rows), 0));
             done += rows;
         }
         // From every start block: a fresh kernel seeked there must
@@ -763,7 +821,7 @@ mod tests {
             for (b, expected) in reference.iter().enumerate().skip(start) {
                 let rows = (n - done).min(h.block_size);
                 assert_eq!(
-                    &k.eval_block(&s, b, rows),
+                    &picked(k.eval_block(&s, b, rows), 0),
                     expected,
                     "start={start} block={b}"
                 );
@@ -777,7 +835,7 @@ mod tests {
         let mut k = PredicateKernel::build(&aff, &ValueSet::ge(0)).unwrap();
         k.seek(&aff, BLOCK_SIZE as u64);
         let rows = affine_data.len() - BLOCK_SIZE;
-        assert_eq!(k.eval_block(&aff, 1, rows), BlockSelection::All);
+        assert!(k.eval_block(&aff, 1, rows).positions().is_none());
     }
 
     #[test]
@@ -801,7 +859,7 @@ mod tests {
     }
 
     #[test]
-    fn frame_envelope_decides_or_declines() {
+    fn frame_envelope_decides_and_offsets_test_the_rest() {
         let data: Vec<i64> = (0..2000).map(|i| 500 + (i % 100)).collect();
         let mut s = EncodedStream::new_frame(Width::W8, true, 500, 7);
         append_all(&mut s, &data);
@@ -816,8 +874,40 @@ mod tests {
             kernel_rows(&s, &set).unwrap(),
             (0..2000u64).collect::<Vec<_>>()
         );
-        // Partial overlap has no exact envelope answer.
-        assert!(PredicateKernel::build(&s, &ValueSet::eq(550)).is_none());
+        // Partial overlap is answered on the packed offsets.
+        for set in [
+            ValueSet::eq(550),
+            ValueSet::ge(590).intersect(&ValueSet::le(700)),
+            ValueSet::ne(520),
+            ValueSet::eq(550).complement(),
+        ] {
+            let k = PredicateKernel::build(&s, &set).expect("offset kernel");
+            assert_eq!(k.kind(), "for-offset");
+            assert_eq!(kernel_rows(&s, &set).unwrap(), oracle_rows(&s, &set));
+        }
+    }
+
+    #[test]
+    fn offset_matcher_clips_shifted_intervals_to_the_envelope() {
+        // Frame at i64::MIN: the NULL sentinel is offset 0; a comparison
+        // set (which excludes it) starts at offset 1.
+        let m = Matcher::offsets(&ValueSet::le(i64::MIN + 9), i64::MIN, 15);
+        assert_eq!(m.arcs, vec![(1, 8)]);
+        let m = Matcher::offsets(&ValueSet::is_null(), i64::MIN, 15);
+        assert_eq!(m.arcs, vec![(0, 0)]);
+        // An interval straddling the top of the envelope is cut at it.
+        let m = Matcher::offsets(&ValueSet::ge(10), 0, 15);
+        assert_eq!(m.arcs, vec![(10, 5)]);
+        // Zero bits: the envelope is the frame alone.
+        assert!(Matcher::offsets(&ValueSet::ne(7), 7, 0).is_empty());
+        assert_eq!(Matcher::offsets(&ValueSet::eq(7), 7, 0).arcs, vec![(0, 0)]);
+        // 64 bits: values wrap past i64::MAX back to i64::MIN, and the
+        // shifted arc wraps the offset circle with them.
+        let m = Matcher::offsets(&ValueSet::le(-1), 5, u64::MAX);
+        for p in [0u64, 1, 1 << 63, u64::MAX - 6, u64::MAX - 5, u64::MAX] {
+            let v = 5i64.wrapping_add(p as i64);
+            assert_eq!(m.contains(p), ValueSet::le(-1).contains(v), "p={p}");
+        }
     }
 
     #[test]

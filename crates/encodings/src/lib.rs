@@ -33,11 +33,13 @@ pub mod manipulate;
 pub mod metadata;
 pub mod raw;
 pub mod rle;
+pub mod selection;
 pub mod stats;
 pub mod stream;
 
 pub use dynamic::DynamicEncoder;
 pub use metadata::ColumnMetadata;
+pub use selection::Selection;
 pub use stats::{ColumnStats, EncodingSpec};
 pub use stream::EncodedStream;
 

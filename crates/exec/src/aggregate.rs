@@ -8,7 +8,7 @@
 
 use crate::block::{Block, Field, Repr, Schema};
 use crate::expr::AggFunc;
-use crate::hash::{GroupMap, HashStrategy, KeyPacking};
+use crate::hash::{GroupMap, HashStrategy, KeyList, KeyPacking};
 use crate::tactical;
 use crate::{BoxOp, Operator, BLOCK_ROWS};
 use tde_types::sentinel::{is_null_real, null_real, NULL_I64, NULL_TOKEN};
@@ -67,117 +67,165 @@ pub fn merge_safe(schema: &Schema, aggs: &[AggSpec]) -> bool {
         .any(|a| a.func == AggFunc::Sum && domain_of(&schema.fields[a.col]) == Domain::Real)
 }
 
-/// Accumulator state for one (group, agg) cell.
-#[derive(Clone, Copy)]
-struct Acc {
-    value: i64,
-    count: u64,
+/// Accumulators for one aggregate, one slot per group: the running value
+/// and the count of non-NULL inputs folded (every row, for `Count`).
+/// `value` starts at the fold's identity — 0 for a sum, `i64::MAX` /
+/// `i64::MIN` for an integer min / max — so a group's first value needs
+/// no branch; a group with `count == 0` finalizes to NULL and merges as
+/// empty, so the identity never shows.
+#[derive(Clone, Default)]
+struct AccCol {
+    value: Vec<i64>,
+    count: Vec<u64>,
 }
 
-const INIT_ACC: Acc = Acc { value: 0, count: 0 };
+impl AccCol {
+    fn grow(&mut self, groups: usize, identity: i64) {
+        self.value.resize(groups, identity);
+        self.count.resize(groups, 0);
+    }
 
-#[inline]
-fn fold(acc: &mut Acc, func: AggFunc, domain: &Domain, raw: i64) {
-    // NULL inputs are skipped (except COUNT counts rows).
-    if func == AggFunc::Count {
-        acc.count += 1;
-        return;
+    fn drain_front(&mut self, n: usize) {
+        self.value.drain(..n);
+        self.count.drain(..n);
     }
-    // Translate dictionary codes to the scalars they stand for; joins can
-    // inject the scalar sentinel directly, so it passes through.
-    let raw = match domain {
-        Domain::Dict(dict) if raw != NULL_I64 => dict[raw as usize],
-        _ => raw,
-    };
-    let is_null = match domain {
-        Domain::Int | Domain::Dict(_) => raw == NULL_I64,
-        Domain::Real => is_null_real(f64::from_bits(raw as u64)),
-        Domain::Token => raw as u64 == NULL_TOKEN,
-    };
-    if is_null {
-        return;
-    }
-    if acc.count == 0 {
-        acc.value = raw;
-        acc.count = 1;
-        return;
-    }
-    acc.count += 1;
+}
+
+fn identity(func: AggFunc, domain: &Domain) -> i64 {
     match (func, domain) {
-        (AggFunc::Sum, Domain::Real) => {
-            let s = f64::from_bits(acc.value as u64) + f64::from_bits(raw as u64);
-            acc.value = s.to_bits() as i64;
-        }
-        (AggFunc::Sum, _) => acc.value = acc.value.wrapping_add(raw),
-        (AggFunc::Min, Domain::Real) => {
-            if f64::from_bits(raw as u64) < f64::from_bits(acc.value as u64) {
-                acc.value = raw;
-            }
-        }
-        (AggFunc::Max, Domain::Real) => {
-            if f64::from_bits(raw as u64) > f64::from_bits(acc.value as u64) {
-                acc.value = raw;
-            }
-        }
-        // Token min/max compares tokens: correct when the heap is sorted —
-        // the §3.4.3 payoff; otherwise it is heap order.
-        (AggFunc::Min, _) => acc.value = acc.value.min(raw),
-        (AggFunc::Max, _) => acc.value = acc.value.max(raw),
-        (AggFunc::Count, _) => unreachable!(),
+        (AggFunc::Min, Domain::Int | Domain::Token | Domain::Dict(_)) => i64::MAX,
+        (AggFunc::Max, Domain::Int | Domain::Token | Domain::Dict(_)) => i64::MIN,
+        _ => 0,
     }
 }
 
-/// Merge accumulator `b` (a partial computed over a later slice of the
-/// input) into `a`. Exact for every merge-safe function: counts add,
-/// wrapping integer sums add, extrema compare — the same results the
-/// serial fold produces in any split, because those folds are
-/// associative and commutative over the non-NULL inputs. Real sums are
-/// NOT merge-safe (f64 addition is order-dependent); the morsel planner
-/// declines parallelism for them rather than merge here.
-fn merge_acc(a: &mut Acc, b: &Acc, func: AggFunc, domain: &Domain) {
-    if func == AggFunc::Count {
-        a.count += b.count;
-        return;
+/// Fold the non-NULL integer-domain `vals` into `acc` by `op`.
+#[inline(always)]
+fn fold_int(
+    acc: &mut AccCol,
+    gids: &[u32],
+    vals: impl Iterator<Item = i64>,
+    null: i64,
+    op: impl Fn(i64, i64) -> i64,
+) {
+    for (&g, v) in gids.iter().zip(vals) {
+        if v != null {
+            let g = g as usize;
+            acc.value[g] = op(acc.value[g], v);
+            acc.count[g] += 1;
+        }
     }
-    if b.count == 0 {
-        return;
+}
+
+/// Fold the non-NULL reals (as bits) of `vals` into `acc`: the first
+/// value of a group is taken as is (`0.0 + -0.0` would lose its sign),
+/// later ones combine by `op`.
+#[inline(always)]
+fn fold_real(acc: &mut AccCol, gids: &[u32], vals: &[i64], op: impl Fn(f64, f64) -> f64) {
+    for (&g, &v) in gids.iter().zip(vals) {
+        let x = f64::from_bits(v as u64);
+        if is_null_real(x) {
+            continue;
+        }
+        let g = g as usize;
+        acc.value[g] = if acc.count[g] == 0 {
+            v
+        } else {
+            op(f64::from_bits(acc.value[g] as u64), x).to_bits() as i64
+        };
+        acc.count[g] += 1;
     }
-    if a.count == 0 {
-        *a = *b;
-        return;
-    }
-    a.count += b.count;
+}
+
+/// Fold one aggregate's input column into `acc`: one loop per
+/// (function, domain), over the block's group ids.
+fn fold_column(acc: &mut AccCol, func: AggFunc, domain: &Domain, gids: &[u32], vals: &[i64]) {
+    let vals = &vals[..gids.len()];
+    let keep_min = |a: f64, x: f64| if x < a { x } else { a };
+    let keep_max = |a: f64, x: f64| if x > a { x } else { a };
     match (func, domain) {
-        (AggFunc::Sum, Domain::Real) => {
-            let s = f64::from_bits(a.value as u64) + f64::from_bits(b.value as u64);
-            a.value = s.to_bits() as i64;
-        }
-        (AggFunc::Sum, _) => a.value = a.value.wrapping_add(b.value),
-        (AggFunc::Min, Domain::Real) => {
-            if f64::from_bits(b.value as u64) < f64::from_bits(a.value as u64) {
-                a.value = b.value;
+        (AggFunc::Count, _) => {
+            for &g in gids {
+                acc.count[g as usize] += 1;
             }
         }
-        (AggFunc::Max, Domain::Real) => {
-            if f64::from_bits(b.value as u64) > f64::from_bits(a.value as u64) {
-                a.value = b.value;
-            }
+        (AggFunc::Sum, Domain::Real) => fold_real(acc, gids, vals, |a, x| a + x),
+        (AggFunc::Min, Domain::Real) => fold_real(acc, gids, vals, keep_min),
+        (AggFunc::Max, Domain::Real) => fold_real(acc, gids, vals, keep_max),
+        (func, Domain::Dict(dict)) => {
+            // Codes translate to the scalars they stand for; joins can
+            // inject the scalar sentinel directly, so it passes through.
+            let vals = vals
+                .iter()
+                .map(|&c| if c == NULL_I64 { c } else { dict[c as usize] });
+            fold_int_func(acc, func, gids, vals, NULL_I64);
         }
-        (AggFunc::Min, _) => a.value = a.value.min(b.value),
-        (AggFunc::Max, _) => a.value = a.value.max(b.value),
-        (AggFunc::Count, _) => unreachable!(),
+        (func, Domain::Token) => {
+            // Token min/max compares tokens: correct when the heap is
+            // sorted — the §3.4.3 payoff; otherwise it is heap order.
+            fold_int_func(acc, func, gids, vals.iter().copied(), NULL_TOKEN as i64);
+        }
+        (func, Domain::Int) => fold_int_func(acc, func, gids, vals.iter().copied(), NULL_I64),
     }
 }
 
-fn final_value(acc: &Acc, func: AggFunc, domain: &Domain) -> i64 {
+#[inline(always)]
+fn fold_int_func(
+    acc: &mut AccCol,
+    func: AggFunc,
+    gids: &[u32],
+    vals: impl Iterator<Item = i64>,
+    null: i64,
+) {
     match func {
-        AggFunc::Count => acc.count as i64,
-        _ if acc.count == 0 => match domain {
+        AggFunc::Sum => fold_int(acc, gids, vals, null, i64::wrapping_add),
+        AggFunc::Min => fold_int(acc, gids, vals, null, i64::min),
+        AggFunc::Max => fold_int(acc, gids, vals, null, i64::max),
+        AggFunc::Count => unreachable!("counted above"),
+    }
+}
+
+/// Merge group `b` of `from` (a partial over a later slice of the
+/// input) into group `a` of `into`. Exact for every merge-safe function:
+/// counts add, wrapping integer sums add, extrema compare — the same
+/// results the serial fold produces in any split, because those folds
+/// are associative and commutative over the non-NULL inputs. Real sums
+/// are NOT merge-safe (f64 addition is order-dependent); the morsel
+/// planner declines parallelism for them rather than merge here.
+fn merge_acc(into: &mut AccCol, a: usize, from: &AccCol, b: usize, func: AggFunc, domain: &Domain) {
+    let (bv, bc) = (from.value[b], from.count[b]);
+    if bc == 0 {
+        return;
+    }
+    if into.count[a] == 0 || func == AggFunc::Count {
+        into.count[a] += bc;
+        into.value[a] = bv;
+        return;
+    }
+    into.count[a] += bc;
+    let av = into.value[a];
+    let real = |x: i64| f64::from_bits(x as u64);
+    into.value[a] = match (func, domain) {
+        (AggFunc::Sum, Domain::Real) => (real(av) + real(bv)).to_bits() as i64,
+        (AggFunc::Sum, _) => av.wrapping_add(bv),
+        (AggFunc::Min, Domain::Real) if real(bv) < real(av) => bv,
+        (AggFunc::Max, Domain::Real) if real(bv) > real(av) => bv,
+        (AggFunc::Min | AggFunc::Max, Domain::Real) => av,
+        (AggFunc::Min, _) => av.min(bv),
+        (AggFunc::Max, _) => av.max(bv),
+        (AggFunc::Count, _) => unreachable!("counts merged above"),
+    };
+}
+
+fn final_value(acc: &AccCol, g: usize, func: AggFunc, domain: &Domain) -> i64 {
+    match func {
+        AggFunc::Count => acc.count[g] as i64,
+        _ if acc.count[g] == 0 => match domain {
             Domain::Real => null_real().to_bits() as i64,
             Domain::Token => NULL_TOKEN as i64,
             Domain::Int | Domain::Dict(_) => NULL_I64,
         },
-        _ => acc.value,
+        _ => acc.value[g],
     }
 }
 
@@ -238,11 +286,11 @@ enum Groups {
     Indexed(GroupMap),
     /// Keys alone: the runs of an ordered aggregation, or a hash partial
     /// whose index was dropped for the hand-over to a merge.
-    Listed(Vec<Vec<i64>>),
+    Listed(KeyList),
 }
 
 impl Groups {
-    fn keys(&self) -> &[Vec<i64>] {
+    fn keys(&self) -> &KeyList {
         match self {
             Groups::Indexed(map) => map.keys(),
             Groups::Listed(keys) => keys,
@@ -254,36 +302,33 @@ impl Groups {
     fn slot(&mut self, key: &[i64]) -> usize {
         match self {
             Groups::Indexed(map) => map.get_or_insert(key),
-            Groups::Listed(keys) => run_slot(keys, key),
+            Groups::Listed(keys) => keys.run_slot(key),
         }
     }
 }
 
-#[inline]
-fn run_slot(keys: &mut Vec<Vec<i64>>, key: &[i64]) -> usize {
-    if keys.last().map(Vec::as_slice) != Some(key) {
-        keys.push(key.to_vec());
-    }
-    keys.len() - 1
-}
-
 /// Aggregation state over a contiguous slice of the input: its groups in
-/// output order, each with one accumulator per aggregate.
-pub(crate) struct Partial {
+/// output order and, per aggregate, one accumulator slot per group.
+pub struct Partial {
     groups: Groups,
-    accs: Vec<Vec<Acc>>, // [group][agg]
-    key: Vec<i64>,       // row-key scratch
+    accs: Vec<AccCol>,
+    /// The current block's group ids (reused block to block).
+    gids: Vec<u32>,
 }
 
 impl Partial {
     /// Drop the hash index for the hand-over to [`AggCore::absorb`]: only
     /// the groups and their order travel from a morsel task to the merge
     /// (a direct-64K table per pending morsel would not be small).
-    pub(crate) fn without_index(mut self) -> Partial {
-        if let Groups::Indexed(map) = &self.groups {
-            self.groups = Groups::Listed(map.keys().to_vec());
+    pub fn without_index(mut self) -> Partial {
+        if let Groups::Indexed(map) = self.groups {
+            self.groups = Groups::Listed(map.into_keys());
         }
         self
+    }
+
+    fn len(&self) -> usize {
+        self.groups.keys().len()
     }
 }
 
@@ -293,7 +338,11 @@ impl Partial {
 /// blocks. Absorbing in order is what makes a split run reproduce the
 /// serial one byte for byte — hash groups keep first-occurrence order,
 /// and an ordered run cut by a task boundary is rejoined.
-pub(crate) struct AggCore {
+///
+/// Folding is column-at-a-time: a block's group ids are computed in one
+/// pass over its key columns, then each aggregate runs one loop,
+/// specialised for its (function, domain), over its input column.
+pub struct AggCore {
     group_cols: Vec<usize>,
     aggs: Vec<AggSpec>,
     domains: Vec<Domain>,
@@ -304,14 +353,14 @@ pub(crate) struct AggCore {
 impl AggCore {
     /// Hash aggregation of `input`-shaped blocks, the strategy chosen
     /// tactically from the key columns' metadata.
-    pub(crate) fn hash(input: &Schema, group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> AggCore {
+    pub fn hash(input: &Schema, group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> AggCore {
         let keys: Vec<&Field> = group_cols.iter().map(|&c| &input.fields[c]).collect();
         let (strategy, packing) = tactical::choose_hash_strategy(&keys);
         AggCore::new(input, group_cols, aggs, Grouping::Hash(strategy, packing))
     }
 
     /// Ordered aggregation: `input`'s groups must arrive contiguously.
-    pub(crate) fn ordered(input: &Schema, group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> AggCore {
+    pub fn ordered(input: &Schema, group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> AggCore {
         AggCore::new(input, group_cols, aggs, Grouping::Ordered)
     }
 
@@ -334,64 +383,68 @@ impl AggCore {
     }
 
     /// The output schema: group keys, then aggregates.
-    pub(crate) fn schema(&self) -> &Schema {
+    pub fn schema(&self) -> &Schema {
         &self.schema
     }
 
+    /// The hash strategy, when this core aggregates by hash.
+    pub fn strategy(&self) -> Option<HashStrategy> {
+        match self.grouping {
+            Grouping::Hash(strategy, _) => Some(strategy),
+            Grouping::Ordered => None,
+        }
+    }
+
     /// An empty partial.
-    pub(crate) fn start(&self) -> Partial {
+    pub fn start(&self) -> Partial {
+        let width = self.group_cols.len();
         Partial {
             groups: match &self.grouping {
                 Grouping::Hash(strategy, packing) => {
-                    Groups::Indexed(GroupMap::new(*strategy, packing.clone()))
+                    Groups::Indexed(GroupMap::new(*strategy, packing.clone(), width))
                 }
-                Grouping::Ordered => Groups::Listed(Vec::new()),
+                Grouping::Ordered => Groups::Listed(KeyList::new(width)),
             },
-            accs: Vec::new(),
-            key: vec![0; self.group_cols.len()],
+            accs: vec![AccCol::default(); self.aggs.len()],
+            gids: Vec::with_capacity(BLOCK_ROWS),
         }
     }
 
-    /// Fold one block's rows into `p`.
-    pub(crate) fn fold_block(&self, p: &mut Partial, block: &Block) {
-        let Partial { groups, accs, key } = p;
-        // The grouping is matched per block, not per row: each arm
-        // instantiates its own copy of the row loop.
-        match groups {
-            Groups::Indexed(map) => self.fold_rows(block, accs, key, |k| map.get_or_insert(k)),
-            Groups::Listed(keys) => self.fold_rows(block, accs, key, |k| run_slot(keys, k)),
+    /// Grow every aggregate's accumulators to `p`'s group count.
+    fn grow(&self, p: &mut Partial) {
+        let groups = p.len();
+        for ((acc, spec), domain) in p.accs.iter_mut().zip(&self.aggs).zip(&self.domains) {
+            acc.grow(groups, identity(spec.func, domain));
         }
     }
 
-    #[inline]
-    fn fold_rows(
-        &self,
-        block: &Block,
-        accs: &mut Vec<Vec<Acc>>,
-        key: &mut [i64],
-        mut slot: impl FnMut(&[i64]) -> usize,
-    ) {
-        for r in 0..block.len {
-            for (k, &c) in self.group_cols.iter().enumerate() {
-                key[k] = block.columns[c][r];
-            }
-            let g = slot(key);
-            if g == accs.len() {
-                accs.push(vec![INIT_ACC; self.aggs.len()]);
-            }
-            for (a, spec) in self.aggs.iter().enumerate() {
-                fold(
-                    &mut accs[g][a],
-                    spec.func,
-                    &self.domains[a],
-                    block.columns[spec.col][r],
-                );
-            }
+    /// Fold one block's rows into `p`: group ids first, then one pass per
+    /// aggregate.
+    pub fn fold_block(&self, p: &mut Partial, block: &Block) {
+        let keys: Vec<&[i64]> = self
+            .group_cols
+            .iter()
+            .map(|&c| &block.columns[c][..block.len])
+            .collect();
+        p.gids.clear();
+        match &mut p.groups {
+            Groups::Indexed(map) => map.ids(&keys, block.len, &mut p.gids),
+            Groups::Listed(list) => list.run_ids(&keys, block.len, &mut p.gids),
+        }
+        self.grow(p);
+        for (a, spec) in self.aggs.iter().enumerate() {
+            fold_column(
+                &mut p.accs[a],
+                spec.func,
+                &self.domains[a],
+                &p.gids,
+                &block.columns[spec.col],
+            );
         }
     }
 
     /// Fold everything `input` produces into one partial.
-    pub(crate) fn fold_all(&self, mut input: BoxOp) -> Partial {
+    pub fn fold_all(&self, mut input: BoxOp) -> Partial {
         let mut p = self.start();
         while let Some(block) = input.next_block() {
             self.fold_block(&mut p, &block);
@@ -403,50 +456,52 @@ impl AggCore {
     /// follows `p`'s. A group new to `p` is appended, so hash groups stay
     /// in first-occurrence order; an ordered run that `later` continues
     /// (its first key is `p`'s last) is merged back into one.
-    pub(crate) fn absorb(&self, p: &mut Partial, later: Partial) {
-        for (key, partial) in later.groups.keys().iter().zip(later.accs) {
-            let g = p.groups.slot(key);
-            if g == p.accs.len() {
-                p.accs.push(partial);
-                continue;
-            }
-            for (a, spec) in self.aggs.iter().enumerate() {
-                merge_acc(&mut p.accs[g][a], &partial[a], spec.func, &self.domains[a]);
+    pub fn absorb(&self, p: &mut Partial, later: Partial) {
+        let keys = later.groups.keys();
+        for b in 0..keys.len() {
+            let a = p.groups.slot(keys.key(b));
+            self.grow(p);
+            for (i, spec) in self.aggs.iter().enumerate() {
+                merge_acc(
+                    &mut p.accs[i],
+                    a,
+                    &later.accs[i],
+                    b,
+                    spec.func,
+                    &self.domains[i],
+                );
             }
         }
     }
 
-    /// Append the final values of `keys`' groups to column-major `out`:
-    /// group keys, then aggregates.
-    fn finalize(&self, keys: &[Vec<i64>], accs: &[Vec<Acc>], out: &mut [Vec<i64>]) {
-        for (gk, acc) in keys.iter().zip(accs) {
-            for (k, &v) in gk.iter().enumerate() {
-                out[k].push(v);
+    /// Append the final values of groups `range` of `p` to column-major
+    /// `out`: group keys, then aggregates.
+    fn finalize(&self, p: &Partial, range: std::ops::Range<usize>, out: &mut [Vec<i64>]) {
+        let keys = p.groups.keys();
+        let (key_cols, agg_cols) = out.split_at_mut(self.group_cols.len());
+        for g in range.clone() {
+            for (col, &v) in key_cols.iter_mut().zip(keys.key(g)) {
+                col.push(v);
             }
-            for (a, spec) in self.aggs.iter().enumerate() {
-                out[self.group_cols.len() + a].push(final_value(
-                    &acc[a],
-                    spec.func,
-                    &self.domains[a],
-                ));
-            }
+        }
+        for (a, col) in agg_cols.iter_mut().enumerate() {
+            let (acc, func, domain) = (&p.accs[a], self.aggs[a].func, &self.domains[a]);
+            col.extend(range.clone().map(|g| final_value(acc, g, func, domain)));
         }
     }
 
     /// Finish `p` to output blocks.
-    pub(crate) fn finish(&self, mut p: Partial) -> Vec<Block> {
+    pub fn finish(&self, mut p: Partial) -> Vec<Block> {
         // A global hash aggregate (no group keys) over empty input still
         // produces one row of empty aggregates, SQL-style.
-        if matches!(self.grouping, Grouping::Hash(..))
-            && self.group_cols.is_empty()
-            && p.accs.is_empty()
+        if matches!(self.grouping, Grouping::Hash(..)) && self.group_cols.is_empty() && p.len() == 0
         {
             p.groups.slot(&[]);
-            p.accs.push(vec![INIT_ACC; self.aggs.len()]);
+            self.grow(&mut p);
         }
         let ncols = self.schema.len();
-        let mut cols = vec![Vec::with_capacity(p.accs.len()); ncols];
-        self.finalize(p.groups.keys(), &p.accs, &mut cols);
+        let mut cols = vec![Vec::with_capacity(p.len()); ncols];
+        self.finalize(&p, 0..p.len(), &mut cols);
         emit_blocks(cols, ncols)
     }
 }
@@ -465,9 +520,7 @@ impl HashAggregate {
     /// Aggregate `input` grouped by `group_cols`.
     pub fn new(input: BoxOp, group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> HashAggregate {
         let core = AggCore::hash(input.schema(), group_cols, aggs);
-        let Grouping::Hash(strategy, _) = core.grouping else {
-            unreachable!("a hash core groups by hash")
-        };
+        let strategy = core.strategy().expect("a hash core groups by hash");
         HashAggregate {
             input: Some(input),
             core,
@@ -521,17 +574,15 @@ impl OrderedAggregate {
 
     /// Move every run but the last `keep` to `pending`.
     fn flush(&mut self, keep: usize) {
+        let closed = self.runs.len().saturating_sub(keep);
+        self.core.finalize(&self.runs, 0..closed, &mut self.pending);
         let Groups::Listed(keys) = &mut self.runs.groups else {
             unreachable!("an ordered core lists its runs")
         };
-        let closed = keys.len().saturating_sub(keep);
-        self.core.finalize(
-            &keys[..closed],
-            &self.runs.accs[..closed],
-            &mut self.pending,
-        );
-        keys.drain(..closed);
-        self.runs.accs.drain(..closed);
+        keys.drain_front(closed);
+        for acc in &mut self.runs.accs {
+            acc.drain_front(closed);
+        }
     }
 
     fn pending_rows(&self) -> usize {

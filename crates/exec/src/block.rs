@@ -9,7 +9,7 @@
 //! join formulation buys (paper §4.1.1).
 
 use std::sync::Arc;
-use tde_encodings::ColumnMetadata;
+use tde_encodings::{ColumnMetadata, Selection};
 use tde_storage::StringHeap;
 use tde_types::sentinel::NULL_TOKEN;
 use tde_types::{DataType, Value};
@@ -134,13 +134,6 @@ impl Schema {
     pub fn index_of(&self, name: &str) -> Option<usize> {
         self.fields.iter().position(|f| f.name == name)
     }
-
-    /// The field by name (panics if missing — plan construction validates).
-    pub fn field(&self, name: &str) -> &Field {
-        &self.fields[self
-            .index_of(name)
-            .unwrap_or_else(|| panic!("no column named {name}"))]
-    }
 }
 
 /// A block of rows: one `i64` vector per column, all `len` long.
@@ -168,20 +161,17 @@ impl Block {
         Block { columns, len }
     }
 
-    /// Keep only the rows where `keep` is true.
-    pub fn filter(&mut self, keep: &[bool]) {
-        debug_assert_eq!(keep.len(), self.len);
-        for col in &mut self.columns {
-            let mut w = 0;
-            for r in 0..keep.len() {
-                if keep[r] {
-                    col[w] = col[r];
-                    w += 1;
-                }
-            }
-            col.truncate(w);
+    /// Keep only the rows `sel` (a selection over this block) selects,
+    /// compacting each column once.
+    pub fn select(&mut self, sel: &Selection) {
+        debug_assert_eq!(sel.rows(), self.len);
+        if sel.positions().is_none() {
+            return;
         }
-        self.len = keep.iter().filter(|&&k| k).count();
+        for col in &mut self.columns {
+            sel.compact(col);
+        }
+        self.len = sel.len();
     }
 }
 
@@ -190,9 +180,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn block_filter() {
+    fn block_select() {
         let mut b = Block::new(vec![vec![1, 2, 3, 4], vec![10, 20, 30, 40]]);
-        b.filter(&[true, false, true, false]);
+        let mut sel = Selection::all(4);
+        sel.retain(|r| r % 2 == 0);
+        b.select(&sel);
         assert_eq!(b.len, 2);
         assert_eq!(b.columns[0], vec![1, 3]);
         assert_eq!(b.columns[1], vec![10, 30]);
@@ -231,6 +223,5 @@ mod tests {
         ]);
         assert_eq!(s.index_of("b"), Some(1));
         assert_eq!(s.index_of("z"), None);
-        assert_eq!(s.field("a").name, "a");
     }
 }

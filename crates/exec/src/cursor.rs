@@ -6,8 +6,8 @@
 //! index over the runs for RLE streams and falls back to block decoding
 //! for the bit-packed encodings.
 
-use tde_encodings::rle;
-use tde_encodings::{Algorithm, EncodedStream};
+use tde_encodings::{affine, dict, frame, raw, rle};
+use tde_encodings::{Algorithm, EncodedStream, Selection};
 
 /// Sequential block-at-a-time reader state over one stream. The stream is
 /// passed to each call (not borrowed), so operators can hold the state
@@ -15,6 +15,9 @@ use tde_encodings::{Algorithm, EncodedStream};
 pub struct StreamCursor {
     next_block: usize,
     rle: Option<rle::Cursor>,
+    /// A dictionary stream's entries, read from the header on the first
+    /// decode instead of once per value.
+    dict: Option<Vec<i64>>,
     remaining: u64,
 }
 
@@ -25,6 +28,7 @@ impl StreamCursor {
         StreamCursor {
             next_block: 0,
             rle,
+            dict: None,
             remaining: stream.len(),
         }
     }
@@ -38,20 +42,76 @@ impl StreamCursor {
             return 0;
         }
         let take = (self.remaining as usize).min(n);
+        let h = stream.header();
         match &mut self.rle {
             Some(cursor) => {
-                let h = stream.header();
                 cursor.take(stream.as_bytes(), &h, take, out);
             }
             None => {
                 let before = out.len();
-                stream.decode_block(self.next_block, out);
+                if h.algorithm == Algorithm::Dictionary {
+                    let buf = stream.as_bytes();
+                    let entries = self.dict.get_or_insert_with(|| dict::entries(buf, &h));
+                    dict::decode_block_with_entries(buf, &h, self.next_block, entries, out);
+                } else {
+                    stream.decode_block(self.next_block, out);
+                }
                 out.truncate(before + take);
                 self.next_block += 1;
             }
         }
         self.remaining -= take as u64;
         take
+    }
+
+    /// Decode the rows `sel` selects from the next block (of `sel.rows()`
+    /// rows), appending them to `out`. Encodings with cheap random
+    /// access decode just those rows; delta and run-length decode the
+    /// block into `scratch` and gather from it.
+    pub fn next_selected(
+        &mut self,
+        stream: &EncodedStream,
+        n: usize,
+        sel: &Selection,
+        scratch: &mut Vec<i64>,
+        out: &mut Vec<i64>,
+    ) {
+        let Some(positions) = sel.positions() else {
+            let before = out.len();
+            self.next(stream, n, out);
+            out.truncate(before + sel.rows());
+            return;
+        };
+        if self.remaining > 0 && self.gather(stream, positions, out) {
+            self.skip(stream, n);
+            return;
+        }
+        scratch.clear();
+        self.next(stream, n, scratch);
+        sel.gather(scratch, out);
+    }
+
+    /// Decode the rows at `positions` of the next block without
+    /// advancing; `false` (nothing appended) when the encoding needs
+    /// each row's predecessors.
+    fn gather(&mut self, stream: &EncodedStream, positions: &[u32], out: &mut Vec<i64>) -> bool {
+        let h = stream.header();
+        let buf = stream.as_bytes();
+        let block = self.next_block;
+        let row = |p: u32| (block * h.block_size) as u64 + u64::from(p);
+        match h.algorithm {
+            Algorithm::FrameOfReference => frame::gather_block(buf, &h, block, positions, out),
+            Algorithm::Dictionary => {
+                let entries = self.dict.get_or_insert_with(|| dict::entries(buf, &h));
+                dict::gather_block(buf, &h, block, positions, entries, out);
+            }
+            Algorithm::None => out.extend(positions.iter().map(|&p| raw::get(buf, &h, row(p)))),
+            Algorithm::Affine => {
+                out.extend(positions.iter().map(|&p| affine::get(buf, &h, row(p))))
+            }
+            Algorithm::Delta | Algorithm::RunLength => return false,
+        }
+        true
     }
 
     /// Advance past up to `n` values without decoding them — a kernel

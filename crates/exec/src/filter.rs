@@ -1,15 +1,17 @@
 //! Filter (Select): a flow operator applying a predicate per block.
 
 use crate::block::{Block, Schema};
-use crate::expr::{eval, ComputeHeap, Expr};
+use crate::expr::Expr;
+use crate::pushdown::CompiledPredicate;
 use crate::{BoxOp, Operator};
+use tde_encodings::Selection;
 
 /// Keeps the rows for which `predicate` evaluates to true.
 pub struct Filter {
     input: BoxOp,
-    predicate: Expr,
-    compute_heap: Option<ComputeHeap>,
+    predicate: CompiledPredicate,
     schema: Schema,
+    sel: Selection,
 }
 
 impl Filter {
@@ -17,10 +19,10 @@ impl Filter {
     pub fn new(input: BoxOp, predicate: Expr) -> Filter {
         let schema = input.schema().clone();
         Filter {
+            predicate: CompiledPredicate::new(&predicate, &schema),
             input,
-            predicate,
-            compute_heap: Some(ComputeHeap::new()),
             schema,
+            sel: Selection::default(),
         }
     }
 }
@@ -33,10 +35,8 @@ impl Operator for Filter {
     fn next_block(&mut self) -> Option<Block> {
         loop {
             let mut block = self.input.next_block()?;
-            let mut heap = self.compute_heap.as_mut();
-            let mask = eval(&self.predicate, &self.schema, &block, &mut heap);
-            let keep: Vec<bool> = mask.data.iter().map(|&b| b != 0).collect();
-            block.filter(&keep);
+            self.predicate
+                .filter(&self.schema, &mut block, &mut self.sel);
             if block.len > 0 {
                 return Some(block);
             }

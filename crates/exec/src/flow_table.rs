@@ -310,8 +310,10 @@ mod tests {
         let schema = scan.schema().clone();
         let mut blocks = crate::drain(Box::new(scan));
         for b in &mut blocks {
-            let keep: Vec<bool> = b.columns[1].iter().map(|&v| v % 89 < 60).collect();
-            b.filter(&keep);
+            let mut sel = tde_encodings::Selection::all(b.len);
+            let val = &b.columns[1];
+            sel.retain(|r| val[r] % 89 < 60);
+            b.select(&sel);
         }
         let size = |blocks: &[Block]| {
             build_from_blocks(&schema, blocks, "r", FlowTableOptions::default())

@@ -15,6 +15,7 @@ use crate::{BoxOp, Operator};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tde_encodings::metadata::Knowledge;
+use tde_encodings::Selection;
 use tde_storage::Table;
 
 /// How unmatched outer rows are handled.
@@ -41,6 +42,7 @@ pub struct Join {
     kind: JoinKind,
     lookup: Lookup,
     schema: Schema,
+    sel: Selection,
     /// The tactical decision that was made (for tests/explain).
     pub choice: JoinChoice,
 }
@@ -114,6 +116,7 @@ impl Join {
             kind,
             lookup,
             schema: Schema::new(fields),
+            sel: Selection::default(),
             choice,
         }
     }
@@ -138,36 +141,23 @@ impl Operator for Join {
     fn next_block(&mut self) -> Option<Block> {
         loop {
             let mut block = self.outer.next_block()?;
-            let nouter = block.columns.len();
-            let mut matched = vec![true; block.len];
-            let mut inner_out: Vec<Vec<i64>> =
-                vec![Vec::with_capacity(block.len); self.inner_cols.len()];
-            for (r, m) in matched.iter_mut().enumerate() {
-                match self.probe(block.columns[self.outer_key][r]) {
-                    Some(row) => {
-                        for (c, col) in self.inner_cols.iter().enumerate() {
-                            inner_out[c].push(col[row]);
-                        }
-                    }
-                    None => match self.kind {
-                        JoinKind::Inner => {
-                            *m = false;
-                            for (c, out) in inner_out.iter_mut().enumerate() {
-                                out.push(self.inner_nulls[c]); // dropped below
-                            }
-                        }
-                        JoinKind::Left => {
-                            for (c, out) in inner_out.iter_mut().enumerate() {
-                                out.push(self.inner_nulls[c]);
-                            }
-                        }
-                    },
-                }
+            let rows: Vec<Option<usize>> = block.columns[self.outer_key]
+                .iter()
+                .map(|&k| self.probe(k))
+                .collect();
+            if self.kind == JoinKind::Inner {
+                self.sel.select_all(block.len);
+                self.sel.retain(|r| rows[r].is_some());
+                block.select(&self.sel);
             }
-            block.columns.extend(inner_out);
-            debug_assert_eq!(block.columns.len(), nouter + self.inner_cols.len());
-            if self.kind == JoinKind::Inner && matched.iter().any(|&m| !m) {
-                block.filter(&matched);
+            for (col, &null) in self.inner_cols.iter().zip(&self.inner_nulls) {
+                // Inner: only the matched rows are left; left: unmatched
+                // rows take the NULL sentinel.
+                let joined = rows.iter().filter_map(|row| match row {
+                    Some(r) => Some(col[*r]),
+                    None => (self.kind == JoinKind::Left).then_some(null),
+                });
+                block.columns.push(joined.collect());
             }
             if block.len > 0 {
                 return Some(block);

@@ -14,20 +14,21 @@
 //! tokenized into the merged representation. [`MergedScan`] then streams
 //! base blocks followed by delta blocks.
 //!
-//! Predicate handling is two-sided: when the base carries no tombstones
-//! the base half *delegates* to [`TableScan::with_pushed`], keeping every
-//! compressed-domain kernel; with tombstones live, base blocks are
-//! position-masked first and the predicate falls back to per-block
-//! decode-then-eval (block skipping would desynchronize the global row
-//! offsets the mask needs). Delta blocks always evaluate per block —
-//! they are tiny and uncompressed by construction.
+//! Predicate handling is two-sided: the base half *delegates* to a
+//! [`TableScan`] that masks the tombstones out of each block's
+//! selection before any pushed conjunct sees it — deletes are just the
+//! first narrowing, so every compressed-domain kernel stays in play —
+//! and delta blocks go through the same compiled evaluator `Filter`
+//! uses (they are tiny and uncompressed by construction).
 
 use crate::block::{Block, Field, Repr, Schema};
-use crate::expr::{eval, ComputeHeap, Expr};
+use crate::expr::Expr;
 use crate::handle::ColumnHandle;
+use crate::pushdown::CompiledPredicate;
 use crate::scan::TableScan;
 use crate::Operator;
 use std::sync::Arc;
+use tde_encodings::Selection;
 
 /// An immutable merge snapshot: everything a [`MergedScan`] needs to
 /// present base ∪ delta − tombstones as one table.
@@ -127,15 +128,6 @@ impl MergedSource {
     }
 }
 
-enum BaseSide {
-    /// No tombstones: a plain [`TableScan`] (possibly kernel-pushed)
-    /// whose blocks flow through untouched.
-    Delegated(TableScan),
-    /// Tombstones live: an unpushed scan whose blocks are masked by
-    /// global row position, then predicate-filtered per block.
-    Masked { scan: TableScan, offset: u64 },
-}
-
 /// The merge-on-read scan operator. See the module docs for semantics.
 pub struct MergedScan {
     source: Arc<MergedSource>,
@@ -147,12 +139,13 @@ pub struct MergedScan {
     expand: bool,
     predicate: Option<Expr>,
     force_fallback: bool,
-    heap: Option<ComputeHeap>,
-    base: Option<BaseSide>,
+    /// The predicate compiled for delta blocks.
+    delta_predicate: Option<CompiledPredicate>,
+    sel: Selection,
+    base: Option<TableScan>,
     started: bool,
     delta_idx: usize,
     done: bool,
-    mode: &'static str,
     /// Base decompression-block range `[lo, hi)` this scan covers
     /// (`None` = the whole base).
     range: Option<(usize, usize)>,
@@ -187,12 +180,12 @@ impl MergedScan {
             expand,
             predicate: None,
             force_fallback: false,
-            heap: None,
+            delta_predicate: None,
+            sel: Selection::default(),
             base: None,
             started: false,
             delta_idx: 0,
             done: false,
-            mode: "",
             range: None,
             include_delta: true,
             quiet: false,
@@ -234,13 +227,14 @@ impl MergedScan {
         self
     }
 
-    /// How the base side answers the scan — `"base-kernel-delegate"` or
-    /// `"tombstone-mask-eval"`. Labels the physical plan node.
+    /// How the base side answers the scan — `"base-kernel-delegate"`,
+    /// or `"tombstone-select"` when deletes are masked out of each
+    /// block's selection first. Labels the physical plan node.
     pub fn merge_mode(&self) -> &'static str {
         if self.source.tombstones.is_empty() {
             "base-kernel-delegate"
         } else {
-            "tombstone-mask-eval"
+            "tombstone-select"
         }
     }
 
@@ -251,77 +245,32 @@ impl MergedScan {
             .iter()
             .map(|&i| self.source.handles[i].clone())
             .collect();
-        let masked = !self.source.tombstones.is_empty();
-        self.mode = self.merge_mode();
-        let rows = self.source.base_rows;
-        let tombstones = self.source.tombstone_count();
         if !self.quiet {
+            let rows = self.source.base_rows;
+            let tombstones = self.source.tombstone_count();
             tde_obs::emit(|| tde_obs::Event::Decision {
                 point: "merged-scan",
-                choice: self.mode.to_string(),
+                choice: self.merge_mode().to_string(),
                 reason: format!(
                     "table '{}': {rows} base row(s), {tombstones} tombstone(s), {} delta row(s)",
                     self.source.name, self.source.delta_rows
                 ),
             });
         }
-        if masked {
-            // Block skipping under a kernel would desync the row offsets
-            // the tombstone mask is keyed by: scan plain, mask, then eval.
-            let mut scan = TableScan::from_handles(handles, self.expand);
-            let mut offset = 0u64;
-            if let Some((lo, hi)) = self.range {
-                scan = scan.with_block_range(lo, hi);
-                offset = lo as u64 * crate::BLOCK_ROWS as u64;
-            }
-            if self.predicate.is_some() {
-                self.heap = Some(ComputeHeap::new());
-            }
-            self.base = Some(BaseSide::Masked { scan, offset });
-        } else {
-            let mut scan = TableScan::from_handles(handles, self.expand);
-            if let Some(p) = &self.predicate {
-                scan = if self.quiet {
-                    scan.with_pushed_quiet(p.clone(), self.force_fallback)
-                } else {
-                    scan.with_pushed(p.clone(), self.force_fallback)
-                };
-            }
-            if let Some((lo, hi)) = self.range {
-                scan = scan.with_block_range(lo, hi);
-            }
-            // Delta blocks still need their own evaluator.
-            if self.predicate.is_some() {
-                self.heap = Some(ComputeHeap::new());
-            }
-            self.base = Some(BaseSide::Delegated(scan));
-        }
-    }
-
-    /// Evaluate the pushed predicate over `block`, in place.
-    fn eval_predicate(&mut self, block: &mut Block) {
+        let mut scan = TableScan::from_handles(handles, self.expand)
+            .with_tombstones(Arc::clone(&self.source.tombstones));
         if let Some(p) = &self.predicate {
-            let mut heap = self.heap.as_mut();
-            let mask = eval(p, &self.schema, block, &mut heap);
-            let keep: Vec<bool> = mask.data.iter().map(|&b| b != 0).collect();
-            block.filter(&keep);
+            scan = if self.quiet {
+                scan.with_pushed_quiet(p.clone(), self.force_fallback)
+            } else {
+                scan.with_pushed(p.clone(), self.force_fallback)
+            };
+            self.delta_predicate = Some(CompiledPredicate::new(p, &self.schema));
         }
-    }
-
-    /// Mask tombstoned rows out of a base block covering global rows
-    /// `[offset, offset + block.len)`.
-    fn mask_tombstones(&self, block: &mut Block, offset: u64) {
-        let ts = &self.source.tombstones;
-        let lo = ts.partition_point(|&t| t < offset);
-        let hi = ts.partition_point(|&t| t < offset + block.len as u64);
-        if lo == hi {
-            return;
+        if let Some((lo, hi)) = self.range {
+            scan = scan.with_block_range(lo, hi);
         }
-        let mut keep = vec![true; block.len];
-        for &t in &ts[lo..hi] {
-            keep[(t - offset) as usize] = false;
-        }
-        block.filter(&keep);
+        self.base = Some(scan);
     }
 
     /// Project, expand and filter the next delta block; `None` when the
@@ -356,7 +305,9 @@ impl MergedScan {
                 len: src.len,
                 columns,
             };
-            self.eval_predicate(&mut block);
+            if let Some(p) = &mut self.delta_predicate {
+                p.filter(&self.schema, &mut block, &mut self.sel);
+            }
             if block.len > 0 {
                 return Some(block);
             }
@@ -377,33 +328,13 @@ impl Operator for MergedScan {
         if !self.started {
             self.start();
         }
-        loop {
-            match self.base.as_mut() {
-                Some(BaseSide::Delegated(scan)) => match scan.next_block() {
-                    Some(b) => return Some(b),
-                    None => self.base = None,
-                },
-                Some(BaseSide::Masked { scan, offset }) => match scan.next_block() {
-                    Some(mut b) => {
-                        let off = *offset;
-                        *offset += b.len as u64;
-                        self.mask_tombstones(&mut b, off);
-                        self.eval_predicate(&mut b);
-                        if b.len > 0 {
-                            return Some(b);
-                        }
-                    }
-                    None => self.base = None,
-                },
-                None => {
-                    if let Some(b) = self.next_delta_block() {
-                        return Some(b);
-                    }
-                    self.done = true;
-                    return None;
-                }
-            }
+        if let Some(b) = self.base.as_mut().and_then(Operator::next_block) {
+            return Some(b);
         }
+        self.base = None;
+        let b = self.next_delta_block();
+        self.done = b.is_none();
+        b
     }
 }
 
@@ -476,7 +407,7 @@ mod tests {
         ));
         assert_eq!(src.merged_rows(), 2600 - 4 + 2);
         let scan = MergedScan::all(Arc::clone(&src), false);
-        assert_eq!(scan.merge_mode(), "tombstone-mask-eval");
+        assert_eq!(scan.merge_mode(), "tombstone-select");
         let blocks = drain(Box::new(scan));
         let total: usize = blocks.iter().map(|b| b.len).sum();
         assert_eq!(total as u64, src.merged_rows());
@@ -514,7 +445,7 @@ mod tests {
 
     #[test]
     fn morsel_ranges_partition_the_merged_scan() {
-        // Both base modes (delegate and tombstone-mask), with a pushed
+        // Both base modes (delegate and tombstone-select), with a pushed
         // predicate and a delta leg: the concatenation of disjoint
         // morsel-ranged scans must emit the same blocks as the whole
         // scan — the merged-source half of the morsel byte-identity

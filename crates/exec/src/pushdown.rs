@@ -1,22 +1,33 @@
-//! Compiling pushed-down predicates into compressed-domain value sets.
+//! Compiling predicates into compressed-domain value sets, and the one
+//! block evaluator built on them.
 //!
-//! The strategic optimizer moves an eligible single-column Filter
-//! predicate into the scan (§4.1.1 generalized to all encodings); the
-//! scan then compiles it here into a [`ValueSet`] whose membership test
-//! on a *raw stored value* is exactly the predicate's truth value under
-//! block-wise evaluation — including the three-valued-logic corners:
-//! comparisons never match the NULL sentinel, `NOT` of a comparison
-//! *does* match it, and comparisons against a NULL literal match
-//! nothing.
+//! A predicate is split into its top-level conjuncts. Each conjunct over
+//! a single column compiles here into a [`ValueSet`] whose membership
+//! test on a *raw stored value* is exactly the conjunct's truth value
+//! under block-wise evaluation — including the three-valued-logic
+//! corners: comparisons never match the NULL sentinel, `NOT` of a
+//! comparison *does* match it, and comparisons against a NULL literal
+//! match nothing. Conjuncts on one column intersect into one set, so a
+//! `BETWEEN` is one interval and a Q6-style conjunction is one set per
+//! column.
 //!
 //! Compilation is shape-only and conservative: `None` means "no exact
 //! integer-domain reading exists" (real arithmetic, string literals,
-//! functions, multi-column comparisons) and the scan keeps the
-//! decode-then-eval path.
+//! functions, multi-column comparisons); such conjuncts stay *residual*
+//! and go through [`eval`].
+//!
+//! [`CompiledPredicate`] is the evaluator over decoded blocks: `Filter`,
+//! the merged scan's delta side and a scan's residual all narrow a
+//! [`Selection`] through it. The scan answers the same value sets on the
+//! stored streams with the per-encoding kernels; both sides test values
+//! with the same [`Matcher`].
 
-use crate::expr::{CmpOp, Expr};
-use tde_encodings::kernel::ValueSet;
-use tde_types::Value;
+use crate::block::{Block, Field, Repr, Schema};
+use crate::expr::{eval, CmpOp, ComputeHeap, Expr};
+use tde_encodings::kernel::{Matcher, ValueSet};
+use tde_encodings::Selection;
+use tde_types::sentinel::NULL_I64;
+use tde_types::{DataType, Value};
 
 /// Compile a predicate over one column into the exact set of raw stored
 /// values it accepts, or `None` when the predicate has no integer-domain
@@ -76,28 +87,159 @@ pub fn compile_value_set(expr: &Expr) -> Option<ValueSet> {
     }
 }
 
-/// Whether the predicate's *shape* admits a value-set compilation — the
-/// strategic optimizer's eligibility test. (Whether the target column's
-/// encoding then has a kernel is the scan's tactical decision.)
-pub fn compilable(expr: &Expr) -> bool {
-    compile_value_set(expr).is_some()
+/// The top-level conjuncts of `expr`: `a AND (b AND c)` is `[a, b, c]`.
+pub fn conjuncts(expr: &Expr) -> Vec<&Expr> {
+    match expr {
+        Expr::And(a, b) => {
+            let mut out = conjuncts(a);
+            out.extend(conjuncts(b));
+            out
+        }
+        other => vec![other],
+    }
 }
 
-/// Compact `v` in place to the rows in the given sorted, disjoint,
-/// half-open local ranges.
-pub fn gather_ranges(v: &mut Vec<i64>, ranges: &[(usize, usize)]) {
-    let mut write = 0usize;
-    for &(lo, hi) in ranges {
-        v.copy_within(lo..hi, write);
-        write += hi - lo;
+/// A predicate split by [`split_conjuncts`].
+pub struct Split<'a> {
+    /// One value set per pushed column: its conjuncts intersected, in
+    /// the order the column's first conjunct appears.
+    pub sets: Vec<(usize, ValueSet)>,
+    /// The conjuncts the sets were compiled from.
+    pub pushed: Vec<&'a Expr>,
+    /// Every other conjunct.
+    pub residual: Vec<&'a Expr>,
+}
+
+/// Split `expr` into its pushed conjuncts and a residual — the one
+/// pushdown rule, shared by the strategic rewrite, the scan and the
+/// block evaluator. A conjunct is pushed when it reads the single column
+/// `c`, `eligible(c)` admits `c`'s raw domain ([`raw_domain`]) and it
+/// compiles to a value set; every other conjunct is residual.
+pub fn split_conjuncts(expr: &Expr, eligible: impl Fn(usize) -> bool) -> Split<'_> {
+    let mut split = Split {
+        sets: Vec::new(),
+        pushed: Vec::new(),
+        residual: Vec::new(),
+    };
+    for conjunct in conjuncts(expr) {
+        let compiled = conjunct
+            .single_column()
+            .filter(|&c| eligible(c))
+            .and_then(|c| Some((c, compile_value_set(conjunct)?)));
+        let Some((c, set)) = compiled else {
+            split.residual.push(conjunct);
+            continue;
+        };
+        match split.sets.iter_mut().find(|(col, _)| *col == c) {
+            Some((_, prior)) => *prior = prior.intersect(&set),
+            None => split.sets.push((c, set)),
+        }
+        split.pushed.push(conjunct);
     }
-    v.truncate(write);
+    split
+}
+
+/// The dictionary codes whose entries lie in `set`, as a set over codes
+/// — what a value set means on an array-compressed column's stored
+/// stream.
+pub(crate) fn code_set(dictionary: &[i64], set: &ValueSet) -> ValueSet {
+    let mut runs: Vec<(i64, i64)> = Vec::new();
+    for (code, &v) in dictionary.iter().enumerate() {
+        if set.contains(v) {
+            let code = code as i64;
+            match runs.last_mut() {
+                Some(last) if last.1 + 1 == code => last.1 = code,
+                _ => runs.push((code, code)),
+            }
+        }
+    }
+    ValueSet::from_intervals(runs)
+}
+
+/// Whether raw `i64`s of type `dtype` admit a value set: scalars
+/// directly, dictionary indexes through their dictionary. Heap tokens
+/// (`heap`) and reals have string / `f64` semantics no integer set
+/// expresses.
+pub fn raw_domain(dtype: DataType, heap: bool) -> bool {
+    dtype != DataType::Real && !heap
+}
+
+/// [`raw_domain`] of a block field.
+pub(crate) fn has_raw_domain(field: &Field) -> bool {
+    let heap = matches!(field.repr, Repr::Token(_) | Repr::TokenCell(_));
+    raw_domain(field.dtype, heap)
+}
+
+/// `set` over the values of an eligible field, read in its raw domain.
+/// A dictionary-index column carries the scalar NULL sentinel where a
+/// left join found no inner row; it stays NULL there.
+fn raw_set(field: &Field, set: &ValueSet) -> ValueSet {
+    match &field.repr {
+        Repr::DictIndex(dict) if set.contains(NULL_I64) => {
+            code_set(dict, set).union(&ValueSet::is_null())
+        }
+        Repr::DictIndex(dict) => code_set(dict, set),
+        _ => set.clone(),
+    }
+}
+
+/// A predicate compiled against a block schema: one value test per
+/// column plus the residual conjuncts. It narrows a [`Selection`] over a
+/// decoded block, the value tests first.
+pub struct CompiledPredicate {
+    tests: Vec<(usize, Matcher)>,
+    residual: Vec<Expr>,
+    /// Created on the first residual evaluation (string literals and
+    /// string functions intern into it).
+    heap: Option<ComputeHeap>,
+}
+
+impl CompiledPredicate {
+    /// Compile `predicate` (over `schema`).
+    pub fn new(predicate: &Expr, schema: &Schema) -> CompiledPredicate {
+        let split = split_conjuncts(predicate, |c| {
+            schema.fields.get(c).is_some_and(has_raw_domain)
+        });
+        let tests = split
+            .sets
+            .into_iter()
+            .map(|(c, set)| (c, Matcher::values(&raw_set(&schema.fields[c], &set))))
+            .collect();
+        CompiledPredicate {
+            tests,
+            residual: split.residual.into_iter().cloned().collect(),
+            heap: None,
+        }
+    }
+
+    /// Narrow `sel` (a selection over `block`) to the rows the predicate
+    /// accepts.
+    fn select(&mut self, schema: &Schema, block: &Block, sel: &mut Selection) {
+        for (c, m) in &self.tests {
+            let values = &block.columns[*c];
+            m.narrow(sel, |i| values[i] as u64);
+        }
+        for e in &self.residual {
+            if sel.is_empty() {
+                return;
+            }
+            let heap = self.heap.get_or_insert_with(ComputeHeap::new);
+            let mask = eval(e, schema, block, &mut Some(heap));
+            sel.retain(|i| mask.data[i] != 0);
+        }
+    }
+
+    /// Keep the rows of `block` the predicate accepts; `sel` is scratch.
+    pub fn filter(&mut self, schema: &Schema, block: &mut Block, sel: &mut Selection) {
+        sel.select_all(block.len);
+        self.select(schema, block, sel);
+        block.select(sel);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tde_types::sentinel::NULL_I64;
 
     #[test]
     fn compiles_cmp_shapes_and_flips_literal_side() {
@@ -130,32 +272,125 @@ mod tests {
     #[test]
     fn uncompilable_shapes_decline() {
         use crate::expr::ArithOp;
-        assert!(!compilable(&Expr::cmp(
-            CmpOp::Eq,
-            Expr::col(0),
-            Expr::col(1)
-        )));
-        assert!(!compilable(&Expr::cmp(
-            CmpOp::Gt,
-            Expr::col(0),
-            Expr::Lit(Value::Real(1.5))
-        )));
-        assert!(!compilable(&Expr::cmp(
-            CmpOp::Eq,
-            Expr::col(0),
-            Expr::Lit(Value::Str("x".into()))
-        )));
         let arith = Expr::Arith(ArithOp::Add, Box::new(Expr::col(0)), Box::new(Expr::int(1)));
-        assert!(!compilable(&Expr::cmp(CmpOp::Gt, arith, Expr::int(5))));
+        for pred in [
+            Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::col(1)),
+            Expr::cmp(CmpOp::Gt, Expr::col(0), Expr::Lit(Value::Real(1.5))),
+            Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::Lit(Value::Str("x".into()))),
+            Expr::cmp(CmpOp::Gt, arith, Expr::int(5)),
+        ] {
+            assert!(compile_value_set(&pred).is_none(), "{pred:?}");
+        }
     }
 
     #[test]
-    fn gather_compacts_ranges_in_place() {
-        let mut v = vec![10, 11, 12, 13, 14, 15, 16, 17];
-        gather_ranges(&mut v, &[(1, 3), (6, 8)]);
-        assert_eq!(v, vec![11, 12, 16, 17]);
-        let mut v = vec![1, 2, 3];
-        gather_ranges(&mut v, &[]);
-        assert!(v.is_empty());
+    fn conjuncts_split_per_column_and_leave_the_rest() {
+        let q6 = Expr::And(
+            Box::new(Expr::And(
+                Box::new(Expr::cmp(CmpOp::Ge, Expr::col(0), Expr::int(5))),
+                Box::new(Expr::cmp(CmpOp::Lt, Expr::col(1), Expr::int(24))),
+            )),
+            Box::new(Expr::And(
+                Box::new(Expr::cmp(CmpOp::Le, Expr::col(0), Expr::int(8))),
+                Box::new(Expr::cmp(CmpOp::Eq, Expr::col(1), Expr::col(2))),
+            )),
+        );
+        let split = split_conjuncts(&q6, |_| true);
+        assert_eq!(split.sets.len(), 2);
+        assert_eq!(
+            (split.sets[0].0, split.sets[0].1.intervals()),
+            (0, &[(5, 8)][..])
+        );
+        assert_eq!(split.sets[1].0, 1);
+        assert_eq!((split.pushed.len(), split.residual.len()), (3, 1));
+        // An ineligible column stays residual.
+        let split = split_conjuncts(&q6, |c| c != 0);
+        assert_eq!((split.sets.len(), split.residual.len()), (1, 3));
+    }
+
+    #[test]
+    fn compiled_predicate_matches_eval_on_dictionary_codes() {
+        use crate::join::{Join, JoinKind};
+        use crate::scan::TableScan;
+        use crate::Operator;
+        use std::sync::Arc;
+        use tde_storage::{ColumnBuilder, Table};
+        let dict = Arc::new(vec![40, 10, NULL_I64, 30]);
+        let dict_field = Field {
+            name: "d".into(),
+            dtype: DataType::Integer,
+            repr: Repr::DictIndex(dict.clone()),
+            metadata: tde_encodings::ColumnMetadata::unknown(),
+        };
+        let schema = Schema::new(vec![dict_field.clone()]);
+        let block = Block::new(vec![vec![0, 1, 2, 3, 1, 0]]);
+        let preds = [
+            Expr::cmp(CmpOp::Ge, Expr::col(0), Expr::int(30)),
+            Expr::IsNull(Box::new(Expr::col(0))),
+            Expr::Not(Box::new(Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::int(10)))),
+        ];
+        for pred in &preds {
+            let mask = eval(pred, &schema, &block, &mut None);
+            let mut sel = Selection::all(block.len);
+            CompiledPredicate::new(pred, &schema).select(&schema, &block, &mut sel);
+            let kept: Vec<usize> = sel
+                .positions()
+                .unwrap()
+                .iter()
+                .map(|&p| p as usize)
+                .collect();
+            let expect: Vec<usize> = (0..block.len).filter(|&i| mask.data[i] != 0).collect();
+            assert_eq!(kept, expect, "{pred:?}");
+        }
+
+        // A Filter over a left join: the unmatched outer keys carry the
+        // scalar NULL sentinel in the joined dictionary-index column, and
+        // it must filter as NULL — the reference evaluates the expanded
+        // values (sentinel kept) as a scalar column.
+        let column = |name: &str, vals: &[i64]| {
+            let mut b = ColumnBuilder::new(name, DataType::Integer, Default::default());
+            vals.iter().for_each(|&v| b.append_i64(v));
+            b.finish().column
+        };
+        let inner = Arc::new(Table::new(
+            "lj_inner",
+            vec![column("k", &[0, 1, 2, 3]), column("d", &[0, 1, 2, 3])],
+        ));
+        let mut inner_schema = TableScan::new(inner.clone()).schema().clone();
+        inner_schema.fields[1] = dict_field;
+        let keys = [0, 1, 99, 2, 3, 77, 1, 0];
+        let outer = Arc::new(Table::new("lj_outer", vec![column("ok", &keys)]));
+        let expanded: Vec<i64> = keys
+            .iter()
+            .map(|&k| dict.get(k as usize).copied().unwrap_or(NULL_I64))
+            .collect();
+        let scalar = Schema::new(vec![Field::scalar("d", DataType::Integer)]);
+        for pred in &preds {
+            let join = Join::new(
+                Box::new(TableScan::new(outer.clone())),
+                &inner,
+                &inner_schema,
+                0,
+                0,
+                &[1],
+                JoinKind::Left,
+            );
+            let filter = crate::filter::Filter::new(Box::new(join), pred.remap_columns(&|_| 1));
+            let kept: Vec<i64> = crate::drain(Box::new(filter))
+                .iter()
+                .flat_map(|b| b.columns[0].clone())
+                .collect();
+            let mask = eval(
+                pred,
+                &scalar,
+                &Block::new(vec![expanded.clone()]),
+                &mut None,
+            );
+            let expect: Vec<i64> = (0..keys.len())
+                .filter(|&i| mask.data[i] != 0)
+                .map(|i| keys[i])
+                .collect();
+            assert_eq!(kept, expect, "left join {pred:?}");
+        }
     }
 }

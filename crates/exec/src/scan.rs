@@ -1,20 +1,19 @@
-//! Table scan: decode stored columns block-at-a-time, optionally
-//! answering a pushed-down predicate in the compressed domain first.
+//! Table scan: decode stored columns block-at-a-time, answering pushed
+//! predicate conjuncts in the compressed domain first and decoding only
+//! the rows that survive them.
 
-use crate::block::{Block, Repr, Schema};
+use crate::block::{Block, Schema};
 use crate::cursor::StreamCursor;
-use crate::expr::{eval, ComputeHeap, Expr};
+use crate::expr::Expr;
 use crate::handle::ColumnHandle;
-use crate::pushdown::{compile_value_set, gather_ranges};
+use crate::pushdown::{code_set, has_raw_domain, split_conjuncts, CompiledPredicate};
 use crate::{Operator, BLOCK_ROWS};
 use std::io;
 use std::sync::Arc;
-use tde_encodings::kernel::{
-    metadata_selection, selection_from_ranges, BlockSelection, PredicateKernel,
-};
+use tde_encodings::kernel::{metadata_selection, Matcher, PredicateKernel, ValueSet};
+use tde_encodings::Selection;
 use tde_pager::PagedTable;
-use tde_storage::{Compression, Table};
-use tde_types::DataType;
+use tde_storage::{Column, Compression, Table};
 
 /// Scans stored columns, emitting one execution block per decompression
 /// block. Compressed columns flow through in their stored representation
@@ -25,6 +24,11 @@ use tde_types::DataType;
 /// share an eager [`Table`] or own pager-resolved columns
 /// ([`TableScan::paged`]) — the latter demand-loads only the projected
 /// columns' segments through the buffer pool.
+///
+/// Each block starts as a [`Selection`] of every row (minus tombstones,
+/// for a merge snapshot's base); each pushed conjunct narrows it, the
+/// surviving rows of every projected column are then decoded into the
+/// output block, and residual conjuncts filter that block last.
 pub struct TableScan {
     handles: Vec<ColumnHandle>,
     schema: Schema,
@@ -34,37 +38,56 @@ pub struct TableScan {
     total_rows: u64,
     rows_done: u64,
     block_idx: usize,
-    pushed: Option<PushedState>,
+    pushed: Option<Pushed>,
+    /// Deleted base rows (global, ascending) a merge snapshot masks out.
+    tombstones: Arc<Vec<u64>>,
+    sel: Selection,
+    /// Per column: its block as a decode-and-test conjunct decoded it,
+    /// current while `decoded` is set (buffers reused block to block).
+    values: Vec<Vec<i64>>,
+    decoded: Vec<bool>,
+    scratch: Vec<i64>,
 }
 
-/// How a pushed predicate is answered, chosen once at scan build
-/// (the tactical decision the optimizer's strategic rewrite defers).
-enum PushKind {
-    /// A per-encoding compressed-domain kernel over the stored stream.
-    Stream(PredicateKernel),
-    /// Array compression: the predicate evaluated once over the
-    /// dictionary values; packed codes are tested against the result.
-    Codes { keep: Vec<bool> },
-    /// Metadata or the dictionary proves every row matches.
-    AllRows,
-    /// Metadata or the dictionary proves no row matches.
-    NoRows,
-    /// Decode-then-eval per block — semantically the Filter operator
-    /// fused into the scan.
-    Fallback,
+/// A pushed predicate, compiled once at scan build: one conjunct per
+/// column whose stored values a value set reads, then the residual.
+struct Pushed {
+    conjuncts: Vec<Conjunct>,
+    residual: Option<Residual>,
+    reported: bool,
 }
 
-struct PushedState {
+/// A value set over one column's stored values and how it is answered —
+/// the tactical choice the optimizer's strategic rewrite defers.
+struct Conjunct {
     col: usize,
-    expr: Expr,
-    kind: PushKind,
-    kind_name: &'static str,
-    column_name: String,
-    heap: Option<ComputeHeap>,
+    kind: Kind,
+    name: &'static str,
+    rows: RowCounts,
+}
+
+enum Kind {
+    /// Metadata or the dictionary decides every row.
+    Const(bool),
+    /// A per-encoding compressed-domain kernel over the stored stream.
+    Kernel(PredicateKernel),
+    /// Decode the column and test its values — the fallback, and what
+    /// `force_fallback` pins every conjunct to.
+    Decode(Matcher),
+}
+
+/// Conjuncts no value set expresses, evaluated over the output block.
+struct Residual {
+    predicate: CompiledPredicate,
+    columns: String,
+    rows: RowCounts,
+}
+
+#[derive(Default)]
+struct RowCounts {
     rows_in: u64,
     rows_out: u64,
     rows_skipped: u64,
-    reported: bool,
 }
 
 impl TableScan {
@@ -125,6 +148,8 @@ impl TableScan {
             .collect();
         let total_rows = handles.iter().map(|h| h.col().len()).min().unwrap_or(0);
         TableScan {
+            values: vec![Vec::new(); handles.len()],
+            decoded: vec![false; handles.len()],
             handles,
             schema: Schema::new(fields),
             cursors,
@@ -134,15 +159,20 @@ impl TableScan {
             rows_done: 0,
             block_idx: 0,
             pushed: None,
+            tombstones: Arc::default(),
+            sel: Selection::default(),
+            scratch: Vec::new(),
         }
     }
 
     /// Apply `predicate` (over the scan's output schema) inside the
-    /// scan. Where the predicate compiles to a value set and the
-    /// column's encoding has a kernel, rows are selected in the
-    /// compressed domain; otherwise the scan decodes and evaluates per
-    /// block, exactly like a Filter above it. `force_fallback` pins the
-    /// decode-then-eval path — the differential oracle's control arm.
+    /// scan. Each conjunct over one column that compiles to a value set
+    /// is answered on that column's stored stream — by its encoding's
+    /// kernel where it has one, else by decoding and testing the values;
+    /// the other conjuncts are evaluated over the decoded output block,
+    /// exactly like a Filter above the scan. `force_fallback` pins every
+    /// conjunct to decode-then-test — the differential oracle's control
+    /// arm.
     pub fn with_pushed(self, predicate: Expr, force_fallback: bool) -> TableScan {
         self.push_predicate(predicate, force_fallback, false)
     }
@@ -156,61 +186,96 @@ impl TableScan {
     }
 
     fn push_predicate(mut self, predicate: Expr, force_fallback: bool, quiet: bool) -> TableScan {
-        let col = predicate.single_column();
-        let column_name = col
-            .and_then(|c| self.schema.fields.get(c).map(|f| f.name.clone()))
-            .unwrap_or_default();
-        let (kind, kind_name) = if force_fallback {
-            (PushKind::Fallback, "forced-fallback")
-        } else {
-            match col {
-                Some(c) if c < self.handles.len() => self.choose_kind(c, &predicate),
-                _ => (PushKind::Fallback, "fallback"),
-            }
-        };
-        let detail = col.map_or_else(
-            || "multi-column predicate".to_string(),
-            |c| {
-                let stored = self.handles[c].col();
-                format!(
-                    "column '{}' ({}, {})",
-                    column_name,
-                    stored.data.algorithm().name(),
-                    match &stored.compression {
-                        Compression::None => "plain",
-                        Compression::Heap { .. } => "heap",
-                        Compression::Array { .. } => "array",
-                    }
-                )
-            },
-        );
-        let encoding = col.map_or("none", |c| self.handles[c].col().data.algorithm().name());
-        if !quiet {
-            tde_obs::metrics::kernel_pushdown(encoding, kind_name);
-            tde_obs::emit(|| tde_obs::Event::Decision {
-                point: "kernel-pushdown",
-                choice: kind_name.to_string(),
-                reason: detail,
+        let split = split_conjuncts(&predicate, |c| {
+            self.schema.fields.get(c).is_some_and(has_raw_domain)
+        });
+        let conjuncts = split
+            .sets
+            .into_iter()
+            .map(|(col, set)| {
+                let stored = self.handles[col].col();
+                let (kind, name) = if force_fallback {
+                    (
+                        Kind::Decode(Matcher::values(&stored_set(stored, &set))),
+                        "forced-fallback",
+                    )
+                } else {
+                    choose_kind(stored, &set)
+                };
+                if !quiet {
+                    let encoding = stored.data.algorithm().name();
+                    tde_obs::metrics::kernel_pushdown(encoding, name);
+                    tde_obs::emit(|| tde_obs::Event::Decision {
+                        point: "kernel-pushdown",
+                        choice: name.to_string(),
+                        reason: format!(
+                            "column '{}' ({encoding}, {})",
+                            stored.name,
+                            match &stored.compression {
+                                Compression::None => "plain",
+                                Compression::Heap { .. } => "heap",
+                                Compression::Array { .. } => "array",
+                            }
+                        ),
+                    });
+                }
+                Conjunct {
+                    col,
+                    kind,
+                    name,
+                    rows: RowCounts::default(),
+                }
+            })
+            .collect();
+        let residual = split
+            .residual
+            .into_iter()
+            .cloned()
+            .reduce(|a, b| Expr::And(Box::new(a), Box::new(b)))
+            .map(|expr| {
+                let names: Vec<&str> = expr
+                    .referenced_columns()
+                    .into_iter()
+                    .filter_map(|c| self.schema.fields.get(c).map(|f| f.name.as_str()))
+                    .collect();
+                let columns = names.join(",");
+                if !quiet {
+                    tde_obs::metrics::kernel_pushdown("none", "fallback");
+                    tde_obs::emit(|| tde_obs::Event::Decision {
+                        point: "kernel-pushdown",
+                        choice: "fallback".to_string(),
+                        reason: format!(
+                            "residual over [{columns}]: no value set, evaluated per block"
+                        ),
+                    });
+                }
+                Residual {
+                    predicate: CompiledPredicate::new(&expr, &self.schema),
+                    columns,
+                    rows: RowCounts::default(),
+                }
             });
-        }
-        self.pushed = Some(PushedState {
-            col: col.unwrap_or(0),
-            expr: predicate,
-            kind,
-            kind_name,
-            column_name,
-            heap: Some(ComputeHeap::new()),
-            rows_in: 0,
-            rows_out: 0,
-            rows_skipped: 0,
+        self.pushed = Some(Pushed {
+            conjuncts,
+            residual,
             reported: quiet,
         });
         self
     }
 
+    /// Mask the base rows `tombstones` (global row ids, strictly
+    /// increasing) out of the scan before any predicate sees them — a
+    /// merge snapshot's deletes are just the first narrowing of each
+    /// block's selection, so the kernels keep working under them.
+    pub(crate) fn with_tombstones(mut self, tombstones: Arc<Vec<u64>>) -> TableScan {
+        debug_assert!(tombstones.windows(2).all(|w| w[0] < w[1]));
+        self.tombstones = tombstones;
+        self
+    }
+
     /// Restrict the scan to decompression blocks `[start, end)` of the
-    /// stream: every cursor (and the pushed kernel, if any) is positioned
-    /// at block `start` in one step and the scan ends after block
+    /// stream: every cursor (and every pushed kernel) is positioned at
+    /// block `start` in one step and the scan ends after block
     /// `end - 1`. Must be applied after any pushed predicate and before
     /// the first read — this is how morsel workers turn one logical scan
     /// into disjoint ranged scans.
@@ -223,8 +288,10 @@ impl TableScan {
             self.cursors[slot].skip_blocks(&h.col().data, start);
         }
         if let Some(p) = &mut self.pushed {
-            if let PushKind::Stream(k) = &mut p.kind {
-                k.seek(&self.handles[p.col].col().data, start_row);
+            for c in &mut p.conjuncts {
+                if let Kind::Kernel(k) = &mut c.kind {
+                    k.seek(&self.handles[c.col].col().data, start_row);
+                }
             }
         }
         self.block_idx = start;
@@ -238,70 +305,143 @@ impl TableScan {
         self.total_rows
     }
 
-    /// The kernel kind a pushed predicate resolved to, if any — used by
-    /// the physical plan to label the scan node.
-    pub fn pushed_kernel(&self) -> Option<&'static str> {
-        self.pushed.as_ref().map(|p| p.kind_name)
+    /// How the pushed predicate is answered, one kernel name per
+    /// conjunct (`fallback` for the residual) — the physical plan's scan
+    /// label.
+    pub fn pushed_kernel(&self) -> Option<String> {
+        let p = self.pushed.as_ref()?;
+        let names: Vec<&str> = p
+            .conjuncts
+            .iter()
+            .map(|c| c.name)
+            .chain(p.residual.as_ref().map(|_| "fallback"))
+            .collect();
+        Some(names.join(","))
     }
 
-    /// Tactical kernel choice for predicate column `c`.
-    fn choose_kind(&self, c: usize, predicate: &Expr) -> (PushKind, &'static str) {
-        let field = &self.schema.fields[c];
-        // Token and real comparisons have heap / f64 semantics that the
-        // integer value set cannot express.
-        if matches!(field.repr, Repr::Token(_) | Repr::TokenCell(_))
-            || field.dtype == DataType::Real
-        {
-            return (PushKind::Fallback, "fallback");
-        }
-        let Some(set) = compile_value_set(predicate) else {
-            return (PushKind::Fallback, "fallback");
-        };
-        let stored = self.handles[c].col();
-        match &stored.compression {
-            Compression::Heap { .. } => (PushKind::Fallback, "fallback"),
-            Compression::Array { dictionary, .. } => {
-                let keep: Vec<bool> = dictionary.iter().map(|&v| set.contains(v)).collect();
-                if keep.iter().all(|&k| !k) {
-                    (PushKind::NoRows, "dict-domain")
-                } else if keep.iter().all(|&k| k) {
-                    (PushKind::AllRows, "dict-domain")
-                } else {
-                    (PushKind::Codes { keep }, "dict-domain")
-                }
-            }
-            Compression::None => match metadata_selection(&stored.metadata, &set) {
-                Some(false) => (PushKind::NoRows, "metadata-minmax"),
-                Some(true) => (PushKind::AllRows, "metadata-minmax"),
-                None => match PredicateKernel::build(&stored.data, &set) {
-                    Some(k) => {
-                        let kind = k.kind();
-                        (PushKind::Stream(k), kind)
-                    }
-                    None => (PushKind::Fallback, "fallback"),
-                },
-            },
-        }
-    }
-
-    /// Emit the once-per-scan kernel telemetry (end of stream).
+    /// Emit the once-per-scan kernel telemetry (end of stream), one
+    /// record per conjunct.
     fn report_kernel(&mut self) {
-        if let Some(p) = &mut self.pushed {
-            if p.reported {
-                return;
-            }
-            p.reported = true;
-            let (column, kernel) = (p.column_name.clone(), p.kind_name.to_string());
-            let (rows_in, rows_out, rows_skipped) = (p.rows_in, p.rows_out, p.rows_skipped);
+        let Some(p) = &mut self.pushed else { return };
+        if p.reported {
+            return;
+        }
+        p.reported = true;
+        let conjuncts = p.conjuncts.iter().map(|c| {
+            let column = self.handles[c.col].col().name.clone();
+            (column, c.name, &c.rows)
+        });
+        let residual = p
+            .residual
+            .iter()
+            .map(|r| (r.columns.clone(), "fallback", &r.rows));
+        for (column, kernel, rows) in conjuncts.chain(residual) {
+            let (rows_in, rows_out, rows_skipped) =
+                (rows.rows_in, rows.rows_out, rows.rows_skipped);
             tde_obs::metrics::kernel_scan_rows(rows_in, rows_out, rows_skipped);
             tde_obs::emit(|| tde_obs::Event::KernelScan {
                 column,
-                kernel,
+                kernel: kernel.to_string(),
                 rows_in,
                 rows_out,
                 rows_skipped,
             });
         }
+    }
+
+    /// Narrow `self.sel` (block `block_idx`, first global row `row0`)
+    /// by the tombstones and every pushed conjunct.
+    fn select_rows(&mut self, block_idx: usize, row0: u64) {
+        let TableScan {
+            handles,
+            cursors,
+            pushed,
+            tombstones,
+            sel,
+            values,
+            decoded,
+            ..
+        } = self;
+        let blen = sel.rows();
+        let lo = tombstones.partition_point(|&t| t < row0);
+        let hi = tombstones.partition_point(|&t| t < row0 + blen as u64);
+        if lo < hi {
+            let mut dead = tombstones[lo..hi]
+                .iter()
+                .map(|&t| (t - row0) as usize)
+                .peekable();
+            sel.retain(|i| dead.next_if_eq(&i).is_none());
+        }
+        let Some(p) = pushed else { return };
+        for c in &mut p.conjuncts {
+            let before = sel.len() as u64;
+            let stream = &handles[c.col].col().data;
+            match &mut c.kind {
+                Kind::Const(true) => {}
+                Kind::Const(false) => sel.clear(),
+                // Called even on an empty selection: the RLE kernel
+                // walks every block in order.
+                Kind::Kernel(k) => k.narrow(stream, block_idx, sel),
+                Kind::Decode(m) => {
+                    if before > 0 {
+                        let v = &mut values[c.col];
+                        v.clear();
+                        cursors[c.col].next(stream, BLOCK_ROWS, v);
+                        v.truncate(blen);
+                        m.narrow(sel, |i| v[i] as u64);
+                        decoded[c.col] = true;
+                    }
+                }
+            }
+            let after = sel.len() as u64;
+            c.rows.rows_in += before;
+            c.rows.rows_out += after;
+            if !matches!(c.kind, Kind::Decode(_)) {
+                c.rows.rows_skipped += before - after;
+            }
+        }
+    }
+}
+
+/// `set` (over values) as a set over the stored stream's raw values —
+/// array compression stores dictionary codes, even when the scan
+/// expands them.
+fn stored_set(stored: &Column, set: &ValueSet) -> ValueSet {
+    match &stored.compression {
+        Compression::Array { dictionary, .. } => code_set(dictionary, set),
+        _ => set.clone(),
+    }
+}
+
+/// Tactical choice for one conjunct's value set over `stored`.
+fn choose_kind(stored: &Column, set: &ValueSet) -> (Kind, &'static str) {
+    match &stored.compression {
+        Compression::Array { dictionary, .. } => {
+            // The set read over the dictionary once: a set of codes, which
+            // the codes stream's own kernel then answers.
+            let codes = code_set(dictionary, set);
+            let kind = if codes.is_empty() {
+                Kind::Const(false)
+            } else if codes.covers(0, dictionary.len() as i64 - 1) {
+                Kind::Const(true)
+            } else {
+                match PredicateKernel::build(&stored.data, &codes) {
+                    Some(k) => Kind::Kernel(k),
+                    None => Kind::Decode(Matcher::values(&codes)),
+                }
+            };
+            (kind, "dict-domain")
+        }
+        _ => match metadata_selection(&stored.metadata, set) {
+            Some(all) => (Kind::Const(all), "metadata-minmax"),
+            None => match PredicateKernel::build(&stored.data, set) {
+                Some(k) => {
+                    let name = k.kind();
+                    (Kind::Kernel(k), name)
+                }
+                None => (Kind::Decode(Matcher::values(set)), "fallback"),
+            },
+        },
     }
 }
 
@@ -321,85 +461,43 @@ impl Operator for TableScan {
                 return None;
             }
             let blen = ((self.total_rows - self.rows_done) as usize).min(BLOCK_ROWS);
-            let block_idx = self.block_idx;
+            let (block_idx, row0) = (self.block_idx, self.rows_done);
             self.block_idx += 1;
             self.rows_done += blen as u64;
-            let pcol = self.pushed.as_ref().map(|p| p.col);
 
-            // Resolve the kernel's selection before decoding anything.
-            // The dict-codes path decodes the predicate column's packed
-            // codes (and only those) to test them; the decoded codes are
-            // reused below so the column is not read twice.
-            let mut pred_data: Option<Vec<i64>> = None;
-            let sel = match &mut self.pushed {
-                None => BlockSelection::All,
-                Some(p) => {
-                    p.rows_in += blen as u64;
-                    match &mut p.kind {
-                        PushKind::Fallback | PushKind::AllRows => BlockSelection::All,
-                        PushKind::NoRows => BlockSelection::Skip,
-                        PushKind::Stream(k) => {
-                            k.eval_block(&self.handles[p.col].col().data, block_idx, blen)
-                        }
-                        PushKind::Codes { keep } => {
-                            let mut codes = Vec::with_capacity(BLOCK_ROWS);
-                            self.cursors[p.col].next(
-                                &self.handles[p.col].col().data,
-                                BLOCK_ROWS,
-                                &mut codes,
-                            );
-                            codes.truncate(blen);
-                            let mut ranges: Vec<(usize, usize)> = Vec::new();
-                            for (i, &code) in codes.iter().enumerate() {
-                                if keep[code as usize] {
-                                    match ranges.last_mut() {
-                                        Some(last) if last.1 == i => last.1 = i + 1,
-                                        _ => ranges.push((i, i + 1)),
-                                    }
-                                }
-                            }
-                            pred_data = Some(codes);
-                            selection_from_ranges(ranges, blen)
-                        }
-                    }
-                }
-            };
+            // Resolve the selection before decoding anything but the
+            // columns a decode-and-test conjunct needs.
+            self.sel.select_all(blen);
+            self.select_rows(block_idx, row0);
 
-            if matches!(sel, BlockSelection::Skip) {
-                // Nothing in this block can match: advance every cursor
-                // without decoding (the predicate column's cursor has
-                // already moved if its codes were read).
+            if self.sel.is_empty() {
+                // Nothing in this block survives: advance every cursor
+                // a conjunct did not already read, without decoding.
                 for (slot, h) in self.handles.iter().enumerate() {
-                    if pred_data.is_some() && Some(slot) == pcol {
-                        continue;
+                    if !std::mem::take(&mut self.decoded[slot]) {
+                        self.cursors[slot].skip(&h.col().data, BLOCK_ROWS);
                     }
-                    self.cursors[slot].skip(&h.col().data, BLOCK_ROWS);
-                }
-                if let Some(p) = &mut self.pushed {
-                    p.rows_skipped += blen as u64;
                 }
                 continue;
             }
 
-            let ranges = match &sel {
-                BlockSelection::Ranges(rs) => Some(rs.as_slice()),
-                _ => None,
-            };
+            // Late materialization: only the surviving rows of each
+            // column are decoded (or gathered from the block a conjunct
+            // already decoded), and dictionary expansion runs over them.
             let mut columns = Vec::with_capacity(self.handles.len());
             for (slot, h) in self.handles.iter().enumerate() {
                 let col = h.col();
-                let mut out = if Some(slot) == pcol && pred_data.is_some() {
-                    pred_data.take().unwrap()
+                let mut out = Vec::with_capacity(self.sel.len());
+                if std::mem::take(&mut self.decoded[slot]) {
+                    self.sel.gather(&self.values[slot], &mut out);
                 } else {
-                    let mut v = Vec::with_capacity(BLOCK_ROWS);
-                    self.cursors[slot].next(&col.data, BLOCK_ROWS, &mut v);
-                    v.truncate(blen);
-                    v
-                };
-                // Select first, expand after: dictionary expansion runs
-                // only over the surviving rows.
-                if let Some(rs) = ranges {
-                    gather_ranges(&mut out, rs);
+                    self.cursors[slot].next_selected(
+                        &col.data,
+                        BLOCK_ROWS,
+                        &self.sel,
+                        &mut self.scratch,
+                        &mut out,
+                    );
                 }
                 if self.expand {
                     if let Compression::Array { dictionary, .. } = &col.compression {
@@ -410,21 +508,15 @@ impl Operator for TableScan {
                 }
                 columns.push(out);
             }
-            let len = columns.first().map_or(0, Vec::len);
-            let mut block = Block { columns, len };
+            let mut block = Block {
+                columns,
+                len: self.sel.len(),
+            };
 
-            if let Some(p) = &mut self.pushed {
-                if matches!(p.kind, PushKind::Fallback) {
-                    // Decode-then-eval, block-for-block identical to the
-                    // Filter operator.
-                    let mut heap = p.heap.as_mut();
-                    let mask = eval(&p.expr, &self.schema, &block, &mut heap);
-                    let keep: Vec<bool> = mask.data.iter().map(|&b| b != 0).collect();
-                    block.filter(&keep);
-                } else {
-                    p.rows_skipped += (blen - block.len) as u64;
-                }
-                p.rows_out += block.len as u64;
+            if let Some(r) = self.pushed.as_mut().and_then(|p| p.residual.as_mut()) {
+                r.rows.rows_in += block.len as u64;
+                r.predicate.filter(&self.schema, &mut block, &mut self.sel);
+                r.rows.rows_out += block.len as u64;
             }
             if block.len == 0 {
                 continue;

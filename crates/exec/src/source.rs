@@ -13,6 +13,7 @@ use crate::block::Schema;
 use crate::expr::Expr;
 use crate::handle::ColumnHandle;
 use crate::merged_scan::{MergedScan, MergedSource};
+use crate::pushdown::{has_raw_domain, raw_domain};
 use crate::scan::TableScan;
 use crate::{BoxOp, Operator};
 use std::fmt;
@@ -88,6 +89,23 @@ impl Source {
             Residency::Eager(t) => t.columns.iter().map(|c| c.name.as_str()).collect(),
             Residency::Paged(t) => t.column_names(),
             Residency::Merged(m) => m.column_names(),
+        }
+    }
+
+    /// Whether a value set can read the named column's stored values
+    /// ([`crate::pushdown::raw_domain`]) — from the column's type and
+    /// compression alone, so planning loads no segment.
+    pub fn raw_domain(&self, column: &str) -> bool {
+        match &self.0 {
+            Residency::Eager(t) => t
+                .column(column)
+                .is_some_and(|c| raw_domain(c.dtype, c.compression.is_heap())),
+            Residency::Paged(t) => t
+                .column_dir(column)
+                .is_some_and(|d| raw_domain(d.dtype, d.ctag == 2)),
+            Residency::Merged(m) => m
+                .index_of(column)
+                .is_some_and(|i| has_raw_domain(&m.fields()[i])),
         }
     }
 

@@ -38,17 +38,19 @@ pub fn choose_hash_strategy(keys: &[&Field]) -> (HashStrategy, Option<KeyPacking
         let names: Vec<&str> = keys.iter().map(|f| f.name.as_str()).collect();
         let reason = match &chosen.1 {
             Some(p) if p.total_bits <= 16 => format!(
-                "keys [{}] pack into {} bits <= 16: direct index into a 64K table",
+                "keys [{}] pack into {} bits <= 16: the packed key indexes a 64K table directly",
                 names.join(", "),
                 p.total_bits
             ),
             Some(p) => format!(
-                "keys [{}] pack into {} bits: collision-free open addressing",
+                "keys [{}] pack into {} bits: open addressing on the packed key, \
+                 a probe compares one word",
                 names.join(", "),
                 p.total_bits
             ),
             None => format!(
-                "keys [{}] have unknown or >64-bit combined range: classic collision hashing",
+                "keys [{}] have unknown or >64-bit combined range: \
+                 hash map on the key tuple, a probe compares every column",
                 names.join(", ")
             ),
         };

@@ -194,3 +194,245 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 }
+
+// ---------------------------------------------------------------------
+// The aggregation core against a row loop
+// ---------------------------------------------------------------------
+
+mod agg_core {
+    use std::collections::HashMap;
+    use std::sync::Arc;
+    use tde_encodings::ColumnMetadata;
+    use tde_exec::aggregate::{AggCore, AggSpec};
+    use tde_exec::expr::AggFunc;
+    use tde_exec::hash::{packed_slot, HashStrategy};
+    use tde_exec::{Block, Field, Repr, Schema, BLOCK_ROWS};
+    use tde_types::sentinel::{is_null_real, null_real, NULL_I64};
+    use tde_types::DataType;
+
+    /// The dictionary behind the dictionary-domain value column.
+    pub const DICT: [i64; 5] = [5, -3, NULL_I64, 40, 7];
+
+    /// Packed keys that start their probe at the same slot in every
+    /// open-addressed table of up to 2^12 slots.
+    pub fn colliding_keys() -> Vec<i64> {
+        let target = packed_slot(0, 64 - 12);
+        (0..1i64 << 20)
+            .filter(|&k| packed_slot(k as u64, 64 - 12) == target)
+            .take(64)
+            .collect()
+    }
+
+    fn field(name: &str, dtype: DataType, repr: Repr, range: Option<(i64, i64)>) -> Field {
+        let mut metadata = ColumnMetadata::unknown();
+        if let Some((lo, hi)) = range {
+            metadata.min = Some(lo);
+            metadata.max = Some(hi);
+        }
+        Field {
+            name: name.into(),
+            dtype,
+            repr,
+            metadata,
+        }
+    }
+
+    /// Two key columns whose metadata picks `strategy`, then integer,
+    /// real and dictionary-coded value columns.
+    pub fn schema(strategy: HashStrategy) -> Schema {
+        let key_range = match strategy {
+            HashStrategy::Direct64K => Some((0, 255)),
+            HashStrategy::Perfect => Some((0, 1 << 20)),
+            HashStrategy::Collision => None,
+        };
+        Schema::new(vec![
+            field("k0", DataType::Integer, Repr::Scalar, key_range),
+            field("k1", DataType::Integer, Repr::Scalar, Some((0, 3))),
+            field("vi", DataType::Integer, Repr::Scalar, None),
+            field("vr", DataType::Real, Repr::Scalar, None),
+            field(
+                "vd",
+                DataType::Integer,
+                Repr::DictIndex(Arc::new(DICT.to_vec())),
+                None,
+            ),
+        ])
+    }
+
+    /// Every function over every value column; `real_sum` keeps the
+    /// order-dependent Real sum, which partials cannot merge exactly.
+    pub fn aggs(real_sum: bool) -> Vec<AggSpec> {
+        let mut out = vec![AggSpec::new(AggFunc::Count, 2, "n")];
+        for col in 2..5 {
+            for func in [AggFunc::Sum, AggFunc::Min, AggFunc::Max] {
+                if real_sum || (func, col) != (AggFunc::Sum, 3) {
+                    out.push(AggSpec::new(func, col, format!("{func:?}{col}")));
+                }
+            }
+        }
+        out
+    }
+
+    pub fn blocks(rows: &[[i64; 5]]) -> Vec<Block> {
+        rows.chunks(BLOCK_ROWS)
+            .map(|chunk| {
+                Block::new(
+                    (0..5)
+                        .map(|c| chunk.iter().map(|r| r[c]).collect())
+                        .collect(),
+                )
+            })
+            .collect()
+    }
+
+    pub fn rows_of(blocks: Vec<Block>) -> Vec<Vec<i64>> {
+        blocks
+            .iter()
+            .flat_map(|b| (0..b.len).map(move |r| b.columns.iter().map(|c| c[r]).collect()))
+            .collect()
+    }
+
+    /// Fold every block into one partial and finish it.
+    pub fn serial(core: &AggCore, blocks: &[Block]) -> Vec<Vec<i64>> {
+        let mut p = core.start();
+        for b in blocks {
+            core.fold_block(&mut p, b);
+        }
+        rows_of(core.finish(p))
+    }
+
+    /// The row loop: groups in first-occurrence order, every aggregate
+    /// folded a row at a time with the engine's NULL and Real rules.
+    pub fn reference(rows: &[[i64; 5]], aggs: &[AggSpec]) -> Vec<Vec<i64>> {
+        let mut ids: HashMap<[i64; 2], usize> = HashMap::new();
+        let mut keys: Vec<[i64; 2]> = Vec::new();
+        // Per group, per aggregate: (value, non-NULL count).
+        let mut accs: Vec<Vec<(i64, i64)>> = Vec::new();
+        for row in rows {
+            let key = [row[0], row[1]];
+            let g = *ids.entry(key).or_insert_with(|| {
+                keys.push(key);
+                accs.push(vec![(0, 0); aggs.len()]);
+                keys.len() - 1
+            });
+            for (a, spec) in aggs.iter().enumerate() {
+                let acc = &mut accs[g][a];
+                let raw = row[spec.col];
+                if spec.func == AggFunc::Count {
+                    acc.1 += 1;
+                    continue;
+                }
+                let raw = if spec.col == 4 && raw != NULL_I64 {
+                    DICT[raw as usize]
+                } else {
+                    raw
+                };
+                if spec.col == 3 {
+                    let x = f64::from_bits(raw as u64);
+                    if is_null_real(x) {
+                        continue;
+                    }
+                    let a = f64::from_bits(acc.0 as u64);
+                    let keep = match spec.func {
+                        _ if acc.1 == 0 => x,
+                        AggFunc::Sum => a + x,
+                        AggFunc::Min if x < a => x,
+                        AggFunc::Max if x > a => x,
+                        _ => a,
+                    };
+                    *acc = (keep.to_bits() as i64, acc.1 + 1);
+                } else if raw != NULL_I64 {
+                    let v = match spec.func {
+                        _ if acc.1 == 0 => raw,
+                        AggFunc::Sum => acc.0.wrapping_add(raw),
+                        AggFunc::Min => acc.0.min(raw),
+                        _ => acc.0.max(raw),
+                    };
+                    *acc = (v, acc.1 + 1);
+                }
+            }
+        }
+        keys.iter()
+            .zip(&accs)
+            .map(|(key, acc)| {
+                let mut out = key.to_vec();
+                out.extend(aggs.iter().zip(acc).map(|(spec, &(v, n))| match spec.func {
+                    AggFunc::Count => n,
+                    _ if n > 0 => v,
+                    _ if spec.col == 3 => null_real().to_bits() as i64,
+                    _ => NULL_I64,
+                }));
+                out
+            })
+            .collect()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(proptest_cases(24)))]
+
+    #[test]
+    fn agg_core_folds_columns_like_the_row_loop(
+        strategy in 0usize..3,
+        rows in vec(((0usize..400, 0i64..4), (-60i64..50, -60i64..50, 0i64..6)), 0..3000),
+        cuts in vec(0usize..3000, 0..4),
+    ) {
+        use agg_core::*;
+        use tde_exec::aggregate::AggCore;
+        use tde_exec::hash::HashStrategy;
+        use tde_types::sentinel::{null_real, NULL_I64};
+
+        let strategy = [HashStrategy::Direct64K, HashStrategy::Perfect, HashStrategy::Collision][strategy];
+        let crafted = colliding_keys();
+        let rows: Vec<[i64; 5]> = rows
+            .iter()
+            .map(|&((k, k1), (vi, vr, vd))| {
+                let k0 = match strategy {
+                    HashStrategy::Direct64K => (k % 200) as i64,
+                    // Half the keys probe from one shared slot.
+                    HashStrategy::Perfect if k < 200 => crafted[k % crafted.len()],
+                    HashStrategy::Perfect => (k as i64 * 7919) % (1 << 20),
+                    HashStrategy::Collision => (k as i64).wrapping_mul(1_000_000_007),
+                };
+                let vi = if vi < -50 { NULL_I64 } else { vi };
+                let vr = match vr {
+                    v if v < -50 => null_real().to_bits() as i64,
+                    // Both zeros: equal as reals, different as bits.
+                    0 => (-0.0f64).to_bits() as i64,
+                    1 => 0.0f64.to_bits() as i64,
+                    v => (v as f64 / 4.0).to_bits() as i64,
+                };
+                // Code 5 is past the dictionary: a join's injected NULL.
+                let vd = if vd == 5 { NULL_I64 } else { vd };
+                [k0, k1, vi, vr, vd]
+            })
+            .collect();
+        let schema = schema(strategy);
+        for real_sum in [true, false] {
+            let aggs = aggs(real_sum);
+            let core = AggCore::hash(&schema, vec![0, 1], aggs.clone());
+            prop_assert_eq!(core.strategy(), Some(strategy));
+            let expect = reference(&rows, &aggs);
+            let got = serial(&core, &blocks(&rows));
+            prop_assert_eq!(&got, &expect);
+            if real_sum {
+                continue;
+            }
+            // Morsel split: fold each slice alone, hand over without the
+            // index, absorb in input order.
+            let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(rows.len())).collect();
+            cuts.push(0);
+            cuts.push(rows.len());
+            cuts.sort_unstable();
+            let mut merged = core.start();
+            for w in cuts.windows(2) {
+                let mut p = core.start();
+                for b in blocks(&rows[w[0]..w[1]]) {
+                    core.fold_block(&mut p, &b);
+                }
+                core.absorb(&mut merged, p.without_index());
+            }
+            prop_assert_eq!(rows_of(core.finish(merged)), expect);
+        }
+    }
+}

@@ -23,6 +23,7 @@
 //! task order.
 
 use crate::logical::{InnerOps, LogicalPlan};
+use tde_exec::pushdown::split_conjuncts;
 use tde_exec::Expr;
 use tde_storage::Compression;
 use tde_types::DataType;
@@ -246,42 +247,51 @@ fn rewrite_filter_pushdown(plan: LogicalPlan, opts: OptimizerOptions) -> Logical
 }
 
 /// Kernel pushdown (§3.1): when the dictionary and index-table rules
-/// decline, a single-column predicate that compiles to a value set is
-/// folded into the scan itself, so the per-encoding kernels can answer
-/// it without decompression — for every source alike (under a merge
-/// overlay the base side keeps its kernels when tombstone-free and the
-/// delta side evaluates per block). A predicate already pushed (by a
-/// stacked filter) composes with `AND`.
+/// decline, every conjunct of the predicate that
+/// [`split_conjuncts`] pushes — one column with a raw domain, compiling
+/// to a value set — is folded into the scan itself, so the
+/// per-encoding kernels can answer it without decompression — for every
+/// source alike (under a merge overlay the base side keeps its kernels
+/// with tombstones masked out of the selection, and the delta side
+/// evaluates per block). The other conjuncts stay in a Filter above the
+/// scan. A predicate already pushed (by a stacked filter) composes with
+/// `AND`.
 fn rewrite_kernel_pushdown(
-    input: Box<LogicalPlan>,
+    mut input: Box<LogicalPlan>,
     predicate: Expr,
     opts: OptimizerOptions,
 ) -> LogicalPlan {
-    if !opts.kernel_pushdown
-        || predicate.single_column().is_none()
-        || !tde_exec::pushdown::compilable(&predicate)
-    {
+    let LogicalPlan::Scan {
+        source,
+        columns,
+        predicate: prior,
+        ..
+    } = input.as_mut()
+    else {
         return LogicalPlan::Filter { input, predicate };
-    }
-    match *input {
-        LogicalPlan::Scan {
-            source,
-            columns,
-            expand_dictionaries,
-            predicate: prior,
-        } => LogicalPlan::Scan {
-            source,
-            columns,
-            expand_dictionaries,
-            predicate: Some(match prior {
-                Some(p) => Expr::And(Box::new(p), Box::new(predicate)),
-                None => predicate,
-            }),
+    };
+    let split = split_conjuncts(&predicate, |c| {
+        columns.get(c).is_some_and(|n| source.raw_domain(n))
+    });
+    let and = |parts: Vec<&Expr>| {
+        parts
+            .into_iter()
+            .cloned()
+            .reduce(|a, b| Expr::And(Box::new(a), Box::new(b)))
+    };
+    let (true, Some(pushed)) = (opts.kernel_pushdown, and(split.pushed)) else {
+        return LogicalPlan::Filter { input, predicate };
+    };
+    *prior = Some(match prior.take() {
+        Some(p) => Expr::And(Box::new(p), Box::new(pushed)),
+        None => pushed,
+    });
+    match and(split.residual) {
+        Some(rest) => LogicalPlan::Filter {
+            input,
+            predicate: rest,
         },
-        other => LogicalPlan::Filter {
-            input: Box::new(other),
-            predicate,
-        },
+        None => *input,
     }
 }
 
@@ -563,5 +573,70 @@ mod tests {
             .build();
         let opt = optimize(plan, OptimizerOptions::default());
         assert!(matches!(opt, LogicalPlan::Filter { .. }));
+    }
+
+    #[test]
+    fn every_single_column_conjunct_is_pushed_and_the_rest_stays() {
+        let t = rle_table();
+        let cmp = |op, c, v| Expr::cmp(op, Expr::col(c), Expr::int(v));
+        let q6 = Expr::And(
+            Box::new(Expr::And(
+                Box::new(cmp(CmpOp::Ge, 1, 3)),
+                Box::new(cmp(CmpOp::Lt, 0, 40)),
+            )),
+            Box::new(Expr::cmp(CmpOp::Gt, Expr::col(0), Expr::col(1))),
+        );
+        let plan = PlanBuilder::scan(&t).filter(q6).build();
+        let opt = optimize(plan, OptimizerOptions::default());
+        let LogicalPlan::Filter { input, predicate } = &opt else {
+            panic!("expected a residual Filter, got {opt:?}");
+        };
+        assert_eq!(predicate.referenced_columns(), vec![0, 1]);
+        let LogicalPlan::Scan {
+            predicate: Some(pushed),
+            ..
+        } = input.as_ref()
+        else {
+            panic!("expected a pushed scan, got {input:?}");
+        };
+        assert_eq!(tde_exec::pushdown::conjuncts(pushed).len(), 2);
+    }
+
+    #[test]
+    fn real_and_heap_conjuncts_stay_in_the_filter() {
+        // The planner pushes exactly what the scan can answer on stored
+        // values: a Real or string-heap column has no raw domain, so its
+        // conjunct stays above the scan even though it compiles.
+        let mut o = ColumnBuilder::new("o", DataType::Integer, EncodingPolicy::default());
+        let mut r = ColumnBuilder::new("r", DataType::Real, EncodingPolicy::default());
+        let mut s = ColumnBuilder::new("s", DataType::Str, EncodingPolicy::default());
+        for i in 0..1_000i64 {
+            o.append_i64(i % 31);
+            r.append_f64(i as f64 / 7.0);
+            s.append_str(Some(["a", "b"][i as usize % 2]));
+        }
+        let t = Arc::new(Table::new(
+            "mixed",
+            vec![o.finish().column, r.finish().column, s.finish().column],
+        ));
+        let cmp = |c| Expr::cmp(CmpOp::Lt, Expr::col(c), Expr::int(5));
+        let pred = Expr::And(
+            Box::new(Expr::And(Box::new(cmp(0)), Box::new(cmp(1)))),
+            Box::new(Expr::IsNull(Box::new(Expr::col(2)))),
+        );
+        let plan = PlanBuilder::scan(&t).filter(pred).build();
+        let opt = optimize(plan, OptimizerOptions::default());
+        let LogicalPlan::Filter { input, predicate } = &opt else {
+            panic!("expected a residual Filter, got {opt:?}");
+        };
+        assert_eq!(predicate.referenced_columns(), vec![1, 2]);
+        let LogicalPlan::Scan {
+            predicate: Some(pushed),
+            ..
+        } = input.as_ref()
+        else {
+            panic!("expected a pushed scan, got {input:?}");
+        };
+        assert_eq!(pushed.referenced_columns(), vec![0]);
     }
 }

@@ -1,19 +1,23 @@
 //! Differential oracle for the compressed-domain predicate kernels.
 //!
 //! Every (encoding × compression × predicate-shape) combination is run
-//! through three paths that must agree row-for-row:
+//! through four paths that must agree:
 //!
 //! 1. the kernel path — `TableScan::with_pushed(pred, false)`, where the
 //!    per-encoding kernels (§3.1) answer in the compressed domain;
 //! 2. the forced fallback — `TableScan::with_pushed(pred, true)`, the
-//!    same scan pinned to decode-then-eval;
-//! 3. the reference — a `Filter` operator above an unpushed scan.
+//!    same scan pinned to decode-then-test;
+//! 3. a `Filter` operator above an unpushed scan;
+//! 4. the row loop — the predicate evaluated by `eval` over each
+//!    unpushed block and the kept rows copied out one by one, sharing
+//!    no selection code with the other three.
 //!
 //! Tables carry a row-id rider column so a kernel that skips blocks on
 //! the predicate column but misaligns the other cursors is caught by
-//! the row ids, not just the predicate values. The same checks run at
-//! the query level (optimizer pushdown on vs off) and against paged v2
-//! storage.
+//! the row ids, not just the predicate values. The multi-conjunct rider
+//! pushes Q6-shaped conjunctions over six encodings at once and
+//! compares the paths block for block. The same checks run at the query
+//! level (optimizer pushdown on vs off) and against paged v2 storage.
 
 mod common;
 
@@ -21,10 +25,10 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use std::sync::Arc;
 use tde::encodings::EncodedStream;
-use tde::exec::expr::CmpOp;
+use tde::exec::expr::{eval, CmpOp, ComputeHeap};
 use tde::exec::filter::Filter;
 use tde::exec::scan::TableScan;
-use tde::exec::{BoxOp, Expr};
+use tde::exec::{Block, BoxOp, Expr, Operator};
 use tde::pager::save_v2;
 use tde::plan::strategic::OptimizerOptions;
 use tde::storage::{Column, ColumnBuilder, Compression, Database, EncodingPolicy, Table};
@@ -62,7 +66,7 @@ fn plain_table(data: &[i64], s: EncodedStream) -> Arc<Table> {
 }
 
 // ---------------------------------------------------------------------
-// The three paths
+// The four paths
 // ---------------------------------------------------------------------
 
 fn rows_of(mut op: BoxOp) -> Vec<Vec<i64>> {
@@ -80,16 +84,59 @@ fn scan(t: &Arc<Table>, expand: bool) -> TableScan {
     TableScan::project(Arc::clone(t), &names, expand)
 }
 
-/// Assert kernel == forced fallback == Filter for one predicate.
+/// The row loop: `pred` evaluated by `eval` over each block of an
+/// unpushed scan, kept rows copied out one by one, empty blocks dropped.
+fn row_loop_blocks(mut scan: TableScan, pred: &Expr) -> Vec<Block> {
+    let schema = scan.schema().clone();
+    let mut heap = ComputeHeap::new();
+    let mut out = Vec::new();
+    while let Some(b) = scan.next_block() {
+        let mask = eval(pred, &schema, &b, &mut Some(&mut heap));
+        let columns: Vec<Vec<i64>> = b
+            .columns
+            .iter()
+            .map(|c| {
+                (0..b.len)
+                    .filter(|&r| mask.data[r] != 0)
+                    .map(|r| c[r])
+                    .collect()
+            })
+            .collect();
+        let len = columns.first().map_or(0, Vec::len);
+        if len > 0 {
+            out.push(Block { columns, len });
+        }
+    }
+    out
+}
+
+fn blocks_of(mut op: impl Operator) -> Vec<Block> {
+    std::iter::from_fn(|| op.next_block()).collect()
+}
+
+/// Assert the kernel path, the forced fallback and `Filter` all emit the
+/// row loop's blocks for one predicate.
 fn assert_paths_agree(t: &Arc<Table>, expand: bool, name: &str, pred: &Expr) {
-    let reference = rows_of(Box::new(Filter::new(
+    let reference = row_loop_blocks(scan(t, expand), pred);
+    let rows = |blocks: &[Block]| -> Vec<Vec<i64>> {
+        blocks
+            .iter()
+            .flat_map(|b| (0..b.len).map(move |r| b.columns.iter().map(|c| c[r]).collect()))
+            .collect()
+    };
+    let filtered = rows_of(Box::new(Filter::new(
         Box::new(scan(t, expand)),
         pred.clone(),
     )));
-    let forced = rows_of(Box::new(scan(t, expand).with_pushed(pred.clone(), true)));
-    assert_eq!(forced, reference, "forced fallback differs: {name}");
-    let kernel = rows_of(Box::new(scan(t, expand).with_pushed(pred.clone(), false)));
-    assert_eq!(kernel, reference, "kernel path differs: {name}");
+    assert_eq!(filtered, rows(&reference), "Filter differs: {name}");
+    for (path, force) in [("forced fallback", true), ("kernel path", false)] {
+        let got = blocks_of(scan(t, expand).with_pushed(pred.clone(), force));
+        assert_eq!(got.len(), reference.len(), "{path} block count: {name}");
+        for (i, (g, r)) in got.iter().zip(&reference).enumerate() {
+            assert_eq!(g.len, r.len, "{path} block {i} length: {name}");
+            assert_eq!(g.columns, r.columns, "{path} block {i}: {name}");
+        }
+    }
 }
 
 /// Every predicate shape the pushdown compiler accepts, parameterized
@@ -397,6 +444,192 @@ proptest! {
         }
         std::fs::remove_file(&path).ok();
     }
+}
+
+// ---------------------------------------------------------------------
+// Multi-conjunct rider: Q6-shaped conjunctions over six encodings
+// ---------------------------------------------------------------------
+
+/// One column per encoding family — frame-of-reference, dictionary
+/// stream, run-length, sorted delta, array compression, heap strings —
+/// plus the raw row-id rider, `n` rows each; NULL rows wherever the
+/// encoding stores the sentinel.
+fn rider_table(n: usize, seed: u64) -> Arc<Table> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move |m: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % m) as i64
+    };
+    let f: Vec<i64> = (0..n).map(|_| -40 + next(128)).collect();
+    let palette = [-33, -17, -5, -1, 0, 1, 4, 9, 21, 36, NULL_I64, -40];
+    let d: Vec<i64> = (0..n).map(|_| palette[next(12) as usize]).collect();
+    let mut r = Vec::with_capacity(n);
+    while r.len() < n {
+        let v = match next(90) - 45 {
+            v if v < -40 => NULL_I64,
+            v => v,
+        };
+        let run = (1 + next(200) as usize).min(n - r.len());
+        r.extend(std::iter::repeat_n(v, run));
+    }
+    let mut at = next(50) - 25;
+    let sorted: Vec<i64> = (0..n)
+        .map(|_| {
+            at += next(4);
+            at
+        })
+        .collect();
+    let codes: Vec<i64> = (0..n).map(|_| next(8)).collect();
+    let mut h = ColumnBuilder::new("h", DataType::Str, EncodingPolicy::default());
+    for _ in 0..n {
+        h.append_str(["alpha", "beta", "gamma"].get(next(4) as usize).copied());
+    }
+    let rid: Vec<i64> = (0..n as i64).collect();
+    let scalar = |name: &str, data: &[i64], s: EncodedStream| {
+        Column::scalar(name, DataType::Integer, stream_of(data, s))
+    };
+    Arc::new(Table::new(
+        "rider",
+        vec![
+            scalar("f", &f, EncodedStream::new_frame(Width::W8, true, -40, 7)),
+            scalar("d", &d, EncodedStream::new_dict(Width::W8, true, 4)),
+            scalar(
+                "r",
+                &r,
+                EncodedStream::new_rle(Width::W8, true, Width::W4, Width::W8),
+            ),
+            scalar(
+                "s",
+                &sorted,
+                EncodedStream::new_delta(Width::W8, true, 0, 2),
+            ),
+            Column {
+                name: "a".into(),
+                dtype: DataType::Integer,
+                data: stream_of(&codes, EncodedStream::new_dict(Width::W8, false, 3)),
+                compression: Compression::Array {
+                    dictionary: vec![-45, -12, -1, 0, 3, 17, 29, NULL_I64],
+                    sorted: false,
+                },
+                metadata: tde::encodings::ColumnMetadata::unknown(),
+            },
+            h.finish().column,
+            scalar("rid", &rid, EncodedStream::new_raw(Width::W8, true)),
+        ],
+    ))
+}
+
+/// The conjunction of the picked shapes on the picked integer columns,
+/// a NULL test on the heap column, and — by `residual` — a conjunct no
+/// value set expresses.
+fn rider_predicate(picks: &[(usize, usize, i64, i64)], residual: usize) -> Expr {
+    let mut parts: Vec<Expr> = picks
+        .iter()
+        .map(|&(col, shape, a, b)| {
+            let (_, e) = shapes(a, b).swap_remove(shape);
+            e.remap_columns(&|_| col)
+        })
+        .collect();
+    parts.push(Expr::Not(Box::new(Expr::IsNull(Box::new(Expr::col(5))))));
+    match residual {
+        1 => parts.push(Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::col(6))),
+        2 => parts.push(Expr::cmp(
+            CmpOp::Ne,
+            Expr::col(5),
+            Expr::Lit(tde::types::Value::Str("beta".into())),
+        )),
+        _ => {}
+    }
+    parts
+        .into_iter()
+        .reduce(|a, b| Expr::And(Box::new(a), Box::new(b)))
+        .expect("at least one conjunct")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(common::proptest_cases(32)))]
+
+    #[test]
+    fn multi_conjunct_rider_agrees(
+        n in 0usize..3500,
+        seed in 0u64..1_000_000,
+        picks in vec((0usize..5, 0usize..13, -45i64..90, -45i64..90), 1..5),
+        residual in 0usize..3,
+    ) {
+        let t = rider_table(n, seed);
+        let pred = rider_predicate(&picks, residual);
+        let name = format!("n={n} seed={seed} {pred:?}");
+        for expand in [false, true] {
+            assert_paths_agree(&t, expand, &name, &pred);
+        }
+        let kernel_only = OptimizerOptions {
+            invisible_joins: false,
+            index_tables: false,
+            ordered_retrieval: false,
+            kernel_pushdown: true,
+            parallelism: 1,
+        };
+        let run = |opts| Query::scan(&t).filter(pred.clone()).with_optimizer(opts).rows();
+        let unpushed = OptimizerOptions { kernel_pushdown: false, ..kernel_only };
+        prop_assert_eq!(run(kernel_only), run(unpushed), "query rows differ: {}", name);
+    }
+}
+
+/// The frame-of-reference offset kernel at its edges: a frame at
+/// `i64::MIN` (offset 0 is the NULL sentinel), 0 and 64 packing bits,
+/// and intervals straddling the header envelope.
+#[test]
+fn pinned_for_offset_kernel_edges() {
+    let data: Vec<i64> = (0..2500)
+        .map(|i| {
+            if i % 7 == 0 {
+                NULL_I64
+            } else {
+                i64::MIN + 1 + i % 60
+            }
+        })
+        .collect();
+    let t = plain_table(
+        &data,
+        EncodedStream::new_frame(Width::W8, true, i64::MIN, 6),
+    );
+    check_all_shapes(&t, false, i64::MIN + 10, i64::MIN + 40);
+    check_all_shapes(&t, false, i64::MIN, i64::MIN + 1);
+
+    let t = plain_table(
+        &[77; 2100],
+        EncodedStream::new_frame(Width::W8, true, 77, 0),
+    );
+    check_all_shapes(&t, false, 77, 78);
+    check_all_shapes(&t, false, 76, 77);
+
+    let extremes = [i64::MIN, i64::MAX, -1, 0, 1, i64::MIN + 1, 1 << 62];
+    let data: Vec<i64> = (0..2100).map(|i| extremes[i % extremes.len()]).collect();
+    let t = plain_table(
+        &data,
+        EncodedStream::new_frame(Width::W8, true, i64::MIN, 64),
+    );
+    check_all_shapes(&t, false, -1, 1 << 62);
+    check_all_shapes(&t, false, i64::MIN + 1, i64::MAX);
+
+    // Envelope [100, 115].
+    let data: Vec<i64> = (0..2100).map(|i| 100 + i % 16).collect();
+    let t = plain_table(&data, EncodedStream::new_frame(Width::W8, true, 100, 4));
+    for (a, b) in [
+        (110, 200),
+        (90, 103),
+        (99, 100),
+        (115, 116),
+        (50, 99),
+        (116, 300),
+    ] {
+        check_all_shapes(&t, false, a, b);
+    }
+    let straddling = Expr::cmp(CmpOp::Ge, Expr::col(0), Expr::int(110));
+    let pushed = scan(&t, false).with_pushed(straddling, false);
+    assert_eq!(pushed.pushed_kernel().as_deref(), Some("for-offset"));
 }
 
 // ---------------------------------------------------------------------

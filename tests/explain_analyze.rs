@@ -120,14 +120,44 @@ fn report_has_operator_stats_decisions_and_telemetry() {
 
 #[test]
 fn untraced_execution_records_nothing() {
-    let t = sales_table();
-    // A plain run must not leave a recorder installed or panic in any
-    // emit path.
+    // A table of its own, so an event naming it can only come from the
+    // untraced query below — siblings in this binary install traces
+    // concurrently, so the process-global enabled flag says nothing
+    // about this query.
+    let mut day = ColumnBuilder::new("un_day", DataType::Date, Default::default());
+    for i in 0..20_000i64 {
+        day.append_i64(9_000 + i % 2_000);
+    }
+    let t = Arc::new(Table::new("un_sales", vec![day.finish().column]));
+    // A probe installed and uninstalled before the query: its guard
+    // must reset the recorder, so nothing the query emits reaches it.
+    let probe = tde::obs::Trace::new();
+    drop(tde::obs::install(&probe));
+    // A plain run must not panic in any emit path…
     let rows = Query::scan(&t)
         .filter(Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::int(9_050)))
         .rows();
     assert_eq!(rows.len(), 50 * 10); // 50 days x 10 rows each
-    assert!(!tde::obs::is_enabled());
+    let ours: Vec<Event> = probe
+        .events()
+        .into_iter()
+        .filter(|e| format!("{e:?}").contains("un_"))
+        .collect();
+    assert!(ours.is_empty(), "untraced query recorded {ours:?}");
+    // …nor leave a recorder installed: a fresh trace still installs. A
+    // leaked guard would hold the installer lock forever, so the attempt
+    // runs on its own thread and the test fails instead of hanging.
+    let (done, installed) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        drop(tde::obs::install(&tde::obs::Trace::new()));
+        let _ = done.send(());
+    });
+    assert!(
+        installed
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .is_ok(),
+        "the untraced query left the recorder installed"
+    );
 }
 
 /// A dictionary-encoded integer column (no array compression, so the
@@ -193,45 +223,52 @@ fn kernel_scan_telemetry_on_dict_eligible_predicate() {
 }
 
 /// A frame-of-reference column whose envelope only partially overlaps
-/// the predicate: no kernel can decide it, so the scan must record the
-/// fallback decision and report zero skipped rows.
+/// the predicate is answered on the packed offsets, skipping rows
+/// without decoding them; a raw column has no kernel at all, so the
+/// scan must record the fallback decision and report zero skipped rows.
 #[test]
 fn kernel_scan_telemetry_on_ineligible_predicate_falls_back() {
     let vals: Vec<i64> = (0..8_000).map(|i| i % 64).collect();
-    let mut s = EncodedStream::new_frame(Width::W8, true, 0, 6);
+    let mut frame = EncodedStream::new_frame(Width::W8, true, 0, 6);
+    let mut raw = EncodedStream::new_raw(Width::W8, true);
     for c in vals.chunks(BLOCK_SIZE) {
-        s.append_block(c).unwrap();
+        frame.append_block(c).unwrap();
+        raw.append_block(c).unwrap();
     }
     let t = Arc::new(Table::new(
         "kf_t",
-        vec![Column::scalar("kf_v", DataType::Integer, s)],
+        vec![
+            Column::scalar("kf_for", DataType::Integer, frame),
+            Column::scalar("kf_v", DataType::Integer, raw),
+        ],
     ));
-    let report = Query::scan(&t)
-        .filter(Expr::cmp(CmpOp::Gt, Expr::col(0), Expr::int(30)))
-        .explain_analyze();
-    assert_eq!(
-        report.row_count,
-        vals.iter().filter(|&&v| v > 30).count() as u64
-    );
-    assert!(
-        report.events.iter().any(|e| matches!(
-            e,
-            Event::Decision { point, choice, reason }
-                if *point == "kernel-pushdown"
-                    && choice == "fallback"
-                    && reason.contains("kf_v")
-        )),
-        "no fallback decision in {:?}",
-        report.events
-    );
-    let fell_back = report.kernel_scans().into_iter().any(|e| {
-        matches!(
-            e,
-            Event::KernelScan { column, kernel, rows_skipped, .. }
-                if column == "kf_v" && kernel == "fallback" && *rows_skipped == 0
-        )
-    });
-    assert!(fell_back, "no fallback kernel-scan in {:?}", report.events);
+    let expect = vals.iter().filter(|&&v| v > 30).count() as u64;
+    for (col, kernel, skips) in [(0, "for-offset", true), (1, "fallback", false)] {
+        let name = ["kf_for", "kf_v"][col];
+        let report = Query::scan(&t)
+            .filter(Expr::cmp(CmpOp::Gt, Expr::col(col), Expr::int(30)))
+            .explain_analyze();
+        assert_eq!(report.row_count, expect);
+        assert!(
+            report.events.iter().any(|e| matches!(
+                e,
+                Event::Decision { point, choice, reason }
+                    if *point == "kernel-pushdown"
+                        && choice == kernel
+                        && reason.contains(name)
+            )),
+            "no {kernel} decision in {:?}",
+            report.events
+        );
+        let scanned = report.kernel_scans().into_iter().any(|e| {
+            matches!(
+                e,
+                Event::KernelScan { column, kernel: k, rows_skipped, .. }
+                    if column == name && k == kernel && (*rows_skipped > 0) == skips
+            )
+        });
+        assert!(scanned, "no {kernel} kernel-scan in {:?}", report.events);
+    }
 }
 
 /// A grand total over a run-length column routes through RunAggregate

@@ -211,11 +211,13 @@ fn failed_queries_stay_observable() {
 fn timeline_spans_and_explain_analyze_report_the_same_measurement() {
     let _guard = trace_lock().lock().unwrap();
 
-    // 240k rows, an unsorted 1000-value key: hash group-by territory.
+    // 240k rows, an unsorted 60 000-value key: hash group-by territory,
+    // with enough groups and aggregates that hashing and folding
+    // outweigh decoding the two columns.
     let mut k = ColumnBuilder::new("k", DataType::Integer, EncodingPolicy::default());
     let mut v = ColumnBuilder::new("v", DataType::Integer, EncodingPolicy::default());
     for i in 0..240_000i64 {
-        k.append_i64((i * 7_919) % 1_000);
+        k.append_i64((i * 7_919) % 60_000);
         v.append_i64((i * 2_654_435_761) % 1_000_000);
     }
     let t = Arc::new(Table::new(
@@ -226,7 +228,8 @@ fn timeline_spans_and_explain_analyze_report_the_same_measurement() {
     type Shape = fn(Query) -> Query;
     let shapes: [(&str, Shape); 2] = [
         ("HashAggregate", |q| {
-            q.aggregate(vec![0], vec![(AggFunc::Sum, 1, "s")])
+            let aggs = [AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Count];
+            q.aggregate(vec![0], aggs.iter().map(|&f| (f, 1, "a")).collect())
         }),
         ("Sort", |q| {
             q.sort(vec![(1, tde::exec::sort::SortOrder::Asc)])
