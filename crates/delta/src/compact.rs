@@ -8,10 +8,10 @@
 //! [`tde_exec::flow_table`]'s dynamic per-column encoder (MorphStore
 //! would call this re-morphing), producing a fresh table whose every
 //! column was re-encoded against the *post-mutation* value
-//! distribution. Shared heaps survive by reference: the merged snapshot
-//! extends the base heap append-only and FlowTable's frozen-token path
-//! re-uses that same `Arc`, so no string bytes are copied per
-//! compaction.
+//! distribution. Shared heaps survive by reference: FlowTable's
+//! frozen-token path re-uses the snapshot's heap `Arc` — the base's own
+//! when the delta brought no new string, otherwise the snapshot's
+//! overlay (one copy of the base heap, extended append-only).
 //!
 //! [`DeltaExtract`] ties the store to the v2 paged file: deltas persist
 //! as opaque aux payloads in the footer directory, every save goes
@@ -51,6 +51,10 @@ impl DeltaTable {
         let tombstones = self.tombstone_count();
         let name = self.name().to_owned();
         let src = self.snapshot()?;
+        let snapshot_nanos = t0.elapsed().as_nanos() as u64;
+        // The index describes the base this compaction replaces: free it
+        // before the re-encode rather than after.
+        self.drop_index();
         let scan = MergedScan::all(src, false);
         let built = flow_table(Box::new(scan), &name, FlowTableOptions { policy });
         let table = built.table;
@@ -62,13 +66,21 @@ impl DeltaTable {
         }
         let nanos = t0.elapsed().as_nanos() as u64;
         tde_obs::metrics::compaction(nanos);
-        tde_obs::timeline::compaction(&name, delta_rows, tombstones, table.row_count(), nanos);
+        tde_obs::timeline::compaction(
+            &name,
+            delta_rows,
+            tombstones,
+            table.row_count(),
+            nanos,
+            snapshot_nanos,
+        );
         tde_obs::emit(|| tde_obs::Event::Compaction {
             table: name.clone(),
             delta_rows,
             tombstones,
             rows_out: table.row_count(),
             nanos,
+            snapshot_nanos,
         });
         self.reset_onto(BaseTable::Eager(Arc::clone(&table)));
         Ok(table)

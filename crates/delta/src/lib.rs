@@ -19,7 +19,9 @@
 //!   dictionaries/heaps extend the base's (base tokens stay valid —
 //!   both are append-only), with every compression-derived metadata
 //!   claim widened so the optimizer never acts on a fact the delta
-//!   falsified.
+//!   falsified. Values translate through one index per base (the heap
+//!   accelerator seeded from each base heap, a value → code map per
+//!   dictionary), so a snapshot's cost follows the delta, not the base.
 //! * A **compactor** ([`DeltaTable::compact`], or the background
 //!   [`Compactor`] thread) drains the merged stream back through the
 //!   dynamic encoder into a fresh read-optimized table, restoring every

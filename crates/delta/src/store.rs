@@ -3,15 +3,16 @@
 use std::collections::{BTreeSet, HashMap};
 use std::io;
 use std::sync::Arc;
+use std::time::Instant;
 use tde_encodings::metadata::Knowledge;
 use tde_exec::block::Block;
 use tde_exec::handle::ColumnHandle;
 use tde_exec::merged_scan::MergedSource;
 use tde_exec::{Field, Repr, BLOCK_ROWS};
 use tde_pager::PagedTable;
-use tde_storage::{StringHeap, Table};
+use tde_storage::{HeapAccelerator, StringHeap, Table};
 use tde_types::sentinel::{null_real, NULL_I64, NULL_TOKEN};
-use tde_types::{DataType, Value, Width};
+use tde_types::{Collation, DataType, Value, Width};
 
 /// Delta-store configuration.
 #[derive(Debug, Clone)]
@@ -162,6 +163,61 @@ fn raw_for(col: &str, dtype: DataType, v: &Value) -> io::Result<Raw> {
     })
 }
 
+/// Marks a memoized delta value the base does not hold.
+const MISS: i64 = i64::MIN;
+
+/// One column's translation state against the current base: the index
+/// that maps a buffered value to the base's stored form, and the memo of
+/// what it answered for each delta row so far (a base token or code, or
+/// [`MISS`]). Delta rows never change once appended, so a snapshot looks
+/// up only the rows appended since the last one.
+#[derive(Debug)]
+enum ColumnIndex {
+    /// Stored raw — nothing to translate.
+    Scalar,
+    /// Heap column: every base heap entry, seeded once. Where the heap
+    /// repeats a string the last token is the representative.
+    Heap {
+        index: HeapAccelerator,
+        memo: Vec<i64>,
+    },
+    /// Array-compressed column: value → code (the last code where the
+    /// dictionary repeats a value).
+    Dict {
+        index: HashMap<i64, i64>,
+        memo: Vec<i64>,
+    },
+}
+
+impl ColumnIndex {
+    fn of(field: &Field) -> ColumnIndex {
+        match &field.repr {
+            Repr::Token(heap) => ColumnIndex::Heap {
+                index: HeapAccelerator::from_heap(heap),
+                memo: Vec::new(),
+            },
+            Repr::DictIndex(dict) => ColumnIndex::Dict {
+                index: dict
+                    .iter()
+                    .enumerate()
+                    .map(|(c, &v)| (v, c as i64))
+                    .collect(),
+                memo: Vec::new(),
+            },
+            _ => ColumnIndex::Scalar,
+        }
+    }
+}
+
+/// The per-base index of a [`DeltaTable`]: built by the first snapshot
+/// with delta rows to translate, dropped whenever the base changes.
+#[derive(Debug, Default)]
+struct BaseIndex {
+    columns: Option<Vec<ColumnIndex>>,
+    /// Builds so far, over every base.
+    builds: u64,
+}
+
 /// An append-friendly row/column hybrid buffer over one base table.
 ///
 /// Row-id space: ids `0..base_rows` address base rows; id
@@ -180,6 +236,7 @@ pub struct DeltaTable {
     pub(crate) tombstones: BTreeSet<u64>,
     bytes: usize,
     config: DeltaConfig,
+    index: parking_lot::Mutex<BaseIndex>,
 }
 
 impl DeltaTable {
@@ -206,6 +263,7 @@ impl DeltaTable {
             tombstones: BTreeSet::new(),
             bytes: 0,
             config,
+            index: parking_lot::Mutex::default(),
         }
     }
 
@@ -257,6 +315,12 @@ impl DeltaTable {
     /// Approximate bytes the buffer holds.
     pub fn buffered_bytes(&self) -> usize {
         self.bytes
+    }
+
+    /// How many times this buffer built its base index: once per base
+    /// that a snapshot had delta rows to translate against.
+    pub fn base_index_builds(&self) -> u64 {
+        self.index.lock().builds
     }
 
     /// Whether a merged scan would be identical to a base scan.
@@ -419,6 +483,7 @@ impl DeltaTable {
             .sum::<usize>()
             + rows;
         self.cols = cols;
+        self.drop_index();
         self.live = vec![true; rows];
         self.dead_rows = 0;
         self.bytes = bytes;
@@ -431,6 +496,13 @@ impl DeltaTable {
         assert_eq!(base.row_count(), self.base_rows, "rebind changed rows");
         assert_eq!(base.schema(), self.schema, "rebind changed schema");
         self.base = base;
+        self.drop_index();
+    }
+
+    /// Forget the per-base index (the base or the buffered rows it
+    /// memoizes are being replaced); the next snapshot rebuilds it.
+    pub(crate) fn drop_index(&mut self) {
+        self.index.get_mut().columns = None;
     }
 
     /// Materialize the *base* table eagerly (save path — the delta is
@@ -452,6 +524,7 @@ impl DeltaTable {
         self.schema = base.schema();
         self.base_rows = base.row_count();
         self.base = base;
+        self.drop_index();
         self.cols = self
             .schema
             .iter()
@@ -467,22 +540,37 @@ impl DeltaTable {
     /// [`tde_exec::merged_scan::MergedScan`].
     ///
     /// Per column this (a) translates buffered values into the base's
-    /// stored representation — heap tokens or dictionary codes —
-    /// extending a *clone* of the heap/dictionary only when the delta
-    /// introduces values the base never saw (base tokens/codes stay
-    /// valid: both structures are append-only), and (b) widens every
-    /// metadata claim the delta may have falsified, so the optimizer
-    /// never fetch-joins or run-folds through a lie.
+    /// stored representation — heap tokens or dictionary codes — through
+    /// the per-base index (built by the first snapshot with delta rows,
+    /// dropped when the base changes), extending a *clone* of the
+    /// heap/dictionary only when the delta introduces values the base
+    /// never saw (base tokens/codes stay valid: both structures are
+    /// append-only), and (b) widens every metadata claim the delta may
+    /// have falsified, so the optimizer never fetch-joins or run-folds
+    /// through a lie.
     pub fn snapshot(&self) -> io::Result<Arc<MergedSource>> {
+        let t0 = Instant::now();
         let handles = self.base.handles()?;
         let mut fields: Vec<Field> = handles.iter().map(|h| h.field(false)).collect();
         let live_rows = self.delta_rows() as usize;
+        let mut index = self.index.lock();
+        let index_built = live_rows > 0 && index.columns.is_none();
+        if index_built {
+            index.columns = Some(fields.iter().map(ColumnIndex::of).collect());
+            index.builds += 1;
+        }
         let mut delta_cols: Vec<Vec<i64>> = Vec::with_capacity(fields.len());
-        for (col, field) in self.cols.iter().zip(fields.iter_mut()) {
-            let raws = self.project_column(col, field)?;
+        for (c, field) in fields.iter_mut().enumerate() {
+            let raws = match &mut index.columns {
+                Some(columns) if live_rows > 0 => {
+                    self.project_column(&self.cols[c], field, &mut columns[c])?
+                }
+                _ => Vec::new(),
+            };
             self.widen_metadata(field, &raws);
             delta_cols.push(raws);
         }
+        drop(index);
         let mut blocks = Vec::new();
         let mut at = 0usize;
         while at < live_rows {
@@ -492,85 +580,84 @@ impl DeltaTable {
             ));
             at = end;
         }
-        Ok(Arc::new(MergedSource::new(
+        let source = Arc::new(MergedSource::new(
             self.name().to_owned(),
             handles,
             fields,
             self.base_rows,
             Arc::new(self.tombstones.iter().copied().collect()),
             blocks,
-        )))
+        ));
+        let nanos = t0.elapsed().as_nanos() as u64;
+        tde_obs::metrics::delta_snapshot(nanos);
+        tde_obs::timeline::delta_snapshot(
+            self.name(),
+            live_rows as u64,
+            self.tombstone_count(),
+            index_built,
+            nanos,
+        );
+        Ok(source)
     }
 
     /// Translate one buffered column's live rows into the merged
-    /// representation, extending `field.repr`'s heap/dictionary if the
-    /// delta holds values the base domain lacks.
-    fn project_column(&self, col: &DeltaVals, field: &mut Field) -> io::Result<Vec<i64>> {
-        let live = |i: usize| self.live[i];
-        match (col, &field.repr) {
-            (DeltaVals::Ints(vals), Repr::Scalar) => Ok(vals
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| live(i))
-                .map(|(_, &v)| v)
-                .collect()),
-            (DeltaVals::Ints(vals), Repr::DictIndex(dict)) => {
-                let mut code_of: HashMap<i64, i64> = dict
-                    .iter()
-                    .enumerate()
-                    .map(|(c, &v)| (v, c as i64))
-                    .collect();
-                let mut merged: Option<Vec<i64>> = None;
-                let raws = vals
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| live(i))
-                    .map(|(_, &v)| {
-                        *code_of.entry(v).or_insert_with(|| {
-                            let m = merged.get_or_insert_with(|| dict.as_ref().clone());
-                            m.push(v);
-                            (m.len() - 1) as i64
-                        })
+    /// representation. Rows appended since the last snapshot are looked
+    /// up in `index` once and memoized; a value the base lacks copies
+    /// the base heap/dictionary into an overlay at its first live use,
+    /// and new values are appended there in first-appearance order over
+    /// the live rows, deduplicated among themselves.
+    fn project_column(
+        &self,
+        col: &DeltaVals,
+        field: &mut Field,
+        index: &mut ColumnIndex,
+    ) -> io::Result<Vec<i64>> {
+        match (col, &field.repr, index) {
+            (DeltaVals::Ints(vals), Repr::Scalar, ColumnIndex::Scalar) => {
+                Ok(self.map_live(vals.iter(), |&v| v))
+            }
+            (DeltaVals::Ints(vals), Repr::DictIndex(dict), ColumnIndex::Dict { index, memo }) => {
+                let seen = memo.len();
+                memo.extend(vals[seen..].iter().map(|v| *index.get(v).unwrap_or(&MISS)));
+                let mut overlay: Option<(Vec<i64>, HashMap<i64, i64>)> = None;
+                let raws = self.map_live(vals.iter().zip(memo.iter()), |(&v, &code)| {
+                    if code != MISS {
+                        return code;
+                    }
+                    let (merged, fresh) =
+                        overlay.get_or_insert_with(|| (dict.to_vec(), HashMap::new()));
+                    *fresh.entry(v).or_insert_with(|| {
+                        merged.push(v);
+                        (merged.len() - 1) as i64
                     })
-                    .collect();
-                if let Some(m) = merged {
-                    field.repr = Repr::DictIndex(Arc::new(m));
+                });
+                if let Some((merged, _)) = overlay {
+                    field.repr = Repr::DictIndex(Arc::new(merged));
                 }
                 Ok(raws)
             }
-            (DeltaVals::Strs(vals), Repr::Token(heap)) => {
-                let heap = Arc::clone(heap);
-                // Heaps do not deduplicate, so several tokens may map to
-                // one string; any of them is a valid representative.
-                let token_of: HashMap<&str, i64> =
-                    heap.iter().map(|(t, s)| (s, t as i64)).collect();
-                let mut overlay: Option<StringHeap> = None;
-                let mut fresh: Vec<(String, i64)> = Vec::new();
-                let mut raws = Vec::new();
-                for (i, s) in vals.iter().enumerate() {
-                    if !live(i) {
-                        continue;
+            (DeltaVals::Strs(vals), Repr::Token(heap), ColumnIndex::Heap { index, memo }) => {
+                let seen = memo.len();
+                memo.extend(vals[seen..].iter().map(|s| match s {
+                    None => NULL_TOKEN as i64,
+                    Some(s) => index.lookup(heap, s).map_or(MISS, |t| t as i64),
+                }));
+                let mut overlay: Option<(StringHeap, HeapAccelerator)> = None;
+                let raws = self.map_live(vals.iter().zip(memo.iter()), |(s, &token)| {
+                    if token != MISS {
+                        return token;
                     }
-                    let Some(s) = s else {
-                        raws.push(NULL_TOKEN as i64);
-                        continue;
-                    };
-                    if let Some(&t) = token_of.get(s.as_str()) {
-                        raws.push(t);
-                    } else if let Some((_, t)) = fresh.iter().find(|(f, _)| f == s) {
-                        raws.push(*t);
-                    } else {
-                        let h = overlay.get_or_insert_with(|| {
-                            StringHeap::from_bytes(heap.as_bytes().to_vec())
-                        });
-                        let t = h.append(s) as i64;
-                        fresh.push((s.clone(), t));
-                        raws.push(t);
-                    }
-                }
-                drop(token_of);
-                if let Some(h) = overlay {
-                    field.repr = Repr::Token(Arc::new(h));
+                    let s = s.as_deref().expect("a NULL is never a miss");
+                    let (merged, fresh) = overlay.get_or_insert_with(|| {
+                        (
+                            heap.as_ref().clone(),
+                            HeapAccelerator::new(Collation::Binary),
+                        )
+                    });
+                    fresh.intern(merged, s) as i64
+                });
+                if let Some((merged, _)) = overlay {
+                    field.repr = Repr::Token(Arc::new(merged));
                     // The appended entries land at the end in insertion
                     // order — a sorted heap is almost certainly sorted
                     // no longer.
@@ -586,6 +673,17 @@ impl DeltaTable {
                 ),
             )),
         }
+    }
+
+    /// `f` of every live delta row's item of `rows`, in append order.
+    fn map_live<T>(&self, rows: impl Iterator<Item = T>, mut f: impl FnMut(T) -> i64) -> Vec<i64> {
+        let mut out = Vec::with_capacity(self.delta_rows() as usize);
+        for (v, &live) in rows.zip(&self.live) {
+            if live {
+                out.push(f(v));
+            }
+        }
+        out
     }
 
     /// Widen `field.metadata` for the live delta rows `raws` (already
@@ -789,5 +887,280 @@ pub(crate) mod tests {
         let all: Vec<i64> = blocks.iter().flat_map(|b| b.columns[0].clone()).collect();
         assert_eq!(all.len(), 403);
         assert_eq!(&all[400..], &[20, 77, NULL_I64]);
+    }
+    // ---- The per-base index against the translation it replaced ----
+
+    /// The delta side of a snapshot: the raw (stored-domain) values of
+    /// column `col` for the live delta rows, in append order.
+    fn delta_raws(src: &Arc<MergedSource>, col: usize) -> Vec<i64> {
+        let blocks = drain(Box::new(MergedScan::all(Arc::clone(src), false)));
+        let all: Vec<i64> = blocks
+            .iter()
+            .flat_map(|b| b.columns[col].iter().copied())
+            .collect();
+        all[all.len() - src.delta_rows() as usize..].to_vec()
+    }
+
+    /// The heap translation snapshots did before the per-base index, kept
+    /// as the oracle: a map over every base entry (so the last of a
+    /// repeated entry wins), a linear list of new strings, and a
+    /// `from_bytes` copy of the heap on the first one. Returns the tokens
+    /// and the overlay heap's bytes.
+    fn reference_tokens(
+        heap: &StringHeap,
+        vals: &[&Option<String>],
+    ) -> (Vec<i64>, Option<Vec<u8>>) {
+        let token_of: HashMap<&str, i64> = heap.iter().map(|(t, s)| (s, t as i64)).collect();
+        let mut overlay: Option<StringHeap> = None;
+        let mut fresh: Vec<(String, i64)> = Vec::new();
+        let mut raws = Vec::new();
+        for s in vals {
+            let Some(s) = s else {
+                raws.push(NULL_TOKEN as i64);
+                continue;
+            };
+            if let Some(&t) = token_of.get(s.as_str()) {
+                raws.push(t);
+            } else if let Some((_, t)) = fresh.iter().find(|(f, _)| f == s) {
+                raws.push(*t);
+            } else {
+                let h = overlay.get_or_insert_with(|| {
+                    StringHeap::from_bytes(heap.as_bytes().to_vec()).unwrap()
+                });
+                let t = h.append(s) as i64;
+                fresh.push((s.clone(), t));
+                raws.push(t);
+            }
+        }
+        (raws, overlay.map(|h| h.as_bytes().to_vec()))
+    }
+
+    /// The dictionary translation snapshots did before the per-base
+    /// index: a value → code map over the whole dictionary per snapshot.
+    fn reference_codes(dict: &[i64], vals: &[i64]) -> (Vec<i64>, Option<Vec<i64>>) {
+        let mut code_of: HashMap<i64, i64> = dict
+            .iter()
+            .enumerate()
+            .map(|(c, &v)| (v, c as i64))
+            .collect();
+        let mut merged: Option<Vec<i64>> = None;
+        let raws = vals
+            .iter()
+            .map(|&v| {
+                *code_of.entry(v).or_insert_with(|| {
+                    let m = merged.get_or_insert_with(|| dict.to_vec());
+                    m.push(v);
+                    (m.len() - 1) as i64
+                })
+            })
+            .collect();
+        (raws, merged)
+    }
+
+    /// Snapshot `dt` and check heap column `col` token for token and
+    /// byte for byte against [`reference_tokens`] over its current base.
+    fn assert_heap_translation(dt: &DeltaTable, col: usize) -> Arc<MergedSource> {
+        let Repr::Token(base_heap) = dt.base.handles().unwrap()[col].field(false).repr else {
+            panic!("column {col} is not a heap column");
+        };
+        let DeltaVals::Strs(vals) = &dt.cols[col] else {
+            panic!("column {col} buffers no strings");
+        };
+        let live: Vec<&Option<String>> = vals
+            .iter()
+            .zip(&dt.live)
+            .filter(|(_, &l)| l)
+            .map(|(s, _)| s)
+            .collect();
+        let (want, want_heap) = reference_tokens(&base_heap, &live);
+        let src = dt.snapshot().unwrap();
+        assert_eq!(delta_raws(&src, col), want, "tokens");
+        match (&src.fields()[col].repr, want_heap) {
+            (Repr::Token(h), Some(bytes)) => assert_eq!(h.as_bytes(), &bytes[..], "overlay bytes"),
+            (Repr::Token(h), None) => assert_eq!(h.as_bytes(), base_heap.as_bytes(), "no overlay"),
+            (other, _) => panic!("merged repr {other:?}"),
+        }
+        src
+    }
+
+    /// `i`-th string of a delta batch: base strings, hundreds of new ones
+    /// (repeating within and across batches), `""` and NULL.
+    fn mixed_str(batch: u64, i: u64) -> Option<String> {
+        let h = (batch * 7919 + i).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+        match h % 8 {
+            0 => None,
+            1 => Some(String::new()),
+            2 | 3 => Some(["ann", "bob", "cat", "dup"][(h / 8) as usize % 4].to_owned()),
+            _ => Some(format!("new{}", (h / 8) % 300)),
+        }
+    }
+
+    /// One heap column built with the accelerator off, so its heap repeats
+    /// entries (`"dup"` three times, `""` twice).
+    fn repeating_heap_table() -> Arc<Table> {
+        let policy = EncodingPolicy {
+            acceleration: false,
+            sort_heaps: false,
+            ..EncodingPolicy::default()
+        };
+        let mut name = ColumnBuilder::new("name", DataType::Str, policy);
+        for s in ["dup", "ann", "dup", "", "bob", "cat", "dup", ""] {
+            name.append_str(Some(s));
+        }
+        Arc::new(Table::new("rep", vec![name.finish().column]))
+    }
+
+    #[test]
+    fn heap_translation_matches_the_per_snapshot_reference() {
+        let mut dt = DeltaTable::from_eager(repeating_heap_table());
+        for batch in 0..6u64 {
+            let rows: Vec<Vec<Value>> = (0..150)
+                .map(|i| vec![mixed_str(batch, i).map_or(Value::Null, Value::Str)])
+                .collect();
+            dt.append_rows(&rows).unwrap();
+            let first = dt.base_rows() + batch * 150;
+            dt.delete(&[first + 3, first + 40, batch]).unwrap();
+            assert_heap_translation(&dt, 0);
+        }
+        assert_eq!(dt.base_index_builds(), 1);
+    }
+
+    #[test]
+    fn repeated_heap_entries_resolve_to_the_last_token() {
+        let table = repeating_heap_table();
+        let heap = Arc::clone(table.columns[0].heap().unwrap());
+        assert_eq!(heap.len(), 8, "built with the accelerator off");
+        let last = |want: &str| {
+            heap.iter()
+                .filter(|&(_, s)| s == want)
+                .map(|(t, _)| t as i64)
+                .last()
+                .unwrap()
+        };
+        let mut dt = DeltaTable::from_eager(table);
+        dt.append_rows(&[
+            vec![Value::Str("dup".into())],
+            vec![Value::Str(String::new())],
+            vec![Value::Str("ann".into())],
+        ])
+        .unwrap();
+        let src = assert_heap_translation(&dt, 0);
+        assert_eq!(delta_raws(&src, 0), [last("dup"), last(""), last("ann")]);
+    }
+
+    #[test]
+    fn a_string_new_before_compaction_resolves_to_the_new_base_after_it() {
+        let mut dt = DeltaTable::from_eager(people(50));
+        dt.append_rows(&[row(50, Some("zed"), None), row(51, Some("ann"), None)])
+            .unwrap();
+        assert_heap_translation(&dt, 1);
+        let table = dt.compact().unwrap();
+        // "zed" is a base string now: the index the first snapshot built
+        // must not answer for the new base.
+        dt.append_rows(&[row(52, Some("zed"), None), row(53, Some("yan"), None)])
+            .unwrap();
+        let src = assert_heap_translation(&dt, 1);
+        let heap = table.column("name").unwrap().heap().unwrap();
+        let zed = heap.iter().find(|&(_, s)| s == "zed").unwrap().0 as i64;
+        assert_eq!(delta_raws(&src, 1)[0], zed);
+        assert_eq!(dt.base_index_builds(), 2);
+    }
+
+    #[test]
+    fn the_index_is_rebuilt_after_save_rebinds_the_base() {
+        use crate::compact::DeltaExtract;
+        let dir = std::env::temp_dir().join(format!("tde-delta-rebind-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("extract.tde2");
+        let mut db = tde_storage::Database::new();
+        db.add_table((*people(40)).clone());
+        tde_pager::save_v2_atomic(&db, &path).unwrap();
+
+        let mut ex = DeltaExtract::open(&path).unwrap();
+        ex.delta_mut("people")
+            .unwrap()
+            .append_rows(&[row(40, Some("zed"), None), row(41, Some("bob"), None)])
+            .unwrap();
+        assert_heap_translation(ex.delta("people").unwrap(), 1);
+        ex.save().unwrap();
+        let dt = ex.delta_mut("people").unwrap();
+        dt.append_rows(&[row(42, Some("zed"), None), row(43, Some("amy"), None)])
+            .unwrap();
+        let src = assert_heap_translation(dt, 1);
+        let raws = delta_raws(&src, 1);
+        assert_eq!(raws[0], raws[2], "one token per new string");
+        assert_eq!(dt.base_index_builds(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn dictionary_codes_extend_like_the_per_snapshot_reference() {
+        let dictionary = vec![10, 20, 10, NULL_I64 + 1];
+        let codes: Vec<i64> = (0..300i64).map(|i| i % 4).collect();
+        let r = tde_encodings::dynamic::encode_all(&codes, Width::W8, false);
+        let col = tde_storage::Column {
+            name: "d".into(),
+            dtype: DataType::Integer,
+            data: r.stream,
+            compression: tde_storage::Compression::Array {
+                dictionary: dictionary.clone(),
+                sorted: false,
+            },
+            metadata: tde_encodings::ColumnMetadata::unknown(),
+        };
+        let mut dt = DeltaTable::from_eager(Arc::new(Table::new("t", vec![col])));
+        let mut appended: Vec<i64> = Vec::new();
+        for batch in 0..4i64 {
+            let vals: Vec<Value> = (0..90i64)
+                .map(|i| match (i * 31 + batch * 7) % 9 {
+                    0 => Value::Null,
+                    1 | 2 => Value::Int(10),
+                    3 => Value::Int(20),
+                    k => Value::Int(100 + (i * k + batch) % 40),
+                })
+                .collect();
+            appended.extend(vals.iter().map(|v| match v {
+                Value::Int(x) => *x,
+                _ => NULL_I64,
+            }));
+            dt.append_rows(&vals.into_iter().map(|v| vec![v]).collect::<Vec<_>>())
+                .unwrap();
+            let (want, want_dict) = reference_codes(&dictionary, &appended);
+            let src = dt.snapshot().unwrap();
+            assert_eq!(delta_raws(&src, 0), want, "codes after batch {batch}");
+            let Repr::DictIndex(got_dict) = &src.fields()[0].repr else {
+                panic!("dictionary column lost its dictionary");
+            };
+            assert_eq!(**got_dict, want_dict.unwrap_or_else(|| dictionary.clone()));
+        }
+        assert_eq!(dt.base_index_builds(), 1);
+    }
+
+    /// The CI scaling check, as a count rather than a timing: N snapshots
+    /// of one base build its index once, a snapshot with nothing to
+    /// translate builds none, and compaction's new base gets a new one.
+    #[test]
+    fn the_base_index_is_built_once_per_base() {
+        let mut dt = DeltaTable::from_eager(people(200));
+        dt.delete(&[1, 2, 3]).unwrap();
+        dt.snapshot().unwrap();
+        assert_eq!(dt.base_index_builds(), 0, "tombstones alone need no index");
+        for n in 0..16i64 {
+            dt.append_rows(&[row(200 + n, Some(&format!("n{n}")), Some(0.5))])
+                .unwrap();
+            dt.snapshot().unwrap();
+        }
+        assert_eq!(dt.base_index_builds(), 1);
+        dt.compact().unwrap();
+        assert_eq!(
+            dt.base_index_builds(),
+            1,
+            "compaction's own snapshot reuses it"
+        );
+        dt.append_rows(&[row(300, Some("n3"), None)]).unwrap();
+        for _ in 0..4 {
+            dt.snapshot().unwrap();
+        }
+        assert_eq!(dt.base_index_builds(), 2);
     }
 }

@@ -4,8 +4,12 @@
 //! [`DeltaTable`] over the built base table (merged snapshots, tombstone
 //! masking, mid-sequence compaction through the dynamic encoder) and a
 //! plain vector-of-rows model that applies the same mutations by hand.
-//! After the interleaving, the engine's merged view must agree with a
-//! table rebuilt *from scratch* from the model's surviving rows:
+//! After *every* op a fresh snapshot must show the model's row count and
+//! give the case's full plan the answer a table rebuilt *from scratch*
+//! from the model's surviving rows gives — each snapshot translates the
+//! delta through the store's per-base index, so an index that outlived
+//! its base fails at the op it misleads. After the interleaving, the
+//! merged view must also agree with the rebuild:
 //!
 //! * the case's full plan over `Query::scan` vs the rebuild, under
 //!   every build-policy variant the re-encoding oracle already uses (the
@@ -44,8 +48,12 @@ fn mix(salt: u64, k: u64) -> u64 {
 /// The `i`-th appended row for `salt`, in the spec's base schema.
 /// Deterministic and generator-free so a replayed case appends the very
 /// rows the sweep did. Values mostly land inside the base's likely
-/// domain (so predicates and dictionaries hit), with NULLs and
-/// heap-extending fresh strings mixed in.
+/// domain (so predicates and dictionaries hit), with NULLs mixed in.
+/// Strings reach every case of the snapshot's translation: base words,
+/// the suffixed shape of the generator's many-distinct heaps (equal to
+/// base entries when the base has them), `""`, and 6 × 300 new strings —
+/// hundreds distinct in a large append, repeating within and across
+/// batches, so a compaction turns earlier new strings into base entries.
 fn appended_row(spec: &CaseSpec, salt: u64, i: u64) -> Vec<Value> {
     spec.columns
         .iter()
@@ -57,14 +65,19 @@ fn appended_row(spec: &CaseSpec, salt: u64, i: u64) -> Vec<Value> {
             }
             match col.dtype() {
                 ColDtype::Int => Value::Int((h % 201) as i64 - 100),
-                ColDtype::Str => {
-                    if h.is_multiple_of(5) {
+                ColDtype::Str => Value::Str(match (h >> 40) % 10 {
+                    0 => String::new(),
+                    1..=3 => {
                         let w = FRESH_WORDS[(h / 7) as usize % FRESH_WORDS.len()];
-                        Value::Str(format!("{w}{}", h % 3))
-                    } else {
-                        Value::Str(WORDS[(h / 11) as usize % WORDS.len()].to_string())
+                        format!("{w}{}", (h >> 20) % 300)
                     }
-                }
+                    4 | 5 => format!(
+                        "{}{}",
+                        WORDS[(h / 11) as usize % WORDS.len()],
+                        (h >> 24) % 64
+                    ),
+                    _ => WORDS[(h / 11) as usize % WORDS.len()].to_string(),
+                }),
             }
         })
         .collect()
@@ -139,6 +152,7 @@ pub fn delta_diff(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Discrepancy>
     // deleted appends keep their slot, exactly like the store). `None`
     // marks a deleted row; compaction keeps survivors and renumbers.
     let mut slots: Vec<Option<Vec<Value>>> = base_rows_of(spec).into_iter().map(Some).collect();
+    let mut last = None;
     for (opno, op) in spec.delta.iter().enumerate() {
         match op {
             DeltaOpSpec::Append { count, salt } => {
@@ -153,10 +167,8 @@ pub fn delta_diff(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Discrepancy>
             }
             DeltaOpSpec::Delete { start, step, count } => {
                 let total = slots.len() as u64;
-                if total == 0 {
-                    continue;
-                }
                 let ids: Vec<u64> = (0..*count as u64)
+                    .filter(|_| total > 0)
                     .map(|k| start.wrapping_add(k.wrapping_mul(*step)) % total)
                     .collect();
                 if let Err(e) = dt.delete(&ids) {
@@ -175,34 +187,46 @@ pub fn delta_diff(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Discrepancy>
                 slots.retain(Option::is_some);
             }
         }
-    }
-
-    let live = slots.iter().flatten().count() as u64;
-    if dt.merged_rows() != live {
-        ds.push(fail(format!(
-            "store sees {} merged row(s), model has {live}",
-            dt.merged_rows()
-        )));
-        return;
-    }
-    let src = match dt.snapshot() {
-        Ok(s) => s,
-        Err(e) => {
-            ds.push(fail(format!("snapshot: {e}")));
+        // After every op: the merged row count and the full plan over a
+        // fresh snapshot agree with the model, so an index left over from
+        // an earlier base or an earlier batch shows at the op it misleads.
+        let live = slots.iter().flatten().count() as u64;
+        if dt.merged_rows() != live {
+            ds.push(fail(format!(
+                "op #{opno}: store sees {} merged row(s), model has {live}",
+                dt.merged_rows()
+            )));
             return;
         }
+        let snapshot = match dt.snapshot() {
+            Ok(s) => s,
+            Err(e) => {
+                ds.push(fail(format!("op #{opno} snapshot: {e}")));
+                return;
+            }
+        };
+        let merged = canon(spec.apply_plan(Query::scan(&snapshot)).rows());
+        let model = respec(spec, &slots);
+        if let Err(e) = model.validate() {
+            ds.push(fail(format!("op #{opno}: rebuilt spec invalid: {e}")));
+            return;
+        }
+        let rebuilt = model.build_table_with(None);
+        let got = canon(model.apply_plan(Query::scan(&rebuilt)).rows());
+        if let Some(d) = diff("rebuild", &got, "merged", &merged) {
+            ds.push(fail(format!("op #{opno}: {d}")));
+            return;
+        }
+        last = Some((snapshot, merged, model, rebuilt));
+    }
+    let Some((src, merged_full, rebuilt_spec, rebuilt)) = last else {
+        return;
     };
 
     // Encoding axis: the full plan over the merged view vs a from-scratch
-    // rebuild of the final table, under every policy variant.
-    let merged_full = canon(spec.apply_plan(Query::scan(&src)).rows());
-    let rebuilt_spec = respec(spec, &slots);
-    if let Err(e) = rebuilt_spec.validate() {
-        ds.push(fail(format!("rebuilt spec invalid: {e}")));
-        return;
-    }
+    // rebuild of the final table under the other policy variants (the
+    // spec's own policies were checked after the last op).
     let mut variants: Vec<(&'static str, Option<Policy>)> = vec![
-        ("spec-policies", None),
         ("nosort", Some(Policy::NoSortHeaps)),
         ("noconvert", Some(Policy::NoConvert)),
         ("inner", Some(Policy::InnerSide)),
@@ -222,7 +246,6 @@ pub fn delta_diff(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Discrepancy>
     // pushed-kernel, forced-fallback and plain-Filter paths. Merged
     // scans emit base order then append order — the model's slot order —
     // so the comparison is exact, including against the rebuild.
-    let rebuilt = rebuilt_spec.build_table_with(None);
     for (i, pred) in base_preds(spec).iter().enumerate() {
         let expr = pred.expr();
         let reference = rows_of(Box::new(Filter::new(

@@ -140,6 +140,9 @@ pub enum Event {
         rows_out: u64,
         /// Wall time of the compaction, in nanoseconds.
         nanos: u64,
+        /// The part of `nanos` spent taking the merge snapshot (domain
+        /// translation); the rest is the re-encode.
+        snapshot_nanos: u64,
     },
     /// A FlowTable finished building one column (§3.3).
     ColumnBuilt {
@@ -240,11 +243,13 @@ impl std::fmt::Display for Event {
                 tombstones,
                 rows_out,
                 nanos,
+                snapshot_nanos,
             } => {
                 write!(
                     f,
                     "[compaction] {table}: {delta_rows} delta row(s) drained, \
-                     {tombstones} tombstone(s) dropped, {rows_out} rows out, {nanos} ns"
+                     {tombstones} tombstone(s) dropped, {rows_out} rows out, {nanos} ns \
+                     ({snapshot_nanos} ns snapshot)"
                 )
             }
             Event::ColumnBuilt {
@@ -361,14 +366,16 @@ impl Event {
                 tombstones,
                 rows_out,
                 nanos,
+                snapshot_nanos,
             } => format!(
                 "{{\"kind\":\"compaction\",\"table\":\"{}\",\"delta_rows\":{},\
-                 \"tombstones\":{},\"rows_out\":{},\"nanos\":{}}}",
+                 \"tombstones\":{},\"rows_out\":{},\"nanos\":{},\"snapshot_nanos\":{}}}",
                 json_escape(table),
                 delta_rows,
                 tombstones,
                 rows_out,
-                nanos
+                nanos,
+                snapshot_nanos
             ),
             Event::ColumnBuilt {
                 table,

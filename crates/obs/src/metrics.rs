@@ -859,6 +859,21 @@ pub fn compaction(nanos: u64) {
     .observe(nanos);
 }
 
+/// Record one delta merge snapshot: `tde_delta_snapshot_duration_ns`.
+#[inline]
+pub fn delta_snapshot(nanos: u64) {
+    if !enabled() {
+        return;
+    }
+    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
+    cached_histogram(
+        &H,
+        "tde_delta_snapshot_duration_ns",
+        "Delta merge-snapshot duration in nanoseconds",
+    )
+    .observe(nanos);
+}
+
 /// Tally rows a compaction re-encoded, by the encoding they landed in:
 /// `tde_compaction_rows_reencoded_total{encoding}`.
 #[inline]

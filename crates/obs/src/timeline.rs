@@ -174,6 +174,23 @@ pub enum TimelineKind {
         rows_out: u64,
         /// Compaction time in nanoseconds.
         dur_ns: u64,
+        /// The part of `dur_ns` spent taking the merge snapshot (domain
+        /// translation); the rest is the re-encode.
+        snapshot_ns: u64,
+    },
+    /// A delta store froze its buffer into a merge snapshot.
+    DeltaSnapshot {
+        /// Table name.
+        table: String,
+        /// Live delta rows translated into the base's domain.
+        delta_rows: u64,
+        /// Tombstones in the snapshot.
+        tombstones: u64,
+        /// Whether this snapshot built the per-base index (first snapshot
+        /// of a base).
+        index_built: bool,
+        /// Snapshot time in nanoseconds.
+        dur_ns: u64,
     },
     /// `read_exact_at` retried a transient I/O error.
     IoRetry {
@@ -408,8 +425,16 @@ pub fn pool_eviction(bytes: u64) {
     record(TimelineKind::PoolEviction { bytes });
 }
 
-/// Record a delta-compaction run that took `dur_ns`.
-pub fn compaction(table: &str, delta_rows: u64, tombstones: u64, rows_out: u64, dur_ns: u64) {
+/// Record a delta-compaction run that took `dur_ns`, `snapshot_ns` of it
+/// in the merge snapshot.
+pub fn compaction(
+    table: &str,
+    delta_rows: u64,
+    tombstones: u64,
+    rows_out: u64,
+    dur_ns: u64,
+    snapshot_ns: u64,
+) {
     if !enabled() {
         return;
     }
@@ -420,6 +445,30 @@ pub fn compaction(table: &str, delta_rows: u64, tombstones: u64, rows_out: u64, 
             delta_rows,
             tombstones,
             rows_out,
+            dur_ns,
+            snapshot_ns,
+        },
+    );
+}
+
+/// Record a delta merge snapshot that took `dur_ns`.
+pub fn delta_snapshot(
+    table: &str,
+    delta_rows: u64,
+    tombstones: u64,
+    index_built: bool,
+    dur_ns: u64,
+) {
+    if !enabled() {
+        return;
+    }
+    record_at(
+        now_ns().saturating_sub(dur_ns),
+        TimelineKind::DeltaSnapshot {
+            table: table.to_string(),
+            delta_rows,
+            tombstones,
+            index_built,
             dur_ns,
         },
     );
@@ -767,7 +816,7 @@ mod tests {
         io_retry("stream");
         io_fault("crash");
         morsel_span(0, 0, false, Instant::now());
-        compaction("t", 1, 1, 1, 1);
+        compaction("t", 1, 1, 1, 1, 1);
         let token = query_begin(4245);
         let trace = query_end(token, "d", 0, 1, None, &[]);
         set_enabled(prev);

@@ -41,6 +41,7 @@ pub use pool::{BufferPool, PoolConfig, SegmentKey};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io;
     use tde_storage::builder::{ColumnBuilder, EncodingPolicy};
     use tde_storage::{Database, Table};
     use tde_types::{DataType, Value};
@@ -202,6 +203,52 @@ mod tests {
                 }
             }
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A heap segment whose checksum matches but whose entries do not
+    /// walk to its end (a crafted file) fails the column load with a
+    /// typed error instead of panicking in the pool's loader.
+    #[test]
+    fn malformed_heap_segment_is_invalid_data() {
+        let db = wide_db(1, 300);
+        let path = tmp("badheap.tde2");
+        save_v2(&db, &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let heap = db
+            .table("wide")
+            .unwrap()
+            .column("label")
+            .unwrap()
+            .heap()
+            .unwrap();
+        let heap = heap.as_bytes();
+        let at = bytes
+            .windows(heap.len())
+            .position(|w| w == heap)
+            .expect("heap segment in the file");
+        bytes[at + 4..at + 8].copy_from_slice(&0xFFFFu32.to_le_bytes());
+        // Re-sign the segment in the directory, then the directory.
+        let old = tde_io::checksum(heap).to_le_bytes();
+        let new = tde_io::checksum(&bytes[at..at + heap.len()]).to_le_bytes();
+        let foot = footer_at(&bytes);
+        let dir_off = u64::from_le_bytes(bytes[foot..foot + 8].try_into().unwrap()) as usize;
+        let ck = dir_off
+            + bytes[dir_off..foot]
+                .windows(8)
+                .position(|w| w == old)
+                .expect("heap checksum in the directory");
+        bytes[ck..ck + 8].copy_from_slice(&new);
+        patch_dir_checksum(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+
+        let paged = PagedDatabase::open(&path).unwrap();
+        let t = paged.table("wide").unwrap();
+        assert!(t.column("c0").is_ok(), "the other columns still load");
+        let err = t.column("label").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(!tde_io::is_checksum_mismatch(&err), "{err}");
+        assert!(err.to_string().contains("heap"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

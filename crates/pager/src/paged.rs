@@ -310,7 +310,7 @@ impl PagedTable {
                 bytes: extent.len,
             });
             Ok((
-                CachedSegment::Heap(Arc::new(StringHeap::from_bytes(bytes))),
+                CachedSegment::Heap(Arc::new(StringHeap::from_bytes(bytes)?)),
                 extent.len,
             ))
         })?;

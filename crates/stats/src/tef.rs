@@ -147,13 +147,32 @@ fn push_trace(out: &mut Vec<String>, t: &QueryTrace) {
                 tombstones,
                 rows_out,
                 dur_ns,
+                snapshot_ns,
             } => {
                 name_lane(&mut name_track, out, lane_tid, ev.lane, &lane_names);
                 out.push(format!(
                     "{{\"name\":\"compaction\",\"cat\":\"delta\",\"ph\":\"X\",\"pid\":{pid},\
                      \"tid\":{lane_tid},\"ts\":{ts},\"dur\":{},\"args\":{{\"table\":\"{}\",\
                      \"delta_rows\":{delta_rows},\"tombstones\":{tombstones},\
-                     \"rows_out\":{rows_out}}}}}",
+                     \"rows_out\":{rows_out},\"snapshot_us\":{}}}}}",
+                    us(*dur_ns),
+                    json_escape(table),
+                    us(*snapshot_ns),
+                ));
+            }
+            TimelineKind::DeltaSnapshot {
+                table,
+                delta_rows,
+                tombstones,
+                index_built,
+                dur_ns,
+            } => {
+                name_lane(&mut name_track, out, lane_tid, ev.lane, &lane_names);
+                out.push(format!(
+                    "{{\"name\":\"snapshot\",\"cat\":\"delta\",\"ph\":\"X\",\"pid\":{pid},\
+                     \"tid\":{lane_tid},\"ts\":{ts},\"dur\":{},\"args\":{{\"table\":\"{}\",\
+                     \"delta_rows\":{delta_rows},\"tombstones\":{tombstones},\
+                     \"index_built\":{index_built}}}}}",
                     us(*dur_ns),
                     json_escape(table),
                 ));
@@ -354,6 +373,18 @@ mod tests {
                         tombstones: 2,
                         rows_out: 1_000,
                         dur_ns: 500,
+                        snapshot_ns: 200,
+                    },
+                },
+                TimelineEvent {
+                    ts_ns: 7_000,
+                    lane: 2,
+                    kind: TimelineKind::DeltaSnapshot {
+                        table: "t".into(),
+                        delta_rows: 10,
+                        tombstones: 2,
+                        index_built: true,
+                        dur_ns: 300,
                     },
                 },
                 TimelineEvent {
@@ -369,14 +400,16 @@ mod tests {
     fn renders_every_event_kind_and_validates() {
         let doc = render_trace(&sample_trace());
         let n = validate_tef(&doc).unwrap();
-        // 9 events + query X + process/thread metadata.
-        assert!(n >= 12, "{n} events in {doc}");
+        // 10 events + query X + process/thread metadata.
+        assert!(n >= 13, "{n} events in {doc}");
         assert!(doc.contains("\"name\":\"morsel\""));
         assert!(doc.contains("\"tid\":1003"));
         assert!(doc.contains("worker-3"));
         assert!(doc.contains("\"name\":\"load stream\""));
         assert!(doc.contains("digest=feedfacecafebeef"));
         assert!(doc.contains("\"name\":\"compaction\""));
+        assert!(doc.contains("\"snapshot_us\":0.200"));
+        assert!(doc.contains("\"index_built\":true"));
         // Fractional-microsecond timestamps.
         assert!(doc.contains("\"ts\":1.500"));
     }

@@ -15,6 +15,11 @@
 //! accelerator gives up once the entry count passes its threshold (2³¹ in
 //! the paper; configurable here so tests and benches can exercise the
 //! give-up path).
+//!
+//! The same table maps strings to an existing heap's tokens: the delta
+//! store seeds one per base heap ([`HeapAccelerator::from_heap`]) and
+//! translates appended strings with read-only
+//! [`HeapAccelerator::lookup`]s.
 
 use crate::heap::StringHeap;
 use tde_types::sentinel::NULL_TOKEN;
@@ -114,6 +119,32 @@ impl HeapAccelerator {
         }
     }
 
+    /// A [`Collation::Binary`] accelerator holding every entry `heap`
+    /// already has, sized so seeding never grows the table. Where the heap
+    /// repeats a string (built with the accelerator off) the *last* token
+    /// wins. Strings interned afterwards must go into `heap` or a copy of
+    /// it, since the seeded tokens address its bytes.
+    pub fn from_heap(heap: &StringHeap) -> HeapAccelerator {
+        let mut acc = HeapAccelerator::new(Collation::Binary);
+        let slots = (heap.len() as usize * 4 / 3 + 1)
+            .next_power_of_two()
+            .max(INITIAL_SLOTS);
+        acc.hashes = vec![EMPTY; slots];
+        acc.tokens = vec![NULL_TOKEN; slots];
+        for (token, s) in heap.entries() {
+            let hash = acc.fold(hash_bytes(s));
+            match acc.probe(heap, s, hash, &mut 0) {
+                Ok(i) => acc.tokens[i] = token,
+                Err(i) => {
+                    acc.hashes[i] = hash;
+                    acc.tokens[i] = token;
+                    acc.distinct += 1;
+                }
+            }
+        }
+        acc
+    }
+
     /// Whether the accelerator is still deduplicating.
     pub fn is_active(&self) -> bool {
         self.active
@@ -139,10 +170,15 @@ impl HeapAccelerator {
     /// The 32 hash bits the table stores and indexes by; never `EMPTY`.
     #[inline]
     fn hash(&self, s: &str) -> u32 {
-        let h = match self.collation {
+        self.fold(match self.collation {
             Collation::Binary => hash_bytes(s.as_bytes()),
             Collation::CaseFold => self.collation.hash(s),
-        };
+        })
+    }
+
+    /// Fold a 64-bit hash into the stored 32 bits.
+    #[inline]
+    fn fold(&self, h: u64) -> u32 {
         // Fold the high half in: FNV's low bits alone are weak.
         let h = (h ^ (h >> 32)) as u32;
         #[cfg(test)]
@@ -183,23 +219,16 @@ impl HeapAccelerator {
             return self.last;
         }
         let hash = self.hash(s);
-        let mask = self.hashes.len() - 1;
-        let mut i = hash as usize & mask;
-        loop {
-            let stored = self.hashes[i];
-            if stored == EMPTY {
-                break;
+        let mut comparisons = 0;
+        let found = self.probe(heap, s.as_bytes(), hash, &mut comparisons);
+        self.collisions += comparisons;
+        let i = match found {
+            Ok(i) => {
+                self.last = self.tokens[i];
+                return self.last;
             }
-            if stored == hash {
-                self.collisions += 1;
-                let token = self.tokens[i];
-                if heap.entry_bytes(token) == s.as_bytes() {
-                    self.last = token;
-                    return token;
-                }
-            }
-            i = (i + 1) & mask;
-        }
+            Err(free) => free,
+        };
         let token = heap.append(s);
         self.last = token;
         self.hashes[i] = hash;
@@ -215,6 +244,44 @@ impl HeapAccelerator {
             self.grow();
         }
         token
+    }
+
+    /// The token `heap` already holds for `s`, without inserting —
+    /// `None` when the string is absent or the accelerator gave up.
+    pub fn lookup(&self, heap: &StringHeap, s: &str) -> Option<u64> {
+        if !self.active {
+            return None;
+        }
+        let found = self.probe(heap, s.as_bytes(), self.hash(s), &mut 0);
+        found.ok().map(|i| self.tokens[i])
+    }
+
+    /// Walk the probe sequence of `hash`: `Ok(slot)` holding the entry
+    /// whose heap bytes equal `s`, or `Err(slot)` of the free slot that
+    /// ends the walk. Counts the heap comparisons into `comparisons`.
+    #[inline]
+    fn probe(
+        &self,
+        heap: &StringHeap,
+        s: &[u8],
+        hash: u32,
+        comparisons: &mut u64,
+    ) -> Result<usize, usize> {
+        let mask = self.hashes.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let stored = self.hashes[i];
+            if stored == EMPTY {
+                return Err(i);
+            }
+            if stored == hash {
+                *comparisons += 1;
+                if heap.entry_bytes(self.tokens[i]) == s {
+                    return Ok(i);
+                }
+            }
+            i = (i + 1) & mask;
+        }
     }
 
     /// Double the table. The stored hashes place every entry; the heap is
@@ -344,6 +411,28 @@ mod tests {
                 assert_eq!(heap.get(t), Some(w.as_str()));
             }
         }
+    }
+
+    #[test]
+    fn seeded_lookup_finds_the_last_of_each_entry() {
+        // A heap built without deduplication repeats entries; the seeded
+        // table answers each string with its last token, stays at most
+        // three-quarters full, and a lookup inserts nothing.
+        let mut heap = StringHeap::new();
+        let words: Vec<String> = (0..3000).map(|i| format!("w{}", i % 1000)).collect();
+        let tokens: Vec<u64> = words.iter().map(|w| heap.append(w)).collect();
+        heap.append("");
+        let acc = HeapAccelerator::from_heap(&heap);
+        assert_eq!(acc.distinct_count(), 1001);
+        assert!(acc.hashes.len() * 3 >= acc.distinct_count() as usize * 4);
+        for (i, w) in words.iter().enumerate().skip(2000) {
+            assert_eq!(acc.lookup(&heap, w), Some(tokens[i]), "{w}");
+        }
+        assert!(acc.lookup(&heap, "").is_some(), "the empty entry is real");
+        assert_eq!(acc.lookup(&heap, "w1000"), None);
+        assert_eq!(acc.lookup(&heap, "W1"), None, "lookups are byte-exact");
+        assert_eq!(acc.distinct_count(), 1001);
+        assert_eq!(heap.len(), 3001);
     }
 
     #[test]

@@ -199,7 +199,7 @@ fn read_column(r: &mut impl Read, expected_rows: u64) -> io::Result<Column> {
             }
         }
         2 => {
-            let heap = StringHeap::from_bytes(read_bytes(r)?);
+            let heap = StringHeap::from_bytes(read_bytes(r)?)?;
             let mut s = [0u8; 1];
             r.read_exact(&mut s)?;
             Compression::Heap {
@@ -377,6 +377,32 @@ mod tests {
         let off = 4 + 4 + 4 + 8 + "orders".len();
         bad[off..off + 8].copy_from_slice(&1u64.to_le_bytes());
         assert!(Database::read_from(&mut bad.as_slice()).is_err());
+    }
+
+    /// A heap whose entries do not walk to its end — the v1 format has
+    /// no checksum to stop it first — is a typed error, not a panic.
+    #[test]
+    fn malformed_heap_is_invalid_data() {
+        let db = sample_db();
+        let mut buf = Vec::new();
+        db.write_to(&mut buf).unwrap();
+        let heap = db
+            .table("orders")
+            .unwrap()
+            .column("name")
+            .unwrap()
+            .heap()
+            .unwrap();
+        let heap = heap.as_bytes();
+        let at = buf
+            .windows(heap.len())
+            .position(|w| w == heap)
+            .expect("heap bytes in the file");
+        // The first real entry claims more bytes than the heap has.
+        buf[at + 4..at + 8].copy_from_slice(&0xFFFFu32.to_le_bytes());
+        let err = Database::read_from(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("heap"), "{err}");
     }
 
     #[test]

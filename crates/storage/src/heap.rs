@@ -10,6 +10,7 @@
 //! Token 0 is reserved for NULL (the heap starts with a zero-length
 //! entry), matching the engine-wide sentinel convention.
 
+use std::io;
 use tde_types::sentinel::NULL_TOKEN;
 use tde_types::Collation;
 
@@ -89,12 +90,27 @@ impl StringHeap {
     }
 
     /// Iterate `(token, string)` over real entries in token (storage) order.
-    pub fn iter(&self) -> HeapIter<'_> {
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &str)> {
+        self.entries().map(|(token, s)| {
+            let s = std::str::from_utf8(s).expect("heap corruption: non-UTF-8 entry");
+            (token, s)
+        })
+    }
+
+    /// `(token, bytes)` over real entries in token order, without the
+    /// UTF-8 check [`StringHeap::iter`] makes.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (u64, &[u8])> {
         // Skip the NULL entry.
-        HeapIter {
-            heap: self,
-            at: ENTRY_HEADER,
-        }
+        let mut at = ENTRY_HEADER;
+        std::iter::from_fn(move || {
+            if at >= self.bytes.len() {
+                return None;
+            }
+            let token = at as u64;
+            let s = self.entry_bytes(token);
+            at += ENTRY_HEADER + s.len();
+            Some((token, s))
+        })
     }
 
     /// Whether the entries are in ascending collation order — sorted heaps
@@ -117,37 +133,36 @@ impl StringHeap {
         &self.bytes
     }
 
-    /// Rebuild from raw bytes (single-file reader).
-    pub fn from_bytes(bytes: Vec<u8>) -> StringHeap {
+    /// Rebuild from raw bytes (file readers). Bytes that do not walk as
+    /// whole entries, starting with the empty NULL entry, are
+    /// [`io::ErrorKind::InvalidData`]: heaps come from untrusted files.
+    pub fn from_bytes(bytes: Vec<u8>) -> io::Result<StringHeap> {
+        let corrupt = |what: String| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("heap bytes corrupt: {what}"),
+            )
+        };
         let mut entries = 0u64;
         let mut at = 0usize;
         while at + ENTRY_HEADER <= bytes.len() {
             let len = u32::from_le_bytes(bytes[at..at + ENTRY_HEADER].try_into().unwrap()) as usize;
+            if entries == 0 && len != 0 {
+                return Err(corrupt(format!("NULL entry has length {len}")));
+            }
             at += ENTRY_HEADER + len;
             entries += 1;
         }
-        assert_eq!(at, bytes.len(), "heap bytes corrupt");
-        StringHeap { bytes, entries }
-    }
-}
-
-/// Iterator over heap entries in storage order.
-pub struct HeapIter<'a> {
-    heap: &'a StringHeap,
-    at: usize,
-}
-
-impl<'a> Iterator for HeapIter<'a> {
-    type Item = (u64, &'a str);
-
-    fn next(&mut self) -> Option<(u64, &'a str)> {
-        if self.at >= self.heap.bytes.len() {
-            return None;
+        if entries == 0 {
+            return Err(corrupt("no NULL entry".into()));
         }
-        let token = self.at as u64;
-        let s = self.heap.get_raw(token);
-        self.at += ENTRY_HEADER + s.len();
-        Some((token, s))
+        if at != bytes.len() {
+            return Err(corrupt(format!(
+                "entry {entries} ends at byte {at}, past the heap's {}",
+                bytes.len()
+            )));
+        }
+        Ok(StringHeap { bytes, entries })
     }
 }
 
@@ -214,10 +229,32 @@ mod tests {
         h.append("x");
         h.append("yy");
         h.append(""); // empty string is a real entry distinct from NULL
-        let h2 = StringHeap::from_bytes(h.as_bytes().to_vec());
+        let h2 = StringHeap::from_bytes(h.as_bytes().to_vec()).unwrap();
         assert_eq!(h2.len(), 3);
         let strings: Vec<&str> = h2.iter().map(|(_, s)| s).collect();
         assert_eq!(strings, vec!["x", "yy", ""]);
+    }
+
+    #[test]
+    fn malformed_bytes_are_invalid_data() {
+        let mut h = StringHeap::new();
+        h.append("abc");
+        h.append("de");
+        let good = h.as_bytes().to_vec();
+        let mut long_last = good.clone();
+        let last = 4 + 4 + 3;
+        long_last[last..last + 4].copy_from_slice(&3u32.to_le_bytes());
+        let cases = [
+            ("truncated entry", good[..good.len() - 1].to_vec()),
+            ("truncated header", good[..good.len() - 5].to_vec()),
+            ("entry past the end", long_last),
+            ("empty", Vec::new()),
+            ("no NULL entry", good[4..].to_vec()),
+        ];
+        for (what, bytes) in cases {
+            let err = StringHeap::from_bytes(bytes).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
     }
 
     #[test]

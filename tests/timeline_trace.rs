@@ -458,3 +458,98 @@ fn slow_queries_are_pinned_and_logged() {
         .iter()
         .any(|t| t.query_id == spans[0].query_id));
 }
+
+/// A trace splits compaction into domain translation and re-encode: every
+/// snapshot is a span that says whether it built the per-base index, and
+/// the compaction record and event carry the snapshot's share.
+#[test]
+fn compaction_trace_splits_the_snapshot_from_the_re_encode() {
+    let _guard = trace_lock().lock().unwrap();
+    let mut name = ColumnBuilder::new("name", DataType::Str, EncodingPolicy::default());
+    for i in 0..5_000 {
+        name.append_str(Some(&format!("base-{}", i % 700)));
+    }
+    let base = Arc::new(Table::new("tl_delta", vec![name.finish().column]));
+
+    let prev_trace = timeline::set_enabled(true);
+    let events = tde::obs::Trace::new();
+    let installed = tde::obs::install(&events);
+    let mut dt = tde::delta::DeltaTable::from_eager(base);
+    for batch in 0..2 {
+        let rows: Vec<Vec<tde::types::Value>> = (0..300)
+            .map(|i| vec![tde::types::Value::Str(format!("new-{batch}-{}", i % 90))])
+            .collect();
+        dt.append_rows(&rows).unwrap();
+        dt.snapshot().unwrap();
+    }
+    dt.compact().unwrap();
+    drop(installed);
+    // The next query drains the timeline lanes into its trace.
+    let sink = span::MemorySink::new();
+    let prev_sink = span::set_span_sink(Some(sink.clone()));
+    Query::scan(&demo_table()).rows();
+    let spans = sink.spans();
+    span::set_span_sink(prev_sink);
+    timeline::set_enabled(prev_trace);
+    let trace = timeline::find_trace(spans[0].query_id).expect("trace retained");
+
+    let snapshots: Vec<(u64, bool)> = trace
+        .events
+        .iter()
+        .filter_map(|e| match &e.kind {
+            timeline::TimelineKind::DeltaSnapshot {
+                table,
+                delta_rows,
+                index_built,
+                ..
+            } if table == "tl_delta" => Some((*delta_rows, *index_built)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        snapshots,
+        [(300, true), (600, false), (600, false)],
+        "two batch snapshots, then compaction's; one index build"
+    );
+    let (dur_ns, snapshot_ns) = trace
+        .events
+        .iter()
+        .find_map(|e| match &e.kind {
+            timeline::TimelineKind::Compaction {
+                table,
+                dur_ns,
+                snapshot_ns,
+                ..
+            } if table == "tl_delta" => Some((*dur_ns, *snapshot_ns)),
+            _ => None,
+        })
+        .expect("compaction on the timeline");
+    assert!(
+        0 < snapshot_ns && snapshot_ns < dur_ns,
+        "{snapshot_ns} of {dur_ns} ns"
+    );
+    let tef = tde_stats::tef::render_trace(&trace);
+    tde_stats::tef::validate_tef(&tef).expect("strict TEF validation");
+    assert!(tef.contains("\"index_built\":true") && tef.contains("\"snapshot_us\":"));
+
+    let compaction = events
+        .events()
+        .into_iter()
+        .find(|e| matches!(e, tde::obs::Event::Compaction { table, .. } if table == "tl_delta"))
+        .expect("compaction event");
+    let tde::obs::Event::Compaction {
+        nanos,
+        snapshot_nanos,
+        ..
+    } = compaction
+    else {
+        unreachable!()
+    };
+    assert!(0 < snapshot_nanos && snapshot_nanos < nanos);
+    let json = tde_stats::minijson::parse(&compaction.to_json()).expect("event JSON parses");
+    assert!(
+        json.get("snapshot_nanos").is_some(),
+        "{}",
+        compaction.to_json()
+    );
+}
