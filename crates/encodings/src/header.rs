@@ -107,6 +107,22 @@ pub fn get_fixed(buf: &[u8], off: usize, width: Width, signed: bool) -> i64 {
     }
 }
 
+/// Read an `N`-byte little-endian value at the front of `bytes`,
+/// sign-extending when `SIGNED`: [`get_fixed`] with the width and the
+/// signedness fixed at compile time, so the read is one fixed-size load.
+#[inline(always)]
+pub(crate) fn load<const N: usize, const SIGNED: bool>(bytes: &[u8]) -> i64 {
+    let mut word = [0u8; 8];
+    word[..N].copy_from_slice(&bytes[..N]);
+    let v = u64::from_le_bytes(word);
+    if SIGNED && N < 8 {
+        let shift = 64 - 8 * N as u32;
+        ((v << shift) as i64) >> shift
+    } else {
+        v as i64
+    }
+}
+
 /// Build the common 24-byte header prefix.
 pub fn make_common(
     algorithm: Algorithm,

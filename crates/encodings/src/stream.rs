@@ -235,18 +235,13 @@ impl EncodedStream {
         Some(dict::entries(&self.buf, &h))
     }
 
-    /// The (value, count) runs of a run-length stream, for building an
-    /// IndexTable (paper §4.2.1).
+    /// The (value, count) runs of a run-length stream, collected.
     pub fn rle_runs(&self) -> Option<Vec<(i64, u64)>> {
-        let h = self.header();
-        if h.algorithm != Algorithm::RunLength {
-            return None;
-        }
-        Some(rle::runs(&self.buf, &h))
+        self.rle_run_iter().map(Iterator::collect)
     }
 
     /// Lazily iterate the (value, count) runs of a run-length stream —
-    /// the allocation-free counterpart of [`EncodedStream::rle_runs`].
+    /// the raw material of an IndexTable (paper §4.2.1).
     pub fn rle_run_iter(&self) -> Option<rle::RunIter<'_>> {
         let h = self.header();
         if h.algorithm != Algorithm::RunLength {

@@ -12,41 +12,42 @@
 //! Because the inner side is an ordinary table, single-column predicates
 //! and computations push down onto the *compressed* representation:
 //! filtering 5 % of the values touches ~5 runs, not 5 % of the rows.
+//!
+//! The table is rebuilt for every query that scans through it, so it is
+//! built at run cost: one pass over the runs, each column written straight
+//! into a fixed-width stream. The value column carries the claims a
+//! column builder would extract from the same values (they steer the
+//! tactical choices above the scan); count and start carry what the pass
+//! proves directly.
 
 use crate::block::Schema;
 use crate::scan::TableScan;
 use crate::Operator;
 use std::sync::Arc;
-use tde_storage::{Column, ColumnBuilder, EncodingPolicy, Table};
-use tde_types::DataType;
+use tde_encodings::metadata::Knowledge;
+use tde_encodings::{ColumnMetadata, ColumnStats, EncodedStream, BLOCK_SIZE};
+use tde_storage::builder::scalar_metadata;
+use tde_storage::{Column, Compression, Table};
+use tde_types::sentinel::NULL_I64;
+use tde_types::{DataType, Width};
 
 /// Build the IndexTable of a run-length encoded column.
 pub fn index_table(column: &Column, name: &str) -> (Arc<Table>, Schema) {
     let runs = column
         .data
-        .rle_runs()
+        .rle_run_iter()
         .expect("index_table requires a run-length encoded column");
-    let mut value = ColumnBuilder::new("value", column.dtype, EncodingPolicy::default());
-    let mut count = ColumnBuilder::new("count", DataType::Integer, EncodingPolicy::default());
-    let mut start = ColumnBuilder::new("start", DataType::Integer, EncodingPolicy::default());
+    let mut values = Vec::with_capacity(runs.len());
+    let mut counts = Vec::with_capacity(runs.len());
+    let mut starts = Vec::with_capacity(runs.len());
     let mut at = 0i64;
     for (v, c) in runs {
-        value.append_i64(v);
-        count.append_i64(c as i64);
-        start.append_i64(at);
+        values.push(v);
+        counts.push(c as i64);
+        starts.push(at);
         at += c as i64;
     }
-    let table = Arc::new(Table::new(
-        name,
-        vec![
-            value.finish().column,
-            count.finish().column,
-            start.finish().column,
-        ],
-    ));
-    let scan = TableScan::new(table.clone());
-    let schema = scan.schema().clone();
-    (table, schema)
+    assemble(name, column.dtype, &values, &counts, &starts)
 }
 
 /// Roll up an index table through an order-preserving calculation on the
@@ -61,38 +62,47 @@ pub fn rollup_index(
     let values = index.columns[0].data.decode_all();
     let counts = index.columns[1].data.decode_all();
     let starts = index.columns[2].data.decode_all();
-    let mut value = ColumnBuilder::new("value", index.columns[0].dtype, EncodingPolicy::default());
-    let mut count = ColumnBuilder::new("count", DataType::Integer, EncodingPolicy::default());
-    let mut start = ColumnBuilder::new("start", DataType::Integer, EncodingPolicy::default());
-    let mut current: Option<(i64, i64, i64)> = None; // (rolled, count, min start)
+    // Per rolled-up value: SUM(count), MIN(start).
+    let (mut rolled, mut sums, mut mins) = (Vec::new(), Vec::new(), Vec::new());
     for ((&v, &c), &s) in values.iter().zip(&counts).zip(&starts) {
         let r = rollup(v);
-        match &mut current {
-            Some((cur, cc, cs)) if *cur == r => {
-                *cc += c;
-                *cs = (*cs).min(s);
-            }
-            _ => {
-                if let Some((cur, cc, cs)) = current.take() {
-                    value.append_i64(cur);
-                    count.append_i64(cc);
-                    start.append_i64(cs);
-                }
-                current = Some((r, c, s));
-            }
+        if rolled.last() == Some(&r) {
+            let last = rolled.len() - 1;
+            sums[last] += c;
+            mins[last] = s.min(mins[last]);
+        } else {
+            rolled.push(r);
+            sums.push(c);
+            mins.push(s);
         }
     }
-    if let Some((cur, cc, cs)) = current {
-        value.append_i64(cur);
-        count.append_i64(cc);
-        start.append_i64(cs);
+    assemble(name, index.columns[0].dtype, &rolled, &sums, &mins)
+}
+
+/// The (value, count, start) table over the three columns' values.
+fn assemble(
+    name: &str,
+    dtype: DataType,
+    values: &[i64],
+    counts: &[i64],
+    starts: &[i64],
+) -> (Arc<Table>, Schema) {
+    let mut stats = ColumnStats::new();
+    stats.update(values);
+    let mut start = envelope(starts);
+    if !starts.is_empty() {
+        let ascending = starts.windows(2).all(|w| w[0] <= w[1]);
+        start.sorted_asc = Knowledge::from_bool(ascending);
+        if ascending {
+            start.unique = Knowledge::from_bool(starts.windows(2).all(|w| w[0] < w[1]));
+        }
     }
     let table = Arc::new(Table::new(
         name,
         vec![
-            value.finish().column,
-            count.finish().column,
-            start.finish().column,
+            fixed_column("value", dtype, values, scalar_metadata(dtype, &stats)),
+            fixed_column("count", DataType::Integer, counts, envelope(counts)),
+            fixed_column("start", DataType::Integer, starts, start),
         ],
     ));
     let scan = TableScan::new(table.clone());
@@ -100,12 +110,42 @@ pub fn rollup_index(
     (table, schema)
 }
 
+/// What one look at the values proves: their envelope, whether the NULL
+/// sentinel (the smallest value) is among them, and the width that holds
+/// them.
+fn envelope(vals: &[i64]) -> ColumnMetadata {
+    let (Some(&min), Some(&max)) = (vals.iter().min(), vals.iter().max()) else {
+        return ColumnMetadata::unknown();
+    };
+    ColumnMetadata {
+        min: Some(min),
+        max: Some(max),
+        has_nulls: Knowledge::from_bool(min == NULL_I64),
+        width: Width::for_signed_range(min, max, true),
+        ..ColumnMetadata::unknown()
+    }
+}
+
+/// A column holding `vals` in a raw stream of the claimed width.
+fn fixed_column(name: &str, dtype: DataType, vals: &[i64], metadata: ColumnMetadata) -> Column {
+    let mut data = EncodedStream::new_raw(metadata.width, true);
+    for block in vals.chunks(BLOCK_SIZE) {
+        data.append_block(block)
+            .expect("a raw stream takes every value at a width that holds it");
+    }
+    Column {
+        name: name.to_owned(),
+        dtype,
+        data,
+        compression: Compression::None,
+        metadata,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tde_encodings::{EncodedStream, BLOCK_SIZE};
     use tde_types::datetime::{days_from_ymd, trunc_to_month};
-    use tde_types::Width;
 
     fn rle_column(runs: &[(i64, u64)]) -> Column {
         let mut s = EncodedStream::new_rle(Width::W8, true, Width::W4, Width::W4);
@@ -137,6 +177,15 @@ mod tests {
         let col = rle_column(&[(1, 100), (2, 100), (3, 100)]);
         let (t, _) = index_table(&col, "idx");
         assert!(t.columns[2].metadata.sorted_asc.is_true());
+        assert!(t.columns[2].metadata.unique.is_true());
+    }
+
+    #[test]
+    fn empty_column_builds_an_empty_index() {
+        let (t, schema) = index_table(&rle_column(&[]), "idx");
+        assert_eq!(t.row_count(), 0);
+        assert_eq!(schema.len(), 3);
+        assert!(t.columns.iter().all(|c| c.metadata.min.is_none()));
     }
 
     #[test]

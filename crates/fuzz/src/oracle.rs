@@ -771,12 +771,21 @@ pub fn reencode_invariance(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Dis
 // Invariant oracle.
 // ---------------------------------------------------------------------
 
-/// Verify every metadata claim on the base table's columns against the
-/// decoded data, then verify positive claims on the executed plan's
-/// output schema against the materialized rows.
+/// Verify every metadata claim on the base table's columns — and on the
+/// IndexTable of each run-length column, whose claims are derived by
+/// hand rather than by a column builder — against the decoded data,
+/// then verify positive claims on the executed plan's output schema
+/// against the materialized rows.
 pub fn metadata_invariant(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Discrepancy>) {
     for col in &table.columns {
         check_column_claims(col, ds);
+        if col.data.algorithm() == Algorithm::RunLength && !col.dtype.is_string() {
+            let (index, _) =
+                tde_exec::index_table::index_table(col, &format!("{}_index", col.name));
+            for c in &index.columns {
+                check_column_claims(c, ds);
+            }
+        }
     }
 
     // Output-schema claims. Subsetting rows preserves sortedness,

@@ -121,6 +121,10 @@ pub enum TimelineKind {
     OperatorSpan {
         /// Operator kind (first token of the plan label).
         op: String,
+        /// The whole plan label, run-time detail included (an
+        /// IndexedScan's `runs=… qualified=…`) — what EXPLAIN ANALYZE
+        /// prints for the same operator.
+        label: String,
         /// Per-query-tree operator id, for parent/child self-time math.
         op_id: u32,
         /// Parent operator id, `None` at the root.
@@ -303,6 +307,13 @@ pub fn next_op_id() -> u32 {
     NEXT_OP_ID.fetch_add(1, Ordering::Relaxed)
 }
 
+/// An operator's kind: the first whitespace-delimited token of its plan
+/// label (`"HashAggregate [strategy=…]"` → `"HashAggregate"`) — stable
+/// and low-cardinality, unlike the full label.
+pub fn op_kind(label: &str) -> &str {
+    label.split_whitespace().next().unwrap_or("op")
+}
+
 /// Per-operator timeline state held by the operator observer.
 ///
 /// The observer times every `next_block` call once and hands the same
@@ -312,7 +323,7 @@ pub fn next_op_id() -> u32 {
 /// nanoseconds the other views report.
 #[derive(Debug)]
 pub struct TimelineOp {
-    op: String,
+    label: String,
     op_id: u32,
     parent: Option<u32>,
     first_start_ns: Option<u64>,
@@ -323,11 +334,12 @@ pub struct TimelineOp {
 }
 
 impl TimelineOp {
-    /// State for one wrapped operator. `op_id` comes from
-    /// [`next_op_id`]; `parent` is the enclosing operator's id.
-    pub fn new(op: &str, op_id: u32, parent: Option<u32>) -> TimelineOp {
+    /// State for one wrapped operator labelled `label` (its kind is the
+    /// first token, see [`op_kind`]). `op_id` comes from [`next_op_id`];
+    /// `parent` is the enclosing operator's id.
+    pub fn new(label: &str, op_id: u32, parent: Option<u32>) -> TimelineOp {
         TimelineOp {
-            op: op.to_string(),
+            label: label.to_string(),
             op_id,
             parent,
             first_start_ns: None,
@@ -364,7 +376,8 @@ impl TimelineOp {
         record_at(
             self.first_start_ns.unwrap_or_else(now_ns),
             TimelineKind::OperatorSpan {
-                op: std::mem::take(&mut self.op),
+                op: op_kind(&self.label).to_string(),
+                label: std::mem::take(&mut self.label),
                 op_id: self.op_id,
                 parent: self.parent,
                 blocks: self.blocks,

@@ -252,6 +252,64 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A run-length stream segment whose checksum matches (the writer
+    /// signs whatever bytes it is given) but whose layout is malformed —
+    /// bad field widths, a data offset inside the RLE header, a ragged
+    /// last pair, counts short of the length — fails the column load
+    /// with a typed error instead of panicking in the first scan.
+    #[test]
+    fn malformed_rle_segment_is_invalid_data() {
+        use tde_encodings::{header, rle, Algorithm, EncodedStream};
+        let mut db = wide_db(1, 3000);
+        let mut b = ColumnBuilder::new("k", DataType::Integer, EncodingPolicy::default());
+        for i in 0..3000i64 {
+            b.append_i64(i / 300);
+        }
+        let col = b.finish().column;
+        assert_eq!(col.data.algorithm(), Algorithm::RunLength);
+        let ok = col.data.as_bytes().to_vec();
+        let (cw, _) = rle::field_widths(&ok);
+        let data_offset = col.data.header().data_offset;
+        let edit = |f: &dyn Fn(&mut Vec<u8>)| {
+            let mut bad = ok.clone();
+            f(&mut bad);
+            bad
+        };
+        let faults = [
+            ("count width", edit(&|b| b[rle::OFF_COUNT_WIDTH] = 5)),
+            ("value width", edit(&|b| b[rle::OFF_VALUE_WIDTH] = 9)),
+            (
+                "data offset",
+                edit(&|b| header::put_u64(b, header::OFF_DATA_OFFSET, 24)),
+            ),
+            ("ragged pair", edit(&|b| b.truncate(b.len() - 1))),
+            (
+                "count sum",
+                edit(&|b| header::put_fixed(b, data_offset, cw, 299)),
+            ),
+        ];
+        db.tables[0].columns.push(col.clone());
+        for (what, bytes) in faults {
+            *db.tables[0].columns.last_mut().unwrap() = tde_storage::Column {
+                data: EncodedStream::from_buf(bytes),
+                ..col.clone()
+            };
+            let path = tmp("badrle.tde2");
+            save_v2(&db, &path).unwrap();
+            let paged = PagedDatabase::open(&path).unwrap();
+            let t = paged.table("wide").unwrap();
+            assert!(
+                t.column("c0").is_ok(),
+                "{what}: the other columns still load"
+            );
+            let err = t.column("k").unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            assert!(!tde_io::is_checksum_mismatch(&err), "{what}: {err}");
+            assert!(err.to_string().contains("RLE"), "{what}: {err}");
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
     /// Satellite: the systematic corruption matrix. Every single-bit flip
     /// across the directory and footer region must yield a typed
     /// `io::Error` on open — never a panic, never a successful open that

@@ -46,14 +46,12 @@ impl<'a> Tracer<'a> {
     }
 
     /// Register an operator node under the current parent (in the trace,
-    /// when one is recording). The operator kind — the label's first
-    /// token — names the per-operator metrics and timeline spans.
+    /// when one is recording).
     fn node(&self, label: impl Into<String>) -> NodeCtx<'a> {
         let label = label.into();
-        let kind = kind_of(&label);
         let (id, stats) = match self.trace {
             Some(t) => {
-                let (id, stats) = t.add_node(label, self.parent);
+                let (id, stats) = t.add_node(label.clone(), self.parent);
                 (Some(id), Some(stats))
             }
             None => (None, None),
@@ -62,18 +60,11 @@ impl<'a> Tracer<'a> {
             trace: self.trace,
             id,
             stats,
-            kind,
+            label,
             tl_id: tde_obs::timeline::enabled().then(tde_obs::timeline::next_op_id),
             tl_parent: self.tl_parent,
         }
     }
-}
-
-/// The operator-kind metric label: the first whitespace-delimited token
-/// of the node label (`"HashAggregate [strategy=…]"` → `"HashAggregate"`)
-/// — stable and low-cardinality, unlike the full label.
-fn kind_of(label: &str) -> String {
-    label.split_whitespace().next().unwrap_or("op").to_owned()
 }
 
 /// A registered (or absent) trace node for one operator.
@@ -81,7 +72,7 @@ struct NodeCtx<'a> {
     trace: Option<&'a Arc<Trace>>,
     id: Option<usize>,
     stats: Option<Arc<OpStats>>,
-    kind: String,
+    label: String,
     tl_id: Option<u32>,
     tl_parent: Option<u32>,
 }
@@ -98,22 +89,24 @@ impl<'a> NodeCtx<'a> {
 
     /// Refine the label once a run-time choice is known.
     fn relabel(&mut self, label: impl Into<String>) {
-        let label = label.into();
-        self.kind = kind_of(&label);
+        self.label = label.into();
         if let (Some(t), Some(id)) = (self.trace, self.id) {
-            t.set_label(id, label);
+            t.set_label(id, self.label.clone());
         }
     }
 
     /// Put the lowered operator under the one observer, handing it
     /// whichever views are on: the per-query trace stats, the per-kind
     /// metrics counters, the timeline operator span. With all of them
-    /// off the operator stays unwrapped.
+    /// off the operator stays unwrapped. The operator kind — the label's
+    /// first token — names the metrics counters; the timeline span
+    /// carries the whole label, as the trace does.
     fn wrap(self, op: BoxOp) -> BoxOp {
-        let counters = tde_obs::metrics::operator_counters(&self.kind);
+        let kind = tde_obs::timeline::op_kind(&self.label);
+        let counters = tde_obs::metrics::operator_counters(kind);
         let timeline = self
             .tl_id
-            .map(|id| tde_obs::timeline::TimelineOp::new(&self.kind, id, self.tl_parent));
+            .map(|id| tde_obs::timeline::TimelineOp::new(&self.label, id, self.tl_parent));
         Observed::wrap(op, self.stats, counters, timeline)
     }
 }
@@ -508,14 +501,8 @@ fn lower_index_scan(
     tr: Tracer<'_>,
 ) -> io::Result<BoxOp> {
     let src_col = &source.0.columns[source.1];
-    let node = tr.node(format!(
-        "IndexedScan {}.{} fetch=[{}]{}",
-        source.0.name,
-        src_col.name,
-        fetch.join(", "),
-        if sort_by_value { " ordered" } else { "" }
-    ));
     let (idx, _) = index_table(src_col, &format!("{}_index", src_col.name));
+    let runs = idx.row_count();
     let mut inner_op: BoxOp =
         apply_inner_ops(Box::new(TableScan::new(idx)), inner, &["count", "start"]);
     if sort_by_value {
@@ -532,6 +519,16 @@ fn lower_index_scan(
     }
     let fetch_refs: Vec<&str> = fetch.iter().map(String::as_str).collect();
     let scan = IndexedScan::new(inner_op, source.0.clone(), &fetch_refs);
+    // The label ends with how much of the run index the query used:
+    // rows built, rows the inner filter kept.
+    let node = tr.node(format!(
+        "IndexedScan {}.{} fetch=[{}]{} runs={runs} qualified={}",
+        source.0.name,
+        src_col.name,
+        fetch.join(", "),
+        if sort_by_value { " ordered" } else { "" },
+        scan.index_rows()
+    ));
     Ok(node.wrap(Box::new(scan.with_names(output_columns))))
 }
 

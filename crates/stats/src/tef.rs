@@ -86,6 +86,7 @@ fn push_trace(out: &mut Vec<String>, t: &QueryTrace) {
             )),
             TimelineKind::OperatorSpan {
                 op,
+                label,
                 op_id,
                 parent,
                 blocks,
@@ -96,10 +97,11 @@ fn push_trace(out: &mut Vec<String>, t: &QueryTrace) {
                 out.push(format!(
                     "{{\"name\":\"{}\",\"cat\":\"operator\",\"ph\":\"X\",\"pid\":{pid},\
                      \"tid\":{lane_tid},\"ts\":{ts},\"dur\":{},\"args\":{{\"op_id\":{op_id},\
-                     \"parent\":{},\"blocks\":{blocks},\"rows\":{rows}}}}}",
+                     \"parent\":{},\"blocks\":{blocks},\"rows\":{rows},\"label\":\"{}\"}}}}",
                     json_escape(op),
                     us(*dur_ns),
                     parent.map_or("null".to_string(), |p| p.to_string()),
+                    json_escape(label),
                 ));
             }
             TimelineKind::Morsel {
@@ -342,6 +344,7 @@ mod tests {
                     lane: 0,
                     kind: TimelineKind::OperatorSpan {
                         op: "HashAggregate".into(),
+                        label: "HashAggregate [strategy=\"array\"]".into(),
                         op_id: 1,
                         parent: None,
                         blocks: 4,
@@ -410,6 +413,8 @@ mod tests {
         assert!(doc.contains("\"name\":\"compaction\""));
         assert!(doc.contains("\"snapshot_us\":0.200"));
         assert!(doc.contains("\"index_built\":true"));
+        // Operator spans carry the whole plan label, quotes escaped.
+        assert!(doc.contains(r#""label":"HashAggregate [strategy=\"array\"]""#));
         // Fractional-microsecond timestamps.
         assert!(doc.contains("\"ts\":1.500"));
     }

@@ -20,8 +20,10 @@ use crate::heap::StringHeap;
 use std::sync::Arc;
 use tde_encodings::manipulate;
 use tde_encodings::metadata::Knowledge;
-use tde_encodings::stats::AllowedAlgorithms;
-use tde_encodings::{Algorithm, ColumnMetadata, DynamicEncoder, BLOCK_SIZE};
+use tde_encodings::stats::{choose_encoding, AllowedAlgorithms};
+use tde_encodings::{
+    Algorithm, ColumnMetadata, ColumnStats, DynamicEncoder, EncodingSpec, BLOCK_SIZE,
+};
 use tde_types::sentinel::{null_real, NULL_I64, NULL_TOKEN};
 use tde_types::{Collation, DataType, Value, Width};
 
@@ -343,6 +345,37 @@ impl ColumnBuilder {
     }
 }
 
+/// The metadata [`ColumnBuilder::finish`] records for a scalar
+/// (non-string) column of `dtype` under the default policy, from the
+/// statistics of its values alone: the extracted properties (§3.4.2) at
+/// the width the end-of-load encoding narrows to (§3.4.1). A column
+/// written straight into a fixed-width stream — the IndexTable's value
+/// column — carries the claims the builder would have made for it.
+///
+/// The width is the one the encoding chosen by the final pass narrows
+/// to: the builder converts to that encoding whenever it is smaller than
+/// the one the load ended on.
+pub fn scalar_metadata(dtype: DataType, stats: &ColumnStats) -> ColumnMetadata {
+    debug_assert!(!dtype.is_string());
+    if dtype == DataType::Real {
+        return ColumnMetadata::unknown();
+    }
+    let width = match choose_encoding(stats, Width::W8, AllowedAlgorithms::all(), true) {
+        EncodingSpec::None | EncodingSpec::Rle { .. } => Width::W8,
+        // The header envelope, as `manipulate::narrow` reads it.
+        EncodingSpec::Frame { frame, bits } => (bits < 64)
+            .then(|| frame.checked_add(((1u64 << bits) - 1) as i64))
+            .flatten()
+            .map_or(Width::W8, |hi| Width::for_signed_range(frame, hi, true)),
+        // Exact envelopes: affine and dictionary headers, and the load
+        // statistics for delta streams.
+        EncodingSpec::Affine { .. } | EncodingSpec::Dict { .. } | EncodingSpec::Delta { .. } => {
+            Width::for_signed_range(stats.min, stats.max, true)
+        }
+    };
+    ColumnMetadata::from_stats(stats, width)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,6 +384,89 @@ mod tests {
         let mut b = ColumnBuilder::new("x", DataType::Integer, policy);
         b.append_raw(vals);
         b.finish()
+    }
+
+    /// Value sequences that walk the dynamic encoder through its
+    /// mid-load re-encodings and end-of-load conversions: small and
+    /// growing domains, sorted gaps, runs, NULLs, extremes, broken
+    /// progressions.
+    fn encoder_shapes(n: usize, seed: u64) -> Vec<Vec<i64>> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut rnd = move |m: i64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % m as u64) as i64
+        };
+        let mut at = 0i64;
+        let mut shapes: Vec<Vec<i64>> = vec![
+            (0..n).map(|_| rnd(100)).collect(),
+            (0..n)
+                .map(|i| if i < 1024 { rnd(8) } else { rnd(40_000) })
+                .collect(),
+            (0..n)
+                .map(|i| if i < 1500 { rnd(16) } else { rnd(1 << 20) })
+                .collect(),
+            (0..n)
+                .map(|_| {
+                    at += rnd(5);
+                    at
+                })
+                .collect(),
+            (0..n)
+                .map(|i| i as i64 / (1 + rnd(3) as usize * 200) as i64)
+                .collect(),
+            (0..n).map(|i| (i / 300) as i64).collect(),
+            (0..n)
+                .map(|_| if rnd(9) == 0 { NULL_I64 } else { rnd(50) })
+                .collect(),
+            (0..n)
+                .map(|i| if i % 1000 == 999 { 7 } else { 3 * i as i64 })
+                .collect(),
+            (0..n).map(|_| 1_000_000_007 * rnd(12)).collect(),
+            (0..n)
+                .map(|_| [i64::MAX, i64::MIN + 1, 0, -1][rnd(4) as usize])
+                .collect(),
+            (0..n).map(|i| 42 - (i as i64 % 3) * 127).collect(),
+            vec![-5; n],
+        ];
+        for s in &mut shapes {
+            s.truncate(n);
+        }
+        shapes
+    }
+
+    /// `scalar_metadata` predicts, from the statistics alone, exactly the
+    /// metadata `finish` derives — the width of the encoding the builder
+    /// ends on included.
+    #[test]
+    fn scalar_metadata_matches_finish() {
+        let mut checked = 0;
+        let mut ended_on = std::collections::BTreeSet::new();
+        for n in [0usize, 1, 2, 5, 1023, 1024, 1025, 2049, 5000] {
+            for seed in 0..4u64 {
+                for vals in encoder_shapes(n, seed) {
+                    for dtype in [DataType::Integer, DataType::Date, DataType::Real] {
+                        let mut b = ColumnBuilder::new("v", dtype, EncodingPolicy::default());
+                        b.append_raw(&vals);
+                        let built = b.finish().column;
+                        let mut stats = ColumnStats::new();
+                        stats.update(&vals);
+                        assert_eq!(
+                            scalar_metadata(dtype, &stats),
+                            built.metadata,
+                            "{dtype:?}, {n} values, seed {seed}, {} encoded: {:?}",
+                            built.data.algorithm(),
+                            &vals[..n.min(12)]
+                        );
+                        checked += 1;
+                        ended_on.insert(built.data.algorithm().name());
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 9 * 4 * 12 * 3);
+        assert_eq!(ended_on.len(), Algorithm::ALL.len(), "{ended_on:?}");
     }
 
     #[test]

@@ -405,6 +405,62 @@ mod tests {
         assert!(err.to_string().contains("heap"), "{err}");
     }
 
+    /// A run-length column, and its stream with each structural fault a
+    /// scan would otherwise panic on: a bad count or value width, a data
+    /// offset inside the RLE header, a ragged last pair, counts that do
+    /// not sum to the length.
+    fn malformed_rle_streams() -> (Column, Vec<(&'static str, Vec<u8>)>) {
+        use tde_encodings::{header, rle, Algorithm};
+        let mut b = ColumnBuilder::new("k", DataType::Integer, EncodingPolicy::default());
+        for i in 0..20_000i64 {
+            b.append_i64(i / 500);
+        }
+        let col = b.finish().column;
+        assert_eq!(col.data.algorithm(), Algorithm::RunLength);
+        let ok = col.data.as_bytes().to_vec();
+        let h = col.data.header();
+        let edit = |f: &dyn Fn(&mut Vec<u8>)| {
+            let mut bad = ok.clone();
+            f(&mut bad);
+            bad
+        };
+        let (cw, _) = rle::field_widths(&ok);
+        let faults = vec![
+            ("count width", edit(&|b| b[rle::OFF_COUNT_WIDTH] = 3)),
+            ("value width", edit(&|b| b[rle::OFF_VALUE_WIDTH] = 0)),
+            (
+                "data offset",
+                edit(&|b| header::put_u64(b, header::OFF_DATA_OFFSET, 24)),
+            ),
+            ("ragged pair", edit(&|b| b.truncate(b.len() - 1))),
+            (
+                "count sum",
+                edit(&|b| header::put_fixed(b, h.data_offset, cw, 501)),
+            ),
+        ];
+        (col, faults)
+    }
+
+    /// The v1 reader rejects every malformed run-length stream with a
+    /// typed error instead of handing a scan a stream it panics on.
+    #[test]
+    fn malformed_rle_stream_is_invalid_data() {
+        let (col, faults) = malformed_rle_streams();
+        for (what, bytes) in faults {
+            let bad = Column {
+                data: EncodedStream::from_buf(bytes),
+                ..col.clone()
+            };
+            let mut db = Database::new();
+            db.add_table(Table::new("t", vec![bad]));
+            let mut buf = Vec::new();
+            db.write_to(&mut buf).unwrap();
+            let err = Database::read_from(&mut buf.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            assert!(err.to_string().contains("RLE"), "{what}: {err}");
+        }
+    }
+
     #[test]
     fn compressed_file_is_smaller_than_baseline() {
         // The single-file copy burden (§2.3.3): encodings shrink it.

@@ -162,8 +162,9 @@ pub fn read_metadata(r: &mut impl Read) -> io::Result<ColumnMetadata> {
 }
 
 /// Validate an encoded stream buffer read from untrusted input: the
-/// header must parse and the logical length must match what the
-/// surrounding directory claims for the column.
+/// header must parse, the logical length must match what the
+/// surrounding directory claims for the column, and a run-length body
+/// must be well-formed pairs whose counts sum to that length.
 pub fn validate_stream(buf: &[u8], expected_rows: u64) -> io::Result<()> {
     let h = tde_encodings::header::HeaderView::try_parse(buf)
         .ok_or_else(|| corrupt("bad encoded stream header"))?;
@@ -172,6 +173,9 @@ pub fn validate_stream(buf: &[u8], expected_rows: u64) -> io::Result<()> {
             "stream claims {} rows, table has {expected_rows}",
             h.logical_size
         )));
+    }
+    if h.algorithm == tde_encodings::Algorithm::RunLength {
+        tde_encodings::rle::validate(buf, &h).map_err(corrupt)?;
     }
     Ok(())
 }

@@ -419,3 +419,111 @@ fn unknown_column_is_invalid_input_for_every_residency() {
         }
     }
 }
+
+/// The §5.3 table the `rle_dashboard` workload queries, small: two
+/// sorted run-length keys over `[0, 100)`, an affine id and a 16-value
+/// dictionary column, each built through the column builder.
+fn dashboard_table() -> Arc<tde::storage::Table> {
+    use tde::storage::{ColumnBuilder, EncodingPolicy, Table};
+    use tde::types::DataType;
+    let runs = tde::datagen::rle::RleTable::generate(200_000, 1);
+    let column = |name: &str, vals: &[i64]| {
+        let mut b = ColumnBuilder::new(name, DataType::Integer, EncodingPolicy::default());
+        b.append_raw(vals);
+        b.finish().column
+    };
+    let expand = |runs: Vec<(i64, u64)>| -> Vec<i64> {
+        runs.into_iter()
+            .flat_map(|(v, c)| std::iter::repeat_n(v, c as usize))
+            .collect()
+    };
+    let (primary, secondary) = (expand(runs.primary_runs()), expand(runs.secondary_runs()));
+    let rows = primary.len() as i64;
+    let id: Vec<i64> = (0..rows).map(|i| 1000 + 3 * i).collect();
+    let cat: Vec<i64> = (0..rows).map(|i| (i * 7_919 % 16) * 1_000_003).collect();
+    Arc::new(Table::new(
+        "rle",
+        vec![
+            column("primary", &primary),
+            column("secondary", &secondary),
+            column("id", &id),
+            column("cat", &cat),
+        ],
+    ))
+}
+
+/// Every `rle_dashboard` query shape keeps its logical plan: the cost of
+/// building an IndexTable is no input to any plan choice, so making it
+/// cheaper must not move one. The texts are pinned.
+#[test]
+fn rle_dashboard_plans_are_pinned() {
+    let t = dashboard_table();
+    let ge = |c: usize, v: i64| Expr::cmp(CmpOp::Ge, Expr::col(c), Expr::int(v));
+    let fig10 = |key: &str, other: &str| {
+        Query::scan_columns(&t, &[key, other])
+            .filter(ge(0, 95))
+            .aggregate(vec![0], vec![(AggFunc::Max, 1, "mx")])
+    };
+    let counted = |cols: [&str; 2], pred: Expr, group: Vec<usize>| {
+        Query::scan_columns(&t, &cols)
+            .filter(pred)
+            .aggregate(group, vec![(AggFunc::Count, 0, "n")])
+    };
+    let indexed = |key: &str, fetch: &str, aggs: &str, group: &str, ordered: &str| {
+        format!(
+            "Aggregate group_by=[{group}] aggs={aggs}\n  \
+             IndexedScan rle.{key} fetch=[{fetch}] +filter{ordered}\n"
+        )
+    };
+    let sites = [
+        (
+            "fig10 primary",
+            fig10("primary", "secondary"),
+            indexed("primary", "secondary", "1", "0", " ordered"),
+        ),
+        (
+            "fig10 secondary",
+            fig10("secondary", "primary"),
+            indexed("secondary", "primary", "1", "0", " ordered"),
+        ),
+        (
+            "run_agg",
+            Query::scan_columns(&t, &["secondary", "primary"])
+                .filter(Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::int(17)))
+                .aggregate(
+                    vec![],
+                    vec![(AggFunc::Count, 0, "n"), (AggFunc::Sum, 1, "s")],
+                ),
+            indexed("secondary", "primary", "2", "", ""),
+        ),
+        (
+            "affine_range",
+            counted(
+                ["id", "cat"],
+                Expr::And(
+                    Box::new(ge(0, 31_000)),
+                    Box::new(Expr::cmp(CmpOp::Le, Expr::col(0), Expr::int(181_000))),
+                ),
+                vec![1],
+            ),
+            "Aggregate group_by=[1] aggs=1\n  Scan rle [id, cat] residency=eager +pred\n".into(),
+        ),
+        (
+            "out_of_range primary",
+            counted(["primary", "cat"], ge(0, 500), vec![1]),
+            indexed("primary", "cat", "1", "1", ""),
+        ),
+        (
+            "out_of_range secondary",
+            counted(
+                ["secondary", "cat"],
+                Expr::cmp(CmpOp::Le, Expr::col(0), Expr::int(-5)),
+                vec![1],
+            ),
+            indexed("secondary", "cat", "1", "1", ""),
+        ),
+    ];
+    for (site, query, pinned) in sites {
+        assert_eq!(query.explain(), pinned, "{site}");
+    }
+}

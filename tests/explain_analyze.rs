@@ -271,6 +271,60 @@ fn kernel_scan_telemetry_on_ineligible_predicate_falls_back() {
     }
 }
 
+/// An IndexedScan says how much of its run index the query used — index
+/// rows built, rows the inner filter kept — in EXPLAIN ANALYZE and on
+/// the timeline span alike, while its operator kind stays `IndexedScan`.
+#[test]
+fn indexed_scan_label_reports_runs_and_qualified_rows() {
+    let keys: Vec<i64> = (0..10_000).map(|i| i / 500).collect();
+    let mut s = EncodedStream::new_rle(Width::W8, true, Width::W2, Width::W1);
+    for c in keys.chunks(BLOCK_SIZE) {
+        s.append_block(c).unwrap();
+    }
+    let mut pay = ColumnBuilder::new("ix_p", DataType::Integer, Default::default());
+    for i in 0..10_000i64 {
+        pay.append_i64(i % 97);
+    }
+    let t = Arc::new(Table::new(
+        "ix_t",
+        vec![
+            Column::scalar("ix_k", DataType::Integer, s),
+            pay.finish().column,
+        ],
+    ));
+    let prev = tde::obs::timeline::set_enabled(true);
+    let report = Query::scan(&t)
+        .filter(Expr::cmp(CmpOp::Ge, Expr::col(0), Expr::int(15)))
+        .aggregate(vec![0], vec![(AggFunc::Max, 1, "mx")])
+        .explain_analyze();
+    tde::obs::timeline::set_enabled(prev);
+    assert_eq!(report.row_count, 5);
+    let node = report
+        .operators
+        .iter()
+        .find(|n| n.label.starts_with("IndexedScan ix_t.ix_k"))
+        .unwrap_or_else(|| panic!("no IndexedScan in\n{}", report.operator_tree));
+    assert!(
+        node.label.ends_with(" runs=20 qualified=5"),
+        "{}",
+        node.label
+    );
+    assert_eq!(node.rows, 5 * 500);
+
+    // The timeline span of the same operator: kind `IndexedScan` (the
+    // metric key), the same label and row count.
+    let span = tde::obs::timeline::recent_traces()
+        .iter()
+        .flat_map(|trace| trace.events.clone())
+        .find_map(|e| match e.kind {
+            tde::obs::timeline::TimelineKind::OperatorSpan {
+                op, label, rows, ..
+            } if label == node.label => Some((op, rows)),
+            _ => None,
+        });
+    assert_eq!(span, Some(("IndexedScan".to_string(), node.rows)));
+}
+
 /// A grand total over a run-length column routes through RunAggregate
 /// (per-run folding) and records the tactical decision.
 #[test]

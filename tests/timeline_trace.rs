@@ -263,10 +263,12 @@ fn timeline_spans_and_explain_analyze_report_the_same_measurement() {
             dur: u64,
         }
         let mut timed = Vec::new();
+        let mut labels = Vec::new();
         let mut on_timeline = Vec::new();
         for e in &trace.events {
             if let timeline::TimelineKind::OperatorSpan {
                 op,
+                label,
                 op_id,
                 parent,
                 blocks,
@@ -275,6 +277,7 @@ fn timeline_spans_and_explain_analyze_report_the_same_measurement() {
             } = &e.kind
             {
                 timed.push((op.clone(), *blocks, *rows, *dur_ns));
+                labels.push(label.as_str());
                 on_timeline.push(Span {
                     op,
                     id: *op_id,
@@ -290,6 +293,9 @@ fn timeline_spans_and_explain_analyze_report_the_same_measurement() {
             "{blocking}: the two views disagree\n{}",
             report.operator_tree
         );
+        let explained_labels: Vec<&str> =
+            report.operators.iter().map(|n| n.label.as_str()).collect();
+        assert_eq!(labels, explained_labels, "{blocking}: span labels");
         assert_eq!(explained.len(), 2, "{}", report.operator_tree);
         assert_eq!(explained[0].0, blocking);
         let (kind, blocks, rows, _) = &explained[1];
