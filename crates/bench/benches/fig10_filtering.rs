@@ -49,7 +49,7 @@ fn run_query(
         .len()
 }
 
-fn sweep(table: &Arc<Table>, rows: u64, reps: usize, report: &mut BenchReport) {
+fn sweep(table: &Arc<Table>, rows: u64, reps: usize) {
     let control = OptimizerOptions {
         invisible_joins: false,
         index_tables: false,
@@ -88,23 +88,6 @@ fn sweep(table: &Arc<Table>, rows: u64, reps: usize, report: &mut BenchReport) {
             });
             assert_eq!(groups[0], groups[1], "plans disagree");
             assert_eq!(groups[0], groups[2], "plans disagree");
-            for (plan, t) in [("scan", t1), ("index", t2), ("sorted", t3)] {
-                report.timing(&format!("{rows}r {key} sel={sel}% {plan}"), t);
-                // Track the mid-sweep point: coarse enough to be stable,
-                // selective enough that the indexed plans still matter.
-                if sel == 10 {
-                    report.metric_timing(&format!("{rows}r_{key}_sel10_{plan}_ns"), t, 2.0);
-                }
-            }
-            if sel == 10 {
-                report.metric(
-                    &format!("{rows}r_{key}_sel10_sorted_speedup"),
-                    t1.as_secs_f64() / t3.as_secs_f64().max(1e-12),
-                    "x",
-                    Direction::Higher,
-                    2.5,
-                );
-            }
             println!(
                 "{:>10}% {:>11.4}s {:>11.4}s {:>11.4}s {:>7.2}x {:>7.2}x",
                 sel,
@@ -120,7 +103,6 @@ fn sweep(table: &Arc<Table>, rows: u64, reps: usize, report: &mut BenchReport) {
 
 fn main() {
     let scale = Scale::from_env();
-    let mut report = BenchReport::new("fig10_filtering");
     banner(
         "Figure 10",
         "filter + aggregate over run-length data, three plans",
@@ -146,22 +128,8 @@ fn main() {
             },
             tde_encodings::BLOCK_SIZE
         );
-        report.table(&table);
-        sweep(&table, rows, scale.reps, &mut report);
-
-        // One fully traced run of the ordered plan at 10% selectivity:
-        // the per-operator tree plus the tactical decisions behind it.
-        let traced = Query::scan_columns(&table, &["secondary", "primary"])
-            .filter(Expr::cmp(CmpOp::Gt, Expr::col(0), Expr::int(90)))
-            .aggregate(vec![0], vec![(AggFunc::Max, 1, "mx")])
-            .explain_analyze();
-        report.json(
-            &format!("explain:{label} secondary sel=10%"),
-            traced.to_json(),
-        );
+        sweep(&table, rows, scale.reps);
     }
-    report.registry_snapshot();
-    report.write();
 
     println!("\nPaper check: primary-key index plans ≈2× over the control;");
     println!("secondary-key ordered plan wins on the large table but degrades");

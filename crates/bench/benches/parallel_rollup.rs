@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-use tde_bench::{banner, BenchReport, Direction, Scale};
+use tde_bench::{banner, Scale};
 use tde_core::exec::aggregate::AggSpec;
 use tde_core::exec::count_rows;
 use tde_core::exec::expr::AggFunc;
@@ -50,7 +50,6 @@ fn build(rows: u64) -> Arc<Table> {
 
 fn main() {
     let scale = Scale::from_env();
-    let mut report = BenchReport::new("parallel_rollup");
     let rows = scale.rle_large / 2;
     banner(
         "§8 (A3)",
@@ -86,32 +85,7 @@ fn main() {
             baseline = best;
         }
         println!("{:>8} {:>10.4} {:>8.2}x", workers, best, baseline / best);
-        report.json(
-            &format!("workers={workers}"),
-            format!(
-                "{{\"elapsed_ns\":{},\"speedup\":{:.3}}}",
-                (best * 1e9) as u64,
-                baseline / best
-            ),
-        );
-        report.metric_timing(
-            &format!("workers{workers}_ns"),
-            std::time::Duration::from_secs_f64(best),
-            2.0,
-        );
-        if workers > 1 {
-            report.metric(
-                &format!("speedup_{workers}w"),
-                baseline / best,
-                "x",
-                Direction::Higher,
-                2.5,
-            );
-        }
     }
-    report.table(&t);
-    report.registry_snapshot();
-    report.write();
     println!("\nPartials concatenate in index order; a month cut by a partition");
     println!("boundary is rejoined by the ordered merge — no hash table.");
 }

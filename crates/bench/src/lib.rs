@@ -15,8 +15,6 @@
 //! * `TDE_RLE_SMALL` / `TDE_RLE_LARGE` — RLE table rows (default 1 M / 16 M)
 //! * `TDE_REPS` — timing repetitions (default 5; the paper used 12)
 
-pub mod gate;
-
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use tde_datagen::tpch::{self, TpchTable};
@@ -191,276 +189,6 @@ pub fn build_rle_table(rows: u64, seed: u64) -> std::sync::Arc<Table> {
     ))
 }
 
-/// Directory where figure harnesses dump machine-readable results
-/// (`bench_results/BENCH_<figure>.json`), overridable with
-/// `TDE_BENCH_RESULTS`.
-pub fn results_dir() -> PathBuf {
-    // `cargo bench` runs harnesses with the crate directory as cwd, so
-    // anchor the default at the workspace root, not the working dir.
-    let d = std::env::var("TDE_BENCH_RESULTS")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results"));
-    std::fs::create_dir_all(&d).expect("create bench results dir");
-    d
-}
-
-/// Report provenance captured once per harness run: which commit, when,
-/// on how many threads. This is what makes `bench_results/` comparable
-/// across PRs — `bench-gate` refuses nothing but warns on mismatched
-/// thread counts, and trend tooling groups by `git_sha`.
-#[derive(Debug, Clone)]
-pub struct ReportMeta {
-    /// `HEAD` commit (from `TDE_GIT_SHA`, else `git rev-parse HEAD`,
-    /// else `"unknown"`).
-    pub git_sha: String,
-    /// Wall-clock UTC timestamp, ISO 8601 (`2026-08-07T12:34:56Z`).
-    pub timestamp_utc: String,
-    /// Available parallelism on the benchmarking host.
-    pub threads: usize,
-    /// Report schema version; bump when the JSON shape changes.
-    pub schema_version: u32,
-}
-
-/// The current `BENCH_*.json` schema version.
-pub const REPORT_SCHEMA_VERSION: u32 = 2;
-
-impl ReportMeta {
-    /// Capture provenance from the environment.
-    pub fn capture() -> ReportMeta {
-        let git_sha = std::env::var("TDE_GIT_SHA")
-            .ok()
-            .filter(|s| !s.is_empty())
-            .or_else(|| {
-                std::process::Command::new("git")
-                    .args(["rev-parse", "HEAD"])
-                    .current_dir(env!("CARGO_MANIFEST_DIR"))
-                    .output()
-                    .ok()
-                    .filter(|o| o.status.success())
-                    .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
-            })
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "unknown".to_owned());
-        ReportMeta {
-            git_sha,
-            timestamp_utc: iso8601_utc_now(),
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            schema_version: REPORT_SCHEMA_VERSION,
-        }
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"schema_version\":{},\"git_sha\":\"{}\",\"timestamp_utc\":\"{}\",\"threads\":{}}}",
-            self.schema_version,
-            tde_obs::json_escape(&self.git_sha),
-            tde_obs::json_escape(&self.timestamp_utc),
-            self.threads
-        )
-    }
-}
-
-/// UTC now as ISO 8601, hand-rolled (no chrono in this repo).
-fn iso8601_utc_now() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let (y, mo, d) = tde_types::datetime::ymd_from_days((secs / 86_400) as i64);
-    let rem = secs % 86_400;
-    format!(
-        "{y:04}-{mo:02}-{d:02}T{:02}:{:02}:{:02}Z",
-        rem / 3600,
-        (rem % 3600) / 60,
-        rem % 60
-    )
-}
-
-/// Which way is better for a tracked metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Smaller is better (latencies, bytes).
-    Lower,
-    /// Larger is better (throughput, speedup ratios).
-    Higher,
-}
-
-impl Direction {
-    /// The JSON label (`"lower"` / `"higher"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Direction::Lower => "lower",
-            Direction::Higher => "higher",
-        }
-    }
-}
-
-/// One gated measurement: `bench-gate` compares `value` against the
-/// committed baseline and flags a regression when it moves the wrong way
-/// by more than the metric's noise allowance.
-#[derive(Debug, Clone)]
-pub struct TrackedMetric {
-    /// Metric name, unique within the figure.
-    pub name: String,
-    /// Measured value.
-    pub value: f64,
-    /// Unit, informational (`"ns"`, `"x"`, `"rows/s"`).
-    pub unit: String,
-    /// Which way is better.
-    pub direction: Direction,
-    /// Multiplicative noise allowance (`1.3` = 30% drift tolerated).
-    pub noise: f64,
-}
-
-/// JSON telemetry accumulated by one figure-harness invocation and
-/// written to `bench_results/BENCH_<figure>.json` (schema v2: meta +
-/// tracked metrics + free-form sections).
-///
-/// Tracked metrics from [`BenchReport::metric`] feed the `bench-gate`
-/// regression comparator. Sections are raw JSON values: timings from
-/// [`BenchReport::timing`], per-column compression telemetry from
-/// [`BenchReport::table`], or any pre-rendered document (e.g.
-/// `ExplainAnalyze::to_json`) via [`BenchReport::json`].
-pub struct BenchReport {
-    figure: String,
-    meta: ReportMeta,
-    metrics: Vec<TrackedMetric>,
-    sections: Vec<(String, String)>,
-}
-
-impl BenchReport {
-    /// Start a report for `figure` (used in the output file name; keep it
-    /// filesystem-safe).
-    pub fn new(figure: &str) -> BenchReport {
-        BenchReport {
-            figure: figure.to_owned(),
-            meta: ReportMeta::capture(),
-            metrics: Vec::new(),
-            sections: Vec::new(),
-        }
-    }
-
-    /// Record a tracked (gated) metric. Non-finite values are recorded
-    /// as zero so the report stays valid JSON.
-    pub fn metric(&mut self, name: &str, value: f64, unit: &str, direction: Direction, noise: f64) {
-        self.metrics.push(TrackedMetric {
-            name: name.to_owned(),
-            value: if value.is_finite() { value } else { 0.0 },
-            unit: unit.to_owned(),
-            direction,
-            noise: if noise.is_finite() && noise >= 1.0 {
-                noise
-            } else {
-                1.3
-            },
-        });
-    }
-
-    /// Record a tracked wall-time metric (nanoseconds, lower is better).
-    pub fn metric_timing(&mut self, name: &str, elapsed: Duration, noise: f64) {
-        self.metric(
-            name,
-            elapsed.as_nanos() as f64,
-            "ns",
-            Direction::Lower,
-            noise,
-        );
-    }
-
-    /// Attach a snapshot of the process-wide metrics registry's counters
-    /// and gauges as a `registry` section — per-run instrument totals
-    /// alongside the tracked timings.
-    pub fn registry_snapshot(&mut self) {
-        use tde_obs::metrics::SampleValue;
-        let snap = tde_obs::metrics::global().snapshot();
-        let entries: Vec<String> = snap
-            .samples
-            .iter()
-            .filter_map(|s| match &s.value {
-                SampleValue::Counter(v) => {
-                    Some(format!("\"{}\":{v}", tde_obs::json_escape(&s.key())))
-                }
-                SampleValue::Gauge(v) => {
-                    Some(format!("\"{}\":{v}", tde_obs::json_escape(&s.key())))
-                }
-                SampleValue::Histogram(_) => None,
-            })
-            .collect();
-        self.json("registry", format!("{{{}}}", entries.join(",")));
-    }
-
-    /// Attach a pre-rendered JSON value under `label`.
-    pub fn json(&mut self, label: &str, json: impl Into<String>) {
-        self.sections.push((label.to_owned(), json.into()));
-    }
-
-    /// Attach a timing measurement.
-    pub fn timing(&mut self, label: &str, elapsed: Duration) {
-        self.json(label, format!("{{\"elapsed_ns\":{}}}", elapsed.as_nanos()));
-    }
-
-    /// Attach the per-column compression telemetry of `table`.
-    pub fn table(&mut self, table: &Table) {
-        let cols: Vec<String> = table
-            .compression_telemetry()
-            .iter()
-            .map(|c| c.to_json())
-            .collect();
-        self.json(
-            &format!("table:{}", table.name),
-            format!(
-                "{{\"table\":\"{}\",\"rows\":{},\"columns\":[{}]}}",
-                tde_obs::json_escape(&table.name),
-                table.row_count(),
-                cols.join(",")
-            ),
-        );
-    }
-
-    /// Render the schema-v2 report document.
-    pub fn to_json(&self) -> String {
-        let metrics: Vec<String> = self
-            .metrics
-            .iter()
-            .map(|m| {
-                format!(
-                    "{{\"name\":\"{}\",\"value\":{},\"unit\":\"{}\",\"direction\":\"{}\",\"noise\":{}}}",
-                    tde_obs::json_escape(&m.name),
-                    m.value,
-                    tde_obs::json_escape(&m.unit),
-                    m.direction.as_str(),
-                    m.noise
-                )
-            })
-            .collect();
-        let body: Vec<String> = self
-            .sections
-            .iter()
-            .map(|(label, json)| {
-                format!(
-                    "{{\"label\":\"{}\",\"value\":{json}}}",
-                    tde_obs::json_escape(label)
-                )
-            })
-            .collect();
-        format!(
-            "{{\"figure\":\"{}\",\"meta\":{},\"metrics\":[{}],\"sections\":[{}]}}\n",
-            tde_obs::json_escape(&self.figure),
-            self.meta.to_json(),
-            metrics.join(","),
-            body.join(",")
-        )
-    }
-
-    /// Write `bench_results/BENCH_<figure>.json` and return its path.
-    pub fn write(&self) -> PathBuf {
-        let path = results_dir().join(format!("BENCH_{}.json", self.figure));
-        std::fs::write(&path, self.to_json()).expect("write bench report");
-        println!("[telemetry] wrote {}", path.display());
-        path
-    }
-}
-
 /// Print a header for a figure harness.
 pub fn banner(figure: &str, what: &str) {
     println!("\n================================================================");
@@ -507,56 +235,6 @@ mod tests {
         let s = Scale::from_env();
         assert!(s.sf > 0.0);
         assert!(s.rle_large > s.rle_small);
-    }
-
-    #[test]
-    fn bench_report_writes_valid_json() {
-        let dir = std::env::temp_dir().join("tde_bench_report_test");
-        std::env::set_var("TDE_BENCH_RESULTS", &dir);
-        let mut r = BenchReport::new("test_fig");
-        r.timing("import \"quoted\"", Duration::from_micros(1500));
-        r.metric_timing("scan_ns", Duration::from_micros(900), 1.3);
-        r.metric("speedup", 2.5, "x", Direction::Higher, 1.2);
-        r.table(&build_rle_table(10_000, 1));
-        r.registry_snapshot();
-        let path = r.write();
-        std::env::remove_var("TDE_BENCH_RESULTS");
-        let doc = std::fs::read_to_string(&path).unwrap();
-        assert!(doc.contains("\"figure\":\"test_fig\""));
-        assert!(doc.contains("\"schema_version\":2"));
-        assert!(doc.contains("\"git_sha\""));
-        assert!(doc.contains("\"timestamp_utc\""));
-        assert!(doc.contains("\"elapsed_ns\":1500000"));
-        assert!(doc.contains(
-            "\"name\":\"scan_ns\",\"value\":900000,\"unit\":\"ns\",\"direction\":\"lower\""
-        ));
-        assert!(doc.contains(
-            "\"name\":\"speedup\",\"value\":2.5,\"unit\":\"x\",\"direction\":\"higher\""
-        ));
-        assert!(doc.contains("\"table\":\"rle\""));
-        assert!(doc.contains("import \\\"quoted\\\""));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn report_meta_is_sane() {
-        let m = ReportMeta::capture();
-        assert_eq!(m.schema_version, REPORT_SCHEMA_VERSION);
-        assert!(m.threads >= 1);
-        // 2026-08-07T.. shape: YYYY-MM-DDTHH:MM:SSZ.
-        assert_eq!(m.timestamp_utc.len(), 20, "{}", m.timestamp_utc);
-        assert!(m.timestamp_utc.ends_with('Z'));
-        assert_eq!(&m.timestamp_utc[10..11], "T");
-    }
-
-    #[test]
-    fn non_finite_metric_values_are_sanitized() {
-        let mut r = BenchReport::new("nan_fig");
-        r.metric("bad", f64::NAN, "x", Direction::Higher, f64::INFINITY);
-        let doc = r.to_json();
-        assert!(doc.contains("\"name\":\"bad\",\"value\":0,"));
-        assert!(doc.contains("\"noise\":1.3"));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! is **always on**: counters, gauges and histograms accumulate over the
 //! whole process lifetime, across every query, load and cache event.
 //! `tde-stats` exports the registry in Prometheus text exposition format
-//! and JSON; the bench harnesses snapshot it into `BenchReport`s.
+//! and JSON.
 //!
 //! **Overhead contract** (the same one [`crate::emit`] documents): when
 //! the registry is disabled (`TDE_METRICS=0`), every instrumentation

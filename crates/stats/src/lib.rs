@@ -9,8 +9,8 @@
 //!   compatible collector. [`prometheus::validate`] is a strict parser
 //!   used by tests and by the `tde-stats` binary's self-check.
 //! * **JSON** ([`json_text`]): one object per instrument with its name,
-//!   labels, kind, and value — consumed by `bench-gate` and ad-hoc
-//!   tooling via the bundled [`minijson`] parser.
+//!   labels, kind, and value — readable by ad-hoc tooling via the
+//!   bundled [`minijson`] parser.
 //!
 //! The [`tef`] module renders query timelines from
 //! [`tde_obs::timeline`] as Chrome Trace Event Format documents that

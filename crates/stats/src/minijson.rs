@@ -1,5 +1,5 @@
 //! A minimal JSON parser — enough to validate the engine's own JSON
-//! output and to read `BenchReport` files in `bench-gate`.
+//! output.
 //!
 //! The repo deliberately has no serialization dependency; all JSON the
 //! engine *writes* is hand-rolled. This module closes the loop on the

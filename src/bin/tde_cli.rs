@@ -22,18 +22,26 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// An optional positional argument: `default` when absent, `None` when
+/// present but unparseable.
+fn optional<T: std::str::FromStr>(arg: Option<&String>, default: T) -> Option<T> {
+    arg.map_or(Some(default), |a| a.parse().ok())
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("import") if args.len() >= 3 => cmd_import(&args[1], &args[2], args.get(3)),
         Some("info") if args.len() >= 2 => cmd_info(&args[1]),
-        Some("head") if args.len() >= 3 => {
-            let n = args.get(3).and_then(|a| a.parse().ok()).unwrap_or(10);
-            cmd_head(&args[1], &args[2], n)
-        }
+        Some("head") if args.len() >= 3 => match optional(args.get(3), 10) {
+            Some(n) => cmd_head(&args[1], &args[2], n),
+            None => return usage(),
+        },
         Some("gen") if args.len() >= 3 => {
-            let scale = args.get(3).and_then(|a| a.parse().ok()).unwrap_or(0.01);
-            cmd_gen(&args[1], &args[2], scale)
+            match optional(args.get(3), 0.01).filter(|s: &f64| s.is_finite() && *s > 0.0) {
+                Some(scale) => cmd_gen(&args[1], &args[2], scale),
+                None => return usage(),
+            }
         }
         _ => return usage(),
     };

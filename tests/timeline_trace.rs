@@ -342,15 +342,18 @@ fn parallel_paged_query_produces_a_validated_worker_trace() {
     let db = PagedDatabase::open(&path).unwrap();
     let t = db.table("fig10").unwrap();
 
+    let query = || {
+        Query::scan_columns(&t, &["g", "v"])
+            .filter(Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::int(500_000)))
+            .aggregate(vec![0], vec![(AggFunc::Count, 1, "n")])
+            .with_parallelism(4)
+    };
+
     let prev_trace = timeline::set_enabled(true);
     let sink = span::MemorySink::new();
     let prev_sink = span::set_span_sink(Some(sink.clone()));
 
-    let rows = Query::scan_columns(&t, &["g", "v"])
-        .filter(Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::int(500_000)))
-        .aggregate(vec![0], vec![(AggFunc::Count, 1, "n")])
-        .with_parallelism(4)
-        .rows();
+    let rows = query().rows();
     assert_eq!(rows.len(), 100, "one output row per group");
 
     let spans = sink.spans();
@@ -366,10 +369,14 @@ fn parallel_paged_query_produces_a_validated_worker_trace() {
     );
     assert_eq!(trace.rows_out, 100);
     assert!(trace.error.is_none());
+    // Tracing observes the query without changing its answer.
+    let prev_trace = timeline::set_enabled(false);
+    let untraced = query().rows();
+    timeline::set_enabled(prev_trace);
+    assert_eq!(rows, untraced, "traced and untraced runs disagree");
 
-    // ≥ 4 distinct workers actually executed morsels. Like the
-    // morsel_pipeline bench's speedup floor, the full-degree assertion
-    // only means something when the host can run 4 workers at once —
+    // ≥ 4 distinct workers actually executed morsels. The full-degree
+    // assertion only means something when the host can run 4 workers at once —
     // on fewer cores a late-spawning worker can lose its whole deque
     // partition to stealing before the OS first schedules it.
     let workers: std::collections::BTreeSet<u32> = trace
