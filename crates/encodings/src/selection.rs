@@ -150,7 +150,7 @@ impl Selection {
     }
 
     /// Compact `column` (of this block) in place to its selected rows.
-    pub fn compact(&self, column: &mut Vec<i64>) {
+    pub fn compact<T: Copy>(&self, column: &mut Vec<T>) {
         match self.positions() {
             None => column.truncate(self.rows),
             Some(pos) => {

@@ -169,6 +169,70 @@ fn fold_column(acc: &mut AccCol, func: AggFunc, domain: &Domain, gids: &[u32], v
     }
 }
 
+/// Fold a run-carrying block's column, whose row `i` stands for
+/// `weights[i]` identical rows, exactly like its expansion: `COUNT` adds
+/// the weight; an integer (or token, or dictionary) `SUM` adds `v × w`,
+/// which is `w` wrapping adds of `v` mod 2^64; `MIN` and `MAX` are
+/// idempotent, so one fold per segment is the same (a group's count only
+/// ever says whether it saw a value). A real sum has no closed form —
+/// repeated f64 addition is not `v × w` — so it folds the expansion; the
+/// planner never asks a leaf for runs under one.
+fn fold_weighted(
+    acc: &mut AccCol,
+    func: AggFunc,
+    domain: &Domain,
+    gids: &[u32],
+    vals: &[i64],
+    weights: &[u64],
+) {
+    let vals = &vals[..gids.len()];
+    match (func, domain) {
+        (AggFunc::Count, _) => {
+            for (&g, &w) in gids.iter().zip(weights) {
+                acc.count[g as usize] += w;
+            }
+        }
+        (AggFunc::Sum, Domain::Real) => {
+            for ((&g, &v), &w) in gids.iter().zip(vals).zip(weights) {
+                for _ in 0..w {
+                    fold_real(acc, &[g], &[v], |a, x| a + x);
+                }
+            }
+        }
+        (AggFunc::Sum, Domain::Dict(dict)) => {
+            let vals = vals
+                .iter()
+                .map(|&c| if c == NULL_I64 { c } else { dict[c as usize] });
+            sum_weighted(acc, gids, vals, weights, NULL_I64);
+        }
+        (AggFunc::Sum, Domain::Token) => {
+            sum_weighted(acc, gids, vals.iter().copied(), weights, NULL_TOKEN as i64)
+        }
+        (AggFunc::Sum, Domain::Int) => {
+            sum_weighted(acc, gids, vals.iter().copied(), weights, NULL_I64)
+        }
+        (AggFunc::Min | AggFunc::Max, _) => fold_column(acc, func, domain, gids, vals),
+    }
+}
+
+/// Add each non-NULL `v`, standing for `w` rows, to its group.
+#[inline(always)]
+fn sum_weighted(
+    acc: &mut AccCol,
+    gids: &[u32],
+    vals: impl Iterator<Item = i64>,
+    weights: &[u64],
+    null: i64,
+) {
+    for ((&g, v), &w) in gids.iter().zip(vals).zip(weights) {
+        if v != null {
+            let g = g as usize;
+            acc.value[g] = acc.value[g].wrapping_add(v.wrapping_mul(w as i64));
+            acc.count[g] += w;
+        }
+    }
+}
+
 #[inline(always)]
 fn fold_int_func(
     acc: &mut AccCol,
@@ -264,7 +328,11 @@ fn emit_blocks(rows: Vec<Vec<i64>>, ncols: usize) -> Vec<Block> {
         let columns: Vec<Vec<i64>> = (0..ncols)
             .map(|c| rows[c][at..at + take].to_vec())
             .collect();
-        blocks.push(Block { columns, len: take });
+        blocks.push(Block {
+            columns,
+            len: take,
+            weights: None,
+        });
         at += take;
     }
     blocks
@@ -419,7 +487,9 @@ impl AggCore {
     }
 
     /// Fold one block's rows into `p`: group ids first, then one pass per
-    /// aggregate.
+    /// aggregate. A run-carrying block folds exactly like its expansion
+    /// (see `fold_weighted`): its segments arrive in row order, so hash
+    /// groups keep first-occurrence order and ordered runs stay runs.
     pub fn fold_block(&self, p: &mut Partial, block: &Block) {
         let keys: Vec<&[i64]> = self
             .group_cols
@@ -433,13 +503,12 @@ impl AggCore {
         }
         self.grow(p);
         for (a, spec) in self.aggs.iter().enumerate() {
-            fold_column(
-                &mut p.accs[a],
-                spec.func,
-                &self.domains[a],
-                &p.gids,
-                &block.columns[spec.col],
-            );
+            let (acc, domain) = (&mut p.accs[a], &self.domains[a]);
+            let vals = &block.columns[spec.col];
+            match &block.weights {
+                None => fold_column(acc, spec.func, domain, &p.gids, vals),
+                Some(w) => fold_weighted(acc, spec.func, domain, &p.gids, vals, w),
+            }
         }
     }
 

@@ -137,32 +137,53 @@ impl Schema {
 }
 
 /// A block of rows: one `i64` vector per column, all `len` long.
+///
+/// A *run-carrying* block also has `weights`: its row `i` stands for
+/// `weights[i]` identical consecutive rows — a segment over which every
+/// column of a run-length scan holds one value (paper §4.2, RLE as a
+/// (value, length) pair of columns). Only a scan asked for runs
+/// ([`crate::scan::TableScan::with_runs`],
+/// [`crate::indexed_scan::IndexedScan::with_runs`]) produces one, a
+/// column-reorder [`crate::project::Project`] passes it on, and
+/// [`crate::aggregate::AggCore`] is its only consumer; every other
+/// operator reads rows.
 #[derive(Debug, Clone, Default)]
 pub struct Block {
     /// Column vectors.
     pub columns: Vec<Vec<i64>>,
-    /// Row count.
+    /// Row count (segments, in a run-carrying block).
     pub len: usize,
+    /// Rows each row stands for, in a run-carrying block.
+    pub weights: Option<Vec<u64>>,
 }
 
 impl Block {
     /// An empty block shaped for `ncols` columns.
     pub fn empty(ncols: usize) -> Block {
-        Block {
-            columns: vec![Vec::new(); ncols],
-            len: 0,
-        }
+        Block::new(vec![Vec::new(); ncols])
     }
 
     /// Build from column vectors.
     pub fn new(columns: Vec<Vec<i64>>) -> Block {
         let len = columns.first().map_or(0, Vec::len);
         debug_assert!(columns.iter().all(|c| c.len() == len));
-        Block { columns, len }
+        Block {
+            columns,
+            len,
+            weights: None,
+        }
+    }
+
+    /// The rows the block stands for: `len`, or the sum of its weights.
+    pub fn rows(&self) -> u64 {
+        match &self.weights {
+            Some(w) => w.iter().sum(),
+            None => self.len as u64,
+        }
     }
 
     /// Keep only the rows `sel` (a selection over this block) selects,
-    /// compacting each column once.
+    /// compacting each column (and the weights) once.
     pub fn select(&mut self, sel: &Selection) {
         debug_assert_eq!(sel.rows(), self.len);
         if sel.positions().is_none() {
@@ -170,6 +191,9 @@ impl Block {
         }
         for col in &mut self.columns {
             sel.compact(col);
+        }
+        if let Some(w) = &mut self.weights {
+            sel.compact(w);
         }
         self.len = sel.len();
     }
@@ -188,6 +212,17 @@ mod tests {
         assert_eq!(b.len, 2);
         assert_eq!(b.columns[0], vec![1, 3]);
         assert_eq!(b.columns[1], vec![10, 30]);
+        assert_eq!(b.rows(), 2);
+
+        let mut runs = Block::new(vec![vec![1, 2, 3]]);
+        runs.weights = Some(vec![5, 1, 7]);
+        assert_eq!(runs.rows(), 13);
+        let mut sel = Selection::all(3);
+        sel.retain(|r| r != 1);
+        runs.select(&sel);
+        assert_eq!(runs.columns[0], vec![1, 3]);
+        assert_eq!(runs.weights, Some(vec![5, 7]));
+        assert_eq!(runs.rows(), 12);
     }
 
     #[test]

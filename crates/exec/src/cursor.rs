@@ -155,14 +155,58 @@ impl StreamCursor {
     }
 }
 
+/// The prefix-sum index over a run-length stream's runs: where each run
+/// starts and what it holds, so the run holding any row is a binary
+/// search — the index structure standing in for the stream's missing
+/// random access (§4.2.1).
+pub struct RunIndex {
+    starts: Vec<u64>,
+    values: Vec<i64>,
+    rows: u64,
+}
+
+impl RunIndex {
+    /// Index `stream`'s runs (O(runs)); `None` unless it is run-length.
+    pub fn new(stream: &EncodedStream) -> Option<RunIndex> {
+        let runs = stream.rle_run_iter()?;
+        let mut starts = Vec::with_capacity(runs.len());
+        let mut values = Vec::with_capacity(runs.len());
+        let mut at = 0u64;
+        for (v, c) in runs {
+            starts.push(at);
+            values.push(v);
+            at += c;
+        }
+        Some(RunIndex {
+            starts,
+            values,
+            rows: stream.len(),
+        })
+    }
+
+    /// The run holding row `row`.
+    pub fn find(&self, row: u64) -> usize {
+        self.starts.partition_point(|&s| s <= row) - 1
+    }
+
+    /// Run `run`'s value.
+    pub fn value(&self, run: usize) -> i64 {
+        self.values[run]
+    }
+
+    /// The row after run `run`'s last.
+    pub fn end(&self, run: usize) -> u64 {
+        self.starts.get(run + 1).copied().unwrap_or(self.rows)
+    }
+}
+
 /// Random-range reader state over one stream, used by IndexedScan. Like
 /// [`StreamCursor`], the stream is passed per call rather than borrowed,
 /// so operators can cache readers alongside the owned table.
 pub struct RangeReader {
-    /// For RLE: (prefix_start, value) per run, so a range read is a binary
-    /// search plus a sequential sweep — the index structure standing in
-    /// for the stream's missing random access (§4.2.1).
-    rle_index: Option<(Vec<u64>, Vec<i64>)>,
+    /// For RLE streams: a range read is a binary search plus a
+    /// sequential sweep over the runs.
+    runs: Option<RunIndex>,
     /// Scratch for decoded blocks of bit-packed streams.
     scratch: Vec<i64>,
     scratch_block: Option<usize>,
@@ -171,23 +215,16 @@ pub struct RangeReader {
 impl RangeReader {
     /// Build a reader (O(runs) setup for RLE streams, O(1) otherwise).
     pub fn new(stream: &EncodedStream) -> RangeReader {
-        let rle_index = (stream.algorithm() == Algorithm::RunLength).then(|| {
-            let runs = stream.rle_run_iter().expect("RLE stream");
-            let mut starts = Vec::with_capacity(runs.len());
-            let mut values = Vec::with_capacity(runs.len());
-            let mut at = 0u64;
-            for (v, c) in runs {
-                starts.push(at);
-                values.push(v);
-                at += c;
-            }
-            (starts, values)
-        });
         RangeReader {
-            rle_index,
+            runs: RunIndex::new(stream),
             scratch: Vec::new(),
             scratch_block: None,
         }
+    }
+
+    /// The run index of a run-length stream.
+    pub fn runs(&self) -> Option<&RunIndex> {
+        self.runs.as_ref()
     }
 
     /// Append the values of rows `[start, start + count)` of `stream`
@@ -199,20 +236,15 @@ impl RangeReader {
         count: u64,
         out: &mut Vec<i64>,
     ) {
-        match &self.rle_index {
-            Some((starts, values)) => {
-                // Find the run containing `start`.
-                let mut run = match starts.binary_search(&start) {
-                    Ok(i) => i,
-                    Err(i) => i - 1,
-                };
-                let mut remaining = count;
+        match &self.runs {
+            Some(_) if count == 0 => {}
+            Some(index) => {
+                let end = start + count;
                 let mut at = start;
-                while remaining > 0 {
-                    let run_end = starts.get(run + 1).copied().unwrap_or(stream.len());
-                    let take = remaining.min(run_end - at);
-                    out.extend(std::iter::repeat_n(values[run], take as usize));
-                    remaining -= take;
+                let mut run = index.find(start);
+                while at < end {
+                    let take = index.end(run).min(end) - at;
+                    out.extend(std::iter::repeat_n(index.value(run), take as usize));
                     at += take;
                     run += 1;
                 }

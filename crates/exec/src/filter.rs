@@ -35,6 +35,7 @@ impl Operator for Filter {
     fn next_block(&mut self) -> Option<Block> {
         loop {
             let mut block = self.input.next_block()?;
+            debug_assert!(block.weights.is_none(), "Filter got a run-carrying block");
             self.predicate
                 .filter(&self.schema, &mut block, &mut self.sel);
             if block.len > 0 {

@@ -51,6 +51,10 @@ pub fn build_from_blocks(
     opts: FlowTableOptions,
 ) -> BuiltTable {
     let ncols = schema.len();
+    debug_assert!(
+        blocks.iter().all(|b| b.weights.is_none()),
+        "FlowTable got a run-carrying block"
+    );
     // One task per column on the shared morsel runtime (§3.3: columns
     // encode independently), as many workers as the platform has cores
     // (asked once: the answer costs a few file reads on Linux).

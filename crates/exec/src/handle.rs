@@ -8,6 +8,7 @@
 
 use crate::block::{Field, Repr};
 use std::sync::Arc;
+use tde_encodings::Algorithm;
 use tde_storage::{Column, Compression, Table};
 
 /// A reference to one stored column, by table position or by ownership.
@@ -31,6 +32,12 @@ impl ColumnHandle {
             ColumnHandle::Shared { table, idx } => &table.columns[*idx],
             ColumnHandle::Owned(c) => c,
         }
+    }
+
+    /// Whether the stored stream is run-length encoded — what a
+    /// run-carrying scan reads (for array compression, the codes).
+    pub fn is_run_length(&self) -> bool {
+        self.col().data.algorithm() == Algorithm::RunLength
     }
 
     /// Every column of an eager table, as handles.

@@ -9,9 +9,16 @@
 //! ordered retrieval that enables sandwiched aggregation on a
 //! non-primary-sort column — at the cost of many small reads when the
 //! runs are short, the degradation the 1M-row experiment exposes.
+//!
+//! When every fetched column is run-length the scan can also hand an
+//! aggregate run-carrying blocks ([`IndexedScan::with_runs`]): each
+//! qualified range becomes the segments over which the fetched runs (and
+//! the carried index values) hold still, read off each column's run
+//! index instead of expanded into rows — sandwiched aggregation at run
+//! cost.
 
 use crate::block::{Block, Field, Schema};
-use crate::cursor::RangeReader;
+use crate::cursor::{RangeReader, RunIndex};
 use crate::handle::ColumnHandle;
 use crate::{BoxOp, Operator, BLOCK_ROWS};
 use std::sync::Arc;
@@ -35,6 +42,8 @@ pub struct IndexedScan {
     /// Whether the ranges arrive in ascending start order (plan 2) or not
     /// (value-sorted ordered retrieval, plan 3).
     pub sequential: bool,
+    /// Emit run-carrying blocks ([`IndexedScan::with_runs`]).
+    runs: bool,
 }
 
 impl IndexedScan {
@@ -74,6 +83,7 @@ impl IndexedScan {
         let mut ranges = Vec::new();
         let mut carried: Vec<Vec<i64>> = vec![Vec::new(); carried_cols.len()];
         while let Some(b) = inner.next_block() {
+            debug_assert!(b.weights.is_none(), "IndexTable pipelines read rows");
             for r in 0..b.len {
                 ranges.push((
                     b.columns[start_col][r] as u64,
@@ -118,7 +128,28 @@ impl IndexedScan {
             range_off: 0,
             readers,
             sequential,
+            runs: false,
         }
+    }
+
+    /// Whether every fetched column is stored run-length — what
+    /// [`IndexedScan::with_runs`] needs.
+    pub fn fetches_runs(&self) -> bool {
+        self.fetch.iter().all(ColumnHandle::is_run_length)
+    }
+
+    /// Emit run-carrying blocks (see [`crate::block::Block`]): one row
+    /// per segment of a qualified range over which every fetched column
+    /// holds one value, weighted by its length. Only an aggregate may
+    /// read them. Every fetched column must be run-length
+    /// ([`IndexedScan::fetches_runs`]).
+    pub fn with_runs(mut self) -> IndexedScan {
+        assert!(
+            self.fetches_runs(),
+            "run-carrying IndexedScan over a non-RLE column"
+        );
+        self.runs = true;
+        self
     }
 
     /// Name the output columns. The IndexTable calls its value column
@@ -152,6 +183,7 @@ impl IndexedScan {
                 .map(|h| RangeReader::new(&h.col().data))
                 .collect(),
             sequential: self.sequential,
+            runs: self.runs,
         }
     }
 
@@ -169,6 +201,9 @@ impl Operator for IndexedScan {
     fn next_block(&mut self) -> Option<Block> {
         if self.next_range >= self.ranges.len() {
             return None;
+        }
+        if self.runs {
+            return self.next_segments();
         }
         let ncarried = self.carried.len();
         let ncols = ncarried + self.fetch.len();
@@ -209,6 +244,71 @@ impl Operator for IndexedScan {
         Some(Block {
             columns,
             len: filled,
+            weights: None,
+        })
+    }
+}
+
+impl IndexedScan {
+    /// The next run-carrying block: up to a block's worth of segments,
+    /// consuming ranges incrementally like the row path.
+    fn next_segments(&mut self) -> Option<Block> {
+        let ncarried = self.carried.len();
+        let mut columns: Vec<Vec<i64>> = vec![Vec::new(); ncarried + self.fetch.len()];
+        let mut weights = Vec::new();
+        let indexes: Vec<&RunIndex> = self
+            .readers
+            .iter()
+            .map(|r| r.runs().expect("checked by with_runs"))
+            .collect();
+        let mut run = vec![0usize; indexes.len()];
+        while weights.len() < BLOCK_ROWS && self.next_range < self.ranges.len() {
+            let (start, count) = self.ranges[self.next_range];
+            let end = start + count;
+            let mut at = start + self.range_off;
+            if at < end {
+                for (r, index) in run.iter_mut().zip(&indexes) {
+                    *r = index.find(at);
+                }
+            }
+            while at < end && weights.len() < BLOCK_ROWS {
+                // The segment ends where the first fetched run (or the
+                // range) does.
+                let stop = run
+                    .iter()
+                    .zip(&indexes)
+                    .map(|(&r, index)| index.end(r))
+                    .fold(end, u64::min);
+                if stop > at {
+                    for (k, col) in columns.iter_mut().take(ncarried).enumerate() {
+                        col.push(self.carried[k][self.next_range]);
+                    }
+                    for ((col, &r), index) in columns[ncarried..].iter_mut().zip(&run).zip(&indexes)
+                    {
+                        col.push(index.value(r));
+                    }
+                    weights.push(stop - at);
+                }
+                for (r, index) in run.iter_mut().zip(&indexes) {
+                    if index.end(*r) == stop {
+                        *r += 1;
+                    }
+                }
+                at = stop;
+            }
+            self.range_off = at - start;
+            if at == end {
+                self.next_range += 1;
+                self.range_off = 0;
+            }
+        }
+        if weights.is_empty() {
+            return None;
+        }
+        Some(Block {
+            columns,
+            len: weights.len(),
+            weights: Some(weights),
         })
     }
 }

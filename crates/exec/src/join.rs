@@ -141,6 +141,7 @@ impl Operator for Join {
     fn next_block(&mut self) -> Option<Block> {
         loop {
             let mut block = self.outer.next_block()?;
+            debug_assert!(block.weights.is_none(), "Join got a run-carrying block");
             let rows: Vec<Option<usize>> = block.columns[self.outer_key]
                 .iter()
                 .map(|&k| self.probe(k))

@@ -46,7 +46,6 @@ pub mod morsel;
 pub mod obs;
 pub mod project;
 pub mod pushdown;
-pub mod rle_agg;
 pub mod scan;
 pub mod sort;
 pub mod source;
@@ -81,11 +80,12 @@ pub fn drain(mut op: BoxOp) -> Vec<Block> {
     out
 }
 
-/// Count the rows an operator produces.
+/// Count the rows an operator produces (a run-carrying block counts the
+/// rows it stands for).
 pub fn count_rows(mut op: BoxOp) -> u64 {
     let mut n = 0;
     while let Some(b) = op.next_block() {
-        n += b.len as u64;
+        n += b.rows();
     }
     n
 }

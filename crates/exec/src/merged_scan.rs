@@ -304,6 +304,7 @@ impl MergedScan {
             let mut block = Block {
                 len: src.len,
                 columns,
+                weights: None,
             };
             if let Some(p) = &mut self.delta_predicate {
                 p.filter(&self.schema, &mut block, &mut self.sel);

@@ -65,7 +65,9 @@ impl Operator for Observed {
         let start_ns = if timed { now_ns() } else { 0 };
         let block = self.inner.next_block();
         let nanos = if timed { now_ns() - start_ns } else { 0 };
-        let rows = block.as_ref().map(|b| b.len as u64);
+        // The rows a block stands for: a run-carrying block counts its
+        // weights, so every view reports the same rows in both modes.
+        let rows = block.as_ref().map(Block::rows);
         if let Some(stats) = &self.stats {
             stats.on_call(nanos, rows);
         }

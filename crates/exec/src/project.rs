@@ -1,4 +1,6 @@
 //! Project (Compute): a flow operator evaluating expressions per block.
+//! A pure column selection also carries a run-carrying block's weights
+//! through to the aggregate above it.
 
 use crate::block::{Block, Field, Schema};
 use crate::expr::{eval, ComputeHeap, Expr};
@@ -51,6 +53,12 @@ impl Operator for Project {
 
     fn next_block(&mut self) -> Option<Block> {
         let block = self.input.next_block()?;
+        // Weights pass through a pure column selection on their way to
+        // the aggregate; nothing computes over a run-carrying block.
+        debug_assert!(
+            block.weights.is_none() || self.exprs.iter().all(|e| matches!(e, Expr::Col(_))),
+            "a computing Project got a run-carrying block"
+        );
         let in_schema = self.input.schema();
         let mut columns = Vec::with_capacity(self.exprs.len());
         for e in &self.exprs {
@@ -61,6 +69,7 @@ impl Operator for Project {
         Some(Block {
             columns,
             len: block.len,
+            weights: block.weights,
         })
     }
 }

@@ -1,6 +1,8 @@
 //! Table scan: decode stored columns block-at-a-time, answering pushed
 //! predicate conjuncts in the compressed domain first and decoding only
-//! the rows that survive them.
+//! the rows that survive them — or, over run-length columns feeding an
+//! aggregate, read the runs themselves and never expand them
+//! ([`TableScan::with_runs`]).
 
 use crate::block::{Block, Schema};
 use crate::cursor::StreamCursor;
@@ -11,6 +13,7 @@ use crate::{Operator, BLOCK_ROWS};
 use std::io;
 use std::sync::Arc;
 use tde_encodings::kernel::{metadata_selection, Matcher, PredicateKernel, ValueSet};
+use tde_encodings::rle::RunPairs;
 use tde_encodings::Selection;
 use tde_pager::PagedTable;
 use tde_storage::{Column, Compression, Table};
@@ -29,6 +32,10 @@ use tde_storage::{Column, Compression, Table};
 /// for a merge snapshot's base); each pushed conjunct narrows it, the
 /// surviving rows of every projected column are then decoded into the
 /// output block, and residual conjuncts filter that block last.
+///
+/// A run-carrying scan ([`TableScan::with_runs`]) instead walks the runs
+/// of every projected column in lockstep and emits one weighted row per
+/// segment over which they all hold still.
 pub struct TableScan {
     handles: Vec<ColumnHandle>,
     schema: Schema,
@@ -47,6 +54,16 @@ pub struct TableScan {
     values: Vec<Vec<i64>>,
     decoded: Vec<bool>,
     scratch: Vec<i64>,
+    /// Set by [`TableScan::with_runs`].
+    runs: Option<Runs>,
+}
+
+/// A run-carrying scan's place in each column: the next stored run to
+/// read, and the current run's value and rows not yet emitted.
+struct Runs {
+    next: Vec<usize>,
+    value: Vec<i64>,
+    left: Vec<u64>,
 }
 
 /// A pushed predicate, compiled once at scan build: one conjunct per
@@ -62,6 +79,9 @@ struct Pushed {
 struct Conjunct {
     col: usize,
     kind: Kind,
+    /// The set as a test on stored values (dictionary codes, for array
+    /// compression): what decoding conjuncts and run-carrying scans run.
+    test: Matcher,
     name: &'static str,
     rows: RowCounts,
 }
@@ -73,7 +93,7 @@ enum Kind {
     Kernel(PredicateKernel),
     /// Decode the column and test its values — the fallback, and what
     /// `force_fallback` pins every conjunct to.
-    Decode(Matcher),
+    Decode,
 }
 
 /// Conjuncts no value set expresses, evaluated over the output block.
@@ -162,6 +182,7 @@ impl TableScan {
             tombstones: Arc::default(),
             sel: Selection::default(),
             scratch: Vec::new(),
+            runs: None,
         }
     }
 
@@ -194,13 +215,11 @@ impl TableScan {
             .into_iter()
             .map(|(col, set)| {
                 let stored = self.handles[col].col();
+                let raw = stored_set(stored, &set);
                 let (kind, name) = if force_fallback {
-                    (
-                        Kind::Decode(Matcher::values(&stored_set(stored, &set))),
-                        "forced-fallback",
-                    )
+                    (Kind::Decode, "forced-fallback")
                 } else {
-                    choose_kind(stored, &set)
+                    choose_kind(stored, &set, &raw)
                 };
                 if !quiet {
                     let encoding = stored.data.algorithm().name();
@@ -222,6 +241,7 @@ impl TableScan {
                 Conjunct {
                     col,
                     kind,
+                    test: Matcher::values(&raw),
                     name,
                     rows: RowCounts::default(),
                 }
@@ -282,6 +302,7 @@ impl TableScan {
     pub fn with_block_range(mut self, start: usize, end: usize) -> TableScan {
         debug_assert!(start <= end, "inverted block range");
         debug_assert_eq!(self.rows_done, 0, "ranged after reads began");
+        debug_assert!(self.runs.is_none(), "a run-carrying scan is not ranged");
         let start_row = (start as u64 * BLOCK_ROWS as u64).min(self.total_rows);
         let end_row = (end as u64 * BLOCK_ROWS as u64).min(self.total_rows);
         for (slot, h) in self.handles.iter().enumerate() {
@@ -297,6 +318,30 @@ impl TableScan {
         self.block_idx = start;
         self.rows_done = start_row;
         self.total_rows = end_row;
+        self
+    }
+
+    /// Emit run-carrying blocks (see [`Block`]): the runs of every
+    /// projected column are merged into segments over which they all hold
+    /// one value, and each segment is one row weighted by its length.
+    /// Each pushed conjunct is tested once per segment against its value
+    /// set over the stored values (the code set, for array compression);
+    /// residual conjuncts, if any, filter the segments. Only an aggregate
+    /// may read the output. Every projected stream must be run-length
+    /// ([`crate::Projection::reads_runs`]); apply before the first read,
+    /// and not to a ranged or tombstoned scan.
+    pub fn with_runs(mut self) -> TableScan {
+        assert!(
+            self.handles.iter().all(ColumnHandle::is_run_length),
+            "run-carrying scan over a non-RLE column"
+        );
+        debug_assert!(self.rows_done == 0 && self.tombstones.is_empty());
+        let n = self.handles.len();
+        self.runs = Some(Runs {
+            next: vec![0; n],
+            value: vec![0; n],
+            left: vec![0; n],
+        });
         self
     }
 
@@ -382,13 +427,13 @@ impl TableScan {
                 // Called even on an empty selection: the RLE kernel
                 // walks every block in order.
                 Kind::Kernel(k) => k.narrow(stream, block_idx, sel),
-                Kind::Decode(m) => {
+                Kind::Decode => {
                     if before > 0 {
                         let v = &mut values[c.col];
                         v.clear();
                         cursors[c.col].next(stream, BLOCK_ROWS, v);
                         v.truncate(blen);
-                        m.narrow(sel, |i| v[i] as u64);
+                        c.test.narrow(sel, |i| v[i] as u64);
                         decoded[c.col] = true;
                     }
                 }
@@ -396,8 +441,124 @@ impl TableScan {
             let after = sel.len() as u64;
             c.rows.rows_in += before;
             c.rows.rows_out += after;
-            if !matches!(c.kind, Kind::Decode(_)) {
+            if !matches!(c.kind, Kind::Decode) {
                 c.rows.rows_skipped += before - after;
+            }
+        }
+    }
+
+    /// Whether a pushed conjunct keeps no row — decided at build from
+    /// min/max metadata or the dictionary — so the scan reads nothing.
+    pub(crate) fn keeps_nothing(&self) -> bool {
+        self.pushed.as_ref().is_some_and(|p| {
+            p.conjuncts
+                .iter()
+                .any(|c| matches!(c.kind, Kind::Const(false)))
+        })
+    }
+
+    /// End a scan that [keeps nothing](TableScan::keeps_nothing) without
+    /// walking its blocks or runs: the deciding conjunct reports every
+    /// row left as skipped.
+    fn skip_rest(&mut self) {
+        let left = self.total_rows - self.rows_done;
+        let conjuncts = self.pushed.iter_mut().flat_map(|p| &mut p.conjuncts);
+        if let Some(c) = conjuncts
+            .into_iter()
+            .find(|c| matches!(c.kind, Kind::Const(false)))
+        {
+            c.rows.rows_in += left;
+            c.rows.rows_skipped += left;
+        }
+        self.rows_done = self.total_rows;
+    }
+
+    /// Up to a block's worth of the segments the pushed conjuncts keep,
+    /// then the residual over them.
+    fn fill_segments(&mut self) -> Option<Block> {
+        let TableScan {
+            handles,
+            schema,
+            expand,
+            total_rows,
+            rows_done,
+            pushed,
+            sel,
+            runs,
+            ..
+        } = self;
+        let runs = runs.as_mut().expect("a run-carrying scan");
+        let pairs: Vec<RunPairs<'_>> = handles
+            .iter()
+            .map(|h| {
+                let stream = &h.col().data;
+                RunPairs::new(stream.as_bytes(), &stream.header())
+            })
+            .collect();
+        let dictionaries: Vec<Option<&[i64]>> = handles
+            .iter()
+            .map(|h| match &h.col().compression {
+                Compression::Array { dictionary, .. } if *expand => Some(dictionary.as_slice()),
+                _ => None,
+            })
+            .collect();
+        loop {
+            let mut columns = vec![Vec::new(); handles.len()];
+            let mut weights = Vec::new();
+            while weights.len() < BLOCK_ROWS && *rows_done < *total_rows {
+                // Every column holds rows past `rows_done`: its runs sum
+                // to its length (checked when the stream was loaded).
+                for (k, runs_k) in pairs.iter().enumerate() {
+                    while runs.left[k] == 0 {
+                        (runs.value[k], runs.left[k]) = runs_k.get(runs.next[k]);
+                        runs.next[k] += 1;
+                    }
+                }
+                let len = runs
+                    .left
+                    .iter()
+                    .copied()
+                    .fold(*total_rows - *rows_done, u64::min);
+                let mut keep = true;
+                for c in pushed.iter_mut().flat_map(|p| &mut p.conjuncts) {
+                    c.rows.rows_in += len;
+                    keep = match c.kind {
+                        Kind::Const(all) => all,
+                        _ => c.test.contains(runs.value[c.col] as u64),
+                    };
+                    if !keep {
+                        c.rows.rows_skipped += len;
+                        break;
+                    }
+                    c.rows.rows_out += len;
+                }
+                if keep {
+                    for ((col, &v), dict) in columns.iter_mut().zip(&runs.value).zip(&dictionaries)
+                    {
+                        col.push(dict.map_or(v, |d| d[v as usize]));
+                    }
+                    weights.push(len);
+                }
+                for left in &mut runs.left {
+                    *left -= len;
+                }
+                *rows_done += len;
+            }
+            if weights.is_empty() {
+                return None;
+            }
+            let mut block = Block {
+                columns,
+                len: weights.len(),
+                weights: Some(weights),
+            };
+            if let Some(r) = pushed.as_mut().and_then(|p| p.residual.as_mut()) {
+                r.rows.rows_in += block.rows();
+                r.predicate.filter(schema, &mut block, sel);
+                r.rows.rows_out += block.rows();
+            }
+            if block.len > 0 {
+                return Some(block);
             }
         }
     }
@@ -413,22 +574,19 @@ fn stored_set(stored: &Column, set: &ValueSet) -> ValueSet {
     }
 }
 
-/// Tactical choice for one conjunct's value set over `stored`.
-fn choose_kind(stored: &Column, set: &ValueSet) -> (Kind, &'static str) {
+/// Tactical choice for one conjunct's value set over `stored`; `raw` is
+/// the set over its stored values ([`stored_set`]).
+fn choose_kind(stored: &Column, set: &ValueSet, raw: &ValueSet) -> (Kind, &'static str) {
     match &stored.compression {
         Compression::Array { dictionary, .. } => {
             // The set read over the dictionary once: a set of codes, which
             // the codes stream's own kernel then answers.
-            let codes = code_set(dictionary, set);
-            let kind = if codes.is_empty() {
+            let kind = if raw.is_empty() {
                 Kind::Const(false)
-            } else if codes.covers(0, dictionary.len() as i64 - 1) {
+            } else if raw.covers(0, dictionary.len() as i64 - 1) {
                 Kind::Const(true)
             } else {
-                match PredicateKernel::build(&stored.data, &codes) {
-                    Some(k) => Kind::Kernel(k),
-                    None => Kind::Decode(Matcher::values(&codes)),
-                }
+                PredicateKernel::build(&stored.data, raw).map_or(Kind::Decode, Kind::Kernel)
             };
             (kind, "dict-domain")
         }
@@ -439,7 +597,7 @@ fn choose_kind(stored: &Column, set: &ValueSet) -> (Kind, &'static str) {
                     let name = k.kind();
                     (Kind::Kernel(k), name)
                 }
-                None => (Kind::Decode(Matcher::values(set)), "fallback"),
+                None => (Kind::Decode, "fallback"),
             },
         },
     }
@@ -454,10 +612,27 @@ impl Operator for TableScan {
         if self.done {
             return None;
         }
+        let block = if self.keeps_nothing() {
+            self.skip_rest();
+            None
+        } else if self.runs.is_some() {
+            self.fill_segments()
+        } else {
+            self.fill_rows()
+        };
+        if block.is_none() {
+            self.done = true;
+            self.report_kernel();
+        }
+        block
+    }
+}
+
+impl TableScan {
+    /// The next block of the rows every conjunct keeps, or the end.
+    fn fill_rows(&mut self) -> Option<Block> {
         loop {
             if self.handles.is_empty() || self.rows_done >= self.total_rows {
-                self.done = true;
-                self.report_kernel();
                 return None;
             }
             let blen = ((self.total_rows - self.rows_done) as usize).min(BLOCK_ROWS);
@@ -511,6 +686,7 @@ impl Operator for TableScan {
             let mut block = Block {
                 columns,
                 len: self.sel.len(),
+                weights: None,
             };
 
             if let Some(r) = self.pushed.as_mut().and_then(|p| p.residual.as_mut()) {

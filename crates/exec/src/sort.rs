@@ -58,6 +58,7 @@ impl Sort {
         let blocks = {
             let mut v = Vec::new();
             while let Some(b) = input.next_block() {
+                debug_assert!(b.weights.is_none(), "Sort got a run-carrying block");
                 v.push(b);
             }
             v
@@ -110,7 +111,11 @@ impl Sort {
                         .collect()
                 })
                 .collect();
-            self.output.push(Block { columns, len: take });
+            self.output.push(Block {
+                columns,
+                len: take,
+                weights: None,
+            });
             at += take;
         }
     }

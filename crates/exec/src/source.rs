@@ -217,28 +217,46 @@ impl Projection {
         }
     }
 
-    /// The stored columns when nothing overlays them — operators that
-    /// fold over a stream's runs instead of its rows need exactly that.
-    pub fn stored(&self) -> Option<&[ColumnHandle]> {
+    /// Whether a scan can carry runs ([`TableScan::with_runs`]): every
+    /// column is a stored run-length stream, with no overlay adding rows
+    /// the streams do not have.
+    pub fn reads_runs(&self) -> bool {
         match &self.0 {
-            Cols::Stored(handles) => Some(handles),
-            Cols::Overlaid { .. } => None,
+            Cols::Stored(handles) => handles.iter().all(ColumnHandle::is_run_length),
+            Cols::Overlaid { .. } => false,
+        }
+    }
+
+    /// Whether `predicate` keeps no row, decided from min/max metadata or
+    /// the dictionaries alone — no segment is read. Under an overlay the
+    /// delta rows may still match.
+    pub fn keeps_nothing(&self, expand_dictionaries: bool, predicate: &Expr) -> bool {
+        match &self.0 {
+            Cols::Stored(handles) => TableScan::from_handles(handles.clone(), expand_dictionaries)
+                .with_pushed_quiet(predicate.clone(), false)
+                .keeps_nothing(),
+            Cols::Overlaid { .. } => false,
         }
     }
 
     /// The serial scan, with `predicate` answered inside it, plus how it
     /// answers — the kernel a pushed predicate resolved to, or the merge
-    /// mode — for the plan label.
+    /// mode — for the plan label. With `runs` the scan carries runs
+    /// (only where [`Projection::reads_runs`]).
     pub fn scan(
         &self,
         expand_dictionaries: bool,
         predicate: Option<&Expr>,
+        runs: bool,
     ) -> (BoxOp, Option<String>) {
         match &self.0 {
             Cols::Stored(handles) => {
                 let mut scan = TableScan::from_handles(handles.clone(), expand_dictionaries);
                 if let Some(p) = predicate {
                     scan = scan.with_pushed(p.clone(), false);
+                }
+                if runs {
+                    scan = scan.with_runs();
                 }
                 let how = scan
                     .pushed_kernel()
@@ -317,7 +335,8 @@ mod tests {
         let schema = p.schema(false);
         assert_eq!(schema.fields[0].name, "b");
         assert_eq!(p.extent(), (3000, false));
-        let (scan, how) = p.scan(false, None);
+        assert!(!p.reads_runs());
+        let (scan, how) = p.scan(false, None, false);
         assert!(how.is_none());
         assert_eq!(count_rows(scan), 3000);
     }

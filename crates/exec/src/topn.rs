@@ -99,6 +99,7 @@ impl TopN {
             .collect();
         let mut heap: BinaryHeap<Entry> = BinaryHeap::with_capacity(self.n + 1);
         while let Some(b) = input.next_block() {
+            debug_assert!(b.weights.is_none(), "TopN got a run-carrying block");
             for r in 0..b.len {
                 let key: Vec<i64> = self.keys.iter().map(|&(c, _)| b.columns[c][r]).collect();
                 let entry = Entry {
@@ -128,7 +129,11 @@ impl TopN {
                     col.push(e.row[c]);
                 }
             }
-            self.output.push(Block { columns, len: take });
+            self.output.push(Block {
+                columns,
+                len: take,
+                weights: None,
+            });
             at += take;
         }
         rows.clear();

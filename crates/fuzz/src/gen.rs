@@ -27,9 +27,25 @@ pub(crate) const WORDS: &[&str] = &[
 /// [`CaseSpec::validate`].
 pub fn generate(seed: u64) -> CaseSpec {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x7de_f022);
-    let rows = pick_rows(&mut rng);
+    // A share of seeds, drawn from a stream of their own so the others
+    // generate unchanged: every column in long runs and an aggregate on
+    // top — the shape whose scan hands the aggregate run-carrying blocks.
+    let runs_only = StdRng::seed_from_u64(seed ^ 0x5e9_4a11).gen_bool(0.3);
+    let rows = if runs_only {
+        rng.gen_range(200..=3000)
+    } else {
+        pick_rows(&mut rng)
+    };
     let ncols = rng.gen_range(1..=4usize);
-    let columns: Vec<ColumnSpec> = (0..ncols).map(|i| gen_column(&mut rng, i, rows)).collect();
+    let columns: Vec<ColumnSpec> = (0..ncols)
+        .map(|i| {
+            if runs_only {
+                gen_run_column(&mut rng, i, rows)
+            } else {
+                gen_column(&mut rng, i, rows)
+            }
+        })
+        .collect();
     let mut schema: Vec<ColDtype> = columns.iter().map(ColumnSpec::dtype).collect();
 
     let mut plan = Vec::new();
@@ -46,7 +62,7 @@ pub fn generate(seed: u64) -> CaseSpec {
             plan.push(PlanOpSpec::Project(cols));
         }
     }
-    if rng.gen_bool(0.55) {
+    if runs_only || rng.gen_bool(0.55) {
         let ints: Vec<usize> = (0..schema.len())
             .filter(|&c| schema[c] == ColDtype::Int)
             .collect();
@@ -180,6 +196,49 @@ fn gen_column(rng: &mut StdRng, i: usize, rows: usize) -> ColumnSpec {
             array,
             data: ColumnData::Ints(data),
         }
+    }
+}
+
+/// A column in runs long enough that the encoder stores it run-length:
+/// integers over a small domain (sometimes with NULL runs, sometimes near
+/// `i64::MAX` so sums wrap), or strings over a few words. Runs of 50 and
+/// more, some straddling the 1024-row block, in different lengths per
+/// column so their boundaries rarely meet — and at least three of them
+/// (one run would be stored affine).
+fn gen_run_column(rng: &mut StdRng, i: usize, rows: usize) -> ColumnSpec {
+    let max_run = [120, 600, 2500][rng.gen_range(0..3usize)]
+        .min(rows / 3)
+        .max(50);
+    let run = |rng: &mut StdRng, out_len: usize| rng.gen_range(50..=max_run).min(rows - out_len);
+    let data = if rng.gen_bool(0.15) {
+        let domain = rng.gen_range(1..=4usize);
+        let mut out: Vec<Option<String>> = Vec::with_capacity(rows);
+        while out.len() < rows {
+            let w = WORDS[rng.gen_range(0..domain)];
+            let n = run(rng, out.len());
+            out.extend(std::iter::repeat_n(Some(w.to_string()), n));
+        }
+        ColumnData::Strs(out)
+    } else {
+        let base = if rng.gen_bool(0.2) {
+            i64::MAX - 8
+        } else {
+            rng.gen_range(-50..=50i64)
+        };
+        let null_p = [0.0, 0.0, 0.2][rng.gen_range(0..3usize)];
+        let mut out = Vec::with_capacity(rows);
+        while out.len() < rows {
+            let v = (!rng.gen_bool(null_p)).then(|| base + rng.gen_range(0..=5i64));
+            let n = run(rng, out.len());
+            out.extend(std::iter::repeat_n(v, n));
+        }
+        ColumnData::Ints(out)
+    };
+    ColumnSpec {
+        name: format!("c{i}"),
+        policy: Policy::Default,
+        array: false,
+        data,
     }
 }
 

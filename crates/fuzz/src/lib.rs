@@ -44,6 +44,20 @@ pub fn run_seed(seed: u64) -> (CaseSpec, CaseReport) {
     (spec, report)
 }
 
+/// Whether the case's plan, as the optimizer builds it, feeds its
+/// aggregate run-carrying blocks (the `fold-runs` decision) — the share
+/// of a sweep that exercises the weighted fold.
+pub fn folds_runs(spec: &CaseSpec) -> bool {
+    let table = spec.build_table();
+    spec.apply_plan(tde_core::Query::scan(&table))
+        .try_explain_analyze()
+        .is_ok_and(|report| {
+            report.events.iter().any(
+                |e| matches!(e, tde_obs::Event::Decision { choice, .. } if choice == "fold-runs"),
+            )
+        })
+}
+
 /// Pick a column where injecting `kind` actually corrupts a claim (e.g. a
 /// sorted claim on genuinely unsorted data). Returns `None` when the case
 /// has no eligible column.
@@ -88,6 +102,14 @@ mod tests {
                 spec.to_text()
             );
         }
+    }
+
+    #[test]
+    fn some_seeds_fold_runs() {
+        let folded = (0..40)
+            .filter(|&seed| folds_runs(&gen::generate(seed)))
+            .count();
+        assert!(folded >= 4, "only {folded} of 40 seeds fold runs");
     }
 
     #[test]

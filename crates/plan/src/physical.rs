@@ -5,11 +5,17 @@
 //! under the inner-side encoding policy (§4.3), and only then are the
 //! join implementation (fetch vs hash) and the aggregation flavour
 //! (ordered vs hash) chosen — from the metadata FlowTable just extracted.
+//!
+//! An aggregate also decides here what its leaf hands it: rows, or —
+//! when every column the leaf reads is stored run-length — run-carrying
+//! blocks it folds per segment instead of per row (see
+//! [`tde_exec::Block`]). The choice follows from the plan shape and the
+//! encodings alone; no option sets it.
 
 use crate::logical::{scan_label, InnerOps, LogicalPlan};
 use std::io;
 use std::sync::Arc;
-use tde_exec::aggregate::{AggSpec, HashAggregate, OrderedAggregate};
+use tde_exec::aggregate::{merge_safe, AggSpec, HashAggregate, OrderedAggregate};
 use tde_exec::dictionary_table::dictionary_table;
 use tde_exec::filter::Filter;
 use tde_exec::flow_table::{flow_table, FlowTableOptions};
@@ -18,10 +24,9 @@ use tde_exec::indexed_scan::IndexedScan;
 use tde_exec::join::{Join, JoinKind};
 use tde_exec::obs::Observed;
 use tde_exec::project::Project;
-use tde_exec::rle_agg::RunAggregate;
 use tde_exec::scan::TableScan;
 use tde_exec::sort::{Sort, SortOrder};
-use tde_exec::{BoxOp, Expr, Operator};
+use tde_exec::{BoxOp, Expr, Operator, Projection, Source};
 use tde_obs::{OpStats, Trace};
 use tde_storage::EncodingPolicy;
 
@@ -139,31 +144,20 @@ fn lower(plan: &LogicalPlan, tr: Tracer<'_>) -> io::Result<BoxOp> {
             columns,
             expand_dictionaries,
             predicate,
-        } => {
-            let names: Vec<&str> = columns.iter().map(String::as_str).collect();
-            // Demand loads happen here: a failed or corrupt segment read
-            // surfaces as an error, never as corrupt decoded data.
-            let (scan, how) = source
-                .resolve(&names)?
-                .scan(*expand_dictionaries, predicate.as_ref());
-            let label = scan_label(source, columns, *expand_dictionaries);
-            let node = tr.node(match how {
-                Some(how) => format!("{label} {how}"),
-                None => label,
-            });
-            Ok(node.wrap(scan))
-        }
+        } => lower_scan(
+            source,
+            columns,
+            *expand_dictionaries,
+            predicate.as_ref(),
+            None,
+            tr,
+        ),
         LogicalPlan::Filter { input, predicate } => {
             let node = tr.node("Filter");
             let input = lower(input, node.child())?;
             Ok(node.wrap(Box::new(Filter::new(input, predicate.clone()))))
         }
-        LogicalPlan::Project { input, exprs } => {
-            let names: Vec<&str> = exprs.iter().map(|(n, _)| n.as_str()).collect();
-            let node = tr.node(format!("Project [{}]", names.join(", ")));
-            let input = lower(input, node.child())?;
-            Ok(node.wrap(Box::new(Project::new(input, exprs.clone()))))
-        }
+        LogicalPlan::Project { input, exprs } => lower_project(input, exprs, None, tr),
         LogicalPlan::Sort { input, keys } => {
             let node = tr.node(format!("Sort {keys:?}"));
             let input = lower(input, node.child())?;
@@ -192,9 +186,133 @@ fn lower(plan: &LogicalPlan, tr: Tracer<'_>) -> io::Result<BoxOp> {
             *sort_by_value,
             fetch,
             &plan.output_columns(),
+            None,
             tr,
         ),
     }
+}
+
+/// The aggregates a leaf's output feeds directly — the leaf may then
+/// hand them run-carrying blocks — or `None` for a row consumer.
+type Folding<'a> = Option<&'a [AggSpec]>;
+
+/// Lower an aggregate's input, asking its leaf for runs where the shape
+/// allows it: the aggregate sits directly on a `Scan` or an `IndexScan`,
+/// or on one through a pure column selection (the reorder rule 2 puts
+/// above an `IndexScan`). Anything else in between — a `Filter`, a
+/// computing `Project` — keeps the row path, so Fig 10's plan 1 control
+/// stays row-at-a-time.
+fn lower_agg_input(plan: &LogicalPlan, aggs: &[AggSpec], tr: Tracer<'_>) -> io::Result<BoxOp> {
+    match plan {
+        LogicalPlan::Scan {
+            source,
+            columns,
+            expand_dictionaries,
+            predicate,
+        } => lower_scan(
+            source,
+            columns,
+            *expand_dictionaries,
+            predicate.as_ref(),
+            Some(aggs),
+            tr,
+        ),
+        LogicalPlan::IndexScan {
+            source,
+            inner,
+            sort_by_value,
+            fetch,
+        } => lower_index_scan(
+            source,
+            inner,
+            *sort_by_value,
+            fetch,
+            &plan.output_columns(),
+            Some(aggs),
+            tr,
+        ),
+        LogicalPlan::Project { input, exprs } => lower_project(input, exprs, Some(aggs), tr),
+        other => lower(other, tr),
+    }
+}
+
+fn lower_project(
+    input: &LogicalPlan,
+    exprs: &[(String, Expr)],
+    fold: Folding<'_>,
+    tr: Tracer<'_>,
+) -> io::Result<BoxOp> {
+    let names: Vec<&str> = exprs.iter().map(|(n, _)| n.as_str()).collect();
+    let node = tr.node(format!("Project [{}]", names.join(", ")));
+    // Through a pure column selection the aggregates read the columns
+    // the selected ones are; a computed column ends the run path.
+    let selected: Option<Vec<usize>> = exprs
+        .iter()
+        .map(|(_, e)| match e {
+            Expr::Col(c) => Some(*c),
+            _ => None,
+        })
+        .collect();
+    let input = match (fold, selected) {
+        (Some(aggs), Some(selected)) => {
+            let aggs: Vec<AggSpec> = aggs
+                .iter()
+                .map(|a| AggSpec {
+                    col: selected.get(a.col).copied().unwrap_or(a.col),
+                    ..a.clone()
+                })
+                .collect();
+            lower_agg_input(input, &aggs, node.child())?
+        }
+        _ => lower(input, node.child())?,
+    };
+    Ok(node.wrap(Box::new(Project::new(input, exprs.to_vec()))))
+}
+
+fn lower_scan(
+    source: &Source,
+    columns: &[String],
+    expand_dictionaries: bool,
+    predicate: Option<&Expr>,
+    fold: Folding<'_>,
+    tr: Tracer<'_>,
+) -> io::Result<BoxOp> {
+    let names: Vec<&str> = columns.iter().map(String::as_str).collect();
+    // Demand loads happen here: a failed or corrupt segment read
+    // surfaces as an error, never as corrupt decoded data.
+    let projection = source.resolve(&names)?;
+    let runs = fold.is_some_and(|aggs| folds_runs(&projection, expand_dictionaries, aggs));
+    let (scan, how) = projection.scan(expand_dictionaries, predicate, runs);
+    let mut label = scan_label(source, columns, expand_dictionaries);
+    if let Some(how) = how {
+        label = format!("{label} {how}");
+    }
+    Ok(tr.node(runs_label(label, runs)).wrap(scan))
+}
+
+/// Whether `aggs` over a scan of `projection` fold runs: every column is
+/// a stored run-length stream and no aggregate is a `SUM` over a real
+/// (repeated f64 addition is not `v × w` — the same aggregates whose
+/// partials [`merge_safe`] refuses to merge).
+fn folds_runs(projection: &Projection, expand_dictionaries: bool, aggs: &[AggSpec]) -> bool {
+    projection.reads_runs() && merge_safe(&projection.schema(expand_dictionaries), aggs)
+}
+
+/// A run-carrying leaf's label gains `[runs]`, and the choice is
+/// recorded as the aggregate's `fold-runs` decision.
+fn runs_label(label: String, runs: bool) -> String {
+    if !runs {
+        return label;
+    }
+    tde_obs::metrics::decision("aggregate", "fold-runs");
+    tde_obs::emit(|| tde_obs::Event::Decision {
+        point: "aggregate",
+        choice: "fold-runs".to_string(),
+        reason: format!(
+            "every column of {label} is run-length: the aggregate folds runs, not rows"
+        ),
+    });
+    format!("{label} [runs]")
 }
 
 /// The one tactical aggregation choice, made for the serial and the
@@ -211,13 +329,8 @@ fn lower_aggregate(
     aggs: &[AggSpec],
     tr: Tracer<'_>,
 ) -> io::Result<BoxOp> {
-    if group_by.is_empty() {
-        if let Some(op) = lower_run_aggregate(input_plan, aggs, tr) {
-            return Ok(op);
-        }
-    }
     let mut node = tr.node("Aggregate");
-    let input = lower(input_plan, node.child())?;
+    let input = lower_agg_input(input_plan, aggs, node.child())?;
     if tactical_ordered(input.schema(), group_by) {
         node.relabel(format!("OrderedAggregate group_by={group_by:?}"));
         Ok(node.wrap(Box::new(OrderedAggregate::new(
@@ -279,7 +392,6 @@ fn build_morsel(
     input_plan: &LogicalPlan,
     degree: usize,
 ) -> Result<(tde_exec::morsel::MorselExec, &'static str), String> {
-    use tde_exec::aggregate::merge_safe;
     use tde_exec::morsel::{morsel_count, MorselExec, MorselPipeline};
 
     let (scan, filter, agg) = match input_plan {
@@ -316,6 +428,19 @@ fn build_morsel(
         (Some(q), Some(p)) => Some(Expr::And(Box::new(q.clone()), Box::new(p.clone()))),
         (q, p) => q.as_ref().or(p).cloned(),
     };
+    if predicate
+        .as_ref()
+        .is_some_and(|p| source.keeps_nothing(expand, p))
+    {
+        return Err("the predicate keeps no row: nothing to spread across workers".to_string());
+    }
+    // A serial fold over the runs is O(runs); no split of the rows across
+    // workers can beat it.
+    if let (None, Some((_, aggs))) = (filter, agg) {
+        if folds_runs(&source, expand, aggs) {
+            return Err("pipeline folds per run: one serial pass over the runs".to_string());
+        }
+    }
     let morsels = morsel_count(&source);
     if morsels < 2 {
         return Err(format!(
@@ -356,44 +481,6 @@ fn build_morsel(
         ),
         what,
     ))
-}
-
-/// Tactical choice for a grand total over a single run-length column:
-/// fold per run instead of expanding rows (§3.3 applied to aggregation).
-/// Declines (returning `None`) unless the scan shape and the column's
-/// encoding qualify — see [`RunAggregate::try_new`].
-fn lower_run_aggregate(
-    input_plan: &LogicalPlan,
-    aggs: &[AggSpec],
-    tr: Tracer<'_>,
-) -> Option<BoxOp> {
-    let LogicalPlan::Scan {
-        source,
-        columns,
-        expand_dictionaries: false,
-        predicate,
-    } = input_plan
-    else {
-        return None;
-    };
-    let [column] = columns.as_slice() else {
-        return None;
-    };
-    // Runs fold over the stored stream itself; an overlay has rows the
-    // stream does not. A failed resolve declines too — the serial
-    // lowering that follows reports it.
-    let projection = source.resolve(&[column.as_str()]).ok()?;
-    let handle = projection.stored()?[0].clone();
-    let predicate = predicate.as_ref();
-    let agg = RunAggregate::try_new(handle, predicate, aggs)?;
-    tde_obs::metrics::decision("aggregate", "rle-run-aggregate");
-    tde_obs::emit(|| tde_obs::Event::Decision {
-        point: "aggregate",
-        choice: "rle-run-aggregate".to_string(),
-        reason: "grand total over a run-length column folds per run".to_string(),
-    });
-    let node = tr.node("RunAggregate");
-    Some(node.wrap(Box::new(agg)))
 }
 
 fn apply_inner_ops(mut op: BoxOp, inner: &InnerOps, keep_cols: &[&str]) -> BoxOp {
@@ -498,6 +585,7 @@ fn lower_index_scan(
     sort_by_value: bool,
     fetch: &[String],
     output_columns: &[String],
+    fold: Folding<'_>,
     tr: Tracer<'_>,
 ) -> io::Result<BoxOp> {
     let src_col = &source.0.columns[source.1];
@@ -518,18 +606,23 @@ fn lower_index_scan(
         inner_op = Box::new(Sort::new(inner_op, vec![(vcol, SortOrder::Asc)]));
     }
     let fetch_refs: Vec<&str> = fetch.iter().map(String::as_str).collect();
-    let scan = IndexedScan::new(inner_op, source.0.clone(), &fetch_refs);
+    let mut scan =
+        IndexedScan::new(inner_op, source.0.clone(), &fetch_refs).with_names(output_columns);
+    let carry = fold.is_some_and(|aggs| scan.fetches_runs() && merge_safe(scan.schema(), aggs));
     // The label ends with how much of the run index the query used:
     // rows built, rows the inner filter kept.
-    let node = tr.node(format!(
+    let label = format!(
         "IndexedScan {}.{} fetch=[{}]{} runs={runs} qualified={}",
         source.0.name,
         src_col.name,
         fetch.join(", "),
         if sort_by_value { " ordered" } else { "" },
         scan.index_rows()
-    ));
-    Ok(node.wrap(Box::new(scan.with_names(output_columns))))
+    );
+    if carry {
+        scan = scan.with_runs();
+    }
+    Ok(tr.node(runs_label(label, carry)).wrap(Box::new(scan)))
 }
 
 /// Run a plan to completion, returning the output schema and every
@@ -681,6 +774,114 @@ mod tests {
         assert!(
             labels.iter().any(|l| l.contains("[parallel=4]")),
             "{labels:?}"
+        );
+    }
+
+    #[test]
+    fn run_folding_pipeline_stays_serial() {
+        // 100 000 rows in 100 runs: plenty of morsels, but a serial fold
+        // over the runs beats any split of the rows.
+        let t = rle_table(100_000, 100);
+        let lowered = |opts: OptimizerOptions| {
+            let plan = PlanBuilder::scan_columns(&t, &["k"])
+                .filter(Expr::cmp(CmpOp::Ge, Expr::col(0), Expr::int(40)))
+                .aggregate(vec![0], vec![AggSpec::new(AggFunc::Count, 0, "n")])
+                .build();
+            let opt = optimize(
+                plan,
+                OptimizerOptions {
+                    parallelism: 4,
+                    ..opts
+                },
+            );
+            assert!(opt.explain().contains("Morsel"), "{}", opt.explain());
+            let trace = Arc::new(tde_obs::Trace::new());
+            let (labels, events) = {
+                let _guard = tde_obs::install(&trace);
+                let op = try_execute_traced(&opt, &trace).unwrap();
+                assert_eq!(tde_exec::count_rows(op), 60);
+                let nodes = trace.nodes();
+                (
+                    nodes.into_iter().map(|n| n.label).collect::<Vec<_>>(),
+                    trace.events(),
+                )
+            };
+            let serial = events.iter().any(|e| {
+                matches!(e, tde_obs::Event::Decision { point: "parallelism", choice, reason }
+                    if choice == "serial" && reason.contains("folds per run"))
+            });
+            (labels, serial)
+        };
+        let kernel_only = OptimizerOptions {
+            index_tables: false,
+            ordered_retrieval: false,
+            ..Default::default()
+        };
+        let (labels, serial) = lowered(kernel_only);
+        assert!(serial, "{labels:?}");
+        assert!(labels.iter().any(|l| l.ends_with("[runs]")), "{labels:?}");
+        assert!(
+            !labels.iter().any(|l| l.contains("[parallel=")),
+            "{labels:?}"
+        );
+        // A Filter between aggregate and scan reads rows: parallel.
+        let (labels, serial) = lowered(OptimizerOptions {
+            kernel_pushdown: false,
+            ..kernel_only
+        });
+        assert!(!serial, "{labels:?}");
+        assert!(
+            labels.iter().any(|l| l.contains("[parallel=4]")),
+            "{labels:?}"
+        );
+    }
+
+    #[test]
+    fn a_predicate_metadata_rules_out_reads_nothing() {
+        // Built columns carry min/max: `k > 500` over k in [0, 100) keeps
+        // no row, so no IndexTable is built, the scan walks no block and
+        // no worker is started.
+        let mut k = ColumnBuilder::new("k", DataType::Integer, Default::default());
+        let mut x = ColumnBuilder::new("x", DataType::Integer, Default::default());
+        for i in 0..100_000i64 {
+            k.append_i64(i / 1000);
+            x.append_i64(i % 977);
+        }
+        let t = Arc::new(Table::new("t", vec![k.finish().column, x.finish().column]));
+        let plan = PlanBuilder::scan(&t)
+            .filter(Expr::cmp(CmpOp::Gt, Expr::col(0), Expr::int(500)))
+            .aggregate(vec![1], vec![AggSpec::new(AggFunc::Count, 0, "n")])
+            .build();
+        let opt = optimize(
+            plan,
+            OptimizerOptions {
+                parallelism: 4,
+                ..Default::default()
+            },
+        );
+        let text = opt.explain();
+        assert!(
+            text.contains("Morsel") && !text.contains("IndexedScan"),
+            "{text}"
+        );
+        let trace = Arc::new(tde_obs::Trace::new());
+        let _guard = tde_obs::install(&trace);
+        let op = try_execute_traced(&opt, &trace).unwrap();
+        assert_eq!(tde_exec::count_rows(op), 0);
+        let labels: Vec<String> = trace.nodes().into_iter().map(|n| n.label).collect();
+        assert!(
+            !labels.iter().any(|l| l.contains("[parallel=")),
+            "{labels:?}"
+        );
+        let events = trace.events();
+        assert!(events.iter().any(|e| matches!(e,
+            tde_obs::Event::Decision { point: "parallelism", reason, .. }
+                if reason.contains("keeps no row"))));
+        assert!(
+            events.iter().any(|e| matches!(e,
+            tde_obs::Event::KernelScan { kernel, rows_in: 100_000, rows_skipped: 100_000, .. }
+                if kernel == "metadata-minmax")),
+            "{events:?}"
         );
     }
 

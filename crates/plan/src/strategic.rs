@@ -17,13 +17,17 @@
 //!    runs degrade it), exposed as an optimizer option so the Fig 10
 //!    experiment can compare both.
 //!
+//! Rules 1 and 2 stand aside when the column's min/max metadata already
+//! decides the predicate (§3.4.2): kernel pushdown answers it for free.
+//!
 //! The lowering in [`crate::physical`] completes the §4.3 hygiene: inner
 //! FlowTables get [`tde_storage::EncodingPolicy::inner_side`]. Order
 //! upstream of encoders needs no rule: morsel pipelines reassemble in
 //! task order.
 
 use crate::logical::{InnerOps, LogicalPlan};
-use tde_exec::pushdown::split_conjuncts;
+use tde_encodings::kernel::metadata_selection;
+use tde_exec::pushdown::{compile_value_set, raw_domain, split_conjuncts};
 use tde_exec::Expr;
 use tde_storage::Compression;
 use tde_types::DataType;
@@ -172,6 +176,19 @@ fn rewrite_filter_pushdown(plan: LogicalPlan, opts: OptimizerOptions) -> Logical
         None => return rewrite_kernel_pushdown(input, predicate, opts),
     };
     let column = &table.columns[table_col];
+
+    // Metadata that decides the predicate outright leaves a decompression
+    // join nothing to do: kernel pushdown answers it without reading a
+    // run or a code (`metadata-minmax`), while an IndexTable or a
+    // DictionaryTable would still be built in full to qualify all or none.
+    // Without kernel pushdown the join is still cheaper than a Filter.
+    let decided = opts.kernel_pushdown
+        && raw_domain(column.dtype, column.compression.is_heap())
+        && compile_value_set(&predicate)
+            .is_some_and(|set| metadata_selection(&column.metadata, &set).is_some());
+    if decided {
+        return rewrite_kernel_pushdown(input, predicate, opts);
+    }
 
     // Rule 1: dictionary-compressed column → invisible join (§4.1).
     if opts.invisible_joins && !expand_dictionaries {
@@ -443,6 +460,61 @@ mod tests {
             other => panic!("expected ExpandJoin, got {other:?}"),
         }
         assert_eq!(opt.output_columns(), vec!["d", "x"]);
+    }
+
+    #[test]
+    fn metadata_decided_predicates_build_no_decompression_join() {
+        // Built columns carry min/max: an RLE key over [0, 100) and an
+        // array-compressed category over eight values in [0, 7_000_021].
+        let mut k = ColumnBuilder::new("k", DataType::Integer, EncodingPolicy::default());
+        let mut d = ColumnBuilder::new("d", DataType::Integer, EncodingPolicy::default());
+        for i in 0..50_000i64 {
+            k.append_i64(i / 500);
+            d.append_i64(i * 7 % 8 * 1_000_003);
+        }
+        let k = k.finish().column;
+        assert_eq!(k.data.algorithm(), tde_encodings::Algorithm::RunLength);
+        let mut d = d.finish().column;
+        convert::dict_encoding_to_compression(&mut d);
+        assert!(matches!(d.compression, Compression::Array { .. }));
+        let t = Arc::new(Table::new("meta", vec![k, d]));
+        let cmp = |op, c, v| Expr::cmp(op, Expr::col(c), Expr::int(v));
+        let plan_with = |pred, opts| optimize(PlanBuilder::scan(&t).filter(pred).build(), opts);
+        let plan = |pred| plan_with(pred, OptimizerOptions::default());
+        let no_pushdown = OptimizerOptions {
+            kernel_pushdown: false,
+            ..Default::default()
+        };
+        // Out of range (nothing qualifies) and covering (everything
+        // does): the scan answers from metadata, no join is built —
+        // unless kernel pushdown is off, when the join still beats a Filter.
+        for (pred, join) in [
+            (cmp(CmpOp::Gt, 0, 1000), "IndexedScan"),
+            (cmp(CmpOp::Ge, 0, -5), "IndexedScan"),
+            (cmp(CmpOp::Lt, 1, -5), "ExpandJoin"),
+            (cmp(CmpOp::Le, 1, 8_000_000), "ExpandJoin"),
+        ] {
+            let opt = plan(pred.clone());
+            assert!(
+                matches!(
+                    &opt,
+                    LogicalPlan::Scan {
+                        predicate: Some(_),
+                        ..
+                    }
+                ),
+                "{pred:?}:\n{}",
+                opt.explain()
+            );
+            assert!(plan_with(pred, no_pushdown).explain().contains(join));
+        }
+        // Undecided predicates still earn their joins.
+        assert!(plan(cmp(CmpOp::Gt, 0, 80))
+            .explain()
+            .contains("IndexedScan"));
+        assert!(plan(cmp(CmpOp::Gt, 1, 3_000_000))
+            .explain()
+            .contains("ExpandJoin"));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! executed under the three plans of Fig 10 — the row-at-a-time control,
 //! the IndexTable plan with hash aggregation, and the value-sorted
 //! IndexTable plan with ordered aggregation — printing timings so the
-//! crossover behaviour is visible interactively.
+//! plans can be compared interactively.
 //!
 //! ```sh
 //! cargo run --release --example rle_index_scan [rows] [selectivity]
@@ -112,7 +112,7 @@ fn main() {
         assert_eq!(n1, n3);
         println!("  speedup: plan2 {:.2}x, plan3 {:.2}x", t1 / t2, t1 / t3);
     }
-    println!("\n(With short secondary runs — e.g. 1M rows — plan 3 degrades on the");
-    println!(" secondary key; at larger row counts its runs exceed the block size");
-    println!(" and ordered retrieval wins, matching Fig 10.)");
+    println!("\n(Plans 2 and 3 fold runs, not rows: their aggregate reads one weighted");
+    println!(" row per segment of runs, so they pay per qualified run — the paper's");
+    println!(" short-run degradation of plan 3 is gone; see EXPERIMENTS.md E7.)");
 }

@@ -104,7 +104,7 @@ fn row_loop_blocks(mut scan: TableScan, pred: &Expr) -> Vec<Block> {
             .collect();
         let len = columns.first().map_or(0, Vec::len);
         if len > 0 {
-            out.push(Block { columns, len });
+            out.push(Block::new(columns));
         }
     }
     out
@@ -393,7 +393,8 @@ proptest! {
                     .rows()
             };
             assert_eq!(run(kernel_only), run(none), "query rows differ: {name}");
-            // And through the aggregation pipeline (RunAggregate hook).
+            // And through the aggregation pipeline: pushed, the scan carries
+            // runs into the aggregate; unpushed, a Filter keeps rows.
             let agg = |opts| {
                 Query::scan_columns(&t, &["v"])
                     .filter(pred.clone())

@@ -385,6 +385,39 @@ fn plan_choices_are_stable_across_residencies() {
             assert_eq!(plan.contains("+pred"), pushes && !rewritten, "{ctx}");
             assert_eq!(plan.contains("Morsel [parallel=2]"), !rewritten, "{ctx}");
         }
+        // A group-by over the run-length key alone: every residency offers
+        // the morsel wrap, but where the key is read as stored the
+        // aggregate folds its runs, and lowering keeps that serial — one
+        // pass over 100 runs beats any split of 20 000 rows. A merge
+        // overlay adds rows the runs do not have, so it reads rows and
+        // goes parallel.
+        let report = Query::scan_columns(source.clone(), &["k"])
+            .aggregate(vec![0], vec![(AggFunc::Count, 0, "n")])
+            .with_parallelism(2)
+            .explain_analyze();
+        let (tree, folds) = (&report.operator_tree, residency != "merged");
+        assert!(report.logical.contains("Morsel [parallel=2]"), "{tree}");
+        assert_eq!(tree.contains("[runs]"), folds, "{residency}:\n{tree}");
+        assert_eq!(
+            tree.contains("[parallel=2]"),
+            !folds,
+            "{residency}:\n{tree}"
+        );
+        if folds {
+            assert!(
+                report.events.iter().any(|e| matches!(
+                    e,
+                    tde::obs::Event::Decision { point: "parallelism", choice, reason }
+                        if choice == "serial" && reason.contains("folds per run")
+                )),
+                "{residency}: {:?}",
+                report.events
+            );
+        }
+        assert_eq!(
+            report.blocks[0].columns[1][0], 200,
+            "{residency}: COUNT of key 0"
+        );
     }
 }
 
@@ -454,7 +487,9 @@ fn dashboard_table() -> Arc<tde::storage::Table> {
 
 /// Every `rle_dashboard` query shape keeps its logical plan: the cost of
 /// building an IndexTable is no input to any plan choice, so making it
-/// cheaper must not move one. The texts are pinned.
+/// cheaper must not move one — but a predicate the column's min/max
+/// already decides builds no IndexTable at all: the scan answers it from
+/// metadata. The texts are pinned.
 #[test]
 fn rle_dashboard_plans_are_pinned() {
     let t = dashboard_table();
@@ -511,7 +546,8 @@ fn rle_dashboard_plans_are_pinned() {
         (
             "out_of_range primary",
             counted(["primary", "cat"], ge(0, 500), vec![1]),
-            indexed("primary", "cat", "1", "1", ""),
+            "Aggregate group_by=[1] aggs=1\n  Scan rle [primary, cat] residency=eager +pred\n"
+                .into(),
         ),
         (
             "out_of_range secondary",
@@ -520,7 +556,8 @@ fn rle_dashboard_plans_are_pinned() {
                 Expr::cmp(CmpOp::Le, Expr::col(0), Expr::int(-5)),
                 vec![1],
             ),
-            indexed("secondary", "cat", "1", "1", ""),
+            "Aggregate group_by=[1] aggs=1\n  Scan rle [secondary, cat] residency=eager +pred\n"
+                .into(),
         ),
     ];
     for (site, query, pinned) in sites {

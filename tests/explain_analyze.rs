@@ -325,8 +325,10 @@ fn indexed_scan_label_reports_runs_and_qualified_rows() {
     assert_eq!(span, Some(("IndexedScan".to_string(), node.rows)));
 }
 
-/// A grand total over a run-length column routes through RunAggregate
-/// (per-run folding) and records the tactical decision.
+/// A grand total over a run-length column folds its runs: the scan leaf
+/// carries runs (`[runs]`), the choice is the aggregate's `fold-runs`
+/// decision, and the leaf reports the rows its segments stand for — the
+/// same count the row-emitting scan of the same predicate reports.
 #[test]
 fn run_aggregate_decision_is_recorded() {
     let mut s = EncodedStream::new_rle(Width::W8, true, Width::W4, Width::W8);
@@ -338,34 +340,51 @@ fn run_aggregate_decision_is_recorded() {
         "kr_t",
         vec![Column::scalar("kr_v", DataType::Integer, s)],
     ));
-    let report = Query::scan_columns(&t, &["kr_v"])
-        .filter(Expr::cmp(CmpOp::Ge, Expr::col(0), Expr::int(5)))
+    let kernel_only = tde::plan::strategic::OptimizerOptions {
+        invisible_joins: false,
+        index_tables: false,
+        ordered_retrieval: false,
+        kernel_pushdown: true,
+        parallelism: 1,
+    };
+    let scan = || {
+        Query::scan_columns(&t, &["kr_v"])
+            .filter(Expr::cmp(CmpOp::Ge, Expr::col(0), Expr::int(5)))
+            .with_optimizer(kernel_only)
+    };
+    let report = scan()
         .aggregate(
             vec![],
             vec![(AggFunc::Count, 0, "n"), (AggFunc::Sum, 0, "s")],
         )
-        .with_optimizer(tde::plan::strategic::OptimizerOptions {
-            invisible_joins: false,
-            index_tables: false,
-            ordered_retrieval: false,
-            kernel_pushdown: true,
-            parallelism: 1,
-        })
         .explain_analyze();
     assert_eq!(report.row_count, 1);
     assert_eq!(report.blocks[0].columns[0][0], 15_000); // COUNT(v >= 5)
+    assert_eq!(report.blocks[0].columns[1][0], 3_000 * (5 + 6 + 7 + 8 + 9));
     assert!(
         report.events.iter().any(|e| matches!(
             e,
-            Event::Decision { point, choice, .. }
-                if *point == "aggregate" && choice == "rle-run-aggregate"
+            Event::Decision { point, choice, reason }
+                if *point == "aggregate" && choice == "fold-runs" && reason.contains("kr_t")
         )),
-        "no run-aggregate decision in {:?}",
+        "no fold-runs decision in {:?}",
         report.events
     );
-    assert!(
-        report.operator_tree.contains("RunAggregate"),
-        "{}",
-        report.operator_tree
-    );
+    let leaf = |report: &tde::ExplainAnalyze| {
+        report
+            .operators
+            .iter()
+            .find(|n| n.label.starts_with("Scan kr_t"))
+            .cloned()
+            .unwrap_or_else(|| panic!("no scan in\n{}", report.operator_tree))
+    };
+    let runs = leaf(&report);
+    assert!(runs.label.ends_with(" [runs]"), "{}", runs.label);
+    // Five runs pass, in one block; the rows they stand for are counted.
+    assert_eq!((runs.blocks, runs.rows), (1, 15_000));
+
+    let rows = scan().explain_analyze();
+    let rows = leaf(&rows);
+    assert!(!rows.label.contains("[runs]"), "{}", rows.label);
+    assert_eq!(rows.rows, runs.rows);
 }
