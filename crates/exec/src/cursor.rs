@@ -2,12 +2,14 @@
 //!
 //! Sequential scans use a per-encoding cursor so run-length streams decode
 //! in time linear in their runs. Ranged access (IndexedScan translating
-//! (start, count) pairs into reads, §4.2.1) binary-searches a prefix-sum
-//! index over the runs for RLE streams and falls back to block decoding
-//! for the bit-packed encodings.
+//! (start, count) pairs into reads, §4.2.1) binary-searches the prefix-sum
+//! index over the runs ([`RunIndex`]) of a resident RLE column and falls
+//! back to block decoding for the bit-packed encodings.
 
+use std::sync::Arc;
 use tde_encodings::{affine, dict, frame, raw, rle};
 use tde_encodings::{Algorithm, EncodedStream, Selection};
+use tde_storage::RunIndex;
 
 /// Sequential block-at-a-time reader state over one stream. The stream is
 /// passed to each call (not borrowed), so operators can hold the state
@@ -155,75 +157,32 @@ impl StreamCursor {
     }
 }
 
-/// The prefix-sum index over a run-length stream's runs: where each run
-/// starts and what it holds, so the run holding any row is a binary
-/// search — the index structure standing in for the stream's missing
-/// random access (§4.2.1).
-pub struct RunIndex {
-    starts: Vec<u64>,
-    values: Vec<i64>,
-    rows: u64,
-}
-
-impl RunIndex {
-    /// Index `stream`'s runs (O(runs)); `None` unless it is run-length.
-    pub fn new(stream: &EncodedStream) -> Option<RunIndex> {
-        let runs = stream.rle_run_iter()?;
-        let mut starts = Vec::with_capacity(runs.len());
-        let mut values = Vec::with_capacity(runs.len());
-        let mut at = 0u64;
-        for (v, c) in runs {
-            starts.push(at);
-            values.push(v);
-            at += c;
-        }
-        Some(RunIndex {
-            starts,
-            values,
-            rows: stream.len(),
-        })
-    }
-
-    /// The run holding row `row`.
-    pub fn find(&self, row: u64) -> usize {
-        self.starts.partition_point(|&s| s <= row) - 1
-    }
-
-    /// Run `run`'s value.
-    pub fn value(&self, run: usize) -> i64 {
-        self.values[run]
-    }
-
-    /// The row after run `run`'s last.
-    pub fn end(&self, run: usize) -> u64 {
-        self.starts.get(run + 1).copied().unwrap_or(self.rows)
-    }
-}
-
 /// Random-range reader state over one stream, used by IndexedScan. Like
 /// [`StreamCursor`], the stream is passed per call rather than borrowed,
 /// so operators can cache readers alongside the owned table.
 pub struct RangeReader {
-    /// For RLE streams: a range read is a binary search plus a
-    /// sequential sweep over the runs.
-    runs: Option<RunIndex>,
+    /// The stream's run index, when it has one: a range read is then a
+    /// binary search plus a sequential sweep over the runs.
+    runs: Option<Arc<RunIndex>>,
     /// Scratch for decoded blocks of bit-packed streams.
     scratch: Vec<i64>,
     scratch_block: Option<usize>,
 }
 
 impl RangeReader {
-    /// Build a reader (O(runs) setup for RLE streams, O(1) otherwise).
-    pub fn new(stream: &EncodedStream) -> RangeReader {
+    /// A reader that ranges through `runs`, a run-length stream's shared
+    /// run index ([`tde_storage::Table::run_index`]), or decodes whole
+    /// blocks without one.
+    pub fn new(runs: Option<Arc<RunIndex>>) -> RangeReader {
         RangeReader {
-            runs: RunIndex::new(stream),
+            runs,
             scratch: Vec::new(),
             scratch_block: None,
         }
     }
 
-    /// The run index of a run-length stream.
-    pub fn runs(&self) -> Option<&RunIndex> {
+    /// The run index the reader ranges through.
+    pub fn runs(&self) -> Option<&Arc<RunIndex>> {
         self.runs.as_ref()
     }
 
@@ -323,23 +282,26 @@ mod tests {
             data.extend(std::iter::repeat_n(v, 150));
         }
         let stream = rle_stream(&data);
-        let mut r = RangeReader::new(&stream);
-        let mut out = Vec::new();
-        r.read_range(&stream, 100, 120, &mut out); // straddles the 150 boundary
-        assert_eq!(out, data[100..220].to_vec());
-        out.clear();
-        r.read_range(&stream, 0, 1, &mut out);
-        assert_eq!(out, vec![0]);
-        out.clear();
-        r.read_range(&stream, data.len() as u64 - 5, 5, &mut out);
-        assert_eq!(out, data[data.len() - 5..].to_vec());
+        // Through the run index, and by block decode without one.
+        for runs in [RunIndex::new(&stream).map(Arc::new), None] {
+            let mut r = RangeReader::new(runs);
+            let mut out = Vec::new();
+            r.read_range(&stream, 100, 120, &mut out); // straddles the 150 boundary
+            assert_eq!(out, data[100..220].to_vec());
+            out.clear();
+            r.read_range(&stream, 0, 1, &mut out);
+            assert_eq!(out, vec![0]);
+            out.clear();
+            r.read_range(&stream, data.len() as u64 - 5, 5, &mut out);
+            assert_eq!(out, data[data.len() - 5..].to_vec());
+        }
     }
 
     #[test]
     fn range_reader_on_bitpacked() {
         let data: Vec<i64> = (0..4000).map(|i| i % 997).collect();
         let stream = encode_all(&data, Width::W8, true).stream;
-        let mut r = RangeReader::new(&stream);
+        let mut r = RangeReader::new(RunIndex::new(&stream).map(Arc::new));
         let mut out = Vec::new();
         r.read_range(&stream, 1000, 1100, &mut out); // crosses a block boundary
         assert_eq!(out, data[1000..2100].to_vec());
@@ -354,7 +316,7 @@ mod tests {
             data.extend(std::iter::repeat_n(v, 100));
         }
         let stream = rle_stream(&data);
-        let mut r = RangeReader::new(&stream);
+        let mut r = RangeReader::new(RunIndex::new(&stream).map(Arc::new));
         let mut out = Vec::new();
         r.read_range(&stream, 300, 50, &mut out);
         r.read_range(&stream, 0, 50, &mut out); // backwards

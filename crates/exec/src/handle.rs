@@ -9,7 +9,7 @@
 use crate::block::{Field, Repr};
 use std::sync::Arc;
 use tde_encodings::Algorithm;
-use tde_storage::{Column, Compression, Table};
+use tde_storage::{Column, Compression, RunIndex, Table};
 
 /// A reference to one stored column, by table position or by ownership.
 #[derive(Debug, Clone)]
@@ -38,6 +38,19 @@ impl ColumnHandle {
     /// run-carrying scan reads (for array compression, the codes).
     pub fn is_run_length(&self) -> bool {
         self.col().data.algorithm() == Algorithm::RunLength
+    }
+
+    /// The run index of a resident run-length column, from its table's
+    /// memo ([`Table::run_index`]), and whether this call built it.
+    /// `None` for every other encoding and for an owned column, which has
+    /// no table to hold the memo.
+    pub fn run_index(&self) -> Option<(Arc<RunIndex>, bool)> {
+        let ColumnHandle::Shared { table, idx } = self else {
+            return None;
+        };
+        table
+            .run_index(*idx)
+            .map(|(view, built)| (view.runs, built))
     }
 
     /// Every column of an eager table, as handles.

@@ -13,41 +13,22 @@
 //! and computations push down onto the *compressed* representation:
 //! filtering 5 % of the values touches ~5 runs, not 5 % of the rows.
 //!
-//! The table is rebuilt for every query that scans through it, so it is
-//! built at run cost: one pass over the runs, each column written straight
-//! into a fixed-width stream. The value column carries the claims a
-//! column builder would extract from the same values (they steer the
-//! tactical choices above the scan); count and start carry what the pass
-//! proves directly.
+//! The planner reads a resident table's IndexTables from the table's
+//! memo ([`Table::run_index`]), built once per column. [`index_table`] is
+//! the uncached build behind it (`tde_storage::index_table`), returned
+//! with the schema a scan of it produces; [`rollup_index`] derives a
+//! rolled-up index per query.
 
 use crate::block::Schema;
 use crate::scan::TableScan;
 use crate::Operator;
 use std::sync::Arc;
-use tde_encodings::metadata::Knowledge;
-use tde_encodings::{ColumnMetadata, ColumnStats, EncodedStream, BLOCK_SIZE};
-use tde_storage::builder::scalar_metadata;
-use tde_storage::{Column, Compression, Table};
-use tde_types::sentinel::NULL_I64;
-use tde_types::{DataType, Width};
+use tde_storage::index_table::{assemble, build_index_table};
+use tde_storage::{Column, Table};
 
 /// Build the IndexTable of a run-length encoded column.
 pub fn index_table(column: &Column, name: &str) -> (Arc<Table>, Schema) {
-    let runs = column
-        .data
-        .rle_run_iter()
-        .expect("index_table requires a run-length encoded column");
-    let mut values = Vec::with_capacity(runs.len());
-    let mut counts = Vec::with_capacity(runs.len());
-    let mut starts = Vec::with_capacity(runs.len());
-    let mut at = 0i64;
-    for (v, c) in runs {
-        values.push(v);
-        counts.push(c as i64);
-        starts.push(at);
-        at += c as i64;
-    }
-    assemble(name, column.dtype, &values, &counts, &starts)
+    with_schema(build_index_table(column, name))
 }
 
 /// Roll up an index table through an order-preserving calculation on the
@@ -76,76 +57,28 @@ pub fn rollup_index(
             mins.push(s);
         }
     }
-    assemble(name, index.columns[0].dtype, &rolled, &sums, &mins)
-}
-
-/// The (value, count, start) table over the three columns' values.
-fn assemble(
-    name: &str,
-    dtype: DataType,
-    values: &[i64],
-    counts: &[i64],
-    starts: &[i64],
-) -> (Arc<Table>, Schema) {
-    let mut stats = ColumnStats::new();
-    stats.update(values);
-    let mut start = envelope(starts);
-    if !starts.is_empty() {
-        let ascending = starts.windows(2).all(|w| w[0] <= w[1]);
-        start.sorted_asc = Knowledge::from_bool(ascending);
-        if ascending {
-            start.unique = Knowledge::from_bool(starts.windows(2).all(|w| w[0] < w[1]));
-        }
-    }
-    let table = Arc::new(Table::new(
+    with_schema(assemble(
         name,
-        vec![
-            fixed_column("value", dtype, values, scalar_metadata(dtype, &stats)),
-            fixed_column("count", DataType::Integer, counts, envelope(counts)),
-            fixed_column("start", DataType::Integer, starts, start),
-        ],
-    ));
-    let scan = TableScan::new(table.clone());
-    let schema = scan.schema().clone();
+        index.columns[0].dtype,
+        &rolled,
+        &sums,
+        &mins,
+    ))
+}
+
+/// The table, shared, with the schema a scan of it produces.
+fn with_schema(table: Table) -> (Arc<Table>, Schema) {
+    let table = Arc::new(table);
+    let schema = TableScan::new(table.clone()).schema().clone();
     (table, schema)
-}
-
-/// What one look at the values proves: their envelope, whether the NULL
-/// sentinel (the smallest value) is among them, and the width that holds
-/// them.
-fn envelope(vals: &[i64]) -> ColumnMetadata {
-    let (Some(&min), Some(&max)) = (vals.iter().min(), vals.iter().max()) else {
-        return ColumnMetadata::unknown();
-    };
-    ColumnMetadata {
-        min: Some(min),
-        max: Some(max),
-        has_nulls: Knowledge::from_bool(min == NULL_I64),
-        width: Width::for_signed_range(min, max, true),
-        ..ColumnMetadata::unknown()
-    }
-}
-
-/// A column holding `vals` in a raw stream of the claimed width.
-fn fixed_column(name: &str, dtype: DataType, vals: &[i64], metadata: ColumnMetadata) -> Column {
-    let mut data = EncodedStream::new_raw(metadata.width, true);
-    for block in vals.chunks(BLOCK_SIZE) {
-        data.append_block(block)
-            .expect("a raw stream takes every value at a width that holds it");
-    }
-    Column {
-        name: name.to_owned(),
-        dtype,
-        data,
-        compression: Compression::None,
-        metadata,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tde_encodings::{EncodedStream, BLOCK_SIZE};
     use tde_types::datetime::{days_from_ymd, trunc_to_month};
+    use tde_types::{DataType, Width};
 
     fn rle_column(runs: &[(i64, u64)]) -> Column {
         let mut s = EncodedStream::new_rle(Width::W8, true, Width::W4, Width::W4);

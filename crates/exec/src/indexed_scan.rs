@@ -10,20 +10,22 @@
 //! non-primary-sort column — at the cost of many small reads when the
 //! runs are short, the degradation the 1M-row experiment exposes.
 //!
-//! When every fetched column is run-length the scan can also hand an
-//! aggregate run-carrying blocks ([`IndexedScan::with_runs`]): each
-//! qualified range becomes the segments over which the fetched runs (and
-//! the carried index values) hold still, read off each column's run
-//! index instead of expanded into rows — sandwiched aggregation at run
-//! cost.
+//! A fetched run-length column of a resident table is read through its
+//! run index, which the table builds once and every query, partition and
+//! worker shares ([`Table::run_index`]). When every fetched column has
+//! one the scan can also hand an aggregate run-carrying blocks
+//! ([`IndexedScan::with_runs`]): each qualified range becomes the
+//! segments over which the fetched runs (and the carried index values)
+//! hold still, read off each column's run index instead of expanded into
+//! rows — sandwiched aggregation at run cost.
 
 use crate::block::{Block, Field, Schema};
-use crate::cursor::{RangeReader, RunIndex};
+use crate::cursor::RangeReader;
 use crate::handle::ColumnHandle;
 use crate::{BoxOp, Operator, BLOCK_ROWS};
 use std::sync::Arc;
 use tde_encodings::metadata::Knowledge;
-use tde_storage::Table;
+use tde_storage::{RunIndex, Table};
 
 /// IndexedScan operator.
 pub struct IndexedScan {
@@ -44,6 +46,8 @@ pub struct IndexedScan {
     pub sequential: bool,
     /// Emit run-carrying blocks ([`IndexedScan::with_runs`]).
     runs: bool,
+    /// Whether building this scan built a fetched column's run index.
+    built_run_index: bool,
 }
 
 impl IndexedScan {
@@ -67,7 +71,9 @@ impl IndexedScan {
         IndexedScan::from_handles(inner, handles)
     }
 
-    /// Build from pre-resolved fetch handles.
+    /// Build from pre-resolved fetch handles. A run-length column of a
+    /// shared table is read through the table's memoised run index
+    /// ([`ColumnHandle::run_index`]); any other column by block decode.
     pub fn from_handles(mut inner: BoxOp, fetch: Vec<ColumnHandle>) -> IndexedScan {
         let ischema = inner.schema().clone();
         let count_col = ischema
@@ -115,9 +121,15 @@ impl IndexedScan {
         for h in &fetch {
             fields.push(h.field(false));
         }
+        let mut built_run_index = false;
         let readers = fetch
             .iter()
-            .map(|h| RangeReader::new(&h.col().data))
+            .map(|h| {
+                RangeReader::new(h.run_index().map(|(runs, built)| {
+                    built_run_index |= built;
+                    runs
+                }))
+            })
             .collect();
         IndexedScan {
             ranges,
@@ -129,24 +141,32 @@ impl IndexedScan {
             readers,
             sequential,
             runs: false,
+            built_run_index,
         }
     }
 
-    /// Whether every fetched column is stored run-length — what
+    /// Whether every fetched column is read through a run index (is a
+    /// run-length column of a shared table) — what
     /// [`IndexedScan::with_runs`] needs.
     pub fn fetches_runs(&self) -> bool {
-        self.fetch.iter().all(ColumnHandle::is_run_length)
+        self.readers.iter().all(|r| r.runs().is_some())
+    }
+
+    /// Whether building this scan built a fetched column's run index, or
+    /// found every one already built.
+    pub fn built_run_index(&self) -> bool {
+        self.built_run_index
     }
 
     /// Emit run-carrying blocks (see [`crate::block::Block`]): one row
     /// per segment of a qualified range over which every fetched column
     /// holds one value, weighted by its length. Only an aggregate may
-    /// read them. Every fetched column must be run-length
+    /// read them. Every fetched column must have a run index
     /// ([`IndexedScan::fetches_runs`]).
     pub fn with_runs(mut self) -> IndexedScan {
         assert!(
             self.fetches_runs(),
-            "run-carrying IndexedScan over a non-RLE column"
+            "run-carrying IndexedScan over a column without a run index"
         );
         self.runs = true;
         self
@@ -168,7 +188,8 @@ impl IndexedScan {
 
     /// A fresh scan of index rows `[lo, hi)` alone — one partition of
     /// the index range (§8). Reading the partitions in order reads what
-    /// the whole scan reads.
+    /// the whole scan reads; every partition shares the scan's run
+    /// indexes.
     pub fn partition(&self, lo: usize, hi: usize) -> IndexedScan {
         IndexedScan {
             ranges: self.ranges[lo..hi].to_vec(),
@@ -178,12 +199,13 @@ impl IndexedScan {
             next_range: 0,
             range_off: 0,
             readers: self
-                .fetch
+                .readers
                 .iter()
-                .map(|h| RangeReader::new(&h.col().data))
+                .map(|r| RangeReader::new(r.runs().cloned()))
                 .collect(),
             sequential: self.sequential,
             runs: self.runs,
+            built_run_index: false,
         }
     }
 
@@ -259,7 +281,7 @@ impl IndexedScan {
         let indexes: Vec<&RunIndex> = self
             .readers
             .iter()
-            .map(|r| r.runs().expect("checked by with_runs"))
+            .map(|r| &**r.runs().expect("checked by with_runs"))
             .collect();
         let mut run = vec![0usize; indexes.len()];
         while weights.len() < BLOCK_ROWS && self.next_range < self.ranges.len() {

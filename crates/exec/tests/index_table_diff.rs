@@ -5,12 +5,16 @@
 //! choices above an IndexedScan — must carry exactly the builder's
 //! claims. Count and start carry hand-derived claims instead; each must
 //! hold on the decoded data.
+//!
+//! A resident table memoises each run-length column's IndexTable and run
+//! index (`Table::run_index`), and the planner reads the memo: it must
+//! hold exactly what a fresh build holds.
 
 use std::sync::Arc;
 use tde_encodings::metadata::Knowledge;
 use tde_encodings::{EncodedStream, BLOCK_SIZE};
 use tde_exec::index_table::{index_table, rollup_index};
-use tde_storage::{Column, ColumnBuilder, EncodingPolicy, Table};
+use tde_storage::{Column, ColumnBuilder, EncodingPolicy, RunIndex, Table};
 use tde_types::datetime::trunc_to_month;
 use tde_types::sentinel::NULL_I64;
 use tde_types::{DataType, Width};
@@ -257,4 +261,54 @@ fn rollup_index_matches_the_builder_reference() {
             }
         }
     }
+}
+
+#[test]
+fn memoised_run_structures_match_a_fresh_build() {
+    let mut cases = 0;
+    for seed in 0..3u64 {
+        for (shape, runs, cw) in run_shapes(seed) {
+            for dtype in [DataType::Integer, DataType::Date, DataType::Real] {
+                let what = format!("{shape} (seed {seed}, {dtype:?}, {} runs)", runs.len());
+                let t = Arc::new(Table::new(
+                    "t",
+                    vec![rle_column(dtype, &runs, cw, Width::W8)],
+                ));
+                let (view, built) = t.run_index(0).expect("a run-length column");
+                assert!(built, "{what}: the first call builds");
+                let (fresh, schema) = index_table(&t.columns[0], "k_index");
+                let memo = view
+                    .index
+                    .as_ref()
+                    .expect("a scalar column has an IndexTable");
+                assert_eq!(memo.name, fresh.name, "{what}");
+                for (m, f) in memo.columns.iter().zip(&fresh.columns) {
+                    assert_eq!(m.name, f.name, "{what}");
+                    assert_eq!(m.dtype, f.dtype, "{what}: column {}", m.name);
+                    assert_eq!(
+                        m.data.decode_all(),
+                        f.data.decode_all(),
+                        "{what}: column {}",
+                        m.name
+                    );
+                    assert_eq!(m.metadata, f.metadata, "{what}: column {} claims", m.name);
+                }
+                assert_eq!(
+                    schema.fields[0].metadata, memo.columns[0].metadata,
+                    "{what}: a scan of the memo carries the value claims"
+                );
+                assert_eq!(
+                    *view.runs,
+                    RunIndex::new(&t.columns[0].data).unwrap(),
+                    "{what}: run index"
+                );
+                let (again, built) = t.run_index(0).unwrap();
+                assert!(!built, "{what}: the second call reads the memo");
+                assert!(Arc::ptr_eq(&again.runs, &view.runs), "{what}");
+                assert_eq!(t.run_index_builds(), 1, "{what}");
+                cases += 1;
+            }
+        }
+    }
+    assert_eq!(cases, 3 * 10 * 3);
 }

@@ -18,7 +18,9 @@
 //!   partitioning: the engine's two-valued predicates make `σ[p] ⊎ σ[¬p]`
 //!   an exact partition, and the NULL leg splits `¬p` further), plus
 //!   aggregate invariance under re-encoding (`reencode_invariance`:
-//!   policy variants and RLE decompose/rebuild must not change results).
+//!   policy variants and RLE decompose/rebuild must not change results),
+//!   and `memo_invariance` (the plan with the table's run-structure memo
+//!   cold, then warm: byte-identical blocks and claims, nothing rebuilt).
 //! * **Invariant** — `metadata_invariant`: every claim a column's
 //!   metadata makes (sorted/dense/unique/min/max/cardinality/nulls/heap
 //!   order) is verified against the decoded data, and positive claims on
@@ -117,6 +119,7 @@ pub fn run_case(spec: &CaseSpec) -> CaseReport {
         morsel_parallel_diff(spec, &table, &mut ds);
         tlp_partition(spec, &table, &mut ds);
         reencode_invariance(spec, &table, &mut ds);
+        memo_invariance(spec, &table, &mut ds);
         crate::delta_oracle::delta_diff(spec, &table, &mut ds);
     }
     let trace = if ds.is_empty() {
@@ -576,7 +579,10 @@ pub fn morsel_parallel_diff(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Di
             .position(|c| c.dtype == DataType::Integer && c.name != table.columns[ci].name)
             .unwrap_or(ci);
         let fetch_name = table.columns[fetch_idx].name.clone();
-        let (index, _) = tde_exec::index_table::index_table(&table.columns[ci], "idx");
+        let index = table
+            .run_index(ci)
+            .and_then(|(view, _)| view.index)
+            .expect("an integer run-length column has an IndexTable");
         let aggs = vec![
             AggSpec::new(AggFunc::Count, 1, "n"),
             AggSpec::new(AggFunc::Max, 1, "mx"),
@@ -767,6 +773,45 @@ pub fn reencode_invariance(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Dis
     }
 }
 
+/// Memo invariance: a table builds each run-length column's IndexTable
+/// and run index for the first query that reads them and shares them
+/// with every later one. The same plan over one fresh `Arc` of the table
+/// (a clone starts with an empty memo), run cold and then warm, must
+/// produce byte-identical blocks and the same output-schema claims, and
+/// the warm run must build nothing.
+pub fn memo_invariance(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Discrepancy>) {
+    let fresh = Arc::new((**table).clone());
+    let run = || spec.apply_plan(Query::scan(&fresh)).run();
+    let (cold_schema, cold) = run();
+    let builds = fresh.run_index_builds();
+    let (warm_schema, warm) = run();
+    let mut push = |detail: String| {
+        ds.push(Discrepancy {
+            oracle: "memo",
+            detail,
+        })
+    };
+    if fresh.run_index_builds() != builds {
+        push(format!(
+            "the warm run built {} run structure(s) again",
+            fresh.run_index_builds() - builds
+        ));
+    }
+    if format!("{cold_schema:?}") != format!("{warm_schema:?}") {
+        push(format!(
+            "output schema diverged: cold {cold_schema:?} vs warm {warm_schema:?}"
+        ));
+    }
+    let same = cold.len() == warm.len()
+        && cold
+            .iter()
+            .zip(&warm)
+            .all(|(a, b)| a.len == b.len && a.columns == b.columns && a.weights == b.weights);
+    if !same {
+        push("blocks differ between the cold and the warm memo".to_string());
+    }
+}
+
 // ---------------------------------------------------------------------
 // Invariant oracle.
 // ---------------------------------------------------------------------
@@ -775,13 +820,12 @@ pub fn reencode_invariance(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Dis
 /// IndexTable of each run-length column, whose claims are derived by
 /// hand rather than by a column builder — against the decoded data,
 /// then verify positive claims on the executed plan's output schema
-/// against the materialized rows.
+/// against the materialized rows. The IndexTables checked are the
+/// table's memoised ones, which the planner reads.
 pub fn metadata_invariant(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Discrepancy>) {
-    for col in &table.columns {
+    for (ci, col) in table.columns.iter().enumerate() {
         check_column_claims(col, ds);
-        if col.data.algorithm() == Algorithm::RunLength && !col.dtype.is_string() {
-            let (index, _) =
-                tde_exec::index_table::index_table(col, &format!("{}_index", col.name));
+        if let Some(index) = table.run_index(ci).and_then(|(view, _)| view.index) {
             for c in &index.columns {
                 check_column_claims(c, ds);
             }

@@ -19,7 +19,6 @@ use tde_exec::aggregate::{merge_safe, AggSpec, HashAggregate, OrderedAggregate};
 use tde_exec::dictionary_table::dictionary_table;
 use tde_exec::filter::Filter;
 use tde_exec::flow_table::{flow_table, FlowTableOptions};
-use tde_exec::index_table::index_table;
 use tde_exec::indexed_scan::IndexedScan;
 use tde_exec::join::{Join, JoinKind};
 use tde_exec::obs::Observed;
@@ -589,7 +588,13 @@ fn lower_index_scan(
     tr: Tracer<'_>,
 ) -> io::Result<BoxOp> {
     let src_col = &source.0.columns[source.1];
-    let (idx, _) = index_table(src_col, &format!("{}_index", src_col.name));
+    // The table's memo: built by the first query that index-scans the
+    // column, shared by every later one.
+    let (view, built) = source
+        .0
+        .run_index(source.1)
+        .expect("rule 2 index-scans run-length columns");
+    let idx = view.index.expect("rule 2 index-scans scalar columns");
     let runs = idx.row_count();
     let mut inner_op: BoxOp =
         apply_inner_ops(Box::new(TableScan::new(idx)), inner, &["count", "start"]);
@@ -609,15 +614,22 @@ fn lower_index_scan(
     let mut scan =
         IndexedScan::new(inner_op, source.0.clone(), &fetch_refs).with_names(output_columns);
     let carry = fold.is_some_and(|aggs| scan.fetches_runs() && merge_safe(scan.schema(), aggs));
-    // The label ends with how much of the run index the query used:
-    // rows built, rows the inner filter kept.
+    // The label ends with how much of the run index the query used —
+    // index rows, rows the inner filter kept — and whether this query
+    // built the index and the fetched columns' run indexes or found them
+    // built.
     let label = format!(
-        "IndexedScan {}.{} fetch=[{}]{} runs={runs} qualified={}",
+        "IndexedScan {}.{} fetch=[{}]{} runs={runs} qualified={} index={}",
         source.0.name,
         src_col.name,
         fetch.join(", "),
         if sort_by_value { " ordered" } else { "" },
-        scan.index_rows()
+        scan.index_rows(),
+        if built || scan.built_run_index() {
+            "built"
+        } else {
+            "cached"
+        }
     );
     if carry {
         scan = scan.with_runs();

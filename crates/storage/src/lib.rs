@@ -21,6 +21,7 @@ pub mod column;
 pub mod convert;
 pub mod file;
 pub mod heap;
+pub mod index_table;
 pub mod table;
 pub mod wire;
 
@@ -29,4 +30,5 @@ pub use builder::{BuiltColumn, ColumnBuilder, EncodingPolicy};
 pub use column::{Column, Compression};
 pub use file::Database;
 pub use heap::StringHeap;
-pub use table::{ColumnTelemetry, Table};
+pub use index_table::RunIndex;
+pub use table::{ColumnTelemetry, RunColumn, Table};

@@ -1,6 +1,10 @@
 //! Tables: named collections of equal-length columns.
 
 use crate::column::{Column, Compression};
+use crate::index_table::{build_index_table, RunIndex};
+use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use tde_encodings::Algorithm;
 use tde_types::DataType;
 
@@ -11,6 +15,41 @@ pub struct Table {
     pub name: String,
     /// The columns, all the same length.
     pub columns: Vec<Column>,
+    /// The run structure of each run-length column, built on first use
+    /// ([`Table::run_index`]).
+    runs: RunMemo,
+}
+
+/// The run structure of one run-length column: what an IndexedScan
+/// reads it through (paper §4.2.1).
+#[derive(Debug, Clone)]
+pub struct RunColumn {
+    /// The IndexTable, named `<column>_index`. `None` for a string
+    /// column, whose runs hold heap tokens with no scalar statistics.
+    pub index: Option<Arc<Table>>,
+    /// The prefix index over the runs.
+    pub runs: Arc<RunIndex>,
+}
+
+/// The memo behind [`Table::run_index`]: one slot per column, sized on
+/// first use, and a count of the slots filled.
+#[derive(Default)]
+struct RunMemo {
+    slots: OnceLock<Box<[OnceLock<RunColumn>]>>,
+    builds: AtomicUsize,
+}
+
+/// A clone starts empty: its columns are its own to rewrite.
+impl Clone for RunMemo {
+    fn clone(&self) -> RunMemo {
+        RunMemo::default()
+    }
+}
+
+impl fmt::Debug for RunMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "RunMemo({} built)", self.builds.load(Ordering::Relaxed))
+    }
 }
 
 impl Table {
@@ -31,7 +70,45 @@ impl Table {
         Table {
             name: name.into(),
             columns,
+            runs: RunMemo::default(),
         }
+    }
+
+    /// The run structure of column `idx` — its IndexTable and run index —
+    /// or `None` unless the column is stored run-length. The first caller
+    /// builds it; every later query, morsel and partition shares it. The
+    /// flag says whether this call built it.
+    ///
+    /// Only a shared table memoises, because nothing mutates a table
+    /// behind an `Arc`: its columns are fixed, so the memo cannot go
+    /// stale. A clone starts with an empty memo, and a rewritten or
+    /// re-imported table is a new `Arc` with a fresh one.
+    pub fn run_index(self: &Arc<Self>, idx: usize) -> Option<(RunColumn, bool)> {
+        let column = &self.columns[idx];
+        if column.data.algorithm() != Algorithm::RunLength {
+            return None;
+        }
+        let slots = self
+            .runs
+            .slots
+            .get_or_init(|| self.columns.iter().map(|_| OnceLock::new()).collect());
+        let mut built = false;
+        let view = slots[idx].get_or_init(|| {
+            built = true;
+            self.runs.builds.fetch_add(1, Ordering::Relaxed);
+            let index = (!column.dtype.is_string())
+                .then(|| Arc::new(build_index_table(column, &format!("{}_index", column.name))));
+            RunColumn {
+                index,
+                runs: Arc::new(RunIndex::new(&column.data).expect("a run-length stream")),
+            }
+        });
+        Some((view.clone(), built))
+    }
+
+    /// How many columns' run structures [`Table::run_index`] has built.
+    pub fn run_index_builds(&self) -> usize {
+        self.runs.builds.load(Ordering::Relaxed)
     }
 
     /// Number of rows.

@@ -272,8 +272,9 @@ fn kernel_scan_telemetry_on_ineligible_predicate_falls_back() {
 }
 
 /// An IndexedScan says how much of its run index the query used — index
-/// rows built, rows the inner filter kept — in EXPLAIN ANALYZE and on
-/// the timeline span alike, while its operator kind stays `IndexedScan`.
+/// rows, rows the inner filter kept, and whether the query built the
+/// index — in EXPLAIN ANALYZE and on the timeline span alike, while its
+/// operator kind stays `IndexedScan`.
 #[test]
 fn indexed_scan_label_reports_runs_and_qualified_rows() {
     let keys: Vec<i64> = (0..10_000).map(|i| i / 500).collect();
@@ -305,7 +306,7 @@ fn indexed_scan_label_reports_runs_and_qualified_rows() {
         .find(|n| n.label.starts_with("IndexedScan ix_t.ix_k"))
         .unwrap_or_else(|| panic!("no IndexedScan in\n{}", report.operator_tree));
     assert!(
-        node.label.ends_with(" runs=20 qualified=5"),
+        node.label.ends_with(" runs=20 qualified=5 index=built"),
         "{}",
         node.label
     );
@@ -387,4 +388,50 @@ fn run_aggregate_decision_is_recorded() {
     let rows = leaf(&rows);
     assert!(!rows.label.contains("[runs]"), "{}", rows.label);
     assert_eq!(rows.rows, runs.rows);
+}
+
+/// A table builds each run-length column's IndexTable and run index once:
+/// the IndexedScan label says `index=built` for the query that paid for
+/// them and `index=cached` for every later one — including a query keyed
+/// on a column an earlier query only fetched.
+#[test]
+fn indexed_scan_label_says_whether_the_query_built_the_index() {
+    let rle = |vals: &[i64]| {
+        let mut s = EncodedStream::new_rle(Width::W8, true, Width::W2, Width::W1);
+        for c in vals.chunks(BLOCK_SIZE) {
+            s.append_block(c).unwrap();
+        }
+        s
+    };
+    let a: Vec<i64> = (0..10_000).map(|i| i / 500).collect();
+    let b: Vec<i64> = (0..10_000).map(|i| (i / 100) % 7).collect();
+    let t = Arc::new(Table::new(
+        "ib_t",
+        vec![
+            Column::scalar("ib_a", DataType::Integer, rle(&a)),
+            Column::scalar("ib_b", DataType::Integer, rle(&b)),
+        ],
+    ));
+    let label = |key: usize, at: i64| {
+        let report = Query::scan(&t)
+            .filter(Expr::cmp(CmpOp::Ge, Expr::col(key), Expr::int(at)))
+            .aggregate(vec![key], vec![(AggFunc::Max, 1 - key, "mx")])
+            .explain_analyze();
+        report
+            .operators
+            .iter()
+            .find(|n| n.label.starts_with("IndexedScan ib_t."))
+            .map(|n| n.label.clone())
+            .unwrap_or_else(|| panic!("no IndexedScan in\n{}", report.operator_tree))
+    };
+    let seen: Vec<String> = [(0, 15), (0, 18), (1, 4)]
+        .into_iter()
+        .map(|(key, at)| {
+            let label = label(key, at);
+            let index = label.split(' ').find_map(|w| w.strip_prefix("index="));
+            index.unwrap_or_else(|| panic!("{label}")).to_owned()
+        })
+        .collect();
+    assert_eq!(seen, ["built", "cached", "cached"]);
+    assert_eq!(t.run_index_builds(), 2);
 }
