@@ -30,7 +30,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tde_exec::flow_table::{flow_table, FlowTableOptions};
-use tde_exec::merged_scan::{MergedScan, MergedSource};
+use tde_exec::merged_scan::MergedSource;
 use tde_io::StorageIo;
 use tde_pager::{save_v2_with_aux_atomic_io, PagedDatabase, PagedTable, PoolConfig, TableAux};
 use tde_storage::{Database, EncodingPolicy, Table};
@@ -55,8 +55,11 @@ impl DeltaTable {
         // The index describes the base this compaction replaces: free it
         // before the re-encode rather than after.
         self.drop_index();
-        let scan = MergedScan::all(src, false);
-        let built = flow_table(Box::new(scan), &name, FlowTableOptions { policy });
+        let source = tde_exec::Source::from(&src);
+        let (scan, _) = source
+            .resolve(&source.column_names())?
+            .scan(false, None, false);
+        let built = flow_table(scan, &name, FlowTableOptions { policy });
         let table = built.table;
         for c in &table.columns {
             tde_obs::metrics::compaction_rows_reencoded(
@@ -355,7 +358,6 @@ mod tests {
     use super::*;
     use crate::store::tests::people;
     use std::sync::Arc;
-    use tde_exec::{drain, Operator};
     use tde_types::Value;
 
     fn row(id: i64, name: &str, score: f64) -> Vec<Value> {
@@ -365,20 +367,10 @@ mod tests {
     /// Materialize every row of a source as display strings — the
     /// comparison key for differential checks.
     fn rows_of(src: &Arc<MergedSource>) -> Vec<Vec<String>> {
-        let scan = MergedScan::all(Arc::clone(src), false);
-        let schema = scan.schema().clone();
-        let blocks = drain(Box::new(scan));
-        let mut out = Vec::new();
-        for b in blocks {
-            for r in 0..b.len {
-                out.push(
-                    (0..b.columns.len())
-                        .map(|c| schema.fields[c].value_of(b.columns[c][r]).to_string())
-                        .collect(),
-                );
-            }
-        }
-        out
+        crate::store::tests::merged_rows(src)
+            .iter()
+            .map(|row| row.iter().map(Value::to_string).collect())
+            .collect()
     }
 
     #[test]

@@ -341,6 +341,15 @@ impl DeltaTable {
     /// checked against the memory budget before anything mutates, so a
     /// failed append leaves the buffer untouched.
     pub fn append_rows(&mut self, rows: &[Vec<Value>]) -> io::Result<()> {
+        let (staged, bytes) = self.stage(rows)?;
+        self.push_staged(staged, bytes);
+        Ok(())
+    }
+
+    /// Validate and widen `rows`, and cost them against the memory budget
+    /// — every way an append can fail, with nothing changed yet. Returns
+    /// the raw rows and their bytes.
+    fn stage(&self, rows: &[Vec<Value>]) -> io::Result<(Vec<Vec<Raw>>, usize)> {
         let ncols = self.schema.len();
         let mut staged: Vec<Vec<Raw>> = Vec::with_capacity(rows.len());
         let mut add_bytes = 0usize;
@@ -375,6 +384,12 @@ impl DeltaTable {
                 ),
             ));
         }
+        Ok((staged, add_bytes))
+    }
+
+    /// Buffer rows [`DeltaTable::stage`] accepted, `add_bytes` in all.
+    fn push_staged(&mut self, staged: Vec<Vec<Raw>>, add_bytes: usize) {
+        let n = staged.len() as i64;
         for raws in staged {
             for (col, raw) in self.cols.iter_mut().zip(raws) {
                 match (col, raw) {
@@ -386,10 +401,8 @@ impl DeltaTable {
             self.live.push(true);
         }
         self.bytes += add_bytes;
-        let n = rows.len() as i64;
         self.meter(n, add_bytes as i64, 0);
         tde_obs::metrics::delta_metrics().appends.add(n as u64);
-        Ok(())
     }
 
     /// Delete rows by id (base or delta row-id space). Deleting an
@@ -429,7 +442,9 @@ impl DeltaTable {
     }
 
     /// Update = delete the old rows, append the new images. `row_ids`
-    /// and `rows` must pair up.
+    /// and `rows` must pair up. The new images are staged — validated and
+    /// checked against the memory budget — and the ids range-checked
+    /// before anything changes, so a failed update deletes nothing.
     pub fn update(&mut self, row_ids: &[u64], rows: &[Vec<Value>]) -> io::Result<()> {
         if row_ids.len() != rows.len() {
             return Err(io::Error::new(
@@ -441,22 +456,10 @@ impl DeltaTable {
                 ),
             ));
         }
-        // Validate the appends first so a bad replacement image does
-        // not leave the old rows half-deleted.
-        let ncols = self.schema.len();
-        for row in rows {
-            if row.len() != ncols {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("row has {} value(s), expected {ncols}", row.len()),
-                ));
-            }
-            for (v, (name, dtype)) in row.iter().zip(&self.schema) {
-                raw_for(name, *dtype, v)?;
-            }
-        }
+        let (staged, bytes) = self.stage(rows)?;
         self.delete(row_ids)?;
-        self.append_rows(rows)
+        self.push_staged(staged, bytes);
+        Ok(())
     }
 
     /// Restore persisted tombstones (wire decode already validated
@@ -536,8 +539,8 @@ impl DeltaTable {
         self.bytes = 0;
     }
 
-    /// Freeze the buffer into an immutable merge snapshot for
-    /// [`tde_exec::merged_scan::MergedScan`].
+    /// Freeze the buffer into an immutable merge snapshot, which a query
+    /// scans through `tde_exec::Source::from(&snapshot)`.
     ///
     /// Per column this (a) translates buffered values into the base's
     /// stored representation — heap tokens or dictionary codes — through
@@ -739,9 +742,29 @@ impl DeltaTable {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use tde_exec::merged_scan::MergedScan;
-    use tde_exec::{count_rows, drain, Operator};
+    use tde_exec::{count_rows, drain, BoxOp, Source};
     use tde_storage::{ColumnBuilder, EncodingPolicy};
+
+    /// Every column of a snapshot, scanned.
+    fn scan_all(src: &Arc<MergedSource>, expand: bool) -> BoxOp {
+        let source = Source::from(src);
+        let every = source.resolve(&source.column_names()).unwrap();
+        every.scan(expand, None, false).0
+    }
+
+    /// Every row of a snapshot, as values, in scan order.
+    pub(crate) fn merged_rows(src: &Arc<MergedSource>) -> Vec<Vec<Value>> {
+        let mut scan = scan_all(src, false);
+        let schema = scan.schema().clone();
+        let mut rows = Vec::new();
+        while let Some(b) = scan.next_block() {
+            for r in 0..b.len {
+                let row = schema.fields.iter().zip(&b.columns);
+                rows.push(row.map(|(f, c)| f.value_of(c[r])).collect());
+            }
+        }
+        rows
+    }
 
     pub(crate) fn people(rows: i64) -> Arc<Table> {
         let mut id = ColumnBuilder::new("id", DataType::Integer, EncodingPolicy::default());
@@ -821,6 +844,39 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn an_update_over_the_budget_changes_nothing() {
+        let mut dt =
+            DeltaTable::with_config(BaseTable::Eager(people(10)), DeltaConfig { max_bytes: 120 });
+        dt.append_rows(&[row(10, Some("ann"), Some(1.0))]).unwrap();
+        dt.delete(&[4]).unwrap();
+        let before = (
+            dt.tombstone_count(),
+            dt.merged_rows(),
+            dt.buffered_bytes(),
+            merged_rows(&dt.snapshot().unwrap()),
+        );
+        let long = "a replacement image far too long for what is left of the budget";
+        let err = dt
+            .update(
+                &[2, 10],
+                &[row(2, Some(long), None), row(10, Some(long), None)],
+            )
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::OutOfMemory);
+        let after = (
+            dt.tombstone_count(),
+            dt.merged_rows(),
+            dt.buffered_bytes(),
+            merged_rows(&dt.snapshot().unwrap()),
+        );
+        assert_eq!(before, after, "a failed update deleted its old rows");
+        // Within the budget the same update applies whole.
+        dt.update(&[2], &[row(2, Some("bob"), None)]).unwrap();
+        assert_eq!(dt.tombstone_count(), 2);
+        assert_eq!(dt.merged_rows(), 10 - 2 + 2);
+    }
+
+    #[test]
     fn snapshot_merges_and_extends_domains() {
         let mut dt = DeltaTable::from_eager(people(50));
         dt.append_rows(&[
@@ -832,19 +888,16 @@ pub(crate) mod tests {
         let src = dt.snapshot().unwrap();
         assert_eq!(src.merged_rows(), 50 - 2 + 2);
         // The merged heap must resolve both old and new strings.
-        let scan = MergedScan::all(Arc::clone(&src), false);
-        let schema = scan.schema().clone();
-        let blocks = drain(Box::new(scan));
-        let names: Vec<Value> = blocks
-            .iter()
-            .flat_map(|b| b.columns[1].iter().map(|&t| schema.fields[1].value_of(t)))
+        let names: Vec<Value> = merged_rows(&src)
+            .into_iter()
+            .map(|r| r[1].clone())
             .collect();
         assert_eq!(names.len(), 50);
         assert_eq!(names[0], Value::Str("bob".into())); // row 0 tombstoned
         assert_eq!(names[48], Value::Str("zed".into()));
         assert_eq!(names[49], Value::Str("ann".into()));
         // Claims the delta falsified are widened, never asserted.
-        for f in &schema.fields {
+        for f in src.fields() {
             assert_ne!(f.metadata.dense, Knowledge::True);
         }
     }
@@ -854,10 +907,7 @@ pub(crate) mod tests {
         let t = people(500);
         let dt = DeltaTable::from_eager(Arc::clone(&t));
         let src = dt.snapshot().unwrap();
-        assert_eq!(
-            count_rows(Box::new(MergedScan::all(src, false))),
-            t.row_count()
-        );
+        assert_eq!(count_rows(scan_all(&src, false)), t.row_count());
     }
 
     #[test]
@@ -882,8 +932,7 @@ pub(crate) mod tests {
         ])
         .unwrap();
         let src = dt.snapshot().unwrap();
-        let scan = MergedScan::all(src, true); // expand to scalars
-        let blocks = drain(Box::new(scan));
+        let blocks = drain(scan_all(&src, true)); // expand to scalars
         let all: Vec<i64> = blocks.iter().flat_map(|b| b.columns[0].clone()).collect();
         assert_eq!(all.len(), 403);
         assert_eq!(&all[400..], &[20, 77, NULL_I64]);
@@ -893,7 +942,7 @@ pub(crate) mod tests {
     /// The delta side of a snapshot: the raw (stored-domain) values of
     /// column `col` for the live delta rows, in append order.
     fn delta_raws(src: &Arc<MergedSource>, col: usize) -> Vec<i64> {
-        let blocks = drain(Box::new(MergedScan::all(Arc::clone(src), false)));
+        let blocks = drain(scan_all(src, false));
         let all: Vec<i64> = blocks
             .iter()
             .flat_map(|b| b.columns[col].iter().copied())

@@ -302,8 +302,8 @@ pub enum MorselPipeline {
 }
 
 /// Morsels `source` splits into: [`MORSEL_BLOCKS`] decompression blocks
-/// each, plus one for a delta leg (an overlaid source rides its delta
-/// with one morsel) or for an empty source.
+/// each, plus one for a delta leg (a merge snapshot's delta rows are one
+/// morsel, after the stored ones) or for an empty source.
 pub fn morsel_count(source: &Projection) -> usize {
     let (rows, delta) = source.extent();
     let stored = (rows as usize).div_ceil(BLOCK_ROWS * MORSEL_BLOCKS);
@@ -345,8 +345,10 @@ impl MorselExec {
             move |m| {
                 let lo = (m as usize * MORSEL_BLOCKS).min(nblocks);
                 let hi = (lo + MORSEL_BLOCKS).min(nblocks);
-                // The task past the stored blocks is the delta leg.
-                source.morsel_scan(expand, predicate.as_ref(), lo, hi, lo == hi)
+                // The task past the stored blocks is the delta leg alone.
+                let delta = lo == hi;
+                let pushed = predicate.as_ref().map(|(p, ff)| (p, *ff));
+                source.build(expand, pushed, false, Some((lo, hi)), delta).0
             },
             pipeline,
             degree,
@@ -478,7 +480,7 @@ mod tests {
     use crate::expr::{AggFunc, CmpOp};
     use crate::handle::ColumnHandle;
     use crate::index_table::{index_table, rollup_index};
-    use crate::merged_scan::{MergedScan, MergedSource};
+    use crate::merged_scan::MergedSource;
     use crate::source::Source;
     use std::collections::BTreeSet;
     use std::sync::Arc;
@@ -771,9 +773,10 @@ mod tests {
                 delta.clone(),
             ));
             // Emit with predicate.
-            let want = drain(Box::new(
-                MergedScan::all(Arc::clone(&src), false).with_pushed(pred(), false),
-            ));
+            let serial = |predicate: Option<(&Expr, bool)>| {
+                all(Source::from(&src)).scan(false, predicate, false).0
+            };
+            let want = drain(serial(Some((&pred(), false))));
             for degree in [2usize, 4] {
                 let m = MorselExec::new(
                     all(Source::from(&src)),
@@ -789,11 +792,7 @@ mod tests {
                 );
             }
             // Hash aggregate over the merged scan.
-            let want = drain(Box::new(HashAggregate::new(
-                Box::new(MergedScan::all(Arc::clone(&src), false)),
-                vec![0],
-                specs(),
-            )));
+            let want = drain(Box::new(HashAggregate::new(serial(None), vec![0], specs())));
             let m = MorselExec::new(
                 all(Source::from(&src)),
                 false,

@@ -17,7 +17,7 @@
 //! and go through [`eval`].
 //!
 //! [`CompiledPredicate`] is the evaluator over decoded blocks: `Filter`,
-//! the merged scan's delta side and a scan's residual all narrow a
+//! a merge snapshot's delta leg and a scan's residual all narrow a
 //! [`Selection`] through it. The scan answers the same value sets on the
 //! stored streams with the per-encoding kernels; both sides test values
 //! with the same [`Matcher`].

@@ -4,7 +4,7 @@
 //! aggregate, read the runs themselves and never expand them
 //! ([`TableScan::with_runs`]).
 
-use crate::block::{Block, Schema};
+use crate::block::{Block, Field, Schema};
 use crate::cursor::StreamCursor;
 use crate::expr::Expr;
 use crate::handle::ColumnHandle;
@@ -162,6 +162,16 @@ impl TableScan {
             .iter()
             .map(|h| h.field(expand_dictionaries))
             .collect();
+        TableScan::with_fields(handles, fields, expand_dictionaries)
+    }
+
+    /// Scan `handles` into `fields`: their own, or a merge snapshot's,
+    /// whose heaps and dictionaries extend the stored ones.
+    pub(crate) fn with_fields(
+        handles: Vec<ColumnHandle>,
+        fields: Vec<Field>,
+        expand_dictionaries: bool,
+    ) -> TableScan {
         let cursors = handles
             .iter()
             .map(|h| StreamCursor::new(&h.col().data))

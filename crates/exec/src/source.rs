@@ -8,17 +8,25 @@
 //! is. The single exception is [`Source::resident`]: the decompression
 //! join rewrites (§4.1, §4.2) read a column's dictionary and run
 //! structure at plan time, so they need the table in memory.
+//!
+//! Every residency resolves to one [`Projection`] shape, and every scan
+//! of it has two legs: the *base leg*, a [`TableScan`] of the stored
+//! columns whose first narrowing is a merge snapshot's tombstones, then
+//! the *delta leg*, the snapshot's delta rows projected,
+//! dictionary-expanded and filtered through the compiled predicate. A
+//! plain table is the case with no tombstones and no delta.
 
-use crate::block::Schema;
+use crate::block::{Block, Field, Repr, Schema};
 use crate::expr::Expr;
 use crate::handle::ColumnHandle;
-use crate::merged_scan::{MergedScan, MergedSource};
-use crate::pushdown::{has_raw_domain, raw_domain};
+use crate::merged_scan::MergedSource;
+use crate::pushdown::{has_raw_domain, raw_domain, CompiledPredicate};
 use crate::scan::TableScan;
 use crate::{BoxOp, Operator};
 use std::fmt;
 use std::io;
 use std::sync::Arc;
+use tde_encodings::Selection;
 use tde_obs::CacheSnapshot;
 use tde_pager::PagedTable;
 use tde_storage::Table;
@@ -126,27 +134,33 @@ impl Source {
                 })
             })
             .collect::<io::Result<Vec<usize>>>()?;
-        Ok(Projection(match &self.0 {
-            Residency::Eager(t) => Cols::Stored(
-                positions
-                    .into_iter()
-                    .map(|idx| ColumnHandle::Shared {
-                        table: Arc::clone(t),
-                        idx,
-                    })
-                    .collect(),
-            ),
-            Residency::Paged(t) => Cols::Stored(
-                positions
-                    .into_iter()
-                    .map(|pos| t.column_at(pos).map(ColumnHandle::Owned))
-                    .collect::<io::Result<_>>()?,
-            ),
-            Residency::Merged(m) => Cols::Overlaid {
-                snapshot: Arc::clone(m),
-                columns: positions,
-            },
-        }))
+        let handles: Vec<ColumnHandle> = match &self.0 {
+            Residency::Eager(t) => positions
+                .iter()
+                .map(|&idx| ColumnHandle::Shared {
+                    table: Arc::clone(t),
+                    idx,
+                })
+                .collect(),
+            Residency::Paged(t) => positions
+                .iter()
+                .map(|&pos| t.column_at(pos).map(ColumnHandle::Owned))
+                .collect::<io::Result<_>>()?,
+            Residency::Merged(m) => {
+                return Ok(Projection {
+                    handles: positions.iter().map(|&i| m.handles()[i].clone()).collect(),
+                    fields: positions.iter().map(|&i| m.fields()[i].clone()).collect(),
+                    tombstones: Arc::clone(m.tombstones()),
+                    delta: Some((Arc::clone(m), positions)),
+                })
+            }
+        };
+        Ok(Projection {
+            fields: handles.iter().map(|h| h.field(false)).collect(),
+            handles,
+            tombstones: Arc::default(),
+            delta: None,
+        })
     }
 
     /// The table itself when it is fully in memory. The invisible-join,
@@ -174,145 +188,204 @@ impl Source {
 /// A source's projected columns, resolved and ready to scan — whole, or
 /// split into morsel ranges.
 #[derive(Debug, Clone)]
-pub struct Projection(Cols);
-
-#[derive(Debug, Clone)]
-enum Cols {
-    /// Stored columns read as they are.
-    Stored(Vec<ColumnHandle>),
-    /// Columns of a merge snapshot: base handles under a delta overlay.
-    Overlaid {
-        snapshot: Arc<MergedSource>,
-        columns: Vec<usize>,
-    },
+pub struct Projection {
+    /// The stored columns the base leg reads.
+    handles: Vec<ColumnHandle>,
+    /// What a scan emits before dictionary expansion: the stored
+    /// columns' own fields, or a snapshot's merged ones, whose heaps and
+    /// dictionaries extend the base's with the delta's values.
+    fields: Vec<Field>,
+    /// Stored rows a merge snapshot deleted, ascending.
+    tombstones: Arc<Vec<u64>>,
+    /// The merge snapshot whose delta rows follow the stored ones, and
+    /// the projected columns' positions in it.
+    delta: Option<(Arc<MergedSource>, Vec<usize>)>,
 }
 
 impl Projection {
     /// The schema a scan of this projection emits.
     pub fn schema(&self, expand_dictionaries: bool) -> Schema {
-        match &self.0 {
-            Cols::Stored(handles) => Schema::new(
-                handles
-                    .iter()
-                    .map(|h| h.field(expand_dictionaries))
-                    .collect(),
-            ),
-            Cols::Overlaid { snapshot, columns } => {
-                MergedScan::new(Arc::clone(snapshot), columns.clone(), expand_dictionaries)
-                    .schema()
-                    .clone()
-            }
-        }
+        Schema::new(
+            self.fields
+                .iter()
+                .map(|f| {
+                    let mut f = f.clone();
+                    if expand_dictionaries && matches!(f.repr, Repr::DictIndex(_)) {
+                        f.repr = Repr::Scalar;
+                    }
+                    f
+                })
+                .collect(),
+        )
     }
 
     /// What morsels partition: the stored rows, and whether a delta leg
     /// follows them.
     pub fn extent(&self) -> (u64, bool) {
-        match &self.0 {
-            Cols::Stored(handles) => (
-                handles.iter().map(|h| h.col().len()).min().unwrap_or(0),
-                false,
-            ),
-            Cols::Overlaid { snapshot, .. } => (snapshot.base_rows(), snapshot.delta_rows() > 0),
-        }
+        let stored = self.handles.iter().map(|h| h.col().len()).min();
+        let delta = self.delta.as_ref().is_some_and(|(m, _)| m.delta_rows() > 0);
+        (stored.unwrap_or(0), delta)
     }
 
-    /// Whether a scan can carry runs ([`TableScan::with_runs`]): every
-    /// column is a stored run-length stream, with no overlay adding rows
-    /// the streams do not have.
+    /// Whether the base leg can carry runs ([`TableScan::with_runs`]):
+    /// every stored column is run-length and no tombstone cuts the runs.
+    /// Delta rows follow as rows of weight one.
     pub fn reads_runs(&self) -> bool {
-        match &self.0 {
-            Cols::Stored(handles) => handles.iter().all(ColumnHandle::is_run_length),
-            Cols::Overlaid { .. } => false,
-        }
+        self.tombstones.is_empty() && self.handles.iter().all(ColumnHandle::is_run_length)
     }
 
     /// Whether `predicate` keeps no row, decided from min/max metadata or
-    /// the dictionaries alone — no segment is read. Under an overlay the
-    /// delta rows may still match.
+    /// the dictionaries alone — no segment is read. Delta rows may still
+    /// match, so a projection with a delta leg keeps something.
     pub fn keeps_nothing(&self, expand_dictionaries: bool, predicate: &Expr) -> bool {
-        match &self.0 {
-            Cols::Stored(handles) => TableScan::from_handles(handles.clone(), expand_dictionaries)
+        !self.extent().1
+            && self
+                .base_leg(expand_dictionaries)
                 .with_pushed_quiet(predicate.clone(), false)
-                .keeps_nothing(),
-            Cols::Overlaid { .. } => false,
-        }
+                .keeps_nothing()
     }
 
-    /// The serial scan, with `predicate` answered inside it, plus how it
-    /// answers — the kernel a pushed predicate resolved to, or the merge
-    /// mode — for the plan label. With `runs` the scan carries runs
-    /// (only where [`Projection::reads_runs`]).
+    /// The serial scan, with `predicate` — `(expr, force_fallback)` —
+    /// answered inside it, plus how a pushed predicate is answered, for
+    /// the plan label. With `runs` the base leg carries runs (only where
+    /// [`Projection::reads_runs`]).
     pub fn scan(
         &self,
         expand_dictionaries: bool,
-        predicate: Option<&Expr>,
+        predicate: Option<(&Expr, bool)>,
         runs: bool,
     ) -> (BoxOp, Option<String>) {
-        match &self.0 {
-            Cols::Stored(handles) => {
-                let mut scan = TableScan::from_handles(handles.clone(), expand_dictionaries);
-                if let Some(p) = predicate {
-                    scan = scan.with_pushed(p.clone(), false);
-                }
-                if runs {
-                    scan = scan.with_runs();
-                }
-                let how = scan
-                    .pushed_kernel()
-                    .map(|kernel| format!("where [kernel={kernel}]"));
-                (Box::new(scan), how)
-            }
-            Cols::Overlaid { snapshot, columns } => {
-                let mut scan =
-                    MergedScan::new(Arc::clone(snapshot), columns.clone(), expand_dictionaries);
-                if let Some(p) = predicate {
-                    scan = scan.with_pushed(p.clone(), false);
-                }
-                let how = format!("[mode={}]", scan.merge_mode());
-                (Box::new(scan), Some(how))
-            }
-        }
+        self.build(expand_dictionaries, predicate, runs, None, true)
     }
 
-    /// One morsel's scan: stored decompression blocks `[lo, hi)`, then
-    /// the delta leg when `delta`. `predicate` is `(expr,
-    /// force_fallback)`. Quiet — the query's pushdown telemetry is
-    /// emitted once by the morsel operator, not per morsel.
-    pub(crate) fn morsel_scan(
+    /// The one scan builder, for the serial scan and every morsel task:
+    /// the base leg over stored decompression blocks `blocks` (every
+    /// block when `None`), then the delta leg when `delta`. A ranged base
+    /// leg is quiet — the query's pushdown telemetry is emitted once, by
+    /// the morsel operator, not per morsel.
+    pub(crate) fn build(
         &self,
         expand_dictionaries: bool,
-        predicate: Option<&(Expr, bool)>,
-        lo: usize,
-        hi: usize,
+        predicate: Option<(&Expr, bool)>,
+        runs: bool,
+        blocks: Option<(usize, usize)>,
         delta: bool,
-    ) -> BoxOp {
-        match &self.0 {
-            Cols::Stored(handles) => {
-                let mut scan = TableScan::from_handles(handles.clone(), expand_dictionaries);
-                if let Some((p, force_fallback)) = predicate {
-                    scan = scan.with_pushed_quiet(p.clone(), *force_fallback);
-                }
-                Box::new(scan.with_block_range(lo, hi))
+    ) -> (BoxOp, Option<String>) {
+        let mut base = self.base_leg(expand_dictionaries);
+        if let Some((p, force_fallback)) = predicate {
+            base = match blocks {
+                None => base.with_pushed(p.clone(), force_fallback),
+                Some(_) => base.with_pushed_quiet(p.clone(), force_fallback),
+            };
+        }
+        if runs {
+            base = base.with_runs();
+        }
+        if let Some((lo, hi)) = blocks {
+            base = base.with_block_range(lo, hi);
+        }
+        let how = base
+            .pushed_kernel()
+            .map(|kernel| format!("where [kernel={kernel}]"));
+        let Some((snapshot, columns)) = &self.delta else {
+            return (Box::new(base), how);
+        };
+        let legs = Legs {
+            predicate: predicate.map(|(p, _)| CompiledPredicate::new(p, base.schema())),
+            base,
+            snapshot: Arc::clone(snapshot),
+            columns: columns.clone(),
+            dictionaries: self
+                .fields
+                .iter()
+                .map(|f| match &f.repr {
+                    Repr::DictIndex(dict) if expand_dictionaries => Some(Arc::clone(dict)),
+                    _ => None,
+                })
+                .collect(),
+            sel: Selection::default(),
+            // Without a delta leg the delta blocks start out read.
+            next: if delta { 0 } else { snapshot.delta().len() },
+        };
+        (Box::new(legs), how)
+    }
+
+    /// The stored columns' scan into this projection's fields, its first
+    /// narrowing the tombstones.
+    fn base_leg(&self, expand_dictionaries: bool) -> TableScan {
+        let fields = self.schema(expand_dictionaries).fields;
+        TableScan::with_fields(self.handles.clone(), fields, expand_dictionaries)
+            .with_tombstones(Arc::clone(&self.tombstones))
+    }
+}
+
+/// A snapshot scan: the base leg's blocks, then the delta leg's — the
+/// snapshot's delta blocks from `next` on, projected, expanded through
+/// `dictionaries` and filtered by `predicate`.
+struct Legs {
+    base: TableScan,
+    snapshot: Arc<MergedSource>,
+    /// The projected columns' positions in the snapshot.
+    columns: Vec<usize>,
+    /// Per projected column, the dictionary an expanding scan maps its
+    /// codes through.
+    dictionaries: Vec<Option<Arc<Vec<i64>>>>,
+    predicate: Option<CompiledPredicate>,
+    sel: Selection,
+    next: usize,
+}
+
+impl Operator for Legs {
+    fn schema(&self) -> &Schema {
+        self.base.schema()
+    }
+
+    fn next_block(&mut self) -> Option<Block> {
+        if let Some(b) = self.base.next_block() {
+            return Some(b);
+        }
+        while let Some(src) = self.snapshot.delta().get(self.next) {
+            self.next += 1;
+            if src.len == 0 || self.columns.is_empty() {
+                continue;
             }
-            Cols::Overlaid { snapshot, columns } => {
-                let mut scan =
-                    MergedScan::new(Arc::clone(snapshot), columns.clone(), expand_dictionaries);
-                if let Some((p, force_fallback)) = predicate {
-                    scan = scan.with_pushed(p.clone(), *force_fallback);
-                }
-                Box::new(scan.with_morsel_range(lo, hi, delta))
+            let columns = self
+                .columns
+                .iter()
+                .zip(&self.dictionaries)
+                .map(|(&i, dict)| {
+                    let mut out = src.columns[i].clone();
+                    if let Some(dict) = dict {
+                        for v in &mut out {
+                            *v = dict[*v as usize];
+                        }
+                    }
+                    out
+                })
+                .collect();
+            let mut block = Block {
+                len: src.len,
+                columns,
+                weights: None,
+            };
+            if let Some(p) = &mut self.predicate {
+                p.filter(self.base.schema(), &mut block, &mut self.sel);
+            }
+            if block.len > 0 {
+                return Some(block);
             }
         }
+        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::count_rows;
+    use crate::expr::CmpOp;
+    use crate::{count_rows, drain, BLOCK_ROWS};
     use tde_storage::{ColumnBuilder, EncodingPolicy};
-    use tde_types::DataType;
+    use tde_types::{DataType, Value};
 
     fn table() -> Arc<Table> {
         let mut a = ColumnBuilder::new("a", DataType::Integer, EncodingPolicy::default());
@@ -348,5 +421,213 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         let msg = err.to_string();
         assert!(msg.contains("\"nope\"") && msg.contains("\"t\""), "{msg}");
+    }
+
+    // ---- merge snapshots: the base leg, then the delta leg ----
+
+    fn base_table(rows: i64) -> Arc<Table> {
+        let mut a = ColumnBuilder::new("a", DataType::Integer, EncodingPolicy::default());
+        let mut s = ColumnBuilder::new("s", DataType::Str, EncodingPolicy::default());
+        for i in 0..rows {
+            a.append_i64(i);
+            s.append_str(Some(["x", "y"][i as usize % 2]));
+        }
+        Arc::new(Table::new("t", vec![a.finish().column, s.finish().column]))
+    }
+
+    /// The token of `s` in column 1's heap.
+    fn token_of(t: &Arc<Table>, s: &str) -> i64 {
+        let Repr::Token(heap) = ColumnHandle::all(t)[1].field(false).repr else {
+            panic!("expected a token repr");
+        };
+        let token = heap.iter().find(|&(_, v)| v == s).map(|(t, _)| t as i64);
+        token.unwrap()
+    }
+
+    fn snapshot_over(t: &Arc<Table>, tombstones: Vec<u64>, delta: Vec<Block>) -> Arc<MergedSource> {
+        let handles = ColumnHandle::all(t);
+        let fields = handles.iter().map(|h| h.field(false)).collect();
+        Arc::new(MergedSource::new(
+            "t",
+            handles,
+            fields,
+            t.row_count(),
+            Arc::new(tombstones),
+            delta,
+        ))
+    }
+
+    /// Every column of `source`, resolved.
+    fn every(source: Source) -> Projection {
+        source.resolve(&source.column_names()).unwrap()
+    }
+
+    fn rows_of(blocks: &[Block], col: usize) -> Vec<i64> {
+        blocks.iter().flat_map(|b| b.columns[col].clone()).collect()
+    }
+
+    #[test]
+    fn empty_delta_matches_plain_scan() {
+        let t = base_table(3000);
+        let merged = every(Source::from(&snapshot_over(&t, vec![], vec![])));
+        let plain = every(Source::from(&t));
+        assert_eq!(merged.extent(), plain.extent());
+        let merged = drain(merged.scan(false, None, false).0);
+        let plain = drain(plain.scan(false, None, false).0);
+        assert_eq!(rows_of(&merged, 0), rows_of(&plain, 0));
+        assert_eq!(rows_of(&merged, 1), rows_of(&plain, 1));
+    }
+
+    #[test]
+    fn tombstones_mask_across_a_block_boundary_and_the_delta_follows() {
+        let t = base_table(2600); // straddles a block boundary
+        let tok_x = token_of(&t, "x");
+        // Delta rows in the merged repr: `a` scalar, `s` heap token.
+        let delta = vec![Block::new(vec![vec![9000, 9001], vec![tok_x, tok_x]])];
+        let tombstones = vec![0, 1, BLOCK_ROWS as u64, 2599];
+        let src = snapshot_over(&t, tombstones, delta);
+        assert_eq!(src.merged_rows(), 2600 - 4 + 2);
+        let p = every(Source::from(&src));
+        assert_eq!(p.extent(), (2600, true));
+        assert!(!p.reads_runs());
+        let (scan, how) = p.scan(false, None, false);
+        assert!(how.is_none(), "no predicate, no kernel label");
+        let blocks = drain(scan);
+        let total: usize = blocks.iter().map(|b| b.len).sum();
+        assert_eq!(total as u64, src.merged_rows());
+        // First surviving base row is row 2 (0 and 1 tombstoned).
+        assert_eq!(blocks[0].columns[0][0], 2);
+        assert!(!rows_of(&blocks, 0).contains(&(BLOCK_ROWS as i64)));
+        // The last block is the delta leg.
+        assert_eq!(blocks.last().unwrap().columns[0], vec![9000, 9001]);
+    }
+
+    #[test]
+    fn kernel_agrees_with_fallback_with_and_without_tombstones() {
+        let t = base_table(2000);
+        let tok_y = token_of(&t, "y");
+        let delta = vec![Block::new(vec![vec![50, 5000], vec![tok_y, tok_y]])];
+        let pred = Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::int(100));
+        for tombstones in [vec![], vec![3u64, 70, 1999]] {
+            let p = every(Source::from(&snapshot_over(
+                &t,
+                tombstones.clone(),
+                delta.clone(),
+            )));
+            let (kernel, how) = p.scan(false, Some((&pred, false)), false);
+            assert!(how.unwrap().starts_with("where [kernel="));
+            let (fallback, how) = p.scan(false, Some((&pred, true)), false);
+            assert_eq!(how.unwrap(), "where [kernel=forced-fallback]");
+            let k = rows_of(&drain(kernel), 0);
+            assert_eq!(k, rows_of(&drain(fallback), 0), "tombstones={tombstones:?}");
+            // Base rows 0..100 minus tombstoned {3, 70}, plus delta row 50.
+            let expect = if tombstones.is_empty() { 101 } else { 99 };
+            assert_eq!(k.len(), expect);
+            assert_eq!(k.last(), Some(&50));
+        }
+    }
+
+    #[test]
+    fn morsel_ranges_partition_the_snapshot_scan() {
+        // With and without tombstones, with a pushed predicate and a delta
+        // leg: the stored ranges, then the delta leg alone, emit the same
+        // blocks as the whole scan — the snapshot half of the morsel
+        // byte-identity guarantee.
+        let t = base_table(5200);
+        let tok_y = token_of(&t, "y");
+        let delta = vec![Block::new(vec![vec![40, 7000], vec![tok_y, tok_y]])];
+        let pred = Some((&Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::int(4000)), false));
+        let nblocks = 5200usize.div_ceil(BLOCK_ROWS);
+        for tombstones in [vec![], vec![3u64, BLOCK_ROWS as u64 + 7, 5199]] {
+            let p = every(Source::from(&snapshot_over(
+                &t,
+                tombstones.clone(),
+                delta.clone(),
+            )));
+            let whole = drain(p.scan(false, pred, false).0);
+            for split in [2usize, 3, nblocks] {
+                let mut pieces = Vec::new();
+                for lo in (0..nblocks).step_by(split) {
+                    let hi = (lo + split).min(nblocks);
+                    pieces.extend(drain(p.build(false, pred, false, Some((lo, hi)), false).0));
+                }
+                let delta_leg = p.build(false, pred, false, Some((nblocks, nblocks)), true);
+                pieces.extend(drain(delta_leg.0));
+                assert_eq!(
+                    pieces.len(),
+                    whole.len(),
+                    "tombstones={tombstones:?} split={split}"
+                );
+                for (i, (p, w)) in pieces.iter().zip(&whole).enumerate() {
+                    assert_eq!(p.columns, w.columns, "split={split} block={i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dictionary_expansion_covers_delta_codes() {
+        // An array-compressed base column; the merged dict appends one
+        // new value the delta uses.
+        let codes: Vec<i64> = (0..500i64).map(|i| i % 3).collect();
+        let r = tde_encodings::dynamic::encode_all(&codes, tde_types::Width::W8, false);
+        let base_dict = vec![100i64, 200, 300];
+        let col = tde_storage::Column {
+            name: "d".into(),
+            dtype: DataType::Integer,
+            data: r.stream,
+            compression: tde_storage::Compression::Array {
+                dictionary: base_dict.clone(),
+                sorted: true,
+            },
+            metadata: tde_encodings::ColumnMetadata::unknown(),
+        };
+        let t = Arc::new(Table::new("t", vec![col]));
+        let handles = ColumnHandle::all(&t);
+        let mut fields: Vec<Field> = handles.iter().map(|h| h.field(false)).collect();
+        let mut merged_dict = base_dict.clone();
+        merged_dict.push(999);
+        fields[0].repr = Repr::DictIndex(Arc::new(merged_dict.clone()));
+        let new_code = (merged_dict.len() - 1) as i64;
+        let delta = vec![Block::new(vec![vec![new_code]])];
+        let src = Arc::new(MergedSource::new(
+            "t",
+            handles,
+            fields,
+            500,
+            Arc::new(vec![]),
+            delta,
+        ));
+        let p = every(Source::from(&src));
+        let (scan, _) = p.scan(true, None, false);
+        assert!(matches!(scan.schema().fields[0].repr, Repr::Scalar));
+        let blocks = drain(scan);
+        assert_eq!(blocks.last().unwrap().columns[0], vec![999]);
+        let all = rows_of(&blocks, 0);
+        assert_eq!(all.len(), 501);
+        assert!(all[..500].iter().all(|v| [100, 200, 300].contains(v)));
+    }
+
+    #[test]
+    fn snapshot_projection_keeps_order_and_values() {
+        let t = base_table(10);
+        let tok_x = token_of(&t, "x");
+        let delta = vec![Block::new(vec![vec![77], vec![tok_x]])];
+        let source = Source::from(&snapshot_over(&t, vec![], delta));
+        // Project only the string column, then both in reverse order.
+        let (mut scan, _) = source.resolve(&["s"]).unwrap().scan(false, None, false);
+        assert_eq!(scan.schema().fields.len(), 1);
+        let b = scan.next_block().unwrap();
+        assert_eq!(
+            scan.schema().fields[0].value_of(b.columns[0][0]),
+            Value::Str("x".into())
+        );
+        let (scan, _) = source
+            .resolve(&["s", "a"])
+            .unwrap()
+            .scan(false, None, false);
+        let blocks = drain(scan);
+        assert_eq!(rows_of(&blocks, 1), (0..10).chain([77]).collect::<Vec<_>>());
+        assert_eq!(rows_of(&blocks, 0).last(), Some(&tok_x));
     }
 }

@@ -14,22 +14,28 @@
 //! * the case's full plan over `Query::scan` vs the rebuild, under
 //!   every build-policy variant the re-encoding oracle already uses (the
 //!   encoding axis of the matrix), and
-//! * every base-schema predicate through the merged scan's pushed-kernel,
-//!   forced-fallback and plain-Filter paths, compared exactly — merged
-//!   scans guarantee base-order-then-append-order, which is precisely the
-//!   model's slot order (the predicate axis).
+//! * every base-schema predicate through the snapshot's projection scan —
+//!   pushed to the kernels, pushed with the fallback forced, and under a
+//!   plain `Filter` — compared exactly: the base leg then the delta leg
+//!   is base order then append order, precisely the model's slot order
+//!   (the predicate axis), and
+//! * the same scan split into morsels at degrees 2 and 4, passing blocks
+//!   through with the predicate pushed and folding a hash aggregate,
+//!   byte-identical to serial (the morsel axis).
 //!
 //! Appended rows derive deterministically from the op's salt, so a pinned
 //! `.case` file replays the exact mutation history with no generator.
 
 use crate::gen::WORDS;
-use crate::oracle::{base_preds, canon, diff, rows_of, Discrepancy};
+use crate::oracle::{base_preds, block_mismatch, canon, diff, rows_of, Discrepancy};
 use crate::spec::{CaseSpec, ColDtype, ColumnData, DeltaOpSpec, Policy};
 use std::sync::Arc;
 use tde_core::Query;
 use tde_delta::DeltaTable;
+use tde_exec::aggregate::{AggSpec, HashAggregate};
 use tde_exec::filter::Filter;
-use tde_exec::merged_scan::MergedScan;
+use tde_exec::morsel::{MorselExec, MorselPipeline};
+use tde_exec::{drain, AggFunc, Expr, Projection, Source};
 use tde_storage::Table;
 use tde_types::Value;
 
@@ -242,22 +248,25 @@ pub fn delta_diff(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Discrepancy>
         }
     }
 
-    // Predicate axis: every base predicate through the merged scan's
-    // pushed-kernel, forced-fallback and plain-Filter paths. Merged
-    // scans emit base order then append order — the model's slot order —
-    // so the comparison is exact, including against the rebuild.
+    // Predicate axis: every base predicate through the snapshot's
+    // projection scan, pushed to the kernels, with the fallback forced and
+    // under a plain Filter. The base leg then the delta leg emit base
+    // order then append order — the model's slot order — so the
+    // comparison is exact, including against the rebuild.
+    let source = Source::from(&src);
+    let every = match source.resolve(&source.column_names()) {
+        Ok(p) => p,
+        Err(e) => {
+            ds.push(fail(format!("resolve: {e}")));
+            return;
+        }
+    };
+    let scan = |predicate: Option<(&Expr, bool)>| every.scan(false, predicate, false).0;
     for (i, pred) in base_preds(spec).iter().enumerate() {
         let expr = pred.expr();
-        let reference = rows_of(Box::new(Filter::new(
-            Box::new(MergedScan::all(Arc::clone(&src), false)),
-            expr.clone(),
-        )));
-        let pushed = rows_of(Box::new(
-            MergedScan::all(Arc::clone(&src), false).with_pushed(expr.clone(), false),
-        ));
-        let fallback = rows_of(Box::new(
-            MergedScan::all(Arc::clone(&src), false).with_pushed(expr.clone(), true),
-        ));
+        let reference = rows_of(Box::new(Filter::new(scan(None), expr.clone())));
+        let pushed = rows_of(scan(Some((&expr, false))));
+        let fallback = rows_of(scan(Some((&expr, true))));
         if let Some(d) = diff("merged-pushed", &pushed, "merged-filter", &reference) {
             ds.push(fail(format!("pred #{i}: {d}")));
         }
@@ -273,5 +282,41 @@ pub fn delta_diff(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Discrepancy>
         ) {
             ds.push(fail(format!("pred #{i}: {d}")));
         }
+        if let Some(d) = morsel_mismatch(&every, &expr) {
+            ds.push(fail(format!("pred #{i}: {d}")));
+        }
     }
+}
+
+/// The snapshot scan split into morsels — the stored block ranges, then
+/// the delta leg alone — at degrees 2 and 4 against the serial scan,
+/// block for block: passing blocks through with `pred` pushed, and a hash
+/// aggregate by the first column over the same pushed scan.
+fn morsel_mismatch(every: &Projection, pred: &Expr) -> Option<String> {
+    let scan = || every.scan(false, Some((pred, false)), false).0;
+    let aggs = vec![
+        AggSpec::new(AggFunc::Count, 0, "n"),
+        AggSpec::new(AggFunc::Min, 0, "lo"),
+        AggSpec::new(AggFunc::Max, 0, "hi"),
+    ];
+    let hash = HashAggregate::new(scan(), vec![0], aggs.clone());
+    let group_cols = vec![0];
+    let pipelines = [
+        ("emit", MorselPipeline::Emit, drain(scan())),
+        (
+            "hash",
+            MorselPipeline::HashAgg { group_cols, aggs },
+            drain(Box::new(hash)),
+        ),
+    ];
+    for degree in [2usize, 4] {
+        for (what, pipeline, serial) in &pipelines {
+            let pushed = Some((pred.clone(), false));
+            let exec = MorselExec::new(every.clone(), false, pushed, pipeline.clone(), degree);
+            if let Some(d) = block_mismatch(serial, &drain(Box::new(exec))) {
+                return Some(format!("morsel {what} at degree {degree}: {d}"));
+            }
+        }
+    }
+    None
 }

@@ -548,19 +548,8 @@ pub fn morsel_parallel_diff(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Di
             ));
             continue;
         }
-        if blocks.len() != serial_blocks.len() {
-            push(format!(
-                "block count {} vs serial {}",
-                blocks.len(),
-                serial_blocks.len()
-            ));
-            continue;
-        }
-        for (i, (a, b)) in serial_blocks.iter().zip(&blocks).enumerate() {
-            if a.len != b.len || a.columns != b.columns {
-                push(format!("block {i} differs from serial"));
-                break;
-            }
+        if let Some(d) = block_mismatch(&serial_blocks, &blocks) {
+            push(d);
         }
     }
 
@@ -623,6 +612,24 @@ pub fn morsel_parallel_diff(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Di
             });
         }
     }
+}
+
+/// How `parallel` differs from `serial` block for block, if it does.
+pub(crate) fn block_mismatch(serial: &[Block], parallel: &[Block]) -> Option<String> {
+    if parallel.len() != serial.len() {
+        return Some(format!(
+            "block count {} vs serial {}",
+            parallel.len(),
+            serial.len()
+        ));
+    }
+    let differs = |(a, b): &(&Block, &Block)| a.len != b.len || a.columns != b.columns;
+    let (i, _) = serial
+        .iter()
+        .zip(parallel)
+        .enumerate()
+        .find(|(_, p)| differs(p))?;
+    Some(format!("block {i} differs from serial"))
 }
 
 // ---------------------------------------------------------------------

@@ -281,7 +281,7 @@ fn lower_scan(
     // surfaces as an error, never as corrupt decoded data.
     let projection = source.resolve(&names)?;
     let runs = fold.is_some_and(|aggs| folds_runs(&projection, expand_dictionaries, aggs));
-    let (scan, how) = projection.scan(expand_dictionaries, predicate, runs);
+    let (scan, how) = projection.scan(expand_dictionaries, predicate.map(|p| (p, false)), runs);
     let mut label = scan_label(source, columns, expand_dictionaries);
     if let Some(how) = how {
         label = format!("{label} {how}");

@@ -17,13 +17,11 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tde::delta::{DeltaConfig, DeltaExtract, ScanSource};
-use tde::exec::merged_scan::MergedScan;
-use tde::exec::{drain, Operator};
 use tde::io::{FaultIo, FaultPlan, RealIo};
 use tde::pager::{save_v2_with_aux_atomic_io, PagedDatabase, PoolConfig};
 use tde::storage::{ColumnBuilder, Database, EncodingPolicy, Table};
 use tde::types::{DataType, Value};
-use tde::Extract;
+use tde::{Extract, Query};
 
 fn torture_seeds() -> u64 {
     std::env::var("TDE_TORTURE_SEEDS")
@@ -114,19 +112,12 @@ fn delta_fingerprint(path: &Path) -> String {
                 }
             }
             ScanSource::Merged(src) => {
-                let scan = MergedScan::all(Arc::clone(&src), false);
-                let schema = scan.schema().clone();
-                for b in drain(Box::new(scan)) {
-                    for r in 0..b.len {
-                        out.push_str("  row");
-                        for c in 0..b.columns.len() {
-                            out.push_str(&format!(
-                                " {}",
-                                schema.fields[c].value_of(b.columns[c][r])
-                            ));
-                        }
-                        out.push('\n');
+                for row in Query::scan(&src).rows() {
+                    out.push_str("  row");
+                    for v in row {
+                        out.push_str(&format!(" {v}"));
                     }
+                    out.push('\n');
                 }
             }
         }

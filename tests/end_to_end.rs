@@ -263,11 +263,12 @@ fn string_predicate_pushdown_agrees() {
     assert!(clever > 0);
 }
 
-/// One table held the three ways a query can meet it: eager, paged
-/// (saved as v2 and reopened), and merged (an empty delta over the paged
-/// base). Columns: `d` dictionary-compressed dates, `k` a sorted
-/// run-length key, `v` a plain integer.
-fn three_residencies(name: &str) -> Vec<(&'static str, tde::exec::Source)> {
+/// One table held every way a query can meet it: eager, paged (saved as
+/// v2 and reopened), merged (an empty delta over the paged base), and
+/// under a live delta (appends plus tombstones, neither touching key 0),
+/// named by its residency tag. Columns: `d` dictionary-compressed dates,
+/// `k` a sorted run-length key, `v` a plain integer.
+fn residencies(name: &str) -> Vec<(&'static str, tde::exec::Source)> {
     use tde::encodings::{EncodedStream, BLOCK_SIZE};
     use tde::storage::{convert, Column, ColumnBuilder, Database, EncodingPolicy, Table};
     use tde::types::{DataType, Width};
@@ -307,18 +308,28 @@ fn three_residencies(name: &str) -> Vec<(&'static str, tde::exec::Source)> {
     let merged = tde::delta::DeltaTable::from_paged(paged.clone())
         .snapshot()
         .unwrap();
+    let mut live = tde::delta::DeltaTable::from_paged(paged.clone());
+    let appended: Vec<Vec<Value>> = (0..40)
+        .map(|i| vec![Value::Date(9_000 + i), Value::Int(99), Value::Int(i * 11)])
+        .collect();
+    live.append_rows(&appended).unwrap();
+    live.delete(&(1_000..1_050).collect::<Vec<u64>>()).unwrap();
+    let live = live.snapshot().unwrap();
     vec![
         ("eager", (&Arc::new(table)).into()),
         ("paged", (&paged).into()),
         ("merged", (&merged).into()),
+        ("merged (+40 delta, -50 tombstone)", (&live).into()),
     ]
 }
 
-/// Residency changes no plan choice except the one documented guard:
-/// the invisible-join, IndexedScan and ordered-retrieval rewrites read
+/// Residency changes no plan choice except the documented guards: the
+/// invisible-join, IndexedScan and ordered-retrieval rewrites read
 /// dictionary and run structure off the stored column, so they fire for
-/// the resident source only; kernel pushdown and the morsel wrap fire
-/// for every source.
+/// the resident source only, and a tombstone keeps a scan from folding
+/// runs. Kernel pushdown and the morsel wrap fire for every source, and
+/// every scan leaf says how its pushed predicate is answered the same
+/// way.
 #[test]
 fn plan_choices_are_stable_across_residencies() {
     type Shape = fn(Query) -> Query;
@@ -359,7 +370,7 @@ fn plan_choices_are_stable_across_residencies() {
             false,
         ),
     ];
-    for (residency, source) in three_residencies("plan_stability") {
+    for (residency, source) in residencies("plan_stability") {
         for (what, shape, resident_rewrites, pushes) in queries {
             let plan = shape(Query::scan(source.clone()))
                 .with_parallelism(2)
@@ -384,18 +395,30 @@ fn plan_choices_are_stable_across_residencies() {
             // does, and the pipeline is one the morsel executor runs.
             assert_eq!(plan.contains("+pred"), pushes && !rewritten, "{ctx}");
             assert_eq!(plan.contains("Morsel [parallel=2]"), !rewritten, "{ctx}");
+            // Serially the scan leaf names the kernels that answer it.
+            let tree = shape(Query::scan(source.clone()))
+                .explain_analyze()
+                .operator_tree;
+            let ctx = format!("{what} over the {residency} source:\n{tree}");
+            if pushes && !rewritten {
+                assert!(tree.contains(" where [kernel="), "{ctx}");
+            }
+            assert!(!tree.contains("[mode="), "{ctx}");
         }
         // A group-by over the run-length key alone: every residency offers
         // the morsel wrap, but where the key is read as stored the
         // aggregate folds its runs, and lowering keeps that serial — one
-        // pass over 100 runs beats any split of 20 000 rows. A merge
-        // overlay adds rows the runs do not have, so it reads rows and
-        // goes parallel.
+        // pass over 100 runs beats any split of 20 000 rows. A snapshot
+        // without tombstones reads its base's runs as they are stored (its
+        // delta rows would follow as rows), so the empty delta folds too;
+        // tombstones cut runs, so the live delta reads rows and goes
+        // parallel.
         let report = Query::scan_columns(source.clone(), &["k"])
             .aggregate(vec![0], vec![(AggFunc::Count, 0, "n")])
             .with_parallelism(2)
             .explain_analyze();
-        let (tree, folds) = (&report.operator_tree, residency != "merged");
+        let folds = !residency.contains("tombstone");
+        let tree = &report.operator_tree;
         assert!(report.logical.contains("Morsel [parallel=2]"), "{tree}");
         assert_eq!(tree.contains("[runs]"), folds, "{residency}:\n{tree}");
         assert_eq!(
@@ -437,7 +460,7 @@ fn unknown_column_is_invalid_input_for_every_residency() {
                 .with_parallelism(2)
         }),
     ];
-    for (residency, source) in three_residencies("unknown_column") {
+    for (residency, source) in residencies("unknown_column") {
         for (what, shape) in shapes {
             let err = shape(Query::scan_columns(source.clone(), &["v", "nope"]))
                 .try_rows()

@@ -13,8 +13,9 @@
 //!   against the row-emitting IndexedScan over the same inner pipeline;
 //! * through the planner — the kernel-pushdown plan, which folds runs,
 //!   against the `kernel_pushdown: false` control, whose `Filter` keeps
-//!   the row path — eager and paged — and the IndexTable plans 2 and 3
-//!   against plan 1.
+//!   the row path — eager, paged, and an append-only merge snapshot, whose
+//!   delta rows follow its base's runs (checked against an eager rebuild
+//!   too) — and the IndexTable plans 2 and 3 against plan 1.
 
 mod common;
 
@@ -547,12 +548,12 @@ fn sorted_key_table() -> Arc<Table> {
     ])
 }
 
-fn planner_queries(source: tde::exec::Source, what: &str) {
-    let names = ["k", "m", "d"];
-    let aggs = query_aggs(3);
-    // Without a predicate both plans read runs; the direct checks above
-    // cover that shape.
-    let preds = [
+const PLANNER_COLUMNS: [&str; 3] = ["k", "m", "d"];
+const PLANNER_GROUPINGS: [&[usize]; 5] = [&[], &[0], &[1], &[2], &[0, 2]];
+
+/// Predicates over [`PLANNER_COLUMNS`]: one per column, and a conjunction.
+fn planner_preds() -> [Expr; 4] {
+    [
         cmp(CmpOp::Ge, 0, 4),
         cmp(CmpOp::Ne, 1, 3),
         cmp(CmpOp::Lt, 2, 17),
@@ -560,18 +561,35 @@ fn planner_queries(source: tde::exec::Source, what: &str) {
             Box::new(cmp(CmpOp::Le, 0, 9)),
             Box::new(Expr::Not(Box::new(Expr::IsNull(Box::new(Expr::col(1)))))),
         ),
-    ];
-    for pred in &preds {
-        for group_by in [vec![], vec![0], vec![1], vec![2], vec![0, 2]] {
-            let query = |opts| {
-                Query::scan_columns(source.clone(), &names)
-                    .filter(pred.clone())
-                    .aggregate(
-                        group_by.clone(),
-                        aggs.iter().map(|(f, c, n)| (*f, *c, n.as_str())).collect(),
-                    )
-                    .with_optimizer(opts)
-            };
+    ]
+}
+
+/// Every function over every planner column, filtered by `pred` and
+/// grouped by `group_by`.
+fn planner_query(
+    source: &tde::exec::Source,
+    pred: Option<&Expr>,
+    group_by: &[usize],
+    opts: OptimizerOptions,
+) -> Query {
+    let mut q = Query::scan_columns(source.clone(), &PLANNER_COLUMNS);
+    if let Some(p) = pred {
+        q = q.filter(p.clone());
+    }
+    let aggs = query_aggs(PLANNER_COLUMNS.len());
+    q.aggregate(
+        group_by.to_vec(),
+        aggs.iter().map(|(f, c, n)| (*f, *c, n.as_str())).collect(),
+    )
+    .with_optimizer(opts)
+}
+
+fn planner_queries(source: tde::exec::Source, what: &str) {
+    // Without a predicate both plans read runs; the direct checks above
+    // cover that shape.
+    for pred in &planner_preds() {
+        for group_by in PLANNER_GROUPINGS {
+            let query = |opts| planner_query(&source, Some(pred), group_by, opts);
             assert_plans_agree(&query, &format!("{what}: by {group_by:?} {pred:?}"));
         }
     }
@@ -603,6 +621,78 @@ fn planner_folds_runs_over_eager_and_paged_sources() {
     let pt = paged.table("t").unwrap();
     planner_queries(tde::exec::Source::from(&pt), "paged");
     std::fs::remove_file(&path).ok();
+}
+
+/// A snapshot that only appended reads its all-run-length base as runs
+/// and its delta rows after them, each of weight one: every function
+/// folds as the row plan folds it, and answers what an eager rebuild of
+/// the merged rows answers.
+#[test]
+fn append_only_snapshot_folds_its_base_runs() {
+    let t = sorted_key_table();
+    let mut dt = tde::delta::DeltaTable::from_eager(Arc::clone(&t));
+    let mut rng = Rng::new(23);
+    let appended: Vec<[i64; 3]> = (0..700)
+        .map(|i| {
+            let k = [i / 100 + 10, NULL_I64][usize::from(i % 97 == 0)];
+            let m = MEASURES[rng.below(MEASURES.len() as u64) as usize];
+            // Dictionary values, one the base dictionary lacks, and NULL.
+            let d = [-45, 3, 17, 99, NULL_I64][rng.below(5) as usize];
+            [k, m, d]
+        })
+        .collect();
+    let value = |v: i64| {
+        if v == NULL_I64 {
+            Value::Null
+        } else {
+            Value::Int(v)
+        }
+    };
+    let rows: Vec<Vec<Value>> = appended
+        .iter()
+        .map(|r| r.iter().map(|&v| value(v)).collect())
+        .collect();
+    dt.append_rows(&rows).unwrap();
+    let snapshot = dt.snapshot().unwrap();
+    assert_eq!(snapshot.tombstone_count(), 0);
+    let merged = tde::exec::Source::from(&snapshot);
+    planner_queries(merged.clone(), "append-only snapshot");
+
+    // The merged rows, rebuilt into a fresh eager table.
+    let stored = |c: usize| -> Vec<i64> {
+        let col = &t.columns[c];
+        let raw = col.data.decode_all();
+        match &col.compression {
+            Compression::Array { dictionary, .. } => {
+                raw.iter().map(|&code| dictionary[code as usize]).collect()
+            }
+            _ => raw,
+        }
+    };
+    let rebuilt = Arc::new(Table::new(
+        "t",
+        (0..3)
+            .map(|c| {
+                let mut data = stored(c);
+                data.extend(appended.iter().map(|r| r[c]));
+                built_column(PLANNER_COLUMNS[c], &data)
+            })
+            .collect(),
+    ));
+    let rebuilt = tde::exec::Source::from(&rebuilt);
+    let preds = planner_preds();
+    for pred in std::iter::once(None).chain(preds.iter().map(Some)) {
+        for group_by in PLANNER_GROUPINGS {
+            let what = format!("by {group_by:?} {pred:?}");
+            let (tree, _) = traced(
+                &|opts| planner_query(&merged, pred, group_by, opts),
+                kernel_only(),
+            );
+            assert!(tree.contains("[runs]"), "{what}:\n{tree}");
+            let on = |source| sorted_rows(planner_query(source, pred, group_by, kernel_only()));
+            assert_eq!(on(&merged), on(&rebuilt), "{what}");
+        }
+    }
 }
 
 fn sorted_rows(q: Query) -> Vec<Vec<Value>> {
