@@ -10,7 +10,8 @@
 //! than lineitem (dominated by l_comment); TPC-H's artificial regularity
 //! creates affine opportunities (fixed-width unique names).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::io::{self, Write};
 use tde_bench::*;
 use tde_datagen::tpch::TpchTable;
 use tde_storage::{Database, Table};
@@ -65,6 +66,19 @@ fn run_table(
     }
 }
 
+/// A writer that only counts the bytes it is handed.
+struct ByteCount(u64);
+
+impl Write for ByteCount {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0 += buf.len() as u64;
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
 fn onoff(b: bool) -> &'static str {
     if b {
         "on"
@@ -100,7 +114,9 @@ fn main() {
             let result = import_file(small_dir.join(t.file_name()), &opts).unwrap();
             db.add_table(result.table);
         }
-        let size = db.serialized_size();
+        let mut count = ByteCount(0);
+        tde_pager::write_v2(&db, &HashMap::new(), &mut count).unwrap();
+        let size = count.0;
         sizes.push(size);
         println!(
             "encodings {:>3}: single-file database = {} MB",

@@ -3,6 +3,7 @@
 //! files its tables came from and rebuild itself when they change,
 //! trading a repackaging cost for up-to-date data.
 
+use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -42,21 +43,20 @@ impl Extract {
         Extract::default()
     }
 
-    /// Import a flat file as a new table. Separator, header and column
-    /// types are inferred unless `options` overrides them; the columns are
-    /// dynamically encoded, narrowed and annotated with metadata during
-    /// the load (paper §3).
+    /// Import a flat file as a table, replacing any table of the same
+    /// name. Separator, header and column types are inferred unless
+    /// `options` overrides them; the columns are dynamically encoded,
+    /// narrowed and annotated with metadata during the load (paper §3).
     pub fn import(
         &mut self,
         path: impl AsRef<Path>,
         options: &ImportOptions,
     ) -> io::Result<&Table> {
         let result = import_file(path, options)?;
-        self.db.add_table(result.table);
-        Ok(self.db.tables.last().expect("just added"))
+        Ok(self.db.add_table(result.table))
     }
 
-    /// Add an already-built table.
+    /// Add an already-built table, replacing any table of the same name.
     pub fn add_table(&mut self, table: Table) {
         self.db.add_table(table);
     }
@@ -71,47 +71,48 @@ impl Extract {
         self.db.table(name).map(|t| Arc::new(t.clone()))
     }
 
-    /// Write the whole extract to a single file (paper §2.3.3: the user
-    /// must be able to pick the database in a file dialog).
+    /// Write the whole extract to a single paged file (paper §2.3.3: the
+    /// user must be able to pick the database in a file dialog), openable
+    /// lazily with [`Extract::open_paged`]. Crash-safe: the file is
+    /// written to a temporary sibling and atomically renamed into place,
+    /// so a reader (or a crash mid-save) never observes a half-written
+    /// extract.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        self.db.save(path)
+        tde_pager::save_v2(&self.db, path)
     }
 
-    /// Load an extract from a file. (Source links are a runtime notion
-    /// and do not persist in the single-file format.)
-    pub fn load(path: impl AsRef<Path>) -> io::Result<Extract> {
-        Ok(Extract {
-            db: Database::load(path)?,
-            sources: Vec::new(),
-        })
-    }
-
-    /// Write the extract in the paged v2 format: block-aligned column
-    /// segments behind a footer directory, openable lazily with
-    /// [`Extract::open_paged`]. Crash-safe: the file is written to a
-    /// temporary sibling and atomically renamed into place, so a reader
-    /// (or a crash mid-save) never observes a half-written extract.
-    pub fn save_paged(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        tde_pager::save_v2_atomic(&self.db, path)
-    }
-
-    /// As [`Extract::save_paged`], with every filesystem operation routed
+    /// As [`Extract::save`], with every filesystem operation routed
     /// through an explicit [`tde_io::StorageIo`] backend — the seam the
     /// crash-consistency harness uses to inject faults into saves.
-    pub fn save_paged_with_io(
+    pub fn save_with_io(
         &self,
         path: impl AsRef<Path>,
         storage: &dyn tde_io::StorageIo,
     ) -> io::Result<()> {
-        tde_pager::save_v2_with_aux_atomic_io(
-            &self.db,
-            &std::collections::HashMap::new(),
-            path,
-            storage,
-        )
+        tde_pager::save_v2_with_io(&self.db, &HashMap::new(), path, storage)
     }
 
-    /// Open a v2 paged file lazily: only the directory is read now;
+    /// Forward to [`Extract::save`], kept for the frozen benchmark.
+    #[doc(hidden)]
+    pub fn save_paged(&self, path: impl AsRef<Path>) -> io::Result<()> {
+        self.save(path)
+    }
+
+    /// Load an extract from a file, materialising every table. (Source
+    /// links are a runtime notion and do not persist in the file.)
+    pub fn load(path: impl AsRef<Path>) -> io::Result<Extract> {
+        let paged = tde_pager::PagedDatabase::open(path)?;
+        let mut db = Database::new();
+        for name in paged.table_names() {
+            db.add_table(paged.table(name).expect("listed table").load_all()?);
+        }
+        Ok(Extract {
+            db,
+            sources: Vec::new(),
+        })
+    }
+
+    /// Open an extract file lazily: only the directory is read now;
     /// column segments load on first touch through the buffer pool.
     pub fn open_paged(path: impl AsRef<Path>) -> io::Result<tde_pager::PagedDatabase> {
         tde_pager::PagedDatabase::open(path)
@@ -151,11 +152,7 @@ impl Extract {
                 continue;
             }
             let result = import_file(&src.path, &src.options)?;
-            if let Some(slot) = self.db.tables.iter_mut().find(|t| t.name == src.table) {
-                *slot = result.table;
-            } else {
-                self.db.add_table(result.table);
-            }
+            self.db.add_table(result.table);
             if let Some(s) = self.sources.iter_mut().find(|s| s.table == src.table) {
                 s.fingerprint = fp;
             }
@@ -215,6 +212,34 @@ mod tests {
             t.column("joined").unwrap().value(1),
             tde_types::Value::date(1946, 7, 1)
         );
+    }
+
+    /// Two imports under the default table name leave one table, the
+    /// second file's, reachable by name in memory and after a save.
+    #[test]
+    fn a_second_import_of_one_name_replaces_the_first() {
+        let dir = std::env::temp_dir().join("tde_core_same_name");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (first, second) = (dir.join("first.csv"), dir.join("second.csv"));
+        std::fs::write(&first, "v\n1\n2\n").unwrap();
+        std::fs::write(&second, "v\n7\n8\n9\n").unwrap();
+        let mut ex = Extract::new();
+        let opts = ImportOptions::default();
+        ex.import(&first, &opts).unwrap();
+        assert_eq!(ex.import(&second, &opts).unwrap().row_count(), 3);
+        assert_eq!(ex.tables().len(), 1);
+        let t = ex.table(&opts.table_name).unwrap();
+        assert_eq!(t.row_count(), 3);
+        assert_eq!(t.column("v").unwrap().value(0), tde_types::Value::Int(7));
+
+        let file = dir.join("same_name.tde");
+        ex.save(&file).unwrap();
+        let paged = Extract::open_paged(&file).unwrap();
+        assert_eq!(paged.table_names(), [opts.table_name.as_str()]);
+        let back = paged.table(&opts.table_name).unwrap();
+        assert_eq!(back.row_count(), 3);
+        assert_eq!(back.column("v").unwrap().value(2), tde_types::Value::Int(9));
+        assert_eq!(Extract::load(&file).unwrap().tables().len(), 1);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 use tde_exec::flow_table::{flow_table, FlowTableOptions};
 use tde_exec::merged_scan::MergedSource;
 use tde_io::StorageIo;
-use tde_pager::{save_v2_with_aux_atomic_io, PagedDatabase, PagedTable, PoolConfig, TableAux};
+use tde_pager::{save_v2_with_io, PagedDatabase, PagedTable, PoolConfig, TableAux};
 use tde_storage::{Database, EncodingPolicy, Table};
 
 impl DeltaTable {
@@ -253,7 +253,7 @@ impl DeltaExtract {
                 },
             );
         }
-        save_v2_with_aux_atomic_io(&out, &aux, &self.path, &*self.storage)?;
+        save_v2_with_io(&out, &aux, &self.path, &*self.storage)?;
         self.db = PagedDatabase::open_with_io(&self.path, PoolConfig::default(), &*self.storage)?;
         self.deltas.retain(|_, dt| !dt.is_clean());
         for (name, dt) in &mut self.deltas {
@@ -407,7 +407,7 @@ mod tests {
         let path = dir.join("extract.tde2");
         let mut db = Database::new();
         db.add_table((*people(200)).clone());
-        tde_pager::save_v2_atomic(&db, &path).unwrap();
+        tde_pager::save_v2(&db, &path).unwrap();
 
         // Mutate and persist.
         let mut ex = DeltaExtract::open(&path).unwrap();

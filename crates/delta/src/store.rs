@@ -1123,7 +1123,7 @@ pub(crate) mod tests {
         let path = dir.join("extract.tde2");
         let mut db = tde_storage::Database::new();
         db.add_table((*people(40)).clone());
-        tde_pager::save_v2_atomic(&db, &path).unwrap();
+        tde_pager::save_v2(&db, &path).unwrap();
 
         let mut ex = DeltaExtract::open(&path).unwrap();
         ex.delta_mut("people")

@@ -1,12 +1,12 @@
-//! The v2 paged file format.
+//! The paged file format: the one on-disk format of an extract (paper
+//! §2.3.3 — one file the user can pick in a dialog).
 //!
-//! The v1 format (`tde-storage::file`) is *eager*: opening a database
-//! deserializes every column of every table. v2 stores the same
-//! per-column payloads — encoded stream bytes, scalar dictionaries,
-//! string heaps — as *segments* at block-aligned offsets, described by a
-//! directory that a footer at EOF points to. A reader opens a database by
-//! reading the footer and directory only; column segments are fetched on
-//! first touch through the buffer pool (`crate::pool`).
+//! Every per-column payload — encoded stream bytes, scalar dictionaries,
+//! string heaps — is a *segment* at a block-aligned offset, described by
+//! a directory that a footer at EOF points to. A reader opens a database
+//! by reading the footer and directory only; column segments are fetched
+//! on first touch through the buffer pool (`crate::pool`), as the
+//! paper's memory-mapped design reads only what a query references.
 //!
 //! Layout (little-endian):
 //!
@@ -35,8 +35,9 @@
 //!
 //! An *extent* is `offset u64 | len u64 | checksum u64`. Segment offsets
 //! are multiples of [`BLOCK_ALIGN`] so demand loads are aligned reads.
-//! The directory reuses the [`tde_storage::wire`] primitives, so the
-//! per-column metadata record is byte-identical to v1's.
+//! The directory is written with the [`tde_storage::wire`] primitives.
+//! Table names are unique within a file: the writer refuses a database
+//! that repeats one and the reader treats a repeat as corruption.
 //!
 //! **Integrity** (format version 3): every extent records the FNV-1a-64
 //! checksum of its segment bytes, computed at write time and verified by
@@ -47,12 +48,12 @@
 //! `tde_segment_checksum_failures_total` — corrupt bytes are never
 //! decoded into wrong answers.
 //!
-//! Like the v1 reader, everything here treats the file as untrusted:
+//! Everything here treats the file as untrusted:
 //! bad magic, truncation, misaligned or out-of-bounds extents and lying
 //! length prefixes surface as [`io::Error`], never a panic or an
 //! unbounded allocation.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use tde_encodings::ColumnMetadata;
 use tde_storage::wire::{
@@ -158,18 +159,22 @@ fn write_segment(w: &mut impl Write, off: &mut u64, bytes: &[u8]) -> io::Result<
     Ok(extent)
 }
 
-/// Serialize a database in the v2 paged format.
-pub fn write_v2(db: &Database, w: &mut impl Write) -> io::Result<()> {
-    write_v2_with_aux(db, &HashMap::new(), w)
-}
-
-/// Serialize a database in the v2 paged format, attaching the given
+/// Serialize a database in the paged format, attaching the given
 /// per-table auxiliary (delta/tombstone) payloads, keyed by table name.
-pub fn write_v2_with_aux(
+/// A database holding two tables of one name is refused with
+/// `InvalidInput` before anything is written.
+pub fn write_v2(
     db: &Database,
     aux: &HashMap<String, TableAux>,
     w: &mut impl Write,
 ) -> io::Result<()> {
+    let mut names = HashSet::new();
+    if let Some(t) = db.tables.iter().find(|t| !names.insert(t.name.as_str())) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("two tables named {:?}", t.name),
+        ));
+    }
     let mut off: u64 = 0;
     w.write_all(MAGIC)?;
     w.write_all(&VERSION.to_le_bytes())?;
@@ -249,41 +254,24 @@ pub fn write_v2_with_aux(
     Ok(())
 }
 
-/// Serialize a database to a v2 file on disk.
+/// Serialize a database to a paged file on disk **crash-safely**: the
+/// bytes go to a temporary file in the target's directory, are fsynced,
+/// and replace the target with an atomic rename. A crash mid-write
+/// leaves any existing file at `path` untouched.
 pub fn save_v2(db: &Database, path: impl AsRef<std::path::Path>) -> io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    let mut w = io::BufWriter::new(file);
-    write_v2(db, &mut w)?;
-    w.flush()
+    save_v2_with_io(db, &HashMap::new(), path, &tde_io::RealIo)
 }
 
-/// Serialize a database to a v2 file on disk **crash-safely**: the bytes
-/// go to a temporary file in the target's directory, are fsynced, and
-/// replace the target with an atomic rename. A crash mid-write leaves
-/// any existing file at `path` untouched.
-pub fn save_v2_atomic(db: &Database, path: impl AsRef<std::path::Path>) -> io::Result<()> {
-    save_v2_with_aux_atomic(db, &HashMap::new(), path)
-}
-
-/// As [`save_v2_atomic`], attaching per-table aux (delta/tombstone)
-/// payloads — the compactor's footer-rewrite path.
-pub fn save_v2_with_aux_atomic(
-    db: &Database,
-    aux: &HashMap<String, TableAux>,
-    path: impl AsRef<std::path::Path>,
-) -> io::Result<()> {
-    save_v2_with_aux_atomic_io(db, aux, path, &tde_io::RealIo)
-}
-
-/// As [`save_v2_with_aux_atomic`], with every filesystem operation routed
-/// through the given [`StorageIo`] backend — the seam the
-/// crash-consistency harness injects faults through.
+/// As [`save_v2`], attaching per-table aux (delta/tombstone) payloads —
+/// the compactor's footer-rewrite path — with every filesystem operation
+/// routed through the given [`StorageIo`](tde_io::StorageIo) backend, the
+/// seam the crash-consistency harness injects faults through.
 ///
 /// On *every* error path — create, write (including ENOSPC), fsync, and
 /// rename — the temporary file is removed through the same backend; only
 /// a crash-dead backend (which by design refuses the unlink too) can
 /// strand it, exactly as a real crash would.
-pub fn save_v2_with_aux_atomic_io(
+pub fn save_v2_with_io(
     db: &Database,
     aux: &HashMap<String, TableAux>,
     path: impl AsRef<std::path::Path>,
@@ -310,7 +298,7 @@ pub fn save_v2_with_aux_atomic_io(
     let result = (|| {
         let file = storage.create(&tmp)?;
         let mut w = io::BufWriter::new(file);
-        write_v2_with_aux(db, aux, &mut w)?;
+        write_v2(db, aux, &mut w)?;
         w.flush()?;
         w.into_inner()
             .map_err(|e| io::Error::other(e.to_string()))?
@@ -382,8 +370,12 @@ pub fn read_directory(bytes: &[u8], dir_offset: u64) -> io::Result<Vec<TableDir>
     let r = &mut &bytes[..];
     let ntables = read_u32(r)? as usize;
     let mut tables = Vec::with_capacity(ntables.min(1024));
+    let mut names = HashSet::new();
     for _ in 0..ntables {
         let name = read_str(r)?;
+        if !names.insert(name.clone()) {
+            return Err(corrupt("duplicate table name"));
+        }
         let rows = read_u64(r)?;
         let ncols = read_u32(r)? as usize;
         let mut columns = Vec::with_capacity(ncols.min(4096));
@@ -476,7 +468,7 @@ pub struct Footer {
 /// Parse and validate the 32-byte footer given the total file length.
 pub fn read_footer(bytes: &[u8; 32], file_len: u64) -> io::Result<Footer> {
     if &bytes[28..32] != MAGIC {
-        return Err(corrupt("bad footer magic (not a v2 paged file)"));
+        return Err(corrupt("bad footer magic (not a paged extract file)"));
     }
     let version = u32::from_le_bytes(bytes[24..28].try_into().unwrap());
     if version != VERSION {

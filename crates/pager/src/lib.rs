@@ -1,20 +1,17 @@
-//! Paged storage engine: the v2 block-aligned file format, lazily loaded
-//! column segments, and a sharded buffer pool.
+//! Paged storage engine: the extract file format, lazily loaded column
+//! segments, and a sharded buffer pool.
 //!
-//! The v1 single-file format (paper §2.3.3, `tde-storage::file`) is
-//! eager: opening a database deserializes every column of every table.
-//! That is the right trade for a freshly produced extract streaming off
-//! the wire, but wrong for the interactive dashboard case the paper
-//! targets — a workbook touches a handful of the columns in a wide
-//! extract, and the TDE's memory-mapped design reads only what a query
-//! references.
+//! An extract is one file (paper §2.3.3), and the TDE's memory-mapped
+//! design reads only what a query references: a workbook touches a
+//! handful of the columns in a wide extract. This crate writes and reads
+//! that one file in three layers:
 //!
-//! This crate reproduces that behaviour in three layers:
-//!
-//! * [`format`]: the v2 on-disk layout — per-column segments (encoded
+//! * [`format`]: the on-disk layout — per-column segments (encoded
 //!   stream, scalar dictionary, string heap) at 4 KiB-aligned offsets,
 //!   described by a directory that a fixed footer locates. Opening a
-//!   database reads footer + directory only.
+//!   database reads footer + directory only. [`write_v2`] serializes a
+//!   database; [`save_v2`] and [`save_v2_with_io`] write it to disk
+//!   crash-safely (temporary file, fsync, atomic rename).
 //! * [`pool`]: a sharded buffer pool with second-chance (clock)
 //!   eviction, a configurable byte budget, and `Arc`-based pinning.
 //!   Segments are demand-loaded on first touch and repeat scans are
@@ -24,23 +21,21 @@
 //!   counterparts of `tde_storage::Database` / `Table`, handing out
 //!   `Arc<Column>`s that the executor scans exactly like eager columns.
 //!
-//! Both formats stay readable: v1 via `Database::load`, v2 via
-//! [`PagedDatabase::open`]; [`paged::is_v2`] sniffs which one a file is.
+//! The eager v1 format is retired: [`PagedDatabase::open`] refuses a v1
+//! file with a message saying it must be re-imported.
 
 pub mod format;
 pub mod paged;
 pub mod pool;
 
-pub use format::{
-    save_v2, save_v2_atomic, save_v2_with_aux_atomic, save_v2_with_aux_atomic_io, write_v2,
-    write_v2_with_aux, TableAux, BLOCK_ALIGN,
-};
-pub use paged::{is_v2, PagedDatabase, PagedTable};
+pub use format::{save_v2, save_v2_with_io, write_v2, TableAux, BLOCK_ALIGN};
+pub use paged::{PagedDatabase, PagedTable};
 pub use pool::{BufferPool, PoolConfig, SegmentKey};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use std::io;
     use tde_storage::builder::{ColumnBuilder, EncodingPolicy};
     use tde_storage::{Database, Table};
@@ -93,7 +88,6 @@ mod tests {
         let db = wide_db(10, 3000);
         let path = tmp("wide.tde2");
         save_v2(&db, &path).unwrap();
-        assert!(is_v2(&path).unwrap());
 
         let paged = PagedDatabase::open(&path).unwrap();
         let t = paged.table("wide").unwrap();
@@ -149,15 +143,136 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A v1 file — magic, format version 1, a table count — is refused
+    /// at open with a message that the format is retired, whether or not
+    /// it is long enough to hold a paged footer.
     #[test]
     fn v1_file_is_politely_refused() {
-        let db = wide_db(2, 100);
+        let mut v1 = paged::V1_MAGIC.to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&0u32.to_le_bytes());
         let path = tmp("eager.tde");
-        db.save(&path).unwrap();
-        assert!(!is_v2(&path).unwrap());
-        let err = PagedDatabase::open(&path).unwrap_err();
-        assert!(err.to_string().contains("v1"), "got: {err}");
+        for len in [v1.len(), 4096] {
+            v1.resize(len, 0);
+            std::fs::write(&path, &v1).unwrap();
+            let err = PagedDatabase::open(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            let msg = err.to_string();
+            for word in ["v1", "retired", "re-import"] {
+                assert!(msg.contains(word), "{len} bytes: {msg}");
+            }
+            assert!(!msg.contains("Database::load"), "{msg}");
+        }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Two tables of every compression shape (plain, array, heap) in one
+    /// file: each comes back with its values and metadata.
+    #[test]
+    fn two_tables_roundtrip_with_metadata() {
+        let mut qty = ColumnBuilder::new("qty", DataType::Integer, EncodingPolicy::default());
+        let mut day = ColumnBuilder::new("day", DataType::Date, EncodingPolicy::default());
+        let mut name = ColumnBuilder::new("name", DataType::Str, EncodingPolicy::default());
+        for i in 0..5000i64 {
+            qty.append_i64(i % 50);
+            day.append_i64(9000 + i / 100);
+            name.append_str(Some(["red", "green", "blue"][i as usize % 3]));
+        }
+        let mut seq = ColumnBuilder::new("seq", DataType::Integer, EncodingPolicy::default());
+        let mut tag = ColumnBuilder::new("tag", DataType::Str, EncodingPolicy::default());
+        for i in 0..1200i64 {
+            seq.append_i64(i % 7 * 1_000_003);
+            tag.append_str(Some(["aa", "bb", "cc", "dd"][i as usize % 4]));
+        }
+        let mut seq = seq.finish().column;
+        tde_storage::convert::reencode_as_dictionary(&mut seq);
+        assert!(matches!(
+            seq.compression,
+            tde_storage::Compression::Array { .. }
+        ));
+        let mut db = Database::new();
+        db.add_table(Table::new(
+            "orders",
+            vec![
+                qty.finish().column,
+                day.finish().column,
+                name.finish().column,
+            ],
+        ));
+        db.add_table(Table::new("tags", vec![seq, tag.finish().column]));
+        let path = tmp("two_tables.tde2");
+        save_v2(&db, &path).unwrap();
+        let paged = PagedDatabase::open(&path).unwrap();
+        assert_eq!(paged.table_names(), ["orders", "tags"]);
+        for orig in &db.tables {
+            let back = paged.table(&orig.name).unwrap().load_all().unwrap();
+            assert_eq!(back.row_count(), orig.row_count());
+            for (a, b) in orig.columns.iter().zip(&back.columns) {
+                assert_eq!((&a.name, a.dtype), (&b.name, b.dtype));
+                assert_eq!(a.metadata, b.metadata, "{}", a.name);
+                assert_eq!(a.compression.tag(), b.compression.tag(), "{}", a.name);
+                for row in (0..orig.row_count()).step_by(97) {
+                    assert_eq!(a.value(row), b.value(row), "{} row {row}", a.name);
+                }
+            }
+        }
+        let day = paged.table("orders").unwrap().column("day").unwrap();
+        assert!(day.metadata.sorted_asc.is_true());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Table names are unique in a file: the writer refuses a database
+    /// that repeats one before writing a byte, and a directory that
+    /// repeats one (checksum re-signed) is corruption.
+    #[test]
+    fn duplicate_table_names_are_refused_and_detected() {
+        let mut db = wide_db(1, 50);
+        db.tables.push(db.tables[0].clone());
+        let mut buf = Vec::new();
+        let err = write_v2(&db, &HashMap::new(), &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert!(buf.is_empty(), "nothing written");
+        let path = tmp("twins.tde2");
+        std::fs::remove_file(&path).ok();
+        assert!(save_v2(&db, &path).is_err());
+        assert!(!path.exists());
+
+        db.tables[1].name = "wid2".into();
+        write_v2(&db, &HashMap::new(), &mut buf).unwrap();
+        let foot = footer_at(&buf);
+        let dir_off = u64::from_le_bytes(buf[foot..foot + 8].try_into().unwrap()) as usize;
+        let at = dir_off
+            + buf[dir_off..foot]
+                .windows(4)
+                .position(|w| w == b"wid2")
+                .expect("second table name in the directory");
+        buf[at..at + 4].copy_from_slice(b"wide");
+        patch_dir_checksum(&mut buf);
+        std::fs::write(&path, &buf).unwrap();
+        let err = PagedDatabase::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("duplicate table name"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The single-file copy burden (§2.3.3): encodings shrink the file,
+    /// 4 KiB segment alignment included.
+    #[test]
+    fn compressed_file_is_smaller_than_baseline() {
+        let size = |policy: EncodingPolicy| {
+            let mut b = ColumnBuilder::new("v", DataType::Integer, policy);
+            for i in 0..50_000i64 {
+                b.append_i64(i % 10);
+            }
+            let mut db = Database::new();
+            db.add_table(Table::new("t", vec![b.finish().column]));
+            let mut buf = Vec::new();
+            write_v2(&db, &HashMap::new(), &mut buf).unwrap();
+            buf.len()
+        };
+        let enc = size(EncodingPolicy::default());
+        let raw = size(EncodingPolicy::baseline());
+        assert!(enc * 4 < raw, "encoded {enc} should be far under raw {raw}");
     }
 
     #[test]
@@ -317,7 +432,7 @@ mod tests {
     #[test]
     fn directory_corruption_matrix() {
         let db = wide_db(2, 120);
-        let mut aux = std::collections::HashMap::new();
+        let mut aux = HashMap::new();
         aux.insert(
             "wide".to_string(),
             TableAux {
@@ -326,7 +441,7 @@ mod tests {
             },
         );
         let path = tmp("matrix.tde2");
-        save_v2_with_aux_atomic(&db, &aux, &path).unwrap();
+        save_v2_with_io(&db, &aux, &path, &tde_io::RealIo).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let foot = footer_at(&bytes);
         let dir_off = u64::from_le_bytes(bytes[foot..foot + 8].try_into().unwrap()) as usize;
@@ -379,7 +494,7 @@ mod tests {
     #[test]
     fn segment_corruption_is_caught_by_checksums() {
         let db = wide_db(2, 80);
-        let mut aux = std::collections::HashMap::new();
+        let mut aux = HashMap::new();
         aux.insert(
             "wide".to_string(),
             TableAux {
@@ -388,7 +503,7 @@ mod tests {
             },
         );
         let path = tmp("segcorrupt.tde2");
-        save_v2_with_aux_atomic(&db, &aux, &path).unwrap();
+        save_v2_with_io(&db, &aux, &path, &tde_io::RealIo).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let paged = PagedDatabase::open(&path).unwrap();
         let t = paged.table("wide").unwrap();
@@ -498,7 +613,7 @@ mod tests {
     #[test]
     fn aux_sections_roundtrip_and_atomic_save() {
         let db = wide_db(3, 150);
-        let mut aux = std::collections::HashMap::new();
+        let mut aux = HashMap::new();
         aux.insert(
             "wide".to_string(),
             TableAux {
@@ -507,7 +622,7 @@ mod tests {
             },
         );
         let path = tmp("aux.tde2");
-        save_v2_with_aux_atomic(&db, &aux, &path).unwrap();
+        save_v2_with_io(&db, &aux, &path, &tde_io::RealIo).unwrap();
         let paged = PagedDatabase::open(&path).unwrap();
         let t = paged.table("wide").unwrap();
         assert!(t.has_delta() && t.has_tombstone());
@@ -518,7 +633,7 @@ mod tests {
 
         // Atomic re-save without aux replaces the file in place; no temp
         // files are left behind.
-        save_v2_atomic(&db, &path).unwrap();
+        save_v2(&db, &path).unwrap();
         let paged = PagedDatabase::open(&path).unwrap();
         let t = paged.table("wide").unwrap();
         assert!(!t.has_delta() && !t.has_tombstone());
@@ -537,7 +652,7 @@ mod tests {
     #[test]
     fn corrupt_aux_sections_error_cleanly() {
         let db = wide_db(2, 100);
-        let mut aux = std::collections::HashMap::new();
+        let mut aux = HashMap::new();
         aux.insert(
             "wide".to_string(),
             TableAux {
@@ -546,7 +661,7 @@ mod tests {
             },
         );
         let path = tmp("auxcorrupt.tde2");
-        save_v2_with_aux_atomic(&db, &aux, &path).unwrap();
+        save_v2_with_io(&db, &aux, &path, &tde_io::RealIo).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let foot = footer_at(&bytes);
         let dir_off = u64::from_le_bytes(bytes[foot..foot + 8].try_into().unwrap()) as usize;
@@ -625,14 +740,14 @@ mod tests {
 
         // Rename failure: the save errors, the target is untouched, the
         // temp file is gone.
-        save_v2_atomic(&db, &path).unwrap();
+        save_v2(&db, &path).unwrap();
         let before = std::fs::read(&path).unwrap();
         let io = FaultIo::new(FaultPlan {
             fail_renames: 1,
             ..Default::default()
         });
-        let aux = std::collections::HashMap::new();
-        let err = save_v2_with_aux_atomic_io(&db, &aux, &path, &io).unwrap_err();
+        let aux = HashMap::new();
+        let err = save_v2_with_io(&db, &aux, &path, &io).unwrap_err();
         assert!(err.to_string().contains("rename"), "got: {err}");
         assert_eq!(io.stats().renames_failed, 1);
         no_tmp_left();
@@ -643,13 +758,13 @@ mod tests {
             enospc_after_bytes: Some(4096),
             ..Default::default()
         });
-        let err = save_v2_with_aux_atomic_io(&db, &aux, &path, &io).unwrap_err();
+        let err = save_v2_with_io(&db, &aux, &path, &io).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::StorageFull);
         no_tmp_left();
         assert_eq!(std::fs::read(&path).unwrap(), before, "target untouched");
 
         // Fault-free pass through the same seam still works.
-        save_v2_with_aux_atomic_io(&db, &aux, &path, &tde_io::RealIo).unwrap();
+        save_v2_with_io(&db, &aux, &path, &tde_io::RealIo).unwrap();
         no_tmp_left();
         std::fs::remove_file(&path).ok();
     }
@@ -709,6 +824,13 @@ mod tests {
         let snap2 = paged.cache_snapshot();
         // s2 loads its own stream but hits the shared heap entry.
         assert_eq!(snap2.misses, snap1.misses + 1);
+        // Both columns read their values back through the one heap.
+        let back = t.load_all().unwrap();
+        for (a, b) in db.tables[0].columns.iter().zip(&back.columns) {
+            for row in 0..400 {
+                assert_eq!(a.value(row), b.value(row), "{} row {row}", a.name);
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 }

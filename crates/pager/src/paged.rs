@@ -1,4 +1,4 @@
-//! Opening and reading a v2 paged database.
+//! Opening and reading a paged database.
 //!
 //! [`PagedDatabase::open`] reads only the footer and directory — column
 //! segments stay on disk until a [`PagedTable::column`] call pulls them
@@ -8,8 +8,7 @@
 
 use crate::format::{self, ColumnDir, Extent, TableDir, FOOTER_LEN};
 use crate::pool::{BufferPool, CachedSegment, PoolConfig, SegmentKey};
-use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tde_encodings::EncodedStream;
@@ -42,25 +41,47 @@ impl Inner {
         }
         Ok(buf)
     }
+
+    /// Read one column segment (`stream`, `dictionary` or `heap`) and
+    /// feed every view of the load from one measurement: the
+    /// segment-load metric, the timeline record and the
+    /// [`Event::SegmentLoad`] trace event.
+    fn load_segment(
+        &self,
+        table: &str,
+        column: &str,
+        e: Extent,
+        segment: &'static str,
+    ) -> io::Result<Vec<u8>> {
+        let t0 = (tde_obs::metrics::enabled() || tde_obs::timeline::enabled())
+            .then(std::time::Instant::now);
+        let bytes = self.read_segment(e, segment)?;
+        if let Some(t0) = t0 {
+            let nanos = t0.elapsed().as_nanos() as u64;
+            if tde_obs::metrics::enabled() {
+                tde_obs::metrics::segment_load(segment, e.len, nanos);
+            }
+            tde_obs::timeline::segment_load(table, column, segment, e.len, nanos);
+        }
+        tde_obs::emit(|| Event::SegmentLoad {
+            table: table.to_string(),
+            column: column.to_string(),
+            segment,
+            bytes: e.len,
+        });
+        Ok(bytes)
+    }
 }
 
-/// A database opened lazily from a v2 paged file.
+/// The magic of the retired eager v1 file. Opening one is refused with
+/// a message that says so: the format is gone, so the extract must be
+/// re-imported from its source.
+pub const V1_MAGIC: &[u8; 4] = b"TDE1";
+
+/// A database opened lazily from a paged file.
 #[derive(Debug, Clone)]
 pub struct PagedDatabase {
     inner: Arc<Inner>,
-}
-
-/// Is the file at `path` a v2 paged database (by footer magic)?
-pub fn is_v2(path: impl AsRef<Path>) -> io::Result<bool> {
-    let mut f = File::open(path)?;
-    let len = f.metadata()?.len();
-    if len < format::HEADER_LEN + FOOTER_LEN {
-        return Ok(false);
-    }
-    let mut magic = [0u8; 4];
-    f.seek(SeekFrom::End(-4))?;
-    f.read_exact(&mut magic)?;
-    Ok(&magic == format::MAGIC)
 }
 
 impl PagedDatabase {
@@ -86,15 +107,19 @@ impl PagedDatabase {
         let path = path.as_ref().to_path_buf();
         let f = storage.open(&path)?;
         let len = f.len()?;
-        if len < format::HEADER_LEN + FOOTER_LEN {
-            return Err(corrupt("file too small for a v2 paged database"));
-        }
         let mut head = [0u8; 4];
-        read_exact_at(&*f, &mut head, 0, "header")?;
-        if &head == b"TDE1" {
-            return Err(corrupt(
-                "v1 eager file — open it with tde_storage::Database::load",
+        if len >= 4 {
+            read_exact_at(&*f, &mut head, 0, "header")?;
+        }
+        if &head == V1_MAGIC {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "the v1 extract format (TDE1) is retired and no longer readable; \
+                 re-import the extract from its source",
             ));
+        }
+        if len < format::HEADER_LEN + FOOTER_LEN {
+            return Err(corrupt("file too small for a paged database"));
         }
         if &head != format::MAGIC {
             return Err(corrupt("bad magic"));
@@ -277,7 +302,8 @@ impl PagedTable {
         }
     }
 
-    /// Materialize the whole table eagerly (back-compat convenience).
+    /// Materialise the whole table eagerly (how `Extract::load` reads an
+    /// extract).
     pub fn load_all(&self) -> io::Result<Table> {
         let columns = (0..self.dir().columns.len())
             .map(|i| self.column_at(i).map(|c| (*c).clone()))
@@ -293,22 +319,7 @@ impl PagedTable {
             return Ok(h);
         }
         let seg = self.inner.pool.get_or_load(key, || {
-            let t0 = (tde_obs::metrics::enabled() || tde_obs::timeline::enabled())
-                .then(std::time::Instant::now);
-            let bytes = self.inner.read_segment(extent, "heap")?;
-            if let Some(t0) = t0 {
-                let nanos = t0.elapsed().as_nanos() as u64;
-                if tde_obs::metrics::enabled() {
-                    tde_obs::metrics::segment_load("heap", extent.len, nanos);
-                }
-                tde_obs::timeline::segment_load(table, column, "heap", extent.len, nanos);
-            }
-            tde_obs::emit(|| Event::SegmentLoad {
-                table: table.to_string(),
-                column: column.to_string(),
-                segment: "heap",
-                bytes: extent.len,
-            });
+            let bytes = self.inner.load_segment(table, column, extent, "heap")?;
             Ok((
                 CachedSegment::Heap(Arc::new(StringHeap::from_bytes(bytes)?)),
                 extent.len,
@@ -329,49 +340,17 @@ impl PagedTable {
         cdir: &ColumnDir,
         heap: Option<Arc<StringHeap>>,
     ) -> io::Result<(CachedSegment, u64)> {
-        let t0 = (tde_obs::metrics::enabled() || tde_obs::timeline::enabled())
-            .then(std::time::Instant::now);
-        let stream_bytes = self.inner.read_segment(cdir.stream, "stream")?;
-        if let Some(t0) = t0 {
-            let nanos = t0.elapsed().as_nanos() as u64;
-            if tde_obs::metrics::enabled() {
-                tde_obs::metrics::segment_load("stream", cdir.stream.len, nanos);
-            }
-            tde_obs::timeline::segment_load(table, &cdir.name, "stream", cdir.stream.len, nanos);
-        }
+        let stream_bytes = self
+            .inner
+            .load_segment(table, &cdir.name, cdir.stream, "stream")?;
         validate_stream(&stream_bytes, rows)?;
-        tde_obs::emit(|| Event::SegmentLoad {
-            table: table.to_string(),
-            column: cdir.name.clone(),
-            segment: "stream",
-            bytes: cdir.stream.len,
-        });
         let mut cost = cdir.stream.len;
         let compression = match (cdir.ctag, cdir.dict, heap) {
             (0, _, _) => Compression::None,
             (1, Some(extent), _) => {
-                let t0 = (tde_obs::metrics::enabled() || tde_obs::timeline::enabled())
-                    .then(std::time::Instant::now);
-                let bytes = self.inner.read_segment(extent, "dictionary")?;
-                if let Some(t0) = t0 {
-                    let nanos = t0.elapsed().as_nanos() as u64;
-                    if tde_obs::metrics::enabled() {
-                        tde_obs::metrics::segment_load("dictionary", extent.len, nanos);
-                    }
-                    tde_obs::timeline::segment_load(
-                        table,
-                        &cdir.name,
-                        "dictionary",
-                        extent.len,
-                        nanos,
-                    );
-                }
-                tde_obs::emit(|| Event::SegmentLoad {
-                    table: table.to_string(),
-                    column: cdir.name.clone(),
-                    segment: "dictionary",
-                    bytes: extent.len,
-                });
+                let bytes = self
+                    .inner
+                    .load_segment(table, &cdir.name, extent, "dictionary")?;
                 cost += extent.len;
                 let dictionary = bytes
                     .chunks_exact(8)

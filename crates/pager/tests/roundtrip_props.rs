@@ -1,5 +1,5 @@
-//! Property tests: the v1 eager format and the v2 paged format must both
-//! roundtrip columns of every encoding × compression combination —
+//! Property tests: the paged format must roundtrip columns of every
+//! encoding × compression combination —
 //! values, metadata, compression structure and heap sort flags all
 //! preserved bit-for-bit.
 //!
@@ -119,13 +119,9 @@ fn assert_columns_equal(a: &Column, b: &Column, ctx: &str) {
     }
 }
 
-/// Roundtrip a database through both formats and compare every column.
+/// Roundtrip a database through the paged format and compare every
+/// column with the original.
 fn assert_roundtrips(db: &Database) {
-    // v1: eager, in memory.
-    let mut buf = Vec::new();
-    db.write_to(&mut buf).unwrap();
-    let v1 = Database::read_from(&mut buf.as_slice()).unwrap();
-    // v2: paged, via a temp file, fully materialized back.
     let dir = std::env::temp_dir().join("tde_pager_props");
     std::fs::create_dir_all(&dir).unwrap();
     // One file per call: the harness runs this file's tests in parallel.
@@ -135,13 +131,10 @@ fn assert_roundtrips(db: &Database) {
     save_v2(db, &path).unwrap();
     let paged = PagedDatabase::open(&path).unwrap();
     for t in &db.tables {
-        let t1 = v1.table(&t.name).unwrap();
-        let t2 = paged.table(&t.name).unwrap().load_all().unwrap();
-        assert_eq!(t1.row_count(), t.row_count());
-        assert_eq!(t2.row_count(), t.row_count());
-        for (i, orig) in t.columns.iter().enumerate() {
-            assert_columns_equal(orig, &t1.columns[i], "v1");
-            assert_columns_equal(orig, &t2.columns[i], "v2");
+        let back = paged.table(&t.name).unwrap().load_all().unwrap();
+        assert_eq!(back.row_count(), t.row_count());
+        for (orig, col) in t.columns.iter().zip(&back.columns) {
+            assert_columns_equal(orig, col, "paged");
         }
     }
     std::fs::remove_file(&path).ok();

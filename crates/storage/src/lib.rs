@@ -1,5 +1,7 @@
-//! Storage layer: string heaps, columns, tables and the single-file
-//! database format (paper §2.3.2–2.3.3).
+//! Storage layer: string heaps, columns, tables and the [`Database`]
+//! that one extract file holds (paper §2.3.2–2.3.3). The file format
+//! itself is `tde-pager::format`; [`wire`] holds the primitives it
+//! writes with.
 //!
 //! The TDE storage layer distinguishes *compression* from *encoding*:
 //!
@@ -19,7 +21,6 @@ pub mod accelerator;
 pub mod builder;
 pub mod column;
 pub mod convert;
-pub mod file;
 pub mod heap;
 pub mod index_table;
 pub mod table;
@@ -28,7 +29,6 @@ pub mod wire;
 pub use accelerator::HeapAccelerator;
 pub use builder::{BuiltColumn, ColumnBuilder, EncodingPolicy};
 pub use column::{Column, Compression};
-pub use file::Database;
 pub use heap::StringHeap;
 pub use index_table::RunIndex;
-pub use table::{ColumnTelemetry, RunColumn, Table};
+pub use table::{ColumnTelemetry, Database, RunColumn, Table};

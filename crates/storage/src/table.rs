@@ -241,6 +241,42 @@ impl std::fmt::Display for ColumnTelemetry {
     }
 }
 
+/// The tables one extract file holds (paper §2.3.3), one per name.
+/// The file format itself lives in `tde-pager::format`.
+#[derive(Debug, Clone, Default)]
+pub struct Database {
+    /// The tables.
+    pub tables: Vec<Table>,
+}
+
+impl Database {
+    /// An empty database.
+    pub fn new() -> Database {
+        Database::default()
+    }
+
+    /// Add a table, replacing any table of the same name in place.
+    pub fn add_table(&mut self, table: Table) -> &Table {
+        let at = self.tables.iter().position(|t| t.name == table.name);
+        let at = match at {
+            Some(i) => {
+                self.tables[i] = table;
+                i
+            }
+            None => {
+                self.tables.push(table);
+                self.tables.len() - 1
+            }
+        };
+        &self.tables[at]
+    }
+
+    /// Find a table by name.
+    pub fn table(&self, name: &str) -> Option<&Table> {
+        self.tables.iter().find(|t| t.name == name)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,6 +304,18 @@ mod tests {
     #[should_panic(expected = "rows")]
     fn mismatched_lengths_panic() {
         Table::new("t", vec![col("a", &[1, 2]), col("b", &[1])]);
+    }
+
+    #[test]
+    fn adding_a_table_replaces_its_namesake() {
+        let mut db = Database::new();
+        db.add_table(Table::new("a", vec![col("v", &[1])]));
+        db.add_table(Table::new("b", vec![col("v", &[2])]));
+        let t = db.add_table(Table::new("a", vec![col("v", &[3, 4])]));
+        assert_eq!(t.row_count(), 2);
+        let names: Vec<&str> = db.tables.iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(names, ["a", "b"], "replaced in place");
+        assert_eq!(db.table("a").unwrap().row_count(), 2);
     }
 
     #[test]

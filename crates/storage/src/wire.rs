@@ -1,6 +1,7 @@
-//! Wire-format primitives shared by the v1 single-file format and the
-//! v2 paged format (crate `tde-pager`): length-prefixed strings and byte
-//! blobs, fixed-width integers, and the per-column metadata record.
+//! Wire-format primitives of the paged file format (crate `tde-pager`)
+//! and the delta-store payload (crate `tde-delta`): length-prefixed
+//! strings, fixed-width integers, the per-column metadata record and the
+//! encoded-stream validator.
 //!
 //! Everything here is written little-endian. The readers treat their
 //! input as untrusted: length prefixes are bounded reads (a lying prefix
@@ -32,12 +33,6 @@ pub fn write_str(w: &mut impl Write, s: &str) -> io::Result<()> {
     w.write_all(s.as_bytes())
 }
 
-/// Write a u64-length-prefixed byte blob.
-pub fn write_bytes(w: &mut impl Write, b: &[u8]) -> io::Result<()> {
-    w.write_all(&(b.len() as u64).to_le_bytes())?;
-    w.write_all(b)
-}
-
 /// Read a little-endian u32.
 pub fn read_u32(r: &mut impl Read) -> io::Result<u32> {
     let mut b = [0u8; 4];
@@ -50,11 +45,6 @@ pub fn read_u64(r: &mut impl Read) -> io::Result<u64> {
     let mut b = [0u8; 8];
     r.read_exact(&mut b)?;
     Ok(u64::from_le_bytes(b))
-}
-
-/// Read a little-endian i64.
-pub fn read_i64(r: &mut impl Read) -> io::Result<i64> {
-    Ok(read_u64(r)? as i64)
 }
 
 /// Read a u64-length-prefixed byte blob, bounded: the buffer grows with
@@ -116,13 +106,11 @@ pub fn read_opt_i64(r: &mut impl Read) -> io::Result<Option<i64>> {
     r.read_exact(&mut b)?;
     Ok(match b[0] {
         0 => None,
-        _ => Some(read_i64(r)?),
+        _ => Some(read_u64(r)? as i64),
     })
 }
 
-/// Write a column metadata record (fixed 33 bytes worst case; the v2
-/// directory relies on this being written byte-for-byte identically by
-/// the size counter and the real writer).
+/// Write a column metadata record (33 bytes at most).
 pub fn write_metadata(w: &mut impl Write, m: &ColumnMetadata) -> io::Result<()> {
     write_knowledge(w, m.sorted_asc)?;
     write_knowledge(w, m.dense)?;
@@ -195,10 +183,7 @@ mod tests {
     }
 
     #[test]
-    fn blob_roundtrip() {
-        let mut buf = Vec::new();
-        write_bytes(&mut buf, b"hello").unwrap();
-        assert_eq!(read_bytes(&mut buf.as_slice()).unwrap(), b"hello");
+    fn str_roundtrip() {
         let mut buf = Vec::new();
         write_str(&mut buf, "caf\u{e9}").unwrap();
         assert_eq!(read_str(&mut buf.as_slice()).unwrap(), "caf\u{e9}");

@@ -14,10 +14,11 @@
 //! * **Dynamic encoding** ([`encodings::dynamic`]): statistics-driven
 //!   encoding choice with mid-load re-encoding on overflow.
 //! * **Storage** ([`storage`]): string heaps with offset tokens, the heap
-//!   accelerator, array/heap dictionary compression, and the single-file
-//!   database format.
-//! * **Paged storage** ([`pager`]): the block-aligned v2 file format
-//!   whose directory records per-column segment extents, opened by
+//!   accelerator, array/heap dictionary compression, tables and the
+//!   database of tables one extract file holds.
+//! * **Paged storage** ([`pager`]): the block-aligned file format — the
+//!   one on-disk format of an extract, written crash-safely by one save
+//!   path — whose directory records per-column segment extents, opened by
 //!   reading only the directory; a sharded second-chance buffer pool
 //!   demand-loads column segments on first touch and reports cache
 //!   telemetry through `explain_analyze`.

@@ -153,6 +153,22 @@ fn truncated_extract_is_a_typed_error() {
     }
 }
 
+/// A file in the retired v1 format is a typed error that says so, for
+/// `info` and `head` alike.
+#[test]
+fn v1_extract_is_a_typed_error() {
+    let wrk = Workdir::new("v1");
+    let mut v1 = tde::pager::paged::V1_MAGIC.to_vec();
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&0u32.to_le_bytes());
+    wrk.create("old.tde", v1);
+    for args in [&["info", "old.tde"][..], &["head", "old.tde", "t"]] {
+        let o = wrk.run(TDE_CLI, args);
+        assert_typed_error(&o);
+        assert!(stderr(&o).contains("re-import"), "stderr: {}", stderr(&o));
+    }
+}
+
 #[test]
 fn bad_arguments_print_usage_and_exit_2() {
     let wrk = Workdir::new("bad_args");

@@ -9,9 +9,9 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use tde::exec::expr::{AggFunc, CmpOp, Expr};
 use tde::plan::strategic::OptimizerOptions;
-use tde::storage::{ColumnBuilder, Database, EncodingPolicy, Table};
+use tde::storage::{ColumnBuilder, EncodingPolicy, Table};
 use tde::types::{DataType, Value};
-use tde::Query;
+use tde::{Extract, Query};
 
 fn int_table(data: &[i64]) -> Arc<Table> {
     let mut b = ColumnBuilder::new("v", DataType::Integer, EncodingPolicy::default());
@@ -115,13 +115,13 @@ proptest! {
             v.append_i64(data[i]);
             s.append_str(Some(words[strings[i]]));
         }
-        let t = Table::new("t", vec![v.finish().column, s.finish().column]);
-        let mut db = Database::new();
-        db.add_table(t);
-        let mut buf = Vec::new();
-        db.write_to(&mut buf).unwrap();
-        let db2 = Database::read_from(&mut buf.as_slice()).unwrap();
-        let (t1, t2) = (db.table("t").unwrap(), db2.table("t").unwrap());
+        let t1 = Table::new("t", vec![v.finish().column, s.finish().column]);
+        let mut ex = Extract::new();
+        ex.add_table(t1.clone());
+        let path = std::env::temp_dir().join(format!("tde_invariants_{}.tde", std::process::id()));
+        ex.save(&path).unwrap();
+        let t2 = Extract::load(&path).unwrap().table("t").unwrap();
+        std::fs::remove_file(&path).ok();
         for row in 0..n as u64 {
             prop_assert_eq!(t1.columns[0].value(row), t2.columns[0].value(row));
             prop_assert_eq!(t1.columns[1].value(row), t2.columns[1].value(row));

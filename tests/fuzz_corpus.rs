@@ -3,8 +3,8 @@
 //! Every `.case` file under `tests/fuzz_corpus/` is a shrunk repro of a
 //! bug the tde-fuzz sweep found (the header comment in each file names
 //! the bug and the fix). Replaying a case runs the *full* oracle stack —
-//! differential (optimizer on/off, kernel vs fallback, paged-v2 vs
-//! eager-v1, parallel vs serial), metamorphic (TLP partitioning,
+//! differential (optimizer on/off, kernel vs fallback, paged vs
+//! resident, parallel vs serial), metamorphic (TLP partitioning,
 //! re-encoding invariance) and metadata-invariant — so a regression in
 //! any of the fixed code paths fails here without needing the nightly
 //! sweep. Add new files by copying the `.case` a failing sweep writes to
