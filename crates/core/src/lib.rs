@@ -14,7 +14,7 @@ pub mod query;
 
 pub use design::optimize_physical_design;
 pub use extract::Extract;
-pub use query::{CacheReport, ExplainAnalyze, Query};
+pub use query::{CacheReport, ExplainAnalyze, NodeSnapshot, Query};
 
 // Re-export the crates behind the facade so downstream users need only
 // one dependency.

@@ -12,7 +12,8 @@ use tde_exec::aggregate::AggSpec;
 use tde_exec::expr::AggFunc;
 use tde_exec::sort::SortOrder;
 use tde_exec::{Block, Expr, Schema, Source};
-use tde_obs::{CacheSnapshot, Event, NodeSnapshot, Trace};
+use tde_obs::timeline::{QueryTrace, TimelineKind};
+use tde_obs::{CacheSnapshot, Event};
 use tde_plan::strategic::OptimizerOptions;
 use tde_plan::{LogicalPlan, PlanBuilder};
 use tde_storage::ColumnTelemetry;
@@ -142,15 +143,16 @@ impl Query {
     /// observable: they bump `tde_queries_failed_total` and emit an
     /// error-tagged span/trace instead of vanishing.
     pub fn try_run(self) -> io::Result<(Schema, Vec<Block>)> {
-        self.execute(None).map(|x| (x.schema, x.blocks))
+        self.execute(false).map(|x| (x.schema, x.blocks))
     }
 
     /// Plan, lower and drain under the always-on observation — the one
     /// path behind every entry point, so each emits exactly one span and
-    /// one timeline trace, failed or not. `trace` adds the per-query
-    /// EXPLAIN ANALYZE recording.
-    fn execute(self, trace: Option<&Arc<Trace>>) -> io::Result<Executed> {
-        let obs = QueryObservation::begin();
+    /// one timeline trace, failed or not. `scoped` opens the query's
+    /// timeline scope even when the layer is disabled (EXPLAIN ANALYZE
+    /// reads the scope's trace).
+    fn execute(self, scoped: bool) -> io::Result<Executed> {
+        let obs = QueryObservation::begin(scoped);
         let t0 = Instant::now();
         let plan = self.plan();
         let plan_ns = t0.elapsed().as_nanos() as u64;
@@ -158,18 +160,9 @@ impl Query {
             .as_ref()
             .map_or_else(String::new, |o| o.plan_digest(|| plan.explain()));
         let t1 = Instant::now();
-        let result = match trace {
-            None => tde_plan::physical::try_run(&plan),
-            Some(trace) => {
-                let _guard = tde_obs::install(trace);
-                tde_plan::physical::try_execute_traced(&plan, trace).map(|op| {
-                    let schema = op.schema().clone();
-                    (schema, tde_exec::drain(op))
-                })
-            }
-        };
+        let result = tde_plan::physical::try_run(&plan);
         let elapsed = t1.elapsed();
-        if let Some(obs) = obs {
+        let trace = obs.and_then(|obs| {
             let exec_ns = elapsed.as_nanos() as u64;
             let rows = result
                 .as_ref()
@@ -180,13 +173,14 @@ impl Query {
                 plan_ns + exec_ns,
                 result.as_ref().err().map(ToString::to_string),
                 &[("plan", plan_ns), ("execute", exec_ns)],
-            );
-        }
+            )
+        });
         result.map(|(schema, blocks)| Executed {
             plan,
             schema,
             blocks,
             elapsed,
+            trace,
         })
     }
 
@@ -197,24 +191,24 @@ impl Query {
             .unwrap_or_else(|e| panic!("query execution failed: {e}"))
     }
 
-    /// Execute with full instrumentation: every physical operator also
-    /// records into a per-query trace, the tactical optimizer's
-    /// decisions and the dynamic encoder's re-encodings are captured,
-    /// and the result carries per-table compression telemetry. The
-    /// query still runs to completion and its output is available on
-    /// the report.
+    /// Execute with full instrumentation: the query runs in its own
+    /// timeline scope — also when the layer is disabled — and the report
+    /// is a view of the trace that scope drains: the operator tree from
+    /// its operator spans, the tactical decisions, re-encodings,
+    /// conversions and segment loads from its events, plus per-table
+    /// compression telemetry. Queries running beside it neither add to
+    /// nor take from the report. The query still runs to completion and
+    /// its output is available on the report.
     ///
     /// The always-on layers see this entry point like any other — same
     /// metrics, one [`tde_obs::span::QuerySpan`] / timeline trace, same
-    /// errors as [`Query::try_run`] — and the per-operator numbers in
-    /// the report are the very measurements the timeline's operator
-    /// spans carry.
+    /// errors as [`Query::try_run`].
     pub fn try_explain_analyze(self) -> io::Result<ExplainAnalyze> {
         let sources = self.builder.as_plan().sources();
         let before: Vec<Option<CacheSnapshot>> =
             sources.iter().map(Source::cache_snapshot).collect();
-        let trace = Trace::new();
-        let x = self.execute(Some(&trace))?;
+        let x = self.execute(true)?;
+        let trace = x.trace.expect("EXPLAIN ANALYZE always opens a scope");
         let caches = sources
             .iter()
             .zip(before)
@@ -232,11 +226,12 @@ impl Query {
             .filter_map(Source::resident)
             .map(|t| (t.name.clone(), t.row_count(), t.compression_telemetry()))
             .collect();
+        let operators = operator_nodes(&trace);
         Ok(ExplainAnalyze {
             logical: x.plan.explain(),
-            operator_tree: trace.render_tree(),
-            operators: trace.nodes(),
-            events: trace.events(),
+            operator_tree: render_tree(&operators),
+            operators,
+            events: trace.own_events().cloned().collect(),
             tables,
             caches,
             row_count: x.blocks.iter().map(|b| b.len as u64).sum(),
@@ -272,12 +267,81 @@ impl Query {
 }
 
 /// What [`Query::execute`] hands back: the optimized plan it ran, the
-/// output, and the wall time of lowering + drain.
+/// output, the wall time of lowering + drain, and the drained timeline
+/// trace when the query ran in a scope.
 struct Executed {
     plan: LogicalPlan,
     schema: Schema,
     blocks: Vec<Block>,
     elapsed: Duration,
+    trace: Option<Arc<QueryTrace>>,
+}
+
+/// One operator of an EXPLAIN ANALYZE report.
+#[derive(Debug, Clone)]
+pub struct NodeSnapshot {
+    /// Operator label, e.g. `"HashAggregate [strategy=Direct64K]"`.
+    pub label: String,
+    /// Parent node index (`None` for the root).
+    pub parent: Option<usize>,
+    /// Blocks produced.
+    pub blocks: u64,
+    /// Rows produced.
+    pub rows: u64,
+    /// Wall time inside `next_block`, children included.
+    pub elapsed: Duration,
+}
+
+/// The query's own operator spans as a node list in lowering order —
+/// operator ids are handed out as lowering registers each operator, so
+/// parents precede children.
+fn operator_nodes(trace: &QueryTrace) -> Vec<NodeSnapshot> {
+    let mut spans: Vec<_> = trace
+        .events
+        .iter()
+        .filter(|e| e.scope == trace.scope)
+        .filter_map(|e| match &e.kind {
+            TimelineKind::OperatorSpan {
+                label,
+                op_id,
+                parent,
+                blocks,
+                rows,
+                dur_ns,
+                ..
+            } => Some((*op_id, *parent, label, *blocks, *rows, *dur_ns)),
+            _ => None,
+        })
+        .collect();
+    spans.sort_by_key(|s| s.0);
+    let index = |id: u32| spans.iter().position(|s| s.0 == id);
+    spans
+        .iter()
+        .map(|&(_, parent, label, blocks, rows, dur_ns)| NodeSnapshot {
+            label: label.clone(),
+            parent: parent.and_then(index),
+            blocks,
+            rows,
+            elapsed: Duration::from_nanos(dur_ns),
+        })
+        .collect()
+}
+
+/// Render the operator tree annotated with per-operator counters. The
+/// nodes are in lowering order, which is depth-first: each operator
+/// comes right before its subtree.
+fn render_tree(nodes: &[NodeSnapshot]) -> String {
+    let mut depth = vec![0; nodes.len()];
+    let mut out = String::new();
+    for (i, n) in nodes.iter().enumerate() {
+        depth[i] = n.parent.map_or(0, |p| depth[p] + 1);
+        let label = format!("{}{}", "  ".repeat(depth[i]), n.label);
+        out.push_str(&format!(
+            "{label:<44} blocks={:<6} rows={:<9} elapsed={:.3?}\n",
+            n.blocks, n.rows, n.elapsed
+        ));
+    }
+    out
 }
 
 /// One execution's always-on observability, shared by every entry
@@ -300,16 +364,16 @@ struct QueryObservation {
 }
 
 impl QueryObservation {
-    fn begin() -> Option<QueryObservation> {
+    fn begin(scoped: bool) -> Option<QueryObservation> {
         use tde_obs::{metrics, span, timeline};
         let metrics_on = metrics::enabled();
         let span_on = span::span_sink_installed();
-        let trace_on = timeline::enabled();
+        let trace_on = scoped || timeline::enabled();
         if !metrics_on && !span_on && !trace_on {
             return None;
         }
         // Counter deltas are process-wide: concurrent queries fold into
-        // each other's spans (exact attribution needs explain_analyze).
+        // each other's spans (the query's timeline trace is its own).
         let before = span_on.then(|| metrics::global().snapshot());
         let query_id = span::next_query_id();
         let token = trace_on.then(|| timeline::query_begin(query_id));
@@ -331,6 +395,7 @@ impl QueryObservation {
         }
     }
 
+    /// Returns the drained timeline trace when the query had a scope.
     fn finish(
         self,
         plan_digest: &str,
@@ -338,7 +403,7 @@ impl QueryObservation {
         elapsed_ns: u64,
         error: Option<String>,
         phases: &[(&'static str, u64)],
-    ) {
+    ) -> Option<Arc<QueryTrace>> {
         use tde_obs::{metrics, span, timeline};
         if self.metrics_on {
             if error.is_none() {
@@ -389,6 +454,7 @@ impl QueryObservation {
                 });
             }
         }
+        trace
     }
 }
 
@@ -406,14 +472,15 @@ pub struct CacheReport {
 }
 
 /// The result of [`Query::explain_analyze`]: the executed query's
-/// output plus everything the recorder captured while it ran.
+/// output plus the view of its timeline trace.
 #[derive(Debug)]
 pub struct ExplainAnalyze {
     /// The optimized logical plan, rendered.
     pub logical: String,
     /// The physical operator tree annotated with blocks/rows/elapsed.
     pub operator_tree: String,
-    /// Raw per-operator counters (arena order; parents precede children).
+    /// Raw per-operator counters (lowering order; parents precede
+    /// children).
     pub operators: Vec<NodeSnapshot>,
     /// Tactical decisions, re-encodings and conversions, in order.
     pub events: Vec<Event>,

@@ -69,14 +69,6 @@ impl DeltaTable {
         }
         let nanos = t0.elapsed().as_nanos() as u64;
         tde_obs::metrics::compaction(nanos);
-        tde_obs::timeline::compaction(
-            &name,
-            delta_rows,
-            tombstones,
-            table.row_count(),
-            nanos,
-            snapshot_nanos,
-        );
         tde_obs::emit(|| tde_obs::Event::Compaction {
             table: name.clone(),
             delta_rows,

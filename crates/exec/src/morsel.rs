@@ -171,7 +171,7 @@ where
     F: Fn(u32) -> T + Sync,
 {
     let workers = degree.min(nmorsels).max(1);
-    let timeline_on = tde_obs::timeline::enabled();
+    let timeline_on = tde_obs::timeline::recording();
     if workers == 1 {
         return (0..nmorsels as u32)
             .map(|m| {
@@ -199,6 +199,7 @@ where
     let mut dispatched = 0u64;
     let mut stolen = 0u64;
     let mut busy: Vec<u64> = Vec::with_capacity(workers);
+    let scope = tde_obs::timeline::current_scope();
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
@@ -206,6 +207,8 @@ where
                 let poison = &poison;
                 let f = &f;
                 s.spawn(move || {
+                    // The worker records in the query's scope.
+                    let _scope = tde_obs::timeline::enter_scope(scope);
                     let mut out: Vec<Done<T>> = Vec::new();
                     let mut dispatched = 0u64;
                     let mut stolen = 0u64;

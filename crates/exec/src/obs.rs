@@ -3,33 +3,28 @@
 //! [`Observed`] wraps an operator and takes a single measurement per
 //! `next_block` call — the clock is read on entry and on return, so the
 //! first call's timestamp precedes whatever a blocking operator does in
-//! it — and hands that one measurement to every view that is on:
+//! it — and hands it to the views that are on:
 //!
-//! * [`OpStats`] — the per-query EXPLAIN ANALYZE node (traced lowering
-//!   only);
 //! * [`OperatorCounters`] — the process-wide
 //!   `tde_operator_{blocks,rows}_total{op=…}` metrics;
-//! * [`TimelineOp`] — the always-on timeline's operator span, from which
-//!   the slow-query log takes its top operators.
+//! * [`TimelineOp`] — the query timeline's operator span, the one
+//!   measurement EXPLAIN ANALYZE's operator tree and the slow-query
+//!   log's top operators are both read from.
 //!
 //! Times are inclusive, Volcano-style: a call's nanoseconds include the
 //! time spent pulling from children, like PostgreSQL's EXPLAIN ANALYZE.
-//! Because every view is fed the same rows, blocks and nanoseconds, they
-//! cannot disagree. With only the metrics view on no clock is read; with
-//! every view off [`Observed::wrap`] returns the operator unwrapped.
+//! With only the metrics view on no clock is read; with both views off
+//! [`Observed::wrap`] returns the operator unwrapped.
 
 use crate::block::{Block, Schema};
 use crate::{BoxOp, Operator};
-use std::sync::Arc;
 use tde_obs::metrics::OperatorCounters;
 use tde_obs::timeline::{now_ns, TimelineOp};
-use tde_obs::OpStats;
 
 /// An operator adapter feeding every enabled observability view from
 /// one measurement per `next_block` call.
 pub struct Observed {
     inner: BoxOp,
-    stats: Option<Arc<OpStats>>,
     counters: Option<OperatorCounters>,
     timeline: Option<TimelineOp>,
 }
@@ -39,16 +34,14 @@ impl Observed {
     /// back as it is.
     pub fn wrap(
         inner: BoxOp,
-        stats: Option<Arc<OpStats>>,
         counters: Option<OperatorCounters>,
         timeline: Option<TimelineOp>,
     ) -> BoxOp {
-        if stats.is_none() && counters.is_none() && timeline.is_none() {
+        if counters.is_none() && timeline.is_none() {
             return inner;
         }
         Box::new(Observed {
             inner,
-            stats,
             counters,
             timeline,
         })
@@ -61,22 +54,17 @@ impl Operator for Observed {
     }
 
     fn next_block(&mut self) -> Option<Block> {
-        let timed = self.stats.is_some() || self.timeline.is_some();
-        let start_ns = if timed { now_ns() } else { 0 };
+        let start_ns = if self.timeline.is_some() { now_ns() } else { 0 };
         let block = self.inner.next_block();
-        let nanos = if timed { now_ns() - start_ns } else { 0 };
         // The rows a block stands for: a run-carrying block counts its
         // weights, so every view reports the same rows in both modes.
         let rows = block.as_ref().map(Block::rows);
-        if let Some(stats) = &self.stats {
-            stats.on_call(nanos, rows);
+        if let Some(timeline) = &mut self.timeline {
+            timeline.on_call(start_ns, now_ns() - start_ns, rows);
         }
         if let (Some(counters), Some(rows)) = (&self.counters, rows) {
             counters.blocks.inc();
             counters.rows.add(rows);
-        }
-        if let Some(timeline) = &mut self.timeline {
-            timeline.on_call(start_ns, nanos, rows);
         }
         block
     }
@@ -86,6 +74,7 @@ impl Operator for Observed {
 mod tests {
     use super::*;
     use crate::scan::TableScan;
+    use std::sync::Arc;
     use tde_obs::metrics::Counter;
     use tde_storage::{ColumnBuilder, EncodingPolicy, Table};
     use tde_types::DataType;
@@ -100,18 +89,34 @@ mod tests {
     }
 
     #[test]
-    fn one_measurement_feeds_stats_and_counters_alike() {
-        let stats = OpStats::new();
+    fn one_measurement_feeds_the_timeline_and_counters_alike() {
+        use tde_obs::timeline::{self, TimelineKind};
         let counters = OperatorCounters {
             blocks: Counter::new(),
             rows: Counter::new(),
         };
-        let op = Observed::wrap(scan(), Some(stats.clone()), Some(counters.clone()), None);
+        let token = timeline::query_begin(u64::MAX);
+        let span = TimelineOp::new("Scan t", timeline::next_op_id(), None);
+        let op = Observed::wrap(scan(), Some(counters.clone()), Some(span));
         assert_eq!(crate::count_rows(op), 2500);
-        let (blocks, rows, elapsed) = stats.snapshot();
+        let trace = timeline::query_end(token, "", 2500, 1, None, &[]);
+        let (blocks, rows, dur_ns) = trace
+            .events
+            .iter()
+            .filter(|e| e.scope == trace.scope)
+            .find_map(|e| match e.kind {
+                TimelineKind::OperatorSpan {
+                    blocks,
+                    rows,
+                    dur_ns,
+                    ..
+                } => Some((blocks, rows, dur_ns)),
+                _ => None,
+            })
+            .expect("the operator span");
         assert_eq!(rows, 2500);
         assert!(blocks >= 2); // 2500 rows span multiple 1024-row blocks
-        assert!(elapsed.as_nanos() > 0);
+        assert!(dur_ns > 0);
         assert_eq!(counters.rows.get(), rows);
         assert_eq!(counters.blocks.get(), blocks);
     }
@@ -120,7 +125,7 @@ mod tests {
     fn nothing_to_feed_means_no_wrapper() {
         let inner = scan();
         let addr = &*inner as *const dyn Operator as *const u8;
-        let op = Observed::wrap(inner, None, None, None);
+        let op = Observed::wrap(inner, None, None);
         assert_eq!(&*op as *const dyn Operator as *const u8, addr);
     }
 }

@@ -208,27 +208,22 @@ mod tests {
         assert!(!can_aggregate_ordered(&[]));
     }
 
-    // Decision-event tests. Field names are unique per test and the
-    // assertions are contains-style: tests in this binary run
-    // concurrently, so an installed trace can pick up events from
-    // whatever else is executing at the same time.
+    // Decision-event tests. Each runs its calls in a query scope of its
+    // own, so concurrent tests in this binary cannot add to its events.
 
     /// The decisions recorded while `f` runs, as (point, choice, reason).
     fn decisions_during(f: impl FnOnce()) -> Vec<(&'static str, String, String)> {
-        let trace = tde_obs::Trace::new();
-        {
-            let _guard = tde_obs::install(&trace);
-            f();
-        }
+        let token = tde_obs::timeline::query_begin(0);
+        f();
+        let trace = tde_obs::timeline::query_end(token, "", 0, 0, None, &[]);
         trace
-            .events()
-            .into_iter()
+            .own_events()
             .filter_map(|e| match e {
                 tde_obs::Event::Decision {
                     point,
                     choice,
                     reason,
-                } => Some((point, choice, reason)),
+                } => Some((*point, choice.clone(), reason.clone())),
                 _ => None,
             })
             .collect()

@@ -5,23 +5,24 @@
 //! encoding metadata (§2.3.4–§2.3.5), the dynamic encoder re-encodes
 //! columns mid-load (§3.2), and the §3.4.3 conversions reshape columns
 //! through their headers. This crate records those choices, plus
-//! per-operator block/row/time counters, without perturbing the engine:
+//! per-operator block/row/time figures, without perturbing the engine:
 //!
-//! * [`OpStats`] — three atomic counters the operator observer bumps
-//!   per `next_block` call;
-//! * [`Event`] — a structured record of one decision, re-encoding or
-//!   conversion;
-//! * [`Trace`] — an arena of operator nodes plus an event log, rendered
-//!   as an annotated plan tree;
-//! * a process-wide recorder ([`install`] / [`emit`]) that instrumented
-//!   code reports into.
+//! * [`Event`] — a structured record of one decision, re-encoding,
+//!   conversion, segment load or compaction;
+//! * [`emit`] — the one call instrumented code reports an event through.
+//!   It lands on the calling thread's [`timeline`] lane, tagged with the
+//!   query scope the thread is in, so a query's trace holds its own
+//!   events and no other live query's.
 //!
-//! **Overhead contract**: with no trace installed, [`emit`] is a single
-//! relaxed atomic load and [`is_enabled`] likewise — instrumentation
-//! points may sit on per-column or per-operator paths (never per-row) and
-//! stay well under the 5 % budget the benches enforce.
+//! **Overhead contract**: outside a query scope with the timeline
+//! disabled, [`emit`] is a thread-local read plus one relaxed atomic
+//! load ([`timeline::recording`]) and never runs its closure —
+//! instrumentation points may sit on per-column or per-operator paths
+//! (never per-row). Two tests hold the disabled cost to that budget:
+//! `timeline::tests::disabled_overhead_budget_10m_calls_under_a_second`
+//! and `metrics::tests::disabled_instrument_calls_stay_within_overhead_budget`.
 //!
-//! Three always-on layers sit alongside the per-query trace:
+//! The layers:
 //!
 //! * [`metrics`] — a process-wide registry of named counters, gauges and
 //!   log-linear-bucket histograms accumulating over the whole process
@@ -30,18 +31,18 @@
 //! * [`span`] — one compact structured record per query (id, plan
 //!   digest, phase timings, counter deltas), emitted as JSON lines
 //!   through a pluggable sink;
-//! * [`timeline`] — per-thread event timelines (operator spans, morsel
-//!   executions, segment loads/evictions, compactions, I/O instants)
-//!   drained per query into a bounded ring of [`timeline::QueryTrace`]s
-//!   and exported by `tde-stats` as Chrome Trace Event Format.
+//! * [`timeline`] — the one recorder: per-thread event lanes (operator
+//!   spans, morsel executions, [`Event`]s, pool evictions, I/O instants)
+//!   drained per query scope into a bounded ring of
+//!   [`timeline::QueryTrace`]s, exported by `tde-stats` as Chrome Trace
+//!   Event Format. EXPLAIN ANALYZE is a view of the query's own trace.
 
 pub mod metrics;
 pub mod span;
 pub mod timeline;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Why a dynamic-encoding transition happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +65,7 @@ impl ReencodeKind {
 }
 
 /// One structured observation from inside the engine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
     /// A tactical (run-time) decision: which implementation was chosen
     /// at `point` and the metadata that justified it.
@@ -109,6 +110,8 @@ pub enum Event {
         segment: &'static str,
         /// Bytes read from disk.
         bytes: u64,
+        /// Load latency (read plus checksum), in nanoseconds.
+        dur_ns: u64,
     },
     /// A scan finished running a pushed-down predicate through a
     /// compressed-domain kernel (or its decode-then-eval fallback).
@@ -218,10 +221,11 @@ impl std::fmt::Display for Event {
                 column,
                 segment,
                 bytes,
+                dur_ns,
             } => {
                 write!(
                     f,
-                    "[segment-load] {table}.{column}: {segment} ({bytes} bytes)"
+                    "[segment-load] {table}.{column}: {segment} ({bytes} bytes, {dur_ns} ns)"
                 )
             }
             Event::KernelScan {
@@ -293,16 +297,30 @@ impl std::fmt::Display for Event {
 }
 
 impl Event {
+    /// The event's kind, as its JSON `kind` field spells it.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Event::Decision { .. } => "decision",
+            Event::Reencode { .. } => "reencode",
+            Event::Conversion { .. } => "conversion",
+            Event::SegmentLoad { .. } => "segment_load",
+            Event::KernelScan { .. } => "kernel_scan",
+            Event::Compaction { .. } => "compaction",
+            Event::ColumnBuilt { .. } => "column_built",
+            Event::Import { .. } => "import",
+        }
+    }
+
     /// The event as one JSON object (hand-rolled; the engine has no
     /// serialization dependency).
     pub fn to_json(&self) -> String {
-        match self {
+        let fields = match self {
             Event::Decision {
                 point,
                 choice,
                 reason,
             } => format!(
-                "{{\"kind\":\"decision\",\"point\":\"{}\",\"choice\":\"{}\",\"reason\":\"{}\"}}",
+                "\"point\":\"{}\",\"choice\":\"{}\",\"reason\":\"{}\"",
                 json_escape(point),
                 json_escape(choice),
                 json_escape(reason)
@@ -314,8 +332,8 @@ impl Event {
                 rows,
                 kind,
             } => format!(
-                "{{\"kind\":\"reencode\",\"column\":\"{}\",\"from\":\"{}\",\"to\":\"{}\",\
-                 \"rows\":{},\"phase\":\"{}\"}}",
+                "\"column\":\"{}\",\"from\":\"{}\",\"to\":\"{}\",\
+                 \"rows\":{},\"phase\":\"{}\"",
                 json_escape(column),
                 json_escape(from),
                 json_escape(to),
@@ -327,7 +345,7 @@ impl Event {
                 route,
                 detail,
             } => format!(
-                "{{\"kind\":\"conversion\",\"column\":\"{}\",\"route\":\"{}\",\"detail\":\"{}\"}}",
+                "\"column\":\"{}\",\"route\":\"{}\",\"detail\":\"{}\"",
                 json_escape(column),
                 json_escape(route),
                 json_escape(detail)
@@ -337,13 +355,15 @@ impl Event {
                 column,
                 segment,
                 bytes,
+                dur_ns,
             } => format!(
-                "{{\"kind\":\"segment_load\",\"table\":\"{}\",\"column\":\"{}\",\
-                 \"segment\":\"{}\",\"bytes\":{}}}",
+                "\"table\":\"{}\",\"column\":\"{}\",\
+                 \"segment\":\"{}\",\"bytes\":{},\"dur_ns\":{}",
                 json_escape(table),
                 json_escape(column),
                 segment,
-                bytes
+                bytes,
+                dur_ns
             ),
             Event::KernelScan {
                 column,
@@ -352,8 +372,8 @@ impl Event {
                 rows_out,
                 rows_skipped,
             } => format!(
-                "{{\"kind\":\"kernel_scan\",\"column\":\"{}\",\"kernel\":\"{}\",\
-                 \"rows_in\":{},\"rows_out\":{},\"rows_skipped\":{}}}",
+                "\"column\":\"{}\",\"kernel\":\"{}\",\
+                 \"rows_in\":{},\"rows_out\":{},\"rows_skipped\":{}",
                 json_escape(column),
                 json_escape(kernel),
                 rows_in,
@@ -368,8 +388,8 @@ impl Event {
                 nanos,
                 snapshot_nanos,
             } => format!(
-                "{{\"kind\":\"compaction\",\"table\":\"{}\",\"delta_rows\":{},\
-                 \"tombstones\":{},\"rows_out\":{},\"nanos\":{},\"snapshot_nanos\":{}}}",
+                "\"table\":\"{}\",\"delta_rows\":{},\
+                 \"tombstones\":{},\"rows_out\":{},\"nanos\":{},\"snapshot_nanos\":{}",
                 json_escape(table),
                 delta_rows,
                 tombstones,
@@ -386,8 +406,8 @@ impl Event {
                 final_converted,
             } => {
                 format!(
-                    "{{\"kind\":\"column_built\",\"table\":\"{}\",\"column\":\"{}\",\
-                     \"algorithm\":\"{}\",\"rows\":{},\"reencodings\":{},\"final_converted\":{}}}",
+                    "\"table\":\"{}\",\"column\":\"{}\",\
+                     \"algorithm\":\"{}\",\"rows\":{},\"reencodings\":{},\"final_converted\":{}",
                     json_escape(table),
                     json_escape(column),
                     json_escape(algorithm),
@@ -406,51 +426,14 @@ impl Event {
                 build_nanos,
                 finish_nanos,
             } => format!(
-                "{{\"kind\":\"import\",\"table\":\"{}\",\"bytes\":{bytes},\"rows\":{rows},\
+                "\"table\":\"{}\",\"bytes\":{bytes},\"rows\":{rows},\
                  \"columns\":{columns},\"parse_errors\":{parse_errors},\
                  \"scan_nanos\":{scan_nanos},\"build_nanos\":{build_nanos},\
-                 \"finish_nanos\":{finish_nanos}}}",
+                 \"finish_nanos\":{finish_nanos}",
                 json_escape(table)
             ),
-        }
-    }
-}
-
-/// Per-operator counters, bumped once per `next_block` call by the
-/// operator observer. Shared `Arc`s let the trace read while the operator runs.
-#[derive(Debug, Default)]
-pub struct OpStats {
-    /// Blocks produced.
-    pub blocks: AtomicU64,
-    /// Rows produced.
-    pub rows: AtomicU64,
-    /// Wall time inside `next_block`, in nanoseconds.
-    pub nanos: AtomicU64,
-}
-
-impl OpStats {
-    /// Fresh zeroed counters.
-    pub fn new() -> Arc<OpStats> {
-        Arc::new(OpStats::default())
-    }
-
-    /// Account one `next_block` call that ran for `nanos` and produced a
-    /// block of `rows` rows (`None` at end of stream).
-    pub fn on_call(&self, nanos: u64, rows: Option<u64>) {
-        self.nanos.fetch_add(nanos, Ordering::Relaxed);
-        if let Some(rows) = rows {
-            self.blocks.fetch_add(1, Ordering::Relaxed);
-            self.rows.fetch_add(rows, Ordering::Relaxed);
-        }
-    }
-
-    /// Snapshot: (blocks, rows, elapsed).
-    pub fn snapshot(&self) -> (u64, u64, Duration) {
-        (
-            self.blocks.load(Ordering::Relaxed),
-            self.rows.load(Ordering::Relaxed),
-            Duration::from_nanos(self.nanos.load(Ordering::Relaxed)),
-        )
+        };
+        format!("{{\"kind\":\"{}\",{fields}}}", self.kind())
     }
 }
 
@@ -610,188 +593,15 @@ impl std::fmt::Display for CacheSnapshot {
     }
 }
 
-/// One operator in the traced plan tree.
-#[derive(Debug)]
-struct TraceNode {
-    label: String,
-    parent: Option<usize>,
-    stats: Arc<OpStats>,
-}
-
-/// A read-only snapshot of one trace node.
-#[derive(Debug, Clone)]
-pub struct NodeSnapshot {
-    /// Operator label, e.g. `"HashAggregate"`.
-    pub label: String,
-    /// Parent node index (`None` for the root).
-    pub parent: Option<usize>,
-    /// Blocks produced.
-    pub blocks: u64,
-    /// Rows produced.
-    pub rows: u64,
-    /// Wall time inside `next_block`.
-    pub elapsed: Duration,
-}
-
-/// A recording of one query execution: the operator arena plus the event
-/// log. Shared behind an `Arc`; all methods take `&self`.
-#[derive(Debug, Default)]
-pub struct Trace {
-    nodes: Mutex<Vec<TraceNode>>,
-    events: Mutex<Vec<Event>>,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-impl Trace {
-    /// An empty trace.
-    pub fn new() -> Arc<Trace> {
-        Arc::new(Trace::default())
-    }
-
-    /// Add an operator node; returns its id and shared counters.
-    pub fn add_node(
-        &self,
-        label: impl Into<String>,
-        parent: Option<usize>,
-    ) -> (usize, Arc<OpStats>) {
-        let stats = OpStats::new();
-        let mut nodes = lock(&self.nodes);
-        let id = nodes.len();
-        nodes.push(TraceNode {
-            label: label.into(),
-            parent,
-            stats: stats.clone(),
-        });
-        (id, stats)
-    }
-
-    /// Refine a node's label after a run-time choice is known.
-    pub fn set_label(&self, id: usize, label: impl Into<String>) {
-        let mut nodes = lock(&self.nodes);
-        if let Some(n) = nodes.get_mut(id) {
-            n.label = label.into();
-        }
-    }
-
-    /// Append an event.
-    pub fn push_event(&self, event: Event) {
-        lock(&self.events).push(event);
-    }
-
-    /// Snapshot of the event log.
-    pub fn events(&self) -> Vec<Event> {
-        lock(&self.events).clone()
-    }
-
-    /// Snapshot of the operator nodes (arena order; parents precede
-    /// children).
-    pub fn nodes(&self) -> Vec<NodeSnapshot> {
-        lock(&self.nodes)
-            .iter()
-            .map(|n| {
-                let (blocks, rows, elapsed) = n.stats.snapshot();
-                NodeSnapshot {
-                    label: n.label.clone(),
-                    parent: n.parent,
-                    blocks,
-                    rows,
-                    elapsed,
-                }
-            })
-            .collect()
-    }
-
-    /// Render the operator tree annotated with per-operator counters.
-    pub fn render_tree(&self) -> String {
-        let nodes = self.nodes();
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
-        let mut roots = Vec::new();
-        for (id, n) in nodes.iter().enumerate() {
-            match n.parent {
-                Some(p) => children[p].push(id),
-                None => roots.push(id),
-            }
-        }
-        let mut out = String::new();
-        fn walk(
-            id: usize,
-            depth: usize,
-            nodes: &[NodeSnapshot],
-            children: &[Vec<usize>],
-            out: &mut String,
-        ) {
-            let n = &nodes[id];
-            let label = format!("{}{}", "  ".repeat(depth), n.label);
-            out.push_str(&format!(
-                "{label:<44} blocks={:<6} rows={:<9} elapsed={:.3?}\n",
-                n.blocks, n.rows, n.elapsed
-            ));
-            for &c in &children[id] {
-                walk(c, depth + 1, nodes, children, out);
-            }
-        }
-        for r in roots {
-            walk(r, 0, &nodes, &children, &mut out);
-        }
-        out
-    }
-}
-
-// ---------------------------------------------------------------------
-// Process-wide recorder.
-// ---------------------------------------------------------------------
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static CURRENT: Mutex<Option<Arc<Trace>>> = Mutex::new(None);
-// Serializes installers so concurrent tests/queries cannot interleave
-// their events in one another's traces.
-static INSTALL: Mutex<()> = Mutex::new(());
-
-/// Whether a trace is currently installed. One relaxed atomic load.
-#[inline]
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Record an event into the installed trace, if any. The closure only
-/// runs when recording is enabled, so argument formatting costs nothing
-/// on the disabled path.
+/// Record an event on the calling thread's timeline lane, in its query
+/// scope (see [`timeline`]). The closure only runs when the site records
+/// — inside a query scope, or outside one with the timeline enabled — so
+/// argument formatting costs nothing otherwise.
 #[inline]
 pub fn emit(f: impl FnOnce() -> Event) {
-    if !is_enabled() {
-        return;
+    if timeline::recording() {
+        timeline::record(timeline::TimelineKind::Event(f()));
     }
-    let current = lock(&CURRENT).clone();
-    if let Some(trace) = current {
-        trace.push_event(f());
-    }
-}
-
-/// Keeps the trace installed; uninstalls on drop.
-pub struct RecorderGuard {
-    _serial: MutexGuard<'static, ()>,
-}
-
-impl Drop for RecorderGuard {
-    fn drop(&mut self) {
-        ENABLED.store(false, Ordering::Relaxed);
-        *lock(&CURRENT) = None;
-    }
-}
-
-/// Install `trace` as the process-wide recorder until the guard drops.
-/// Installations are serialized: a second caller blocks until the first
-/// guard drops, so traces never mix.
-pub fn install(trace: &Arc<Trace>) -> RecorderGuard {
-    let serial = INSTALL
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    *lock(&CURRENT) = Some(trace.clone());
-    ENABLED.store(true, Ordering::Relaxed);
-    RecorderGuard { _serial: serial }
 }
 
 /// Escape a string for inclusion in a JSON string literal.
@@ -814,49 +624,6 @@ pub fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn emit_without_trace_is_a_noop() {
-        assert!(!is_enabled());
-        emit(|| panic!("closure must not run while disabled"));
-    }
-
-    #[test]
-    fn install_records_and_uninstall_stops() {
-        let trace = Trace::new();
-        {
-            let _g = install(&trace);
-            assert!(is_enabled());
-            emit(|| Event::Decision {
-                point: "test",
-                choice: "a".into(),
-                reason: "because".into(),
-            });
-        }
-        assert!(!is_enabled());
-        emit(|| panic!("closure must not run after guard drop"));
-        let events = trace.events();
-        assert_eq!(events.len(), 1);
-        assert!(events[0].to_string().contains("[test] a"));
-    }
-
-    #[test]
-    fn tree_renders_nested_counters() {
-        let trace = Trace::new();
-        let (root, rs) = trace.add_node("Aggregate", None);
-        let (_child, cs) = trace.add_node("Scan t [a, b]", Some(root));
-        cs.on_call(5_000, Some(1024));
-        cs.on_call(4_000, Some(512));
-        rs.on_call(50_000, Some(3));
-        trace.set_label(root, "HashAggregate [strategy=Direct64K]");
-        let tree = trace.render_tree();
-        let lines: Vec<&str> = tree.lines().collect();
-        assert!(lines[0].contains("HashAggregate [strategy=Direct64K]"));
-        assert!(lines[0].contains("rows=3"));
-        assert!(lines[1].starts_with("  Scan t"));
-        assert!(lines[1].contains("blocks=2"));
-        assert!(lines[1].contains("rows=1536"));
-    }
 
     #[test]
     fn cache_counters_snapshot_and_delta() {
@@ -938,76 +705,6 @@ mod tests {
         assert!(g.read_bytes.get() >= b0 + 640);
     }
 
-    /// Satellite: a traced operator that panics mid-query poisons the
-    /// trace's std mutexes; `emit`, `push_event` and the snapshot paths
-    /// must recover via `PoisonError::into_inner` and keep recording.
-    #[test]
-    fn poisoned_trace_recovers_and_reemits() {
-        let trace = Trace::new();
-        let (_, stats) = trace.add_node("Scan t", None);
-        stats.on_call(100, Some(10));
-        // Poison both internal mutexes: a panic while holding the raw
-        // guards, exactly what an unwinding operator does.
-        for poison in [true, false] {
-            let t = trace.clone();
-            let handle = std::thread::spawn(move || {
-                let _events = t.events.lock().unwrap();
-                let _nodes = if poison {
-                    Some(t.nodes.lock().unwrap())
-                } else {
-                    None
-                };
-                panic!("traced operator panicked mid-query");
-            });
-            assert!(handle.join().is_err());
-        }
-        // Every path still works: emit into the poisoned trace…
-        {
-            let _g = install(&trace);
-            emit(|| Event::Decision {
-                point: "after-poison",
-                choice: "recovered".into(),
-                reason: "PoisonError::into_inner".into(),
-            });
-        }
-        trace.push_event(Event::Conversion {
-            column: "c".into(),
-            route: "r",
-            detail: String::new(),
-        });
-        // …and snapshot/render it.
-        assert_eq!(trace.events().len(), 2);
-        let nodes = trace.nodes();
-        assert_eq!(nodes.len(), 1);
-        assert_eq!(nodes[0].rows, 10);
-        assert!(trace.render_tree().contains("Scan t"));
-        let (id, _) = trace.add_node("Filter", Some(0));
-        trace.set_label(id, "Filter [recovered]");
-        assert!(trace.render_tree().contains("Filter [recovered]"));
-    }
-
-    /// A panic while a recorder guard is held poisons the installer
-    /// serialization mutex; the next `install` must recover, not abort.
-    #[test]
-    fn poisoned_installer_recovers() {
-        let poisoner = std::thread::spawn(|| {
-            let trace = Trace::new();
-            let _g = install(&trace);
-            panic!("query panicked while traced");
-        });
-        assert!(poisoner.join().is_err());
-        let trace = Trace::new();
-        let _g = install(&trace);
-        assert!(is_enabled());
-        emit(|| Event::Decision {
-            point: "post-poison-install",
-            choice: "ok".into(),
-            reason: String::new(),
-        });
-        drop(_g);
-        assert_eq!(trace.events().len(), 1);
-    }
-
     #[test]
     fn json_escaping() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
@@ -1016,6 +713,9 @@ mod tests {
             route: "r",
             detail: "d".into(),
         };
-        assert!(e.to_json().contains("\\\"1"));
+        assert_eq!(
+            e.to_json(),
+            r#"{"kind":"conversion","column":"c\"1","route":"r","detail":"d"}"#
+        );
     }
 }

@@ -1,9 +1,8 @@
 //! Always-on engine metrics: a process-wide registry of named
 //! instruments.
 //!
-//! Where [`crate::Trace`] records *one query at a time* (installed by
-//! `explain_analyze`, uninstalled when it returns), the metrics registry
-//! is **always on**: counters, gauges and histograms accumulate over the
+//! Where the [`crate::timeline`] records each query in its own scope,
+//! the metrics registry is **always on**: counters, gauges and histograms accumulate over the
 //! whole process lifetime, across every query, load and cache event.
 //! `tde-stats` exports the registry in Prometheus text exposition format
 //! and JSON.

@@ -1,8 +1,8 @@
 //! Per-query span records: structured JSON lines through a pluggable
 //! sink.
 //!
-//! A [`QuerySpan`] is the always-on counterpart of a full
-//! `explain_analyze` trace: one compact record per query — query id,
+//! A [`QuerySpan`] is the compact counterpart of a query's timeline
+//! trace: one record per query — query id,
 //! plan digest, phase timings, row count, and the registry counter
 //! deltas the execution caused — cheap enough to emit for *every*
 //! query when a sink is installed, and a no-op (one relaxed atomic
@@ -35,8 +35,8 @@ pub struct QuerySpan {
     pub phases: Vec<(&'static str, u64)>,
     /// Registry counter increments attributable to this query (keyed by
     /// `name{labels}`). Deltas are process-wide, so concurrent queries
-    /// fold into each other's spans — exact per-query attribution needs
-    /// `explain_analyze`.
+    /// fold into each other's spans; the query's own events and
+    /// operator spans are in its timeline trace (`timeline::find_trace`).
     pub counters: Vec<(String, u64)>,
     /// The error message when the query failed (`rows_out` is then 0);
     /// `None` on success. Failed queries emit spans too, so the slow

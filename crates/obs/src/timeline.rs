@@ -1,37 +1,46 @@
-//! Always-on query timeline tracing.
+//! The query timeline: the engine's one recorder.
 //!
-//! The third observability layer, alongside the metrics registry
-//! ([`crate::metrics`]) and query spans ([`crate::span`]): a
-//! per-thread event timeline cheap enough to leave on in production.
-//! Every thread that records gets its own *lane* — an `Arc`'d buffer it
-//! alone appends to, so the hot path is an uncontended lock plus a
-//! `Vec` push, with no cross-thread cache traffic. A process-wide
-//! registry keeps `Weak` handles to every lane; when a query finishes,
-//! [`query_end`] drains all lanes (and the orphan pool left behind by
-//! exited worker threads) into a [`QueryTrace`], which lands in a
-//! bounded process-global ring of recently completed traces.
+//! One of three observability layers, alongside the metrics registry
+//! ([`crate::metrics`]) and query spans ([`crate::span`]): a per-thread
+//! event timeline cheap enough to leave on in production. Every thread
+//! that records gets its own *lane* — an `Arc`'d buffer it alone appends
+//! to, so the hot path is an uncontended lock plus a `Vec` push, with no
+//! cross-thread cache traffic. A process-wide registry keeps `Weak`
+//! handles to every lane.
+//!
+//! **Query scopes.** [`query_begin`] opens a scope on the calling
+//! thread (saving the enclosing one, so scopes nest) and every event
+//! recorded on that thread carries the scope's id. The morsel scheduler
+//! hands its scope to each worker ([`current_scope`] / [`enter_scope`]).
+//! [`query_end`] drains the scope's own events plus unscoped background
+//! events (a background compactor's, say) from every lane — and from the
+//! orphan pool exited worker threads leave behind — into a
+//! [`QueryTrace`], which lands in a bounded process-global ring. Events
+//! of other live queries stay in their lanes, so concurrent queries do
+//! not take each other's spans. A [`QueryToken`] dropped without
+//! `query_end` discards its scope's events.
 //!
 //! Recorded events ([`TimelineKind`]):
 //!
 //! * operator spans (kind, rows, blocks, inclusive duration, tree
-//!   position), emitted by the operator observer;
+//!   position), emitted by the operator observer — EXPLAIN ANALYZE's
+//!   operator tree is built from them;
 //! * morsel executions attributed to their worker index (plus the
 //!   work-stealing flag);
-//! * buffer-pool segment loads and evictions;
-//! * delta-compactor runs (foreground and background);
+//! * every [`crate::Event`] reported through [`crate::emit`]: tactical
+//!   decisions, re-encodings, conversions, kernel scans, segment loads,
+//!   compactions, column builds, imports;
+//! * buffer-pool evictions and delta merge snapshots;
 //! * `tde-io` retry and injected-fault instants;
-//! * query begin/end markers carrying the plan digest.
+//! * query begin/end markers.
 //!
-//! Like the metrics registry, the layer is gated by one environment
-//! variable — `TDE_TRACE=0|off|false` disables it — and the disabled
-//! cost at every site is a single relaxed atomic load ([`enabled`]).
-//!
-//! **Concurrent queries fold.** Lanes are process-wide, so when two
-//! queries overlap, background events (and the other query's operator
-//! spans) drain into whichever trace finishes first. This is the same
-//! caveat the span layer's counter deltas carry, and the same trade
-//! the metrics registry makes: attribution is exact when queries are
-//! serial, best-effort under concurrency.
+//! **Whether a site records** is decided in one place, [`recording`]:
+//! inside a query scope it records; outside one it follows the layer's
+//! gate, one environment variable — `TDE_TRACE=0|off|false` disables it
+//! — read once ([`enabled`]). `tde_core::Query` opens a scope when the
+//! layer is enabled; EXPLAIN ANALYZE always opens one, so it reports
+//! under `TDE_TRACE=0` too. The disabled, unscoped cost at every site is
+//! a thread-local read plus a single relaxed atomic load.
 //!
 //! **Slow queries.** When `TDE_SLOW_QUERY_NS` is set, traces whose
 //! `elapsed_ns` meets the threshold are marked slow and pinned in a
@@ -39,6 +48,7 @@
 //! survives ring churn; `tde_core::Query` additionally appends a
 //! structured JSONL record through the span-sink machinery.
 
+use std::cell::{Cell, OnceCell};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, Mutex, OnceLock, Weak};
 use std::time::Instant;
@@ -67,6 +77,14 @@ static ENABLED: LazyLock<AtomicBool> = LazyLock::new(|| {
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
+}
+
+/// Whether a recording site on the calling thread records: always
+/// inside a query scope, otherwise when the layer is [`enabled`]. Every
+/// site asks this one question.
+#[inline]
+pub fn recording() -> bool {
+    enabled() || SCOPE.with(Cell::get) != 0
 }
 
 /// Flip tracing on or off at runtime, returning the previous state.
@@ -148,39 +166,14 @@ pub enum TimelineKind {
         /// Execution time in nanoseconds.
         dur_ns: u64,
     },
-    /// The buffer pool demand-loaded a segment.
-    SegmentLoad {
-        /// Table name.
-        table: String,
-        /// Column name (`<heap>` for the string heap).
-        column: String,
-        /// Segment kind ("stream", "dictionary", "heap").
-        segment: &'static str,
-        /// Compressed bytes read.
-        bytes: u64,
-        /// Load latency in nanoseconds.
-        dur_ns: u64,
-    },
+    /// An engine event reported through [`crate::emit`]. Recorded when
+    /// it happened; a [`crate::Event::SegmentLoad`] or
+    /// [`crate::Event::Compaction`] ends there and carries its duration.
+    Event(crate::Event),
     /// The buffer pool evicted a segment to stay under budget.
     PoolEviction {
         /// Bytes released.
         bytes: u64,
-    },
-    /// A delta compaction ran (foreground or background).
-    Compaction {
-        /// Table name.
-        table: String,
-        /// Delta rows merged in.
-        delta_rows: u64,
-        /// Tombstones applied.
-        tombstones: u64,
-        /// Rows in the re-encoded base.
-        rows_out: u64,
-        /// Compaction time in nanoseconds.
-        dur_ns: u64,
-        /// The part of `dur_ns` spent taking the merge snapshot (domain
-        /// translation); the rest is the re-encode.
-        snapshot_ns: u64,
     },
     /// A delta store froze its buffer into a merge snapshot.
     DeltaSnapshot {
@@ -216,6 +209,9 @@ pub struct TimelineEvent {
     pub ts_ns: u64,
     /// The lane (thread) that recorded the event.
     pub lane: u32,
+    /// The query scope the recording thread was in (see [`query_begin`]),
+    /// or 0 for an event made outside every scope.
+    pub scope: u64,
     /// Payload.
     pub kind: TimelineKind,
 }
@@ -259,10 +255,12 @@ static NEXT_LANE: AtomicU32 = AtomicU32::new(0);
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    static LANE: std::cell::OnceCell<Arc<LaneBuffer>> = const { std::cell::OnceCell::new() };
+    static LANE: OnceCell<Arc<LaneBuffer>> = const { OnceCell::new() };
+    /// The calling thread's query scope; 0 outside every scope.
+    static SCOPE: Cell<u64> = const { Cell::new(0) };
 }
 
-fn record(kind: TimelineKind) {
+pub(crate) fn record(kind: TimelineKind) {
     record_at(now_ns(), kind);
 }
 
@@ -280,10 +278,10 @@ fn record_at(ts_ns: u64, kind: TimelineKind) {
             LANES.lock().unwrap().push(Arc::downgrade(&lane));
             lane
         });
-        let lane_id = lane.lane;
         lane.push(TimelineEvent {
             ts_ns,
-            lane: lane_id,
+            lane: lane.lane,
+            scope: SCOPE.with(Cell::get),
             kind,
         });
     });
@@ -295,7 +293,7 @@ pub fn dropped_events() -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Recording helpers (each is a no-op unless the layer is enabled)
+// Recording helpers (each is a no-op unless the site is recording)
 // ---------------------------------------------------------------------
 
 static NEXT_OP_ID: AtomicU32 = AtomicU32::new(0);
@@ -316,11 +314,11 @@ pub fn op_kind(label: &str) -> &str {
 
 /// Per-operator timeline state held by the operator observer.
 ///
-/// The observer times every `next_block` call once and hands the same
-/// numbers to EXPLAIN ANALYZE and to [`TimelineOp::on_call`], so the
-/// span emitted here — one [`TimelineKind::OperatorSpan`], when the
-/// operator is dropped — carries exactly the blocks, rows and inclusive
-/// nanoseconds the other views report.
+/// The observer times every `next_block` call once and hands the
+/// numbers to [`TimelineOp::on_call`]; the span emitted here — one
+/// [`TimelineKind::OperatorSpan`], when the operator is dropped — is the
+/// measurement EXPLAIN ANALYZE's operator tree and the slow-query log
+/// both read.
 #[derive(Debug)]
 pub struct TimelineOp {
     label: String,
@@ -365,14 +363,13 @@ impl TimelineOp {
     }
 
     /// Emit the operator span (idempotent; also called from `Drop`).
+    /// The lowering that built this op already decided the operator
+    /// records (see [`recording`]).
     pub fn finish(&mut self) {
         if self.finished {
             return;
         }
         self.finished = true;
-        if !enabled() {
-            return;
-        }
         record_at(
             self.first_start_ns.unwrap_or_else(now_ns),
             TimelineKind::OperatorSpan {
@@ -397,7 +394,7 @@ impl Drop for TimelineOp {
 /// Record one morsel execution. `started` is the instant just before
 /// the morsel ran on worker `worker`.
 pub fn morsel_span(worker: u32, morsel: u32, stolen: bool, started: Instant) {
-    if !enabled() {
+    if !recording() {
         return;
     }
     let end = now_ns();
@@ -413,55 +410,12 @@ pub fn morsel_span(worker: u32, morsel: u32, stolen: bool, started: Instant) {
     );
 }
 
-/// Record a buffer-pool segment demand-load.
-pub fn segment_load(table: &str, column: &str, segment: &'static str, bytes: u64, dur_ns: u64) {
-    if !enabled() {
-        return;
-    }
-    record_at(
-        now_ns().saturating_sub(dur_ns),
-        TimelineKind::SegmentLoad {
-            table: table.to_string(),
-            column: column.to_string(),
-            segment,
-            bytes,
-            dur_ns,
-        },
-    );
-}
-
 /// Record a buffer-pool eviction instant.
 pub fn pool_eviction(bytes: u64) {
-    if !enabled() {
+    if !recording() {
         return;
     }
     record(TimelineKind::PoolEviction { bytes });
-}
-
-/// Record a delta-compaction run that took `dur_ns`, `snapshot_ns` of it
-/// in the merge snapshot.
-pub fn compaction(
-    table: &str,
-    delta_rows: u64,
-    tombstones: u64,
-    rows_out: u64,
-    dur_ns: u64,
-    snapshot_ns: u64,
-) {
-    if !enabled() {
-        return;
-    }
-    record_at(
-        now_ns().saturating_sub(dur_ns),
-        TimelineKind::Compaction {
-            table: table.to_string(),
-            delta_rows,
-            tombstones,
-            rows_out,
-            dur_ns,
-            snapshot_ns,
-        },
-    );
 }
 
 /// Record a delta merge snapshot that took `dur_ns`.
@@ -472,7 +426,7 @@ pub fn delta_snapshot(
     index_built: bool,
     dur_ns: u64,
 ) {
-    if !enabled() {
+    if !recording() {
         return;
     }
     record_at(
@@ -490,7 +444,7 @@ pub fn delta_snapshot(
 /// Record an I/O retry instant.
 #[inline]
 pub fn io_retry(op: &'static str) {
-    if !enabled() {
+    if !recording() {
         return;
     }
     record(TimelineKind::IoRetry { op });
@@ -499,7 +453,7 @@ pub fn io_retry(op: &'static str) {
 /// Record an injected-fault instant.
 #[inline]
 pub fn io_fault(kind: &'static str) {
-    if !enabled() {
+    if !recording() {
         return;
     }
     record(TimelineKind::IoFault { kind });
@@ -509,11 +463,22 @@ pub fn io_fault(kind: &'static str) {
 // Query lifecycle and the trace ring
 // ---------------------------------------------------------------------
 
-/// Handle returned by [`query_begin`]; pass it to [`query_end`].
-#[derive(Debug, Clone, Copy)]
+static NEXT_SCOPE: AtomicU64 = AtomicU64::new(1);
+/// Scopes begun and not yet ended or dropped. An event whose scope is
+/// not here (a worker's, parked in the orphan pool after its query
+/// ended) drains as background rather than staying behind.
+static LIVE: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+
+/// The open query scope of [`query_begin`]; pass it to [`query_end`].
+/// Dropping it without `query_end` closes the scope and discards the
+/// events recorded in it.
+#[derive(Debug)]
 pub struct QueryToken {
     query_id: u64,
     start_ns: u64,
+    scope: u64,
+    enclosing: u64,
+    ended: bool,
 }
 
 impl QueryToken {
@@ -521,6 +486,69 @@ impl QueryToken {
     pub fn query_id(&self) -> u64 {
         self.query_id
     }
+}
+
+impl Drop for QueryToken {
+    fn drop(&mut self) {
+        SCOPE.with(|s| {
+            if s.get() == self.scope {
+                s.set(self.enclosing);
+            }
+        });
+        if !self.ended {
+            drain(self.scope, false);
+        }
+        LIVE.lock().unwrap().retain(|&s| s != self.scope);
+    }
+}
+
+/// The calling thread's query scope (0 outside every scope), for
+/// [`enter_scope`] on a worker the query spawns.
+pub fn current_scope() -> u64 {
+    SCOPE.with(Cell::get)
+}
+
+/// Put the calling thread in `scope` until the guard drops (on unwind
+/// too). A worker runs its share of a query this way, so what it records
+/// is the query's.
+pub fn enter_scope(scope: u64) -> ScopeGuard {
+    ScopeGuard(SCOPE.with(|s| s.replace(scope)))
+}
+
+/// Puts a thread back in its own scope; see [`enter_scope`].
+#[must_use]
+pub struct ScopeGuard(u64);
+
+impl Drop for ScopeGuard {
+    fn drop(&mut self) {
+        SCOPE.with(|s| s.set(self.0));
+    }
+}
+
+/// Take `scope`'s events out of every lane and the orphan pool — and,
+/// with `background`, every event of no live scope too. Returns them
+/// with the names of the lanes seen.
+fn drain(scope: u64, background: bool) -> (Vec<TimelineEvent>, Vec<(u32, String)>) {
+    let live = if background {
+        LIVE.lock().unwrap().clone()
+    } else {
+        Vec::new()
+    };
+    let take = |e: &mut TimelineEvent| e.scope == scope || (background && !live.contains(&e.scope));
+    let mut events = Vec::new();
+    let mut lanes = Vec::new();
+    LANES.lock().unwrap().retain(|weak| match weak.upgrade() {
+        Some(lane) => {
+            events.extend(lane.events.lock().unwrap().extract_if(.., take));
+            lanes.push((lane.lane, lane.name.clone()));
+            true
+        }
+        None => false,
+    });
+    // The pool is read after the lanes, so a worker lane dropped while
+    // they were read has parked its events here by now.
+    events.extend(ORPHANS.lock().unwrap().extract_if(.., take));
+    (events, lanes)
 }
 
 /// A completed query's drained timeline.
@@ -545,11 +573,26 @@ pub struct QueryTrace {
     /// Lane names observed at drain time (orphaned worker lanes fall
     /// back to `lane-<id>` downstream).
     pub lanes: Vec<(u32, String)>,
-    /// All drained events, sorted by timestamp.
+    /// The scope the query ran in; its own events carry this id.
+    pub scope: u64,
+    /// The drained events, sorted by timestamp: the query's own and
+    /// background ones (unscoped, or left by a scope already closed).
     pub events: Vec<TimelineEvent>,
 }
 
 impl QueryTrace {
+    /// The [`crate::Event`]s the query itself recorded (its scope's, not
+    /// background ones), in order.
+    pub fn own_events(&self) -> impl Iterator<Item = &crate::Event> {
+        self.events
+            .iter()
+            .filter(|e| e.scope == self.scope)
+            .filter_map(|e| match &e.kind {
+                TimelineKind::Event(event) => Some(event),
+                _ => None,
+            })
+    }
+
     /// Top-`n` operators by *self* time: each span's wall duration
     /// minus its direct children's. Returns `(op, self_ns)` pairs,
     /// largest first.
@@ -590,20 +633,30 @@ static RING: Mutex<std::collections::VecDeque<Arc<QueryTrace>>> =
 static SLOW_RING: Mutex<std::collections::VecDeque<Arc<QueryTrace>>> =
     Mutex::new(std::collections::VecDeque::new());
 
-/// Mark the start of a query. Records a
-/// [`TimelineKind::QueryBegin`] marker and returns the token
-/// [`query_end`] needs.
+/// Open a query scope on the calling thread (nested inside whatever
+/// scope it was in), record a [`TimelineKind::QueryBegin`] marker in it
+/// and return the token [`query_end`] needs.
 pub fn query_begin(query_id: u64) -> QueryToken {
+    let scope = NEXT_SCOPE.fetch_add(1, Ordering::Relaxed);
+    LIVE.lock().unwrap().push(scope);
+    let enclosing = SCOPE.with(|s| s.replace(scope));
     let start_ns = now_ns();
     record_at(start_ns, TimelineKind::QueryBegin { query_id });
-    QueryToken { query_id, start_ns }
+    QueryToken {
+        query_id,
+        start_ns,
+        scope,
+        enclosing,
+        ended: false,
+    }
 }
 
-/// Finish a query: drain every lane (and the orphan pool) into a
-/// [`QueryTrace`], push it into the recent ring (and the slow ring
-/// when past the `TDE_SLOW_QUERY_NS` threshold), and return it.
+/// Finish a query: close its scope, drain the scope's events plus the
+/// background events of no live scope into a [`QueryTrace`], push it
+/// into the recent ring (and the slow ring when past the
+/// `TDE_SLOW_QUERY_NS` threshold), and return it.
 pub fn query_end(
-    token: QueryToken,
+    mut token: QueryToken,
     plan_digest: &str,
     rows_out: u64,
     elapsed_ns: u64,
@@ -613,19 +666,8 @@ pub fn query_end(
     record(TimelineKind::QueryEnd {
         query_id: token.query_id,
     });
-    let mut events = std::mem::take(&mut *ORPHANS.lock().unwrap());
-    let mut lanes = Vec::new();
-    {
-        let mut registry = LANES.lock().unwrap();
-        registry.retain(|weak| match weak.upgrade() {
-            Some(lane) => {
-                events.append(&mut lane.events.lock().unwrap());
-                lanes.push((lane.lane, lane.name.clone()));
-                true
-            }
-            None => false,
-        });
-    }
+    token.ended = true;
+    let (mut events, lanes) = drain(token.scope, true);
     events.sort_by_key(|e| e.ts_ns);
     let slow = slow_threshold_ns().is_some_and(|t| elapsed_ns >= t);
     let trace = Arc::new(QueryTrace {
@@ -638,8 +680,10 @@ pub fn query_end(
         started_ns: token.start_ns,
         slow,
         lanes,
+        scope: token.scope,
         events,
     });
+    drop(token);
     {
         let mut ring = RING.lock().unwrap();
         if ring.len() >= RING_CAP {
@@ -713,13 +757,42 @@ mod tests {
         TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    fn segment_load_event(bytes: u64) -> crate::Event {
+        crate::Event::SegmentLoad {
+            table: "t".into(),
+            column: "c".into(),
+            segment: "stream",
+            bytes,
+            dur_ns: 1_000,
+        }
+    }
+
+    fn decision(point: &'static str) -> crate::Event {
+        crate::Event::Decision {
+            point,
+            choice: "a".into(),
+            reason: "because".into(),
+        }
+    }
+
+    /// The decision points among a trace's own events.
+    fn points(trace: &QueryTrace) -> Vec<&'static str> {
+        trace
+            .own_events()
+            .filter_map(|e| match e {
+                crate::Event::Decision { point, .. } => Some(*point),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn query_end_drains_lanes_into_the_ring() {
         let _guard = lock();
         let prev = set_enabled(true);
         clear();
         let token = query_begin(4242);
-        segment_load("t", "c", "stream", 512, 1_000);
+        crate::emit(|| segment_load_event(512));
         pool_eviction(256);
         io_retry("stream");
         let trace = query_end(
@@ -824,18 +897,17 @@ mod tests {
         let _guard = lock();
         let prev = set_enabled(false);
         clear();
-        segment_load("t", "c", "stream", 512, 1_000);
+        crate::emit(|| panic!("closure must not run outside a scope while disabled"));
         pool_eviction(1);
         io_retry("stream");
         io_fault("crash");
         morsel_span(0, 0, false, Instant::now());
-        compaction("t", 1, 1, 1, 1, 1);
+        delta_snapshot("t", 1, 1, false, 1);
         let token = query_begin(4245);
         let trace = query_end(token, "d", 0, 1, None, &[]);
         set_enabled(prev);
-        // query_begin/query_end always record their markers (the token
-        // API is only invoked when the caller saw the layer enabled);
-        // the guarded helpers above must not have.
+        // The helpers above ran outside every scope, so the disabled
+        // gate stopped them; query_begin/query_end record their markers.
         assert!(
             trace.events.iter().all(|e| matches!(
                 e.kind,
@@ -844,6 +916,106 @@ mod tests {
             "{:?}",
             trace.events
         );
+    }
+
+    #[test]
+    fn nested_scopes_drain_their_own_events() {
+        let _guard = lock();
+        let prev = set_enabled(true);
+        clear();
+        let outer = query_begin(5001);
+        crate::emit(|| decision("outer-before"));
+        let inner = query_begin(5002);
+        crate::emit(|| decision("inner"));
+        let inner = query_end(inner, "d", 0, 1, None, &[]);
+        crate::emit(|| decision("outer-after"));
+        let outer = query_end(outer, "d", 0, 1, None, &[]);
+        set_enabled(prev);
+        assert_eq!(points(&inner), ["inner"]);
+        assert_eq!(points(&outer), ["outer-before", "outer-after"]);
+        // The thread left both scopes.
+        assert_eq!(current_scope(), 0);
+    }
+
+    #[test]
+    fn workers_record_in_their_parents_scope() {
+        let _guard = lock();
+        let prev = set_enabled(true);
+        clear();
+        let token = query_begin(5003);
+        let scope = current_scope();
+        std::thread::scope(|s| {
+            for w in 0..3u32 {
+                s.spawn(move || {
+                    {
+                        let _scope = enter_scope(scope);
+                        morsel_span(w, w, false, Instant::now());
+                    }
+                    // Outside the handed-down scope the worker is unscoped.
+                    assert_eq!(current_scope(), 0);
+                });
+            }
+        });
+        let trace = query_end(token, "d", 0, 1, None, &[]);
+        set_enabled(prev);
+        let morsels = trace
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, TimelineKind::Morsel { .. }))
+            .inspect(|e| assert_eq!(e.scope, trace.scope))
+            .count();
+        assert_eq!(morsels, 3);
+    }
+
+    #[test]
+    fn a_scope_records_while_the_layer_is_disabled() {
+        let _guard = lock();
+        let prev = set_enabled(false);
+        clear();
+        assert!(!recording());
+        let token = query_begin(5004);
+        assert!(recording());
+        crate::emit(|| decision("scoped-while-disabled"));
+        io_retry("stream");
+        let trace = query_end(token, "d", 0, 1, None, &[]);
+        assert!(!recording(), "the scope closed with query_end");
+        crate::emit(|| panic!("closure must not run after the scope closed"));
+        set_enabled(prev);
+        assert_eq!(points(&trace), ["scoped-while-disabled"]);
+        assert!(trace
+            .events
+            .iter()
+            .any(|e| matches!(e.kind, TimelineKind::IoRetry { .. })));
+    }
+
+    #[test]
+    fn a_dropped_token_closes_its_scope_and_strands_nothing() {
+        let _guard = lock();
+        let prev = set_enabled(true);
+        clear();
+        let abandoned = query_begin(5005);
+        crate::emit(|| decision("abandoned"));
+        drop(abandoned);
+        assert_eq!(current_scope(), 0);
+        let token = query_begin(5006);
+        crate::emit(|| decision("next"));
+        let trace = query_end(token, "d", 0, 1, None, &[]);
+        set_enabled(prev);
+        // The abandoned query's events went with it: not in the next
+        // query's trace, not left in any lane.
+        assert_eq!(points(&trace), ["next"]);
+        assert!(!trace
+            .events
+            .iter()
+            .any(|e| matches!(&e.kind, TimelineKind::Event(crate::Event::Decision { point, .. }) if *point == "abandoned")));
+        let left: usize = LANES
+            .lock()
+            .unwrap()
+            .iter()
+            .filter_map(Weak::upgrade)
+            .map(|l| l.events.lock().unwrap().len())
+            .sum();
+        assert_eq!(left, 0, "nothing stranded in the lanes");
     }
 
     #[test]

@@ -26,117 +26,67 @@ use tde_exec::project::Project;
 use tde_exec::scan::TableScan;
 use tde_exec::sort::{Sort, SortOrder};
 use tde_exec::{BoxOp, Expr, Operator, Projection, Source};
-use tde_obs::{OpStats, Trace};
 use tde_storage::EncodingPolicy;
 
-/// Optional trace context threaded through lowering: which trace (if
-/// any) to record into and which node is the parent of whatever operator
-/// gets lowered next. `tl_parent` threads the always-on timeline's
-/// operator-tree position independently of the opt-in trace.
+/// Timeline context threaded through lowering: the operator id of the
+/// parent of whatever operator gets lowered next.
 #[derive(Clone, Copy)]
-struct Tracer<'a> {
-    trace: Option<&'a Arc<Trace>>,
-    parent: Option<usize>,
-    tl_parent: Option<u32>,
+struct Tracer {
+    parent: Option<u32>,
 }
 
-impl<'a> Tracer<'a> {
-    fn off() -> Tracer<'a> {
-        Tracer {
-            trace: None,
-            parent: None,
-            tl_parent: None,
-        }
-    }
-
-    /// Register an operator node under the current parent (in the trace,
-    /// when one is recording).
-    fn node(&self, label: impl Into<String>) -> NodeCtx<'a> {
-        let label = label.into();
-        let (id, stats) = match self.trace {
-            Some(t) => {
-                let (id, stats) = t.add_node(label.clone(), self.parent);
-                (Some(id), Some(stats))
-            }
-            None => (None, None),
-        };
+impl Tracer {
+    /// Register an operator under the current parent; it gets a timeline
+    /// id when the query is recording (see `timeline::recording`).
+    fn node(&self, label: impl Into<String>) -> NodeCtx {
         NodeCtx {
-            trace: self.trace,
-            id,
-            stats,
-            label,
-            tl_id: tde_obs::timeline::enabled().then(tde_obs::timeline::next_op_id),
-            tl_parent: self.tl_parent,
+            label: label.into(),
+            id: tde_obs::timeline::recording().then(tde_obs::timeline::next_op_id),
+            parent: self.parent,
         }
     }
 }
 
-/// A registered (or absent) trace node for one operator.
-struct NodeCtx<'a> {
-    trace: Option<&'a Arc<Trace>>,
-    id: Option<usize>,
-    stats: Option<Arc<OpStats>>,
+/// One operator's place in the recorded operator tree.
+struct NodeCtx {
     label: String,
-    tl_id: Option<u32>,
-    tl_parent: Option<u32>,
+    id: Option<u32>,
+    parent: Option<u32>,
 }
 
-impl<'a> NodeCtx<'a> {
+impl NodeCtx {
     /// Tracer for this operator's children.
-    fn child(&self) -> Tracer<'a> {
-        Tracer {
-            trace: self.trace,
-            parent: self.id,
-            tl_parent: self.tl_id,
-        }
+    fn child(&self) -> Tracer {
+        Tracer { parent: self.id }
     }
 
-    /// Refine the label once a run-time choice is known.
-    fn relabel(&mut self, label: impl Into<String>) {
-        self.label = label.into();
-        if let (Some(t), Some(id)) = (self.trace, self.id) {
-            t.set_label(id, self.label.clone());
-        }
-    }
-
-    /// Put the lowered operator under the one observer, handing it
-    /// whichever views are on: the per-query trace stats, the per-kind
-    /// metrics counters, the timeline operator span. With all of them
-    /// off the operator stays unwrapped. The operator kind — the label's
-    /// first token — names the metrics counters; the timeline span
-    /// carries the whole label, as the trace does.
+    /// Put the lowered operator under the one observer, handing it the
+    /// views that are on: the per-kind metrics counters and the timeline
+    /// operator span (which EXPLAIN ANALYZE reads). With both off the
+    /// operator stays unwrapped. The operator kind — the label's first
+    /// token — names the metrics counters; the timeline span carries the
+    /// whole label.
     fn wrap(self, op: BoxOp) -> BoxOp {
         let kind = tde_obs::timeline::op_kind(&self.label);
         let counters = tde_obs::metrics::operator_counters(kind);
         let timeline = self
-            .tl_id
-            .map(|id| tde_obs::timeline::TimelineOp::new(&self.label, id, self.tl_parent));
-        Observed::wrap(op, self.stats, counters, timeline)
+            .id
+            .map(|id| tde_obs::timeline::TimelineOp::new(&self.label, id, self.parent));
+        Observed::wrap(op, counters, timeline)
     }
 }
 
 /// Lower and instantiate a logical plan. I/O and corruption faults
 /// (failed demand loads, checksum mismatches) and projections naming a
-/// column the source does not have come back as errors.
+/// column the source does not have come back as errors. Inside a query
+/// scope (see `tde_obs::timeline::query_begin`) every operator records
+/// its span, and the decisions taken here and during execution land in
+/// the scope's trace.
 pub fn try_execute(plan: &LogicalPlan) -> io::Result<BoxOp> {
-    lower(plan, Tracer::off())
+    lower(plan, Tracer { parent: None })
 }
 
-/// As [`try_execute`], with every operator also recording into `trace`.
-/// Combine with [`tde_obs::install`] to capture the decision/re-encoding
-/// events fired during lowering and execution too.
-pub fn try_execute_traced(plan: &LogicalPlan, trace: &Arc<Trace>) -> io::Result<BoxOp> {
-    lower(
-        plan,
-        Tracer {
-            trace: Some(trace),
-            parent: None,
-            tl_parent: None,
-        },
-    )
-}
-
-fn lower(plan: &LogicalPlan, tr: Tracer<'_>) -> io::Result<BoxOp> {
+fn lower(plan: &LogicalPlan, tr: Tracer) -> io::Result<BoxOp> {
     match plan {
         LogicalPlan::Scan {
             source,
@@ -201,7 +151,7 @@ type Folding<'a> = Option<&'a [AggSpec]>;
 /// above an `IndexScan`). Anything else in between — a `Filter`, a
 /// computing `Project` — keeps the row path, so Fig 10's plan 1 control
 /// stays row-at-a-time.
-fn lower_agg_input(plan: &LogicalPlan, aggs: &[AggSpec], tr: Tracer<'_>) -> io::Result<BoxOp> {
+fn lower_agg_input(plan: &LogicalPlan, aggs: &[AggSpec], tr: Tracer) -> io::Result<BoxOp> {
     match plan {
         LogicalPlan::Scan {
             source,
@@ -239,7 +189,7 @@ fn lower_project(
     input: &LogicalPlan,
     exprs: &[(String, Expr)],
     fold: Folding<'_>,
-    tr: Tracer<'_>,
+    tr: Tracer,
 ) -> io::Result<BoxOp> {
     let names: Vec<&str> = exprs.iter().map(|(n, _)| n.as_str()).collect();
     let node = tr.node(format!("Project [{}]", names.join(", ")));
@@ -274,7 +224,7 @@ fn lower_scan(
     expand_dictionaries: bool,
     predicate: Option<&Expr>,
     fold: Folding<'_>,
-    tr: Tracer<'_>,
+    tr: Tracer,
 ) -> io::Result<BoxOp> {
     let names: Vec<&str> = columns.iter().map(String::as_str).collect();
     // Demand loads happen here: a failed or corrupt segment read
@@ -326,12 +276,12 @@ fn lower_aggregate(
     input_plan: &LogicalPlan,
     group_by: &[usize],
     aggs: &[AggSpec],
-    tr: Tracer<'_>,
+    tr: Tracer,
 ) -> io::Result<BoxOp> {
     let mut node = tr.node("Aggregate");
     let input = lower_agg_input(input_plan, aggs, node.child())?;
     if tactical_ordered(input.schema(), group_by) {
-        node.relabel(format!("OrderedAggregate group_by={group_by:?}"));
+        node.label = format!("OrderedAggregate group_by={group_by:?}");
         Ok(node.wrap(Box::new(OrderedAggregate::new(
             input,
             group_by.to_vec(),
@@ -339,10 +289,10 @@ fn lower_aggregate(
         ))))
     } else {
         let agg = HashAggregate::new(input, group_by.to_vec(), aggs.to_vec());
-        node.relabel(format!(
+        node.label = format!(
             "HashAggregate [strategy={:?}] group_by={group_by:?}",
             agg.strategy
-        ));
+        );
         Ok(node.wrap(Box::new(agg)))
     }
 }
@@ -353,7 +303,7 @@ fn lower_aggregate(
 /// optional aggregate), require merge-exact aggregates and enough
 /// morsels to occupy the workers, and fall back to the serial lowering
 /// — with a decision event either way — when it declines.
-fn lower_morsel(input_plan: &LogicalPlan, degree: usize, tr: Tracer<'_>) -> io::Result<BoxOp> {
+fn lower_morsel(input_plan: &LogicalPlan, degree: usize, tr: Tracer) -> io::Result<BoxOp> {
     match build_morsel(input_plan, degree) {
         Ok((exec, what)) => {
             tde_obs::metrics::decision("parallelism", "morsel-parallel");
@@ -504,7 +454,7 @@ fn lower_expand_join(
     column: usize,
     source: &(Arc<tde_storage::Table>, usize),
     inner: &InnerOps,
-    tr: Tracer<'_>,
+    tr: Tracer,
 ) -> io::Result<BoxOp> {
     let src_col = &source.0.columns[source.1];
     let mut node = tr.node(format!("ExpandJoin {}.{}", source.0.name, src_col.name));
@@ -552,10 +502,10 @@ fn lower_expand_join(
         &project,
         JoinKind::Inner,
     );
-    node.relabel(format!(
+    node.label = format!(
         "ExpandJoin {}.{} [{:?}]",
         source.0.name, src_col.name, join.choice
-    ));
+    );
     if value_idx.is_none() {
         // Semi-join: schema unchanged.
         return Ok(node.wrap(Box::new(join)));
@@ -585,7 +535,7 @@ fn lower_index_scan(
     fetch: &[String],
     output_columns: &[String],
     fold: Folding<'_>,
-    tr: Tracer<'_>,
+    tr: Tracer,
 ) -> io::Result<BoxOp> {
     let src_col = &source.0.columns[source.1];
     // The table's memo: built by the first query that index-scans the
@@ -679,6 +629,28 @@ mod tests {
                 Column::scalar("o", DataType::Integer, other),
             ],
         ))
+    }
+
+    /// Lower and drain `plan` in a query scope of its own: the operator
+    /// labels (lowering order), the decisions and other events, and the
+    /// rows produced.
+    fn traced(plan: &LogicalPlan) -> (Vec<String>, Vec<tde_obs::Event>, u64) {
+        use tde_obs::timeline::{self, TimelineKind};
+        let token = timeline::query_begin(0);
+        let rows = tde_exec::count_rows(try_execute(plan).unwrap());
+        let trace = timeline::query_end(token, "", 0, 0, None, &[]);
+        let mut spans: Vec<(u32, String)> = trace
+            .events
+            .iter()
+            .filter(|e| e.scope == trace.scope)
+            .filter_map(|e| match &e.kind {
+                TimelineKind::OperatorSpan { op_id, label, .. } => Some((*op_id, label.clone())),
+                _ => None,
+            })
+            .collect();
+        spans.sort();
+        let labels = spans.into_iter().map(|(_, label)| label).collect();
+        (labels, trace.own_events().cloned().collect(), rows)
     }
 
     fn agg_results(plan: &LogicalPlan) -> HashMap<i64, i64> {
@@ -779,10 +751,7 @@ mod tests {
             assert_eq!(a.columns, b.columns);
         }
         // The traced operator label carries the degree.
-        let trace = Arc::new(tde_obs::Trace::new());
-        let mut op = try_execute_traced(&parallel, &trace).unwrap();
-        while op.next_block().is_some() {}
-        let labels: Vec<String> = trace.nodes().iter().map(|n| n.label.clone()).collect();
+        let (labels, _, _) = traced(&parallel);
         assert!(
             labels.iter().any(|l| l.contains("[parallel=4]")),
             "{labels:?}"
@@ -807,17 +776,8 @@ mod tests {
                 },
             );
             assert!(opt.explain().contains("Morsel"), "{}", opt.explain());
-            let trace = Arc::new(tde_obs::Trace::new());
-            let (labels, events) = {
-                let _guard = tde_obs::install(&trace);
-                let op = try_execute_traced(&opt, &trace).unwrap();
-                assert_eq!(tde_exec::count_rows(op), 60);
-                let nodes = trace.nodes();
-                (
-                    nodes.into_iter().map(|n| n.label).collect::<Vec<_>>(),
-                    trace.events(),
-                )
-            };
+            let (labels, events, rows) = traced(&opt);
+            assert_eq!(rows, 60);
             let serial = events.iter().any(|e| {
                 matches!(e, tde_obs::Event::Decision { point: "parallelism", choice, reason }
                     if choice == "serial" && reason.contains("folds per run"))
@@ -876,16 +836,12 @@ mod tests {
             text.contains("Morsel") && !text.contains("IndexedScan"),
             "{text}"
         );
-        let trace = Arc::new(tde_obs::Trace::new());
-        let _guard = tde_obs::install(&trace);
-        let op = try_execute_traced(&opt, &trace).unwrap();
-        assert_eq!(tde_exec::count_rows(op), 0);
-        let labels: Vec<String> = trace.nodes().into_iter().map(|n| n.label).collect();
+        let (labels, events, rows) = traced(&opt);
+        assert_eq!(rows, 0);
         assert!(
             !labels.iter().any(|l| l.contains("[parallel=")),
             "{labels:?}"
         );
-        let events = trace.events();
         assert!(events.iter().any(|e| matches!(e,
             tde_obs::Event::Decision { point: "parallelism", reason, .. }
                 if reason.contains("keeps no row"))));
@@ -912,14 +868,8 @@ mod tests {
             },
         );
         assert!(opt.explain().contains("Morsel"));
-        let trace = Arc::new(tde_obs::Trace::new());
-        let mut op = try_execute_traced(&opt, &trace).unwrap();
-        let mut rows = 0;
-        while let Some(b) = op.next_block() {
-            rows += b.len;
-        }
+        let (labels, _, rows) = traced(&opt);
         assert!(rows > 0);
-        let labels: Vec<String> = trace.nodes().iter().map(|n| n.label.clone()).collect();
         assert!(
             !labels.iter().any(|l| l.contains("[parallel=")),
             "expected serial fallback, got {labels:?}"

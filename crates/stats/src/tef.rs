@@ -21,8 +21,8 @@
 
 use crate::minijson;
 use std::collections::BTreeMap;
-use tde_obs::json_escape;
 use tde_obs::timeline::{QueryTrace, TimelineKind};
+use tde_obs::{json_escape, Event};
 
 /// Nanoseconds → the fractional-microsecond literal TEF wants.
 fn us(ns: u64) -> String {
@@ -119,47 +119,15 @@ fn push_trace(out: &mut Vec<String>, t: &QueryTrace) {
                     us(*dur_ns),
                 ));
             }
-            TimelineKind::SegmentLoad {
-                table,
-                column,
-                segment,
-                bytes,
-                dur_ns,
-            } => {
+            TimelineKind::Event(event) => {
                 name_lane(&mut name_track, out, lane_tid, ev.lane, &lane_names);
-                out.push(format!(
-                    "{{\"name\":\"load {segment}\",\"cat\":\"pool\",\"ph\":\"X\",\"pid\":{pid},\
-                     \"tid\":{lane_tid},\"ts\":{ts},\"dur\":{},\"args\":{{\"table\":\"{}\",\
-                     \"column\":\"{}\",\"bytes\":{bytes}}}}}",
-                    us(*dur_ns),
-                    json_escape(table),
-                    json_escape(column),
-                ));
+                out.push(render_event(pid, lane_tid, ev.ts_ns, event));
             }
             TimelineKind::PoolEviction { bytes } => {
                 name_lane(&mut name_track, out, lane_tid, ev.lane, &lane_names);
                 out.push(format!(
                     "{{\"name\":\"pool-evict\",\"cat\":\"pool\",\"ph\":\"i\",\"pid\":{pid},\
                      \"tid\":{lane_tid},\"ts\":{ts},\"s\":\"t\",\"args\":{{\"bytes\":{bytes}}}}}"
-                ));
-            }
-            TimelineKind::Compaction {
-                table,
-                delta_rows,
-                tombstones,
-                rows_out,
-                dur_ns,
-                snapshot_ns,
-            } => {
-                name_lane(&mut name_track, out, lane_tid, ev.lane, &lane_names);
-                out.push(format!(
-                    "{{\"name\":\"compaction\",\"cat\":\"delta\",\"ph\":\"X\",\"pid\":{pid},\
-                     \"tid\":{lane_tid},\"ts\":{ts},\"dur\":{},\"args\":{{\"table\":\"{}\",\
-                     \"delta_rows\":{delta_rows},\"tombstones\":{tombstones},\
-                     \"rows_out\":{rows_out},\"snapshot_us\":{}}}}}",
-                    us(*dur_ns),
-                    json_escape(table),
-                    us(*snapshot_ns),
                 ));
             }
             TimelineKind::DeltaSnapshot {
@@ -194,6 +162,63 @@ fn push_trace(out: &mut Vec<String>, t: &QueryTrace) {
                 ));
             }
         }
+    }
+}
+
+/// One [`Event`]: a segment load or a compaction as a span that ends
+/// where it was recorded, anything else as an instant whose args are the
+/// event's JSON.
+fn render_event(pid: u64, tid: u64, ts_ns: u64, event: &Event) -> String {
+    let span = |name: &str, cat: &str, dur_ns: u64, args: String| {
+        format!(
+            "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"pid\":{pid},\
+             \"tid\":{tid},\"ts\":{},\"dur\":{},\"args\":{{{args}}}}}",
+            us(ts_ns.saturating_sub(dur_ns)),
+            us(dur_ns),
+        )
+    };
+    match event {
+        Event::SegmentLoad {
+            table,
+            column,
+            segment,
+            bytes,
+            dur_ns,
+        } => span(
+            &format!("load {segment}"),
+            "pool",
+            *dur_ns,
+            format!(
+                "\"table\":\"{}\",\"column\":\"{}\",\"bytes\":{bytes}",
+                json_escape(table),
+                json_escape(column),
+            ),
+        ),
+        Event::Compaction {
+            table,
+            delta_rows,
+            tombstones,
+            rows_out,
+            nanos,
+            snapshot_nanos,
+        } => span(
+            "compaction",
+            "delta",
+            *nanos,
+            format!(
+                "\"table\":\"{}\",\"delta_rows\":{delta_rows},\"tombstones\":{tombstones},\
+                 \"rows_out\":{rows_out},\"snapshot_us\":{}",
+                json_escape(table),
+                us(*snapshot_nanos),
+            ),
+        ),
+        _ => format!(
+            "{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"i\",\"pid\":{pid},\
+             \"tid\":{tid},\"ts\":{},\"s\":\"t\",\"args\":{}}}",
+            event.kind(),
+            us(ts_ns),
+            event.to_json(),
+        ),
     }
 }
 
@@ -301,6 +326,15 @@ mod tests {
     use super::*;
     use tde_obs::timeline::TimelineEvent;
 
+    fn ev(ts_ns: u64, lane: u32, kind: TimelineKind) -> TimelineEvent {
+        TimelineEvent {
+            ts_ns,
+            lane,
+            scope: 1,
+            kind,
+        }
+    }
+
     fn sample_trace() -> QueryTrace {
         QueryTrace {
             query_id: 42,
@@ -312,37 +346,43 @@ mod tests {
             started_ns: 1_000,
             slow: false,
             lanes: vec![(0, "main".into())],
+            scope: 1,
             events: vec![
-                TimelineEvent {
-                    ts_ns: 1_000,
-                    lane: 0,
-                    kind: TimelineKind::QueryBegin { query_id: 42 },
-                },
-                TimelineEvent {
-                    ts_ns: 1_500,
-                    lane: 0,
-                    kind: TimelineKind::SegmentLoad {
+                ev(1_000, 0, TimelineKind::QueryBegin { query_id: 42 }),
+                ev(
+                    1_200,
+                    0,
+                    TimelineKind::Event(Event::Decision {
+                        point: "hash-strategy",
+                        choice: "Direct64K".into(),
+                        reason: "keys [\"k\"] pack into 7 bits".into(),
+                    }),
+                ),
+                ev(
+                    1_800,
+                    0,
+                    TimelineKind::Event(Event::SegmentLoad {
                         table: "t".into(),
                         column: "c".into(),
                         segment: "stream",
                         bytes: 512,
                         dur_ns: 300,
-                    },
-                },
-                TimelineEvent {
-                    ts_ns: 2_000,
-                    lane: 1,
-                    kind: TimelineKind::Morsel {
+                    }),
+                ),
+                ev(
+                    2_000,
+                    1,
+                    TimelineKind::Morsel {
                         worker: 3,
                         morsel: 7,
                         stolen: true,
                         dur_ns: 1_000,
                     },
-                },
-                TimelineEvent {
-                    ts_ns: 2_500,
-                    lane: 0,
-                    kind: TimelineKind::OperatorSpan {
+                ),
+                ev(
+                    2_500,
+                    0,
+                    TimelineKind::OperatorSpan {
                         op: "HashAggregate".into(),
                         label: "HashAggregate [strategy=\"array\"]".into(),
                         op_id: 1,
@@ -351,50 +391,34 @@ mod tests {
                         rows: 100,
                         dur_ns: 6_000,
                     },
-                },
-                TimelineEvent {
-                    ts_ns: 3_000,
-                    lane: 0,
-                    kind: TimelineKind::PoolEviction { bytes: 64 },
-                },
-                TimelineEvent {
-                    ts_ns: 4_000,
-                    lane: 0,
-                    kind: TimelineKind::IoRetry { op: "stream" },
-                },
-                TimelineEvent {
-                    ts_ns: 5_000,
-                    lane: 0,
-                    kind: TimelineKind::IoFault { kind: "hard-read" },
-                },
-                TimelineEvent {
-                    ts_ns: 6_000,
-                    lane: 2,
-                    kind: TimelineKind::Compaction {
+                ),
+                ev(3_000, 0, TimelineKind::PoolEviction { bytes: 64 }),
+                ev(4_000, 0, TimelineKind::IoRetry { op: "stream" }),
+                ev(5_000, 0, TimelineKind::IoFault { kind: "hard-read" }),
+                ev(
+                    6_500,
+                    2,
+                    TimelineKind::Event(Event::Compaction {
                         table: "t".into(),
                         delta_rows: 10,
                         tombstones: 2,
                         rows_out: 1_000,
-                        dur_ns: 500,
-                        snapshot_ns: 200,
-                    },
-                },
-                TimelineEvent {
-                    ts_ns: 7_000,
-                    lane: 2,
-                    kind: TimelineKind::DeltaSnapshot {
+                        nanos: 500,
+                        snapshot_nanos: 200,
+                    }),
+                ),
+                ev(
+                    7_000,
+                    2,
+                    TimelineKind::DeltaSnapshot {
                         table: "t".into(),
                         delta_rows: 10,
                         tombstones: 2,
                         index_built: true,
                         dur_ns: 300,
                     },
-                },
-                TimelineEvent {
-                    ts_ns: 10_000,
-                    lane: 0,
-                    kind: TimelineKind::QueryEnd { query_id: 42 },
-                },
+                ),
+                ev(10_000, 0, TimelineKind::QueryEnd { query_id: 42 }),
             ],
         }
     }
@@ -403,14 +427,25 @@ mod tests {
     fn renders_every_event_kind_and_validates() {
         let doc = render_trace(&sample_trace());
         let n = validate_tef(&doc).unwrap();
-        // 10 events + query X + process/thread metadata.
-        assert!(n >= 13, "{n} events in {doc}");
+        // 11 events + query X + process/thread metadata.
+        assert!(n >= 14, "{n} events in {doc}");
         assert!(doc.contains("\"name\":\"morsel\""));
         assert!(doc.contains("\"tid\":1003"));
         assert!(doc.contains("worker-3"));
-        assert!(doc.contains("\"name\":\"load stream\""));
+        // A segment load and a compaction are spans that end where they
+        // were recorded.
+        assert!(doc.contains(
+            "\"name\":\"load stream\",\"cat\":\"pool\",\"ph\":\"X\",\"pid\":42,\"tid\":1,\
+             \"ts\":1.500,\"dur\":0.300"
+        ));
         assert!(doc.contains("digest=feedfacecafebeef"));
-        assert!(doc.contains("\"name\":\"compaction\""));
+        assert!(doc.contains("\"name\":\"compaction\",\"cat\":\"delta\",\"ph\":\"X\""));
+        assert!(doc.contains("\"ts\":6.000,\"dur\":0.500"));
+        // Any other event is an instant carrying the event's JSON.
+        assert!(doc.contains(
+            "\"name\":\"decision\",\"cat\":\"event\",\"ph\":\"i\",\"pid\":42,\"tid\":1,\
+             \"ts\":1.200,\"s\":\"t\",\"args\":{\"kind\":\"decision\",\"point\":\"hash-strategy\""
+        ));
         assert!(doc.contains("\"snapshot_us\":0.200"));
         assert!(doc.contains("\"index_built\":true"));
         // Operator spans carry the whole plan label, quotes escaped.

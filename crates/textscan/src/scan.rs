@@ -454,9 +454,14 @@ fn for_each_column(
             work(col, &mut tasks[col].lock());
         }
     };
+    // The workers record in the caller's query scope, as morsel workers do.
+    let scope = tde_obs::timeline::current_scope();
     std::thread::scope(|s| {
         for _ in 1..workers {
-            s.spawn(claim);
+            s.spawn(move || {
+                let _scope = tde_obs::timeline::enter_scope(scope);
+                claim();
+            });
         }
         claim();
     });

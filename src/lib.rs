@@ -67,7 +67,7 @@
 //! assert_eq!(rows.len(), 2);
 //! ```
 
-pub use tde_core::{design, CacheReport, ExplainAnalyze, Extract, Query};
+pub use tde_core::{design, CacheReport, ExplainAnalyze, Extract, NodeSnapshot, Query};
 
 pub use tde_core::datagen;
 pub use tde_core::encodings;

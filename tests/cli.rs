@@ -224,6 +224,10 @@ fn stats_trace_writes_the_file() {
     let tef = std::fs::read_to_string(&out).expect("trace file written");
     let n = tde_stats::tef::validate_tef(&tef).expect("valid trace document");
     assert!(n > 0, "the demo workload puts events on the timeline");
+    assert!(
+        tef.contains("\"name\":\"decision\",\"cat\":\"event\",\"ph\":\"i\""),
+        "no decision instant in the trace"
+    );
 }
 
 fn path_str(p: &Path) -> &str {

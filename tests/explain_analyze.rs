@@ -3,14 +3,14 @@
 //! one tactical decision event, at least one dynamic-encoding event, and
 //! per-table compression telemetry.
 //!
-//! Assertions are "contains" style on names this test controls: other
-//! tests in this binary may run queries concurrently and their events
-//! can interleave into an installed trace.
+//! A report is a view of its query's own timeline scope, so queries that
+//! other tests in this binary run concurrently cannot reach it.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use tde::encodings::{EncodedStream, BLOCK_SIZE};
 use tde::exec::expr::{AggFunc, CmpOp, Expr};
-use tde::obs::Event;
+use tde::obs::{timeline, Event};
 use tde::storage::{convert, Column, ColumnBuilder, Table};
 use tde::types::{DataType, Width};
 use tde::Query;
@@ -118,46 +118,130 @@ fn report_has_operator_stats_decisions_and_telemetry() {
     assert_eq!(opens, closes, "unbalanced JSON braces");
 }
 
+/// Serialises the tests here that flip the process-wide timeline gate,
+/// read the trace ring, or churn it.
+fn gate_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn untraced_execution_records_nothing() {
     // A table of its own, so an event naming it can only come from the
-    // untraced query below — siblings in this binary install traces
-    // concurrently, so the process-global enabled flag says nothing
-    // about this query.
+    // untraced query below.
     let mut day = ColumnBuilder::new("un_day", DataType::Date, Default::default());
     for i in 0..20_000i64 {
         day.append_i64(9_000 + i % 2_000);
     }
     let t = Arc::new(Table::new("un_sales", vec![day.finish().column]));
-    // A probe installed and uninstalled before the query: its guard
-    // must reset the recorder, so nothing the query emits reaches it.
-    let probe = tde::obs::Trace::new();
-    drop(tde::obs::install(&probe));
-    // A plain run must not panic in any emit path…
+    // Unscoped events wait in the lanes until a scope ends; this one
+    // takes the table build's re-encoding with it.
+    let drain = || {
+        let probe = timeline::query_begin(tde::obs::span::next_query_id());
+        timeline::query_end(probe, "", 0, 0, None, &[])
+    };
+    let _gate = gate_lock();
+    drain();
+    // With the timeline off a plain run opens no scope: it must not
+    // panic in any emit path…
+    let prev = timeline::set_enabled(false);
     let rows = Query::scan(&t)
         .filter(Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::int(9_050)))
         .rows();
+    // …nor leave a scope open behind it.
+    let still_recording = timeline::recording();
+    timeline::set_enabled(prev);
     assert_eq!(rows.len(), 50 * 10); // 50 days x 10 rows each
-    let ours: Vec<Event> = probe
-        .events()
-        .into_iter()
-        .filter(|e| format!("{e:?}").contains("un_"))
+    assert!(!still_recording, "the untraced query left a scope open");
+    // Whatever it had recorded would sit in the lanes unscoped.
+    let probe = drain();
+    let ours: Vec<_> = probe
+        .events
+        .iter()
+        .filter(|e| format!("{:?}", e.kind).contains("un_"))
         .collect();
     assert!(ours.is_empty(), "untraced query recorded {ours:?}");
-    // …nor leave a recorder installed: a fresh trace still installs. A
-    // leaked guard would hold the installer lock forever, so the attempt
-    // runs on its own thread and the test fails instead of hanging.
-    let (done, installed) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        drop(tde::obs::install(&tde::obs::Trace::new()));
-        let _ = done.send(());
+}
+
+/// EXPLAIN ANALYZE opens its own timeline scope, so it reports the
+/// whole operator tree and every event with the timeline disabled — the
+/// same report it gives with the timeline on.
+#[test]
+fn explain_analyze_reports_with_the_timeline_disabled() {
+    let t = sales_table();
+    let report = |on: bool| {
+        let _gate = gate_lock();
+        let prev = timeline::set_enabled(on);
+        let report = Query::scan(&t)
+            .filter(Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::int(9_100)))
+            .aggregate(vec![0], vec![(AggFunc::Sum, 1, "total")])
+            .explain_analyze();
+        timeline::set_enabled(prev);
+        report
+    };
+    let (off, on) = (report(false), report(true));
+    let shape = |r: &tde::ExplainAnalyze| -> Vec<(String, Option<usize>, u64, u64)> {
+        r.operators
+            .iter()
+            .map(|n| (n.label.clone(), n.parent, n.blocks, n.rows))
+            .collect()
+    };
+    assert_eq!(off.row_count, 100);
+    assert_eq!(shape(&off), shape(&on), "{}", off.operator_tree);
+    assert!(off.operators.len() >= 3, "{}", off.operator_tree);
+    assert!(off.operator_tree.contains("ExpandJoin ea_sales.ea_day"));
+    let events = |r: &tde::ExplainAnalyze| -> Vec<String> {
+        r.events.iter().map(ToString::to_string).collect()
+    };
+    assert_eq!(events(&off), events(&on));
+    assert!(off
+        .events
+        .iter()
+        .any(|e| matches!(e, Event::Decision { point, .. } if *point == "join")));
+}
+
+/// A query running beside EXPLAIN ANALYZE neither adds to nor takes
+/// from its report: 50 reports over `iso_a`, with plain and degree-2
+/// queries over `iso_b` running throughout, never name `iso_b`.
+#[test]
+fn concurrent_queries_stay_out_of_explain_analyze() {
+    let table = |name: &str| {
+        let mut k = ColumnBuilder::new(format!("{name}_k"), DataType::Integer, Default::default());
+        let mut v = ColumnBuilder::new(format!("{name}_v"), DataType::Integer, Default::default());
+        for i in 0..40_000i64 {
+            k.append_i64((i * 7_919) % 97);
+            v.append_i64(i % 1_000);
+        }
+        Arc::new(Table::new(name, vec![k.finish().column, v.finish().column]))
+    };
+    let (a, b) = (table("iso_a"), table("iso_b"));
+    let query = |t: &Arc<Table>| {
+        Query::scan(t)
+            .filter(Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::int(500)))
+            .aggregate(vec![0], vec![(AggFunc::Count, 1, "n")])
+    };
+    let done = AtomicBool::new(false);
+    let _gate = gate_lock();
+    let reports: Vec<tde::ExplainAnalyze> = std::thread::scope(|s| {
+        s.spawn(|| {
+            while !done.load(Ordering::Relaxed) {
+                assert_eq!(query(&b).rows().len(), 97);
+                assert_eq!(query(&b).with_parallelism(2).rows().len(), 97);
+            }
+        });
+        let reports = (0..50).map(|_| query(&a).explain_analyze()).collect();
+        done.store(true, Ordering::Relaxed);
+        reports
     });
-    assert!(
-        installed
-            .recv_timeout(std::time::Duration::from_secs(60))
-            .is_ok(),
-        "the untraced query left the recorder installed"
-    );
+    for report in &reports {
+        assert_eq!(report.row_count, 97);
+        for n in &report.operators {
+            assert!(!n.label.contains("iso_b"), "{}", report.operator_tree);
+        }
+        for e in &report.events {
+            assert!(!format!("{e:?}").contains("iso_b"), "{:?}", report.events);
+        }
+    }
 }
 
 /// A dictionary-encoded integer column (no array compression, so the
@@ -293,12 +377,14 @@ fn indexed_scan_label_reports_runs_and_qualified_rows() {
             pay.finish().column,
         ],
     ));
+    let gate = gate_lock();
     let prev = tde::obs::timeline::set_enabled(true);
     let report = Query::scan(&t)
         .filter(Expr::cmp(CmpOp::Ge, Expr::col(0), Expr::int(15)))
         .aggregate(vec![0], vec![(AggFunc::Max, 1, "mx")])
         .explain_analyze();
     tde::obs::timeline::set_enabled(prev);
+    drop(gate);
     assert_eq!(report.row_count, 5);
     let node = report
         .operators

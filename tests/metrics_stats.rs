@@ -327,18 +327,16 @@ fn import_reports_its_phases_and_moves_its_counters() {
     };
 
     let before = metrics::global().snapshot();
-    let trace = tde::obs::Trace::new();
-    let guard = tde::obs::install(&trace);
+    let token = tde::obs::timeline::query_begin(tde::obs::span::next_query_id());
     let started = std::time::Instant::now();
     let result = tde::textscan::import_bytes(text.as_bytes(), &options).unwrap();
     let wall = started.elapsed().as_nanos() as u64;
-    drop(guard);
+    let trace = tde::obs::timeline::query_end(token, "", 0, wall, None, &[]);
     assert_eq!(result.table.row_count(), 60_001);
     assert_eq!(result.parse_errors, 1);
 
     let imports: Vec<_> = trace
-        .events()
-        .into_iter()
+        .own_events()
         .filter(|e| matches!(e, tde::obs::Event::Import { table, .. } if table == "metrics_stats_import"))
         .collect();
     assert_eq!(imports.len(), 1, "one event per import");
@@ -351,7 +349,7 @@ fn import_reports_its_phases_and_moves_its_counters() {
         build_nanos,
         finish_nanos,
         ..
-    } = imports[0]
+    } = *imports[0]
     else {
         unreachable!()
     };

@@ -397,7 +397,12 @@ fn parallel_paged_query_produces_a_validated_worker_trace() {
     let loads = trace
         .events
         .iter()
-        .filter(|e| matches!(e.kind, timeline::TimelineKind::SegmentLoad { .. }))
+        .filter(|e| {
+            matches!(
+                e.kind,
+                timeline::TimelineKind::Event(tde::obs::Event::SegmentLoad { .. })
+            )
+        })
         .count();
     assert!(loads >= 2, "both columns' segments load during the query");
     // Operator spans made it onto the timeline with wall durations.
@@ -485,8 +490,7 @@ fn compaction_trace_splits_the_snapshot_from_the_re_encode() {
     let base = Arc::new(Table::new("tl_delta", vec![name.finish().column]));
 
     let prev_trace = timeline::set_enabled(true);
-    let events = tde::obs::Trace::new();
-    let installed = tde::obs::install(&events);
+    let token = timeline::query_begin(span::next_query_id());
     let mut dt = tde::delta::DeltaTable::from_eager(base);
     for batch in 0..2 {
         let rows: Vec<Vec<tde::types::Value>> = (0..300)
@@ -496,15 +500,8 @@ fn compaction_trace_splits_the_snapshot_from_the_re_encode() {
         dt.snapshot().unwrap();
     }
     dt.compact().unwrap();
-    drop(installed);
-    // The next query drains the timeline lanes into its trace.
-    let sink = span::MemorySink::new();
-    let prev_sink = span::set_span_sink(Some(sink.clone()));
-    Query::scan(&demo_table()).rows();
-    let spans = sink.spans();
-    span::set_span_sink(prev_sink);
+    let trace = timeline::query_end(token, "", 0, 0, None, &[]);
     timeline::set_enabled(prev_trace);
-    let trace = timeline::find_trace(spans[0].query_id).expect("trace retained");
 
     let snapshots: Vec<(u64, bool)> = trace
         .events
@@ -528,12 +525,12 @@ fn compaction_trace_splits_the_snapshot_from_the_re_encode() {
         .events
         .iter()
         .find_map(|e| match &e.kind {
-            timeline::TimelineKind::Compaction {
+            timeline::TimelineKind::Event(tde::obs::Event::Compaction {
                 table,
-                dur_ns,
-                snapshot_ns,
+                nanos: dur_ns,
+                snapshot_nanos: snapshot_ns,
                 ..
-            } if table == "tl_delta" => Some((*dur_ns, *snapshot_ns)),
+            }) if table == "tl_delta" => Some((*dur_ns, *snapshot_ns)),
             _ => None,
         })
         .expect("compaction on the timeline");
@@ -545,16 +542,15 @@ fn compaction_trace_splits_the_snapshot_from_the_re_encode() {
     tde_stats::tef::validate_tef(&tef).expect("strict TEF validation");
     assert!(tef.contains("\"index_built\":true") && tef.contains("\"snapshot_us\":"));
 
-    let compaction = events
-        .events()
-        .into_iter()
+    let compaction = trace
+        .own_events()
         .find(|e| matches!(e, tde::obs::Event::Compaction { table, .. } if table == "tl_delta"))
         .expect("compaction event");
     let tde::obs::Event::Compaction {
         nanos,
         snapshot_nanos,
         ..
-    } = compaction
+    } = *compaction
     else {
         unreachable!()
     };
@@ -564,5 +560,80 @@ fn compaction_trace_splits_the_snapshot_from_the_re_encode() {
         json.get("snapshot_nanos").is_some(),
         "{}",
         compaction.to_json()
+    );
+}
+
+/// A query that finishes takes only its own events: a query that is
+/// still running keeps its operator spans. Thread A opens a query and
+/// runs its plan to the end; query B then runs and finishes on another
+/// thread before A ends. (Draining every lane at `query_end` gave A's
+/// spans to B.)
+#[test]
+fn a_finishing_query_does_not_steal_a_running_querys_spans() {
+    let _guard = trace_lock().lock().unwrap();
+    let table = |name: &str| {
+        let mut k = ColumnBuilder::new("k", DataType::Integer, EncodingPolicy::default());
+        for i in 0..5_000i64 {
+            k.append_i64(i % 37);
+        }
+        Arc::new(Table::new(name, vec![k.finish().column]))
+    };
+    let (a, b) = (table("steal_a"), table("steal_b"));
+    let prev_trace = timeline::set_enabled(true);
+    let sink = span::MemorySink::new();
+    let prev_sink = span::set_span_sink(Some(sink.clone()));
+
+    let (to_b, b_waits) = std::sync::mpsc::channel::<()>();
+    let (to_a, a_waits) = std::sync::mpsc::channel::<()>();
+    let query_b = std::thread::spawn(move || {
+        b_waits.recv().unwrap();
+        assert_eq!(Query::scan(&b).rows().len(), 5_000);
+        to_a.send(()).unwrap();
+    });
+    let token = timeline::query_begin(span::next_query_id());
+    let plan = tde::plan::PlanBuilder::scan(&a)
+        .filter(Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::int(10)))
+        .build();
+    let op = tde::plan::physical::try_execute(&plan).unwrap();
+    assert_eq!(
+        tde::exec::drain(op).iter().map(|b| b.len).sum::<usize>(),
+        1_355
+    );
+    to_b.send(()).unwrap();
+    a_waits.recv().unwrap();
+    let trace_a = timeline::query_end(token, "", 1_355, 1, None, &[]);
+    query_b.join().unwrap();
+    let spans = sink.spans();
+    span::set_span_sink(prev_sink);
+    timeline::set_enabled(prev_trace);
+
+    let op_ids = |trace: &timeline::QueryTrace| -> Vec<(u32, String)> {
+        trace
+            .events
+            .iter()
+            .filter_map(|e| match &e.kind {
+                timeline::TimelineKind::OperatorSpan { op_id, label, .. } => {
+                    Some((*op_id, label.clone()))
+                }
+                _ => None,
+            })
+            .collect()
+    };
+    let mine = op_ids(&trace_a);
+    assert_eq!(mine.len(), 2, "A's Filter and Scan: {mine:?}");
+    assert!(
+        mine.iter().any(|(_, l)| l.starts_with("Scan steal_a")),
+        "{mine:?}"
+    );
+    assert_eq!(spans.len(), 1);
+    let trace_b = timeline::find_trace(spans[0].query_id).expect("B's trace retained");
+    let theirs = op_ids(&trace_b);
+    assert!(
+        theirs.iter().all(|s| !mine.contains(s)),
+        "B's trace took A's spans: {theirs:?}"
+    );
+    assert!(
+        theirs.iter().any(|(_, l)| l.starts_with("Scan steal_b")),
+        "{theirs:?}"
     );
 }
