@@ -4,14 +4,23 @@
 //! widened metadata claims suspend the tactical optimizations, a live
 //! delta forces full-width base materialization on the paged path, and
 //! the buffer itself holds uncompressed rows. [`DeltaTable::compact`]
-//! pays that debt: it streams the merged table through
-//! [`tde_exec::flow_table`]'s dynamic per-column encoder (MorphStore
-//! would call this re-morphing), producing a fresh table whose every
-//! column was re-encoded against the *post-mutation* value
-//! distribution. Shared heaps survive by reference: FlowTable's
-//! frozen-token path re-uses the snapshot's heap `Arc` — the base's own
-//! when the delta brought no new string, otherwise the snapshot's
-//! overlay (one copy of the base heap, extended append-only).
+//! pays that debt at append cost, one column at a time over the parts a
+//! snapshot is made of: the base stream, the tombstone positions and the
+//! delta leg, already in the base's representation. The paper
+//! re-encodes only when the statistics say the encoding must change
+//! (§3.2), so each column's survivors keep their packed codes and the
+//! delta leg is appended behind them in the base's own encoding
+//! ([`tde_encodings::splice`]), with the statistics — and from them the
+//! column's claims — taken from the codes. A column goes back through
+//! the dynamic encoder ([`tde_exec::flow_table::build_column`]) only
+//! when its encoding cannot carry the result (delta, affine losing
+//! rows) or when the encoding the statistics now choose is another
+//! algorithm; when they choose the same one with fewer bits, the
+//! spliced stream is re-packed narrower ([`tde_encodings::splice::conform`]).
+//! Either way the column claims what a rebuild of the same rows would
+//! claim. Heaps survive by reference: the base's own when
+//! the delta brought no new string, otherwise the snapshot's overlay
+//! (one copy of the base heap, extended append-only).
 //!
 //! [`DeltaExtract`] ties the store to the v2 paged file: deltas persist
 //! as opaque aux payloads in the footer directory, every save goes
@@ -20,7 +29,7 @@
 //! a merge snapshot. [`Compactor`] drives compaction from a background
 //! thread once a threshold trips.
 
-use crate::store::{BaseTable, DeltaConfig, DeltaTable};
+use crate::store::{BaseTable, DeltaConfig, DeltaTable, Parts};
 use crate::wire;
 use std::collections::HashMap;
 use std::io;
@@ -29,44 +38,73 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tde_exec::flow_table::{flow_table, FlowTableOptions};
+use tde_encodings::metadata::Knowledge;
+use tde_encodings::splice::{conform, splice, survivors, Spliced};
+use tde_encodings::stats::choose_encoding_with;
+use tde_exec::flow_table::{build_column, dictionary_stats, per_column};
+use tde_exec::handle::ColumnHandle;
 use tde_exec::merged_scan::MergedSource;
+use tde_exec::{Field, Repr};
 use tde_io::StorageIo;
 use tde_pager::{save_v2_with_io, PagedDatabase, PagedTable, PoolConfig, TableAux};
-use tde_storage::{Database, EncodingPolicy, Table};
+use tde_storage::builder::stats_metadata;
+use tde_storage::{BuiltColumn, Column, Compression, Database, EncodingPolicy, Table};
+use tde_types::Width;
 
 impl DeltaTable {
-    /// Compact with the default encoding policy.
+    /// Compact: the merged rows (base − tombstones ∪ delta, in scan
+    /// order) become a fresh eager base and the buffer empties. Returns
+    /// the new base. A clean buffer has no rows to compact: the base is
+    /// returned as it is and nothing is rebuilt or recorded, but the
+    /// slots of appended rows deleted again are freed.
     pub fn compact(&mut self) -> io::Result<Arc<Table>> {
-        self.compact_with(EncodingPolicy::default())
-    }
-
-    /// Drain the buffer through the dynamic encoder: the merged stream
-    /// (base − tombstones ∪ delta) is rebuilt into a fresh table that
-    /// becomes the new (eager) base, and the buffer empties. Returns
-    /// the rebuilt table.
-    pub fn compact_with(&mut self, policy: EncodingPolicy) -> io::Result<Arc<Table>> {
+        if self.is_clean() {
+            if !self.live.is_empty() {
+                self.reset_onto(self.base.clone());
+            }
+            return match &self.base {
+                BaseTable::Eager(table) => Ok(Arc::clone(table)),
+                BaseTable::Paged(table) => Ok(Arc::new(table.load_all()?)),
+            };
+        }
         let t0 = Instant::now();
         let delta_rows = self.delta_rows();
         let tombstones = self.tombstone_count();
         let name = self.name().to_owned();
-        let src = self.snapshot()?;
-        let snapshot_nanos = t0.elapsed().as_nanos() as u64;
+        let Parts {
+            handles,
+            fields,
+            delta,
+            index_built,
+        } = self.parts()?;
+        let snapshot_nanos = self.record_snapshot(index_built, t0);
         // The index describes the base this compaction replaces: free it
-        // before the re-encode rather than after.
+        // before the columns are built rather than after.
         self.drop_index();
-        let source = tde_exec::Source::from(&src);
-        let (scan, _) = source
-            .resolve(&source.column_names())?
-            .scan(false, None, false);
-        let built = flow_table(scan, &name, FlowTableOptions { policy });
-        let table = built.table;
-        for c in &table.columns {
-            tde_obs::metrics::compaction_rows_reencoded(
-                &format!("{:?}", c.data.algorithm()),
-                c.len(),
-            );
-        }
+        let dropped: Vec<u64> = self.tombstones.iter().copied().collect();
+        let columns = per_column(fields.len(), |c| {
+            compact_column(&handles[c], &fields[c], &dropped, &delta[c])
+        });
+        let columns = columns.into_iter().map(|compacted| match compacted {
+            Compacted::Spliced(column) => column,
+            Compacted::Rebuilt(built) => {
+                let rows = built.column.len();
+                let column = built.column;
+                let algorithm = format!("{:?}", column.data.algorithm());
+                tde_obs::metrics::column_built(rows);
+                tde_obs::metrics::compaction_rows_reencoded(&algorithm, rows);
+                tde_obs::emit(|| tde_obs::Event::ColumnBuilt {
+                    table: name.clone(),
+                    column: column.name.clone(),
+                    algorithm,
+                    rows,
+                    reencodings: built.reencodings,
+                    final_converted: built.final_converted,
+                });
+                column
+            }
+        });
+        let table = Arc::new(Table::new(&name, columns.collect()));
         let nanos = t0.elapsed().as_nanos() as u64;
         tde_obs::metrics::compaction(nanos);
         tde_obs::emit(|| tde_obs::Event::Compaction {
@@ -80,6 +118,64 @@ impl DeltaTable {
         self.reset_onto(BaseTable::Eager(Arc::clone(&table)));
         Ok(table)
     }
+}
+
+/// A compacted column: spliced in its base's encoding, or rebuilt through
+/// the dynamic encoder.
+enum Compacted {
+    Spliced(Column),
+    Rebuilt(BuiltColumn),
+}
+
+/// One column of a compaction: the base stream without the `dropped`
+/// rows, then the delta leg `tail`, spliced in the base's own encoding
+/// when that encoding can carry them and is still the one the statistics
+/// of the result choose (§3.2); otherwise the rows go through the
+/// dynamic encoder.
+fn compact_column(base: &ColumnHandle, field: &Field, dropped: &[u64], tail: &[i64]) -> Compacted {
+    let policy = EncodingPolicy::default();
+    let data = &base.col().data;
+    let tokens = field.dtype.is_string();
+    let spliced = splice(data, dropped, tail).and_then(|s| {
+        let spec = choose_encoding_with(&s.stats, Width::W8, policy.allow, true, tokens);
+        (spec.algorithm() == s.stream.algorithm()).then(|| conform(s, spec))
+    });
+    let Some(Spliced { stream, stats }) = spliced else {
+        let mut values = survivors(data, dropped);
+        values.extend_from_slice(tail);
+        return Compacted::Rebuilt(build_column(field, &[&values], policy));
+    };
+    let mut metadata = stats_metadata(field.dtype, &stats, stream.width());
+    let compression = match &field.repr {
+        Repr::Scalar => Compression::None,
+        Repr::Token(heap) => {
+            let sorted = field.metadata.sorted_heap_tokens.is_true();
+            if sorted {
+                metadata.sorted_heap_tokens = Knowledge::True;
+            }
+            Compression::Heap {
+                heap: Arc::clone(heap),
+                sorted,
+            }
+        }
+        Repr::DictIndex(dict) => {
+            // The claims describe the values the indexes stand for.
+            let stats = dictionary_stats(dict, &[&survivors(&stream, &[])]);
+            metadata = stats_metadata(field.dtype, &stats, stream.width());
+            Compression::Array {
+                dictionary: dict.to_vec(),
+                sorted: dict.windows(2).all(|w| w[0] <= w[1]),
+            }
+        }
+        Repr::TokenCell(_) => unreachable!("a stored column has no growing heap"),
+    };
+    Compacted::Spliced(Column {
+        name: field.name.clone(),
+        dtype: field.dtype,
+        data: stream,
+        compression,
+        metadata,
+    })
 }
 
 /// What a query should scan for a table of a [`DeltaExtract`].
@@ -255,12 +351,26 @@ impl DeltaExtract {
         Ok(())
     }
 
-    /// Compact one table and persist the result.
+    /// Compact one table and persist the result. A table with no
+    /// mutations to compact is not rebuilt, and written only when the
+    /// file still holds mutations for it; a clean buffer is dropped.
     pub fn compact(&mut self, name: &str) -> io::Result<()> {
-        if let Some(dt) = self.deltas.get_mut(name) {
+        let Some(dt) = self.deltas.get_mut(name) else {
+            return Ok(());
+        };
+        if !dt.is_clean() {
             dt.compact()?;
+            return self.save();
         }
-        self.save()
+        let pt = self.db.table(name).expect("buffered table resolves");
+        if pt.has_delta() || pt.has_tombstone() {
+            // Mutations persisted, then undone: the file must lose them.
+            return self.save();
+        }
+        // Appended rows deleted again hold their slots until the buffer
+        // goes.
+        self.deltas.remove(name);
+        Ok(())
     }
 }
 

@@ -9,7 +9,8 @@
 //! columns) is the one this crate reproduces:
 //!
 //! * [`DeltaTable`] buffers mutations *next to* an immutable base
-//!   table: appended rows live in uncompressed per-column vectors,
+//!   table: appended rows live in uncompressed per-column vectors
+//!   (strings contiguous in one buffer per column),
 //!   deletes become a sorted tombstone set over base row ids, and
 //!   updates are delete + append. The buffer is schema-validated,
 //!   NULL-sentinel aware and bounded by a [`DeltaConfig`] memory
@@ -23,9 +24,12 @@
 //!   accelerator seeded from each base heap, a value → code map per
 //!   dictionary), so a snapshot's cost follows the delta, not the base.
 //! * A **compactor** ([`DeltaTable::compact`], or the background
-//!   [`Compactor`] thread) drains the merged stream back through the
-//!   dynamic encoder into a fresh read-optimized table, restoring every
-//!   claim the delta suspended.
+//!   [`Compactor`] thread) folds the delta back into a fresh
+//!   read-optimized table at append cost: each column's surviving codes
+//!   are spliced with the delta rows in the base's own encoding, and only
+//!   a column whose statistics now choose another encoding goes back
+//!   through the dynamic encoder — restoring every claim the delta
+//!   suspended, exactly as a rebuild would make it.
 //!
 //! Persistence rides on the v2 paged format: [`DeltaExtract`] stores
 //! the buffer as opaque delta/tombstone aux sections in the footer

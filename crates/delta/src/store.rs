@@ -97,14 +97,62 @@ pub(crate) enum DeltaVals {
     /// Raw widened integers (`Real` travels as `f64` bit patterns),
     /// NULLs as the engine-wide in-band sentinels.
     Ints(Vec<i64>),
-    /// Owned strings; `None` is NULL.
-    Strs(Vec<Option<String>>),
+    /// Strings, stored contiguously.
+    Strs(StrVals),
+}
+
+/// Buffered strings, stored contiguously: every string's bytes in one
+/// buffer, where each one ends, and which rows are NULL — so a column of
+/// strings frees in three deallocations however many rows it holds.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct StrVals {
+    bytes: String,
+    ends: Vec<usize>,
+    nulls: Vec<bool>,
+}
+
+impl StrVals {
+    /// Append one string; `None` is NULL.
+    pub(crate) fn push(&mut self, s: Option<&str>) {
+        self.bytes.push_str(s.unwrap_or_default());
+        self.ends.push(self.bytes.len());
+        self.nulls.push(s.is_none());
+    }
+
+    /// Buffered rows.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Row `i`; `None` is NULL.
+    pub(crate) fn get(&self, i: usize) -> Option<&str> {
+        let start = i.checked_sub(1).map_or(0, |p| self.ends[p]);
+        (!self.nulls[i]).then(|| &self.bytes[start..self.ends[i]])
+    }
+
+    /// Rows `first..`, in order.
+    pub(crate) fn iter_from(&self, first: usize) -> impl Iterator<Item = Option<&str>> {
+        (first..self.len()).map(|i| self.get(i))
+    }
+
+    /// Every row, in order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Option<&str>> {
+        self.iter_from(0)
+    }
+}
+
+impl<'a> FromIterator<Option<&'a str>> for StrVals {
+    fn from_iter<I: IntoIterator<Item = Option<&'a str>>>(strs: I) -> StrVals {
+        let mut vals = StrVals::default();
+        strs.into_iter().for_each(|s| vals.push(s));
+        vals
+    }
 }
 
 impl DeltaVals {
     pub(crate) fn empty_for(dtype: DataType) -> DeltaVals {
         match dtype {
-            DataType::Str => DeltaVals::Strs(Vec::new()),
+            DataType::Str => DeltaVals::Strs(StrVals::default()),
             _ => DeltaVals::Ints(Vec::new()),
         }
     }
@@ -117,20 +165,25 @@ impl DeltaVals {
     }
 }
 
-/// A validated raw value ready to enter the buffer.
-enum Raw {
+/// A validated raw value ready to enter the buffer; a string stays
+/// borrowed from the row it came in.
+enum Raw<'a> {
     Int(i64),
-    Str(Option<String>),
+    Str(Option<&'a str>),
 }
 
-impl Raw {
+impl Raw<'_> {
     fn byte_cost(&self) -> usize {
         match self {
             Raw::Int(_) => 8,
-            Raw::Str(None) => 8,
-            Raw::Str(Some(s)) => 24 + s.len(),
+            Raw::Str(s) => str_cost(*s),
         }
     }
+}
+
+/// What one buffered string counts against the memory budget.
+fn str_cost(s: Option<&str>) -> usize {
+    s.map_or(8, |s| 24 + s.len())
 }
 
 fn type_err(col: &str, dtype: DataType, v: &Value) -> io::Error {
@@ -143,7 +196,7 @@ fn type_err(col: &str, dtype: DataType, v: &Value) -> io::Error {
 /// Widen `v` to the column's raw storage form, validating its type.
 /// NULL binds to any column as that column's sentinel; integers widen
 /// into `Real` columns (the only implicit coercion the engine allows).
-fn raw_for(col: &str, dtype: DataType, v: &Value) -> io::Result<Raw> {
+fn raw_for<'a>(col: &str, dtype: DataType, v: &'a Value) -> io::Result<Raw<'a>> {
     if matches!(v, Value::Null) {
         return Ok(match dtype {
             DataType::Str => Raw::Str(None),
@@ -152,7 +205,7 @@ fn raw_for(col: &str, dtype: DataType, v: &Value) -> io::Result<Raw> {
         });
     }
     Ok(match (dtype, v) {
-        (DataType::Str, Value::Str(s)) => Raw::Str(Some(s.clone())),
+        (DataType::Str, Value::Str(s)) => Raw::Str(Some(s)),
         (DataType::Real, Value::Real(f)) => Raw::Int(f.to_bits() as i64),
         (DataType::Real, Value::Int(i)) => Raw::Int((*i as f64).to_bits() as i64),
         (DataType::Bool, Value::Bool(b)) => Raw::Int(i64::from(*b)),
@@ -207,6 +260,19 @@ impl ColumnIndex {
             _ => ColumnIndex::Scalar,
         }
     }
+}
+
+/// What a merge snapshot is made of ([`DeltaTable::parts`]).
+pub(crate) struct Parts {
+    /// The base's column handles, full width.
+    pub(crate) handles: Vec<ColumnHandle>,
+    /// The merged fields: base reprs extended by the delta's new values,
+    /// claims widened.
+    pub(crate) fields: Vec<Field>,
+    /// Each column's live delta rows, in the merged representation.
+    pub(crate) delta: Vec<Vec<i64>>,
+    /// Whether building these parts built the per-base index.
+    pub(crate) index_built: bool,
 }
 
 /// The per-base index of a [`DeltaTable`]: built by the first snapshot
@@ -342,16 +408,16 @@ impl DeltaTable {
     /// failed append leaves the buffer untouched.
     pub fn append_rows(&mut self, rows: &[Vec<Value>]) -> io::Result<()> {
         let (staged, bytes) = self.stage(rows)?;
-        self.push_staged(staged, bytes);
+        self.push_staged(staged, rows.len(), bytes);
         Ok(())
     }
 
     /// Validate and widen `rows`, and cost them against the memory budget
     /// — every way an append can fail, with nothing changed yet. Returns
-    /// the raw rows and their bytes.
-    fn stage(&self, rows: &[Vec<Value>]) -> io::Result<(Vec<Vec<Raw>>, usize)> {
+    /// the raw values, row after row, and their bytes.
+    fn stage<'a>(&self, rows: &'a [Vec<Value>]) -> io::Result<(Vec<Raw<'a>>, usize)> {
         let ncols = self.schema.len();
-        let mut staged: Vec<Vec<Raw>> = Vec::with_capacity(rows.len());
+        let mut staged: Vec<Raw<'a>> = Vec::with_capacity(rows.len() * ncols);
         let mut add_bytes = 0usize;
         for row in rows {
             if row.len() != ncols {
@@ -364,13 +430,12 @@ impl DeltaTable {
                     ),
                 ));
             }
-            let raws = row
-                .iter()
-                .zip(&self.schema)
-                .map(|(v, (name, dtype))| raw_for(name, *dtype, v))
-                .collect::<io::Result<Vec<Raw>>>()?;
-            add_bytes += raws.iter().map(Raw::byte_cost).sum::<usize>() + 1;
-            staged.push(raws);
+            for (v, (name, dtype)) in row.iter().zip(&self.schema) {
+                let raw = raw_for(name, *dtype, v)?;
+                add_bytes += raw.byte_cost();
+                staged.push(raw);
+            }
+            add_bytes += 1;
         }
         if self.bytes + add_bytes > self.config.max_bytes {
             return Err(io::Error::new(
@@ -387,19 +452,19 @@ impl DeltaTable {
         Ok((staged, add_bytes))
     }
 
-    /// Buffer rows [`DeltaTable::stage`] accepted, `add_bytes` in all.
-    fn push_staged(&mut self, staged: Vec<Vec<Raw>>, add_bytes: usize) {
-        let n = staged.len() as i64;
-        for raws in staged {
-            for (col, raw) in self.cols.iter_mut().zip(raws) {
-                match (col, raw) {
-                    (DeltaVals::Ints(v), Raw::Int(x)) => v.push(x),
-                    (DeltaVals::Strs(v), Raw::Str(s)) => v.push(s),
-                    _ => unreachable!("raw_for matched the column type"),
-                }
+    /// Buffer the `n` rows [`DeltaTable::stage`] accepted, `add_bytes` in
+    /// all.
+    fn push_staged(&mut self, staged: Vec<Raw>, n: usize, add_bytes: usize) {
+        let ncols = self.cols.len();
+        for (i, raw) in staged.into_iter().enumerate() {
+            match (&mut self.cols[i % ncols], raw) {
+                (DeltaVals::Ints(v), Raw::Int(x)) => v.push(x),
+                (DeltaVals::Strs(v), Raw::Str(s)) => v.push(s),
+                _ => unreachable!("raw_for matched the column type"),
             }
-            self.live.push(true);
         }
+        self.live.resize(self.live.len() + n, true);
+        let n = n as i64;
         self.bytes += add_bytes;
         self.meter(n, add_bytes as i64, 0);
         tde_obs::metrics::delta_metrics().appends.add(n as u64);
@@ -458,7 +523,7 @@ impl DeltaTable {
         }
         let (staged, bytes) = self.stage(rows)?;
         self.delete(row_ids)?;
-        self.push_staged(staged, bytes);
+        self.push_staged(staged, rows.len(), bytes);
         Ok(())
     }
 
@@ -478,10 +543,7 @@ impl DeltaTable {
             .iter()
             .map(|c| match c {
                 DeltaVals::Ints(v) => v.len() * 8,
-                DeltaVals::Strs(v) => v
-                    .iter()
-                    .map(|s| s.as_ref().map_or(8, |s| 24 + s.len()))
-                    .sum(),
+                DeltaVals::Strs(v) => v.iter().map(str_cost).sum(),
             })
             .sum::<usize>()
             + rows;
@@ -553,27 +615,13 @@ impl DeltaTable {
     /// through a lie.
     pub fn snapshot(&self) -> io::Result<Arc<MergedSource>> {
         let t0 = Instant::now();
-        let handles = self.base.handles()?;
-        let mut fields: Vec<Field> = handles.iter().map(|h| h.field(false)).collect();
+        let Parts {
+            handles,
+            fields,
+            delta: delta_cols,
+            index_built,
+        } = self.parts()?;
         let live_rows = self.delta_rows() as usize;
-        let mut index = self.index.lock();
-        let index_built = live_rows > 0 && index.columns.is_none();
-        if index_built {
-            index.columns = Some(fields.iter().map(ColumnIndex::of).collect());
-            index.builds += 1;
-        }
-        let mut delta_cols: Vec<Vec<i64>> = Vec::with_capacity(fields.len());
-        for (c, field) in fields.iter_mut().enumerate() {
-            let raws = match &mut index.columns {
-                Some(columns) if live_rows > 0 => {
-                    self.project_column(&self.cols[c], field, &mut columns[c])?
-                }
-                _ => Vec::new(),
-            };
-            self.widen_metadata(field, &raws);
-            delta_cols.push(raws);
-        }
-        drop(index);
         let mut blocks = Vec::new();
         let mut at = 0usize;
         while at < live_rows {
@@ -591,33 +639,75 @@ impl DeltaTable {
             Arc::new(self.tombstones.iter().copied().collect()),
             blocks,
         ));
+        self.record_snapshot(index_built, t0);
+        Ok(source)
+    }
+
+    /// Record a snapshot begun at `t0` — a merge snapshot's or a
+    /// compaction's — on the metrics and the timeline. Returns its
+    /// duration.
+    pub(crate) fn record_snapshot(&self, index_built: bool, t0: Instant) -> u64 {
         let nanos = t0.elapsed().as_nanos() as u64;
         tde_obs::metrics::delta_snapshot(nanos);
         tde_obs::timeline::delta_snapshot(
             self.name(),
-            live_rows as u64,
+            self.delta_rows(),
             self.tombstone_count(),
             index_built,
             nanos,
         );
-        Ok(source)
+        nanos
+    }
+
+    /// What a snapshot is made of — the base's column handles, the
+    /// merged fields and each column's live delta rows in the merged
+    /// representation — translated through the per-base index (built
+    /// here when there are delta rows and no index yet).
+    pub(crate) fn parts(&self) -> io::Result<Parts> {
+        let handles = self.base.handles()?;
+        let mut fields: Vec<Field> = handles.iter().map(|h| h.field(false)).collect();
+        let live_rows = self.delta_rows() as usize;
+        let mut index = self.index.lock();
+        let index_built = live_rows > 0 && index.columns.is_none();
+        if index_built {
+            index.columns = Some(fields.iter().map(ColumnIndex::of).collect());
+            index.builds += 1;
+        }
+        let mut delta = Vec::with_capacity(fields.len());
+        for (c, field) in fields.iter_mut().enumerate() {
+            let (raws, extended) = match &mut index.columns {
+                Some(columns) if live_rows > 0 => {
+                    self.project_column(&self.cols[c], field, &mut columns[c])?
+                }
+                _ => (Vec::new(), false),
+            };
+            self.widen_metadata(field, &raws, extended);
+            delta.push(raws);
+        }
+        Ok(Parts {
+            handles,
+            fields,
+            delta,
+            index_built,
+        })
     }
 
     /// Translate one buffered column's live rows into the merged
-    /// representation. Rows appended since the last snapshot are looked
-    /// up in `index` once and memoized; a value the base lacks copies
-    /// the base heap/dictionary into an overlay at its first live use,
-    /// and new values are appended there in first-appearance order over
-    /// the live rows, deduplicated among themselves.
+    /// representation, and say whether that extended the base's heap or
+    /// dictionary. Rows appended since the last snapshot are looked up in
+    /// `index` once and memoized; a value the base lacks copies the base
+    /// heap/dictionary into an overlay at its first live use, and new
+    /// values are appended there in first-appearance order over the live
+    /// rows, deduplicated among themselves.
     fn project_column(
         &self,
         col: &DeltaVals,
         field: &mut Field,
         index: &mut ColumnIndex,
-    ) -> io::Result<Vec<i64>> {
+    ) -> io::Result<(Vec<i64>, bool)> {
         match (col, &field.repr, index) {
             (DeltaVals::Ints(vals), Repr::Scalar, ColumnIndex::Scalar) => {
-                Ok(self.map_live(vals.iter(), |&v| v))
+                Ok((self.map_live(vals.iter(), |&v| v), false))
             }
             (DeltaVals::Ints(vals), Repr::DictIndex(dict), ColumnIndex::Dict { index, memo }) => {
                 let seen = memo.len();
@@ -634,14 +724,15 @@ impl DeltaTable {
                         (merged.len() - 1) as i64
                     })
                 });
+                let extended = overlay.is_some();
                 if let Some((merged, _)) = overlay {
                     field.repr = Repr::DictIndex(Arc::new(merged));
                 }
-                Ok(raws)
+                Ok((raws, extended))
             }
             (DeltaVals::Strs(vals), Repr::Token(heap), ColumnIndex::Heap { index, memo }) => {
                 let seen = memo.len();
-                memo.extend(vals[seen..].iter().map(|s| match s {
+                memo.extend(vals.iter_from(seen).map(|s| match s {
                     None => NULL_TOKEN as i64,
                     Some(s) => index.lookup(heap, s).map_or(MISS, |t| t as i64),
                 }));
@@ -650,7 +741,7 @@ impl DeltaTable {
                     if token != MISS {
                         return token;
                     }
-                    let s = s.as_deref().expect("a NULL is never a miss");
+                    let s = s.expect("a NULL is never a miss");
                     let (merged, fresh) = overlay.get_or_insert_with(|| {
                         (
                             heap.as_ref().clone(),
@@ -659,14 +750,11 @@ impl DeltaTable {
                     });
                     fresh.intern(merged, s) as i64
                 });
+                let extended = overlay.is_some();
                 if let Some((merged, _)) = overlay {
                     field.repr = Repr::Token(Arc::new(merged));
-                    // The appended entries land at the end in insertion
-                    // order — a sorted heap is almost certainly sorted
-                    // no longer.
-                    field.metadata.sorted_heap_tokens = Knowledge::Unknown;
                 }
-                Ok(raws)
+                Ok((raws, extended))
             }
             _ => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -690,12 +778,17 @@ impl DeltaTable {
     }
 
     /// Widen `field.metadata` for the live delta rows `raws` (already
-    /// in the stored domain) and the tombstone set. Claims are only ever
-    /// *weakened* to `Unknown` — never flipped to `False`, which would
-    /// itself be a new claim the fuzzer's claim-verification oracle
-    /// could catch lying.
-    fn widen_metadata(&self, field: &mut Field, raws: &[i64]) {
+    /// in the stored domain), an `extended` heap or dictionary, and the
+    /// tombstone set. Claims are only ever *weakened* to `Unknown` —
+    /// never flipped to `False`, which would itself be a new claim the
+    /// fuzzer's claim-verification oracle could catch lying.
+    fn widen_metadata(&self, field: &mut Field, raws: &[i64], extended: bool) {
         let md = &mut field.metadata;
+        if extended {
+            // New entries land at the end of the heap in insertion order:
+            // a sorted heap is almost certainly sorted no longer.
+            md.sorted_heap_tokens = Knowledge::Unknown;
+        }
         if !raws.is_empty() {
             md.sorted_asc = Knowledge::Unknown;
             md.dense = Knowledge::Unknown;
@@ -955,20 +1048,17 @@ pub(crate) mod tests {
     /// repeated entry wins), a linear list of new strings, and a
     /// `from_bytes` copy of the heap on the first one. Returns the tokens
     /// and the overlay heap's bytes.
-    fn reference_tokens(
-        heap: &StringHeap,
-        vals: &[&Option<String>],
-    ) -> (Vec<i64>, Option<Vec<u8>>) {
+    fn reference_tokens(heap: &StringHeap, vals: &[Option<&str>]) -> (Vec<i64>, Option<Vec<u8>>) {
         let token_of: HashMap<&str, i64> = heap.iter().map(|(t, s)| (s, t as i64)).collect();
         let mut overlay: Option<StringHeap> = None;
         let mut fresh: Vec<(String, i64)> = Vec::new();
         let mut raws = Vec::new();
-        for s in vals {
+        for &s in vals {
             let Some(s) = s else {
                 raws.push(NULL_TOKEN as i64);
                 continue;
             };
-            if let Some(&t) = token_of.get(s.as_str()) {
+            if let Some(&t) = token_of.get(s) {
                 raws.push(t);
             } else if let Some((_, t)) = fresh.iter().find(|(f, _)| f == s) {
                 raws.push(*t);
@@ -977,7 +1067,7 @@ pub(crate) mod tests {
                     StringHeap::from_bytes(heap.as_bytes().to_vec()).unwrap()
                 });
                 let t = h.append(s) as i64;
-                fresh.push((s.clone(), t));
+                fresh.push((s.to_owned(), t));
                 raws.push(t);
             }
         }
@@ -1015,7 +1105,7 @@ pub(crate) mod tests {
         let DeltaVals::Strs(vals) = &dt.cols[col] else {
             panic!("column {col} buffers no strings");
         };
-        let live: Vec<&Option<String>> = vals
+        let live: Vec<Option<&str>> = vals
             .iter()
             .zip(&dt.live)
             .filter(|(_, &l)| l)

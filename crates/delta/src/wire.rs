@@ -30,7 +30,7 @@
 //! count u64 row ids             -- strictly increasing, < base rows
 //! ```
 
-use crate::store::DeltaVals;
+use crate::store::{DeltaVals, StrVals};
 use std::collections::BTreeSet;
 use std::io::{self, Read};
 use tde_storage::wire::{corrupt, read_str, read_u32, read_u64, write_str};
@@ -105,10 +105,7 @@ pub(crate) fn encode_delta(
                 }
             }
             DeltaVals::Strs(vals) => {
-                for (i, v) in vals.iter().enumerate() {
-                    if !live[i] {
-                        continue;
-                    }
+                for (v, _) in vals.iter().zip(live).filter(|(_, &l)| l) {
                     match v {
                         None => out.push(0),
                         Some(s) => {
@@ -155,13 +152,13 @@ pub(crate) fn decode_delta(
         }
         cols.push(match dtype {
             DataType::Str => {
-                let mut vals = Vec::with_capacity(rows as usize);
+                let mut vals = StrVals::default();
                 for _ in 0..rows {
-                    vals.push(match read_u8(&mut r)? {
-                        0 => None,
-                        1 => Some(read_str(&mut r)?),
+                    match read_u8(&mut r)? {
+                        0 => vals.push(None),
+                        1 => vals.push(Some(&read_str(&mut r)?)),
                         _ => return Err(corrupt("bad delta string presence byte")),
-                    });
+                    }
                 }
                 DeltaVals::Strs(vals)
             }
@@ -231,7 +228,7 @@ mod tests {
     fn sample_cols() -> Vec<DeltaVals> {
         vec![
             DeltaVals::Ints(vec![1, 2, 3]),
-            DeltaVals::Strs(vec![Some("a".into()), None, Some("ccc".into())]),
+            DeltaVals::Strs([Some("a"), None, Some("ccc")].into_iter().collect()),
             DeltaVals::Ints(vec![
                 1.5f64.to_bits() as i64,
                 tde_types::sentinel::null_real().to_bits() as i64,
@@ -248,7 +245,7 @@ mod tests {
         assert_eq!(back[0], DeltaVals::Ints(vec![1, 3]));
         assert_eq!(
             back[1],
-            DeltaVals::Strs(vec![Some("a".into()), Some("ccc".into())])
+            DeltaVals::Strs([Some("a"), Some("ccc")].into_iter().collect())
         );
     }
 
@@ -307,7 +304,7 @@ mod tests {
     fn empty_delta_roundtrip() {
         let cols = vec![
             DeltaVals::Ints(vec![]),
-            DeltaVals::Strs(vec![]),
+            DeltaVals::Strs(StrVals::default()),
             DeltaVals::Ints(vec![]),
         ];
         let bytes = encode_delta(&schema(), &cols, &[]);

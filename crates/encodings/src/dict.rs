@@ -14,6 +14,7 @@
 use crate::bitpack;
 use crate::cuckoo::CuckooMap;
 use crate::header::{self, HeaderView};
+use crate::splice::{kept_codes, Packer};
 use crate::{Algorithm, EncodingFull, DICT_MAX_BITS};
 use tde_types::Width;
 
@@ -122,26 +123,55 @@ pub fn append_block(
     Ok(())
 }
 
-/// Re-pack the dictionary stream `old` into `fresh`, an empty dictionary
-/// stream of another bit width: the entries are copied in order and the
-/// packed indexes re-packed, nothing is looked up. Fails, leaving `fresh`
-/// untouched, if `fresh` has no room for the entries.
-pub(crate) fn repack(old: &[u8], oh: &HeaderView, fresh: &mut Vec<u8>) -> Result<(), EncodingFull> {
-    let fh = HeaderView::parse(fresh);
-    debug_assert_eq!(fh.block_size, oh.block_size);
-    let entries = entry_count(old);
-    if entries > 1usize << fh.bits {
-        return Err(EncodingFull::DictionaryFull);
+/// Move the dictionary stream `old`, without the rows at `dropped`
+/// (ascending positions), into `to`, an empty dictionary stream of
+/// another index width: the entries are copied in order and the packed
+/// indexes re-packed, nothing is looked up. When the entries outnumber
+/// `to`'s slots, those no surviving row uses are dropped and the indexes
+/// renumbered. Fails, leaving `to` without entries, if the entries the
+/// rows use still do not fit.
+pub(crate) fn repack<F: FnMut(&[u64])>(
+    old: &[u8],
+    oh: &HeaderView,
+    dropped: &[u64],
+    to: &mut Packer<F>,
+) -> Result<(), EncodingFull> {
+    let th = HeaderView::parse(&to.out);
+    let mut entries = entries(old, oh);
+    let mut renumber = None;
+    if entries.len() > 1 << th.bits {
+        let mut used = vec![false; entries.len()];
+        kept_codes(
+            old,
+            oh,
+            dropped,
+            |code| code,
+            |codes| codes.iter().for_each(|&c| used[c as usize] = true),
+        );
+        let mut next = 0;
+        let codes: Vec<u64> = used
+            .iter()
+            .map(|&u| {
+                let code = next;
+                next += u64::from(u);
+                code
+            })
+            .collect();
+        let mut used = used.into_iter();
+        entries.retain(|_| used.next() == Some(true));
+        if entries.len() > 1 << th.bits {
+            return Err(EncodingFull::DictionaryFull);
+        }
+        renumber = Some(codes);
     }
-    for i in 0..entries {
-        set_entry(fresh, &fh, i, entry(old, oh, i));
+    for (i, &e) in entries.iter().enumerate() {
+        set_entry(&mut to.out, &th, i, e);
     }
-    header::put_u64(fresh, OFF_ENTRY_COUNT, entries as u64);
-    for (at, n) in oh.blocks(bitpack::packed_bytes(oh.block_size, oh.bits)) {
-        let indexes = bitpack::unpack_iter(&old[at..], oh.bits, n);
-        bitpack::pack_block_from(indexes, n, fh.block_size, fh.bits, fresh);
+    header::put_u64(&mut to.out, OFF_ENTRY_COUNT, entries.len() as u64);
+    match renumber {
+        Some(codes) => to.push_packed(old, oh, dropped, |code| codes[code as usize]),
+        None => to.push_packed(old, oh, dropped, |code| code),
     }
-    header::put_u64(fresh, header::OFF_LOGICAL_SIZE, oh.logical_size);
     Ok(())
 }
 

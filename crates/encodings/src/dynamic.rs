@@ -12,6 +12,7 @@
 //! lineitem at SF-1 caused only two encoding changes — which experiment E9
 //! (`dynamic_stability` bench) reproduces on our generator.
 
+use crate::splice::Packer;
 use crate::stats::{choose_encoding_with, AllowedAlgorithms, ColumnStats, EncodingSpec};
 use crate::{dict, frame, Algorithm, EncodedStream, EncodingFull, BLOCK_SIZE};
 use tde_types::Width;
@@ -176,31 +177,10 @@ impl DynamicEncoder {
         self.stream = Some(fresh);
     }
 
-    /// The values of `stream` under the encoding `to`. A frame-of-reference
-    /// stream moving to another frame or width, and a dictionary stream
-    /// moving to another index width, are re-packed block by block — the
-    /// common mid-load widening; any other change decodes and re-appends.
-    /// Both routes produce the same bytes.
+    /// The values of `stream` under the encoding `to` ([`rewritten`]).
     fn rewritten(&self, stream: &EncodedStream, to: EncodingSpec) -> EncodedStream {
-        const COVERED: &str = "encoding chosen from covering statistics must accept all values";
-        let mut fresh = to.build(self.width, self.signed);
-        let h = stream.header();
-        match (h.algorithm, to) {
-            (Algorithm::FrameOfReference, EncodingSpec::Frame { .. }) => {
-                frame::repack(stream.as_bytes(), &h, &mut fresh.buf).expect(COVERED);
-                EncodedStream::from_buf(fresh.buf)
-            }
-            (Algorithm::Dictionary, EncodingSpec::Dict { .. }) => {
-                dict::repack(stream.as_bytes(), &h, &mut fresh.buf).expect(COVERED);
-                EncodedStream::from_buf(fresh.buf)
-            }
-            _ => {
-                for chunk in stream.decode_all().chunks(BLOCK_SIZE) {
-                    fresh.append_block(chunk).expect(COVERED);
-                }
-                fresh
-            }
-        }
+        rewritten(stream, to, self.width, self.signed)
+            .expect("encoding chosen from covering statistics must accept all values")
     }
 
     /// Finish the column. With `convert_to_optimal`, compare the current
@@ -242,6 +222,41 @@ impl DynamicEncoder {
             stats: self.stats,
             reencodings: self.reencodings,
             final_converted,
+        }
+    }
+}
+
+/// The values of `stream` under the encoding `to`, built at `width`. A
+/// frame-of-reference stream moving to another frame or width, and a
+/// dictionary stream moving to another index width, are re-packed block
+/// by block — the common mid-load widening; any other change decodes and
+/// re-appends. Both routes produce the same bytes. Fails when `to`
+/// cannot hold the values.
+pub(crate) fn rewritten(
+    stream: &EncodedStream,
+    to: EncodingSpec,
+    width: Width,
+    signed: bool,
+) -> Result<EncodedStream, EncodingFull> {
+    let mut fresh = to.build(width, signed);
+    let h = stream.header();
+    let rows = h.logical_size as usize;
+    match (h.algorithm, to) {
+        (Algorithm::FrameOfReference, EncodingSpec::Frame { .. }) => {
+            let mut to = Packer::new(fresh.buf, rows, |_| {});
+            frame::repack(stream.as_bytes(), &h, &[], &mut to);
+            Ok(EncodedStream::from_buf(to.finish()?))
+        }
+        (Algorithm::Dictionary, EncodingSpec::Dict { .. }) => {
+            let mut to = Packer::new(fresh.buf, rows, |_| {});
+            dict::repack(stream.as_bytes(), &h, &[], &mut to)?;
+            Ok(EncodedStream::from_buf(to.finish()?))
+        }
+        _ => {
+            for chunk in stream.decode_all().chunks(BLOCK_SIZE) {
+                fresh.append_block(chunk)?;
+            }
+            Ok(fresh)
         }
     }
 }

@@ -8,6 +8,7 @@
 
 use crate::bitpack;
 use crate::header::{self, HeaderView};
+use crate::splice::Packer;
 use crate::{Algorithm, EncodingFull};
 use tde_types::Width;
 
@@ -36,30 +37,19 @@ pub fn frame_value(buf: &[u8]) -> i64 {
 /// Append one block. Fails without modifying the buffer if any value lies
 /// outside `[frame, frame + 2^bits)`.
 pub fn append_block(buf: &mut Vec<u8>, h: &HeaderView, vals: &[i64]) -> Result<(), EncodingFull> {
-    append_values(buf, h, vals.iter().copied(), vals.len())
-}
-
-/// [`append_block`] over `n` values of an iterator: each offset from the
-/// frame is computed on its way into the packed stream.
-fn append_values(
-    buf: &mut Vec<u8>,
-    h: &HeaderView,
-    vals: impl Iterator<Item = i64>,
-    n: usize,
-) -> Result<(), EncodingFull> {
     let frame = frame_value(buf);
     let start = buf.len();
     let too_wide = bitpack::too_wide(h.bits);
     let mut out_of_range = false;
     // `v - frame` lies in `[0, 2^64)` exactly when `v >= frame`, and the
     // wrapping difference is then the true one.
-    let offsets = vals.map(|v| {
+    let offsets = vals.iter().map(|&v| {
         let off = v.wrapping_sub(frame) as u64;
         out_of_range |= v < frame || off & too_wide != 0;
         off & !too_wide
     });
     // The block's padding is the frame value (offset zero).
-    bitpack::pack_block_from(offsets, n, h.block_size, h.bits, buf);
+    bitpack::pack_block_from(offsets, vals.len(), h.block_size, h.bits, buf);
     if out_of_range {
         buf.truncate(start);
         return Err(EncodingFull::ValueOutOfRange);
@@ -67,26 +57,20 @@ fn append_values(
     Ok(())
 }
 
-/// Re-pack the blocks of the frame-of-reference stream `old` into `fresh`,
-/// an empty stream with its own frame and width, without materializing
-/// the values: each packed offset is moved to the new frame on its way
-/// from one packed stream to the other. `fresh` is left untouched on
-/// failure (a value its envelope does not cover).
-pub(crate) fn repack(old: &[u8], oh: &HeaderView, fresh: &mut Vec<u8>) -> Result<(), EncodingFull> {
-    let fh = HeaderView::parse(fresh);
-    debug_assert_eq!(fh.block_size, oh.block_size);
-    let old_frame = frame_value(old);
-    let start = fresh.len();
-    for (at, n) in oh.blocks(bitpack::packed_bytes(oh.block_size, oh.bits)) {
-        let values =
-            bitpack::unpack_iter(&old[at..], oh.bits, n).map(|o| old_frame.wrapping_add(o as i64));
-        if let Err(refused) = append_values(fresh, &fh, values, n) {
-            fresh.truncate(start);
-            return Err(refused);
-        }
-    }
-    header::put_u64(fresh, header::OFF_LOGICAL_SIZE, oh.logical_size);
-    Ok(())
+/// Move the packed offsets of the frame-of-reference stream `old`,
+/// without the rows at `dropped` (ascending positions), into `to`, a
+/// stream with its own frame and width: each offset moves to the new
+/// frame on its way from one packed stream to the other, no value is
+/// materialized. `to` refuses, when it finishes, an offset its width
+/// cannot hold.
+pub(crate) fn repack<F: FnMut(&[u64])>(
+    old: &[u8],
+    oh: &HeaderView,
+    dropped: &[u64],
+    to: &mut Packer<F>,
+) {
+    let shift = frame_value(old).wrapping_sub(frame_value(&to.out)) as u64;
+    to.push_packed(old, oh, dropped, |offset| offset.wrapping_add(shift));
 }
 
 /// The packed offsets of physical block `block_idx`.

@@ -17,8 +17,9 @@
 //! The companion modules implement the paper's §3.2–3.4 machinery:
 //! [`stats`] (streaming statistics + encoding choice), [`dynamic`] (the
 //! dynamic re-encoder), [`manipulate`] (O(1)/O(2^bits) header edits such as
-//! type narrowing and dictionary remapping) and [`metadata`] (the extracted
-//! column properties consumed by the tactical optimizer).
+//! type narrowing and dictionary remapping), [`splice`] (compaction in a
+//! stream's own encoding) and [`metadata`] (the extracted column
+//! properties consumed by the tactical optimizer).
 
 pub mod affine;
 pub mod bitpack;
@@ -34,6 +35,7 @@ pub mod metadata;
 pub mod raw;
 pub mod rle;
 pub mod selection;
+pub mod splice;
 pub mod stats;
 pub mod stream;
 

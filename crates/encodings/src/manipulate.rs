@@ -187,21 +187,7 @@ pub fn rle_rebuild(values: &[i64], counts: &[u64], signed: bool) -> EncodedStrea
     let mut buf = rle::new_stream(elem, crate::BLOCK_SIZE, signed, cw, vw);
     let mut logical = 0u64;
     for (&v, &c) in values.iter().zip(counts) {
-        // Split runs longer than the count field can carry.
-        let cap = if cw == Width::W8 {
-            u64::MAX
-        } else {
-            (1u64 << cw.bits()) - 1
-        };
-        let mut remaining = c;
-        while remaining > 0 {
-            let n = remaining.min(cap);
-            let off = buf.len();
-            buf.resize(off + cw.bytes() + vw.bytes(), 0);
-            header::put_fixed(&mut buf, off, cw, n as i64);
-            header::put_fixed(&mut buf, off + cw.bytes(), vw, v);
-            remaining -= n;
-        }
+        rle::push_run(&mut buf, v, c);
         logical += c;
     }
     header::put_u64(&mut buf, header::OFF_LOGICAL_SIZE, logical);

@@ -90,7 +90,7 @@ fn max_count(cw: Width) -> u64 {
 
 /// Whether `v` fits in the value field.
 #[inline]
-fn value_fits(v: i64, vw: Width, signed: bool) -> bool {
+pub(crate) fn value_fits(v: i64, vw: Width, signed: bool) -> bool {
     if vw == Width::W8 {
         return true;
     }
@@ -284,6 +284,22 @@ pub fn append_block(buf: &mut Vec<u8>, h: &HeaderView, vals: &[i64]) -> Result<(
         header::put_fixed(buf, off + cw.bytes(), vw, v);
     }
     Ok(())
+}
+
+/// Append the run of `n` copies of `value` as new pairs, split where `n`
+/// exceeds what the count field carries. The value must fit the value
+/// field.
+pub(crate) fn push_run(buf: &mut Vec<u8>, value: i64, n: u64) {
+    let (cw, vw) = field_widths(buf);
+    let mut left = n;
+    while left > 0 {
+        let take = left.min(max_count(cw));
+        let off = buf.len();
+        buf.resize(off + cw.bytes() + vw.bytes(), 0);
+        header::put_fixed(buf, off, cw, take as i64);
+        header::put_fixed(buf, off + cw.bytes(), vw, value);
+        left -= take;
+    }
 }
 
 /// Decode one block by scanning runs from the start of the stream

@@ -129,10 +129,20 @@ pub struct ColumnStats {
     /// Set when a consecutive delta overflowed `i64`; delta-family
     /// encodings are then ruled out entirely.
     pub delta_overflow: bool,
-    /// Distinct values, tracked until the dictionary limit is passed.
-    distinct: Option<DistinctSet>,
+    distinct: Distinct,
     last: Option<i64>,
     current_run: u64,
+}
+
+/// What the statistics know of the distinct values.
+#[derive(Debug, Clone)]
+enum Distinct {
+    /// Tracked value by value until the dictionary limit is passed.
+    Set(DistinctSet),
+    /// Counted by the caller ([`ColumnStats::uncounted`]).
+    Counted(u64),
+    /// Past the dictionary limit.
+    Many,
 }
 
 impl Default for ColumnStats {
@@ -154,10 +164,27 @@ impl ColumnStats {
             max_run: 0,
             null_count: 0,
             delta_overflow: false,
-            distinct: Some(DistinctSet::new()),
+            distinct: Distinct::Set(DistinctSet::new()),
             last: None,
             current_run: 0,
         }
+    }
+
+    /// Statistics that leave the distinct count to the caller, who knows
+    /// it cheaper — a bitmap over a code domain — than a set of values
+    /// does; [`ColumnStats::set_distinct`] supplies it.
+    pub fn uncounted() -> ColumnStats {
+        ColumnStats {
+            distinct: Distinct::Counted(0),
+            ..ColumnStats::new()
+        }
+    }
+
+    /// The number of distinct values, counted by the caller of
+    /// [`ColumnStats::uncounted`].
+    pub fn set_distinct(&mut self, n: u64) {
+        debug_assert!(matches!(self.distinct, Distinct::Counted(_)));
+        self.distinct = Distinct::Counted(n);
     }
 
     /// Fold a block of values into the statistics: one pass per family of
@@ -211,7 +238,7 @@ impl ColumnStats {
         (self.runs, self.current_run, self.max_run) = (runs, run, max_run);
 
         // The distinct set, only while it is still tracked.
-        if let Some(set) = &mut self.distinct {
+        if let Distinct::Set(set) = &mut self.distinct {
             let mut prev = self.last;
             let mut overfull = false;
             for &v in vals {
@@ -222,20 +249,68 @@ impl ColumnStats {
                 prev = Some(v);
             }
             if overfull {
-                self.distinct = None;
+                self.distinct = Distinct::Many;
             }
         }
         self.last = Some(last);
     }
 
+    /// Fold runs of equal values — `(value, count)` pairs — into the
+    /// statistics: what [`ColumnStats::update`] computes over the values
+    /// the runs stand for, at the cost of the runs.
+    pub fn update_runs(&mut self, runs: &[(i64, u64)]) {
+        for &(v, n) in runs.iter().filter(|&&(_, n)| n > 0) {
+            self.count += n;
+            self.min = self.min.min(v);
+            self.max = self.max.max(v);
+            if v == NULL_I64 {
+                self.null_count += n;
+            }
+            match self.last {
+                Some(prev) => {
+                    let d = v.wrapping_sub(prev);
+                    self.delta_overflow |= (v >= prev) != (d >= 0);
+                    self.min_delta = self.min_delta.min(d);
+                    self.max_delta = self.max_delta.max(d);
+                    if v == prev {
+                        self.current_run += n;
+                    } else {
+                        self.runs += 1;
+                        self.current_run = n;
+                    }
+                }
+                None => (self.runs, self.current_run) = (1, n),
+            }
+            self.max_run = self.max_run.max(self.current_run);
+            if n > 1 {
+                // The pairs inside the run.
+                self.min_delta = self.min_delta.min(0);
+                self.max_delta = self.max_delta.max(0);
+            }
+            if let Distinct::Set(set) = &mut self.distinct {
+                if set.insert(v) && set.len() > (1 << DICT_MAX_BITS) {
+                    self.distinct = Distinct::Many;
+                }
+            }
+            self.last = Some(v);
+        }
+    }
+
     /// Distinct value count if it is still being tracked (≤ 2¹⁵).
     pub fn cardinality(&self) -> Option<u64> {
-        self.distinct.as_ref().map(|s| s.len() as u64)
+        match self.distinct {
+            Distinct::Set(ref s) => Some(s.len() as u64),
+            Distinct::Counted(n) => (n <= 1 << DICT_MAX_BITS).then_some(n),
+            Distinct::Many => None,
+        }
     }
 
     /// The distinct values themselves, if still tracked.
     pub fn distinct_values(&self) -> Option<&DistinctSet> {
-        self.distinct.as_ref()
+        match &self.distinct {
+            Distinct::Set(s) => Some(s),
+            _ => None,
+        }
     }
 
     /// Whether every observed delta is non-negative (column is sorted
@@ -535,6 +610,42 @@ mod tests {
         assert_eq!(s.cardinality(), Some(expect.len() as u64));
         let got: std::collections::BTreeSet<i64> = s.distinct_values().unwrap().iter().collect();
         assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn runs_fold_like_their_values() {
+        let shapes: [&[(i64, u64)]; 5] = [
+            &[(5, 3), (7, 1), (7, 2), (3, 4)],
+            &[(NULL_I64, 2), (i64::MAX, 1), (0, 0), (i64::MIN + 1, 5)],
+            &[(9, 1)],
+            &[(1, 1), (2, 1), (3, 1), (4, 1)],
+            &[(-4, 1000), (-4, 24), (8, 1)],
+        ];
+        for runs in shapes {
+            let vals: Vec<i64> = runs
+                .iter()
+                .flat_map(|&(v, n)| std::iter::repeat_n(v, n as usize))
+                .collect();
+            for split in [0, 1, runs.len()] {
+                let mut folded = ColumnStats::new();
+                folded.update_runs(&runs[..split]);
+                folded.update_runs(&runs[split..]);
+                let want = stats_of(&vals);
+                assert_eq!(format!("{folded:?}"), format!("{want:?}"), "{runs:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_caller_counted_cardinality_stops_at_the_dictionary_limit() {
+        let mut s = ColumnStats::uncounted();
+        s.update(&[3, 1, 2]);
+        s.set_distinct(3);
+        assert_eq!(s.cardinality(), Some(3));
+        s.set_distinct(1 << DICT_MAX_BITS);
+        assert_eq!(s.cardinality(), Some(1 << DICT_MAX_BITS));
+        s.set_distinct((1 << DICT_MAX_BITS) + 1);
+        assert_eq!(s.cardinality(), None);
     }
 
     #[test]

@@ -16,6 +16,8 @@ use crate::expr::token_str;
 use crate::morsel::run_morsels;
 use crate::{BoxOp, Operator};
 use std::sync::{Arc, OnceLock};
+use tde_encodings::{ColumnStats, BLOCK_SIZE};
+use tde_storage::builder::stats_metadata;
 use tde_storage::{BuiltColumn, ColumnBuilder, Compression, EncodingPolicy, Table};
 use tde_types::DataType;
 
@@ -50,22 +52,16 @@ pub fn build_from_blocks(
     name: &str,
     opts: FlowTableOptions,
 ) -> BuiltTable {
-    let ncols = schema.len();
     debug_assert!(
         blocks.iter().all(|b| b.weights.is_none()),
         "FlowTable got a run-carrying block"
     );
-    // One task per column on the shared morsel runtime (§3.3: columns
-    // encode independently), as many workers as the platform has cores
-    // (asked once: the answer costs a few file reads on Linux).
-    static CORES: OnceLock<usize> = OnceLock::new();
-    let degree = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from));
-    let built: Vec<BuiltColumn> = run_morsels(degree, ncols, |i| {
-        let i = i as usize;
-        build_column(&schema.fields[i], blocks, i, opts.policy)
+    let built: Vec<BuiltColumn> = per_column(schema.len(), |i| {
+        let chunks: Vec<&[i64]> = blocks.iter().map(|b| &b.columns[i][..]).collect();
+        build_column(&schema.fields[i], &chunks, opts.policy)
     });
-    let mut reencodings = Vec::with_capacity(ncols);
-    let mut columns = Vec::with_capacity(ncols);
+    let mut reencodings = Vec::with_capacity(built.len());
+    let mut columns = Vec::with_capacity(built.len());
     for b in built {
         tde_obs::metrics::column_built(b.column.data.len());
         tde_obs::emit(|| tde_obs::Event::ColumnBuilt {
@@ -85,42 +81,43 @@ pub fn build_from_blocks(
     }
 }
 
-fn build_column(field: &Field, blocks: &[Block], i: usize, policy: EncodingPolicy) -> BuiltColumn {
+/// `f` of every column index below `ncols`, in column order, one task
+/// per column on the shared morsel runtime (§3.3: columns encode
+/// independently) with as many workers as the platform has cores (asked
+/// once: the answer costs a few file reads on Linux).
+pub fn per_column<T: Send>(ncols: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let degree = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from));
+    run_morsels(degree, ncols, |i| f(i as usize))
+}
+
+/// Build the column `field` describes from its values, chunk by chunk,
+/// through the dynamic encoder and the §3.4 post-processing.
+pub fn build_column(field: &Field, chunks: &[&[i64]], policy: EncodingPolicy) -> BuiltColumn {
     match &field.repr {
         Repr::Scalar => {
             let mut b = ColumnBuilder::new(field.name.clone(), field.dtype, policy);
-            for block in blocks {
-                b.append_raw(&block.columns[i]);
-            }
+            chunks.iter().for_each(|c| b.append_raw(c));
             b.finish()
         }
         Repr::Token(heap) => {
             // Frozen heap: tokens must be *preserved* so they stay
             // join-compatible with the outer table's tokens (the invisible
             // join equates token values). The token stream is re-encoded
-            // and narrowed; the heap is shared as-is.
-            let mut b = ColumnBuilder::new(field.name.clone(), DataType::Str, policy);
-            for block in blocks {
-                b.append_raw(&block.columns[i]);
-            }
-            let mut built = b.finish();
+            // and narrowed; the heap is shared as-is, with the sortedness
+            // the field claims for it.
             let sorted = field.metadata.sorted_heap_tokens.is_true();
-            built.column.compression = Compression::Heap {
-                heap: heap.clone(),
-                sorted,
-            };
-            if sorted {
-                built.column.metadata.sorted_heap_tokens = tde_encodings::metadata::Knowledge::True;
-            }
-            built
+            let mut b = ColumnBuilder::over_heap(field.name.clone(), heap.clone(), sorted, policy);
+            chunks.iter().for_each(|c| b.append_raw(c));
+            b.finish()
         }
         Repr::TokenCell(_) => {
             // Growing compute heap (§4.1.2): freeze it by re-interning into
             // a fresh heap, which the builder then sorts and narrows — the
             // computed string column ends up with a minimal sorted domain.
             let mut b = ColumnBuilder::new(field.name.clone(), DataType::Str, policy);
-            for block in blocks {
-                for &t in &block.columns[i] {
+            for chunk in chunks {
+                for &t in *chunk {
                     b.append_str(token_str(&field.repr, t).as_deref());
                 }
             }
@@ -128,12 +125,16 @@ fn build_column(field: &Field, blocks: &[Block], i: usize, policy: EncodingPolic
         }
         Repr::DictIndex(dict) => {
             // Keep array compression: encode the index stream, clone the
-            // dictionary.
+            // dictionary. The claims describe the values the indexes
+            // stand for (§3.4.3), at the index stream's width.
             let mut b = ColumnBuilder::new(field.name.clone(), field.dtype, policy);
-            for block in blocks {
-                b.append_raw(&block.columns[i]);
-            }
+            chunks.iter().for_each(|c| b.append_raw(c));
             let mut built = b.finish();
+            if policy.encodings {
+                let width = built.column.metadata.width;
+                let stats = dictionary_stats(dict, chunks);
+                built.column.metadata = stats_metadata(field.dtype, &stats, width);
+            }
             let sorted = dict.windows(2).all(|w| w[0] <= w[1]);
             built.column.compression = Compression::Array {
                 dictionary: dict.as_ref().clone(),
@@ -142,6 +143,19 @@ fn build_column(field: &Field, blocks: &[Block], i: usize, policy: EncodingPolic
             built
         }
     }
+}
+
+/// The statistics of the values a dictionary-compressed column's
+/// indexes, chunk by chunk, stand for.
+pub fn dictionary_stats(dict: &[i64], chunks: &[&[i64]]) -> ColumnStats {
+    let mut stats = ColumnStats::new();
+    let mut vals = Vec::with_capacity(BLOCK_SIZE);
+    for block in chunks.iter().flat_map(|c| c.chunks(BLOCK_SIZE)) {
+        vals.clear();
+        vals.extend(block.iter().map(|&c| dict[c as usize]));
+        stats.update(&vals);
+    }
+    stats
 }
 
 /// Operator wrapper: builds on first pull, then scans the result.

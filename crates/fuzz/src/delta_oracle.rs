@@ -23,17 +23,26 @@
 //!   through with the predicate pushed and folding a hash aggregate,
 //!   byte-identical to serial (the morsel axis).
 //!
+//! Every compaction of a buffer with mutations must also store what a
+//! FlowTable rebuild of the same rows stores, claim for claim
+//! ([`compaction_mismatches`]): compaction keeps streams in their own
+//! encoding, so its metadata is taken from the codes, not the encoder.
+//!
 //! Appended rows derive deterministically from the op's salt, so a pinned
 //! `.case` file replays the exact mutation history with no generator.
 
 use crate::gen::WORDS;
-use crate::oracle::{base_preds, block_mismatch, canon, diff, rows_of, Discrepancy};
+use crate::oracle::{
+    base_preds, block_mismatch, canon, check_column_claims, diff, rows_of, Discrepancy,
+};
 use crate::spec::{CaseSpec, ColDtype, ColumnData, DeltaOpSpec, Policy};
 use std::sync::Arc;
 use tde_core::Query;
 use tde_delta::DeltaTable;
 use tde_exec::aggregate::{AggSpec, HashAggregate};
 use tde_exec::filter::Filter;
+use tde_exec::flow_table::{flow_table, FlowTableOptions};
+use tde_exec::merged_scan::MergedSource;
 use tde_exec::morsel::{MorselExec, MorselPipeline};
 use tde_exec::{drain, AggFunc, Expr, Projection, Source};
 use tde_storage::Table;
@@ -186,9 +195,23 @@ pub fn delta_diff(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Discrepancy>
                 }
             }
             DeltaOpSpec::Compact => {
-                if let Err(e) = dt.compact() {
-                    ds.push(fail(format!("op #{opno} compact: {e}")));
-                    return;
+                let before = match (!dt.is_clean()).then(|| dt.snapshot()).transpose() {
+                    Ok(before) => before,
+                    Err(e) => {
+                        ds.push(fail(format!("op #{opno} snapshot: {e}")));
+                        return;
+                    }
+                };
+                match dt.compact() {
+                    Ok(table) => {
+                        for d in before.map_or(Vec::new(), |b| compaction_mismatches(&b, &table)) {
+                            ds.push(fail(format!("op #{opno} compact: {d}")));
+                        }
+                    }
+                    Err(e) => {
+                        ds.push(fail(format!("op #{opno} compact: {e}")));
+                        return;
+                    }
                 }
                 slots.retain(Option::is_some);
             }
@@ -286,6 +309,54 @@ pub fn delta_diff(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Discrepancy>
             ds.push(fail(format!("pred #{i}: {d}")));
         }
     }
+}
+
+/// How the table a compaction of `snapshot` produced departs from a
+/// FlowTable rebuild of the snapshot's rows: in the stored values of a
+/// column, in any metadata claim (the width aside, which must be the
+/// stream's own), or in a claim that does not hold.
+pub fn compaction_mismatches(snapshot: &Arc<MergedSource>, compacted: &Table) -> Vec<String> {
+    let source = Source::from(snapshot);
+    let every = source
+        .resolve(&source.column_names())
+        .expect("a snapshot resolves its own columns");
+    let scan = every.scan(false, None, false).0;
+    let rebuilt = flow_table(scan, snapshot.name(), FlowTableOptions::default()).table;
+    let mut out = Vec::new();
+    if compacted.columns.len() != rebuilt.columns.len() {
+        out.push(format!(
+            "{} column(s), the rebuild has {}",
+            compacted.columns.len(),
+            rebuilt.columns.len()
+        ));
+    }
+    for (got, want) in compacted.columns.iter().zip(&rebuilt.columns) {
+        let name = &got.name;
+        if got.data.decode_all() != want.data.decode_all() {
+            out.push(format!(
+                "column {name}: stored values differ from the rebuild's"
+            ));
+        }
+        if got.metadata.width != got.data.width() {
+            out.push(format!(
+                "column {name}: claims width {:?} over a {:?} stream",
+                got.metadata.width,
+                got.data.width()
+            ));
+        }
+        let mut claims = got.metadata.clone();
+        claims.width = want.metadata.width;
+        if claims != want.metadata {
+            out.push(format!(
+                "column {name}: claims {:?}, the rebuild claims {:?}",
+                got.metadata, want.metadata
+            ));
+        }
+        let mut ds = Vec::new();
+        check_column_claims(got, &mut ds);
+        out.extend(ds.into_iter().map(|d| d.detail));
+    }
+    out
 }
 
 /// The snapshot scan split into morsels — the stored block ranges, then

@@ -898,7 +898,9 @@ fn claim_domain(col: &Column) -> Vec<i64> {
     }
 }
 
-fn check_column_claims(col: &Column, ds: &mut Vec<Discrepancy>) {
+/// Check every claim `col.metadata` and its compression make against
+/// the column's stored values.
+pub fn check_column_claims(col: &Column, ds: &mut Vec<Discrepancy>) {
     use tde_encodings::metadata::Knowledge;
     if col.dtype == DataType::Real {
         return; // Real metadata is reset to unknown by the builder.

@@ -873,8 +873,9 @@ pub fn delta_snapshot(nanos: u64) {
     .observe(nanos);
 }
 
-/// Tally rows a compaction re-encoded, by the encoding they landed in:
-/// `tde_compaction_rows_reencoded_total{encoding}`.
+/// Tally rows a compaction sent through the dynamic encoder, by the
+/// encoding they landed in: `tde_compaction_rows_reencoded_total{encoding}`.
+/// Columns spliced in their own encoding are not re-encoded.
 #[inline]
 pub fn compaction_rows_reencoded(encoding: &str, rows: u64) {
     GLOBAL.bump(

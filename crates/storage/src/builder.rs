@@ -108,6 +108,8 @@ pub struct ColumnBuilder {
     pending: Vec<i64>,
     heap: Option<StringHeap>,
     accel: Option<HeapAccelerator>,
+    /// A frozen heap the tokens point into, and whether it is sorted.
+    frozen: Option<(Arc<StringHeap>, bool)>,
 }
 
 /// Hand the staged values to the encoder once they make a whole block.
@@ -148,6 +150,27 @@ impl ColumnBuilder {
             pending: Vec::with_capacity(BLOCK_SIZE),
             heap,
             accel,
+            frozen: None,
+        }
+    }
+
+    /// A builder for tokens into a frozen heap, which the column shares
+    /// as it is: the tokens are kept — they stay join-compatible with
+    /// every other column over the heap (the invisible join equates token
+    /// values) — so the heap is never sorted or re-interned, and the
+    /// column claims sorted tokens exactly when `sorted` says the heap
+    /// is. Tokens arrive through [`ColumnBuilder::append_raw`].
+    pub fn over_heap(
+        name: impl Into<String>,
+        heap: Arc<StringHeap>,
+        sorted: bool,
+        policy: EncodingPolicy,
+    ) -> ColumnBuilder {
+        ColumnBuilder {
+            heap: None,
+            accel: None,
+            frozen: Some((heap, sorted)),
+            ..ColumnBuilder::new(name, DataType::Str, policy)
         }
     }
 
@@ -247,21 +270,14 @@ impl ColumnBuilder {
         let mut stream = result.stream;
         let mut metadata = if policy.encodings {
             // Full extraction from the encoding statistics (§3.4.2).
-            ColumnMetadata::from_stats(&result.stats, Width::W8)
+            stats_metadata(self.dtype, &result.stats, Width::W8)
         } else {
             ColumnMetadata::unknown()
         };
-        if self.dtype.is_string() && policy.encodings {
-            // String NULLs are stored as NULL_TOKEN (0), not NULL_I64, so
-            // the sentinel count in the statistics never sees them. Real
-            // tokens are heap offsets past the reserved null slot, so a
-            // zero minimum is exactly "a NULL is present".
-            metadata.has_nulls = Knowledge::from_bool(
-                result.stats.count > 0 && result.stats.min == NULL_TOKEN as i64,
-            );
-        }
 
-        let compression = if let Some(heap) = self.heap.take() {
+        let compression = if let Some((heap, sorted)) = self.frozen.take() {
+            Compression::Heap { heap, sorted }
+        } else if let Some(heap) = self.heap.take() {
             let mut sorted = heap.is_empty();
             // Fortuitous sortedness: the strings arrived in order
             // (the no-encoding bars of Fig 6).
@@ -318,13 +334,6 @@ impl ColumnBuilder {
             }
             metadata.width = stream.width();
         }
-        // Width metadata for reals is meaningless (bit patterns).
-        if self.dtype == DataType::Real {
-            metadata = ColumnMetadata {
-                width: Width::W8,
-                ..ColumnMetadata::unknown()
-            };
-        }
         if let Compression::Heap { sorted, .. } = &compression {
             if *sorted {
                 metadata.sorted_heap_tokens = Knowledge::True;
@@ -345,6 +354,31 @@ impl ColumnBuilder {
     }
 }
 
+/// The claims [`ColumnBuilder::finish`] derives from a column's
+/// statistics (§3.4.2), at `width`, before any heap manipulation: all a
+/// column over a frozen heap or a dictionary claims, beside the heap's
+/// sortedness.
+pub fn stats_metadata(dtype: DataType, stats: &ColumnStats, width: Width) -> ColumnMetadata {
+    if dtype == DataType::Real {
+        // A real's values are bit patterns: it claims nothing but its
+        // stream's width.
+        return ColumnMetadata {
+            width,
+            ..ColumnMetadata::unknown()
+        };
+    }
+    let mut metadata = ColumnMetadata::from_stats(stats, width);
+    if dtype.is_string() {
+        // String NULLs are stored as NULL_TOKEN (0), not NULL_I64, so
+        // the sentinel count in the statistics never sees them. Real
+        // tokens are heap offsets past the reserved null slot, so a
+        // zero minimum is exactly "a NULL is present".
+        metadata.has_nulls =
+            Knowledge::from_bool(stats.count > 0 && stats.min == NULL_TOKEN as i64);
+    }
+    metadata
+}
+
 /// The metadata [`ColumnBuilder::finish`] records for a scalar
 /// (non-string) column of `dtype` under the default policy, from the
 /// statistics of its values alone: the extracted properties (§3.4.2) at
@@ -357,9 +391,6 @@ impl ColumnBuilder {
 /// the one the load ended on.
 pub fn scalar_metadata(dtype: DataType, stats: &ColumnStats) -> ColumnMetadata {
     debug_assert!(!dtype.is_string());
-    if dtype == DataType::Real {
-        return ColumnMetadata::unknown();
-    }
     let width = match choose_encoding(stats, Width::W8, AllowedAlgorithms::all(), true) {
         EncodingSpec::None | EncodingSpec::Rle { .. } => Width::W8,
         // The header envelope, as `manipulate::narrow` reads it.
@@ -367,13 +398,16 @@ pub fn scalar_metadata(dtype: DataType, stats: &ColumnStats) -> ColumnMetadata {
             .then(|| frame.checked_add(((1u64 << bits) - 1) as i64))
             .flatten()
             .map_or(Width::W8, |hi| Width::for_signed_range(frame, hi, true)),
+        // A delta stream has no envelope in its header; the builder
+        // records the load statistics' range, except a real's.
+        EncodingSpec::Delta { .. } if dtype == DataType::Real => Width::W8,
         // Exact envelopes: affine and dictionary headers, and the load
         // statistics for delta streams.
         EncodingSpec::Affine { .. } | EncodingSpec::Dict { .. } | EncodingSpec::Delta { .. } => {
             Width::for_signed_range(stats.min, stats.max, true)
         }
     };
-    ColumnMetadata::from_stats(stats, width)
+    stats_metadata(dtype, stats, width)
 }
 
 #[cfg(test)]
