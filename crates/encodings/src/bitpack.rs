@@ -100,48 +100,9 @@ pub(crate) fn too_wide(bits: u8) -> u64 {
     }
 }
 
-/// The values of a packed stream, read a word at a time — the inverse of
-/// [`pack_from`], for re-packing a stream at another width without
-/// materializing it.
-pub(crate) fn unpack_iter(data: &[u8], bits: u8, count: usize) -> impl Iterator<Item = u64> + '_ {
-    debug_assert!(bits <= 64);
-    let mask = if bits == 64 {
-        u64::MAX
-    } else {
-        (1u64 << bits) - 1
-    };
-    let bits = u32::from(bits);
-    let mut words = data.chunks(8).map(|w| {
-        let mut word = [0u8; 8];
-        word[..w.len()].copy_from_slice(w);
-        u64::from_le_bytes(word)
-    });
-    let mut acc = 0u64;
-    let mut have = 0u32;
-    (0..count).map(move |_| {
-        if bits == 0 {
-            return 0;
-        }
-        if have >= bits {
-            let v = acc & mask;
-            acc = if bits == 64 { 0 } else { acc >> bits };
-            have -= bits;
-            return v;
-        }
-        // `have < bits <= 64`: finish the value from the next word.
-        let next = words.next().expect("bitpack underflow");
-        let v = (acc | (next << have)) & mask;
-        let used = bits - have;
-        acc = if used == 64 { 0 } else { next >> used };
-        have = 64 - used;
-        v
-    })
-}
-
-/// Random access into packed `bits`-bit values — what every decode loop
-/// and compressed-domain kernel reads packed data through, so a block is
-/// unpacked straight into its consumer (a frame add, a dictionary
-/// lookup, a predicate test) with no staging vector in between.
+/// Random access into packed `bits`-bit values — how a selection too
+/// sparse to unpack its block ([`crate::Selection::unpacks_block`]) reads
+/// the rows it keeps. Whole blocks go through [`unpack_block`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Packed<'a> {
     data: &'a [u8],
@@ -179,10 +140,121 @@ impl<'a> Packed<'a> {
 }
 
 /// Unpack `count` values of `bits` bits each from `data` into `out`,
-/// appending. `bits == 0` appends `count` zeros.
+/// appending. `bits == 0` appends `count` zeros. Each whole
+/// [`BLOCK_SIZE`](crate::BLOCK_SIZE)-value chunk goes through the
+/// block unpack every decode runs, exactly as a stored block does.
 pub fn unpack(data: &[u8], bits: u8, count: usize, out: &mut Vec<u64>) {
-    let packed = Packed::new(data, bits);
-    out.extend((0..count).map(|i| packed.get(i)));
+    let chunk_bytes = packed_bytes(crate::BLOCK_SIZE, bits);
+    for (i, start) in (0..count).step_by(crate::BLOCK_SIZE).enumerate() {
+        let n = (count - start).min(crate::BLOCK_SIZE);
+        unpack_block(&data[i * chunk_bytes..], bits, n, out, |v| v);
+    }
+}
+
+/// Unpack the `count` values of `bits` bits packed at the start of
+/// `data`, each through `map` (a cast, a frame add) on its way into
+/// `out`, appending — the one whole-block unpack under every decode,
+/// kernel and dense gather.
+///
+/// It is specialised per width at compile time: eight values of `B` bits
+/// are `B` whole bytes, and each value in such a group is one unaligned
+/// load at a constant offset, a constant shift and a mask (a 16-byte load
+/// for the widths over 57 bits but 64, whose values can straddle nine
+/// bytes). The groups whose loads would run past the end of `data` are
+/// unpacked from a zero-padded copy of the tail, so `data` may end at the
+/// last packed byte.
+pub(crate) fn unpack_block<T: Copy>(
+    data: &[u8],
+    bits: u8,
+    count: usize,
+    out: &mut Vec<T>,
+    map: impl Fn(u64) -> T,
+) {
+    assert!(
+        data.len() >= packed_bytes(count, bits),
+        "{count} values of {bits} bits need {} bytes, not {}",
+        packed_bytes(count, bits),
+        data.len()
+    );
+    macro_rules! by_width {
+        ($($b:literal)*) => {
+            match bits {
+                0 => out.extend(std::iter::repeat_n(map(0), count)),
+                $($b => unpack_width::<$b, T>(data, count, out, &map),)*
+                _ => panic!("{bits}-bit packing"),
+            }
+        };
+    }
+    by_width!(
+        1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
+        33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60 61 62
+        63 64
+    );
+}
+
+/// Whether a `B`-bit value at any bit phase fits one 8-byte load.
+const fn one_word(b: usize) -> bool {
+    b <= 57 || b == 64
+}
+
+/// Bytes the loads of one group of eight `B`-bit values read from the
+/// group's first byte: the last value's byte offset plus one load.
+const fn reach(b: usize) -> usize {
+    7 * b / 8 + if one_word(b) { 8 } else { 16 }
+}
+
+/// The zero-padded tail copy: fewer than `reach` bytes of data remain
+/// when the tail starts, and the last group in it reads `reach` more.
+const TAIL_PAD: usize = 2 * reach(63);
+
+/// [`unpack_block`] at `B` bits.
+#[inline(never)]
+fn unpack_width<const B: usize, T: Copy>(
+    data: &[u8],
+    count: usize,
+    out: &mut Vec<T>,
+    map: &impl Fn(u64) -> T,
+) {
+    let start = out.len();
+    let groups = count.div_ceil(8);
+    out.resize(start + groups * 8, map(0));
+    let dst = &mut out[start..];
+    // The groups whose loads stay inside `data`.
+    let direct = match data.len().checked_sub(reach(B)) {
+        Some(room) => (room / B + 1).min(groups),
+        None => 0,
+    };
+    let (head, tail) = dst.split_at_mut(direct * 8);
+    for (g, values) in head.chunks_exact_mut(8).enumerate() {
+        unpack_group::<B, T>(&data[g * B..], values, map);
+    }
+    if !tail.is_empty() {
+        let rest = &data[direct * B..];
+        let mut pad = [0u8; TAIL_PAD];
+        let n = rest.len().min(TAIL_PAD);
+        pad[..n].copy_from_slice(&rest[..n]);
+        for (g, values) in tail.chunks_exact_mut(8).enumerate() {
+            unpack_group::<B, T>(&pad[g * B..], values, map);
+        }
+    }
+    out.truncate(start + count);
+}
+
+/// Unpack the eight `B`-bit values at the start of `src` (at least
+/// `reach(B)` bytes) through `map` into `values`.
+#[inline(always)]
+fn unpack_group<const B: usize, T: Copy>(src: &[u8], values: &mut [T], map: &impl Fn(u64) -> T) {
+    let src = &src[..reach(B)];
+    let mask = u64::MAX >> (64 - B);
+    for (j, v) in values[..8].iter_mut().enumerate() {
+        let (at, shift) = (j * B / 8, j * B % 8);
+        let word = if one_word(B) {
+            u64::from_le_bytes(src[at..at + 8].try_into().expect("8 bytes")) >> shift
+        } else {
+            (u128::from_le_bytes(src[at..at + 16].try_into().expect("16 bytes")) >> shift) as u64
+        };
+        *v = map(word & mask);
+    }
 }
 
 /// Read the single value at index `idx` from a packed stream without
@@ -267,8 +339,40 @@ mod tests {
                 pack(&values, bits, &mut packed);
                 assert_eq!(packed[0], 0xAA);
                 assert_eq!(&packed[1..], &expect[..], "bits={bits} count={count}");
-                let back: Vec<u64> = unpack_iter(&expect, bits, count).collect();
+                let mut back: Vec<u64> = Vec::new();
+                unpack_block(&expect, bits, count, &mut back, |v| v);
                 assert_eq!(back, values, "bits={bits} count={count}");
+            }
+        }
+    }
+
+    #[test]
+    fn unpack_block_matches_get_one_at_every_width() {
+        for bits in 0..=64u8 {
+            let max = u64::MAX >> (64 - u32::from(bits.max(1)));
+            for count in [1usize, 63, 64, 1000, 1024] {
+                let values: Vec<u64> = (0..count as u64)
+                    .map(|i| {
+                        i.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                            .rotate_left(i as u32 % 64)
+                    })
+                    .map(|v| if bits == 0 { 0 } else { v & max })
+                    .collect();
+                let mut packed = Vec::new();
+                pack(&values, bits, &mut packed);
+                // The buffer ends at the last packed byte: the tail groups
+                // read from the padded copy.
+                assert_eq!(packed.len(), packed_bytes(count, bits));
+                let mut out = vec![7u64]; // appends after existing values
+                unpack_block(&packed, bits, count, &mut out, |v| v);
+                assert_eq!(&out[1..], &values[..], "bits={bits} count={count}");
+                for (i, &v) in out[1..].iter().enumerate() {
+                    assert_eq!(
+                        v,
+                        get_one(&packed, bits, i),
+                        "bits={bits} count={count} i={i}"
+                    );
+                }
             }
         }
     }
@@ -279,7 +383,9 @@ mod tests {
         let mut out = Vec::new();
         pack_from((0..10).inspect(|_| seen += 1).map(|_| 0), 10, 0, &mut out);
         assert_eq!((seen, out.len()), (10, 0));
-        assert_eq!(unpack_iter(&[], 0, 3).collect::<Vec<_>>(), vec![0; 3]);
+        let mut zeros: Vec<u64> = Vec::new();
+        unpack_block(&[], 0, 3, &mut zeros, |v| v);
+        assert_eq!(zeros, vec![0; 3]);
     }
 
     #[test]

@@ -100,18 +100,21 @@ pub fn append_block(buf: &mut Vec<u8>, h: &HeaderView, vals: &[i64]) -> Result<(
     Ok(())
 }
 
-/// Decode a full physical block.
+/// Decode a full physical block: unpack its deltas, then sum them in
+/// place from the block's base.
 pub fn decode_block(buf: &[u8], h: &HeaderView, block_idx: usize, out: &mut Vec<i64>) {
     let md = min_delta(buf);
     let start = h.data_offset + block_idx * block_bytes(h);
     let base = header::get_i64(buf, start);
-    let packed = bitpack::Packed::new(&buf[start + 8..], h.bits);
+    let first = out.len();
+    bitpack::unpack_block(&buf[start + 8..], h.bits, h.block_size, out, |d| d as i64);
+    // The base stands in for packed value 0.
+    out[first] = base;
     let mut v = base;
-    out.push(v);
-    out.extend((1..h.block_size).map(|i| {
-        v = v.wrapping_add(md).wrapping_add(packed.get(i) as i64);
-        v
-    }));
+    for d in &mut out[first + 1..] {
+        v = v.wrapping_add(md).wrapping_add(*d);
+        *d = v;
+    }
 }
 
 /// Random access: jump to the block base, then accumulate within the block.

@@ -73,25 +73,18 @@ pub(crate) fn repack<F: FnMut(&[u64])>(
     to.push_packed(old, oh, dropped, |offset| offset.wrapping_add(shift));
 }
 
-/// The packed offsets of physical block `block_idx`.
-pub(crate) fn block_offsets<'a>(
-    buf: &'a [u8],
-    h: &HeaderView,
-    block_idx: usize,
-) -> bitpack::Packed<'a> {
-    let block_bytes = bitpack::packed_bytes(h.block_size, h.bits);
-    bitpack::Packed::new(&buf[h.data_offset + block_idx * block_bytes..], h.bits)
-}
-
 /// Decode a full physical block, adding the frame as each offset is
 /// unpacked.
 pub fn decode_block(buf: &[u8], h: &HeaderView, block_idx: usize, out: &mut Vec<i64>) {
     let frame = frame_value(buf);
-    let offsets = block_offsets(buf, h, block_idx);
-    out.extend((0..h.block_size).map(|i| frame.wrapping_add(offsets.get(i) as i64)));
+    let data = h.packed_block(buf, block_idx);
+    bitpack::unpack_block(data, h.bits, h.block_size, out, |o| {
+        frame.wrapping_add(o as i64)
+    });
 }
 
-/// Decode only the rows at `positions` (local to block `block_idx`).
+/// Decode only the rows at `positions` (local to block `block_idx`), one
+/// packed read each — for a selection too sparse to unpack the block.
 pub fn gather_block(
     buf: &[u8],
     h: &HeaderView,
@@ -100,7 +93,7 @@ pub fn gather_block(
     out: &mut Vec<i64>,
 ) {
     let frame = frame_value(buf);
-    let offsets = block_offsets(buf, h, block_idx);
+    let offsets = bitpack::Packed::new(h.packed_block(buf, block_idx), h.bits);
     out.extend(
         positions
             .iter()

@@ -191,6 +191,14 @@ impl HeaderView {
             .map(move |b| (first + b * block_bytes, per_block.min(rows - b * per_block)))
     }
 
+    /// The packed data of block `block_idx` of a frame-of-reference or
+    /// dictionary stream (blocks of packed values only), from its first
+    /// byte to the end of `buf`.
+    pub(crate) fn packed_block<'a>(&self, buf: &'a [u8], block_idx: usize) -> &'a [u8] {
+        let block_bytes = crate::bitpack::packed_bytes(self.block_size, self.bits);
+        &buf[self.data_offset + block_idx * block_bytes..]
+    }
+
     /// Fallible parse for untrusted input (e.g. files from disk).
     pub fn try_parse(buf: &[u8]) -> Option<HeaderView> {
         if buf.len() < COMMON_LEN {

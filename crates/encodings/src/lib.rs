@@ -21,6 +21,8 @@
 //! stream's own encoding) and [`metadata`] (the extracted column
 //! properties consumed by the tactical optimizer).
 
+#![forbid(unsafe_code)]
+
 pub mod affine;
 pub mod bitpack;
 pub mod cuckoo;

@@ -11,6 +11,14 @@
 //! Narrowing reuses the position buffer, so a selection that lives as
 //! long as its scan allocates only for its first block.
 
+/// A selection that keeps at least one row in `UNPACK_DENSITY` of its
+/// block reads a bit-packed block whole — one width-specialised unpack,
+/// then a gather — instead of one packed read per kept row. Measured on
+/// 1024-row blocks (12-bit frame-of-reference, 10-bit dictionary, random
+/// positions): the two cost the same at about half the block for the
+/// frame and two thirds for the dictionary.
+pub const UNPACK_DENSITY: usize = 2;
+
 /// The selected rows of one block of `rows` rows.
 #[derive(Debug, Clone, Default)]
 pub struct Selection {
@@ -67,6 +75,12 @@ impl Selection {
         (!self.dense).then_some(self.pos.as_slice())
     }
 
+    /// Whether the selection keeps enough of its block
+    /// ([`UNPACK_DENSITY`]) to read a bit-packed block whole.
+    pub fn unpacks_block(&self) -> bool {
+        self.len() * UNPACK_DENSITY >= self.rows
+    }
+
     /// Selected rows among the block's first `rows` — what a standalone
     /// kernel evaluation over a `rows`-row block matched.
     pub fn selected(&self, rows: usize) -> usize {
@@ -84,10 +98,12 @@ impl Selection {
         if self.dense {
             // Branch-free: every position is written, the count only
             // advances past the kept ones.
-            self.pos.resize(self.rows, 0);
+            let rows = self.rows;
+            self.pos.resize(rows, 0);
+            let pos = &mut self.pos[..rows];
             let mut n = 0;
-            for i in 0..self.rows {
-                self.pos[n] = i as u32;
+            for i in 0..rows {
+                pos[n] = i as u32;
                 n += usize::from(keep(i));
             }
             self.pos.truncate(n);
@@ -104,6 +120,30 @@ impl Selection {
                 n += usize::from(keep(p as usize));
             }
             self.pos.truncate(n);
+        }
+    }
+
+    /// [`Selection::retain`] over this block's column `values`: keep
+    /// the selected rows whose value passes `keep`.
+    #[inline]
+    pub(crate) fn retain_values(&mut self, values: &[i64], keep: impl Fn(i64) -> bool) {
+        let rows = self.rows;
+        if self.dense {
+            self.pos.resize(rows, 0);
+            let pos = &mut self.pos[..rows];
+            let mut n = 0;
+            for (i, &v) in values[..rows].iter().enumerate() {
+                pos[n] = i as u32;
+                n += usize::from(keep(v));
+            }
+            self.pos.truncate(n);
+            if n == rows {
+                self.select_all(rows);
+            } else {
+                self.dense = false;
+            }
+        } else {
+            self.retain(|i| keep(values[i]));
         }
     }
 

@@ -141,7 +141,7 @@ pub(crate) fn kept_codes(
     let block_bytes = bitpack::packed_bytes(h.block_size, h.bits);
     for (b, (at, n)) in h.blocks(block_bytes).enumerate() {
         block.clear();
-        block.extend(bitpack::unpack_iter(&buf[at..], h.bits, n).map(&map));
+        bitpack::unpack_block(&buf[at..], h.bits, n, &mut block, &map);
         let first = (b * h.block_size) as u64;
         for_kept(&block, first, &mut dropped, &mut f);
     }

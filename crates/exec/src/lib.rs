@@ -29,6 +29,8 @@
 //!   work-stealing scheduler, reassembled in task order — which is how
 //!   §4.3's order preservation upstream of encoders holds by construction.
 
+#![forbid(unsafe_code)]
+
 pub mod aggregate;
 pub mod block;
 pub mod cursor;

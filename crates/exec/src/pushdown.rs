@@ -217,7 +217,7 @@ impl CompiledPredicate {
     fn select(&mut self, schema: &Schema, block: &Block, sel: &mut Selection) {
         for (c, m) in &self.tests {
             let values = &block.columns[*c];
-            m.narrow(sel, |i| values[i] as u64);
+            m.narrow_values(sel, values);
         }
         for e in &self.residual {
             if sel.is_empty() {
