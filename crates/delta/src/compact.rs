@@ -158,7 +158,7 @@ fn compact_column(base: &ColumnHandle, field: &Field, dropped: &[u64], tail: &[i
                 sorted,
             }
         }
-        Repr::DictIndex(dict) => {
+        Repr::DictIndex(dict, _) => {
             // The claims describe the values the indexes stand for.
             let stats = dictionary_stats(dict, &[&survivors(&stream, &[])]);
             metadata = stats_metadata(field.dtype, &stats, stream.width());

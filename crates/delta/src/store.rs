@@ -249,7 +249,7 @@ impl ColumnIndex {
                 index: HeapAccelerator::from_heap(heap),
                 memo: Vec::new(),
             },
-            Repr::DictIndex(dict) => ColumnIndex::Dict {
+            Repr::DictIndex(dict, _) => ColumnIndex::Dict {
                 index: dict
                     .iter()
                     .enumerate()
@@ -709,7 +709,11 @@ impl DeltaTable {
             (DeltaVals::Ints(vals), Repr::Scalar, ColumnIndex::Scalar) => {
                 Ok((self.map_live(vals.iter(), |&v| v), false))
             }
-            (DeltaVals::Ints(vals), Repr::DictIndex(dict), ColumnIndex::Dict { index, memo }) => {
+            (
+                DeltaVals::Ints(vals),
+                Repr::DictIndex(dict, _),
+                ColumnIndex::Dict { index, memo },
+            ) => {
                 let seen = memo.len();
                 memo.extend(vals[seen..].iter().map(|v| *index.get(v).unwrap_or(&MISS)));
                 let mut overlay: Option<(Vec<i64>, HashMap<i64, i64>)> = None;
@@ -726,7 +730,7 @@ impl DeltaTable {
                 });
                 let extended = overlay.is_some();
                 if let Some((merged, _)) = overlay {
-                    field.repr = Repr::DictIndex(Arc::new(merged));
+                    field.repr = Repr::DictIndex(Arc::new(merged), None);
                 }
                 Ok((raws, extended))
             }
@@ -808,7 +812,7 @@ impl DeltaTable {
                 _ => NULL_I64,
             };
             let dict = match &field.repr {
-                Repr::DictIndex(d) => Some(Arc::clone(d)),
+                Repr::DictIndex(d, _) => Some(Arc::clone(d)),
                 _ => None,
             };
             for &r in raws {
@@ -1267,7 +1271,7 @@ pub(crate) mod tests {
             let (want, want_dict) = reference_codes(&dictionary, &appended);
             let src = dt.snapshot().unwrap();
             assert_eq!(delta_raws(&src, 0), want, "codes after batch {batch}");
-            let Repr::DictIndex(got_dict) = &src.fields()[0].repr else {
+            let Repr::DictIndex(got_dict, _) = &src.fields()[0].repr else {
                 panic!("dictionary column lost its dictionary");
             };
             assert_eq!(**got_dict, want_dict.unwrap_or_else(|| dictionary.clone()));

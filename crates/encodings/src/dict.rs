@@ -201,9 +201,9 @@ pub(crate) fn codes_to_values(buf: &[u8], h: &HeaderView, vals: &mut [i64]) {
     }
 }
 
-/// Decode a full physical block: unpack its codes, then look each up.
-pub fn decode_block(buf: &[u8], h: &HeaderView, block_idx: usize, out: &mut Vec<i64>) {
-    let start = out.len();
+/// Unpack a full physical block's codes — the entry indexes, not the
+/// entries — for a consumer that works on codes.
+pub fn unpack_codes(buf: &[u8], h: &HeaderView, block_idx: usize, out: &mut Vec<i64>) {
     bitpack::unpack_block(
         h.packed_block(buf, block_idx),
         h.bits,
@@ -211,12 +211,12 @@ pub fn decode_block(buf: &[u8], h: &HeaderView, block_idx: usize, out: &mut Vec<
         out,
         |c| c as i64,
     );
-    codes_to_values(buf, h, &mut out[start..]);
 }
 
-/// Decode only the rows at `positions` (local to block `block_idx`), one
-/// packed read each — for a selection too sparse to unpack the block.
-pub fn gather_block(
+/// Read the codes of only the rows at `positions` (local to block
+/// `block_idx`), one packed read each — for a selection too sparse to
+/// unpack the block.
+pub fn gather_codes(
     buf: &[u8],
     h: &HeaderView,
     block_idx: usize,
@@ -224,8 +224,27 @@ pub fn gather_block(
     out: &mut Vec<i64>,
 ) {
     let codes = bitpack::Packed::new(h.packed_block(buf, block_idx), h.bits);
-    let start = out.len();
     out.extend(positions.iter().map(|&i| codes.get(i as usize) as i64));
+}
+
+/// Decode a full physical block: unpack its codes, then look each up.
+pub fn decode_block(buf: &[u8], h: &HeaderView, block_idx: usize, out: &mut Vec<i64>) {
+    let start = out.len();
+    unpack_codes(buf, h, block_idx, out);
+    codes_to_values(buf, h, &mut out[start..]);
+}
+
+/// Decode only the rows at `positions` (local to block `block_idx`), one
+/// packed read each.
+pub fn gather_block(
+    buf: &[u8],
+    h: &HeaderView,
+    block_idx: usize,
+    positions: &[u32],
+    out: &mut Vec<i64>,
+) {
+    let start = out.len();
+    gather_codes(buf, h, block_idx, positions, out);
     codes_to_values(buf, h, &mut out[start..]);
 }
 
@@ -285,6 +304,29 @@ mod tests {
         assert_eq!(get_index(s.as_bytes(), &h, 1), 1);
         assert_eq!(get_index(s.as_bytes(), &h, 2), 0);
         assert_eq!(get_index(s.as_bytes(), &h, 3), 2);
+    }
+
+    #[test]
+    fn codes_read_alike_whole_and_per_row() {
+        let vals: Vec<i64> = (0..3000i64).map(|i| (i * 37) % 11 * 1000).collect();
+        let mut s = EncodedStream::new_dict(Width::W8, true, 4);
+        for chunk in vals.chunks(BLOCK_SIZE) {
+            s.append_block(chunk).unwrap();
+        }
+        let (buf, h) = (s.as_bytes(), s.header());
+        let entries = entries(buf, &h);
+        for (b, chunk) in vals.chunks(BLOCK_SIZE).enumerate() {
+            let mut codes = Vec::new();
+            unpack_codes(buf, &h, b, &mut codes);
+            codes.truncate(chunk.len());
+            let looked_up: Vec<i64> = codes.iter().map(|&c| entries[c as usize]).collect();
+            assert_eq!(looked_up, chunk);
+            let positions: Vec<u32> = (0..chunk.len() as u32).step_by(7).collect();
+            let mut some = Vec::new();
+            gather_codes(buf, &h, b, &positions, &mut some);
+            let want: Vec<i64> = positions.iter().map(|&p| codes[p as usize]).collect();
+            assert_eq!(some, want);
+        }
     }
 
     #[test]

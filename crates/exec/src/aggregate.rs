@@ -11,6 +11,7 @@ use crate::expr::AggFunc;
 use crate::hash::{GroupMap, HashStrategy, KeyList, KeyPacking};
 use crate::tactical;
 use crate::{BoxOp, Operator, BLOCK_ROWS};
+use std::sync::Arc;
 use tde_types::sentinel::{is_null_real, null_real, NULL_I64, NULL_TOKEN};
 use tde_types::DataType;
 
@@ -45,13 +46,13 @@ enum Domain {
     /// dictionary, not scalars — they must be translated before folding
     /// (a sum of codes is meaningless, and extrema of codes follow
     /// dictionary order, not value order).
-    Dict(std::sync::Arc<Vec<i64>>),
+    Dict(Arc<Vec<i64>>),
 }
 
 fn domain_of(f: &Field) -> Domain {
     match (&f.repr, f.dtype) {
         (Repr::Token(_) | Repr::TokenCell(_), _) => Domain::Token,
-        (Repr::DictIndex(dict), _) => Domain::Dict(dict.clone()),
+        (Repr::DictIndex(dict, _), _) => Domain::Dict(dict.clone()),
         (_, DataType::Real) => Domain::Real,
         _ => Domain::Int,
     }
@@ -294,9 +295,13 @@ fn final_value(acc: &AccCol, g: usize, func: AggFunc, domain: &Domain) -> i64 {
 }
 
 fn output_schema(input: &Schema, group_cols: &[usize], aggs: &[AggSpec]) -> Schema {
+    // A key read as codes comes out as the values they stand for.
     let mut fields: Vec<Field> = group_cols
         .iter()
-        .map(|&c| input.fields[c].clone())
+        .map(|&c| {
+            let f = &input.fields[c];
+            f.decoded().map_or(f, |(_, values)| values).clone()
+        })
         .collect();
     for a in aggs {
         let mut f = match a.func {
@@ -305,7 +310,7 @@ fn output_schema(input: &Schema, group_cols: &[usize], aggs: &[AggSpec]) -> Sche
                 let mut f = input.fields[a.col].clone();
                 // Folding translated dictionary codes to scalars, so the
                 // aggregate value is no longer a dictionary position.
-                if matches!(f.repr, Repr::DictIndex(_)) {
+                if matches!(f.repr, Repr::DictIndex(..)) {
                     f.repr = Repr::Scalar;
                 }
                 f.metadata = tde_encodings::ColumnMetadata::unknown();
@@ -410,8 +415,17 @@ impl Partial {
 /// Folding is column-at-a-time: a block's group ids are computed in one
 /// pass over its key columns, then each aggregate runs one loop,
 /// specialised for its (function, domain), over its input column.
+///
+/// A key may arrive as the [codes](Field::codes) of a dictionary-encoded
+/// stream: the core groups on the codes, whose narrow range the hash
+/// strategy packs, and maps each group's code to its entry once, at
+/// finish. Entries are distinct, so first sight over codes is first
+/// sight over values and the output is what grouping on values gives.
+/// Such a key is never an aggregate's input (a `COUNT` aside).
 pub struct AggCore {
     group_cols: Vec<usize>,
+    /// Per key, the entries its codes index, when it arrives as codes.
+    key_entries: Vec<Option<Arc<Vec<i64>>>>,
     aggs: Vec<AggSpec>,
     domains: Vec<Domain>,
     grouping: Grouping,
@@ -438,10 +452,23 @@ impl AggCore {
         aggs: Vec<AggSpec>,
         grouping: Grouping,
     ) -> AggCore {
+        debug_assert!(
+            aggs.iter()
+                .all(|a| a.func == AggFunc::Count || input.fields[a.col].decoded().is_none()),
+            "an aggregate folds values, not codes"
+        );
         AggCore {
             domains: aggs
                 .iter()
                 .map(|a| domain_of(&input.fields[a.col]))
+                .collect(),
+            key_entries: group_cols
+                .iter()
+                .map(|&c| {
+                    input.fields[c]
+                        .decoded()
+                        .map(|(entries, _)| Arc::clone(entries))
+                })
                 .collect(),
             schema: output_schema(input, &group_cols, &aggs),
             group_cols,
@@ -544,13 +571,15 @@ impl AggCore {
     }
 
     /// Append the final values of groups `range` of `p` to column-major
-    /// `out`: group keys, then aggregates.
+    /// `out`: group keys (a code as its entry), then aggregates.
     fn finalize(&self, p: &Partial, range: std::ops::Range<usize>, out: &mut [Vec<i64>]) {
         let keys = p.groups.keys();
         let (key_cols, agg_cols) = out.split_at_mut(self.group_cols.len());
-        for g in range.clone() {
-            for (col, &v) in key_cols.iter_mut().zip(keys.key(g)) {
-                col.push(v);
+        for (k, (col, entries)) in key_cols.iter_mut().zip(&self.key_entries).enumerate() {
+            let codes = range.clone().map(|g| keys.key(g)[k]);
+            match entries {
+                Some(entries) => col.extend(codes.map(|c| entries[c as usize])),
+                None => col.extend(codes),
             }
         }
         for (a, col) in agg_cols.iter_mut().enumerate() {
@@ -579,8 +608,7 @@ impl AggCore {
 pub struct HashAggregate {
     input: Option<BoxOp>,
     core: AggCore,
-    output: Vec<Block>,
-    next: usize,
+    output: std::vec::IntoIter<Block>,
     /// The strategy that was chosen (visible for tests and explain).
     pub strategy: HashStrategy,
 }
@@ -593,8 +621,7 @@ impl HashAggregate {
         HashAggregate {
             input: Some(input),
             core,
-            output: Vec::new(),
-            next: 0,
+            output: Vec::new().into_iter(),
             strategy,
         }
     }
@@ -607,11 +634,9 @@ impl Operator for HashAggregate {
 
     fn next_block(&mut self) -> Option<Block> {
         if let Some(input) = self.input.take() {
-            self.output = self.core.finish(self.core.fold_all(input));
+            self.output = self.core.finish(self.core.fold_all(input)).into_iter();
         }
-        let b = self.output.get(self.next).cloned();
-        self.next += 1;
-        b
+        self.output.next()
     }
 }
 
@@ -798,6 +823,48 @@ mod tests {
         let t = table(10_000, 20);
         let agg = HashAggregate::new(Box::new(TableScan::new(t)), vec![0], specs());
         assert_eq!(agg.strategy, crate::hash::HashStrategy::Direct64K);
+    }
+
+    #[test]
+    fn array_compressed_keys_hash_their_indexes() {
+        // Values 1000..1012 behind indexes 0..12: the metadata describes
+        // the values, the packed key is the index.
+        let mut g = ColumnBuilder::new("g", DataType::Integer, EncodingPolicy::default());
+        for i in 0..5000i64 {
+            g.append_i64(1000 + (i * 7) % 13);
+        }
+        let mut col = g.finish().column;
+        tde_storage::convert::for_encoding_to_compression(&mut col);
+        let t = Arc::new(Table::new("t", vec![col]));
+        let count = vec![AggSpec::new(AggFunc::Count, 0, "n")];
+        let mut agg =
+            HashAggregate::new(Box::new(TableScan::new(t.clone())), vec![0], count.clone());
+        assert_eq!(agg.strategy, crate::hash::HashStrategy::Direct64K);
+        let b = agg.next_block().unwrap();
+        let values: Vec<Value> = (0..b.len)
+            .map(|r| agg.schema().fields[0].value_of(b.columns[0][r]))
+            .collect();
+        assert_eq!(values.len(), 13);
+        assert_eq!(values[..2], [Value::Int(1000), Value::Int(1007)]);
+
+        // A left join's NULL among the indexes: the metadata no longer
+        // rules NULL out, so the key hashes as a tuple.
+        let mut schema = TableScan::new(t.clone()).schema().clone();
+        schema.fields[0].metadata.has_nulls = tde_encodings::metadata::Knowledge::Unknown;
+        let block = Block::new(vec![vec![0, NULL_I64, 12, NULL_I64]]);
+        struct One(Schema, Option<Block>);
+        impl Operator for One {
+            fn schema(&self) -> &Schema {
+                &self.0
+            }
+            fn next_block(&mut self) -> Option<Block> {
+                self.1.take()
+            }
+        }
+        let mut agg = HashAggregate::new(Box::new(One(schema, Some(block))), vec![0], count);
+        assert_eq!(agg.strategy, crate::hash::HashStrategy::Collision);
+        let b = agg.next_block().unwrap();
+        assert_eq!(b.columns, vec![vec![0, NULL_I64, 12], vec![1, 2, 1]]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 use tde_encodings::{ColumnMetadata, Selection};
 use tde_storage::StringHeap;
-use tde_types::sentinel::NULL_TOKEN;
+use tde_types::sentinel::{NULL_I64, NULL_TOKEN};
 use tde_types::{DataType, Value};
 
 /// How a column's `i64` values map to logical values.
@@ -24,8 +24,13 @@ pub enum Repr {
     /// Byte-offset token into a *growing* compute heap — produced by
     /// string functions mid-query (§4.1.2); FlowTable freezes it.
     TokenCell(Arc<parking_lot::RwLock<StringHeap>>),
-    /// Index into a scalar dictionary (array compression, §2.3.2).
-    DictIndex(Arc<Vec<i64>>),
+    /// Index into a dictionary. An array-compressed column's indexes
+    /// point into its scalar dictionary (§2.3.2), and the field is `None`;
+    /// a left join may put the scalar NULL sentinel among them. A
+    /// dictionary-encoded stream's codes, which a scan hands an aggregate
+    /// undecoded, point into the stream's entries — stored values of the
+    /// field given, scalars or heap tokens (see [`Field::codes`]).
+    DictIndex(Arc<Vec<i64>>, Option<Arc<Field>>),
 }
 
 impl Repr {
@@ -88,10 +93,37 @@ impl Field {
                     Value::Str(cell.read().get_raw(raw as u64).to_owned())
                 }
             }
-            Repr::DictIndex(dict) => {
-                let scalar = dict[raw as usize];
-                Value::from_i64(self.dtype, scalar)
-            }
+            Repr::DictIndex(_, None) if raw == NULL_I64 => Value::Null,
+            Repr::DictIndex(dict, None) => Value::from_i64(self.dtype, dict[raw as usize]),
+            Repr::DictIndex(entries, Some(values)) => values.value_of(entries[raw as usize]),
+        }
+    }
+
+    /// The field of this one's codes, when its stored stream is
+    /// dictionary-encoded with `entries`: each row holds the index of its
+    /// stored value among the entries. Entries are distinct, so grouping
+    /// on codes groups exactly as on values, and the codes span
+    /// `[0, entries)` — what the hash strategy packs (§2.3.4).
+    pub fn codes(&self, entries: Vec<i64>) -> Field {
+        let max = entries.len() as i64 - 1;
+        Field {
+            name: self.name.clone(),
+            dtype: self.dtype,
+            metadata: ColumnMetadata {
+                min: (max >= 0).then_some(0),
+                max: (max >= 0).then_some(max),
+                ..ColumnMetadata::unknown()
+            },
+            repr: Repr::DictIndex(Arc::new(entries), Some(Arc::new(self.clone()))),
+        }
+    }
+
+    /// The field whose stored values a [codes](Field::codes) field's
+    /// entries are, or `None` for any other field.
+    pub fn decoded(&self) -> Option<(&Arc<Vec<i64>>, &Field)> {
+        match &self.repr {
+            Repr::DictIndex(entries, Some(values)) => Some((entries, values)),
+            _ => None,
         }
     }
 }
@@ -244,10 +276,30 @@ mod tests {
         let f = Field {
             name: "d".into(),
             dtype: DataType::Integer,
-            repr: Repr::DictIndex(Arc::new(vec![100, 200])),
+            repr: Repr::DictIndex(Arc::new(vec![100, 200]), None),
             metadata: ColumnMetadata::unknown(),
         };
         assert_eq!(f.value_of(1), Value::Int(200));
+        // A left join's NULL among the indexes.
+        assert_eq!(f.value_of(NULL_I64), Value::Null);
+
+        // Codes over a stream's entries: scalars, or heap tokens.
+        let mut heap = StringHeap::new();
+        let (a, b) = (heap.append("a") as i64, heap.append("b") as i64);
+        let s = Field {
+            name: "s".into(),
+            dtype: DataType::Str,
+            repr: Repr::Token(Arc::new(heap)),
+            metadata: ColumnMetadata::unknown(),
+        };
+        let codes = s.codes(vec![b, a]);
+        assert_eq!(codes.value_of(0), Value::Str("b".into()));
+        assert_eq!((codes.metadata.min, codes.metadata.max), (Some(0), Some(1)));
+        assert_eq!(codes.decoded().unwrap().1.name, "s");
+        let n = Field::scalar("n", DataType::Integer).codes(vec![7, NULL_I64]);
+        assert_eq!(n.value_of(0), Value::Int(7));
+        assert_eq!(n.value_of(1), Value::Null);
+        assert!(f.decoded().is_none());
     }
 
     #[test]

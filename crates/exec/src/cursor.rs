@@ -18,6 +18,8 @@ pub struct StreamCursor {
     next_block: usize,
     rle: Option<rle::Cursor>,
     remaining: u64,
+    /// Read a dictionary-encoded stream's codes, not its entries.
+    codes: bool,
 }
 
 impl StreamCursor {
@@ -28,6 +30,17 @@ impl StreamCursor {
             next_block: 0,
             rle,
             remaining: stream.len(),
+            codes: false,
+        }
+    }
+
+    /// A cursor at the start of a dictionary-encoded stream that reads
+    /// each row's code — the index of its entry — instead of the entry.
+    pub fn codes(stream: &EncodedStream) -> StreamCursor {
+        debug_assert_eq!(stream.algorithm(), Algorithm::Dictionary);
+        StreamCursor {
+            codes: true,
+            ..StreamCursor::new(stream)
         }
     }
 
@@ -47,7 +60,11 @@ impl StreamCursor {
             }
             None => {
                 let before = out.len();
-                stream.decode_block(self.next_block, out);
+                if self.codes {
+                    dict::unpack_codes(stream.as_bytes(), &h, self.next_block, out);
+                } else {
+                    stream.decode_block(self.next_block, out);
+                }
                 out.truncate(before + take);
                 self.next_block += 1;
             }
@@ -104,6 +121,9 @@ impl StreamCursor {
                 return false
             }
             Algorithm::FrameOfReference => frame::gather_block(buf, &h, block, positions, out),
+            Algorithm::Dictionary if self.codes => {
+                dict::gather_codes(buf, &h, block, positions, out)
+            }
             Algorithm::Dictionary => dict::gather_block(buf, &h, block, positions, out),
             Algorithm::None => out.extend(positions.iter().map(|&p| raw::get(buf, &h, row(p)))),
             Algorithm::Affine => {
@@ -303,6 +323,31 @@ mod tests {
                 }
                 assert_eq!(out, want, "algorithm {} selection {k}", stream.algorithm());
             }
+        }
+    }
+
+    #[test]
+    fn a_codes_cursor_reads_entry_indexes_at_every_density() {
+        let data: Vec<i64> = (0..3000).map(|i| (i * 7919) % 613 * 3).collect();
+        let mut stream = EncodedStream::new_dict(Width::W8, true, 10);
+        for c in data.chunks(BLOCK_SIZE) {
+            stream.append_block(c).unwrap();
+        }
+        let entries = stream.dict_entries().unwrap();
+        let keeps: [fn(usize) -> bool; 3] = [|_| true, |i| i % 7 != 3, |i| i % 7 == 1];
+        for (k, keep) in keeps.into_iter().enumerate() {
+            let mut cur = StreamCursor::codes(&stream);
+            let (mut scratch, mut out) = (Vec::new(), Vec::new());
+            let mut want = Vec::new();
+            for block in data.chunks(BLOCK_SIZE) {
+                let mut sel = Selection::all(block.len());
+                sel.retain(keep);
+                cur.next_selected(&stream, BLOCK_SIZE, &sel, &mut scratch, &mut out);
+                want.extend((0..block.len()).filter(|&i| keep(i)).map(|i| block[i]));
+            }
+            let values: Vec<i64> = out.iter().map(|&c| entries[c as usize]).collect();
+            assert_eq!(values, want, "selection {k}");
+            assert!(out.iter().all(|&c| (c as usize) < entries.len()));
         }
     }
 

@@ -272,21 +272,31 @@ pub fn eval(
     match expr {
         Expr::Col(i) => {
             let f = &schema.fields[*i];
-            if let Repr::DictIndex(dict) = &f.repr {
+            if let Repr::DictIndex(dict, values) = &f.repr {
                 // Expressions see *values*, not dictionary indexes. This
                 // inline expansion is exactly the per-row cost the
                 // invisible-join rewrite avoids by pushing the expression
-                // onto the dictionary side (§4.1.1).
+                // onto the dictionary side (§4.1.1). A left join's NULL
+                // among the indexes stays NULL.
                 return EvalOutput {
                     data: block.columns[*i]
                         .iter()
-                        .map(|&ix| dict[ix as usize])
+                        .map(|&ix| {
+                            if ix == NULL_I64 {
+                                ix
+                            } else {
+                                dict[ix as usize]
+                            }
+                        })
                         .collect(),
-                    field: Field {
-                        name: f.name.clone(),
-                        dtype: f.dtype,
-                        repr: Repr::Scalar,
-                        metadata: ColumnMetadata::unknown(),
+                    field: match values {
+                        Some(values) => Field::clone(values),
+                        None => Field {
+                            name: f.name.clone(),
+                            dtype: f.dtype,
+                            repr: Repr::Scalar,
+                            metadata: ColumnMetadata::unknown(),
+                        },
                     },
                 };
             }

@@ -19,6 +19,7 @@ use std::sync::{Arc, OnceLock};
 use tde_encodings::{ColumnStats, BLOCK_SIZE};
 use tde_storage::builder::stats_metadata;
 use tde_storage::{BuiltColumn, ColumnBuilder, Compression, EncodingPolicy, Table};
+use tde_types::sentinel::NULL_I64;
 use tde_types::DataType;
 
 /// FlowTable configuration.
@@ -123,7 +124,7 @@ pub fn build_column(field: &Field, chunks: &[&[i64]], policy: EncodingPolicy) ->
             }
             b.finish()
         }
-        Repr::DictIndex(dict) => {
+        Repr::DictIndex(dict, _) => {
             // Keep array compression: encode the index stream, clone the
             // dictionary. The claims describe the values the indexes
             // stand for (§3.4.3), at the index stream's width.
@@ -146,13 +147,18 @@ pub fn build_column(field: &Field, chunks: &[&[i64]], policy: EncodingPolicy) ->
 }
 
 /// The statistics of the values a dictionary-compressed column's
-/// indexes, chunk by chunk, stand for.
+/// indexes, chunk by chunk, stand for; a left join's NULL among the
+/// indexes counts as NULL.
 pub fn dictionary_stats(dict: &[i64], chunks: &[&[i64]]) -> ColumnStats {
     let mut stats = ColumnStats::new();
     let mut vals = Vec::with_capacity(BLOCK_SIZE);
     for block in chunks.iter().flat_map(|c| c.chunks(BLOCK_SIZE)) {
         vals.clear();
-        vals.extend(block.iter().map(|&c| dict[c as usize]));
+        vals.extend(
+            block
+                .iter()
+                .map(|&c| if c == NULL_I64 { c } else { dict[c as usize] }),
+        );
         stats.update(&vals);
     }
     stats

@@ -75,7 +75,7 @@ impl ColumnHandle {
                 if expand_dictionaries {
                     Repr::Scalar
                 } else {
-                    Repr::DictIndex(Arc::new(dictionary.clone()))
+                    Repr::DictIndex(Arc::new(dictionary.clone()), None)
                 }
             }
         };

@@ -272,6 +272,68 @@ mod tests {
         assert_eq!(v[1], tde_types::sentinel::NULL_I64);
     }
 
+    /// A left join's unmatched row puts the scalar NULL sentinel among an
+    /// array-compressed inner column's indexes: it materialises, evaluates
+    /// and builds as NULL, never as a dictionary lookup.
+    #[test]
+    fn left_join_null_in_an_array_compressed_column() {
+        use crate::expr::{eval, Expr};
+        use crate::flow_table::{flow_table, FlowTableOptions};
+        use tde_encodings::dynamic::encode_all;
+        use tde_storage::{Column, Compression};
+        use tde_types::sentinel::NULL_I64;
+        use tde_types::{Value, Width};
+
+        let mut k = ColumnBuilder::new("k", DataType::Integer, EncodingPolicy::default());
+        for i in 0..3i64 {
+            k.append_i64(10 + i);
+        }
+        let d = Column {
+            name: "d".into(),
+            dtype: DataType::Integer,
+            data: encode_all(&[2, 0, 1], Width::W8, false).stream,
+            compression: Compression::Array {
+                dictionary: vec![100, 200, 300],
+                sorted: true,
+            },
+            metadata: tde_encodings::ColumnMetadata::unknown(),
+        };
+        let inner = Arc::new(Table::new("inner", vec![k.finish().column, d]));
+        let schema = TableScan::new(inner.clone()).schema().clone();
+        let join = || {
+            Join::new(
+                outer_scan(&[11, 9999, 10]),
+                &inner,
+                &schema,
+                0,
+                0,
+                &[1],
+                JoinKind::Left,
+            )
+        };
+        let j = join();
+        let out = j.schema().clone();
+        let blocks = crate::drain(Box::new(j));
+        assert_eq!(blocks[0].columns[1], vec![0, NULL_I64, 2]);
+
+        let field = &out.fields[1];
+        let values: Vec<Value> = blocks[0].columns[1]
+            .iter()
+            .map(|&raw| field.value_of(raw))
+            .collect();
+        assert_eq!(values, [Value::Int(100), Value::Null, Value::Int(300)]);
+
+        let expanded = eval(&Expr::col(1), &out, &blocks[0], &mut None);
+        assert_eq!(expanded.data, vec![100, NULL_I64, 300]);
+        let is_null = Expr::IsNull(Box::new(Expr::col(1)));
+        assert_eq!(eval(&is_null, &out, &blocks[0], &mut None).data, [0, 1, 0]);
+
+        let built = flow_table(Box::new(join()), "joined", FlowTableOptions::default());
+        let md = &built.table.columns[1].metadata;
+        assert!(md.has_nulls.is_true(), "{md:?}");
+        assert_eq!(md.max, Some(300));
+    }
+
     #[test]
     fn fetch_and_hash_agree() {
         let (t, schema) = inner_table(true);

@@ -164,21 +164,25 @@ pub fn raw_domain(dtype: DataType, heap: bool) -> bool {
     dtype != DataType::Real && !heap
 }
 
-/// [`raw_domain`] of a block field.
+/// [`raw_domain`] of a block field — of its stored values, for codes.
 pub(crate) fn has_raw_domain(field: &Field) -> bool {
+    if let Some((_, values)) = field.decoded() {
+        return has_raw_domain(values);
+    }
     let heap = matches!(field.repr, Repr::Token(_) | Repr::TokenCell(_));
     raw_domain(field.dtype, heap)
 }
 
 /// `set` over the values of an eligible field, read in its raw domain.
-/// A dictionary-index column carries the scalar NULL sentinel where a
-/// left join found no inner row; it stays NULL there.
+/// An array-compressed column carries the scalar NULL sentinel where a
+/// left join found no inner row; it stays NULL there. Codes are never
+/// NULL: a NULL is one of the entries.
 fn raw_set(field: &Field, set: &ValueSet) -> ValueSet {
     match &field.repr {
-        Repr::DictIndex(dict) if set.contains(NULL_I64) => {
+        Repr::DictIndex(dict, None) if set.contains(NULL_I64) => {
             code_set(dict, set).union(&ValueSet::is_null())
         }
-        Repr::DictIndex(dict) => code_set(dict, set),
+        Repr::DictIndex(dict, _) => code_set(dict, set),
         _ => set.clone(),
     }
 }
@@ -319,7 +323,7 @@ mod tests {
         let dict_field = Field {
             name: "d".into(),
             dtype: DataType::Integer,
-            repr: Repr::DictIndex(dict.clone()),
+            repr: Repr::DictIndex(dict.clone(), None),
             metadata: tde_encodings::ColumnMetadata::unknown(),
         };
         let schema = Schema::new(vec![dict_field.clone()]);

@@ -166,7 +166,9 @@ impl TableScan {
     }
 
     /// Scan `handles` into `fields`: their own, or a merge snapshot's,
-    /// whose heaps and dictionaries extend the stored ones.
+    /// whose heaps and dictionaries extend the stored ones. A column
+    /// whose field holds [codes](Field::codes) reads its dictionary-encoded
+    /// stream's codes and never looks up an entry.
     pub(crate) fn with_fields(
         handles: Vec<ColumnHandle>,
         fields: Vec<Field>,
@@ -174,7 +176,11 @@ impl TableScan {
     ) -> TableScan {
         let cursors = handles
             .iter()
-            .map(|h| StreamCursor::new(&h.col().data))
+            .zip(&fields)
+            .map(|(h, f)| match f.decoded() {
+                Some(_) => StreamCursor::codes(&h.col().data),
+                None => StreamCursor::new(&h.col().data),
+            })
             .collect();
         let total_rows = handles.iter().map(|h| h.col().len()).min().unwrap_or(0);
         TableScan {
@@ -248,10 +254,16 @@ impl TableScan {
                         ),
                     });
                 }
+                // A decoding conjunct on codes tests the codes of the
+                // entries in the set, as array compression's does.
+                let test = match self.schema.fields[col].decoded() {
+                    Some((entries, _)) => code_set(entries, &raw),
+                    None => raw,
+                };
                 Conjunct {
                     col,
                     kind,
-                    test: Matcher::values(&raw),
+                    test: Matcher::values(&test),
                     name,
                     rows: RowCounts::default(),
                 }

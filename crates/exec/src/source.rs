@@ -26,10 +26,11 @@ use crate::{BoxOp, Operator};
 use std::fmt;
 use std::io;
 use std::sync::Arc;
+use tde_encodings::Algorithm;
 use tde_encodings::Selection;
 use tde_obs::CacheSnapshot;
 use tde_pager::PagedTable;
-use tde_storage::Table;
+use tde_storage::{Compression, Table};
 
 /// What a scan reads. Build one with `Source::from(&table)` — an eager
 /// `Arc<Table>`, a `PagedTable` or an `Arc<MergedSource>` snapshot.
@@ -210,7 +211,7 @@ impl Projection {
                 .iter()
                 .map(|f| {
                     let mut f = f.clone();
-                    if expand_dictionaries && matches!(f.repr, Repr::DictIndex(_)) {
+                    if expand_dictionaries && matches!(f.repr, Repr::DictIndex(_, None)) {
                         f.repr = Repr::Scalar;
                     }
                     f
@@ -232,6 +233,33 @@ impl Projection {
     /// Delta rows follow as rows of weight one.
     pub fn reads_runs(&self) -> bool {
         self.tombstones.is_empty() && self.handles.iter().all(ColumnHandle::is_run_length)
+    }
+
+    /// Whether a scan can hand column `c` over as its stream's
+    /// [codes](Field::codes): the stored stream is dictionary-encoded
+    /// over scalars or heap tokens — array compression's indexes are
+    /// codes already — and no delta leg follows, for the delta rows have
+    /// no codes.
+    pub fn reads_codes(&self, c: usize) -> bool {
+        let col = self.handles[c].col();
+        self.delta.is_none()
+            && !matches!(col.compression, Compression::Array { .. })
+            && col.data.algorithm() == Algorithm::Dictionary
+    }
+
+    /// This projection with columns `cols` (each one that
+    /// [`Projection::reads_codes`]) scanned as their streams' codes —
+    /// by the serial scan and every morsel task alike. The entries are
+    /// read here, once; a column named twice is coded once.
+    pub fn with_codes(mut self, cols: &[usize]) -> Projection {
+        for &c in cols {
+            debug_assert!(self.reads_codes(c));
+            if self.fields[c].decoded().is_none() {
+                let entries = self.handles[c].col().data.dict_entries();
+                self.fields[c] = self.fields[c].codes(entries.expect("a dictionary stream"));
+            }
+        }
+        self
     }
 
     /// Whether `predicate` keeps no row, decided from min/max metadata or
@@ -299,7 +327,7 @@ impl Projection {
                 .fields
                 .iter()
                 .map(|f| match &f.repr {
-                    Repr::DictIndex(dict) if expand_dictionaries => Some(Arc::clone(dict)),
+                    Repr::DictIndex(dict, None) if expand_dictionaries => Some(Arc::clone(dict)),
                     _ => None,
                 })
                 .collect(),
@@ -587,7 +615,7 @@ mod tests {
         let mut fields: Vec<Field> = handles.iter().map(|h| h.field(false)).collect();
         let mut merged_dict = base_dict.clone();
         merged_dict.push(999);
-        fields[0].repr = Repr::DictIndex(Arc::new(merged_dict.clone()));
+        fields[0].repr = Repr::DictIndex(Arc::new(merged_dict.clone()), None);
         let new_code = (merged_dict.len() - 1) as i64;
         let delta = vec![Block::new(vec![vec![new_code]])];
         let src = Arc::new(MergedSource::new(

@@ -9,18 +9,28 @@
 //! * fetch join vs hash join from dense/unique key metadata (§2.3.5),
 //! * ordered vs hash aggregation from sortedness (§4.2.2).
 
-use crate::block::Field;
+use crate::block::{Field, Repr};
 use crate::hash::{HashStrategy, KeyPacking};
-use tde_encodings::ColumnMetadata;
+use tde_encodings::metadata::Knowledge;
 
-/// The range a key column is known to span, from its metadata.
-fn known_range(md: &ColumnMetadata) -> Option<(i64, i64)> {
-    Some((md.min?, md.max?))
+/// The range a key column's stored `i64`s are known to span. An
+/// array-compressed column's metadata describes the values its indexes
+/// stand for, so its range is the indexes' own, `[0, dictionary)` — and
+/// only where the metadata rules NULL out, for a left join puts the NULL
+/// sentinel among the indexes. Every other key's comes from its
+/// metadata ([codes](Field::codes) claim theirs).
+fn known_range(f: &Field) -> Option<(i64, i64)> {
+    match &f.repr {
+        Repr::DictIndex(dict, None) => {
+            (f.metadata.has_nulls == Knowledge::False).then(|| (0, dict.len().max(1) as i64 - 1))
+        }
+        _ => Some((f.metadata.min?, f.metadata.max?)),
+    }
 }
 
 /// Choose the hash strategy (and packing) for a set of key columns.
 pub fn choose_hash_strategy(keys: &[&Field]) -> (HashStrategy, Option<KeyPacking>) {
-    let ranges: Vec<Option<(i64, i64)>> = keys.iter().map(|f| known_range(&f.metadata)).collect();
+    let ranges: Vec<Option<(i64, i64)>> = keys.iter().map(|f| known_range(f)).collect();
     let chosen = match KeyPacking::plan(&ranges) {
         Some(p) if p.total_bits <= 16 => (HashStrategy::Direct64K, Some(p)),
         Some(p) => (HashStrategy::Perfect, Some(p)),

@@ -253,7 +253,7 @@ mod agg_core {
             field(
                 "vd",
                 DataType::Integer,
-                Repr::DictIndex(Arc::new(DICT.to_vec())),
+                Repr::DictIndex(Arc::new(DICT.to_vec()), None),
                 None,
             ),
         ])

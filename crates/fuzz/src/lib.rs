@@ -45,17 +45,24 @@ pub fn run_seed(seed: u64) -> (CaseSpec, CaseReport) {
 }
 
 /// Whether the case's plan, as the optimizer builds it, feeds its
-/// aggregate run-carrying blocks (the `fold-runs` decision) — the share
-/// of a sweep that exercises the weighted fold.
-pub fn folds_runs(spec: &CaseSpec) -> bool {
+/// aggregate run-carrying blocks (the `fold-runs` decision) and whether
+/// it hands the aggregate group keys as codes (`group-codes`) — the
+/// shares of a sweep that exercise the weighted fold and coded keys.
+pub fn aggregate_leaf(spec: &CaseSpec) -> (bool, bool) {
     let table = spec.build_table();
-    spec.apply_plan(tde_core::Query::scan(&table))
+    let Ok(report) = spec
+        .apply_plan(tde_core::Query::scan(&table))
         .try_explain_analyze()
-        .is_ok_and(|report| {
-            report.events.iter().any(
-                |e| matches!(e, tde_obs::Event::Decision { choice, .. } if choice == "fold-runs"),
-            )
-        })
+    else {
+        return (false, false);
+    };
+    let chose = |what: &str| {
+        report
+            .events
+            .iter()
+            .any(|e| matches!(e, tde_obs::Event::Decision { choice, .. } if choice == what))
+    };
+    (chose("fold-runs"), chose("group-codes"))
 }
 
 /// Pick a column where injecting `kind` actually corrupts a claim (e.g. a
@@ -107,7 +114,7 @@ mod tests {
     #[test]
     fn some_seeds_fold_runs() {
         let folded = (0..40)
-            .filter(|&seed| folds_runs(&gen::generate(seed)))
+            .filter(|&seed| aggregate_leaf(&gen::generate(seed)).0)
             .count();
         assert!(folded >= 4, "only {folded} of 40 seeds fold runs");
     }

@@ -18,7 +18,7 @@
 use std::time::Instant;
 use tde_fuzz::spec::{CaseSpec, InjectKind, Injection};
 use tde_fuzz::{
-    eligible_injection_column, folds_runs, gen, import_oracle, run_case_catching, shrink,
+    aggregate_leaf, eligible_injection_column, gen, import_oracle, run_case_catching, shrink,
 };
 
 struct Args {
@@ -166,7 +166,7 @@ fn sweep(args: &Args) -> i32 {
 
     let mut ran = 0u64;
     let mut skipped = 0u64;
-    let mut folded = 0u64;
+    let (mut folded, mut coded) = (0u64, 0u64);
     let mut failures: Vec<(u64, String)> = Vec::new();
     let mut missed_injections: Vec<u64> = Vec::new();
     let mut timed_out = false;
@@ -192,7 +192,9 @@ fn sweep(args: &Args) -> i32 {
         }
         ran += 1;
         if args.inject.is_none() {
-            folded += u64::from(folds_runs(&spec));
+            let (runs, codes) = aggregate_leaf(&spec);
+            folded += u64::from(runs);
+            coded += u64::from(codes);
             let found = import_oracle::run_import_seed(seed);
             if !found.is_empty() {
                 let summary = summarize(&found);
@@ -254,7 +256,8 @@ fn sweep(args: &Args) -> i32 {
         0
     } else {
         println!(
-            "sweep: {ran} case(s), {} failure(s), {folded} fold runs, {secs:.1}s{}",
+            "sweep: {ran} case(s), {} failure(s), {folded} fold runs, {coded} group on codes, \
+             {secs:.1}s{}",
             failures.len(),
             if timed_out { " (time box hit)" } else { "" }
         );

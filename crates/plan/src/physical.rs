@@ -9,8 +9,11 @@
 //! An aggregate also decides here what its leaf hands it: rows, or —
 //! when every column the leaf reads is stored run-length — run-carrying
 //! blocks it folds per segment instead of per row (see
-//! [`tde_exec::Block`]). The choice follows from the plan shape and the
-//! encodings alone; no option sets it.
+//! [`tde_exec::Block`]); and, directly on a scan, each group key whose
+//! stream is dictionary-encoded as the stream's codes, which it decodes
+//! once per group (see [`tde_exec::aggregate::AggCore`]). The choices
+//! follow from the plan shape and the encodings alone; no option sets
+//! them.
 
 use crate::logical::{scan_label, InnerOps, LogicalPlan};
 use std::io;
@@ -25,7 +28,7 @@ use tde_exec::obs::Observed;
 use tde_exec::project::Project;
 use tde_exec::scan::TableScan;
 use tde_exec::sort::{Sort, SortOrder};
-use tde_exec::{BoxOp, Expr, Operator, Projection, Source};
+use tde_exec::{AggFunc, BoxOp, Expr, Operator, Projection, Source};
 use tde_storage::EncodingPolicy;
 
 /// Timeline context threaded through lowering: the operator id of the
@@ -141,17 +144,24 @@ fn lower(plan: &LogicalPlan, tr: Tracer) -> io::Result<BoxOp> {
     }
 }
 
-/// The aggregates a leaf's output feeds directly — the leaf may then
-/// hand them run-carrying blocks — or `None` for a row consumer.
-type Folding<'a> = Option<&'a [AggSpec]>;
+/// What an aggregate asks of the leaf its input comes from: its
+/// aggregates, over which the leaf may hand it run-carrying blocks, and
+/// its group keys, which a scan directly under it may hand over as
+/// codes. A row consumer asks nothing (`None`).
+#[derive(Clone, Copy)]
+struct Folding<'a> {
+    keys: &'a [usize],
+    aggs: &'a [AggSpec],
+}
 
 /// Lower an aggregate's input, asking its leaf for runs where the shape
 /// allows it: the aggregate sits directly on a `Scan` or an `IndexScan`,
 /// or on one through a pure column selection (the reorder rule 2 puts
 /// above an `IndexScan`). Anything else in between — a `Filter`, a
 /// computing `Project` — keeps the row path, so Fig 10's plan 1 control
-/// stays row-at-a-time.
-fn lower_agg_input(plan: &LogicalPlan, aggs: &[AggSpec], tr: Tracer) -> io::Result<BoxOp> {
+/// stays row-at-a-time. Only a `Scan` directly under the aggregate is
+/// asked for codes.
+fn lower_agg_input(plan: &LogicalPlan, fold: Folding<'_>, tr: Tracer) -> io::Result<BoxOp> {
     match plan {
         LogicalPlan::Scan {
             source,
@@ -163,7 +173,7 @@ fn lower_agg_input(plan: &LogicalPlan, aggs: &[AggSpec], tr: Tracer) -> io::Resu
             columns,
             *expand_dictionaries,
             predicate.as_ref(),
-            Some(aggs),
+            Some(fold),
             tr,
         ),
         LogicalPlan::IndexScan {
@@ -177,10 +187,10 @@ fn lower_agg_input(plan: &LogicalPlan, aggs: &[AggSpec], tr: Tracer) -> io::Resu
             *sort_by_value,
             fetch,
             &plan.output_columns(),
-            Some(aggs),
+            Some(fold),
             tr,
         ),
-        LogicalPlan::Project { input, exprs } => lower_project(input, exprs, Some(aggs), tr),
+        LogicalPlan::Project { input, exprs } => lower_project(input, exprs, Some(fold), tr),
         other => lower(other, tr),
     }
 }
@@ -188,7 +198,7 @@ fn lower_agg_input(plan: &LogicalPlan, aggs: &[AggSpec], tr: Tracer) -> io::Resu
 fn lower_project(
     input: &LogicalPlan,
     exprs: &[(String, Expr)],
-    fold: Folding<'_>,
+    fold: Option<Folding<'_>>,
     tr: Tracer,
 ) -> io::Result<BoxOp> {
     let names: Vec<&str> = exprs.iter().map(|(n, _)| n.as_str()).collect();
@@ -203,15 +213,21 @@ fn lower_project(
         })
         .collect();
     let input = match (fold, selected) {
-        (Some(aggs), Some(selected)) => {
-            let aggs: Vec<AggSpec> = aggs
+        (Some(fold), Some(selected)) => {
+            let aggs: Vec<AggSpec> = fold
+                .aggs
                 .iter()
                 .map(|a| AggSpec {
                     col: selected.get(a.col).copied().unwrap_or(a.col),
                     ..a.clone()
                 })
                 .collect();
-            lower_agg_input(input, &aggs, node.child())?
+            // The projection would expand codes: ask for runs alone.
+            let fold = Folding {
+                keys: &[],
+                aggs: &aggs,
+            };
+            lower_agg_input(input, fold, node.child())?
         }
         _ => lower(input, node.child())?,
     };
@@ -223,20 +239,73 @@ fn lower_scan(
     columns: &[String],
     expand_dictionaries: bool,
     predicate: Option<&Expr>,
-    fold: Folding<'_>,
+    fold: Option<Folding<'_>>,
     tr: Tracer,
 ) -> io::Result<BoxOp> {
     let names: Vec<&str> = columns.iter().map(String::as_str).collect();
     // Demand loads happen here: a failed or corrupt segment read
     // surfaces as an error, never as corrupt decoded data.
     let projection = source.resolve(&names)?;
-    let runs = fold.is_some_and(|aggs| folds_runs(&projection, expand_dictionaries, aggs));
+    let runs = fold.is_some_and(|f| folds_runs(&projection, expand_dictionaries, f.aggs));
+    let (projection, coded) = with_group_codes(projection, expand_dictionaries, fold);
     let (scan, how) = projection.scan(expand_dictionaries, predicate.map(|p| (p, false)), runs);
     let mut label = scan_label(source, columns, expand_dictionaries);
     if let Some(how) = how {
         label = format!("{label} {how}");
     }
+    if !coded.is_empty() {
+        label = format!("{label} [codes: {}]", coded.join(", "));
+    }
     Ok(tr.node(runs_label(label, runs)).wrap(scan))
+}
+
+/// The group keys of `fold` a scan of `projection` hands over as codes
+/// ([`Projection::with_codes`]): each key whose stream
+/// [reads as codes](Projection::reads_codes) and that no aggregate but
+/// `COUNT` also reads, for those fold values. A lone key known sorted is
+/// left alone: the aggregate runs ordered then (§4.2.2), with no table
+/// to pack codes into. The choice is recorded as the aggregate's
+/// `group-codes` decision; returns the coded columns' names.
+fn with_group_codes(
+    projection: Projection,
+    expand_dictionaries: bool,
+    fold: Option<Folding<'_>>,
+) -> (Projection, Vec<String>) {
+    let Some(fold) = fold else {
+        return (projection, Vec::new());
+    };
+    let schema = projection.schema(expand_dictionaries);
+    let sorted_key = matches!(fold.keys, [k] if schema.fields[*k].metadata.sorted_asc.is_true());
+    // In column order, so a key named twice is coded once.
+    let coded: Vec<usize> = (0..schema.len())
+        .filter(|&k| {
+            !sorted_key
+                && fold.keys.contains(&k)
+                && projection.reads_codes(k)
+                && fold
+                    .aggs
+                    .iter()
+                    .all(|a| a.func == AggFunc::Count || a.col != k)
+        })
+        .collect();
+    if coded.is_empty() {
+        return (projection, Vec::new());
+    }
+    let names: Vec<String> = coded
+        .iter()
+        .map(|&k| schema.fields[k].name.clone())
+        .collect();
+    tde_obs::metrics::decision("aggregate", "group-codes");
+    tde_obs::emit(|| tde_obs::Event::Decision {
+        point: "aggregate",
+        choice: "group-codes".to_string(),
+        reason: format!(
+            "keys [{}] are dictionary-encoded: the aggregate groups on their codes \
+             and decodes each group once",
+            names.join(", ")
+        ),
+    });
+    (projection.with_codes(&coded), names)
 }
 
 /// Whether `aggs` over a scan of `projection` fold runs: every column is
@@ -279,7 +348,11 @@ fn lower_aggregate(
     tr: Tracer,
 ) -> io::Result<BoxOp> {
     let mut node = tr.node("Aggregate");
-    let input = lower_agg_input(input_plan, aggs, node.child())?;
+    let fold = Folding {
+        keys: group_by,
+        aggs,
+    };
+    let input = lower_agg_input(input_plan, fold, node.child())?;
     if tactical_ordered(input.schema(), group_by) {
         node.label = format!("OrderedAggregate group_by={group_by:?}");
         Ok(node.wrap(Box::new(OrderedAggregate::new(
@@ -420,6 +493,12 @@ fn build_morsel(
             }
         }
     };
+    // Directly on the scan, as the serial lowering decides it.
+    let fold = match (filter, agg) {
+        (None, Some((keys, aggs))) => Some(Folding { keys, aggs }),
+        _ => None,
+    };
+    let (source, _) = with_group_codes(source, expand, fold);
     Ok((
         MorselExec::new(
             source,
@@ -534,7 +613,7 @@ fn lower_index_scan(
     sort_by_value: bool,
     fetch: &[String],
     output_columns: &[String],
-    fold: Folding<'_>,
+    fold: Option<Folding<'_>>,
     tr: Tracer,
 ) -> io::Result<BoxOp> {
     let src_col = &source.0.columns[source.1];
@@ -563,7 +642,7 @@ fn lower_index_scan(
     let fetch_refs: Vec<&str> = fetch.iter().map(String::as_str).collect();
     let mut scan =
         IndexedScan::new(inner_op, source.0.clone(), &fetch_refs).with_names(output_columns);
-    let carry = fold.is_some_and(|aggs| scan.fetches_runs() && merge_safe(scan.schema(), aggs));
+    let carry = fold.is_some_and(|f| scan.fetches_runs() && merge_safe(scan.schema(), f.aggs));
     // The label ends with how much of the run index the query used —
     // index rows, rows the inner filter kept — and whether this query
     // built the index and the fetched columns' run indexes or found them

@@ -521,3 +521,62 @@ fn indexed_scan_label_says_whether_the_query_built_the_index() {
     assert_eq!(seen, ["built", "cached", "cached"]);
     assert_eq!(t.run_index_builds(), 2);
 }
+
+/// A group-by over a dictionary-encoded key of 14-bit codes groups on
+/// the codes: the scan hands them over (its label ends `[codes: gc_k]`),
+/// the choice is the aggregate's `group-codes` decision, and the hash
+/// strategy packs the codes' 14 bits into a direct table where the key's
+/// 27-bit values need open addressing. The same query over a merge
+/// snapshot, whose delta rows have no codes, groups on values.
+#[test]
+fn group_codes_decision_is_recorded() {
+    let keys: Vec<i64> = (0..20_000i64)
+        .map(|i| (i * 7_919) % 10_000 * 7_919 + 13)
+        .collect();
+    let mut stream = EncodedStream::new_dict(Width::W8, true, 14);
+    for c in keys.chunks(BLOCK_SIZE) {
+        stream.append_block(c).unwrap();
+    }
+    let mut k = Column::scalar("gc_k", DataType::Integer, stream);
+    (k.metadata.min, k.metadata.max) = (Some(13), Some(9_999 * 7_919 + 13));
+    let mut m = ColumnBuilder::new("gc_m", DataType::Integer, Default::default());
+    for i in 0..20_000i64 {
+        m.append_i64(i % 7);
+    }
+    let t = Arc::new(Table::new("gc_t", vec![k, m.finish().column]));
+    let report = |source: tde::exec::Source| {
+        Query::scan_columns(source, &["gc_k", "gc_m"])
+            .aggregate(vec![0], vec![(AggFunc::Sum, 1, "s")])
+            .with_parallelism(1)
+            .explain_analyze()
+    };
+    let decided = |r: &tde::ExplainAnalyze| {
+        r.events.iter().any(|e| {
+            matches!(e, Event::Decision { point, choice, reason }
+                if *point == "aggregate" && choice == "group-codes" && reason.contains("gc_k"))
+        })
+    };
+    let coded = report(tde::exec::Source::from(&t));
+    assert!(
+        decided(&coded),
+        "no group-codes decision in {:?}",
+        coded.events
+    );
+    let tree = &coded.operator_tree;
+    assert!(tree.contains("strategy=Direct64K"), "{tree}");
+    assert!(tree.contains("[codes: gc_k]"), "{tree}");
+    assert_eq!(coded.row_count, 10_000);
+
+    let snapshot = tde::delta::DeltaTable::from_eager(Arc::clone(&t))
+        .snapshot()
+        .unwrap();
+    let values = report(tde::exec::Source::from(&snapshot));
+    assert!(!decided(&values), "{:?}", values.events);
+    let tree = &values.operator_tree;
+    assert!(tree.contains("strategy=Perfect"), "{tree}");
+    assert!(!tree.contains("[codes"), "{tree}");
+    let columns = |r: &tde::ExplainAnalyze| -> Vec<Vec<Vec<i64>>> {
+        r.blocks.iter().map(|b| b.columns.clone()).collect()
+    };
+    assert_eq!(columns(&coded), columns(&values));
+}
