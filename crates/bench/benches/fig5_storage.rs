@@ -115,7 +115,7 @@ fn main() {
             db.add_table(result.table);
         }
         let mut count = ByteCount(0);
-        tde_pager::write_v2(&db, &HashMap::new(), &mut count).unwrap();
+        tde_pager::write_v2(&db.tables, &HashMap::new(), &mut count).unwrap();
         let size = count.0;
         sizes.push(size);
         println!(

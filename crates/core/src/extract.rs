@@ -89,7 +89,7 @@ impl Extract {
         path: impl AsRef<Path>,
         storage: &dyn tde_io::StorageIo,
     ) -> io::Result<()> {
-        tde_pager::save_v2_with_io(&self.db, &HashMap::new(), path, storage)
+        tde_pager::save_v2_with_io(&self.db.tables, &HashMap::new(), path, storage)
     }
 
     /// Forward to [`Extract::save`], kept for the frozen benchmark.

@@ -48,7 +48,7 @@ use tde_exec::{Field, Repr};
 use tde_io::StorageIo;
 use tde_pager::{save_v2_with_io, PagedDatabase, PagedTable, PoolConfig, TableAux};
 use tde_storage::builder::stats_metadata;
-use tde_storage::{BuiltColumn, Column, Compression, Database, EncodingPolicy, Table};
+use tde_storage::{BuiltColumn, Column, Compression, EncodingPolicy, Table};
 use tde_types::Width;
 
 impl DeltaTable {
@@ -62,10 +62,7 @@ impl DeltaTable {
             if !self.live.is_empty() {
                 self.reset_onto(self.base.clone());
             }
-            return match &self.base {
-                BaseTable::Eager(table) => Ok(Arc::clone(table)),
-                BaseTable::Paged(table) => Ok(Arc::new(table.load_all()?)),
-            };
+            return self.materialize_base();
         }
         let t0 = Instant::now();
         let delta_rows = self.delta_rows();
@@ -314,17 +311,17 @@ impl DeltaExtract {
     /// every table's current base and the live buffers as aux payloads,
     /// then reopen and rebind the buffers onto the fresh handles.
     pub fn save(&mut self) -> io::Result<()> {
-        let mut out = Database::new();
+        let mut bases = Vec::new();
         for name in self.table_names() {
-            let table = match self.deltas.get(&name) {
+            bases.push(match self.deltas.get(&name) {
                 Some(dt) => dt.materialize_base()?,
-                None => self
-                    .db
-                    .table(&name)
-                    .expect("listed table resolves")
-                    .load_all()?,
-            };
-            out.add_table(table);
+                None => Arc::new(
+                    self.db
+                        .table(&name)
+                        .expect("listed table resolves")
+                        .load_all()?,
+                ),
+            });
         }
         let mut aux = HashMap::new();
         for (name, dt) in &self.deltas {
@@ -341,7 +338,7 @@ impl DeltaExtract {
                 },
             );
         }
-        save_v2_with_io(&out, &aux, &self.path, &*self.storage)?;
+        save_v2_with_io(&bases, &aux, &self.path, &*self.storage)?;
         self.db = PagedDatabase::open_with_io(&self.path, PoolConfig::default(), &*self.storage)?;
         self.deltas.retain(|_, dt| !dt.is_clean());
         for (name, dt) in &mut self.deltas {
@@ -460,6 +457,7 @@ mod tests {
     use super::*;
     use crate::store::tests::people;
     use std::sync::Arc;
+    use tde_storage::Database;
     use tde_types::Value;
 
     fn row(id: i64, name: &str, score: f64) -> Vec<Value> {

@@ -570,12 +570,13 @@ impl DeltaTable {
         self.index.get_mut().columns = None;
     }
 
-    /// Materialize the *base* table eagerly (save path — the delta is
-    /// persisted separately, as aux payloads).
-    pub(crate) fn materialize_base(&self) -> io::Result<Table> {
+    /// The *base* table, eager: an eager base is shared, not copied; a
+    /// paged one is loaded whole (save path — the delta is persisted
+    /// separately, as aux payloads).
+    pub(crate) fn materialize_base(&self) -> io::Result<Arc<Table>> {
         match &self.base {
-            BaseTable::Eager(t) => Ok((**t).clone()),
-            BaseTable::Paged(t) => t.load_all(),
+            BaseTable::Eager(t) => Ok(Arc::clone(t)),
+            BaseTable::Paged(t) => t.load_all().map(Arc::new),
         }
     }
 

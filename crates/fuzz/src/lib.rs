@@ -70,6 +70,20 @@ pub fn aggregate_leaf(spec: &CaseSpec) -> (bool, bool) {
 /// has no eligible column.
 pub fn eligible_injection_column(spec: &CaseSpec, kind: spec::InjectKind) -> Option<usize> {
     use spec::{ColumnData, InjectKind};
+    // The claim `kind` asserts must be false of the column's values.
+    let claim_broken: fn(&[i64]) -> bool = match kind {
+        InjectKind::SegmentByte => {
+            // Every column of a non-empty case has segments on disk. The
+            // seed picks the column, so a sweep reaches the dictionaries
+            // and heaps stored beside the streams.
+            return (spec.rows() > 0).then(|| spec.seed as usize % spec.columns.len());
+        }
+        InjectKind::SortedClaim => |vals| vals.windows(2).any(|w| w[1] < w[0]),
+        InjectKind::DenseUnique => {
+            |vals| vals.len() >= 2 && !vals.windows(2).all(|w| w[1].wrapping_sub(w[0]) == 1)
+        }
+        InjectKind::MinMax => |vals| !vals.is_empty(),
+    };
     spec.columns.iter().position(|c| {
         let ints: Vec<Option<i64>> = match &c.data {
             ColumnData::Ints(v) => v.clone(),
@@ -82,15 +96,7 @@ pub fn eligible_injection_column(spec: &CaseSpec, kind: spec::InjectKind) -> Opt
             .iter()
             .map(|v| v.unwrap_or(tde_types::sentinel::NULL_I64))
             .collect();
-        match kind {
-            InjectKind::SortedClaim => vals.windows(2).any(|w| w[1] < w[0]),
-            InjectKind::DenseUnique => {
-                vals.len() >= 2 && !vals.windows(2).all(|w| w[1].wrapping_sub(w[0]) == 1)
-            }
-            InjectKind::MinMax => !vals.is_empty(),
-            // Any stored integer column has a stream segment to corrupt.
-            InjectKind::SegmentByte => !vals.is_empty(),
-        }
+        claim_broken(&vals)
     })
 }
 
@@ -154,11 +160,15 @@ mod tests {
     #[test]
     fn an_injected_segment_byte_is_always_caught() {
         use spec::{InjectKind, Injection};
-        // Every eligible seed must be caught: the checksum's per-byte FNV
-        // step is a bijection, so a single-byte substitution can never
-        // collide — 100% detection is the contract, not a statistic.
+        // Every eligible seed must be caught: each step of the checksum
+        // is injective in the word or byte it takes in and in its state,
+        // so a single-byte substitution can never collide — 100%
+        // detection is the contract, not a statistic. The seeds pick
+        // stream, dictionary and heap segments alike.
+        let kinds = ["stream", "dictionary", "heap"];
+        let mut hits = [0usize; 3];
         let mut eligible = 0;
-        for seed in 0..24 {
+        for seed in 0..48 {
             let mut spec = gen::generate(seed);
             let Some(col) = eligible_injection_column(&spec, InjectKind::SegmentByte) else {
                 continue;
@@ -177,15 +187,30 @@ mod tests {
                 "seed {seed}: segment-byte corruption got past the checksum\ncase:\n{}",
                 spec.to_text()
             );
+            // Only the checksum's refusal counts: an infrastructure
+            // failure of the oracle corrupted nothing.
             assert!(
-                report
-                    .discrepancies
-                    .iter()
-                    .all(|d| d.oracle == "segment-byte"),
-                "seed {seed}: unexpected oracle fired: {:?}",
+                report.discrepancies.iter().all(|d| d.is_checksum_refusal()),
+                "seed {seed}: not a checksum refusal: {:?}",
                 report.discrepancies
             );
+            for (hit, kind) in hits.iter_mut().zip(kinds) {
+                let refused = format!("checksum mismatch in {kind} segment");
+                if report
+                    .discrepancies
+                    .iter()
+                    .any(|d| d.detail.contains(&refused))
+                {
+                    *hit += 1;
+                }
+            }
         }
-        assert!(eligible >= 8, "only {eligible} eligible seeds in 0..24");
+        assert!(eligible >= 16, "only {eligible} eligible seeds in 0..48");
+        for (hit, kind) in hits.iter().zip(kinds) {
+            assert!(
+                *hit > 0,
+                "no seed in 0..48 corrupted a {kind} segment: {hits:?}"
+            );
+        }
     }
 }

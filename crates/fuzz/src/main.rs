@@ -212,6 +212,18 @@ fn sweep(args: &Args) -> i32 {
             }
             continue;
         }
+        // A corrupt segment byte is caught only by the checksum refusing
+        // it; a failure of the oracle's own file handling is a miss.
+        if args.inject == Some(InjectKind::SegmentByte)
+            && !report.discrepancies.iter().all(|d| d.is_checksum_refusal())
+        {
+            println!(
+                "seed {seed}: not caught: {}",
+                summarize(&report.discrepancies)
+            );
+            missed_injections.push(seed);
+            continue;
+        }
         let outcome = shrink(&spec, args.shrink_budget);
         let summary = summarize(&outcome.report.discrepancies);
         println!(

@@ -34,6 +34,8 @@
 
 use crate::spec::{CaseSpec, ColDtype, InjectKind, PlanOpSpec, Policy, PredSpec};
 use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use tde_core::Query;
@@ -44,7 +46,7 @@ use tde_exec::morsel::MorselExec;
 use tde_exec::scan::TableScan;
 use tde_exec::{AggFunc, Block, BoxOp, Expr, Schema, Source};
 use tde_plan::strategic::OptimizerOptions;
-use tde_storage::{Column, Compression, Database, Table};
+use tde_storage::{Column, Compression, Table};
 use tde_types::sentinel::{NULL_I64, NULL_TOKEN};
 use tde_types::{Collation, DataType, Value};
 
@@ -349,6 +351,17 @@ pub fn kernel_diff(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Discrepancy
 
 static PAGED_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// Save the case's table to a paged file, written from its `Arc`.
+fn save_table(table: &Arc<Table>, path: &Path) -> Result<(), String> {
+    tde_pager::save_v2_with_io(
+        std::slice::from_ref(table),
+        &HashMap::new(),
+        path,
+        &tde_io::RealIo,
+    )
+    .map_err(|e| format!("save_v2: {e}"))
+}
+
 /// Residency must be invisible: the same case and the same plan through
 /// the one `Query::scan`, over the table held four ways — eager (the
 /// reference), paged with a cold pool, paged again on the now-warm pool,
@@ -373,10 +386,8 @@ pub fn residency_diff(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Discrepa
         spec.seed,
         PAGED_SEQ.fetch_add(1, AtomicOrdering::Relaxed)
     ));
-    let mut db = Database::new();
-    db.add_table((**table).clone());
     let result = (|| -> Result<(), String> {
-        tde_pager::save_v2(&db, &path).map_err(|e| format!("save_v2: {e}"))?;
+        save_table(table, &path)?;
         let paged = tde_pager::PagedDatabase::open(&path).map_err(|e| format!("open: {e}"))?;
         let pt = paged
             .table("t")
@@ -436,13 +447,28 @@ pub fn residency_diff(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Discrepa
     }
 }
 
+/// How [`segment_byte_corruption`]'s caught discrepancy begins.
+const CHECKSUM_REFUSED: &str = "checksum refused";
+
+impl Discrepancy {
+    /// Whether this is [`segment_byte_corruption`]'s caught outcome — the
+    /// checksum refused the corrupt bytes — rather than a failure of the
+    /// oracle's own file handling.
+    pub fn is_checksum_refusal(&self) -> bool {
+        self.oracle == "segment-byte" && self.detail.starts_with(CHECKSUM_REFUSED)
+    }
+}
+
 /// Segment-byte checksum self-test: save the case's table as v2, flip one
-/// seed-derived byte inside the injected column's on-disk stream extent,
-/// and demand-load that column. The per-segment checksum must refuse the
-/// corrupt bytes with a `ChecksumMismatch` — that refusal is the "caught"
-/// discrepancy. A silent load, or corrupt bytes surfacing as anything
-/// other than a checksum error (a decoder saw them), leaves the report
-/// clean and the sweep counts the injection as missed.
+/// seed-derived byte inside one of the injected column's on-disk segments
+/// — the seed picks its stream, dictionary or heap segment — and
+/// demand-load that column. The per-segment checksum must refuse the
+/// corrupt bytes with a `ChecksumMismatch`: that refusal is the "caught"
+/// discrepancy ([`Discrepancy::is_checksum_refusal`]). A silent load, or
+/// corrupt bytes surfacing as anything other than a checksum error (a
+/// decoder saw them), leaves the report clean and the sweep counts the
+/// injection as missed; a failure of the oracle's own file handling is
+/// reported as an `infrastructure:` discrepancy, which is no catch.
 pub fn segment_byte_corruption(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec<Discrepancy>) {
     let Some(inj) = spec.inject else { return };
     let col_name = spec.columns[inj.column].name.clone();
@@ -460,30 +486,41 @@ pub fn segment_byte_corruption(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec
         spec.seed,
         PAGED_SEQ.fetch_add(1, AtomicOrdering::Relaxed)
     ));
-    let mut db = Database::new();
-    db.add_table((**table).clone());
     let result = (|| -> Result<Option<Discrepancy>, String> {
-        tde_pager::save_v2(&db, &path).map_err(|e| format!("save_v2: {e}"))?;
+        save_table(table, &path)?;
 
-        // Locate the injected column's stream extent via the directory.
+        // Locate the injected column's segments via the directory.
         let paged = tde_pager::PagedDatabase::open(&path).map_err(|e| format!("open: {e}"))?;
         let pt = paged
             .table("t")
             .ok_or_else(|| "table missing from v2 file".to_string())?;
-        let extent = pt
+        let dir = pt
             .column_dir(&col_name)
-            .ok_or_else(|| format!("column {col_name} missing from directory"))?
-            .stream;
+            .ok_or_else(|| format!("column {col_name} missing from directory"))?;
+        let segments: Vec<(&str, tde_pager::format::Extent)> = [
+            ("stream", Some(dir.stream)),
+            ("dictionary", dir.dict),
+            ("heap", dir.heap),
+        ]
+        .into_iter()
+        .filter_map(|(kind, e)| e.filter(|e| e.len > 0).map(|e| (kind, e)))
+        .collect();
         drop(pt);
         drop(paged);
 
-        // Flip one byte: position and substitution both derive from the
-        // seed, so a sweep exercises many offsets deterministically.
-        let mut bytes = std::fs::read(&path).map_err(|e| format!("read: {e}"))?;
+        // Flip one byte: the segment (when the column has a dictionary
+        // or heap beside its stream), the position and the substitution
+        // all derive from the seed, so a sweep exercises every segment
+        // kind and many offsets deterministically.
         let mix = (spec.seed ^ 0x9E37_79B9_7F4A_7C15)
             .wrapping_mul(0xBF58_476D_1CE4_E5B9)
             .rotate_left(31);
-        let at = (extent.offset + mix % extent.len.max(1)) as usize;
+        let Some(&(kind, extent)) = segments.get((mix >> 13) as usize % segments.len().max(1))
+        else {
+            return Err(format!("column {col_name} has no segment bytes"));
+        };
+        let mut bytes = std::fs::read(&path).map_err(|e| format!("read: {e}"))?;
+        let at = (extent.offset + mix % extent.len) as usize;
         let xor = ((mix >> 33) % 255) as u8 + 1; // never 0: always a real flip
         bytes[at] ^= xor;
         std::fs::write(&path, &bytes).map_err(|e| format!("rewrite: {e}"))?;
@@ -498,7 +535,7 @@ pub fn segment_byte_corruption(spec: &CaseSpec, table: &Arc<Table>, ds: &mut Vec
             Err(e) if tde_io::is_checksum_mismatch(&e) => Ok(Some(Discrepancy {
                 oracle: "segment-byte",
                 detail: format!(
-                    "checksum refused corrupt segment (column {col_name}, byte {at} ^ {xor:#04x}): {e}"
+                    "{CHECKSUM_REFUSED} corrupt {kind} segment (column {col_name}, byte {at} ^ {xor:#04x}): {e}"
                 ),
             })),
             // Silent success or a non-checksum error both mean the corrupt

@@ -350,10 +350,11 @@ pub enum InjectKind {
     DenseUnique,
     /// Claim a minimum above the true minimum (corrupt envelope).
     MinMax,
-    /// Flip one byte of the column's on-disk v2 stream segment. Unlike
-    /// the metadata kinds this corrupts nothing in memory: the storage
-    /// oracle saves the case, flips the byte, and the per-segment
-    /// checksum must refuse the reload.
+    /// Flip one byte of one of the column's on-disk segments — its
+    /// stream, or the dictionary or heap beside it, as the seed picks.
+    /// Unlike the metadata kinds this corrupts nothing in memory: the
+    /// storage oracle saves the case, flips the byte, and the
+    /// per-segment checksum must refuse the reload.
     SegmentByte,
 }
 

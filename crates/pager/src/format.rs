@@ -39,35 +39,42 @@
 //! Table names are unique within a file: the writer refuses a database
 //! that repeats one and the reader treats a repeat as corruption.
 //!
-//! **Integrity** (format version 3): every extent records the FNV-1a-64
-//! checksum of its segment bytes, computed at write time and verified by
-//! the pager on every demand load *before* the bytes reach a decoder;
-//! the footer likewise records the checksum of the directory bytes,
-//! verified at open. A mismatch surfaces as a typed
-//! [`tde_io::ChecksumMismatch`] error and bumps
+//! **Integrity** (format version 4): every extent records the
+//! [`tde_io::checksum`] of its segment bytes — a word-parallel 64-bit
+//! checksum that detects every single-byte substitution — computed at
+//! write time and verified by the pager on every demand load *before*
+//! the bytes reach a decoder; the footer likewise records the checksum
+//! of the directory bytes, verified at open. A mismatch surfaces as a
+//! typed [`tde_io::ChecksumMismatch`] error and bumps
 //! `tde_segment_checksum_failures_total` — corrupt bytes are never
-//! decoded into wrong answers.
+//! decoded into wrong answers. A file of any other version is refused
+//! at open with a message naming both versions: older files are
+//! re-imported, not migrated.
 //!
 //! Everything here treats the file as untrusted:
 //! bad magic, truncation, misaligned or out-of-bounds extents and lying
 //! length prefixes surface as [`io::Error`], never a panic or an
 //! unbounded allocation.
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use tde_encodings::ColumnMetadata;
 use tde_storage::wire::{
     corrupt, read_metadata, read_str, read_u32, read_u64, write_metadata, write_str,
 };
-use tde_storage::{Compression, Database};
+use tde_storage::{Compression, Database, Table};
 use tde_types::DataType;
 
 /// Magic bytes opening (and closing) a v2 file.
 pub const MAGIC: &[u8; 4] = b"TDE2";
 /// Paged format version. Version 3 added per-segment and directory
-/// checksums (widening extents to 24 bytes and the footer to 32); the
-/// reader rejects earlier versions rather than skip verification.
-pub const VERSION: u32 = 3;
+/// checksums (widening extents to 24 bytes and the footer to 32);
+/// version 4 computes them with the word-parallel [`tde_io::checksum`]
+/// in place of FNV-1a, with every byte of the layout unchanged. The
+/// reader refuses every other version rather than verify against the
+/// wrong function.
+pub const VERSION: u32 = 4;
 /// Segment alignment: every segment starts on a 4 KiB boundary.
 pub const BLOCK_ALIGN: u64 = 4096;
 /// Fixed header size.
@@ -82,7 +89,7 @@ pub struct Extent {
     pub offset: u64,
     /// Length in bytes.
     pub len: u64,
-    /// FNV-1a-64 checksum of the segment bytes ([`tde_io::checksum`]).
+    /// [`tde_io::checksum`] of the segment bytes.
     pub checksum: u64,
 }
 
@@ -159,17 +166,22 @@ fn write_segment(w: &mut impl Write, off: &mut u64, bytes: &[u8]) -> io::Result<
     Ok(extent)
 }
 
-/// Serialize a database in the paged format, attaching the given
-/// per-table auxiliary (delta/tombstone) payloads, keyed by table name.
-/// A database holding two tables of one name is refused with
+/// Serialize tables in the paged format, attaching the given per-table
+/// auxiliary (delta/tombstone) payloads, keyed by table name. The
+/// tables are borrowed — owned, behind references or behind `Arc`s —
+/// so a save copies no column. Two tables of one name are refused with
 /// `InvalidInput` before anything is written.
-pub fn write_v2(
-    db: &Database,
+pub fn write_v2<T: Borrow<Table>>(
+    tables: &[T],
     aux: &HashMap<String, TableAux>,
     w: &mut impl Write,
 ) -> io::Result<()> {
     let mut names = HashSet::new();
-    if let Some(t) = db.tables.iter().find(|t| !names.insert(t.name.as_str())) {
+    if let Some(t) = tables
+        .iter()
+        .map(Borrow::borrow)
+        .find(|t| !names.insert(t.name.as_str()))
+    {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             format!("two tables named {:?}", t.name),
@@ -184,8 +196,8 @@ pub fn write_v2(
     // Segments first; remember where each landed. Shared heaps (same
     // `Arc`) are written once and referenced by every column using them.
     let mut heap_extents: HashMap<usize, Extent> = HashMap::new();
-    let mut tables = Vec::with_capacity(db.tables.len());
-    for t in &db.tables {
+    let mut dirs = Vec::with_capacity(tables.len());
+    for t in tables.iter().map(Borrow::borrow) {
         let mut columns = Vec::with_capacity(t.columns.len());
         for c in &t.columns {
             let stream = write_segment(w, &mut off, c.data.as_bytes())?;
@@ -231,7 +243,7 @@ pub fn write_v2(
             Some(bytes) => Some(write_segment(w, &mut off, bytes)?),
             None => None,
         };
-        tables.push(TableDir {
+        dirs.push(TableDir {
             name: t.name.clone(),
             rows: t.row_count(),
             columns,
@@ -243,7 +255,7 @@ pub fn write_v2(
     // Directory, then footer. The footer carries the directory's own
     // checksum so a corrupted directory is caught before parsing.
     let mut dir = Vec::new();
-    write_directory(&mut dir, &tables)?;
+    write_directory(&mut dir, &dirs)?;
     let dir_offset = off;
     w.write_all(&dir)?;
     w.write_all(&dir_offset.to_le_bytes())?;
@@ -259,20 +271,21 @@ pub fn write_v2(
 /// and replace the target with an atomic rename. A crash mid-write
 /// leaves any existing file at `path` untouched.
 pub fn save_v2(db: &Database, path: impl AsRef<std::path::Path>) -> io::Result<()> {
-    save_v2_with_io(db, &HashMap::new(), path, &tde_io::RealIo)
+    save_v2_with_io(&db.tables, &HashMap::new(), path, &tde_io::RealIo)
 }
 
-/// As [`save_v2`], attaching per-table aux (delta/tombstone) payloads —
-/// the compactor's footer-rewrite path — with every filesystem operation
-/// routed through the given [`StorageIo`](tde_io::StorageIo) backend, the
-/// seam the crash-consistency harness injects faults through.
+/// As [`save_v2`], over borrowed tables (see [`write_v2`]) and attaching
+/// per-table aux (delta/tombstone) payloads — the compactor's
+/// footer-rewrite path — with every filesystem operation routed through
+/// the given [`StorageIo`](tde_io::StorageIo) backend, the seam the
+/// crash-consistency harness injects faults through.
 ///
 /// On *every* error path — create, write (including ENOSPC), fsync, and
 /// rename — the temporary file is removed through the same backend; only
 /// a crash-dead backend (which by design refuses the unlink too) can
 /// strand it, exactly as a real crash would.
-pub fn save_v2_with_io(
-    db: &Database,
+pub fn save_v2_with_io<T: Borrow<Table>>(
+    tables: &[T],
     aux: &HashMap<String, TableAux>,
     path: impl AsRef<std::path::Path>,
     storage: &dyn tde_io::StorageIo,
@@ -298,7 +311,7 @@ pub fn save_v2_with_io(
     let result = (|| {
         let file = storage.create(&tmp)?;
         let mut w = io::BufWriter::new(file);
-        write_v2(db, aux, &mut w)?;
+        write_v2(tables, aux, &mut w)?;
         w.flush()?;
         w.into_inner()
             .map_err(|e| io::Error::other(e.to_string()))?
@@ -461,7 +474,7 @@ pub struct Footer {
     pub dir_offset: u64,
     /// Directory length in bytes.
     pub dir_len: u64,
-    /// FNV-1a-64 checksum of the directory bytes.
+    /// [`tde_io::checksum`] of the directory bytes.
     pub dir_checksum: u64,
 }
 
@@ -472,7 +485,13 @@ pub fn read_footer(bytes: &[u8; 32], file_len: u64) -> io::Result<Footer> {
     }
     let version = u32::from_le_bytes(bytes[24..28].try_into().unwrap());
     if version != VERSION {
-        return Err(corrupt("unsupported v2 format version"));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "paged format version {version} is not supported (this build reads version \
+                 {VERSION}); re-import the extract from its source"
+            ),
+        ));
     }
     let dir_offset = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
     let dir_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap());

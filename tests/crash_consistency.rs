@@ -209,8 +209,8 @@ fn eager_v2_save_is_crash_atomic() {
             "eager-v2",
             seed,
             &path,
-            &|io| save_v2_with_io(&old_db, &HashMap::new(), &path, io),
-            &|io| save_v2_with_io(&new_db, &HashMap::new(), &path, io),
+            &|io| save_v2_with_io(&old_db.tables, &HashMap::new(), &path, io),
+            &|io| save_v2_with_io(&new_db.tables, &HashMap::new(), &path, io),
             &fingerprint,
         );
         std::fs::remove_file(&path).ok();
@@ -268,7 +268,7 @@ fn delta_aux_save_is_crash_atomic() {
             "delta-aux",
             seed,
             &path,
-            &|io| save_v2_with_io(&base, &HashMap::new(), &path, io),
+            &|io| save_v2_with_io(&base.tables, &HashMap::new(), &path, io),
             &mutate_and_save,
             &delta_fingerprint,
         );
@@ -291,7 +291,7 @@ fn retries_total(snap: &tde::obs::metrics::MetricsSnapshot) -> u64 {
 #[test]
 fn scans_survive_transient_faults_with_retry_counters() {
     let path = temp_path("transient.tde2");
-    save_v2_with_io(&db(5), &HashMap::new(), &path, &RealIo).unwrap();
+    save_v2_with_io(&db(5).tables, &HashMap::new(), &path, &RealIo).unwrap();
 
     let expected = {
         let pdb = PagedDatabase::open_with_io(&path, PoolConfig::default(), &RealIo).unwrap();
@@ -325,7 +325,7 @@ fn scans_survive_transient_faults_with_retry_counters() {
 #[test]
 fn corrupt_segment_surfaces_as_typed_query_error() {
     let path = temp_path("typed_err.tde2");
-    save_v2_with_io(&db(9), &HashMap::new(), &path, &RealIo).unwrap();
+    save_v2_with_io(&db(9).tables, &HashMap::new(), &path, &RealIo).unwrap();
     // The first column segment starts at the first block boundary; flip
     // one byte inside it. The demand load must fail with a checksum
     // mismatch through the whole query stack — no panic, no wrong rows.
