@@ -11,6 +11,7 @@ use crate::expr::AggFunc;
 use crate::hash::{GroupMap, HashStrategy, KeyList, KeyPacking};
 use crate::tactical;
 use crate::{BoxOp, Operator, BLOCK_ROWS};
+use std::iter::repeat_n;
 use std::sync::Arc;
 use tde_types::sentinel::{is_null_real, null_real, NULL_I64, NULL_TOKEN};
 use tde_types::DataType;
@@ -250,6 +251,92 @@ fn fold_int_func(
     }
 }
 
+/// Fold one block column into a grand total's one group with its value
+/// and count in locals: no group ids, no per-row read-modify-write.
+/// Weights fold as in `fold_weighted`.
+fn fold_total(acc: &mut AccCol, func: AggFunc, domain: &Domain, vals: &[i64], w: Option<&[u64]>) {
+    let keep_min = |a: f64, x: f64| if x < a { x } else { a };
+    let keep_max = |a: f64, x: f64| if x > a { x } else { a };
+    let rows = vals.iter().copied();
+    match (func, domain, w) {
+        (AggFunc::Count, _, _) => acc.count[0] += w.map_or(vals.len() as u64, |w| w.iter().sum()),
+        (AggFunc::Sum, Domain::Real, Some(w)) => {
+            let expanded = rows.zip(w).flat_map(|(v, &w)| repeat_n(v, w as usize));
+            total_real(acc, expanded, |a, x| a + x)
+        }
+        (AggFunc::Sum, Domain::Real, None) => total_real(acc, rows, |a, x| a + x),
+        (AggFunc::Min, Domain::Real, _) => total_real(acc, rows, keep_min),
+        (AggFunc::Max, Domain::Real, _) => total_real(acc, rows, keep_max),
+        (func, Domain::Dict(dict), w) => {
+            let vals = rows.map(|c| if c == NULL_I64 { c } else { dict[c as usize] });
+            total_int(acc, func, vals, w, NULL_I64)
+        }
+        (func, Domain::Token, w) => total_int(acc, func, rows, w, NULL_TOKEN as i64),
+        (func, _, w) => total_int(acc, func, rows, w, NULL_I64),
+    }
+}
+
+/// `fold_real` into one group: sequential, the first value taken as is.
+#[inline(always)]
+fn total_real(acc: &mut AccCol, vals: impl Iterator<Item = i64>, op: impl Fn(f64, f64) -> f64) {
+    let (mut a, mut n) = (acc.value[0], acc.count[0]);
+    for v in vals {
+        let x = f64::from_bits(v as u64);
+        if !is_null_real(x) {
+            a = if n == 0 {
+                v
+            } else {
+                op(f64::from_bits(a as u64), x).to_bits() as i64
+            };
+            n += 1;
+        }
+    }
+    (acc.value[0], acc.count[0]) = (a, n);
+}
+
+/// An integer-domain fold into one group; `MIN` and `MAX` ignore weights.
+#[inline(always)]
+fn total_int(
+    acc: &mut AccCol,
+    f: AggFunc,
+    vals: impl Iterator<Item = i64>,
+    w: Option<&[u64]>,
+    null: i64,
+) {
+    let id = identity(f, &Domain::Int);
+    let sum = |a: i64, v: i64, w| a.wrapping_add(v.wrapping_mul(w as i64));
+    match f {
+        AggFunc::Sum => total_loop(acc, vals, w, null, id, sum),
+        AggFunc::Min => total_loop(acc, vals, None, null, id, |a, v, _| a.min(v)),
+        AggFunc::Max => total_loop(acc, vals, None, null, id, |a, v, _| a.max(v)),
+        AggFunc::Count => unreachable!("counted above"),
+    }
+}
+
+/// Fold each value, standing for its weight in rows, by `op`: a NULL
+/// selects the fold's `identity` and adds nothing to the count.
+#[inline(always)]
+fn total_loop(
+    acc: &mut AccCol,
+    vals: impl Iterator<Item = i64>,
+    weights: Option<&[u64]>,
+    null: i64,
+    identity: i64,
+    op: impl Fn(i64, i64, u64) -> i64,
+) {
+    let (mut a, mut n) = (acc.value[0], acc.count[0]);
+    let mut fold = |v: i64, w: u64| {
+        let keep = v != null;
+        a = op(a, if keep { v } else { identity }, w);
+        n += if keep { w } else { 0 };
+    };
+    match weights {
+        None => vals.for_each(|v| fold(v, 1)),
+        Some(w) => vals.zip(w).for_each(|(v, &w)| fold(v, w)),
+    }
+    (acc.value[0], acc.count[0]) = (a, n);
+}
+
 /// Merge group `b` of `from` (a partial over a later slice of the
 /// input) into group `a` of `into`. Exact for every merge-safe function:
 /// counts add, wrapping integer sums add, extrema compare — the same
@@ -346,6 +433,8 @@ fn emit_blocks(rows: Vec<Vec<i64>>, ncols: usize) -> Vec<Block> {
 /// How rows find their group — the §4.2.2 tactical choice, fixed when
 /// the core is built.
 enum Grouping {
+    /// No keys: one group, so rows need no ids (see `fold_total`).
+    Total,
     /// A hash table on the key columns; groups come out in
     /// first-occurrence order.
     Hash(HashStrategy, Option<KeyPacking>),
@@ -357,8 +446,8 @@ enum Grouping {
 enum Groups {
     /// Keys behind a hash index.
     Indexed(GroupMap),
-    /// Keys alone: the runs of an ordered aggregation, or a hash partial
-    /// whose index was dropped for the hand-over to a merge.
+    /// Keys alone: ordered runs, a grand total's one empty key, or a hash
+    /// partial whose index was dropped for the hand-over to a merge.
     Listed(KeyList),
 }
 
@@ -434,8 +523,11 @@ pub struct AggCore {
 
 impl AggCore {
     /// Hash aggregation of `input`-shaped blocks, the strategy chosen
-    /// tactically from the key columns' metadata.
+    /// tactically from the key columns' metadata (none without keys).
     pub fn hash(input: &Schema, group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> AggCore {
+        if group_cols.is_empty() {
+            return AggCore::new(input, group_cols, aggs, Grouping::Total);
+        }
         let keys: Vec<&Field> = group_cols.iter().map(|&c| &input.fields[c]).collect();
         let (strategy, packing) = tactical::choose_hash_strategy(&keys);
         AggCore::new(input, group_cols, aggs, Grouping::Hash(strategy, packing))
@@ -486,23 +578,29 @@ impl AggCore {
     pub fn strategy(&self) -> Option<HashStrategy> {
         match self.grouping {
             Grouping::Hash(strategy, _) => Some(strategy),
-            Grouping::Ordered => None,
+            Grouping::Total | Grouping::Ordered => None,
         }
     }
 
-    /// An empty partial.
+    /// An empty partial. A grand total's holds its one group, so empty
+    /// input still finishes to one row (`COUNT` 0, the rest NULL).
     pub fn start(&self) -> Partial {
         let width = self.group_cols.len();
-        Partial {
+        let mut p = Partial {
             groups: match &self.grouping {
                 Grouping::Hash(strategy, packing) => {
                     Groups::Indexed(GroupMap::new(*strategy, packing.clone(), width))
                 }
-                Grouping::Ordered => Groups::Listed(KeyList::new(width)),
+                Grouping::Total | Grouping::Ordered => Groups::Listed(KeyList::new(width)),
             },
             accs: vec![AccCol::default(); self.aggs.len()],
             gids: Vec::with_capacity(BLOCK_ROWS),
+        };
+        if let Grouping::Total = self.grouping {
+            p.groups.slot(&[]);
+            self.grow(&mut p);
         }
+        p
     }
 
     /// Grow every aggregate's accumulators to `p`'s group count.
@@ -518,6 +616,14 @@ impl AggCore {
     /// (see `fold_weighted`): its segments arrive in row order, so hash
     /// groups keep first-occurrence order and ordered runs stay runs.
     pub fn fold_block(&self, p: &mut Partial, block: &Block) {
+        if let Grouping::Total = self.grouping {
+            let weights = block.weights.as_ref().map(|w| &w[..block.len]);
+            for (a, spec) in self.aggs.iter().enumerate() {
+                let vals = &block.columns[spec.col][..block.len];
+                fold_total(&mut p.accs[a], spec.func, &self.domains[a], vals, weights);
+            }
+            return;
+        }
         let keys: Vec<&[i64]> = self
             .group_cols
             .iter()
@@ -589,14 +695,7 @@ impl AggCore {
     }
 
     /// Finish `p` to output blocks.
-    pub fn finish(&self, mut p: Partial) -> Vec<Block> {
-        // A global hash aggregate (no group keys) over empty input still
-        // produces one row of empty aggregates, SQL-style.
-        if matches!(self.grouping, Grouping::Hash(..)) && self.group_cols.is_empty() && p.len() == 0
-        {
-            p.groups.slot(&[]);
-            self.grow(&mut p);
-        }
+    pub fn finish(&self, p: Partial) -> Vec<Block> {
         let ncols = self.schema.len();
         let mut cols = vec![Vec::with_capacity(p.len()); ncols];
         self.finalize(&p, 0..p.len(), &mut cols);
@@ -610,19 +709,18 @@ pub struct HashAggregate {
     core: AggCore,
     output: std::vec::IntoIter<Block>,
     /// The strategy that was chosen (visible for tests and explain).
-    pub strategy: HashStrategy,
+    pub strategy: Option<HashStrategy>,
 }
 
 impl HashAggregate {
     /// Aggregate `input` grouped by `group_cols`.
     pub fn new(input: BoxOp, group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> HashAggregate {
         let core = AggCore::hash(input.schema(), group_cols, aggs);
-        let strategy = core.strategy().expect("a hash core groups by hash");
         HashAggregate {
             input: Some(input),
+            strategy: core.strategy(),
             core,
             output: Vec::new().into_iter(),
-            strategy,
         }
     }
 }
@@ -822,7 +920,7 @@ mod tests {
         // its metadata; 0..19 fits in one byte → direct hashing.
         let t = table(10_000, 20);
         let agg = HashAggregate::new(Box::new(TableScan::new(t)), vec![0], specs());
-        assert_eq!(agg.strategy, crate::hash::HashStrategy::Direct64K);
+        assert_eq!(agg.strategy, Some(crate::hash::HashStrategy::Direct64K));
     }
 
     #[test]
@@ -839,7 +937,7 @@ mod tests {
         let count = vec![AggSpec::new(AggFunc::Count, 0, "n")];
         let mut agg =
             HashAggregate::new(Box::new(TableScan::new(t.clone())), vec![0], count.clone());
-        assert_eq!(agg.strategy, crate::hash::HashStrategy::Direct64K);
+        assert_eq!(agg.strategy, Some(crate::hash::HashStrategy::Direct64K));
         let b = agg.next_block().unwrap();
         let values: Vec<Value> = (0..b.len)
             .map(|r| agg.schema().fields[0].value_of(b.columns[0][r]))
@@ -862,7 +960,7 @@ mod tests {
             }
         }
         let mut agg = HashAggregate::new(Box::new(One(schema, Some(block))), vec![0], count);
-        assert_eq!(agg.strategy, crate::hash::HashStrategy::Collision);
+        assert_eq!(agg.strategy, Some(crate::hash::HashStrategy::Collision));
         let b = agg.next_block().unwrap();
         assert_eq!(b.columns, vec![vec![0, NULL_I64, 12], vec![1, 2, 1]]);
     }

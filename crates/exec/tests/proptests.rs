@@ -301,15 +301,22 @@ mod agg_core {
         rows_of(core.finish(p))
     }
 
-    /// The row loop: groups in first-occurrence order, every aggregate
-    /// folded a row at a time with the engine's NULL and Real rules.
-    pub fn reference(rows: &[[i64; 5]], aggs: &[AggSpec]) -> Vec<Vec<i64>> {
-        let mut ids: HashMap<[i64; 2], usize> = HashMap::new();
-        let mut keys: Vec<[i64; 2]> = Vec::new();
+    /// The row loop: groups on the first `width` columns in
+    /// first-occurrence order, every aggregate folded a row at a time
+    /// with the engine's NULL and Real rules. Without keys every row is
+    /// in the one group, which exists even when there are no rows.
+    pub fn reference(rows: &[[i64; 5]], width: usize, aggs: &[AggSpec]) -> Vec<Vec<i64>> {
+        let mut ids: HashMap<&[i64], usize> = HashMap::new();
+        let mut keys: Vec<&[i64]> = Vec::new();
         // Per group, per aggregate: (value, non-NULL count).
         let mut accs: Vec<Vec<(i64, i64)>> = Vec::new();
+        if width == 0 {
+            ids.insert(&[], 0);
+            keys.push(&[]);
+            accs.push(vec![(0, 0); aggs.len()]);
+        }
         for row in rows {
-            let key = [row[0], row[1]];
+            let key = &row[..width];
             let g = *ids.entry(key).or_insert_with(|| {
                 keys.push(key);
                 accs.push(vec![(0, 0); aggs.len()]);
@@ -394,7 +401,13 @@ proptest! {
                     HashStrategy::Perfect => (k as i64 * 7919) % (1 << 20),
                     HashStrategy::Collision => (k as i64).wrapping_mul(1_000_000_007),
                 };
-                let vi = if vi < -50 { NULL_I64 } else { vi };
+                // Near both ends of the range, so sums wrap.
+                let vi = match vi {
+                    v if v < -50 => NULL_I64,
+                    49 => i64::MAX - 1,
+                    48 => i64::MIN + 1,
+                    v => v,
+                };
                 let vr = match vr {
                     v if v < -50 => null_real().to_bits() as i64,
                     // Both zeros: equal as reals, different as bits.
@@ -408,13 +421,26 @@ proptest! {
             })
             .collect();
         let schema = schema(strategy);
-        for real_sum in [true, false] {
+        // Grouped on both keys, and the grand total, which hashes nothing.
+        for (keys, real_sum) in [(2, true), (2, false), (0, true), (0, false)] {
             let aggs = aggs(real_sum);
-            let core = AggCore::hash(&schema, vec![0, 1], aggs.clone());
-            prop_assert_eq!(core.strategy(), Some(strategy));
-            let expect = reference(&rows, &aggs);
+            let core = AggCore::hash(&schema, (0..keys).collect(), aggs.clone());
+            prop_assert_eq!(core.strategy(), (keys > 0).then_some(strategy));
+            let expect = reference(&rows, keys, &aggs);
             let got = serial(&core, &blocks(&rows));
             prop_assert_eq!(&got, &expect);
+            // The shortest inputs: a total's group exists before its
+            // first row and takes that row's value as is.
+            for n in 0..3 {
+                let head = &rows[..n.min(rows.len())];
+                prop_assert_eq!(serial(&core, &blocks(head)), reference(head, keys, &aggs));
+            }
+            // Value columns NULL throughout: only `COUNT` sees a row.
+            let nulls: Vec<[i64; 5]> = rows
+                .iter()
+                .map(|r| [r[0], r[1], NULL_I64, null_real().to_bits() as i64, NULL_I64])
+                .collect();
+            prop_assert_eq!(serial(&core, &blocks(&nulls)), reference(&nulls, keys, &aggs));
             if real_sum {
                 continue;
             }

@@ -65,6 +65,14 @@ pub fn aggregate_leaf(spec: &CaseSpec) -> (bool, bool) {
     (chose("fold-runs"), chose("group-codes"))
 }
 
+/// Whether the case's plan aggregates without group keys: a grand
+/// total, which folds each block column into one group.
+pub fn grand_total(spec: &CaseSpec) -> bool {
+    spec.plan
+        .iter()
+        .any(|op| matches!(op, spec::PlanOpSpec::Aggregate { group_by, .. } if group_by.is_empty()))
+}
+
 /// Pick a column where injecting `kind` actually corrupts a claim (e.g. a
 /// sorted claim on genuinely unsorted data). Returns `None` when the case
 /// has no eligible column.
@@ -123,6 +131,27 @@ mod tests {
             .filter(|&seed| aggregate_leaf(&gen::generate(seed)).0)
             .count();
         assert!(folded >= 4, "only {folded} of 40 seeds fold runs");
+    }
+
+    #[test]
+    fn some_seeds_fold_grand_totals() {
+        // Both inputs of the grand-total fold stay under the oracles:
+        // run-carrying blocks, and a merge snapshot's base and delta legs
+        // (the delta oracle runs the plan over every snapshot). Seeds
+        // 0..40 are the CI smoke sweep's, so it folds one too.
+        let totals: Vec<CaseSpec> = (0..400).map(gen::generate).filter(grand_total).collect();
+        assert!(
+            (0..40).map(gen::generate).any(|s| grand_total(&s)),
+            "no seed of 0..40 aggregates without keys"
+        );
+        assert!(
+            totals.iter().any(|s| aggregate_leaf(s).0),
+            "no grand total of 400 seeds folds runs"
+        );
+        assert!(
+            totals.iter().any(|s| !s.delta.is_empty()),
+            "no grand total of 400 seeds runs over a merge snapshot"
+        );
     }
 
     #[test]

@@ -18,7 +18,8 @@
 use std::time::Instant;
 use tde_fuzz::spec::{CaseSpec, InjectKind, Injection};
 use tde_fuzz::{
-    aggregate_leaf, eligible_injection_column, gen, import_oracle, run_case_catching, shrink,
+    aggregate_leaf, eligible_injection_column, gen, grand_total, import_oracle, run_case_catching,
+    shrink,
 };
 
 struct Args {
@@ -166,7 +167,7 @@ fn sweep(args: &Args) -> i32 {
 
     let mut ran = 0u64;
     let mut skipped = 0u64;
-    let (mut folded, mut coded) = (0u64, 0u64);
+    let (mut folded, mut coded, mut totals) = (0u64, 0u64, 0u64);
     let mut failures: Vec<(u64, String)> = Vec::new();
     let mut missed_injections: Vec<u64> = Vec::new();
     let mut timed_out = false;
@@ -195,6 +196,7 @@ fn sweep(args: &Args) -> i32 {
             let (runs, codes) = aggregate_leaf(&spec);
             folded += u64::from(runs);
             coded += u64::from(codes);
+            totals += u64::from(grand_total(&spec));
             let found = import_oracle::run_import_seed(seed);
             if !found.is_empty() {
                 let summary = summarize(&found);
@@ -269,7 +271,7 @@ fn sweep(args: &Args) -> i32 {
     } else {
         println!(
             "sweep: {ran} case(s), {} failure(s), {folded} fold runs, {coded} group on codes, \
-             {secs:.1}s{}",
+             {totals} totals, {secs:.1}s{}",
             failures.len(),
             if timed_out { " (time box hit)" } else { "" }
         );

@@ -362,10 +362,12 @@ fn lower_aggregate(
         ))))
     } else {
         let agg = HashAggregate::new(input, group_by.to_vec(), aggs.to_vec());
-        node.label = format!(
-            "HashAggregate [strategy={:?}] group_by={group_by:?}",
-            agg.strategy
-        );
+        node.label = match agg.strategy {
+            Some(strategy) => {
+                format!("HashAggregate [strategy={strategy:?}] group_by={group_by:?}")
+            }
+            None => format!("HashAggregate [total] group_by={group_by:?}"),
+        };
         Ok(node.wrap(Box::new(agg)))
     }
 }

@@ -95,7 +95,10 @@ fn main() {
             AggSpec::new(AggFunc::Sum, 1, "bytes"),
         ],
     );
-    println!("aggregation hash strategy: {}\n", agg.strategy.name());
+    println!(
+        "aggregation hash strategy: {}\n",
+        agg.strategy.expect("grouped by a key").name()
+    );
     let schema = agg.schema().clone();
     let blocks = drain(Box::new(agg));
     println!("{:<8} {:>9} {:>13}", "ext", "requests", "bytes");

@@ -580,3 +580,47 @@ fn group_codes_decision_is_recorded() {
     };
     assert_eq!(columns(&coded), columns(&values));
 }
+
+/// A grand total groups by nothing, so it hashes nothing: its label
+/// names no strategy and no `hash-strategy` decision is recorded, serial
+/// or split into morsels. A grouped query over the same scan still
+/// records its choice.
+#[test]
+fn grand_total_records_no_hash_strategy() {
+    let t = sales_table();
+    let strategies = |r: &tde::ExplainAnalyze| {
+        r.events
+            .iter()
+            .filter(|e| matches!(e, Event::Decision { point, .. } if *point == "hash-strategy"))
+            .count()
+    };
+    let sum: i64 = (0..20_000i64).map(|i| i % 31).sum();
+    for workers in [1, 2] {
+        let total = Query::scan(&t)
+            .aggregate(
+                vec![],
+                vec![(AggFunc::Count, 1, "n"), (AggFunc::Sum, 1, "s")],
+            )
+            .with_parallelism(workers)
+            .explain_analyze();
+        let tree = &total.operator_tree;
+        assert_eq!(strategies(&total), 0, "{:?}", total.events);
+        assert!(!tree.contains("strategy="), "{tree}");
+        let label = match workers {
+            1 => "HashAggregate [total] group_by=[]",
+            _ => "MorselHashAggregate [parallel=2]",
+        };
+        assert!(tree.starts_with(label), "{tree}");
+        assert_eq!(total.blocks[0].columns, vec![vec![20_000], vec![sum]]);
+    }
+    let grouped = Query::scan(&t)
+        .aggregate(vec![1], vec![(AggFunc::Count, 1, "n")])
+        .with_parallelism(1)
+        .explain_analyze();
+    assert_eq!(strategies(&grouped), 1, "{:?}", grouped.events);
+    assert!(
+        grouped.operator_tree.contains("strategy="),
+        "{}",
+        grouped.operator_tree
+    );
+}

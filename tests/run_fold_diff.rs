@@ -309,10 +309,25 @@ fn sums_wrap_like_repeated_addition() {
         .iter()
         .filter(|&&v| v != NULL_I64)
         .fold(0i64, |a, &v| a.wrapping_add(v));
-    let (_, blocks) = Query::scan(&t)
-        .aggregate(vec![], vec![(AggFunc::Sum, 1, "s")])
-        .run();
-    assert_eq!(blocks[0].columns[0], vec![total]);
+    // The planned grand total folds the segments, the NULL run's weight
+    // counted but not summed.
+    let report = Query::scan(&t)
+        .aggregate(
+            vec![],
+            vec![
+                (AggFunc::Sum, 1, "s"),
+                (AggFunc::Count, 1, "n"),
+                (AggFunc::Min, 1, "lo"),
+            ],
+        )
+        .explain_analyze();
+    assert!(
+        report.operator_tree.contains("[runs]"),
+        "{}",
+        report.operator_tree
+    );
+    let want = vec![vec![total], vec![m.len() as i64], vec![i64::MIN + 1]];
+    assert_eq!(columns_of(&report.blocks), vec![want]);
 }
 
 /// Three columns whose run boundaries never line up, runs straddling the
