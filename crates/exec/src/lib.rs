@@ -25,9 +25,10 @@
 //!   width (§2.3.4), fetch joins from dense/unique metadata (§2.3.5),
 //!   ordered vs hash aggregation (§4.2.2);
 //! * [`morsel`] — the one data-parallel runtime: scan pipelines, the §8
-//!   index rollup and FlowTable's column builds all run as tasks on its
-//!   work-stealing scheduler, reassembled in task order — which is how
-//!   §4.3's order preservation upstream of encoders holds by construction.
+//!   index rollup, FlowTable's and compaction's column builds and the
+//!   import's column parse all run as tasks claimed from its one shared
+//!   counter, reassembled in task order — which is how §4.3's order
+//!   preservation upstream of encoders holds by construction.
 
 #![forbid(unsafe_code)]
 

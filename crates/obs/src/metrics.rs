@@ -933,17 +933,15 @@ pub fn pool_metrics() -> &'static PoolMetrics {
     })
 }
 
-/// Pre-resolved morsel-scheduler instruments (tde-exec::morsel). One
-/// resolution per process; workers touch only relaxed atomics. A
-/// "morsel" here is any task of that runtime: a query's block range, a
-/// FlowTable column build, a §8 rollup partition.
+/// Pre-resolved instruments of the engine's one task runner
+/// (tde-exec::morsel), recorded for runs on more than one worker. One
+/// resolution per process. A "morsel" here is any task of that runner: a
+/// query's block range, a §8 rollup partition, a FlowTable or compaction
+/// column build, an import's column parse.
 #[derive(Debug, Clone)]
 pub struct MorselMetrics {
     /// `tde_morsels_dispatched_total` — morsels executed by workers.
     pub dispatched: Arc<Counter>,
-    /// `tde_morsels_stolen_total` — morsels taken from another worker's
-    /// deque (dispatch-overlap: every stolen morsel is also dispatched).
-    pub stolen: Arc<Counter>,
     /// `tde_morsel_worker_busy_ns` — per-morsel worker busy time.
     pub worker_busy_ns: Arc<Histogram>,
     /// `tde_parallel_queries_total` — queries that ran a morsel pipeline.
@@ -957,10 +955,6 @@ pub fn morsel_metrics() -> &'static MorselMetrics {
         dispatched: GLOBAL.counter(
             "tde_morsels_dispatched_total",
             "Morsels executed by parallel pipeline workers",
-        ),
-        stolen: GLOBAL.counter(
-            "tde_morsels_stolen_total",
-            "Morsels stolen from another worker's deque",
         ),
         worker_busy_ns: GLOBAL.histogram(
             "tde_morsel_worker_busy_ns",

@@ -25,8 +25,8 @@
 //! * operator spans (kind, rows, blocks, inclusive duration, tree
 //!   position), emitted by the operator observer — EXPLAIN ANALYZE's
 //!   operator tree is built from them;
-//! * morsel executions attributed to their worker index (plus the
-//!   work-stealing flag);
+//! * task executions of the morsel runtime, attributed to their worker
+//!   index;
 //! * every [`crate::Event`] reported through [`crate::emit`]: tactical
 //!   decisions, re-encodings, conversions, kernel scans, segment loads,
 //!   compactions, column builds, imports;
@@ -161,8 +161,6 @@ pub enum TimelineKind {
         worker: u32,
         /// Morsel index.
         morsel: u32,
-        /// Was this morsel stolen from another worker's range?
-        stolen: bool,
         /// Execution time in nanoseconds.
         dur_ns: u64,
     },
@@ -393,7 +391,7 @@ impl Drop for TimelineOp {
 
 /// Record one morsel execution. `started` is the instant just before
 /// the morsel ran on worker `worker`.
-pub fn morsel_span(worker: u32, morsel: u32, stolen: bool, started: Instant) {
+pub fn morsel_span(worker: u32, morsel: u32, started: Instant) {
     if !recording() {
         return;
     }
@@ -404,7 +402,6 @@ pub fn morsel_span(worker: u32, morsel: u32, stolen: bool, started: Instant) {
         TimelineKind::Morsel {
             worker,
             morsel,
-            stolen,
             dur_ns,
         },
     );
@@ -826,7 +823,7 @@ mod tests {
         std::thread::scope(|scope| {
             for w in 0..3u32 {
                 scope.spawn(move || {
-                    morsel_span(w, w, false, Instant::now());
+                    morsel_span(w, w, Instant::now());
                 });
             }
         });
@@ -901,7 +898,7 @@ mod tests {
         pool_eviction(1);
         io_retry("stream");
         io_fault("crash");
-        morsel_span(0, 0, false, Instant::now());
+        morsel_span(0, 0, Instant::now());
         delta_snapshot("t", 1, 1, false, 1);
         let token = query_begin(4245);
         let trace = query_end(token, "d", 0, 1, None, &[]);
@@ -949,7 +946,7 @@ mod tests {
                 s.spawn(move || {
                     {
                         let _scope = enter_scope(scope);
-                        morsel_span(w, w, false, Instant::now());
+                        morsel_span(w, w, Instant::now());
                     }
                     // Outside the handed-down scope the worker is unscoped.
                     assert_eq!(current_scope(), 0);

@@ -103,7 +103,7 @@ pub enum LogicalPlan {
     /// Morsel-driven parallel execution (§3.3/§8 generalized): run the
     /// input pipeline — a scan-like leaf with a pushed predicate, a
     /// residual filter over one, or an aggregate over either — as block
-    /// ranges claimed by `degree` work-stealing workers, followed by a
+    /// ranges claimed by `degree` workers from one counter, followed by a
     /// deterministic merge. Inserted by the strategic optimizer when
     /// `OptimizerOptions::parallelism >= 2`; lowering makes the final
     /// tactical call and may still fall back to the serial pipeline

@@ -107,7 +107,6 @@ fn push_trace(out: &mut Vec<String>, t: &QueryTrace) {
             TimelineKind::Morsel {
                 worker,
                 morsel,
-                stolen,
                 dur_ns,
             } => {
                 let tid = 1000 + u64::from(*worker);
@@ -115,7 +114,7 @@ fn push_trace(out: &mut Vec<String>, t: &QueryTrace) {
                 out.push(format!(
                     "{{\"name\":\"morsel\",\"cat\":\"morsel\",\"ph\":\"X\",\"pid\":{pid},\
                      \"tid\":{tid},\"ts\":{ts},\"dur\":{},\"args\":{{\"worker\":{worker},\
-                     \"morsel\":{morsel},\"stolen\":{stolen}}}}}",
+                     \"morsel\":{morsel}}}}}",
                     us(*dur_ns),
                 ));
             }
@@ -375,7 +374,6 @@ mod tests {
                     TimelineKind::Morsel {
                         worker: 3,
                         morsel: 7,
-                        stolen: true,
                         dur_ns: 1_000,
                     },
                 ),

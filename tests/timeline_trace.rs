@@ -29,8 +29,8 @@ fn trace_lock() -> &'static Mutex<()> {
 /// 400k rows: a 100-value sorted group key (RLE territory) plus a
 /// high-entropy value column — the fig. 10 shape, big enough to split
 /// into enough morsels that all four workers reliably claim work
-/// before the queue drains (work-stealing can starve a late-spawning
-/// worker on tiny inputs).
+/// before the counter runs out (on tiny inputs the workers that start
+/// first can claim every morsel before a late-spawning one runs).
 fn fig10_db() -> Database {
     let mut g = ColumnBuilder::new("g", DataType::Integer, EncodingPolicy::default());
     let mut v = ColumnBuilder::new("v", DataType::Integer, EncodingPolicy::default());
@@ -376,9 +376,10 @@ fn parallel_paged_query_produces_a_validated_worker_trace() {
     assert_eq!(rows, untraced, "traced and untraced runs disagree");
 
     // ≥ 4 distinct workers actually executed morsels. The full-degree
-    // assertion only means something when the host can run 4 workers at once —
-    // on fewer cores a late-spawning worker can lose its whole deque
-    // partition to stealing before the OS first schedules it.
+    // assertion only means something when the host can run 4 workers at
+    // once — on fewer cores the running workers can claim every morsel
+    // from the shared counter before the OS first schedules a
+    // late-spawning one.
     let workers: std::collections::BTreeSet<u32> = trace
         .events
         .iter()
