@@ -129,7 +129,8 @@ impl Query {
     /// faults — failed demand loads, segment checksum mismatches (use
     /// [`tde_io::checksum_mismatch_details`] to recognise corruption
     /// specifically) — and `InvalidInput` for a projection naming a
-    /// column the source does not have.
+    /// column the source does not have or an operator naming a column
+    /// index past its input's width.
     ///
     /// Always-on observability: when the process-wide metrics registry
     /// is enabled this records `tde_queries_total`,
@@ -154,13 +155,19 @@ impl Query {
     fn execute(self, scoped: bool) -> io::Result<Executed> {
         let obs = QueryObservation::begin(scoped);
         let t0 = Instant::now();
-        let plan = self.plan();
+        // The optimizer indexes columns unchecked, so a plan naming one
+        // past its input's width goes no further than this check.
+        let checked = self.builder.as_plan().check_columns();
+        let plan = match checked {
+            Ok(_) => self.plan(),
+            Err(_) => self.builder.build(),
+        };
         let plan_ns = t0.elapsed().as_nanos() as u64;
         let digest = obs
             .as_ref()
             .map_or_else(String::new, |o| o.plan_digest(|| plan.explain()));
         let t1 = Instant::now();
-        let result = tde_plan::physical::try_run(&plan);
+        let result = checked.and_then(|_| tde_plan::physical::try_run(&plan));
         let elapsed = t1.elapsed();
         let trace = obs.and_then(|obs| {
             let exec_ns = elapsed.as_nanos() as u64;

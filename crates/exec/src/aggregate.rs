@@ -64,9 +64,14 @@ fn domain_of(f: &Field) -> Domain {
 /// associative and exact; Real sums are order-dependent (f64 addition),
 /// so the planner must keep them serial.
 pub fn merge_safe(schema: &Schema, aggs: &[AggSpec]) -> bool {
-    !aggs
-        .iter()
-        .any(|a| a.func == AggFunc::Sum && domain_of(&schema.fields[a.col]) == Domain::Real)
+    aggs.iter()
+        .all(|a| a.func != AggFunc::Sum || sums_exactly(&schema.fields[a.col]))
+}
+
+/// Whether `SUM` over `field` is exact in any grouping of its inputs:
+/// anything but a real, whose f64 additions depend on their order.
+pub fn sums_exactly(field: &Field) -> bool {
+    domain_of(field) != Domain::Real
 }
 
 /// Accumulators for one aggregate, one slot per group: the running value
@@ -140,9 +145,9 @@ fn fold_real(acc: &mut AccCol, gids: &[u32], vals: &[i64], op: impl Fn(f64, f64)
 }
 
 /// Fold one aggregate's input column into `acc`: one loop per
-/// (function, domain), over the block's group ids.
+/// (function, domain), over the block's group ids. `COUNT` counts the
+/// ids alone, so its column may be a dropped one's empty vector.
 fn fold_column(acc: &mut AccCol, func: AggFunc, domain: &Domain, gids: &[u32], vals: &[i64]) {
-    let vals = &vals[..gids.len()];
     let keep_min = |a: f64, x: f64| if x < a { x } else { a };
     let keep_max = |a: f64, x: f64| if x > a { x } else { a };
     match (func, domain) {
@@ -187,7 +192,6 @@ fn fold_weighted(
     vals: &[i64],
     weights: &[u64],
 ) {
-    let vals = &vals[..gids.len()];
     match (func, domain) {
         (AggFunc::Count, _) => {
             for (&g, &w) in gids.iter().zip(weights) {
@@ -259,7 +263,6 @@ fn fold_total(acc: &mut AccCol, func: AggFunc, domain: &Domain, vals: &[i64], w:
     let keep_max = |a: f64, x: f64| if x > a { x } else { a };
     let rows = vals.iter().copied();
     match (func, domain, w) {
-        (AggFunc::Count, _, _) => acc.count[0] += w.map_or(vals.len() as u64, |w| w.iter().sum()),
         (AggFunc::Sum, Domain::Real, Some(w)) => {
             let expanded = rows.zip(w).flat_map(|(v, &w)| repeat_n(v, w as usize));
             total_real(acc, expanded, |a, x| a + x)
@@ -382,12 +385,16 @@ fn final_value(acc: &AccCol, g: usize, func: AggFunc, domain: &Domain) -> i64 {
 }
 
 fn output_schema(input: &Schema, group_cols: &[usize], aggs: &[AggSpec]) -> Schema {
-    // A key read as codes comes out as the values they stand for.
+    // A key read as codes comes out as the values they stand for, under
+    // the name a column selection may have given the codes.
     let mut fields: Vec<Field> = group_cols
         .iter()
         .map(|&c| {
             let f = &input.fields[c];
-            f.decoded().map_or(f, |(_, values)| values).clone()
+            f.decoded().map_or(f.clone(), |(_, values)| Field {
+                name: f.name.clone(),
+                ..values.clone()
+            })
         })
         .collect();
     for a in aggs {
@@ -615,12 +622,17 @@ impl AggCore {
     /// aggregate. A run-carrying block folds exactly like its expansion
     /// (see `fold_weighted`): its segments arrive in row order, so hash
     /// groups keep first-occurrence order and ordered runs stay runs.
+    /// `COUNT` counts the block's rows and reads no column, so the scan
+    /// may leave its column empty ([`crate::Need::None`]).
     pub fn fold_block(&self, p: &mut Partial, block: &Block) {
         if let Grouping::Total = self.grouping {
             let weights = block.weights.as_ref().map(|w| &w[..block.len]);
             for (a, spec) in self.aggs.iter().enumerate() {
-                let vals = &block.columns[spec.col][..block.len];
-                fold_total(&mut p.accs[a], spec.func, &self.domains[a], vals, weights);
+                let (acc, vals) = (&mut p.accs[a], &block.columns[spec.col]);
+                match spec.func {
+                    AggFunc::Count => acc.count[0] += block.rows(),
+                    f => fold_total(acc, f, &self.domains[a], vals, weights),
+                }
             }
             return;
         }

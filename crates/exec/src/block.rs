@@ -168,7 +168,10 @@ impl Schema {
     }
 }
 
-/// A block of rows: one `i64` vector per column, all `len` long.
+/// A block of rows: one `i64` vector per column, each `len` long — or
+/// empty, for a column nothing above the scan reads
+/// ([`crate::Need::None`]): the scan never gathers it, but carries it at
+/// its position so no column index above changes.
 ///
 /// A *run-carrying* block also has `weights`: its row `i` stands for
 /// `weights[i]` identical consecutive rows — a segment over which every
@@ -195,15 +198,23 @@ impl Block {
         Block::new(vec![Vec::new(); ncols])
     }
 
-    /// Build from column vectors.
+    /// Build from column vectors: as many rows as the longest holds.
     pub fn new(columns: Vec<Vec<i64>>) -> Block {
-        let len = columns.first().map_or(0, Vec::len);
-        debug_assert!(columns.iter().all(|c| c.len() == len));
+        let len = columns.iter().map(Vec::len).max().unwrap_or(0);
+        debug_assert!(columns
+            .iter()
+            .all(|c| Block::carries(c, len) || c.is_empty()));
         Block {
             columns,
             len,
             weights: None,
         }
+    }
+
+    /// Whether `column` holds the `len` rows of its block; one that does
+    /// not is a dropped column's empty vector.
+    fn carries(column: &[i64], len: usize) -> bool {
+        column.len() == len
     }
 
     /// The rows the block stands for: `len`, or the sum of its weights.
@@ -215,14 +226,16 @@ impl Block {
     }
 
     /// Keep only the rows `sel` (a selection over this block) selects,
-    /// compacting each column (and the weights) once.
+    /// compacting each carried column (and the weights) once.
     pub fn select(&mut self, sel: &Selection) {
         debug_assert_eq!(sel.rows(), self.len);
         if sel.positions().is_none() {
             return;
         }
         for col in &mut self.columns {
-            sel.compact(col);
+            if Block::carries(col, self.len) {
+                sel.compact(col);
+            }
         }
         if let Some(w) = &mut self.weights {
             sel.compact(w);
@@ -255,6 +268,14 @@ mod tests {
         assert_eq!(runs.columns[0], vec![1, 3]);
         assert_eq!(runs.weights, Some(vec![5, 7]));
         assert_eq!(runs.rows(), 12);
+
+        // A dropped column stays empty, wherever it sits.
+        let mut b = Block::new(vec![vec![], vec![1, 2, 3]]);
+        assert_eq!(b.len, 3);
+        let mut sel = Selection::all(3);
+        sel.retain(|r| r != 0);
+        b.select(&sel);
+        assert_eq!((b.len, b.columns), (2, vec![vec![], vec![2, 3]]));
     }
 
     #[test]

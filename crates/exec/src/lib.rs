@@ -57,7 +57,7 @@ pub mod topn;
 
 pub use block::{Block, Field, Repr, Schema};
 pub use expr::{AggFunc, CmpOp, Expr};
-pub use source::{Projection, Source};
+pub use source::{Choices, Need, Projection, Source};
 
 /// Rows per execution block — matches the encoding decompression block
 /// size so one decode call serves one block (paper §3.1).

@@ -1,6 +1,6 @@
 //! Project (Compute): a flow operator evaluating expressions per block.
-//! A pure column selection also carries a run-carrying block's weights
-//! through to the aggregate above it.
+//! A column selection also carries a run-carrying block's weights, and a
+//! group key's codes, through to the aggregate above it.
 
 use crate::block::{Block, Field, Schema};
 use crate::expr::{eval, ComputeHeap, Expr};
@@ -25,8 +25,10 @@ impl Project {
         let mut names = Vec::with_capacity(exprs.len());
         for (name, e) in &exprs {
             let mut heap = compute_heap.as_mut();
-            let out = eval(e, input.schema(), &probe, &mut heap);
-            let mut f: Field = out.field;
+            let mut f: Field = match coded(e, input.schema()) {
+                Some(c) => input.schema().fields[c].clone(),
+                None => eval(e, input.schema(), &probe, &mut heap).field,
+            };
             f.name = name.clone();
             // Column pass-throughs keep their metadata; computed columns
             // start unknown (FlowTable re-derives it).
@@ -53,17 +55,25 @@ impl Operator for Project {
 
     fn next_block(&mut self) -> Option<Block> {
         let block = self.input.next_block()?;
-        // Weights pass through a pure column selection on their way to
-        // the aggregate; nothing computes over a run-carrying block.
+        // Weights pass through a column selection on their way to the
+        // aggregate; nothing computes over a column of a run-carrying
+        // block.
         debug_assert!(
-            block.weights.is_none() || self.exprs.iter().all(|e| matches!(e, Expr::Col(_))),
+            block.weights.is_none()
+                || self
+                    .exprs
+                    .iter()
+                    .all(|e| matches!(e, Expr::Col(_)) || e.referenced_columns().is_empty()),
             "a computing Project got a run-carrying block"
         );
         let in_schema = self.input.schema();
         let mut columns = Vec::with_capacity(self.exprs.len());
         for e in &self.exprs {
             let mut heap = self.compute_heap.as_mut();
-            columns.push(eval(e, in_schema, &block, &mut heap).data);
+            columns.push(match coded(e, in_schema) {
+                Some(c) => block.columns[c].clone(),
+                None => eval(e, in_schema, &block, &mut heap).data,
+            });
         }
         let _ = &self.names;
         Some(Block {
@@ -71,6 +81,16 @@ impl Operator for Project {
             len: block.len,
             weights: block.weights,
         })
+    }
+}
+
+/// The input column `e` selects, when that column holds a group key's
+/// codes ([`Field::codes`]): the selection hands them on to the
+/// aggregate, where evaluating the column would decode them.
+fn coded(e: &Expr, input: &Schema) -> Option<usize> {
+    match e {
+        Expr::Col(c) if input.fields[*c].decoded().is_some() => Some(*c),
+        _ => None,
     }
 }
 

@@ -30,8 +30,9 @@ use tde_storage::{Column, Compression, Table};
 ///
 /// Each block starts as a [`Selection`] of every row (minus tombstones,
 /// for a merge snapshot's base); each pushed conjunct narrows it, the
-/// surviving rows of every projected column are then decoded into the
-/// output block, and residual conjuncts filter that block last.
+/// surviving rows of every projected column but a dropped one
+/// ([`crate::Need::None`]) are then decoded into the output block, and
+/// residual conjuncts filter that block last.
 ///
 /// A run-carrying scan ([`TableScan::with_runs`]) instead walks the runs
 /// of every projected column in lockstep and emits one weighted row per
@@ -53,6 +54,10 @@ pub struct TableScan {
     /// current while `decoded` is set (buffers reused block to block).
     values: Vec<Vec<i64>>,
     decoded: Vec<bool>,
+    /// Per column: a pushed conjunct may test its stored stream, but it
+    /// is never gathered — carried as an empty vector. No residual
+    /// conjunct reads one.
+    pub(crate) dropped: Vec<bool>,
     scratch: Vec<i64>,
     /// Set by [`TableScan::with_runs`].
     runs: Option<Runs>,
@@ -162,16 +167,19 @@ impl TableScan {
             .iter()
             .map(|h| h.field(expand_dictionaries))
             .collect();
-        TableScan::with_fields(handles, fields, expand_dictionaries)
+        let dropped = vec![false; handles.len()];
+        TableScan::with_fields(handles, fields, dropped, expand_dictionaries)
     }
 
     /// Scan `handles` into `fields`: their own, or a merge snapshot's,
     /// whose heaps and dictionaries extend the stored ones. A column
     /// whose field holds [codes](Field::codes) reads its dictionary-encoded
-    /// stream's codes and never looks up an entry.
+    /// stream's codes and never looks up an entry; a column `dropped`
+    /// flags is never gathered.
     pub(crate) fn with_fields(
         handles: Vec<ColumnHandle>,
         fields: Vec<Field>,
+        dropped: Vec<bool>,
         expand_dictionaries: bool,
     ) -> TableScan {
         let cursors = handles
@@ -186,6 +194,7 @@ impl TableScan {
         TableScan {
             values: vec![Vec::new(); handles.len()],
             decoded: vec![false; handles.len()],
+            dropped,
             handles,
             schema: Schema::new(fields),
             cursors,
@@ -507,6 +516,7 @@ impl TableScan {
             pushed,
             sel,
             runs,
+            dropped,
             ..
         } = self;
         let runs = runs.as_mut().expect("a run-carrying scan");
@@ -555,8 +565,8 @@ impl TableScan {
                     c.rows.rows_out += len;
                 }
                 if keep {
-                    for ((col, &v), dict) in columns.iter_mut().zip(&runs.value).zip(&dictionaries)
-                    {
+                    let kept = columns.iter_mut().zip(&runs.value).zip(&dictionaries);
+                    for (((col, &v), dict), _) in kept.zip(&*dropped).filter(|(_, &d)| !d) {
                         col.push(dict.map_or(v, |d| d[v as usize]));
                     }
                     weights.push(len);
@@ -684,8 +694,16 @@ impl TableScan {
             let mut columns = Vec::with_capacity(self.handles.len());
             for (slot, h) in self.handles.iter().enumerate() {
                 let col = h.col();
+                let decoded = std::mem::take(&mut self.decoded[slot]);
+                if self.dropped[slot] {
+                    if !decoded {
+                        self.cursors[slot].skip(&col.data, BLOCK_ROWS);
+                    }
+                    columns.push(Vec::new());
+                    continue;
+                }
                 let mut out = Vec::with_capacity(self.sel.len());
-                if std::mem::take(&mut self.decoded[slot]) {
+                if decoded {
                     self.sel.gather(&self.values[slot], &mut out);
                 } else {
                     self.cursors[slot].next_selected(

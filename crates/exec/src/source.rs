@@ -16,11 +16,12 @@
 //! dictionary-expanded and filtered through the compiled predicate. A
 //! plain table is the case with no tombstones and no delta.
 
+use crate::aggregate::sums_exactly;
 use crate::block::{Block, Field, Repr, Schema};
 use crate::expr::Expr;
 use crate::handle::ColumnHandle;
 use crate::merged_scan::MergedSource;
-use crate::pushdown::{has_raw_domain, raw_domain, CompiledPredicate};
+use crate::pushdown::{has_raw_domain, raw_domain, split_conjuncts, CompiledPredicate};
 use crate::scan::TableScan;
 use crate::{BoxOp, Operator};
 use std::fmt;
@@ -151,6 +152,7 @@ impl Source {
                 return Ok(Projection {
                     handles: positions.iter().map(|&i| m.handles()[i].clone()).collect(),
                     fields: positions.iter().map(|&i| m.fields()[i].clone()).collect(),
+                    dropped: vec![false; positions.len()],
                     tombstones: Arc::clone(m.tombstones()),
                     delta: Some((Arc::clone(m), positions)),
                 })
@@ -158,6 +160,7 @@ impl Source {
         };
         Ok(Projection {
             fields: handles.iter().map(|h| h.field(false)).collect(),
+            dropped: vec![false; handles.len()],
             handles,
             tombstones: Arc::default(),
             delta: None,
@@ -186,6 +189,46 @@ impl Source {
     }
 }
 
+/// What the operators above a scan need of one of its columns, weakest
+/// first: a column two of them read gets the stronger need (`max`).
+/// [`Projection::with_needs`] applies it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Need {
+    /// Nothing reads it: the scan carries an empty vector in its place.
+    None,
+    /// A group key: a dictionary-encoded stream's codes will do.
+    Codes,
+    /// Folded by `MIN` or `MAX`: a run may stand for its rows.
+    Runs,
+    /// Summed: a run may stand for its rows where `w` additions of `v`
+    /// are `v × w` ([`sums_exactly`]).
+    Sum,
+    /// Read row by row.
+    Values,
+}
+
+impl Need {
+    /// Whether a run-carrying block serves this need of `field`.
+    pub fn takes_runs(self, field: &Field) -> bool {
+        match self {
+            Need::None | Need::Codes | Need::Runs => true,
+            Need::Sum => sums_exactly(field),
+            Need::Values => false,
+        }
+    }
+}
+
+/// What [`Projection::with_needs`] chose, by projected column index.
+#[derive(Debug)]
+pub struct Choices {
+    /// Whether the base leg carries runs.
+    pub runs: bool,
+    /// The columns scanned as their streams' codes.
+    pub codes: Vec<usize>,
+    /// The columns never gathered.
+    pub dropped: Vec<usize>,
+}
+
 /// A source's projected columns, resolved and ready to scan — whole, or
 /// split into morsel ranges.
 #[derive(Debug, Clone)]
@@ -196,6 +239,8 @@ pub struct Projection {
     /// columns' own fields, or a snapshot's merged ones, whose heaps and
     /// dictionaries extend the base's with the delta's values.
     fields: Vec<Field>,
+    /// Per column, whether the scan leaves it empty ([`Need::None`]).
+    dropped: Vec<bool>,
     /// Stored rows a merge snapshot deleted, ascending.
     tombstones: Arc<Vec<u64>>,
     /// The merge snapshot whose delta rows follow the stored ones, and
@@ -247,19 +292,62 @@ impl Projection {
             && col.data.algorithm() == Algorithm::Dictionary
     }
 
-    /// This projection with columns `cols` (each one that
-    /// [`Projection::reads_codes`]) scanned as their streams' codes —
-    /// by the serial scan and every morsel task alike. The entries are
-    /// read here, once; a column named twice is coded once.
-    pub fn with_codes(mut self, cols: &[usize]) -> Projection {
-        for &c in cols {
-            debug_assert!(self.reads_codes(c));
-            if self.fields[c].decoded().is_none() {
-                let entries = self.handles[c].col().data.dict_entries();
-                self.fields[c] = self.fields[c].codes(entries.expect("a dictionary stream"));
-            }
+    /// This projection scanned for operators needing `need(c)` of each
+    /// column `c`, by the serial scan and every morsel task alike:
+    ///
+    /// * the base leg carries runs where every column
+    ///   [takes them](Need::takes_runs) and [`Projection::reads_runs`];
+    /// * a column needing codes is scanned as codes where it
+    ///   [reads as codes](Projection::reads_codes) and is not known
+    ///   sorted — the aggregate may run ordered over it then (§4.2.2);
+    /// * a column nothing needs is never gathered, unless a residual
+    ///   conjunct of `predicate` (the scan's own) reads it from the
+    ///   block. A pushed conjunct tests the stored stream either way.
+    pub fn with_needs(
+        mut self,
+        need: impl Fn(usize) -> Need,
+        expand_dictionaries: bool,
+        predicate: Option<&Expr>,
+    ) -> (Projection, Choices) {
+        let n = self.fields.len();
+        let runs = self.reads_runs() && (0..n).all(|c| need(c) < Need::Values) && {
+            let schema = self.schema(expand_dictionaries);
+            (0..n).all(|c| need(c).takes_runs(&schema.fields[c]))
+        };
+        let codes: Vec<usize> = (0..n)
+            .filter(|&c| {
+                need(c) == Need::Codes
+                    && self.reads_codes(c)
+                    && !self.fields[c].metadata.sorted_asc.is_true()
+            })
+            .collect();
+        for &c in &codes {
+            // The entries are read here, once, for every scan of the
+            // projection.
+            let entries = self.handles[c].col().data.dict_entries();
+            self.fields[c] = self.fields[c].codes(entries.expect("a dictionary stream"));
         }
-        self
+        let mut dropped: Vec<usize> = (0..n).filter(|&c| need(c) == Need::None).collect();
+        if let (Some(p), false) = (predicate, dropped.is_empty()) {
+            let split = split_conjuncts(p, |c| self.fields.get(c).is_some_and(has_raw_domain));
+            let read: Vec<usize> = split
+                .residual
+                .iter()
+                .flat_map(|e| e.referenced_columns())
+                .collect();
+            dropped.retain(|c| !read.contains(c));
+        }
+        for &c in &dropped {
+            self.dropped[c] = true;
+        }
+        (
+            self,
+            Choices {
+                runs,
+                codes,
+                dropped,
+            },
+        )
     }
 
     /// Whether `predicate` keeps no row, decided from min/max metadata or
@@ -342,7 +430,8 @@ impl Projection {
     /// narrowing the tombstones.
     fn base_leg(&self, expand_dictionaries: bool) -> TableScan {
         let fields = self.schema(expand_dictionaries).fields;
-        TableScan::with_fields(self.handles.clone(), fields, expand_dictionaries)
+        let dropped = self.dropped.clone();
+        TableScan::with_fields(self.handles.clone(), fields, dropped, expand_dictionaries)
             .with_tombstones(Arc::clone(&self.tombstones))
     }
 }
@@ -398,6 +487,14 @@ impl Operator for Legs {
             };
             if let Some(p) = &mut self.predicate {
                 p.filter(self.base.schema(), &mut block, &mut self.sel);
+            }
+            for (col, _) in block
+                .columns
+                .iter_mut()
+                .zip(&self.base.dropped)
+                .filter(|(_, &d)| d)
+            {
+                *col = Vec::new();
             }
             if block.len > 0 {
                 return Some(block);

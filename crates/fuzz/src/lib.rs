@@ -155,6 +155,46 @@ mod tests {
     }
 
     #[test]
+    fn some_seeds_drop_columns() {
+        // The CI smoke sweep's seeds reach both halves of column demand:
+        // a scan column nothing reads as values, which the scan drops,
+        // and a group key under a filter the optimizer leaves residual
+        // (the optimizer oracle's rewrite-free reference), which arrives
+        // as codes.
+        let residual = tde_plan::strategic::OptimizerOptions {
+            invisible_joins: false,
+            index_tables: false,
+            ordered_retrieval: false,
+            kernel_pushdown: false,
+            parallelism: 1,
+        };
+        let trees: Vec<[String; 2]> = (0..40)
+            .map(gen::generate)
+            .map(|spec| {
+                let table = spec.build_table();
+                [Default::default(), residual].map(|opts| {
+                    let q = spec.apply_plan(tde_core::Query::scan(&table));
+                    let report = q.with_optimizer(opts).try_explain_analyze();
+                    report.map_or_else(|_| String::new(), |r| r.operator_tree)
+                })
+            })
+            .collect();
+        let dropped = |t: &String| t.contains(" [dropped: ");
+        let coded_under_filter = |t: &String| {
+            let filter = t.find("Filter");
+            filter.is_some_and(|at| t[at..].contains(" [codes: "))
+        };
+        assert!(
+            trees.iter().any(|[t, _]| dropped(t)),
+            "no seed drops a column"
+        );
+        assert!(
+            trees.iter().any(|[_, t]| coded_under_filter(t)),
+            "no seed groups on codes under a residual filter"
+        );
+    }
+
+    #[test]
     fn an_injected_sorted_claim_is_caught_and_shrunk() {
         use spec::{InjectKind, Injection};
         // Find a generated case with an unsorted integer column to corrupt.

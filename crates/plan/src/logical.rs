@@ -7,6 +7,7 @@
 //! for run-length columns (§4.2). Expressions reference input columns by
 //! index into the child's output schema.
 
+use std::io;
 use std::sync::Arc;
 use tde_exec::aggregate::AggSpec;
 use tde_exec::sort::SortOrder;
@@ -180,6 +181,68 @@ impl LogicalPlan {
                     .chain(fetch.iter().cloned())
                     .collect()
             }
+        }
+    }
+
+    /// Check that every column index the plan names lies within the
+    /// width of the input it indexes, and return the output width. A
+    /// hand-built plan may name a column past it, where the optimizer or
+    /// an operator would panic; that is `InvalidInput` naming the operator
+    /// and the index.
+    pub fn check_columns(&self) -> io::Result<usize> {
+        fn within(op: &str, cols: impl IntoIterator<Item = usize>, width: usize) -> io::Result<()> {
+            match cols.into_iter().find(|&c| c >= width) {
+                Some(c) => Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("{op} names column {c} of a {width}-column input"),
+                )),
+                None => Ok(()),
+            }
+        }
+        let read = |e: &Expr| e.referenced_columns();
+        match self {
+            LogicalPlan::Scan {
+                columns, predicate, ..
+            } => {
+                within(
+                    "scan predicate",
+                    predicate.iter().flat_map(read),
+                    columns.len(),
+                )?;
+                Ok(columns.len())
+            }
+            LogicalPlan::Filter { input, predicate } => {
+                let width = input.check_columns()?;
+                within("Filter", read(predicate), width)?;
+                Ok(width)
+            }
+            LogicalPlan::Project { input, exprs } => {
+                let width = input.check_columns()?;
+                within("Project", exprs.iter().flat_map(|(_, e)| read(e)), width)?;
+                Ok(exprs.len())
+            }
+            LogicalPlan::Aggregate {
+                input,
+                group_by,
+                aggs,
+            } => {
+                let width = input.check_columns()?;
+                within("Aggregate key", group_by.iter().copied(), width)?;
+                within("Aggregate", aggs.iter().map(|a| a.col), width)?;
+                Ok(group_by.len() + aggs.len())
+            }
+            LogicalPlan::Sort { input, keys } => {
+                let width = input.check_columns()?;
+                within("Sort", keys.iter().map(|k| k.0), width)?;
+                Ok(width)
+            }
+            LogicalPlan::Morsel { input, .. } => input.check_columns(),
+            LogicalPlan::ExpandJoin { outer, column, .. } => {
+                let width = outer.check_columns()?;
+                within("ExpandJoin", [*column], width)?;
+                Ok(width)
+            }
+            LogicalPlan::IndexScan { fetch, .. } => Ok(1 + fetch.len()),
         }
     }
 

@@ -6,14 +6,18 @@
 //! join implementation (fetch vs hash) and the aggregation flavour
 //! (ordered vs hash) chosen — from the metadata FlowTable just extracted.
 //!
-//! An aggregate also decides here what its leaf hands it: rows, or —
-//! when every column the leaf reads is stored run-length — run-carrying
-//! blocks it folds per segment instead of per row (see
-//! [`tde_exec::Block`]); and, directly on a scan, each group key whose
-//! stream is dictionary-encoded as the stream's codes, which it decodes
-//! once per group (see [`tde_exec::aggregate::AggCore`]). The choices
-//! follow from the plan shape and the encodings alone; no option sets
-//! them.
+//! Lowering also decides how each scan column reaches the operators
+//! above it (§2.3.1). Every operator states what it needs of each column
+//! of its input — a [`Need`], handed down as the operator's child is
+//! lowered — and the scan applies the demand
+//! ([`tde_exec::Projection::with_needs`]): a column nothing reads is never
+//! gathered; a group key whose stream is dictionary-encoded arrives as
+//! the stream's codes, which the aggregate decodes once per group (see
+//! [`tde_exec::aggregate::AggCore`]); and where only aggregates read
+//! columns that are all stored run-length, the leaf hands over
+//! run-carrying blocks, folded per segment instead of per row (see
+//! [`tde_exec::Block`]). The choices follow from the plan and the
+//! encodings alone; no option sets them.
 
 use crate::logical::{scan_label, InnerOps, LogicalPlan};
 use std::io;
@@ -28,7 +32,7 @@ use tde_exec::obs::Observed;
 use tde_exec::project::Project;
 use tde_exec::scan::TableScan;
 use tde_exec::sort::{Sort, SortOrder};
-use tde_exec::{AggFunc, BoxOp, Expr, Operator, Projection, Source};
+use tde_exec::{AggFunc, BoxOp, Choices, Expr, Need, Operator, Source};
 use tde_storage::EncodingPolicy;
 
 /// Timeline context threaded through lowering: the operator id of the
@@ -79,17 +83,89 @@ impl NodeCtx {
     }
 }
 
-/// Lower and instantiate a logical plan. I/O and corruption faults
-/// (failed demand loads, checksum mismatches) and projections naming a
-/// column the source does not have come back as errors. Inside a query
-/// scope (see `tde_obs::timeline::query_begin`) every operator records
-/// its span, and the decisions taken here and during execution land in
-/// the scope's trace.
-pub fn try_execute(plan: &LogicalPlan) -> io::Result<BoxOp> {
-    lower(plan, Tracer { parent: None })
+/// What an operator needs of each column of its input.
+#[derive(Clone)]
+enum Demand {
+    /// Values of every column: the root's, a `Sort`'s, a join's.
+    All,
+    /// A [`Need`] per column; a column past the end is not read.
+    Each(Vec<Need>),
 }
 
-fn lower(plan: &LogicalPlan, tr: Tracer) -> io::Result<BoxOp> {
+impl Demand {
+    fn of(&self, c: usize) -> Need {
+        match self {
+            Demand::All => Need::Values,
+            Demand::Each(needs) => needs.get(c).copied().unwrap_or(Need::None),
+        }
+    }
+
+    /// Raise column `c`'s need to at least `need`.
+    fn raise(&mut self, c: usize, need: Need) {
+        if let Demand::Each(needs) = self {
+            if needs.len() <= c {
+                needs.resize(c + 1, Need::None);
+            }
+            needs[c] = needs[c].max(need);
+        }
+    }
+
+    /// This demand with the values of every column `expr` reads: what a
+    /// `Filter` needs of its input.
+    fn reading(mut self, expr: &Expr) -> Demand {
+        for c in expr.referenced_columns() {
+            self.raise(c, Need::Values);
+        }
+        self
+    }
+}
+
+/// What an aggregate needs of its input: codes of its keys, runs of the
+/// columns it folds (of a summed one, where the sum is exact), and
+/// nothing for `COUNT`, which counts rows.
+fn aggregate_demand(group_by: &[usize], aggs: &[AggSpec]) -> Demand {
+    let mut demand = Demand::Each(Vec::new());
+    for &k in group_by {
+        demand.raise(k, Need::Codes);
+    }
+    for a in aggs {
+        let need = match a.func {
+            AggFunc::Count => Need::None,
+            AggFunc::Sum => Need::Sum,
+            AggFunc::Min | AggFunc::Max => Need::Runs,
+        };
+        demand.raise(a.col, need);
+    }
+    demand
+}
+
+/// What a `Project` needs of its input: of a selected column, what its
+/// output's consumer needs; of each column a computed one reads, values.
+fn project_demand(exprs: &[(String, Expr)], demand: &Demand) -> Demand {
+    let mut input = Demand::Each(Vec::new());
+    for (i, (_, e)) in exprs.iter().enumerate() {
+        match e {
+            Expr::Col(c) => input.raise(*c, demand.of(i)),
+            e => input = input.reading(e),
+        }
+    }
+    input
+}
+
+/// Lower and instantiate a logical plan. I/O and corruption faults
+/// (failed demand loads, checksum mismatches), projections naming a
+/// column the source does not have and operators naming a column past
+/// their input's width come back as errors. Inside a query scope (see
+/// `tde_obs::timeline::query_begin`) every operator records its span,
+/// and the decisions taken here and during execution land in the
+/// scope's trace.
+pub fn try_execute(plan: &LogicalPlan) -> io::Result<BoxOp> {
+    plan.check_columns()?;
+    lower(plan, Demand::All, Tracer { parent: None })
+}
+
+/// Lower `plan` for a consumer that needs `demand` of its output.
+fn lower(plan: &LogicalPlan, demand: Demand, tr: Tracer) -> io::Result<BoxOp> {
     match plan {
         LogicalPlan::Scan {
             source,
@@ -101,18 +177,23 @@ fn lower(plan: &LogicalPlan, tr: Tracer) -> io::Result<BoxOp> {
             columns,
             *expand_dictionaries,
             predicate.as_ref(),
-            None,
+            &demand,
             tr,
         ),
         LogicalPlan::Filter { input, predicate } => {
             let node = tr.node("Filter");
-            let input = lower(input, node.child())?;
+            let input = lower(input, demand.reading(predicate), node.child())?;
             Ok(node.wrap(Box::new(Filter::new(input, predicate.clone()))))
         }
-        LogicalPlan::Project { input, exprs } => lower_project(input, exprs, None, tr),
+        LogicalPlan::Project { input, exprs } => {
+            let names: Vec<&str> = exprs.iter().map(|(n, _)| n.as_str()).collect();
+            let node = tr.node(format!("Project [{}]", names.join(", ")));
+            let input = lower(input, project_demand(exprs, &demand), node.child())?;
+            Ok(node.wrap(Box::new(Project::new(input, exprs.to_vec()))))
+        }
         LogicalPlan::Sort { input, keys } => {
             let node = tr.node(format!("Sort {keys:?}"));
-            let input = lower(input, node.child())?;
+            let input = lower(input, Demand::All, node.child())?;
             Ok(node.wrap(Box::new(Sort::new(input, keys.clone()))))
         }
         LogicalPlan::Aggregate {
@@ -120,7 +201,7 @@ fn lower(plan: &LogicalPlan, tr: Tracer) -> io::Result<BoxOp> {
             group_by,
             aggs,
         } => lower_aggregate(input, group_by, aggs, tr),
-        LogicalPlan::Morsel { input, degree } => lower_morsel(input, *degree, tr),
+        LogicalPlan::Morsel { input, degree } => lower_morsel(input, *degree, demand, tr),
         LogicalPlan::ExpandJoin {
             outer,
             column,
@@ -138,100 +219,10 @@ fn lower(plan: &LogicalPlan, tr: Tracer) -> io::Result<BoxOp> {
             *sort_by_value,
             fetch,
             &plan.output_columns(),
-            None,
+            &demand,
             tr,
         ),
     }
-}
-
-/// What an aggregate asks of the leaf its input comes from: its
-/// aggregates, over which the leaf may hand it run-carrying blocks, and
-/// its group keys, which a scan directly under it may hand over as
-/// codes. A row consumer asks nothing (`None`).
-#[derive(Clone, Copy)]
-struct Folding<'a> {
-    keys: &'a [usize],
-    aggs: &'a [AggSpec],
-}
-
-/// Lower an aggregate's input, asking its leaf for runs where the shape
-/// allows it: the aggregate sits directly on a `Scan` or an `IndexScan`,
-/// or on one through a pure column selection (the reorder rule 2 puts
-/// above an `IndexScan`). Anything else in between — a `Filter`, a
-/// computing `Project` — keeps the row path, so Fig 10's plan 1 control
-/// stays row-at-a-time. Only a `Scan` directly under the aggregate is
-/// asked for codes.
-fn lower_agg_input(plan: &LogicalPlan, fold: Folding<'_>, tr: Tracer) -> io::Result<BoxOp> {
-    match plan {
-        LogicalPlan::Scan {
-            source,
-            columns,
-            expand_dictionaries,
-            predicate,
-        } => lower_scan(
-            source,
-            columns,
-            *expand_dictionaries,
-            predicate.as_ref(),
-            Some(fold),
-            tr,
-        ),
-        LogicalPlan::IndexScan {
-            source,
-            inner,
-            sort_by_value,
-            fetch,
-        } => lower_index_scan(
-            source,
-            inner,
-            *sort_by_value,
-            fetch,
-            &plan.output_columns(),
-            Some(fold),
-            tr,
-        ),
-        LogicalPlan::Project { input, exprs } => lower_project(input, exprs, Some(fold), tr),
-        other => lower(other, tr),
-    }
-}
-
-fn lower_project(
-    input: &LogicalPlan,
-    exprs: &[(String, Expr)],
-    fold: Option<Folding<'_>>,
-    tr: Tracer,
-) -> io::Result<BoxOp> {
-    let names: Vec<&str> = exprs.iter().map(|(n, _)| n.as_str()).collect();
-    let node = tr.node(format!("Project [{}]", names.join(", ")));
-    // Through a pure column selection the aggregates read the columns
-    // the selected ones are; a computed column ends the run path.
-    let selected: Option<Vec<usize>> = exprs
-        .iter()
-        .map(|(_, e)| match e {
-            Expr::Col(c) => Some(*c),
-            _ => None,
-        })
-        .collect();
-    let input = match (fold, selected) {
-        (Some(fold), Some(selected)) => {
-            let aggs: Vec<AggSpec> = fold
-                .aggs
-                .iter()
-                .map(|a| AggSpec {
-                    col: selected.get(a.col).copied().unwrap_or(a.col),
-                    ..a.clone()
-                })
-                .collect();
-            // The projection would expand codes: ask for runs alone.
-            let fold = Folding {
-                keys: &[],
-                aggs: &aggs,
-            };
-            lower_agg_input(input, fold, node.child())?
-        }
-        _ => lower(input, node.child())?,
-    };
-    Ok(node.wrap(Box::new(Project::new(input, exprs.to_vec()))))
 }
 
 fn lower_scan(
@@ -239,81 +230,71 @@ fn lower_scan(
     columns: &[String],
     expand_dictionaries: bool,
     predicate: Option<&Expr>,
-    fold: Option<Folding<'_>>,
+    demand: &Demand,
     tr: Tracer,
 ) -> io::Result<BoxOp> {
     let names: Vec<&str> = columns.iter().map(String::as_str).collect();
     // Demand loads happen here: a failed or corrupt segment read
     // surfaces as an error, never as corrupt decoded data.
-    let projection = source.resolve(&names)?;
-    let runs = fold.is_some_and(|f| folds_runs(&projection, expand_dictionaries, f.aggs));
-    let (projection, coded) = with_group_codes(projection, expand_dictionaries, fold);
-    let (scan, how) = projection.scan(expand_dictionaries, predicate.map(|p| (p, false)), runs);
+    let (projection, chose) =
+        source
+            .resolve(&names)?
+            .with_needs(|c| demand.of(c), expand_dictionaries, predicate);
+    let (scan, how) = projection.scan(
+        expand_dictionaries,
+        predicate.map(|p| (p, false)),
+        chose.runs,
+    );
     let mut label = scan_label(source, columns, expand_dictionaries);
     if let Some(how) = how {
         label = format!("{label} {how}");
     }
-    if !coded.is_empty() {
-        label = format!("{label} [codes: {}]", coded.join(", "));
-    }
-    Ok(tr.node(runs_label(label, runs)).wrap(scan))
+    label += &record_choices(&chose, columns);
+    Ok(tr.node(runs_label(label, chose.runs)).wrap(scan))
 }
 
-/// The group keys of `fold` a scan of `projection` hands over as codes
-/// ([`Projection::with_codes`]): each key whose stream
-/// [reads as codes](Projection::reads_codes) and that no aggregate but
-/// `COUNT` also reads, for those fold values. A lone key known sorted is
-/// left alone: the aggregate runs ordered then (§4.2.2), with no table
-/// to pack codes into. The choice is recorded as the aggregate's
-/// `group-codes` decision; returns the coded columns' names.
-fn with_group_codes(
-    projection: Projection,
-    expand_dictionaries: bool,
-    fold: Option<Folding<'_>>,
-) -> (Projection, Vec<String>) {
-    let Some(fold) = fold else {
-        return (projection, Vec::new());
-    };
-    let schema = projection.schema(expand_dictionaries);
-    let sorted_key = matches!(fold.keys, [k] if schema.fields[*k].metadata.sorted_asc.is_true());
-    // In column order, so a key named twice is coded once.
-    let coded: Vec<usize> = (0..schema.len())
-        .filter(|&k| {
-            !sorted_key
-                && fold.keys.contains(&k)
-                && projection.reads_codes(k)
-                && fold
-                    .aggs
-                    .iter()
-                    .all(|a| a.func == AggFunc::Count || a.col != k)
-        })
-        .collect();
-    if coded.is_empty() {
-        return (projection, Vec::new());
-    }
-    let names: Vec<String> = coded
-        .iter()
-        .map(|&k| schema.fields[k].name.clone())
-        .collect();
-    tde_obs::metrics::decision("aggregate", "group-codes");
+/// Record a tactical decision: counted, and an event in the query's
+/// trace.
+fn decide(point: &'static str, choice: &str, reason: impl FnOnce() -> String) {
+    tde_obs::metrics::decision(point, choice);
     tde_obs::emit(|| tde_obs::Event::Decision {
-        point: "aggregate",
-        choice: "group-codes".to_string(),
-        reason: format!(
-            "keys [{}] are dictionary-encoded: the aggregate groups on their codes \
-             and decodes each group once",
-            names.join(", ")
-        ),
+        point,
+        choice: choice.to_string(),
+        reason: reason(),
     });
-    (projection.with_codes(&coded), names)
 }
 
-/// Whether `aggs` over a scan of `projection` fold runs: every column is
-/// a stored run-length stream and no aggregate is a `SUM` over a real
-/// (repeated f64 addition is not `v × w` — the same aggregates whose
-/// partials [`merge_safe`] refuses to merge).
-fn folds_runs(projection: &Projection, expand_dictionaries: bool, aggs: &[AggSpec]) -> bool {
-    projection.reads_runs() && merge_safe(&projection.schema(expand_dictionaries), aggs)
+/// Record what a scan of `columns` hands on in place of values — the
+/// `scan` / `drop-columns` and `aggregate` / `group-codes` decisions —
+/// and return the label suffixes that name the columns. A drop is an
+/// event alone: a metrics-registry count takes a lock and builds its
+/// label key on every call, which a dashboard query's lowering would pay.
+fn record_choices(chose: &Choices, columns: &[String]) -> String {
+    let names = |cols: &[usize]| {
+        let names: Vec<&str> = cols.iter().map(|&c| columns[c].as_str()).collect();
+        names.join(", ")
+    };
+    let mut label = String::new();
+    if !chose.dropped.is_empty() {
+        let names = names(&chose.dropped);
+        tde_obs::emit(|| tde_obs::Event::Decision {
+            point: "scan",
+            choice: "drop-columns".to_string(),
+            reason: format!("nothing above the scan reads [{names}]: never gathered"),
+        });
+        label += &format!(" [dropped: {names}]");
+    }
+    if !chose.codes.is_empty() {
+        let names = names(&chose.codes);
+        decide("aggregate", "group-codes", || {
+            format!(
+                "keys [{names}] are dictionary-encoded: the aggregate groups on their codes \
+                 and decodes each group once"
+            )
+        });
+        label += &format!(" [codes: {names}]");
+    }
+    label
 }
 
 /// A run-carrying leaf's label gains `[runs]`, and the choice is
@@ -322,13 +303,8 @@ fn runs_label(label: String, runs: bool) -> String {
     if !runs {
         return label;
     }
-    tde_obs::metrics::decision("aggregate", "fold-runs");
-    tde_obs::emit(|| tde_obs::Event::Decision {
-        point: "aggregate",
-        choice: "fold-runs".to_string(),
-        reason: format!(
-            "every column of {label} is run-length: the aggregate folds runs, not rows"
-        ),
+    decide("aggregate", "fold-runs", || {
+        format!("every column of {label} is run-length: the aggregate folds runs, not rows")
     });
     format!("{label} [runs]")
 }
@@ -348,11 +324,7 @@ fn lower_aggregate(
     tr: Tracer,
 ) -> io::Result<BoxOp> {
     let mut node = tr.node("Aggregate");
-    let fold = Folding {
-        keys: group_by,
-        aggs,
-    };
-    let input = lower_agg_input(input_plan, fold, node.child())?;
+    let input = lower(input_plan, aggregate_demand(group_by, aggs), node.child())?;
     if tactical_ordered(input.schema(), group_by) {
         node.label = format!("OrderedAggregate group_by={group_by:?}");
         Ok(node.wrap(Box::new(OrderedAggregate::new(
@@ -378,19 +350,25 @@ fn lower_aggregate(
 /// optional aggregate), require merge-exact aggregates and enough
 /// morsels to occupy the workers, and fall back to the serial lowering
 /// — with a decision event either way — when it declines.
-fn lower_morsel(input_plan: &LogicalPlan, degree: usize, tr: Tracer) -> io::Result<BoxOp> {
-    match build_morsel(input_plan, degree) {
+fn lower_morsel(
+    input_plan: &LogicalPlan,
+    degree: usize,
+    demand: Demand,
+    tr: Tracer,
+) -> io::Result<BoxOp> {
+    match build_morsel(input_plan, degree, &demand) {
         Ok((exec, what)) => {
-            tde_obs::metrics::decision("parallelism", "morsel-parallel");
-            tde_obs::emit(|| tde_obs::Event::Decision {
-                point: "parallelism",
-                choice: format!("morsel-parallel(degree={})", exec.degree()),
-                reason: format!(
-                    "{} morsel(s) across {} workers, deterministic merge",
-                    exec.morsel_count(),
-                    exec.degree()
-                ),
-            });
+            decide(
+                "parallelism",
+                &format!("morsel-parallel(degree={})", exec.degree()),
+                || {
+                    format!(
+                        "{} morsel(s) across {} workers, deterministic merge",
+                        exec.morsel_count(),
+                        exec.degree()
+                    )
+                },
+            );
             let node = tr.node(format!(
                 "Morsel{what} [parallel={}] morsels={}",
                 exec.degree(),
@@ -399,22 +377,19 @@ fn lower_morsel(input_plan: &LogicalPlan, degree: usize, tr: Tracer) -> io::Resu
             Ok(node.wrap(Box::new(exec)))
         }
         Err(reason) => {
-            tde_obs::metrics::decision("parallelism", "serial");
-            tde_obs::emit(|| tde_obs::Event::Decision {
-                point: "parallelism",
-                choice: "serial".to_string(),
-                reason: reason.clone(),
-            });
-            lower(input_plan, tr)
+            decide("parallelism", "serial", || reason);
+            lower(input_plan, demand, tr)
         }
     }
 }
 
-/// Decompose a morsel-eligible pipeline and build its executor, or
-/// explain (in the `Err`) why it must stay serial.
+/// Decompose a morsel-eligible pipeline and build its executor, its scan
+/// applying the demand the serial lowering's would (`demand` is the
+/// pipeline's own), or explain (in the `Err`) why it must stay serial.
 fn build_morsel(
     input_plan: &LogicalPlan,
     degree: usize,
+    demand: &Demand,
 ) -> Result<(tde_exec::morsel::MorselExec, &'static str), String> {
     use tde_exec::morsel::{morsel_count, MorselExec, MorselPipeline};
 
@@ -452,6 +427,12 @@ fn build_morsel(
         (Some(q), Some(p)) => Some(Expr::And(Box::new(q.clone()), Box::new(p.clone()))),
         (q, p) => q.as_ref().or(p).cloned(),
     };
+    let demand = agg.map_or_else(
+        || demand.clone(),
+        |(keys, aggs)| aggregate_demand(keys, aggs),
+    );
+    let demand = filter.into_iter().fold(demand, Demand::reading);
+    let (source, chose) = source.with_needs(|c| demand.of(c), expand, predicate.as_ref());
     if predicate
         .as_ref()
         .is_some_and(|p| source.keeps_nothing(expand, p))
@@ -460,10 +441,8 @@ fn build_morsel(
     }
     // A serial fold over the runs is O(runs); no split of the rows across
     // workers can beat it.
-    if let (None, Some((_, aggs))) = (filter, agg) {
-        if folds_runs(&source, expand, aggs) {
-            return Err("pipeline folds per run: one serial pass over the runs".to_string());
-        }
+    if chose.runs {
+        return Err("pipeline folds per run: one serial pass over the runs".to_string());
     }
     let morsels = morsel_count(&source);
     if morsels < 2 {
@@ -495,12 +474,7 @@ fn build_morsel(
             }
         }
     };
-    // Directly on the scan, as the serial lowering decides it.
-    let fold = match (filter, agg) {
-        (None, Some((keys, aggs))) => Some(Folding { keys, aggs }),
-        _ => None,
-    };
-    let (source, _) = with_group_codes(source, expand, fold);
+    record_choices(&chose, columns);
     Ok((
         MorselExec::new(
             source,
@@ -539,7 +513,7 @@ fn lower_expand_join(
 ) -> io::Result<BoxOp> {
     let src_col = &source.0.columns[source.1];
     let mut node = tr.node(format!("ExpandJoin {}.{}", source.0.name, src_col.name));
-    let outer = lower(outer_plan, node.child())?;
+    let outer = lower(outer_plan, Demand::All, node.child())?;
     let (dict, _) = dictionary_table(src_col, &format!("{}_dict", src_col.name));
     // Inner pipeline over the dictionary, then materialize with FlowTable
     // under the inner-side policy (§4.3) so metadata is extracted and the
@@ -615,7 +589,7 @@ fn lower_index_scan(
     sort_by_value: bool,
     fetch: &[String],
     output_columns: &[String],
-    fold: Option<Folding<'_>>,
+    demand: &Demand,
     tr: Tracer,
 ) -> io::Result<BoxOp> {
     let src_col = &source.0.columns[source.1];
@@ -644,7 +618,9 @@ fn lower_index_scan(
     let fetch_refs: Vec<&str> = fetch.iter().map(String::as_str).collect();
     let mut scan =
         IndexedScan::new(inner_op, source.0.clone(), &fetch_refs).with_names(output_columns);
-    let carry = fold.is_some_and(|f| scan.fetches_runs() && merge_safe(scan.schema(), f.aggs));
+    let fields = &scan.schema().fields;
+    let carry =
+        scan.fetches_runs() && (0..fields.len()).all(|c| demand.of(c).takes_runs(&fields[c]));
     // The label ends with how much of the run index the query used —
     // index rows, rows the inner filter kept — and whether this query
     // built the index and the fetched columns' run indexes or found them

@@ -29,7 +29,7 @@ use tde::exec::aggregate::{AggSpec, HashAggregate};
 use tde::exec::expr::{AggFunc, ArithOp, CmpOp};
 use tde::exec::filter::Filter;
 use tde::exec::scan::TableScan;
-use tde::exec::{drain, Block, BoxOp, Expr, Operator, Schema, Source};
+use tde::exec::{drain, Block, BoxOp, Expr, Need, Operator, Schema, Source};
 use tde::obs::Event;
 use tde::pager::{save_v2, PagedDatabase};
 use tde::plan::strategic::OptimizerOptions;
@@ -324,17 +324,17 @@ fn assert_scan_predicates_agree(t: &Arc<Table>, what: &str) {
     for (pred, force_fallback) in &preds {
         for group_by in GROUPINGS {
             let aggs = &agg_sets()[0];
-            let projection = Source::from(t).resolve(&NAMES).unwrap();
-            let keys: Vec<usize> = group_by
-                .iter()
-                .copied()
-                .filter(|&k| projection.reads_codes(k))
-                .collect();
-            assert!(keys.contains(&0), "{what}");
-            let (scan, _) =
-                projection
-                    .with_codes(&keys)
-                    .scan(false, Some((pred, *force_fallback)), false);
+            let need = |c| match group_by.contains(&c) {
+                true => Need::Codes,
+                false => Need::Values,
+            };
+            let (projection, chose) =
+                Source::from(t)
+                    .resolve(&NAMES)
+                    .unwrap()
+                    .with_needs(need, false, Some(pred));
+            assert!(chose.codes.contains(&0), "{what}");
+            let (scan, _) = projection.scan(false, Some((pred, *force_fallback)), false);
             let agg = HashAggregate::new(scan, group_by.to_vec(), aggs.clone());
             let got = (agg.schema().clone(), drain(Box::new(agg)));
             let want = reference(plain(), Some(pred), group_by, aggs);
