@@ -135,14 +135,14 @@ impl Query {
     /// Always-on observability: when the process-wide metrics registry
     /// is enabled this records `tde_queries_total`,
     /// `tde_query_rows_total` and the `tde_query_latency_ns` histogram;
-    /// when a span sink is installed (see [`tde_obs::span`]) it also
-    /// emits one [`tde_obs::span::QuerySpan`] with the plan digest,
-    /// phase timings and the registry counter deltas this execution
-    /// caused; when timeline tracing is on (see [`tde_obs::timeline`])
-    /// the execution is bracketed by query begin/end markers and its
-    /// drained timeline lands in the trace ring. Failed executions stay
-    /// observable: they bump `tde_queries_failed_total` and emit an
-    /// error-tagged span/trace instead of vanishing.
+    /// when timeline tracing is on (see [`tde_obs::timeline`]) or a span
+    /// sink is installed (see [`tde_obs::span`]) the execution runs in a
+    /// query scope, its drained trace lands in the trace ring, and the
+    /// sink gets the trace — rendered as one span line with the plan
+    /// digest, phase timings and the counters the query's own events
+    /// moved. Failed executions stay observable: they bump
+    /// `tde_queries_failed_total` and leave an error-tagged span and
+    /// trace instead of vanishing.
     pub fn try_run(self) -> io::Result<(Schema, Vec<Block>)> {
         self.execute(false).map(|x| (x.schema, x.blocks))
     }
@@ -208,8 +208,8 @@ impl Query {
     /// its output is available on the report.
     ///
     /// The always-on layers see this entry point like any other — same
-    /// metrics, one [`tde_obs::span::QuerySpan`] / timeline trace, same
-    /// errors as [`Query::try_run`].
+    /// metrics, one span and timeline trace, same errors as
+    /// [`Query::try_run`].
     pub fn try_explain_analyze(self) -> io::Result<ExplainAnalyze> {
         let sources = self.builder.as_plan().sources();
         let before: Vec<Option<CacheSnapshot>> =
@@ -353,49 +353,38 @@ fn render_tree(nodes: &[NodeSnapshot]) -> String {
 
 /// One execution's always-on observability, shared by every entry
 /// point (`run`/`try_run`/`rows`/`try_rows`/`explain_analyze`) so each
-/// emits exactly one span and one timeline trace.
+/// leaves exactly one span and one timeline trace.
 ///
-/// [`QueryObservation::begin`] checks the three layer gates (metrics
-/// registry, span sink, timeline) — `None` means all are off and the
-/// caller takes the uninstrumented fast path.
-/// [`QueryObservation::finish`] settles everything at once: query
-/// metrics (success or `tde_queries_failed_total`), the query span,
-/// the drained timeline trace, and the slow-query log when
-/// `TDE_SLOW_QUERY_NS` is set and exceeded.
+/// [`QueryObservation::begin`] checks the layer gates — `None` means the
+/// registry is off and no scope is wanted, and the caller takes the
+/// uninstrumented fast path. The query runs in a timeline scope when the
+/// timeline is on, a span sink is installed (the span is a rendering of
+/// the trace) or the caller asks for one (EXPLAIN ANALYZE).
+/// [`QueryObservation::finish`] settles everything at once: the query
+/// metrics, the drained trace, and the span (with its slow-query record
+/// when `TDE_SLOW_QUERY_NS` is set and met) for the sink.
 struct QueryObservation {
-    query_id: u64,
     token: Option<tde_obs::timeline::QueryToken>,
-    before: Option<tde_obs::metrics::MetricsSnapshot>,
     metrics_on: bool,
-    span_on: bool,
 }
 
 impl QueryObservation {
     fn begin(scoped: bool) -> Option<QueryObservation> {
         use tde_obs::{metrics, span, timeline};
         let metrics_on = metrics::enabled();
-        let span_on = span::span_sink_installed();
-        let trace_on = scoped || timeline::enabled();
-        if !metrics_on && !span_on && !trace_on {
+        let scoped = scoped || span::span_sink_installed() || timeline::enabled();
+        if !metrics_on && !scoped {
             return None;
         }
-        // Counter deltas are process-wide: concurrent queries fold into
-        // each other's spans (the query's timeline trace is its own).
-        let before = span_on.then(|| metrics::global().snapshot());
-        let query_id = span::next_query_id();
-        let token = trace_on.then(|| timeline::query_begin(query_id));
         Some(QueryObservation {
-            query_id,
-            token,
-            before,
+            token: scoped.then(|| timeline::query_begin(span::next_query_id())),
             metrics_on,
-            span_on,
         })
     }
 
-    /// The plan digest, rendered only when a layer will carry it.
+    /// The plan digest, rendered only when a trace will carry it.
     fn plan_digest(&self, explain: impl FnOnce() -> String) -> String {
-        if self.span_on || self.token.is_some() {
+        if self.token.is_some() {
             format!("{:016x}", tde_obs::span::fnv1a64(&explain()))
         } else {
             String::new()
@@ -413,53 +402,14 @@ impl QueryObservation {
     ) -> Option<Arc<QueryTrace>> {
         use tde_obs::{metrics, span, timeline};
         if self.metrics_on {
-            if error.is_none() {
-                metrics::queries_total().inc();
-                metrics::query_rows_total().add(rows);
-                metrics::query_latency_ns().observe(elapsed_ns);
-            } else {
-                metrics::queries_failed_total().inc();
-            }
+            let slow = timeline::slow_threshold_ns().is_some_and(|t| elapsed_ns >= t);
+            metrics::query_finished(rows, elapsed_ns, error.is_some(), slow);
         }
-        let trace = self.token.map(|token| {
-            timeline::query_end(token, plan_digest, rows, elapsed_ns, error.clone(), phases)
-        });
-        if self.span_on {
-            // Snapshot after the query counters above so a span's delta
-            // set includes them.
-            let counters = self
-                .before
-                .map(|b| metrics::global().snapshot().counter_deltas(&b))
-                .unwrap_or_default();
-            span::emit_span(|| span::QuerySpan {
-                query_id: self.query_id,
-                plan_digest: plan_digest.to_owned(),
-                rows_out: rows,
-                elapsed_ns,
-                phases: phases.to_vec(),
-                counters,
-                error,
-            });
-        }
-        if let Some(threshold_ns) = timeline::slow_threshold_ns() {
-            if elapsed_ns >= threshold_ns {
-                if self.metrics_on {
-                    metrics::slow_queries_total().inc();
-                }
-                let top_ops = trace
-                    .as_ref()
-                    .map(|t| t.top_operators(3))
-                    .unwrap_or_default();
-                span::emit_slow(|| span::SlowQueryRecord {
-                    query_id: self.query_id,
-                    plan_digest: plan_digest.to_owned(),
-                    rows_out: rows,
-                    elapsed_ns,
-                    threshold_ns,
-                    phases: phases.to_vec(),
-                    top_ops,
-                });
-            }
+        let trace = self
+            .token
+            .map(|token| timeline::query_end(token, plan_digest, rows, elapsed_ns, error, phases));
+        if let Some(trace) = &trace {
+            span::emit_span(trace);
         }
         trace
     }

@@ -86,25 +86,21 @@ impl DeltaTable {
         let columns = columns.into_iter().map(|compacted| match compacted {
             Compacted::Spliced(column) => column,
             Compacted::Rebuilt(built) => {
-                let rows = built.column.len();
                 let column = built.column;
-                let algorithm = format!("{:?}", column.data.algorithm());
-                tde_obs::metrics::column_built(rows);
-                tde_obs::metrics::compaction_rows_reencoded(&algorithm, rows);
                 tde_obs::emit(|| tde_obs::Event::ColumnBuilt {
                     table: name.clone(),
                     column: column.name.clone(),
-                    algorithm,
-                    rows,
+                    algorithm: format!("{:?}", column.data.algorithm()),
+                    rows: column.len(),
                     reencodings: built.reencodings,
                     final_converted: built.final_converted,
+                    compacted: true,
                 });
                 column
             }
         });
         let table = Arc::new(Table::new(&name, columns.collect()));
         let nanos = t0.elapsed().as_nanos() as u64;
-        tde_obs::metrics::compaction(nanos);
         tde_obs::emit(|| tde_obs::Event::Compaction {
             table: name.clone(),
             delta_rows,

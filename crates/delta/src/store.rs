@@ -644,19 +644,18 @@ impl DeltaTable {
         Ok(source)
     }
 
-    /// Record a snapshot begun at `t0` — a merge snapshot's or a
-    /// compaction's — on the metrics and the timeline. Returns its
-    /// duration.
+    /// Report a snapshot begun at `t0` — a merge snapshot's or a
+    /// compaction's — as an [`tde_obs::Event::DeltaSnapshot`]. Returns
+    /// its duration.
     pub(crate) fn record_snapshot(&self, index_built: bool, t0: Instant) -> u64 {
         let nanos = t0.elapsed().as_nanos() as u64;
-        tde_obs::metrics::delta_snapshot(nanos);
-        tde_obs::timeline::delta_snapshot(
-            self.name(),
-            self.delta_rows(),
-            self.tombstone_count(),
+        tde_obs::emit(|| tde_obs::Event::DeltaSnapshot {
+            table: self.name().to_owned(),
+            delta_rows: self.delta_rows(),
+            tombstones: self.tombstone_count(),
             index_built,
-            nanos,
-        );
+            dur_ns: nanos,
+        });
         nanos
     }
 

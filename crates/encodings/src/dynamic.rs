@@ -161,7 +161,6 @@ impl DynamicEncoder {
             false,
             self.prefer_dictionary,
         );
-        tde_obs::metrics::reencode("mid-load");
         tde_obs::emit(|| tde_obs::Event::Reencode {
             column: self.label.clone(),
             from: format!("{from:?}"),
@@ -203,7 +202,6 @@ impl DynamicEncoder {
             if optimal != self.spec {
                 let fresh = self.rewritten(&stream, optimal);
                 if fresh.physical_size() < stream.physical_size() {
-                    tde_obs::metrics::reencode("final-convert");
                     tde_obs::emit(|| tde_obs::Event::Reencode {
                         column: self.label.clone(),
                         from: format!("{:?}", self.spec),

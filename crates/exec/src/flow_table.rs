@@ -67,7 +67,6 @@ pub fn build_from_blocks(
     let mut reencodings = Vec::with_capacity(built.len());
     let mut columns = Vec::with_capacity(built.len());
     for b in built {
-        tde_obs::metrics::column_built(b.column.data.len());
         tde_obs::emit(|| tde_obs::Event::ColumnBuilt {
             table: name.to_owned(),
             column: b.column.name.clone(),
@@ -75,6 +74,7 @@ pub fn build_from_blocks(
             rows: b.column.data.len(),
             reencodings: b.reencodings,
             final_converted: b.final_converted,
+            compacted: false,
         });
         reencodings.push(b.reencodings);
         columns.push(b.column);

@@ -248,7 +248,6 @@ impl TableScan {
                 };
                 if !quiet {
                     let encoding = stored.data.algorithm().name();
-                    tde_obs::metrics::kernel_pushdown(encoding, name);
                     tde_obs::emit(|| tde_obs::Event::Decision {
                         point: "kernel-pushdown",
                         choice: name.to_string(),
@@ -261,6 +260,7 @@ impl TableScan {
                                 Compression::Array { .. } => "array",
                             }
                         ),
+                        encoding: Some(encoding),
                     });
                 }
                 // A decoding conjunct on codes tests the codes of the
@@ -291,13 +291,13 @@ impl TableScan {
                     .collect();
                 let columns = names.join(",");
                 if !quiet {
-                    tde_obs::metrics::kernel_pushdown("none", "fallback");
                     tde_obs::emit(|| tde_obs::Event::Decision {
                         point: "kernel-pushdown",
                         choice: "fallback".to_string(),
                         reason: format!(
                             "residual over [{columns}]: no value set, evaluated per block"
                         ),
+                        encoding: Some("none"),
                     });
                 }
                 Residual {
@@ -414,7 +414,6 @@ impl TableScan {
         for (column, kernel, rows) in conjuncts.chain(residual) {
             let (rows_in, rows_out, rows_skipped) =
                 (rows.rows_in, rows.rows_out, rows.rows_skipped);
-            tde_obs::metrics::kernel_scan_rows(rows_in, rows_out, rows_skipped);
             tde_obs::emit(|| tde_obs::Event::KernelScan {
                 column,
                 kernel: kernel.to_string(),

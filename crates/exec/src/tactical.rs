@@ -36,14 +36,6 @@ pub fn choose_hash_strategy(keys: &[&Field]) -> (HashStrategy, Option<KeyPacking
         Some(p) => (HashStrategy::Perfect, Some(p)),
         None => (HashStrategy::Collision, None),
     };
-    tde_obs::metrics::decision(
-        "hash-strategy",
-        match chosen.0 {
-            HashStrategy::Direct64K => "Direct64K",
-            HashStrategy::Perfect => "Perfect",
-            HashStrategy::Collision => "Collision",
-        },
-    );
     tde_obs::emit(|| {
         let names: Vec<&str> = keys.iter().map(|f| f.name.as_str()).collect();
         let reason = match &chosen.1 {
@@ -68,6 +60,7 @@ pub fn choose_hash_strategy(keys: &[&Field]) -> (HashStrategy, Option<KeyPacking
             point: "hash-strategy",
             choice: format!("{:?}", chosen.0),
             reason,
+            encoding: None,
         }
     });
     chosen
@@ -96,15 +89,6 @@ pub fn choose_join(inner_key: &Field) -> JoinChoice {
         None
     }
     .unwrap_or(JoinChoice::Hash);
-    // The metric label is the strategy name alone — `Fetch { base }`
-    // would be one label value per table.
-    tde_obs::metrics::decision(
-        "join",
-        match choice {
-            JoinChoice::Fetch { .. } => "Fetch",
-            JoinChoice::Hash => "Hash",
-        },
-    );
     tde_obs::emit(|| {
         let (choice_str, reason) = match choice {
             JoinChoice::Fetch { base } => (
@@ -127,6 +111,7 @@ pub fn choose_join(inner_key: &Field) -> JoinChoice {
             point: "join",
             choice: choice_str,
             reason,
+            encoding: None,
         }
     });
     choice
@@ -136,7 +121,6 @@ pub fn choose_join(inner_key: &Field) -> JoinChoice {
 /// be known sorted.
 pub fn can_aggregate_ordered(keys: &[&Field]) -> bool {
     let ordered = !keys.is_empty() && keys.iter().all(|f| f.metadata.sorted_asc.is_true());
-    tde_obs::metrics::decision("aggregation", if ordered { "Ordered" } else { "Hash" });
     tde_obs::emit(|| {
         let names: Vec<&str> = keys.iter().map(|f| f.name.as_str()).collect();
         tde_obs::Event::Decision {
@@ -157,6 +141,7 @@ pub fn can_aggregate_ordered(keys: &[&Field]) -> bool {
                     names.join(", ")
                 )
             },
+            encoding: None,
         }
     });
     ordered
@@ -233,6 +218,7 @@ mod tests {
                     point,
                     choice,
                     reason,
+                    ..
                 } => Some((*point, choice.clone(), reason.clone())),
                 _ => None,
             })

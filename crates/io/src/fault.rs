@@ -23,9 +23,10 @@
 //!   if the process were dead. Reads also fail post-crash; a harness
 //!   reopens with a fresh backend to model recovery.
 //!
-//! Injected faults are counted both locally ([`FaultStats`]) and in the
-//! process-wide metrics registry (`tde_io_faults_injected_total{kind}`),
-//! and land as instants on the query timeline when tracing is on.
+//! Injected faults are counted locally ([`FaultStats`]) and reported as
+//! [`tde_obs::Event::IoFault`]s: the process-wide metrics registry counts
+//! them (`tde_io_faults_injected_total{kind}`) and they land on the
+//! query timeline when tracing is on.
 
 use crate::{IoFile, IoWriter, RealIo, StorageIo};
 use std::io;
@@ -118,8 +119,7 @@ impl State {
         let crash_here = self.plan.crash_at_op == Some(k);
         if crash_here {
             self.crashed.store(true, Ordering::SeqCst);
-            tde_obs::metrics::io_fault_injected("crash");
-            tde_obs::timeline::io_fault("crash");
+            tde_obs::emit(|| tde_obs::Event::IoFault { kind: "crash" });
         }
         Ok((k, crash_here))
     }
@@ -218,15 +218,15 @@ impl IoFile for FaultFile {
             .is_ok()
         {
             st.hard_read_errors.fetch_add(1, Ordering::SeqCst);
-            tde_obs::metrics::io_fault_injected("hard-read");
-            tde_obs::timeline::io_fault("hard-read");
+            tde_obs::emit(|| tde_obs::Event::IoFault { kind: "hard-read" });
             return Err(io::Error::other("injected hard read failure"));
         }
         if let Some(p) = st.plan.transient_read_period {
             if p >= 1 && k.is_multiple_of(p) {
                 st.transient_read_errors.fetch_add(1, Ordering::SeqCst);
-                tde_obs::metrics::io_fault_injected("transient-read");
-                tde_obs::timeline::io_fault("transient-read");
+                tde_obs::emit(|| tde_obs::Event::IoFault {
+                    kind: "transient-read",
+                });
                 return Err(io::Error::new(
                     io::ErrorKind::Interrupted,
                     "injected transient read error",
@@ -236,8 +236,7 @@ impl IoFile for FaultFile {
         if let Some(p) = st.plan.short_read_period {
             if p >= 1 && k.is_multiple_of(p) && buf.len() > 1 {
                 st.short_reads.fetch_add(1, Ordering::SeqCst);
-                tde_obs::metrics::io_fault_injected("short-read");
-                tde_obs::timeline::io_fault("short-read");
+                tde_obs::emit(|| tde_obs::Event::IoFault { kind: "short-read" });
                 let half = (buf.len() / 2).max(1);
                 return self.inner.read_at(&mut buf[..half], offset);
             }
@@ -264,8 +263,7 @@ impl io::Write for FaultWriter {
             st.check_alive()?;
             if st.bytes_written.load(Ordering::SeqCst) + buf.len() as u64 > limit {
                 st.enospc_errors.fetch_add(1, Ordering::SeqCst);
-                tde_obs::metrics::io_fault_injected("enospc");
-                tde_obs::timeline::io_fault("enospc");
+                tde_obs::emit(|| tde_obs::Event::IoFault { kind: "enospc" });
                 return Err(io::Error::new(
                     io::ErrorKind::StorageFull,
                     "injected ENOSPC: write budget exhausted",
@@ -304,8 +302,7 @@ impl IoWriter for FaultWriter {
         }
         if st.plan.drop_fsync {
             st.fsyncs_dropped.fetch_add(1, Ordering::SeqCst);
-            tde_obs::metrics::io_fault_injected("fsync-drop");
-            tde_obs::timeline::io_fault("fsync-drop");
+            tde_obs::emit(|| tde_obs::Event::IoFault { kind: "fsync-drop" });
             return Ok(());
         }
         self.inner.sync_all()
@@ -345,8 +342,7 @@ impl StorageIo for FaultIo {
             })
             .is_ok()
         {
-            tde_obs::metrics::io_fault_injected("rename");
-            tde_obs::timeline::io_fault("rename");
+            tde_obs::emit(|| tde_obs::Event::IoFault { kind: "rename" });
             return Err(io::Error::other("injected rename failure"));
         }
         self.state.inner.rename(from, to)

@@ -201,8 +201,7 @@ pub fn read_exact_at(
                         "{op} read failed after {MAX_READ_RETRIES} retries: {e}"
                     )));
                 }
-                tde_obs::metrics::io_retry(op);
-                tde_obs::timeline::io_retry(op);
+                tde_obs::emit(|| tde_obs::Event::IoRetry { op });
                 if retries > 2 {
                     // Bounded exponential backoff, capped at ~1 ms.
                     std::thread::sleep(std::time::Duration::from_micros(1u64 << retries.min(10)));

@@ -5,44 +5,114 @@
 //! encoding metadata (§2.3.4–§2.3.5), the dynamic encoder re-encodes
 //! columns mid-load (§3.2), and the §3.4.3 conversions reshape columns
 //! through their headers. This crate records those choices, plus
-//! per-operator block/row/time figures, without perturbing the engine:
+//! per-operator block/row/time figures, without perturbing the engine.
 //!
-//! * [`Event`] — a structured record of one decision, re-encoding,
-//!   conversion, segment load or compaction;
-//! * [`emit`] — the one call instrumented code reports an event through.
-//!   It lands on the calling thread's [`timeline`] lane, tagged with the
-//!   query scope the thread is in, so a query's trace holds its own
-//!   events and no other live query's.
+//! **One report per observation.** Instrumented code reports each
+//! observation once, as an [`Event`] through [`emit`]. The views are
+//! folds of that one report, so they cannot disagree:
 //!
-//! **Overhead contract**: outside a query scope with the timeline
-//! disabled, [`emit`] is a thread-local read plus one relaxed atomic
-//! load ([`timeline::recording`]) and never runs its closure —
-//! instrumentation points may sit on per-column or per-operator paths
-//! (never per-row). Two tests hold the disabled cost to that budget:
+//! * [`timeline`] — the recorder: the event lands on the calling
+//!   thread's lane, tagged with the query scope the thread is in, and a
+//!   query's drained [`timeline::QueryTrace`] holds its own events and
+//!   no other live query's. EXPLAIN ANALYZE is a view of that trace;
+//!   `tde-stats` exports it as Chrome Trace Event Format;
+//! * [`metrics`] — the process-wide registry of named counters, gauges
+//!   and log-linear-bucket histograms (exported by `tde-stats` as
+//!   Prometheus text and JSON). [`emit`] counts the event through one
+//!   `match` (`metrics::fold`), the only code that knows which event
+//!   moves which instrument;
+//! * [`span`] — one JSON line per query for a pluggable sink: a
+//!   rendering of the query's trace, whose `counters` are its own
+//!   events put through the same fold.
+//!
+//! A few instruments have no event: per-operator block and row counts,
+//! the task runner's, the delta store's, the buffer pool's hits and
+//! misses (through [`CacheCounters`]), checksum failures and the query
+//! counters. Their sites move them directly.
+//!
+//! **Overhead contract**: with the timeline off outside a query scope
+//! and the registry off, [`emit`] is a thread-local read plus two
+//! relaxed atomic loads and never runs its closure — instrumentation
+//! points may sit on per-column or per-operator paths (never per-row).
+//! Two tests hold the disabled cost to that budget:
 //! `timeline::tests::disabled_overhead_budget_10m_calls_under_a_second`
 //! and `metrics::tests::disabled_instrument_calls_stay_within_overhead_budget`.
-//!
-//! The layers:
-//!
-//! * [`metrics`] — a process-wide registry of named counters, gauges and
-//!   log-linear-bucket histograms accumulating over the whole process
-//!   lifetime (exported by `tde-stats` as Prometheus text and JSON),
-//!   under the same relaxed-atomic-when-disabled contract;
-//! * [`span`] — one compact structured record per query (id, plan
-//!   digest, phase timings, counter deltas), emitted as JSON lines
-//!   through a pluggable sink;
-//! * [`timeline`] — the one recorder: per-thread event lanes (operator
-//!   spans, morsel executions, [`Event`]s, pool evictions, I/O instants)
-//!   drained per query scope into a bounded ring of
-//!   [`timeline::QueryTrace`]s, exported by `tde-stats` as Chrome Trace
-//!   Event Format. EXPLAIN ANALYZE is a view of the query's own trace.
+//! With either layer on, [`emit`] builds the event.
 
 pub mod metrics;
 pub mod span;
 pub mod timeline;
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
+
+/// The on/off switch of the timeline and of a metrics registry. The
+/// process-wide ones start from an environment variable (`0`, `off` or
+/// `false` turn them off), read once, on first use; after that, reading
+/// the switch is one relaxed atomic load.
+#[derive(Debug)]
+pub(crate) struct Switch {
+    var: &'static str,
+    state: AtomicU8,
+}
+
+const UNREAD: u8 = 0;
+const OFF: u8 = 1;
+const ON: u8 = 2;
+
+impl Default for Switch {
+    /// Off: a default registry is a disabled one.
+    fn default() -> Switch {
+        Switch::fixed(false)
+    }
+}
+
+impl Switch {
+    /// A switch set from `var` on first use.
+    pub(crate) const fn from_env(var: &'static str) -> Switch {
+        Switch {
+            var,
+            state: AtomicU8::new(UNREAD),
+        }
+    }
+
+    /// A switch that starts `on` (or off), whatever the environment says.
+    pub(crate) const fn fixed(on: bool) -> Switch {
+        Switch {
+            var: "",
+            state: AtomicU8::new(if on { ON } else { OFF }),
+        }
+    }
+
+    #[inline(always)]
+    pub(crate) fn get(&self) -> bool {
+        match self.state.load(Ordering::Relaxed) {
+            UNREAD => self.read_env(),
+            state => state == ON,
+        }
+    }
+
+    #[cold]
+    fn read_env(&self) -> bool {
+        let off = matches!(
+            std::env::var(self.var).as_deref(),
+            Ok("0") | Ok("off") | Ok("false")
+        );
+        let state = if off { OFF } else { ON };
+        let _ = self
+            .state
+            .compare_exchange(UNREAD, state, Ordering::Relaxed, Ordering::Relaxed);
+        self.get()
+    }
+
+    /// Set the switch, returning its previous state.
+    pub(crate) fn set(&self, on: bool) -> bool {
+        let prev = self.get();
+        self.state
+            .store(if on { ON } else { OFF }, Ordering::Relaxed);
+        prev
+    }
+}
 
 /// Why a dynamic-encoding transition happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,6 +146,10 @@ pub enum Event {
         choice: String,
         /// Why, in terms of the metadata consulted.
         reason: String,
+        /// The encoding of the column the choice was made for, where it
+        /// was made for one: a kernel pushdown's (`"none"` for a
+        /// residual over several columns).
+        encoding: Option<&'static str>,
     },
     /// A dynamic-encoding transition on one column (§3.2).
     Reencode {
@@ -161,6 +235,9 @@ pub enum Event {
         reencodings: u32,
         /// Whether the end-of-load optimal conversion fired.
         final_converted: bool,
+        /// Whether a delta compaction re-encoded the column (rather
+        /// than a FlowTable building it).
+        compacted: bool,
     },
     /// A flat-file import finished (TextScan, §5.1). The three phase
     /// times add up to the call: `scan` finds record and field boundaries
@@ -184,6 +261,36 @@ pub enum Event {
         /// Nanoseconds finishing the columns.
         finish_nanos: u64,
     },
+    /// The buffer pool evicted a segment to stay under budget.
+    PoolEviction {
+        /// Bytes released.
+        bytes: u64,
+    },
+    /// A delta store froze its buffer into a merge snapshot (for a scan
+    /// or a compaction).
+    DeltaSnapshot {
+        /// Table name.
+        table: String,
+        /// Live delta rows translated into the base's domain.
+        delta_rows: u64,
+        /// Tombstones in the snapshot.
+        tombstones: u64,
+        /// Whether this snapshot built the per-base index (first snapshot
+        /// of a base).
+        index_built: bool,
+        /// Snapshot time in nanoseconds.
+        dur_ns: u64,
+    },
+    /// The storage read path retried a transient I/O error.
+    IoRetry {
+        /// Operation label (`"stream"`, `"heap"`, …).
+        op: &'static str,
+    },
+    /// The `FaultIo` testing backend injected a fault.
+    IoFault {
+        /// Fault kind (`"crash"`, `"hard-read"`, …).
+        kind: &'static str,
+    },
 }
 
 impl std::fmt::Display for Event {
@@ -193,6 +300,7 @@ impl std::fmt::Display for Event {
                 point,
                 choice,
                 reason,
+                ..
             } => {
                 write!(f, "[{point}] {choice}: {reason}")
             }
@@ -263,6 +371,7 @@ impl std::fmt::Display for Event {
                 rows,
                 reencodings,
                 final_converted,
+                ..
             } => {
                 write!(
                     f,
@@ -292,6 +401,21 @@ impl std::fmt::Display for Event {
                      parse+build {build_nanos} ns, finish {finish_nanos} ns"
                 )
             }
+            Event::PoolEviction { bytes } => write!(f, "[pool-evict] {bytes} bytes"),
+            Event::DeltaSnapshot {
+                table,
+                delta_rows,
+                tombstones,
+                index_built,
+                dur_ns,
+            } => write!(
+                f,
+                "[delta-snapshot] {table}: {delta_rows} delta row(s), {tombstones} \
+                 tombstone(s){}, {dur_ns} ns",
+                if *index_built { ", index built" } else { "" }
+            ),
+            Event::IoRetry { op } => write!(f, "[io-retry] {op}"),
+            Event::IoFault { kind } => write!(f, "[io-fault] {kind}"),
         }
     }
 }
@@ -308,6 +432,10 @@ impl Event {
             Event::Compaction { .. } => "compaction",
             Event::ColumnBuilt { .. } => "column_built",
             Event::Import { .. } => "import",
+            Event::PoolEviction { .. } => "pool_eviction",
+            Event::DeltaSnapshot { .. } => "delta_snapshot",
+            Event::IoRetry { .. } => "io_retry",
+            Event::IoFault { .. } => "io_fault",
         }
     }
 
@@ -319,11 +447,13 @@ impl Event {
                 point,
                 choice,
                 reason,
+                encoding,
             } => format!(
-                "\"point\":\"{}\",\"choice\":\"{}\",\"reason\":\"{}\"",
+                "\"point\":\"{}\",\"choice\":\"{}\",\"reason\":\"{}\"{}",
                 json_escape(point),
                 json_escape(choice),
-                json_escape(reason)
+                json_escape(reason),
+                encoding.map_or(String::new(), |e| format!(",\"encoding\":\"{e}\""))
             ),
             Event::Reencode {
                 column,
@@ -404,16 +534,19 @@ impl Event {
                 rows,
                 reencodings,
                 final_converted,
+                compacted,
             } => {
                 format!(
                     "\"table\":\"{}\",\"column\":\"{}\",\
-                     \"algorithm\":\"{}\",\"rows\":{},\"reencodings\":{},\"final_converted\":{}",
+                     \"algorithm\":\"{}\",\"rows\":{},\"reencodings\":{},\"final_converted\":{},\
+                     \"compacted\":{}",
                     json_escape(table),
                     json_escape(column),
                     json_escape(algorithm),
                     rows,
                     reencodings,
-                    final_converted
+                    final_converted,
+                    compacted
                 )
             }
             Event::Import {
@@ -432,6 +565,20 @@ impl Event {
                  \"finish_nanos\":{finish_nanos}",
                 json_escape(table)
             ),
+            Event::PoolEviction { bytes } => format!("\"bytes\":{bytes}"),
+            Event::DeltaSnapshot {
+                table,
+                delta_rows,
+                tombstones,
+                index_built,
+                dur_ns,
+            } => format!(
+                "\"table\":\"{}\",\"delta_rows\":{delta_rows},\"tombstones\":{tombstones},\
+                 \"index_built\":{index_built},\"dur_ns\":{dur_ns}",
+                json_escape(table)
+            ),
+            Event::IoRetry { op } => format!("\"op\":\"{}\"", json_escape(op)),
+            Event::IoFault { kind } => format!("\"kind\":\"{}\"", json_escape(kind)),
         };
         format!("{{\"kind\":\"{}\",{fields}}}", self.kind())
     }
@@ -442,10 +589,12 @@ impl Event {
 /// so they satisfy the crate's overhead contract. Shared `Arc`s let
 /// EXPLAIN ANALYZE snapshot the pool while queries run.
 ///
-/// Each record also folds into the process-wide registry's
-/// `tde_pool_*` instruments (see [`metrics::pool_metrics`]) when
-/// metrics are enabled, so per-pool telemetry and the process-lifetime
-/// view stay in lockstep.
+/// Each record also moves the process-wide registry's `tde_pool_*`
+/// instruments (see [`metrics::pool_metrics`]) when metrics are enabled,
+/// so per-pool telemetry and the process-lifetime view stay in lockstep;
+/// an eviction is also an [`Event::PoolEviction`] on the timeline. These
+/// are the pool instruments' only path: the event fold leaves them
+/// alone.
 #[derive(Debug, Default)]
 pub struct CacheCounters {
     /// Lookups served from cache.
@@ -494,6 +643,7 @@ impl CacheCounters {
             m.evictions.inc();
             m.evicted_bytes.add(bytes);
         }
+        emit(|| Event::PoolEviction { bytes });
     }
 
     /// Snapshot the counters, annotated with the pool's current residency
@@ -593,14 +743,24 @@ impl std::fmt::Display for CacheSnapshot {
     }
 }
 
-/// Record an event on the calling thread's timeline lane, in its query
-/// scope (see [`timeline`]). The closure only runs when the site records
-/// — inside a query scope, or outside one with the timeline enabled — so
-/// argument formatting costs nothing otherwise.
-#[inline]
+/// Report one observation: count the event in the metrics registry when
+/// it is on (`metrics::fold`), and record it on the calling thread's
+/// timeline lane, in its query scope, when the site records (see
+/// [`timeline::recording`]). The closure only runs when one of the two
+/// takes the event, so argument formatting costs nothing otherwise.
+#[inline(always)]
 pub fn emit(f: impl FnOnce() -> Event) {
-    if timeline::recording() {
-        timeline::record(timeline::TimelineKind::Event(f()));
+    let record = timeline::recording();
+    let count = metrics::enabled();
+    if !(record || count) {
+        return;
+    }
+    let event = f();
+    if count {
+        metrics::count(&event);
+    }
+    if record {
+        timeline::record(timeline::TimelineKind::Event(event));
     }
 }
 
@@ -691,6 +851,9 @@ mod tests {
 
     #[test]
     fn cache_counters_fold_into_global_pool_metrics() {
+        let _gate = metrics::TEST_GATE
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         if !metrics::enabled() {
             return; // TDE_METRICS=0 in the environment
         }

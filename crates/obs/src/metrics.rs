@@ -1,27 +1,36 @@
-//! Always-on engine metrics: a process-wide registry of named
-//! instruments.
+//! The metrics registry: a process-wide set of named instruments.
 //!
 //! Where the [`crate::timeline`] records each query in its own scope,
-//! the metrics registry is **always on**: counters, gauges and histograms accumulate over the
-//! whole process lifetime, across every query, load and cache event.
-//! `tde-stats` exports the registry in Prometheus text exposition format
-//! and JSON.
+//! the registry accumulates over the whole process lifetime, across
+//! every query, load and cache event: counters, gauges and histograms.
+//! `tde-stats` exports it in Prometheus text exposition format and JSON.
 //!
-//! **Overhead contract** (the same one [`crate::emit`] documents): when
-//! the registry is disabled (`TDE_METRICS=0`), every instrumentation
-//! helper in this module is a single relaxed atomic load followed by an
-//! early return. When enabled, hot-path call sites sit on per-block,
-//! per-segment or per-operator paths — never per row — and bump relaxed
-//! atomics through pre-resolved handles; only *registration* (first use
-//! of a name/label pair) takes the registry lock.
+//! **Event counters are a fold.** Engine code reports an observation
+//! once, as an [`Event`] through [`crate::emit`]; `fold` — one
+//! `match`, the only code that knows which event moves which instrument
+//! — counts it here. A query span's counters are the same fold over the
+//! query's own events (`counter_totals`). The instruments no event
+//! moves — per-operator blocks and rows, the task runner's, the delta
+//! store's, the buffer pool's, checksum failures, the query counters —
+//! are moved directly by their one site, through the handles below.
+//!
+//! **Overhead contract** (the one [`crate::emit`] documents): with the
+//! registry disabled (`TDE_METRICS=0`) every path here is a single
+//! relaxed atomic load and an early return. Enabled, an unlabeled count
+//! bumps a relaxed atomic through a handle resolved once; a labeled
+//! count ([`MetricsRegistry::bump`], [`MetricsRegistry::counter_with`])
+//! takes the registry lock and builds its label key, so such sites sit
+//! on per-operator, per-segment or per-scan paths — never per row.
 //!
 //! Naming follows Prometheus conventions: every instrument is prefixed
 //! `tde_`, monotonic counters end in `_total`, byte counters in
 //! `_bytes_total`, and duration histograms in `_ns` (nanosecond units).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, LazyLock, Mutex, OnceLock};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+
+use crate::Event;
 
 // ---------------------------------------------------------------------
 // Instruments.
@@ -262,7 +271,7 @@ pub type InstrumentKey = (String, Vec<(String, String)>);
 /// A process-wide (or, in tests, local) registry of named instruments.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    enabled: AtomicBool,
+    enabled: crate::Switch,
     inner: Mutex<BTreeMap<InstrumentKey, Instrument>>,
 }
 
@@ -285,26 +294,26 @@ impl MetricsRegistry {
     /// A fresh, enabled registry.
     pub fn new() -> MetricsRegistry {
         MetricsRegistry {
-            enabled: AtomicBool::new(true),
+            enabled: crate::Switch::fixed(true),
             inner: Mutex::new(BTreeMap::new()),
         }
     }
 
     /// Whether instrumentation is on. One relaxed atomic load.
-    #[inline]
+    #[inline(always)]
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+        self.enabled.get()
     }
 
     /// Turn instrumentation on.
     pub fn enable(&self) {
-        self.enabled.store(true, Ordering::Relaxed);
+        self.enabled.set(true);
     }
 
     /// Turn instrumentation off. Registered instruments keep their
     /// values; guarded helpers become single-load no-ops.
     pub fn disable(&self) {
-        self.enabled.store(false, Ordering::Relaxed);
+        self.enabled.set(false);
     }
 
     /// Register (or fetch) an unlabeled counter.
@@ -447,16 +456,20 @@ impl Sample {
     /// The sample's fully-qualified key, `name{k="v",…}` (bare name when
     /// unlabeled) — used for counter deltas and bench snapshots.
     pub fn key(&self) -> String {
-        if self.labels.is_empty() {
-            return self.name.clone();
-        }
-        let labels: Vec<String> = self
-            .labels
-            .iter()
-            .map(|(k, v)| format!("{k}=\"{}\"", crate::json_escape(v)))
-            .collect();
-        format!("{}{{{}}}", self.name, labels.join(","))
+        render_key(&self.name, &self.labels)
     }
+}
+
+/// `name{k="v",…}`, or the bare name without labels.
+fn render_key(name: &str, labels: &[(String, String)]) -> String {
+    if labels.is_empty() {
+        return name.to_owned();
+    }
+    let labels: Vec<String> = labels
+        .iter()
+        .map(|(k, v)| format!("{k}=\"{}\"", crate::json_escape(v)))
+        .collect();
+    format!("{name}{{{}}}", labels.join(","))
 }
 
 /// A point-in-time view of the whole registry.
@@ -499,16 +512,10 @@ impl MetricsSnapshot {
 // The process-wide registry and the engine's instrument catalog.
 // ---------------------------------------------------------------------
 
-static GLOBAL: LazyLock<MetricsRegistry> = LazyLock::new(|| {
-    let r = MetricsRegistry::new();
-    if matches!(
-        std::env::var("TDE_METRICS").as_deref(),
-        Ok("0") | Ok("off") | Ok("false")
-    ) {
-        r.disable();
-    }
-    r
-});
+static GLOBAL: MetricsRegistry = MetricsRegistry {
+    enabled: crate::Switch::from_env("TDE_METRICS"),
+    inner: Mutex::new(BTreeMap::new()),
+};
 
 /// The process-wide registry.
 pub fn global() -> &'static MetricsRegistry {
@@ -516,76 +523,284 @@ pub fn global() -> &'static MetricsRegistry {
 }
 
 /// Whether the process-wide registry is enabled. One relaxed atomic
-/// load (plus the one-time lazy init) — safe on any engine path.
-#[inline]
+/// load (plus the one-time `TDE_METRICS` read) — safe on any engine
+/// path.
+#[inline(always)]
 pub fn enabled() -> bool {
     GLOBAL.is_enabled()
 }
 
-fn cached_counter<'a>(
-    cell: &'a OnceLock<Arc<Counter>>,
+/// One instrument of the engine's catalog: its name and help text, and
+/// its unlabeled handle in the process-wide registry, resolved on first
+/// use so an unlabeled count is one relaxed `fetch_add`. A labeled count
+/// goes through [`MetricsRegistry::counter_with`], which takes the
+/// registry lock and builds the label key.
+#[derive(Debug)]
+pub(crate) struct Def<T> {
     name: &'static str,
     help: &'static str,
-) -> &'a Arc<Counter> {
-    cell.get_or_init(|| GLOBAL.counter(name, help))
+    unlabeled: OnceLock<Arc<T>>,
 }
 
-fn cached_histogram<'a>(
-    cell: &'a OnceLock<Arc<Histogram>>,
-    name: &'static str,
-    help: &'static str,
-) -> &'a Arc<Histogram> {
-    cell.get_or_init(|| GLOBAL.histogram(name, help))
+impl<T> Def<T> {
+    const fn new(name: &'static str, help: &'static str) -> Def<T> {
+        Def {
+            name,
+            help,
+            unlabeled: OnceLock::new(),
+        }
+    }
 }
 
-/// `tde_queries_total` — queries executed through `tde_core::Query`.
-pub fn queries_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    cached_counter(&C, "tde_queries_total", "Queries executed")
+impl Def<Counter> {
+    fn counter(&self) -> &Arc<Counter> {
+        self.unlabeled
+            .get_or_init(|| GLOBAL.counter(self.name, self.help))
+    }
 }
 
-/// `tde_queries_failed_total` — queries whose execution returned an
-/// error (they bump this instead of vanishing from the counters).
-pub fn queries_failed_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    cached_counter(&C, "tde_queries_failed_total", "Queries that failed")
+impl Def<Histogram> {
+    fn histogram(&self) -> &Arc<Histogram> {
+        self.unlabeled
+            .get_or_init(|| GLOBAL.histogram(self.name, self.help))
+    }
 }
 
-/// `tde_slow_queries_total` — queries past the `TDE_SLOW_QUERY_NS`
-/// threshold.
-pub fn slow_queries_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    cached_counter(
-        &C,
-        "tde_slow_queries_total",
-        "Queries slower than TDE_SLOW_QUERY_NS",
-    )
+static DECISIONS: Def<Counter> = Def::new(
+    "tde_tactical_decisions_total",
+    "Tactical (run-time) decisions, by decision point and choice",
+);
+static KERNEL_PUSHDOWNS: Def<Counter> = Def::new(
+    "tde_kernel_pushdown_total",
+    "Predicate pushdown resolutions, by column encoding and chosen kernel",
+);
+static KERNEL_ROWS_IN: Def<Counter> = Def::new(
+    "tde_kernel_rows_in_total",
+    "Rows considered by pushed-predicate scans",
+);
+static KERNEL_ROWS_OUT: Def<Counter> = Def::new(
+    "tde_kernel_rows_out_total",
+    "Rows matched by pushed-predicate scans",
+);
+static KERNEL_ROWS_SKIPPED: Def<Counter> = Def::new(
+    "tde_kernel_rows_skipped_total",
+    "Rows eliminated in the compressed domain without decode",
+);
+static REENCODINGS: Def<Counter> = Def::new(
+    "tde_reencodings_total",
+    "Dynamic-encoding transitions, by phase",
+);
+static CONVERSIONS: Def<Counter> = Def::new(
+    "tde_conversions_total",
+    "Encoding/compression conversions, by route",
+);
+static COLUMNS_BUILT: Def<Counter> =
+    Def::new("tde_columns_built_total", "Columns built by FlowTable");
+static ROWS_ENCODED: Def<Counter> = Def::new(
+    "tde_rows_encoded_total",
+    "Rows encoded by FlowTable column builds",
+);
+static COMPACTION_ROWS_REENCODED: Def<Counter> = Def::new(
+    "tde_compaction_rows_reencoded_total",
+    "Rows re-encoded by delta compaction, by final encoding",
+);
+static SEGMENT_LOADS: Def<Counter> = Def::new(
+    "tde_segment_loads_total",
+    "Paged (v2) segment demand-loads, by segment kind",
+);
+static SEGMENT_LOAD_BYTES: Def<Counter> = Def::new(
+    "tde_segment_load_bytes_total",
+    "Bytes demand-loaded from paged (v2) files, by segment kind",
+);
+static SEGMENT_LOAD_NS: Def<Histogram> = Def::new(
+    "tde_segment_load_ns",
+    "Paged (v2) segment demand-load latency in nanoseconds",
+);
+static IMPORT_BYTES: Def<Counter> =
+    Def::new("tde_import_bytes_total", "Bytes of flat-file text imported");
+static IMPORT_ROWS: Def<Counter> =
+    Def::new("tde_import_rows_total", "Rows imported from flat files");
+static IMPORT_PARSE_ERRORS: Def<Counter> = Def::new(
+    "tde_import_parse_errors_total",
+    "Imported fields that failed to parse and were stored as NULL",
+);
+static COMPACTIONS: Def<Counter> = Def::new("tde_compactions_total", "Delta compactions run");
+static COMPACTION_NS: Def<Histogram> = Def::new(
+    "tde_compaction_duration_ns",
+    "Delta compaction duration in nanoseconds",
+);
+static DELTA_SNAPSHOT_NS: Def<Histogram> = Def::new(
+    "tde_delta_snapshot_duration_ns",
+    "Delta merge-snapshot duration in nanoseconds",
+);
+static IO_RETRIES: Def<Counter> = Def::new(
+    "tde_io_retries_total",
+    "Transient I/O errors retried by the storage read path, by operation",
+);
+static IO_FAULTS: Def<Counter> = Def::new(
+    "tde_io_faults_injected_total",
+    "Faults injected by the FaultIo testing backend, by kind",
+);
+
+/// One instrument movement an [`Event`] causes.
+#[derive(Debug)]
+pub(crate) enum Move<'a> {
+    /// Add to a counter under the given labels (none: its unlabeled
+    /// series).
+    Count(&'static Def<Counter>, &'a [(&'a str, &'a str)], u64),
+    /// Observe one value in an unlabeled histogram.
+    Observe(&'static Def<Histogram>, u64),
 }
 
-/// `tde_query_rows_total` — rows produced by query roots.
-pub fn query_rows_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    cached_counter(&C, "tde_query_rows_total", "Rows produced by queries")
+/// Which instruments `event` moves, and by how much: the one place that
+/// knows. The registry ([`crate::emit`]) and a query span's counters
+/// (`QueryTrace::counters`) are both this fold, so they cannot disagree.
+///
+/// A decision counts under the first token of its choice (a
+/// `Fetch { base: 9000 }` join counts as `Fetch`); a kernel pushdown
+/// counts by its column's encoding instead. A `scan` decision (dropped
+/// columns) and a pool eviction move nothing here: the first is a
+/// trace event alone, the second is counted by [`crate::CacheCounters`].
+pub(crate) fn fold(event: &Event, to: &mut impl FnMut(Move<'_>)) {
+    use Move::{Count, Observe};
+    match event {
+        Event::Decision { point: "scan", .. } | Event::PoolEviction { .. } => {}
+        Event::Decision {
+            point: "kernel-pushdown",
+            choice,
+            encoding,
+            ..
+        } => to(Count(
+            &KERNEL_PUSHDOWNS,
+            &[("encoding", encoding.unwrap_or("none")), ("kernel", choice)],
+            1,
+        )),
+        Event::Decision { point, choice, .. } => {
+            let choice = choice.split_whitespace().next().unwrap_or_default();
+            to(Count(
+                &DECISIONS,
+                &[("point", point), ("choice", choice)],
+                1,
+            ));
+        }
+        Event::Reencode { kind, .. } => to(Count(&REENCODINGS, &[("phase", kind.as_str())], 1)),
+        Event::Conversion { route, .. } => to(Count(&CONVERSIONS, &[("route", route)], 1)),
+        Event::SegmentLoad {
+            segment,
+            bytes,
+            dur_ns,
+            ..
+        } => {
+            to(Count(&SEGMENT_LOADS, &[("segment", segment)], 1));
+            to(Count(&SEGMENT_LOAD_BYTES, &[("segment", segment)], *bytes));
+            to(Observe(&SEGMENT_LOAD_NS, *dur_ns));
+        }
+        Event::KernelScan {
+            rows_in,
+            rows_out,
+            rows_skipped,
+            ..
+        } => {
+            to(Count(&KERNEL_ROWS_IN, &[], *rows_in));
+            to(Count(&KERNEL_ROWS_OUT, &[], *rows_out));
+            to(Count(&KERNEL_ROWS_SKIPPED, &[], *rows_skipped));
+        }
+        Event::Compaction { nanos, .. } => {
+            to(Count(&COMPACTIONS, &[], 1));
+            to(Observe(&COMPACTION_NS, *nanos));
+        }
+        Event::ColumnBuilt {
+            algorithm,
+            rows,
+            compacted,
+            ..
+        } => {
+            to(Count(&COLUMNS_BUILT, &[], 1));
+            to(Count(&ROWS_ENCODED, &[], *rows));
+            if *compacted {
+                to(Count(
+                    &COMPACTION_ROWS_REENCODED,
+                    &[("encoding", algorithm)],
+                    *rows,
+                ));
+            }
+        }
+        Event::Import {
+            bytes,
+            rows,
+            parse_errors,
+            ..
+        } => {
+            to(Count(&IMPORT_BYTES, &[], *bytes));
+            to(Count(&IMPORT_ROWS, &[], *rows));
+            to(Count(&IMPORT_PARSE_ERRORS, &[], *parse_errors));
+        }
+        Event::DeltaSnapshot { dur_ns, .. } => to(Observe(&DELTA_SNAPSHOT_NS, *dur_ns)),
+        Event::IoRetry { op } => to(Count(&IO_RETRIES, &[("op", op)], 1)),
+        Event::IoFault { kind } => to(Count(&IO_FAULTS, &[("kind", kind)], 1)),
+    }
 }
 
-/// `tde_query_latency_ns` — end-to-end query latency (plan + execute).
-pub fn query_latency_ns() -> &'static Arc<Histogram> {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    cached_histogram(
-        &H,
-        "tde_query_latency_ns",
-        "End-to-end query latency in nanoseconds (plan + execute)",
-    )
+/// Count one event in the process-wide registry (see [`fold`]).
+pub(crate) fn count(event: &Event) {
+    fold(event, &mut |m| match m {
+        Move::Count(def, [], n) => def.counter().add(n),
+        Move::Count(def, labels, n) => GLOBAL.counter_with(def.name, def.help, labels).add(n),
+        Move::Observe(def, v) => def.histogram().observe(v),
+    });
 }
 
-/// `tde_segment_load_ns` — v2 segment demand-load latency.
-pub fn segment_load_ns() -> &'static Arc<Histogram> {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    cached_histogram(
-        &H,
-        "tde_segment_load_ns",
-        "Paged (v2) segment demand-load latency in nanoseconds",
-    )
+/// The counter totals a run of events adds up to (see [`fold`]), keyed
+/// as [`Sample::key`] spells them, in registry order, zero totals left
+/// out: what the registry's counters would move by for these events
+/// alone.
+pub(crate) fn counter_totals<'a>(
+    events: impl IntoIterator<Item = &'a Event>,
+) -> Vec<(String, u64)> {
+    let mut totals: BTreeMap<InstrumentKey, u64> = BTreeMap::new();
+    for event in events {
+        fold(event, &mut |m| {
+            if let Move::Count(def, labels, n) = m {
+                *totals.entry(key_of(def.name, labels)).or_default() += n;
+            }
+        });
+    }
+    totals
+        .into_iter()
+        .filter(|&(_, n)| n > 0)
+        .map(|((name, labels), n)| (render_key(&name, &labels), n))
+        .collect()
+}
+
+static QUERIES: Def<Counter> = Def::new("tde_queries_total", "Queries executed");
+static QUERIES_FAILED: Def<Counter> = Def::new("tde_queries_failed_total", "Queries that failed");
+static SLOW_QUERIES: Def<Counter> = Def::new(
+    "tde_slow_queries_total",
+    "Queries slower than TDE_SLOW_QUERY_NS",
+);
+static QUERY_ROWS: Def<Counter> = Def::new("tde_query_rows_total", "Rows produced by queries");
+static QUERY_LATENCY_NS: Def<Histogram> = Def::new(
+    "tde_query_latency_ns",
+    "End-to-end query latency in nanoseconds (plan + execute)",
+);
+
+/// Count one query run through `tde_core::Query`: on success
+/// `tde_queries_total`, `tde_query_rows_total` and the
+/// `tde_query_latency_ns` histogram (plan + execute), on failure
+/// `tde_queries_failed_total`; and `tde_slow_queries_total` when it met
+/// the `TDE_SLOW_QUERY_NS` threshold. A query's end is a timeline marker
+/// rather than an [`Event`], so these counts are not a fold.
+pub fn query_finished(rows: u64, elapsed_ns: u64, failed: bool, slow: bool) {
+    if failed {
+        QUERIES_FAILED.counter().inc();
+    } else {
+        QUERIES.counter().inc();
+        QUERY_ROWS.counter().add(rows);
+        QUERY_LATENCY_NS.histogram().observe(elapsed_ns);
+    }
+    if slow {
+        SLOW_QUERIES.counter().inc();
+    }
 }
 
 /// Per-operator-kind counters, pre-resolved at lowering time so the
@@ -618,129 +833,6 @@ pub fn operator_counters(op: &str) -> Option<OperatorCounters> {
     })
 }
 
-/// Tally one tactical decision: `tde_tactical_decisions_total{point,choice}`.
-/// `choice` must be a *stable, low-cardinality* label (the strategy
-/// name, not the reason string).
-#[inline]
-pub fn decision(point: &'static str, choice: &str) {
-    GLOBAL.bump(
-        "tde_tactical_decisions_total",
-        "Tactical (run-time) decisions, by decision point and choice",
-        &[("point", point), ("choice", choice)],
-        1,
-    );
-}
-
-/// Tally one kernel-pushdown resolution:
-/// `tde_kernel_pushdown_total{encoding,kernel}`. `kernel` is the chosen
-/// kernel kind or `fallback`/`forced-fallback`.
-#[inline]
-pub fn kernel_pushdown(encoding: &str, kernel: &str) {
-    GLOBAL.bump(
-        "tde_kernel_pushdown_total",
-        "Predicate pushdown resolutions, by column encoding and chosen kernel",
-        &[("encoding", encoding), ("kernel", kernel)],
-        1,
-    );
-}
-
-/// Record the end-of-scan kernel row accounting.
-#[inline]
-pub fn kernel_scan_rows(rows_in: u64, rows_out: u64, rows_skipped: u64) {
-    if !enabled() {
-        return;
-    }
-    static IN: OnceLock<Arc<Counter>> = OnceLock::new();
-    static OUT: OnceLock<Arc<Counter>> = OnceLock::new();
-    static SKIP: OnceLock<Arc<Counter>> = OnceLock::new();
-    cached_counter(
-        &IN,
-        "tde_kernel_rows_in_total",
-        "Rows considered by pushed-predicate scans",
-    )
-    .add(rows_in);
-    cached_counter(
-        &OUT,
-        "tde_kernel_rows_out_total",
-        "Rows matched by pushed-predicate scans",
-    )
-    .add(rows_out);
-    cached_counter(
-        &SKIP,
-        "tde_kernel_rows_skipped_total",
-        "Rows eliminated in the compressed domain without decode",
-    )
-    .add(rows_skipped);
-}
-
-/// Tally one dynamic-encoding transition: `tde_reencodings_total{phase}`
-/// (`phase` is `mid-load` or `final-convert`).
-#[inline]
-pub fn reencode(phase: &'static str) {
-    GLOBAL.bump(
-        "tde_reencodings_total",
-        "Dynamic-encoding transitions, by phase",
-        &[("phase", phase)],
-        1,
-    );
-}
-
-/// Tally one §3.4.3 encoding→compression conversion:
-/// `tde_conversions_total{route}`.
-#[inline]
-pub fn conversion(route: &'static str) {
-    GLOBAL.bump(
-        "tde_conversions_total",
-        "Encoding/compression conversions, by route",
-        &[("route", route)],
-        1,
-    );
-}
-
-/// Record one FlowTable column build.
-#[inline]
-pub fn column_built(rows: u64) {
-    if !enabled() {
-        return;
-    }
-    static COLS: OnceLock<Arc<Counter>> = OnceLock::new();
-    static ROWS: OnceLock<Arc<Counter>> = OnceLock::new();
-    cached_counter(
-        &COLS,
-        "tde_columns_built_total",
-        "Columns built by FlowTable",
-    )
-    .inc();
-    cached_counter(
-        &ROWS,
-        "tde_rows_encoded_total",
-        "Rows encoded by FlowTable column builds",
-    )
-    .add(rows);
-}
-
-/// Record one v2 segment demand-load: per-segment-kind count and bytes,
-/// plus the load-latency histogram.
-#[inline]
-pub fn segment_load(segment: &'static str, bytes: u64, nanos: u64) {
-    if !enabled() {
-        return;
-    }
-    GLOBAL.bump(
-        "tde_segment_loads_total",
-        "Paged (v2) segment demand-loads, by segment kind",
-        &[("segment", segment)],
-        1,
-    );
-    GLOBAL.bump(
-        "tde_segment_load_bytes_total",
-        "Bytes demand-loaded from paged (v2) files, by segment kind",
-        &[("segment", segment)],
-        bytes,
-    );
-    segment_load_ns().observe(nanos);
-}
-
 /// Record one segment checksum-verification failure. Fires just before
 /// the pager surfaces a `ChecksumMismatch` instead of handing corrupt
 /// bytes to the decoders.
@@ -750,28 +842,6 @@ pub fn checksum_failure(segment: &'static str) {
         "tde_segment_checksum_failures_total",
         "Segment checksum verification failures, by segment kind",
         &[("segment", segment)],
-        1,
-    );
-}
-
-/// Record one transient-I/O retry absorbed by the storage read path.
-#[inline]
-pub fn io_retry(op: &'static str) {
-    GLOBAL.bump(
-        "tde_io_retries_total",
-        "Transient I/O errors retried by the storage read path, by operation",
-        &[("op", op)],
-        1,
-    );
-}
-
-/// Record one injected fault from the `FaultIo` testing backend.
-#[inline]
-pub fn io_fault_injected(kind: &'static str) {
-    GLOBAL.bump(
-        "tde_io_faults_injected_total",
-        "Faults injected by the FaultIo testing backend, by kind",
-        &[("kind", kind)],
         1,
     );
 }
@@ -811,82 +881,7 @@ pub fn delta_metrics() -> &'static DeltaMetrics {
     })
 }
 
-/// Record one flat-file import: `tde_import_bytes_total`,
-/// `tde_import_rows_total`, `tde_import_parse_errors_total`.
-#[inline]
-pub fn import(bytes: u64, rows: u64, parse_errors: u64) {
-    if !enabled() {
-        return;
-    }
-    static BYTES: OnceLock<Arc<Counter>> = OnceLock::new();
-    static ROWS: OnceLock<Arc<Counter>> = OnceLock::new();
-    static ERRORS: OnceLock<Arc<Counter>> = OnceLock::new();
-    cached_counter(
-        &BYTES,
-        "tde_import_bytes_total",
-        "Bytes of flat-file text imported",
-    )
-    .add(bytes);
-    cached_counter(
-        &ROWS,
-        "tde_import_rows_total",
-        "Rows imported from flat files",
-    )
-    .add(rows);
-    cached_counter(
-        &ERRORS,
-        "tde_import_parse_errors_total",
-        "Imported fields that failed to parse and were stored as NULL",
-    )
-    .add(parse_errors);
-}
-
-/// Record one delta compaction: count plus duration histogram.
-#[inline]
-pub fn compaction(nanos: u64) {
-    if !enabled() {
-        return;
-    }
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    cached_counter(&C, "tde_compactions_total", "Delta compactions run").inc();
-    cached_histogram(
-        &H,
-        "tde_compaction_duration_ns",
-        "Delta compaction duration in nanoseconds",
-    )
-    .observe(nanos);
-}
-
-/// Record one delta merge snapshot: `tde_delta_snapshot_duration_ns`.
-#[inline]
-pub fn delta_snapshot(nanos: u64) {
-    if !enabled() {
-        return;
-    }
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    cached_histogram(
-        &H,
-        "tde_delta_snapshot_duration_ns",
-        "Delta merge-snapshot duration in nanoseconds",
-    )
-    .observe(nanos);
-}
-
-/// Tally rows a compaction sent through the dynamic encoder, by the
-/// encoding they landed in: `tde_compaction_rows_reencoded_total{encoding}`.
-/// Columns spliced in their own encoding are not re-encoded.
-#[inline]
-pub fn compaction_rows_reencoded(encoding: &str, rows: u64) {
-    GLOBAL.bump(
-        "tde_compaction_rows_reencoded_total",
-        "Rows re-encoded by delta compaction, by final encoding",
-        &[("encoding", encoding)],
-        rows,
-    );
-}
-
-/// Pre-resolved buffer-pool instruments, folded into by
+/// Pre-resolved buffer-pool instruments, moved only by
 /// [`crate::CacheCounters`] so per-pool counters and the process-wide
 /// registry stay in lockstep.
 #[derive(Debug, Clone)]
@@ -965,6 +960,30 @@ pub fn morsel_metrics() -> &'static MorselMetrics {
             "Queries executed through a morsel-parallel pipeline",
         ),
     })
+}
+
+/// Serialises this crate's tests that switch the process-wide registry
+/// off with those that read it.
+#[cfg(test)]
+pub(crate) static TEST_GATE: Mutex<()> = Mutex::new(());
+
+/// The process-wide registry switched off until the guard drops (tests).
+#[cfg(test)]
+pub(crate) fn switched_off() -> impl Drop {
+    struct Off(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>, bool);
+    impl Drop for Off {
+        fn drop(&mut self) {
+            if self.1 {
+                GLOBAL.enable();
+            }
+        }
+    }
+    let gate = TEST_GATE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let was = GLOBAL.is_enabled();
+    GLOBAL.disable();
+    Off(gate, was)
 }
 
 #[cfg(test)]

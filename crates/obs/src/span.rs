@@ -1,62 +1,39 @@
 //! Per-query span records: structured JSON lines through a pluggable
 //! sink.
 //!
-//! A [`QuerySpan`] is the compact counterpart of a query's timeline
-//! trace: one record per query — query id,
-//! plan digest, phase timings, row count, and the registry counter
-//! deltas the execution caused — cheap enough to emit for *every*
-//! query when a sink is installed, and a no-op (one relaxed atomic
-//! load) when none is.
+//! A span is a rendering of a query's drained [`QueryTrace`]: query id,
+//! plan digest, rows, elapsed time, phase timings, the error of a failed
+//! query, and `counters` — the query's own events folded by the
+//! registry's one `metrics::fold`, so a span counts what its
+//! query did and nothing a concurrent query did. A slow query (see
+//! [`crate::timeline::slow_threshold_ns`]) also renders as a slow-query
+//! record: the same trace's top operators by self time.
 //!
-//! Sinks are process-wide and pluggable: [`JsonLinesSink`] appends one
-//! JSON object per line to any writer (a span log file), [`MemorySink`]
-//! collects spans for tests and embedded consumers.
+//! `tde_core::Query` opens a timeline scope for every query while a sink
+//! is installed, and hands the sink the trace. With none installed the
+//! check is one relaxed atomic load. Sinks are process-wide and
+//! pluggable: [`JsonLinesSink`] appends one JSON object per line to any
+//! writer (a span log file), [`MemorySink`] collects the traces for
+//! tests and embedded consumers.
 
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::json_escape;
+use crate::timeline::{slow_threshold_ns, QueryTrace};
 
-/// One executed query, summarized.
-#[derive(Debug, Clone)]
-pub struct QuerySpan {
-    /// Process-unique query id (monotonic).
-    pub query_id: u64,
-    /// FNV-1a 64 digest of the optimized plan's rendering, as 16 hex
-    /// digits — stable across runs for the same plan shape, so span
-    /// logs group by query template.
-    pub plan_digest: String,
-    /// Rows the query produced.
-    pub rows_out: u64,
-    /// End-to-end wall time in nanoseconds.
-    pub elapsed_ns: u64,
-    /// Phase timings, in order: `("plan", ns)`, `("execute", ns)`, ….
-    pub phases: Vec<(&'static str, u64)>,
-    /// Registry counter increments attributable to this query (keyed by
-    /// `name{labels}`). Deltas are process-wide, so concurrent queries
-    /// fold into each other's spans; the query's own events and
-    /// operator spans are in its timeline trace (`timeline::find_trace`).
-    pub counters: Vec<(String, u64)>,
-    /// The error message when the query failed (`rows_out` is then 0);
-    /// `None` on success. Failed queries emit spans too, so the slow
-    /// and broken tails land in the same log.
-    pub error: Option<String>,
-}
+impl QueryTrace {
+    /// The registry counters the query's own events moved, keyed by
+    /// `name{labels}` (the registry's one `metrics::fold` over them).
+    pub fn counters(&self) -> Vec<(String, u64)> {
+        crate::metrics::counter_totals(self.own_events())
+    }
 
-impl QuerySpan {
-    /// The span as one JSON object (one line; no trailing newline).
-    pub fn to_json(&self) -> String {
-        let phases: Vec<String> = self
-            .phases
-            .iter()
-            .map(|(name, ns)| format!("\"{}\":{ns}", json_escape(name)))
-            .collect();
-        let counters: Vec<String> = self
-            .counters
-            .iter()
-            .map(|(key, delta)| format!("\"{}\":{delta}", json_escape(key)))
-            .collect();
+    /// The query's span: one JSON object (one line; no trailing
+    /// newline).
+    pub fn span_json(&self) -> String {
+        let counters = self.counters();
         let error = match &self.error {
             Some(e) => format!(",\"error\":\"{}\"", json_escape(e)),
             None => String::new(),
@@ -68,50 +45,20 @@ impl QuerySpan {
             json_escape(&self.plan_digest),
             self.rows_out,
             self.elapsed_ns,
-            phases.join(","),
-            counters.join(","),
+            json_fields(self.phases.iter().map(|&(name, ns)| (name, ns))),
+            json_fields(counters.iter().map(|(key, n)| (key.as_str(), *n))),
             error
         )
     }
-}
 
-/// One slow query, summarized for the slow-query log: emitted (as a
-/// JSONL record through [`SpanSink::record_slow`]) when a query's
-/// `elapsed_ns` meets the `TDE_SLOW_QUERY_NS` threshold. The full
-/// timeline is retained in the slow-trace ring
-/// ([`crate::timeline::slow_traces`]); this record is the compact
-/// pointer into it.
-#[derive(Debug, Clone)]
-pub struct SlowQueryRecord {
-    /// Span-layer query id (keys into the trace rings).
-    pub query_id: u64,
-    /// Plan digest, as in [`QuerySpan`].
-    pub plan_digest: String,
-    /// Rows produced.
-    pub rows_out: u64,
-    /// End-to-end wall time in nanoseconds.
-    pub elapsed_ns: u64,
-    /// The threshold that fired.
-    pub threshold_ns: u64,
-    /// Phase timings, as in [`QuerySpan`].
-    pub phases: Vec<(&'static str, u64)>,
-    /// Top operators by self time (`(op, self_ns)`, largest first),
-    /// from the retained timeline; empty when tracing is disabled.
-    pub top_ops: Vec<(String, u64)>,
-}
-
-impl SlowQueryRecord {
-    /// The record as one JSON object (one line; no trailing newline).
-    /// The `"kind":"slow_query"` discriminant lets slow records share a
-    /// JSONL stream with plain spans.
-    pub fn to_json(&self) -> String {
-        let phases: Vec<String> = self
-            .phases
-            .iter()
-            .map(|(name, ns)| format!("\"{}\":{ns}", json_escape(name)))
-            .collect();
+    /// The query's slow-query record: one JSON object whose
+    /// `"kind":"slow_query"` lets it share a JSONL stream with spans,
+    /// with the threshold that fired and the top three operators by self
+    /// time. The full trace stays in the slow ring
+    /// ([`crate::timeline::slow_traces`]).
+    pub fn slow_query_json(&self) -> String {
         let top_ops: Vec<String> = self
-            .top_ops
+            .top_operators(3)
             .iter()
             .map(|(op, ns)| format!("{{\"op\":\"{}\",\"self_ns\":{ns}}}", json_escape(op)))
             .collect();
@@ -123,31 +70,33 @@ impl SlowQueryRecord {
             json_escape(&self.plan_digest),
             self.rows_out,
             self.elapsed_ns,
-            self.threshold_ns,
-            phases.join(","),
+            slow_threshold_ns().unwrap_or(0),
+            json_fields(self.phases.iter().map(|&(name, ns)| (name, ns))),
             top_ops.join(",")
         )
     }
 }
 
-/// Receives every emitted span. Implementations must tolerate
-/// concurrent calls.
-pub trait SpanSink: Send + Sync {
-    /// Record one span.
-    fn record(&self, span: &QuerySpan);
-
-    /// Record one slow-query log entry. Default is a no-op so existing
-    /// sinks keep compiling; the bundled sinks append/collect it.
-    fn record_slow(&self, record: &SlowQueryRecord) {
-        let _ = record;
-    }
+/// `"name":n` members, comma-separated.
+fn json_fields<'a>(fields: impl Iterator<Item = (&'a str, u64)>) -> String {
+    let fields: Vec<String> = fields
+        .map(|(name, n)| format!("\"{}\":{n}", json_escape(name)))
+        .collect();
+    fields.join(",")
 }
 
-/// Collects spans in memory (tests, embedded consumers).
+/// Receives every spanned query's trace. Implementations must tolerate
+/// concurrent calls.
+pub trait SpanSink: Send + Sync {
+    /// Record one finished query: its span, and its slow-query record
+    /// when the trace is slow.
+    fn record(&self, trace: &Arc<QueryTrace>);
+}
+
+/// Collects the traces in memory (tests, embedded consumers).
 #[derive(Debug, Default)]
 pub struct MemorySink {
-    spans: Mutex<Vec<QuerySpan>>,
-    slow: Mutex<Vec<SlowQueryRecord>>,
+    traces: Mutex<Vec<Arc<QueryTrace>>>,
 }
 
 impl MemorySink {
@@ -156,36 +105,26 @@ impl MemorySink {
         Arc::new(MemorySink::default())
     }
 
-    /// A copy of every span recorded so far.
-    pub fn spans(&self) -> Vec<QuerySpan> {
-        self.spans
+    /// Every trace recorded so far: one per span.
+    pub fn spans(&self) -> Vec<Arc<QueryTrace>> {
+        self.traces
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .clone()
     }
 
-    /// A copy of every slow-query record recorded so far.
-    pub fn slow_records(&self) -> Vec<SlowQueryRecord> {
-        self.slow
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
+    /// The slow ones among them: one per slow-query record.
+    pub fn slow_records(&self) -> Vec<Arc<QueryTrace>> {
+        self.spans().into_iter().filter(|t| t.slow).collect()
     }
 }
 
 impl SpanSink for MemorySink {
-    fn record(&self, span: &QuerySpan) {
-        self.spans
+    fn record(&self, trace: &Arc<QueryTrace>) {
+        self.traces
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(span.clone());
-    }
-
-    fn record_slow(&self, record: &SlowQueryRecord) {
-        self.slow
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(record.clone());
+            .push(Arc::clone(trace));
     }
 }
 
@@ -226,12 +165,11 @@ impl JsonLinesSink {
 }
 
 impl SpanSink for JsonLinesSink {
-    fn record(&self, span: &QuerySpan) {
-        self.write_line(&span.to_json());
-    }
-
-    fn record_slow(&self, record: &SlowQueryRecord) {
-        self.write_line(&record.to_json());
+    fn record(&self, trace: &Arc<QueryTrace>) {
+        self.write_line(&trace.span_json());
+        if trace.slow {
+            self.write_line(&trace.slow_query_json());
+        }
     }
 }
 
@@ -254,16 +192,15 @@ pub fn set_span_sink(sink: Option<Arc<dyn SpanSink>>) -> Option<Arc<dyn SpanSink
 }
 
 /// Whether a span sink is installed. One relaxed atomic load — the
-/// guard query execution checks before assembling a span.
+/// guard query execution checks before opening a scope for the span.
 #[inline]
 pub fn span_sink_installed() -> bool {
     SINK_INSTALLED.load(Ordering::Relaxed)
 }
 
-/// Emit a span to the installed sink, if any. The closure only runs
-/// when a sink is installed, so span assembly costs nothing otherwise.
+/// Hand a finished query's trace to the installed sink, if any.
 #[inline]
-pub fn emit_span(f: impl FnOnce() -> QuerySpan) {
+pub fn emit_span(trace: &Arc<QueryTrace>) {
     if !span_sink_installed() {
         return;
     }
@@ -272,24 +209,7 @@ pub fn emit_span(f: impl FnOnce() -> QuerySpan) {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
         .clone();
     if let Some(sink) = sink {
-        sink.record(&f());
-    }
-}
-
-/// Emit a slow-query record to the installed sink, if any. Same
-/// contract as [`emit_span`]: the closure only runs with a sink
-/// installed.
-#[inline]
-pub fn emit_slow(f: impl FnOnce() -> SlowQueryRecord) {
-    if !span_sink_installed() {
-        return;
-    }
-    let sink = SINK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clone();
-    if let Some(sink) = sink {
-        sink.record_slow(&f());
+        sink.record(trace);
     }
 }
 
@@ -311,52 +231,118 @@ pub fn fnv1a64(s: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeline::{TimelineEvent, TimelineKind};
+    use crate::Event;
 
-    fn sample_span(id: u64) -> QuerySpan {
-        QuerySpan {
+    fn sample_trace(id: u64) -> Arc<QueryTrace> {
+        let event = |ts_ns, event| TimelineEvent {
+            ts_ns,
+            lane: 0,
+            scope: 1,
+            kind: TimelineKind::Event(event),
+        };
+        let scan = |ts_ns, rows_in| {
+            event(
+                ts_ns,
+                Event::KernelScan {
+                    column: "a".into(),
+                    kernel: "rle-run-skip".into(),
+                    rows_in,
+                    rows_out: 3,
+                    rows_skipped: 0,
+                },
+            )
+        };
+        let mut background = scan(300, 1_000);
+        background.scope = 0;
+        Arc::new(QueryTrace {
             query_id: id,
             plan_digest: format!("{:016x}", fnv1a64("Scan t [a]")),
             rows_out: 3,
             elapsed_ns: 1234,
-            phases: vec![("plan", 200), ("execute", 1034)],
-            counters: vec![("tde_queries_total".into(), 1)],
             error: None,
-        }
+            phases: vec![("plan", 200), ("execute", 1034)],
+            started_ns: 0,
+            slow: false,
+            lanes: vec![(0, "main".into())],
+            scope: 1,
+            events: vec![
+                event(
+                    100,
+                    Event::Decision {
+                        point: "kernel-pushdown",
+                        choice: "rle-run-skip".into(),
+                        reason: "column 'a'".into(),
+                        encoding: Some("rle"),
+                    },
+                ),
+                scan(200, 10),
+                background,
+                scan(400, 10),
+            ],
+        })
+    }
+
+    #[test]
+    fn span_counters_fold_the_querys_own_events() {
+        // The background scan (scope 0) is not the query's; the zero
+        // skipped-row total is left out.
+        assert_eq!(
+            sample_trace(1).counters(),
+            [
+                (
+                    "tde_kernel_pushdown_total{encoding=\"rle\",kernel=\"rle-run-skip\"}"
+                        .to_string(),
+                    1
+                ),
+                ("tde_kernel_rows_in_total".to_string(), 20),
+                ("tde_kernel_rows_out_total".to_string(), 6),
+            ]
+        );
     }
 
     #[test]
     fn error_spans_and_slow_records_serialize() {
-        let mut span = sample_span(9);
-        span.error = Some("injected hard read failure".into());
-        let json = span.to_json();
+        let mut trace = (*sample_trace(9)).clone();
+        trace.error = Some("injected hard read failure".into());
+        let json = trace.span_json();
         assert!(json.contains("\"error\":\"injected hard read failure\""));
+        assert!(json.contains("\"tde_kernel_rows_in_total\":20"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
 
-        let rec = SlowQueryRecord {
-            query_id: 9,
-            plan_digest: "feedfacecafebeef".into(),
-            rows_out: 3,
-            elapsed_ns: 2_000_000,
-            threshold_ns: 1_000_000,
-            phases: vec![("plan", 200), ("execute", 1_999_800)],
-            top_ops: vec![("aggregate".into(), 1_500_000), ("scan".into(), 400_000)],
-        };
-        let json = rec.to_json();
+        trace.slow = true;
+        trace.events.push(TimelineEvent {
+            ts_ns: 500,
+            lane: 0,
+            scope: 1,
+            kind: TimelineKind::OperatorSpan {
+                op: "Aggregate".into(),
+                label: "Aggregate".into(),
+                op_id: 1,
+                parent: None,
+                blocks: 1,
+                rows: 3,
+                dur_ns: 1_500_000,
+            },
+        });
+        let json = trace.slow_query_json();
         assert!(json.contains("\"kind\":\"slow_query\""));
-        assert!(json.contains("\"threshold_ns\":1000000"));
-        assert!(json.contains("{\"op\":\"aggregate\",\"self_ns\":1500000}"));
+        assert!(json.contains("\"threshold_ns\":"));
+        assert!(json.contains("{\"op\":\"Aggregate\",\"self_ns\":1500000}"));
 
         let sink = MemorySink::new();
-        sink.record_slow(&rec);
+        sink.record(&Arc::new(trace));
+        sink.record(&sample_trace(10));
+        assert_eq!(sink.spans().len(), 2);
         assert_eq!(sink.slow_records().len(), 1);
     }
 
     #[test]
     fn emit_without_sink_is_a_noop() {
-        // May run concurrently with the install test; only assert the
-        // closure is skipped when we can see the uninstalled state.
+        // May run concurrently with the install test; only check the
+        // uninstalled state when we can see it.
         if !span_sink_installed() {
-            emit_span(|| sample_span(0));
+            emit_span(&sample_trace(0));
         }
     }
 
@@ -364,15 +350,14 @@ mod tests {
     fn memory_sink_records_and_restores() {
         let sink = MemorySink::new();
         let prev = set_span_sink(Some(sink.clone()));
-        emit_span(|| sample_span(7));
+        emit_span(&sample_trace(7));
         set_span_sink(prev);
         let spans = sink.spans();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].query_id, 7);
-        let json = spans[0].to_json();
+        let json = spans[0].span_json();
         assert!(json.contains("\"plan_digest\""));
         assert!(json.contains("\"plan\":200"));
-        assert!(json.contains("\"tde_queries_total\":1"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
@@ -390,13 +375,16 @@ mod tests {
             }
         }
         let sink = JsonLinesSink::new(Box::new(Shared(buf.clone())));
-        sink.record(&sample_span(1));
-        sink.record(&sample_span(2));
+        sink.record(&sample_trace(1));
+        let mut slow = (*sample_trace(2)).clone();
+        slow.slow = true;
+        sink.record(&Arc::new(slow));
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
+        assert_eq!(lines.len(), 3, "a span each, then the slow record: {text}");
         assert!(lines[0].starts_with('{') && lines[0].ends_with('}'));
         assert!(lines[1].contains("\"query_id\":2"));
+        assert!(lines[2].starts_with("{\"kind\":\"slow_query\",\"query_id\":2"));
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! The query timeline: the engine's one recorder.
 //!
-//! One of three observability layers, alongside the metrics registry
-//! ([`crate::metrics`]) and query spans ([`crate::span`]): a per-thread
-//! event timeline cheap enough to leave on in production. Every thread
+//! Every [`crate::Event`] reported through [`crate::emit`] lands here
+//! when its site records, beside the timeline's own entries: operator
+//! spans, task executions and query markers. The metrics registry counts
+//! the same events (`metrics::fold`) and a query span is a
+//! rendering of a drained trace ([`crate::span`]), so the three views
+//! read one report. Cheap enough to leave on in production: every thread
 //! that records gets its own *lane* — an `Arc`'d buffer it alone appends
 //! to, so the hot path is an uncontended lock plus a `Vec` push, with no
 //! cross-thread cache traffic. A process-wide registry keeps `Weak`
@@ -20,36 +23,36 @@
 //! not take each other's spans. A [`QueryToken`] dropped without
 //! `query_end` discards its scope's events.
 //!
-//! Recorded events ([`TimelineKind`]):
+//! Recorded entries ([`TimelineKind`]):
 //!
 //! * operator spans (kind, rows, blocks, inclusive duration, tree
 //!   position), emitted by the operator observer — EXPLAIN ANALYZE's
 //!   operator tree is built from them;
 //! * task executions of the morsel runtime, attributed to their worker
 //!   index;
-//! * every [`crate::Event`] reported through [`crate::emit`]: tactical
-//!   decisions, re-encodings, conversions, kernel scans, segment loads,
-//!   compactions, column builds, imports;
-//! * buffer-pool evictions and delta merge snapshots;
-//! * `tde-io` retry and injected-fault instants;
+//! * every [`crate::Event`]: tactical decisions, re-encodings,
+//!   conversions, kernel scans, segment loads, compactions, column
+//!   builds, imports, pool evictions, delta snapshots, I/O retries and
+//!   injected faults;
 //! * query begin/end markers.
 //!
 //! **Whether a site records** is decided in one place, [`recording`]:
 //! inside a query scope it records; outside one it follows the layer's
 //! gate, one environment variable — `TDE_TRACE=0|off|false` disables it
 //! — read once ([`enabled`]). `tde_core::Query` opens a scope when the
-//! layer is enabled; EXPLAIN ANALYZE always opens one, so it reports
-//! under `TDE_TRACE=0` too. The disabled, unscoped cost at every site is
-//! a thread-local read plus a single relaxed atomic load.
+//! layer is enabled or a span sink is installed; EXPLAIN ANALYZE always
+//! opens one, so it reports under `TDE_TRACE=0` too. The unscoped,
+//! disabled cost of the gate is a thread-local read plus a single
+//! relaxed atomic load.
 //!
 //! **Slow queries.** When `TDE_SLOW_QUERY_NS` is set, traces whose
 //! `elapsed_ns` meets the threshold are marked slow and pinned in a
 //! separate, longer-lived ring ([`slow_traces`]) so the slow tail
-//! survives ring churn; `tde_core::Query` additionally appends a
-//! structured JSONL record through the span-sink machinery.
+//! survives ring churn; an installed span sink also gets a slow-query
+//! record for them.
 
 use std::cell::{Cell, OnceCell};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
@@ -65,24 +68,19 @@ const MAX_LANE_EVENTS: usize = 65_536;
 // Enable gate and clock
 // ---------------------------------------------------------------------
 
-static ENABLED: LazyLock<AtomicBool> = LazyLock::new(|| {
-    AtomicBool::new(!matches!(
-        std::env::var("TDE_TRACE").as_deref(),
-        Ok("0") | Ok("off") | Ok("false")
-    ))
-});
+static ENABLED: crate::Switch = crate::Switch::from_env("TDE_TRACE");
 
 /// Whether timeline tracing is on. One relaxed atomic load (plus the
 /// one-time lazy env read) — safe on any engine path.
-#[inline]
+#[inline(always)]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.get()
 }
 
 /// Whether a recording site on the calling thread records: always
 /// inside a query scope, otherwise when the layer is [`enabled`]. Every
 /// site asks this one question.
-#[inline]
+#[inline(always)]
 pub fn recording() -> bool {
     enabled() || SCOPE.with(Cell::get) != 0
 }
@@ -91,7 +89,7 @@ pub fn recording() -> bool {
 /// Used by benches and embedders; the initial state comes from
 /// `TDE_TRACE`.
 pub fn set_enabled(on: bool) -> bool {
-    ENABLED.swap(on, Ordering::Relaxed)
+    ENABLED.set(on)
 }
 
 /// The `TDE_SLOW_QUERY_NS` threshold, parsed once. `None` when unset
@@ -165,38 +163,10 @@ pub enum TimelineKind {
         dur_ns: u64,
     },
     /// An engine event reported through [`crate::emit`]. Recorded when
-    /// it happened; a [`crate::Event::SegmentLoad`] or
-    /// [`crate::Event::Compaction`] ends there and carries its duration.
+    /// it happened; a [`crate::Event::SegmentLoad`],
+    /// [`crate::Event::Compaction`] or [`crate::Event::DeltaSnapshot`]
+    /// ends there and carries its duration.
     Event(crate::Event),
-    /// The buffer pool evicted a segment to stay under budget.
-    PoolEviction {
-        /// Bytes released.
-        bytes: u64,
-    },
-    /// A delta store froze its buffer into a merge snapshot.
-    DeltaSnapshot {
-        /// Table name.
-        table: String,
-        /// Live delta rows translated into the base's domain.
-        delta_rows: u64,
-        /// Tombstones in the snapshot.
-        tombstones: u64,
-        /// Whether this snapshot built the per-base index (first snapshot
-        /// of a base).
-        index_built: bool,
-        /// Snapshot time in nanoseconds.
-        dur_ns: u64,
-    },
-    /// `read_exact_at` retried a transient I/O error.
-    IoRetry {
-        /// Operation label ("stream", "heap", …).
-        op: &'static str,
-    },
-    /// The fault-injection backend injected a fault.
-    IoFault {
-        /// Fault kind ("crash", "hard-read", …).
-        kind: &'static str,
-    },
 }
 
 /// A timestamped event on a lane.
@@ -405,55 +375,6 @@ pub fn morsel_span(worker: u32, morsel: u32, started: Instant) {
             dur_ns,
         },
     );
-}
-
-/// Record a buffer-pool eviction instant.
-pub fn pool_eviction(bytes: u64) {
-    if !recording() {
-        return;
-    }
-    record(TimelineKind::PoolEviction { bytes });
-}
-
-/// Record a delta merge snapshot that took `dur_ns`.
-pub fn delta_snapshot(
-    table: &str,
-    delta_rows: u64,
-    tombstones: u64,
-    index_built: bool,
-    dur_ns: u64,
-) {
-    if !recording() {
-        return;
-    }
-    record_at(
-        now_ns().saturating_sub(dur_ns),
-        TimelineKind::DeltaSnapshot {
-            table: table.to_string(),
-            delta_rows,
-            tombstones,
-            index_built,
-            dur_ns,
-        },
-    );
-}
-
-/// Record an I/O retry instant.
-#[inline]
-pub fn io_retry(op: &'static str) {
-    if !recording() {
-        return;
-    }
-    record(TimelineKind::IoRetry { op });
-}
-
-/// Record an injected-fault instant.
-#[inline]
-pub fn io_fault(kind: &'static str) {
-    if !recording() {
-        return;
-    }
-    record(TimelineKind::IoFault { kind });
 }
 
 // ---------------------------------------------------------------------
@@ -769,6 +690,7 @@ mod tests {
             point,
             choice: "a".into(),
             reason: "because".into(),
+            encoding: None,
         }
     }
 
@@ -790,8 +712,8 @@ mod tests {
         clear();
         let token = query_begin(4242);
         crate::emit(|| segment_load_event(512));
-        pool_eviction(256);
-        io_retry("stream");
+        crate::emit(|| crate::Event::PoolEviction { bytes: 256 });
+        crate::emit(|| crate::Event::IoRetry { op: "stream" });
         let trace = query_end(
             token,
             "feedfacecafebeef",
@@ -894,16 +816,17 @@ mod tests {
         let _guard = lock();
         let prev = set_enabled(false);
         clear();
-        crate::emit(|| panic!("closure must not run outside a scope while disabled"));
-        pool_eviction(1);
-        io_retry("stream");
-        io_fault("crash");
+        {
+            // With the registry off too, no layer takes the event.
+            let _off = crate::metrics::switched_off();
+            crate::emit(|| panic!("closure must not run outside a scope while disabled"));
+        }
+        crate::emit(|| crate::Event::IoFault { kind: "crash" });
         morsel_span(0, 0, Instant::now());
-        delta_snapshot("t", 1, 1, false, 1);
         let token = query_begin(4245);
         let trace = query_end(token, "d", 0, 1, None, &[]);
         set_enabled(prev);
-        // The helpers above ran outside every scope, so the disabled
+        // The calls above ran outside every scope, so the disabled
         // gate stopped them; query_begin/query_end record their markers.
         assert!(
             trace.events.iter().all(|e| matches!(
@@ -973,16 +896,18 @@ mod tests {
         let token = query_begin(5004);
         assert!(recording());
         crate::emit(|| decision("scoped-while-disabled"));
-        io_retry("stream");
+        crate::emit(|| crate::Event::IoRetry { op: "stream" });
         let trace = query_end(token, "d", 0, 1, None, &[]);
         assert!(!recording(), "the scope closed with query_end");
-        crate::emit(|| panic!("closure must not run after the scope closed"));
+        {
+            let _off = crate::metrics::switched_off();
+            crate::emit(|| panic!("closure must not run after the scope closed"));
+        }
         set_enabled(prev);
         assert_eq!(points(&trace), ["scoped-while-disabled"]);
         assert!(trace
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, TimelineKind::IoRetry { .. })));
+            .own_events()
+            .any(|e| matches!(e, crate::Event::IoRetry { .. })));
     }
 
     #[test]
@@ -1019,16 +944,19 @@ mod tests {
     fn disabled_overhead_budget_10m_calls_under_a_second() {
         let _guard = lock();
         let prev = set_enabled(false);
+        let off = crate::metrics::switched_off();
         let t0 = Instant::now();
         for i in 0..10_000_000u64 {
-            io_retry(if i % 2 == 0 { "stream" } else { "heap" });
-            pool_eviction(i);
+            let op = if i % 2 == 0 { "stream" } else { "heap" };
+            crate::emit(|| crate::Event::IoRetry { op });
+            crate::emit(|| crate::Event::PoolEviction { bytes: i });
         }
         let elapsed = t0.elapsed();
+        drop(off);
         set_enabled(prev);
         assert!(
             elapsed < std::time::Duration::from_secs(1),
-            "20M disabled timeline calls took {elapsed:?}; the gate must be one relaxed load"
+            "20M disabled emits took {elapsed:?}; the gate must be two relaxed loads"
         );
     }
 }

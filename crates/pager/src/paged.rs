@@ -43,9 +43,7 @@ impl Inner {
     }
 
     /// Read one column segment (`stream`, `dictionary` or `heap`) and
-    /// feed both views of the load from one measurement: the
-    /// segment-load metric and the [`Event::SegmentLoad`] on the query's
-    /// timeline.
+    /// report the load once, as an [`Event::SegmentLoad`].
     fn load_segment(
         &self,
         table: &str,
@@ -53,22 +51,15 @@ impl Inner {
         e: Extent,
         segment: &'static str,
     ) -> io::Result<Vec<u8>> {
-        let t0 = (tde_obs::metrics::enabled() || tde_obs::timeline::recording())
-            .then(std::time::Instant::now);
+        let t0 = std::time::Instant::now();
         let bytes = self.read_segment(e, segment)?;
-        if let Some(t0) = t0 {
-            let dur_ns = t0.elapsed().as_nanos() as u64;
-            if tde_obs::metrics::enabled() {
-                tde_obs::metrics::segment_load(segment, e.len, dur_ns);
-            }
-            tde_obs::emit(|| Event::SegmentLoad {
-                table: table.to_string(),
-                column: column.to_string(),
-                segment,
-                bytes: e.len,
-                dur_ns,
-            });
-        }
+        tde_obs::emit(|| Event::SegmentLoad {
+            table: table.to_string(),
+            column: column.to_string(),
+            segment,
+            bytes: e.len,
+            dur_ns: t0.elapsed().as_nanos() as u64,
+        });
         Ok(bytes)
     }
 }

@@ -227,7 +227,6 @@ impl BufferPool {
                     .sub(evicted.bytes as i64);
             }
             self.counters.record_eviction(evicted.bytes);
-            tde_obs::timeline::pool_eviction(evicted.bytes);
         }
     }
 }

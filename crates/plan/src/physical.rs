@@ -256,11 +256,11 @@ fn lower_scan(
 /// Record a tactical decision: counted, and an event in the query's
 /// trace.
 fn decide(point: &'static str, choice: &str, reason: impl FnOnce() -> String) {
-    tde_obs::metrics::decision(point, choice);
     tde_obs::emit(|| tde_obs::Event::Decision {
         point,
         choice: choice.to_string(),
         reason: reason(),
+        encoding: None,
     });
 }
 
@@ -281,6 +281,7 @@ fn record_choices(chose: &Choices, columns: &[String]) -> String {
             point: "scan",
             choice: "drop-columns".to_string(),
             reason: format!("nothing above the scan reads [{names}]: never gathered"),
+            encoding: None,
         });
         label += &format!(" [dropped: {names}]");
     }
@@ -836,7 +837,7 @@ mod tests {
             let (labels, events, rows) = traced(&opt);
             assert_eq!(rows, 60);
             let serial = events.iter().any(|e| {
-                matches!(e, tde_obs::Event::Decision { point: "parallelism", choice, reason }
+                matches!(e, tde_obs::Event::Decision { point: "parallelism", choice, reason, .. }
                     if choice == "serial" && reason.contains("folds per run"))
             });
             (labels, serial)

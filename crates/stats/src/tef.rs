@@ -122,51 +122,14 @@ fn push_trace(out: &mut Vec<String>, t: &QueryTrace) {
                 name_lane(&mut name_track, out, lane_tid, ev.lane, &lane_names);
                 out.push(render_event(pid, lane_tid, ev.ts_ns, event));
             }
-            TimelineKind::PoolEviction { bytes } => {
-                name_lane(&mut name_track, out, lane_tid, ev.lane, &lane_names);
-                out.push(format!(
-                    "{{\"name\":\"pool-evict\",\"cat\":\"pool\",\"ph\":\"i\",\"pid\":{pid},\
-                     \"tid\":{lane_tid},\"ts\":{ts},\"s\":\"t\",\"args\":{{\"bytes\":{bytes}}}}}"
-                ));
-            }
-            TimelineKind::DeltaSnapshot {
-                table,
-                delta_rows,
-                tombstones,
-                index_built,
-                dur_ns,
-            } => {
-                name_lane(&mut name_track, out, lane_tid, ev.lane, &lane_names);
-                out.push(format!(
-                    "{{\"name\":\"snapshot\",\"cat\":\"delta\",\"ph\":\"X\",\"pid\":{pid},\
-                     \"tid\":{lane_tid},\"ts\":{ts},\"dur\":{},\"args\":{{\"table\":\"{}\",\
-                     \"delta_rows\":{delta_rows},\"tombstones\":{tombstones},\
-                     \"index_built\":{index_built}}}}}",
-                    us(*dur_ns),
-                    json_escape(table),
-                ));
-            }
-            TimelineKind::IoRetry { op } => {
-                name_lane(&mut name_track, out, lane_tid, ev.lane, &lane_names);
-                out.push(format!(
-                    "{{\"name\":\"io-retry\",\"cat\":\"io\",\"ph\":\"i\",\"pid\":{pid},\
-                     \"tid\":{lane_tid},\"ts\":{ts},\"s\":\"t\",\"args\":{{\"op\":\"{op}\"}}}}"
-                ));
-            }
-            TimelineKind::IoFault { kind } => {
-                name_lane(&mut name_track, out, lane_tid, ev.lane, &lane_names);
-                out.push(format!(
-                    "{{\"name\":\"io-fault\",\"cat\":\"io\",\"ph\":\"i\",\"pid\":{pid},\
-                     \"tid\":{lane_tid},\"ts\":{ts},\"s\":\"t\",\"args\":{{\"kind\":\"{kind}\"}}}}"
-                ));
-            }
         }
     }
 }
 
-/// One [`Event`]: a segment load or a compaction as a span that ends
-/// where it was recorded, anything else as an instant whose args are the
-/// event's JSON.
+/// One [`Event`]: a segment load, a compaction or a delta snapshot as a
+/// span that ends where it was recorded; a pool eviction, an I/O retry
+/// or an injected fault as a named instant on its track; anything else
+/// as an instant whose args are the event's JSON.
 fn render_event(pid: u64, tid: u64, ts_ns: u64, event: &Event) -> String {
     let span = |name: &str, cat: &str, dur_ns: u64, args: String| {
         format!(
@@ -176,7 +139,35 @@ fn render_event(pid: u64, tid: u64, ts_ns: u64, event: &Event) -> String {
             us(dur_ns),
         )
     };
+    let instant = |name: &str, cat: &str, args: String| {
+        format!(
+            "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"pid\":{pid},\
+             \"tid\":{tid},\"ts\":{},\"s\":\"t\",\"args\":{{{args}}}}}",
+            us(ts_ns),
+        )
+    };
     match event {
+        Event::PoolEviction { bytes } => {
+            instant("pool-evict", "pool", format!("\"bytes\":{bytes}"))
+        }
+        Event::DeltaSnapshot {
+            table,
+            delta_rows,
+            tombstones,
+            index_built,
+            dur_ns,
+        } => span(
+            "snapshot",
+            "delta",
+            *dur_ns,
+            format!(
+                "\"table\":\"{}\",\"delta_rows\":{delta_rows},\"tombstones\":{tombstones},\
+                 \"index_built\":{index_built}",
+                json_escape(table),
+            ),
+        ),
+        Event::IoRetry { op } => instant("io-retry", "io", format!("\"op\":\"{op}\"")),
+        Event::IoFault { kind } => instant("io-fault", "io", format!("\"kind\":\"{kind}\"")),
         Event::SegmentLoad {
             table,
             column,
@@ -355,6 +346,7 @@ mod tests {
                         point: "hash-strategy",
                         choice: "Direct64K".into(),
                         reason: "keys [\"k\"] pack into 7 bits".into(),
+                        encoding: None,
                     }),
                 ),
                 ev(
@@ -390,9 +382,21 @@ mod tests {
                         dur_ns: 6_000,
                     },
                 ),
-                ev(3_000, 0, TimelineKind::PoolEviction { bytes: 64 }),
-                ev(4_000, 0, TimelineKind::IoRetry { op: "stream" }),
-                ev(5_000, 0, TimelineKind::IoFault { kind: "hard-read" }),
+                ev(
+                    3_000,
+                    0,
+                    TimelineKind::Event(Event::PoolEviction { bytes: 64 }),
+                ),
+                ev(
+                    4_000,
+                    0,
+                    TimelineKind::Event(Event::IoRetry { op: "stream" }),
+                ),
+                ev(
+                    5_000,
+                    0,
+                    TimelineKind::Event(Event::IoFault { kind: "hard-read" }),
+                ),
                 ev(
                     6_500,
                     2,
@@ -408,13 +412,13 @@ mod tests {
                 ev(
                     7_000,
                     2,
-                    TimelineKind::DeltaSnapshot {
+                    TimelineKind::Event(Event::DeltaSnapshot {
                         table: "t".into(),
                         delta_rows: 10,
                         tombstones: 2,
                         index_built: true,
                         dur_ns: 300,
-                    },
+                    }),
                 ),
                 ev(10_000, 0, TimelineKind::QueryEnd { query_id: 42 }),
             ],

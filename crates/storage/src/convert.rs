@@ -49,7 +49,6 @@ pub fn sort_heap_via_dictionary(
         }
     });
     // Build the new heap in sorted order and record each entry's new token.
-    tde_obs::metrics::conversion("heap-sort-via-dictionary");
     tde_obs::emit(|| tde_obs::Event::Conversion {
         column: String::new(),
         route: "heap-sort-via-dictionary",
@@ -105,7 +104,6 @@ pub fn dict_encoding_to_compression(col: &mut Column) {
     // Its element width can narrow to the rank range.
     manipulate::narrow(&mut col.data);
 
-    tde_obs::metrics::conversion("dict-encoding->array-compression");
     tde_obs::emit(|| tde_obs::Event::Conversion {
         column: col.name.clone(),
         route: "dict-encoding->array-compression",
@@ -155,7 +153,6 @@ pub fn for_encoding_to_compression(col: &mut Column) {
         manipulate::set_width(&mut stream, target);
     }
 
-    tde_obs::metrics::conversion("for-encoding->array-compression");
     tde_obs::emit(|| tde_obs::Event::Conversion {
         column: col.name.clone(),
         route: "for-encoding->array-compression",
@@ -196,7 +193,6 @@ pub fn rle_to_dict_compression(col: &mut Column) {
     let index_of = |v: i64| dictionary.binary_search(&v).expect("value in dictionary") as i64;
     let tokens: Vec<i64> = values.iter().map(|&v| index_of(v)).collect();
 
-    tde_obs::metrics::conversion("rle->dict-compression");
     tde_obs::emit(|| tde_obs::Event::Conversion {
         column: col.name.clone(),
         route: "rle->dict-compression",

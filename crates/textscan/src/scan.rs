@@ -599,7 +599,6 @@ fn import_on(data: &[u8], options: &ImportOptions, workers: usize) -> io::Result
         schema,
     };
 
-    tde_obs::metrics::import(result.bytes_read, importer.rows, parse_errors);
     tde_obs::emit(|| {
         let build = importer.build_time;
         tde_obs::Event::Import {

@@ -329,7 +329,7 @@ fn an_unread_column_is_dropped_and_named() {
     );
     assert!(
         report.events.iter().any(|e| matches!(e,
-            Event::Decision { point, choice, reason }
+            Event::Decision { point, choice, reason, .. }
                 if *point == "scan" && choice == "drop-columns" && reason.contains("ea_day"))),
         "{:?}",
         report.events

@@ -430,7 +430,7 @@ fn plan_choices_are_stable_across_residencies() {
             assert!(
                 report.events.iter().any(|e| matches!(
                     e,
-                    tde::obs::Event::Decision { point: "parallelism", choice, reason }
+                    tde::obs::Event::Decision { point: "parallelism", choice, reason, .. }
                         if choice == "serial" && reason.contains("folds per run")
                 )),
                 "{residency}: {:?}",

@@ -277,7 +277,7 @@ fn kernel_scan_telemetry_on_dict_eligible_predicate() {
     assert!(
         report.events.iter().any(|e| matches!(
             e,
-            Event::Decision { point, choice, reason }
+            Event::Decision { point, choice, reason, .. }
                 if *point == "kernel-pushdown"
                     && choice == "dict-domain"
                     && reason.contains("kd_v")
@@ -336,7 +336,7 @@ fn kernel_scan_telemetry_on_ineligible_predicate_falls_back() {
         assert!(
             report.events.iter().any(|e| matches!(
                 e,
-                Event::Decision { point, choice, reason }
+                Event::Decision { point, choice, reason, .. }
                     if *point == "kernel-pushdown"
                         && choice == kernel
                         && reason.contains(name)
@@ -451,7 +451,7 @@ fn run_aggregate_decision_is_recorded() {
     assert!(
         report.events.iter().any(|e| matches!(
             e,
-            Event::Decision { point, choice, reason }
+            Event::Decision { point, choice, reason, .. }
                 if *point == "aggregate" && choice == "fold-runs" && reason.contains("kr_t")
         )),
         "no fold-runs decision in {:?}",
@@ -552,7 +552,7 @@ fn group_codes_decision_is_recorded() {
     };
     let decided = |r: &tde::ExplainAnalyze| {
         r.events.iter().any(|e| {
-            matches!(e, Event::Decision { point, choice, reason }
+            matches!(e, Event::Decision { point, choice, reason, .. }
                 if *point == "aggregate" && choice == "group-codes" && reason.contains("gc_k"))
         })
     };

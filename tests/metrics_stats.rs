@@ -191,10 +191,18 @@ fn spans_capture_phases_and_counter_deltas() {
     let sink = span::MemorySink::new();
     let prev = span::set_span_sink(Some(sink.clone()));
 
+    // Kept off the index path, so the filter is pushed into the scan.
+    let query = |t: &Arc<Table>| {
+        Query::scan(t)
+            .filter(Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::int(2)))
+            .with_optimizer(tde::plan::strategic::OptimizerOptions {
+                index_tables: false,
+                ordered_retrieval: false,
+                ..Default::default()
+            })
+    };
     let t = demo_table();
-    let rows = Query::scan(&t)
-        .filter(Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::int(2)))
-        .rows();
+    let rows = query(&t).rows();
     assert_eq!(rows.len(), 4_000);
 
     let spans = sink.spans();
@@ -212,21 +220,19 @@ fn spans_capture_phases_and_counter_deltas() {
         s.phases.iter().map(|(_, ns)| ns).sum::<u64>() <= s.elapsed_ns,
         "phases partition the elapsed time"
     );
-    if metrics::enabled() {
-        assert!(
-            s.counters
-                .iter()
-                .any(|(k, v)| k.starts_with("tde_queries_total") && *v >= 1),
-            "span counters should include the query counter; got {:?}",
-            s.counters
-        );
-    }
+    // A span's counters are its own events folded: the pushed filter's
+    // one kernel pushdown, whatever else the process counted meanwhile.
+    let pushdowns: u64 = s
+        .counters()
+        .iter()
+        .filter(|(k, _)| k.starts_with("tde_kernel_pushdown_total"))
+        .map(|(_, v)| *v)
+        .sum();
+    assert_eq!(pushdowns, 1, "span counters: {:?}", s.counters());
     // Identical query shape → identical digest.
     let sink2 = span::MemorySink::new();
     let prev = span::set_span_sink(Some(sink2.clone()));
-    let _ = Query::scan(&t)
-        .filter(Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::int(2)))
-        .rows();
+    let _ = query(&t).rows();
     span::set_span_sink(prev);
     let again = sink2.spans();
     let repeat = again.iter().rfind(|x| x.rows_out == 4_000);
@@ -234,7 +240,7 @@ fn spans_capture_phases_and_counter_deltas() {
 
     // And the JSON rendering of every span parses.
     for sp in spans.iter().chain(again.iter()) {
-        let parsed = tde_stats::minijson::parse(&sp.to_json()).expect("span JSON parses");
+        let parsed = tde_stats::minijson::parse(&sp.span_json()).expect("span JSON parses");
         assert_eq!(
             parsed.get("query_id").and_then(|v| v.as_u64()),
             Some(sp.query_id)
@@ -249,7 +255,7 @@ fn span_json_lines_sink_writes_parseable_lines() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("spans.jsonl");
     let sink = span::JsonLinesSink::append_to(&path).unwrap();
-    let prev = span::set_span_sink(Some(sink));
+    let prev = span::set_span_sink(Some(sink.clone()));
 
     let t = demo_table();
     let _ = Query::scan(&t).rows();
@@ -258,14 +264,67 @@ fn span_json_lines_sink_writes_parseable_lines() {
         .rows();
     span::set_span_sink(prev);
 
+    // One slow-query record too, whatever `TDE_SLOW_QUERY_NS` says: the
+    // first query's trace, marked slow.
+    let first = std::fs::read_to_string(&path).unwrap();
+    let first = tde_stats::minijson::parse(first.lines().next().unwrap()).unwrap();
+    let id = first.get("query_id").and_then(|v| v.as_u64()).unwrap();
+    let mut slow = (*tde::obs::timeline::find_trace(id).expect("trace retained")).clone();
+    slow.slow = true;
+    span::SpanSink::record(&*sink, &Arc::new(slow));
+
+    let keys = |v: &tde_stats::minijson::Value| -> Vec<String> {
+        let mut keys: Vec<String> = v
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.clone())
+            .collect();
+        keys.sort();
+        keys
+    };
     let text = std::fs::read_to_string(&path).unwrap();
     let lines: Vec<&str> = text.lines().filter(|l| !l.is_empty()).collect();
-    assert!(lines.len() >= 2, "two queries → at least two span lines");
+    assert!(lines.len() >= 3, "two span lines and a slow-query line");
+    let (mut spans, mut slow_records) = (0, 0);
     for line in lines {
         let v = tde_stats::minijson::parse(line).expect("each line is a JSON object");
         assert!(v.get("plan_digest").is_some());
         assert!(v.get("phases").is_some());
+        // The line formats keep their keys.
+        if v.get("kind").and_then(|k| k.as_str()) == Some("slow_query") {
+            slow_records += 1;
+            assert_eq!(
+                keys(&v),
+                [
+                    "elapsed_ns",
+                    "kind",
+                    "phases",
+                    "plan_digest",
+                    "query_id",
+                    "rows_out",
+                    "threshold_ns",
+                    "top_ops"
+                ],
+                "{line}"
+            );
+        } else {
+            spans += 1;
+            assert_eq!(
+                keys(&v),
+                [
+                    "counters",
+                    "elapsed_ns",
+                    "phases",
+                    "plan_digest",
+                    "query_id",
+                    "rows_out"
+                ],
+                "{line}"
+            );
+        }
     }
+    assert!(spans >= 2 && slow_records >= 1, "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

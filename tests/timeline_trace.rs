@@ -181,7 +181,7 @@ fn failed_queries_stay_observable() {
             s.error
         );
         assert_eq!(s.rows_out, 0);
-        let json = s.to_json();
+        let json = s.span_json();
         assert!(json.contains("\"error\":\""), "{json}");
         tde_stats::minijson::parse(&json).unwrap();
 
@@ -471,8 +471,9 @@ fn slow_queries_are_pinned_and_logged() {
         .rfind(|r| r.query_id == spans[0].query_id)
         .expect("slow record for the query");
     assert_eq!(record.plan_digest, spans[0].plan_digest);
-    assert!(!record.top_ops.is_empty() && record.top_ops.len() <= 3);
-    tde_stats::minijson::parse(&record.to_json()).unwrap();
+    let top_ops = record.top_operators(3);
+    assert!(!top_ops.is_empty() && top_ops.len() <= 3);
+    tde_stats::minijson::parse(&record.slow_query_json()).unwrap();
     assert!(timeline::slow_traces()
         .iter()
         .any(|t| t.query_id == spans[0].query_id));
@@ -508,12 +509,12 @@ fn compaction_trace_splits_the_snapshot_from_the_re_encode() {
         .events
         .iter()
         .filter_map(|e| match &e.kind {
-            timeline::TimelineKind::DeltaSnapshot {
+            timeline::TimelineKind::Event(tde::obs::Event::DeltaSnapshot {
                 table,
                 delta_rows,
                 index_built,
                 ..
-            } if table == "tl_delta" => Some((*delta_rows, *index_built)),
+            }) if table == "tl_delta" => Some((*delta_rows, *index_built)),
             _ => None,
         })
         .collect();
@@ -636,5 +637,170 @@ fn a_finishing_query_does_not_steal_a_running_querys_spans() {
     assert!(
         theirs.iter().any(|(_, l)| l.starts_with("Scan steal_b")),
         "{theirs:?}"
+    );
+}
+
+/// Opens real files whose reads call `hook` once, on the first read made
+/// inside a query scope: a query over a table opened through it stops
+/// mid-execution until the hook returns.
+#[derive(Debug)]
+struct GateIo {
+    hook: Arc<Hook>,
+}
+
+struct Hook(Box<dyn Fn() + Send + Sync>);
+
+impl std::fmt::Debug for Hook {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Hook")
+    }
+}
+
+#[derive(Debug)]
+struct GateFile {
+    inner: Box<dyn tde::io::IoFile>,
+    hook: Arc<Hook>,
+    fired: std::sync::atomic::AtomicBool,
+}
+
+impl tde::io::IoFile for GateFile {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<usize> {
+        if timeline::current_scope() != 0
+            && !self.fired.swap(true, std::sync::atomic::Ordering::SeqCst)
+        {
+            (self.hook.0)();
+        }
+        self.inner.read_at(buf, offset)
+    }
+
+    fn len(&self) -> std::io::Result<u64> {
+        self.inner.len()
+    }
+}
+
+impl tde::io::StorageIo for GateIo {
+    fn open(&self, path: &std::path::Path) -> std::io::Result<Box<dyn tde::io::IoFile>> {
+        Ok(Box::new(GateFile {
+            inner: tde::io::RealIo.open(path)?,
+            hook: Arc::clone(&self.hook),
+            fired: std::sync::atomic::AtomicBool::new(false),
+        }))
+    }
+
+    fn create(&self, path: &std::path::Path) -> std::io::Result<Box<dyn tde::io::IoWriter>> {
+        tde::io::RealIo.create(path)
+    }
+
+    fn rename(&self, from: &std::path::Path, to: &std::path::Path) -> std::io::Result<()> {
+        tde::io::RealIo.rename(from, to)
+    }
+
+    fn remove_file(&self, path: &std::path::Path) -> std::io::Result<()> {
+        tde::io::RealIo.remove_file(path)
+    }
+}
+
+/// Two spanned queries on two threads, interleaved: query B runs start
+/// to finish while query A waits in its first segment read. Each span's
+/// counters are its own query's events folded: A's kernel pushdown and
+/// rows, B's aggregate decisions — never the other's. (Counters taken
+/// as registry deltas around a query gave A every count B made.)
+#[test]
+fn concurrent_spans_count_only_their_own_events() {
+    let _guard = trace_lock().lock().unwrap();
+    let dir = std::env::temp_dir().join(format!("tde_span_interleave_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("a.tde2");
+    {
+        let mut k = ColumnBuilder::new("ia_k", DataType::Integer, EncodingPolicy::default());
+        for i in 0..20_000i64 {
+            k.append_i64(i / 2_000);
+        }
+        let mut db = Database::new();
+        db.add_table(Table::new("interleave_a", vec![k.finish().column]));
+        save_v2(&db, &path).unwrap();
+    }
+    let b = demo_table();
+
+    let (to_b, b_waits) = std::sync::mpsc::channel::<()>();
+    let (to_a, a_waits) = std::sync::mpsc::channel::<()>();
+    let a_waits = Mutex::new(a_waits);
+    let io = GateIo {
+        hook: Arc::new(Hook(Box::new(move || {
+            to_b.send(()).unwrap();
+            a_waits.lock().unwrap().recv().unwrap();
+        }))),
+    };
+    let prev_trace = timeline::set_enabled(true);
+    let sink = span::MemorySink::new();
+    let prev_sink = span::set_span_sink(Some(sink.clone()));
+
+    let query_b = std::thread::spawn(move || {
+        b_waits.recv().unwrap();
+        let groups = Query::scan(&b)
+            .aggregate(vec![1], vec![(AggFunc::Sum, 0, "s")])
+            .rows();
+        assert_eq!(groups.len(), 500);
+        to_a.send(()).unwrap();
+    });
+    let db = PagedDatabase::open_with_io(&path, PoolConfig::default(), &io).unwrap();
+    let a = db.table("interleave_a").unwrap();
+    let rows = Query::scan_columns(&a, &["ia_k"])
+        .filter(Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::int(3)))
+        .with_optimizer(tde::plan::strategic::OptimizerOptions {
+            index_tables: false,
+            ordered_retrieval: false,
+            ..Default::default()
+        })
+        .rows();
+    query_b.join().unwrap();
+    let spans = sink.spans();
+    span::set_span_sink(prev_sink);
+    timeline::set_enabled(prev_trace);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(rows.len(), 2_000);
+
+    // Decision and kernel counters only: A's segment loads are its own
+    // too, but their byte counts follow the file layout.
+    let own = |rows_out: u64| -> Vec<(String, u64)> {
+        let span = spans
+            .iter()
+            .find(|s| s.rows_out == rows_out)
+            .unwrap_or_else(|| panic!("no span with {rows_out} rows in {spans:?}"));
+        span.counters()
+            .into_iter()
+            .filter(|(k, _)| k.starts_with("tde_kernel_") || k.starts_with("tde_tactical_"))
+            .collect()
+    };
+    let pairs = |list: &[(&str, u64)]| -> Vec<(String, u64)> {
+        list.iter().map(|(k, v)| ((*k).to_owned(), *v)).collect()
+    };
+    assert_eq!(spans.len(), 2, "{spans:?}");
+    assert_eq!(
+        own(2_000),
+        pairs(&[
+            (
+                "tde_kernel_pushdown_total{encoding=\"rle\",kernel=\"rle-run-skip\"}",
+                1
+            ),
+            ("tde_kernel_rows_in_total", 20_000),
+            ("tde_kernel_rows_out_total", 2_000),
+            ("tde_kernel_rows_skipped_total", 18_000),
+        ]),
+        "query A's span"
+    );
+    assert_eq!(
+        own(500),
+        pairs(&[
+            (
+                "tde_tactical_decisions_total{choice=\"Direct64K\",point=\"hash-strategy\"}",
+                1
+            ),
+            (
+                "tde_tactical_decisions_total{choice=\"Hash\",point=\"aggregation\"}",
+                1
+            ),
+        ]),
+        "query B's span"
     );
 }
