@@ -41,7 +41,10 @@ use std::time::{Duration, Instant};
 use tde_encodings::metadata::Knowledge;
 use tde_encodings::splice::{conform, splice, survivors, Spliced};
 use tde_encodings::stats::choose_encoding_with;
-use tde_exec::flow_table::{build_column, build_workers, dictionary_stats, per_column};
+use tde_encodings::{Algorithm, EncodedStream};
+use tde_exec::flow_table::{
+    build_column, build_workers, dictionary_stats, heaviest_first, per_column,
+};
 use tde_exec::handle::ColumnHandle;
 use tde_exec::merged_scan::MergedSource;
 use tde_exec::{Field, Repr};
@@ -80,7 +83,10 @@ impl DeltaTable {
         self.drop_index();
         let dropped: Vec<u64> = self.tombstones.iter().copied().collect();
         let degree = build_workers(self.merged_rows() as usize, fields.len());
-        let columns = per_column(degree, fields.len(), |c| {
+        let costs = handles
+            .iter()
+            .map(|h| compact_cost(&h.col().data, !dropped.is_empty()));
+        let columns = per_column(degree, &heaviest_first(costs), |c| {
             compact_column(&handles[c], &fields[c], &dropped, &delta[c])
         });
         let columns = columns.into_iter().map(|compacted| match compacted {
@@ -119,6 +125,19 @@ impl DeltaTable {
 enum Compacted {
     Spliced(Column),
     Rebuilt(BuiltColumn),
+}
+
+/// What compacting a column stored as `data` costs, roughly: a column
+/// its encoding cannot splice — delta, affine losing rows — goes through
+/// the dynamic encoder and costs more than any splice; then the more
+/// bytes to move, the more.
+fn compact_cost(data: &EncodedStream, loses_rows: bool) -> u64 {
+    let rebuilt = match data.algorithm() {
+        Algorithm::Delta => true,
+        Algorithm::Affine => loses_rows,
+        _ => false,
+    };
+    (u64::from(rebuilt) << 48) | data.physical_size() as u64
 }
 
 /// One column of a compaction: the base stream without the `dropped`

@@ -14,7 +14,7 @@
 use crate::bitpack;
 use crate::cuckoo::CuckooMap;
 use crate::header::{self, HeaderView};
-use crate::splice::{kept_codes, Packer};
+use crate::splice::{kept_codes, Packer, Tally};
 use crate::{Algorithm, EncodingFull, DICT_MAX_BITS};
 use tde_types::Width;
 
@@ -130,11 +130,11 @@ pub fn append_block(
 /// `to`'s slots, those no surviving row uses are dropped and the indexes
 /// renumbered. Fails, leaving `to` without entries, if the entries the
 /// rows use still do not fit.
-pub(crate) fn repack<F: FnMut(&[u64])>(
+pub(crate) fn repack<T: Tally>(
     old: &[u8],
     oh: &HeaderView,
     dropped: &[u64],
-    to: &mut Packer<F>,
+    to: &mut Packer<T>,
 ) -> Result<(), EncodingFull> {
     let th = HeaderView::parse(&to.out);
     let mut entries = entries(old, oh);

@@ -241,14 +241,14 @@ pub(crate) fn rewritten(
     let rows = h.logical_size as usize;
     match (h.algorithm, to) {
         (Algorithm::FrameOfReference, EncodingSpec::Frame { .. }) => {
-            let mut to = Packer::new(fresh.buf, rows, |_| {});
+            let mut to = Packer::new(fresh.buf, rows, ());
             frame::repack(stream.as_bytes(), &h, &[], &mut to);
-            Ok(EncodedStream::from_buf(to.finish()?))
+            Ok(EncodedStream::from_buf(to.finish()?.0))
         }
         (Algorithm::Dictionary, EncodingSpec::Dict { .. }) => {
-            let mut to = Packer::new(fresh.buf, rows, |_| {});
+            let mut to = Packer::new(fresh.buf, rows, ());
             dict::repack(stream.as_bytes(), &h, &[], &mut to)?;
-            Ok(EncodedStream::from_buf(to.finish()?))
+            Ok(EncodedStream::from_buf(to.finish()?.0))
         }
         _ => {
             for chunk in stream.decode_all().chunks(BLOCK_SIZE) {

@@ -8,7 +8,7 @@
 
 use crate::bitpack;
 use crate::header::{self, HeaderView};
-use crate::splice::Packer;
+use crate::splice::{Packer, Tally};
 use crate::{Algorithm, EncodingFull};
 use tde_types::Width;
 
@@ -63,12 +63,7 @@ pub fn append_block(buf: &mut Vec<u8>, h: &HeaderView, vals: &[i64]) -> Result<(
 /// frame on its way from one packed stream to the other, no value is
 /// materialized. `to` refuses, when it finishes, an offset its width
 /// cannot hold.
-pub(crate) fn repack<F: FnMut(&[u64])>(
-    old: &[u8],
-    oh: &HeaderView,
-    dropped: &[u64],
-    to: &mut Packer<F>,
-) {
+pub(crate) fn repack<T: Tally>(old: &[u8], oh: &HeaderView, dropped: &[u64], to: &mut Packer<T>) {
     let shift = frame_value(old).wrapping_sub(frame_value(&to.out)) as u64;
     to.push_packed(old, oh, dropped, |offset| offset.wrapping_add(shift));
 }

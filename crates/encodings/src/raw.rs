@@ -14,19 +14,26 @@ pub fn new_stream(width: Width, block_size: usize, signed: bool) -> Vec<u8> {
 
 /// Append one block (padded to a full physical block with zero bytes).
 pub fn append_block(buf: &mut Vec<u8>, h: &HeaderView, vals: &[i64]) {
-    fn store<const N: usize>(buf: &mut Vec<u8>, block_size: usize, vals: &[i64]) {
+    let at = buf.len();
+    put_values(buf, h.width, vals);
+    buf.resize(at + h.block_size * h.width.bytes(), 0);
+}
+
+/// Append `vals` at `width`, unpadded: a splice writes its rows one
+/// block after another and pads only the last.
+pub(crate) fn put_values(buf: &mut Vec<u8>, width: Width, vals: &[i64]) {
+    fn store<const N: usize>(buf: &mut Vec<u8>, vals: &[i64]) {
         let at = buf.len();
-        // Zero-filled: the pad past `vals` is written here too.
-        buf.resize(at + block_size * N, 0);
+        buf.resize(at + vals.len() * N, 0);
         for (dst, v) in buf[at..].chunks_exact_mut(N).zip(vals) {
             dst.copy_from_slice(&v.to_le_bytes()[..N]);
         }
     }
-    match h.width {
-        Width::W1 => store::<1>(buf, h.block_size, vals),
-        Width::W2 => store::<2>(buf, h.block_size, vals),
-        Width::W4 => store::<4>(buf, h.block_size, vals),
-        Width::W8 => store::<8>(buf, h.block_size, vals),
+    match width {
+        Width::W1 => store::<1>(buf, vals),
+        Width::W2 => store::<2>(buf, vals),
+        Width::W4 => store::<4>(buf, vals),
+        Width::W8 => store::<8>(buf, vals),
     }
 }
 

@@ -14,9 +14,21 @@
 //! dropped rows and no new ones. Dictionary survivors never go back
 //! through the cuckoo map; only new values do. [`conform`] narrows a
 //! spliced frame or dictionary whose rows no longer need its bits.
+//!
+//! What a splice costs: each block of a frame, dictionary or raw stream
+//! is unpacked once and its survivors close up in place; one pass over
+//! them takes every statistic — envelope, NULLs, neighbour deltas, runs
+//! and a bitmap of the codes seen — and the packer writes them straight
+//! behind the codes before them. The bitmap is the distinct count: each
+//! code stands for a value of its own, so over codes of at most
+//! [`BITMAP_BITS`] bits its population count is exact. Wider codes are
+//! hashed into it, which gives a lower bound; past the dictionary limit
+//! that settles the count, below it the stream's values are counted
+//! again in a set sized from that bound, so the set never grows from
+//! empty.
 
 use crate::header::{self, HeaderView};
-use crate::stats::{ColumnStats, EncodingSpec};
+use crate::stats::{key, value, ColumnStats, DistinctSet, EncodingSpec, DISTINCT_LIMIT};
 use crate::{affine, bitpack, dict, dynamic, frame, manipulate, raw, rle};
 use crate::{Algorithm, EncodedStream, EncodingFull, BLOCK_SIZE, DICT_MAX_BITS};
 use tde_types::Width;
@@ -102,33 +114,35 @@ pub fn survivors(stream: &EncodedStream, mut dropped: &[u64]) -> Vec<i64> {
     for b in 0..stream.block_count() {
         block.clear();
         stream.decode_block(b, &mut block);
-        let first = (b * h.block_size) as u64;
-        for_kept(&block, first, &mut dropped, |kept| {
-            out.extend_from_slice(kept)
-        });
+        close_up(&mut block, (b * h.block_size) as u64, &mut dropped);
+        out.extend_from_slice(&block);
     }
     out
 }
 
-/// Hand `f` the rows of `block` — rows `first..` — that `dropped` does
-/// not name, a run of survivors at a time; `dropped` is consumed from
-/// the front.
-fn for_kept<T>(block: &[T], first: u64, dropped: &mut &[u64], mut f: impl FnMut(&[T])) {
-    let mut from = 0;
-    while let Some((&d, rest)) = dropped.split_first() {
-        let at = d - first;
-        if at >= block.len() as u64 {
-            break;
-        }
-        f(&block[from..at as usize]);
-        from = at as usize + 1;
-        *dropped = rest;
+/// Take the rows `dropped` names out of `block` — rows `first..` — the
+/// survivors closing up in place; `dropped` is consumed from the front.
+fn close_up<T: Copy>(block: &mut Vec<T>, first: u64, dropped: &mut &[u64]) {
+    let end = first + block.len() as u64;
+    let (here, rest) = dropped.split_at(dropped.partition_point(|&d| d < end));
+    *dropped = rest;
+    let Some(&gone) = here.first() else {
+        return;
+    };
+    let mut to = (gone - first) as usize;
+    for (i, &d) in here.iter().enumerate() {
+        let from = (d - first) as usize + 1;
+        let till = here
+            .get(i + 1)
+            .map_or(block.len(), |&e| (e - first) as usize);
+        block.copy_within(from..till, to);
+        to += till - from;
     }
-    f(&block[from..]);
+    block.truncate(to);
 }
 
 /// The packed codes of the bit-packed stream `buf` — frame offsets or
-/// dictionary indexes — each through `map`, handed to `f` a run at a
+/// dictionary indexes — each through `map`, handed to `f` a block at a
 /// time without the rows `dropped` (ascending positions) names.
 pub(crate) fn kept_codes(
     buf: &[u8],
@@ -142,63 +156,87 @@ pub(crate) fn kept_codes(
     for (b, (at, n)) in h.blocks(block_bytes).enumerate() {
         block.clear();
         bitpack::unpack_block(&buf[at..], h.bits, n, &mut block, &map);
-        let first = (b * h.block_size) as u64;
-        for_kept(&block, first, &mut dropped, &mut f);
+        close_up(&mut block, (b * h.block_size) as u64, &mut dropped);
+        f(&block);
     }
 }
 
-/// Packs codes into the data of an empty bit-packed stream: they arrive
-/// in row order, any number at a time, and leave a whole block at a time
-/// (the last may be short), each block handed to `each_block` on its way
-/// out — where a splice takes its statistics.
-pub(crate) struct Packer<F: FnMut(&[u64])> {
-    /// The stream: its header, then the blocks packed so far.
+/// What sees a packer's codes on their way into the stream: a splice
+/// takes its statistics there, a re-pack nothing.
+pub(crate) trait Tally {
+    /// The next codes, in row order.
+    fn codes(&mut self, codes: &[u64]);
+}
+
+impl Tally for () {
+    fn codes(&mut self, _: &[u64]) {}
+}
+
+/// Packs codes into the data of an empty bit-packed stream. They arrive
+/// in row order, any number at a time, pass the tally, and are written
+/// straight behind the codes before them: a block holds a multiple of 32
+/// codes, so its packing ends on a byte and blocks packed one after the
+/// other are the bits of the blocks packed apart. Only the last block is
+/// padded, by [`Packer::finish`].
+pub(crate) struct Packer<T: Tally> {
+    /// The stream: its header, then the codes packed so far.
     pub(crate) out: Vec<u8>,
+    /// Where the packed codes start in `out`.
+    data: usize,
     bits: u8,
     block_size: usize,
-    pending: Vec<u64>,
+    /// Packed bits not yet written to `out`, and how many there are.
+    acc: u64,
+    fill: u32,
     rows: u64,
     /// Every code pushed, or-ed: whether one needs more than `bits`.
     union: u64,
-    each_block: F,
+    tally: T,
 }
 
-impl<F: FnMut(&[u64])> Packer<F> {
+impl<T: Tally> Packer<T> {
     /// A packer behind the empty stream `out`, sized for `rows` rows.
-    pub(crate) fn new(mut out: Vec<u8>, rows: usize, each_block: F) -> Packer<F> {
+    pub(crate) fn new(mut out: Vec<u8>, rows: usize, tally: T) -> Packer<T> {
         let h = HeaderView::parse(&out);
         out.reserve(rows.div_ceil(h.block_size) * bitpack::packed_bytes(h.block_size, h.bits));
         Packer {
+            data: out.len(),
             out,
             bits: h.bits,
             block_size: h.block_size,
-            pending: Vec::with_capacity(h.block_size),
+            acc: 0,
+            fill: 0,
             rows: 0,
             union: 0,
-            each_block,
+            tally,
         }
     }
 
     /// The next codes, in row order.
-    pub(crate) fn push(&mut self, mut codes: &[u64]) {
-        let block_size = self.block_size;
-        while !codes.is_empty() {
-            if self.pending.is_empty() && codes.len() >= block_size {
-                let (block, rest) = codes.split_at(block_size);
-                self.emit(block);
-                codes = rest;
-                continue;
-            }
-            let take = codes.len().min(block_size - self.pending.len());
-            self.pending.extend_from_slice(&codes[..take]);
-            codes = &codes[take..];
-            if self.pending.len() == block_size {
-                let block = std::mem::take(&mut self.pending);
-                self.emit(&block);
-                self.pending = block;
-                self.pending.clear();
+    pub(crate) fn push(&mut self, codes: &[u64]) {
+        self.tally.codes(codes);
+        self.rows += codes.len() as u64;
+        let bits = u32::from(self.bits);
+        if bits == 0 {
+            self.union = codes.iter().fold(self.union, |u, &c| u | c);
+            return;
+        }
+        let keep = !bitpack::too_wide(self.bits);
+        let (mut acc, mut fill, mut union) = (self.acc, self.fill, self.union);
+        for &c in codes {
+            union |= c;
+            let v = c & keep;
+            acc |= v << fill;
+            fill += bits;
+            if fill >= 64 {
+                self.out.extend_from_slice(&acc.to_le_bytes());
+                fill -= 64;
+                // The bits of `v` that did not fit: `fill` of them, fewer
+                // than `bits`.
+                acc = (v >> 1) >> (bits - 1 - fill);
             }
         }
+        (self.acc, self.fill, self.union) = (acc, fill, union);
     }
 
     /// The packed codes of the bit-packed stream `buf`, without the rows
@@ -214,28 +252,19 @@ impl<F: FnMut(&[u64])> Packer<F> {
         kept_codes(buf, h, dropped, map, |codes| self.push(codes));
     }
 
-    fn emit(&mut self, codes: &[u64]) {
-        (self.each_block)(codes);
-        self.union = codes.iter().fold(self.union, |u, &c| u | c);
-        self.rows += codes.len() as u64;
-        let keep = !bitpack::too_wide(self.bits);
-        let codes = codes.iter().map(|&c| c & keep);
-        let n = codes.len();
-        bitpack::pack_block_from(codes, n, self.block_size, self.bits, &mut self.out);
-    }
-
-    /// The stream of every code pushed. Fails when a code needs more
-    /// bits than the stream packs.
-    pub(crate) fn finish(mut self) -> Result<Vec<u8>, EncodingFull> {
-        let block = std::mem::take(&mut self.pending);
-        if !block.is_empty() {
-            self.emit(&block);
-        }
+    /// The stream of every code pushed, and the tally that saw them.
+    /// Fails when a code needs more bits than the stream packs.
+    pub(crate) fn finish(mut self) -> Result<(Vec<u8>, T), EncodingFull> {
         if self.union & bitpack::too_wide(self.bits) != 0 {
             return Err(EncodingFull::ValueOutOfRange);
         }
+        let tail = (self.fill as usize).div_ceil(8);
+        self.out.extend_from_slice(&self.acc.to_le_bytes()[..tail]);
+        let blocks = (self.rows as usize).div_ceil(self.block_size);
+        let end = self.data + blocks * bitpack::packed_bytes(self.block_size, self.bits);
+        self.out.resize(end, 0);
         header::put_u64(&mut self.out, header::OFF_LOGICAL_SIZE, self.rows);
-        Ok(self.out)
+        Ok((self.out, self.tally))
     }
 }
 
@@ -265,53 +294,51 @@ fn push_run(runs: &mut Vec<(i64, u64)>, v: i64, n: u64) {
 }
 
 /// How a code stands for its value.
-#[derive(Clone, Copy)]
-enum Domain<'a> {
+enum Domain {
     /// `frame + code`.
     Frame(i64),
-    /// `entries[code]`.
-    Entries(&'a [i64]),
+    /// The dictionary entry at `code`, as its key.
+    Entries(Vec<u64>),
     /// The code is the value.
     Raw,
 }
 
-/// The statistics of the values a splice's codes stand for, taken a
-/// block of codes at a time. Each code stands for a value of its own, so
-/// a bitmap over the codes counts the distinct values; over a domain
-/// wider than [`BITMAP_BITS`] bits it counts distinct hashes of the
-/// codes, a lower bound — past the dictionary limit it settles the
-/// count, below it the values are counted again as a set.
-struct Fold<'a> {
-    domain: Domain<'a>,
-    stats: ColumnStats,
-    seen: Seen,
-    vals: Vec<i64>,
+/// The distinct codes a splice has seen, as a bitmap — each code stands
+/// for a value of its own, so distinct codes are distinct values.
+enum Seen {
+    /// Codes of at most [`BITMAP_BITS`] bits, each a bit of its own.
+    Codes(Vec<u64>),
+    /// Wider codes, a multiplicative hash of each as its bit: a function
+    /// of the code, so the bits set never outnumber the distinct codes,
+    /// and a hash, so codes that differ only in a few bits still spread.
+    /// A lower bound.
+    Hashed(Vec<u64>),
 }
 
-impl<'a> Fold<'a> {
+/// The statistics of the values a splice's codes stand for, taken in one
+/// pass over each batch of codes on its way into the stream: the pass of
+/// [`ColumnStats::update`] over the values' keys, with the codes marked
+/// for the distinct count. An exact bitmap also gives the envelope, so
+/// the pass leaves that out.
+struct CodeStats {
+    domain: Domain,
+    stats: ColumnStats,
+    seen: Seen,
+}
+
+impl CodeStats {
     /// For codes of `bits` bits in `domain`.
-    fn new(domain: Domain<'a>, bits: u8) -> Fold<'a> {
-        Fold {
+    fn new(domain: Domain, bits: u8) -> CodeStats {
+        let bitmap = vec![0; (1usize << bits.min(BITMAP_BITS)).div_ceil(64)];
+        let seen = match bits <= BITMAP_BITS {
+            true => Seen::Codes(bitmap),
+            false => Seen::Hashed(bitmap),
+        };
+        CodeStats {
             domain,
             stats: ColumnStats::uncounted(),
-            seen: Seen::new(bits),
-            vals: Vec::with_capacity(BLOCK_SIZE),
+            seen,
         }
-    }
-
-    fn block(&mut self, codes: &[u64]) {
-        self.vals.clear();
-        match self.domain {
-            Domain::Frame(at) => self
-                .vals
-                .extend(codes.iter().map(|&c| at.wrapping_add(c as i64))),
-            Domain::Entries(entries) => {
-                self.vals.extend(codes.iter().map(|&c| entries[c as usize]))
-            }
-            Domain::Raw => self.vals.extend(codes.iter().map(|&c| c as i64)),
-        }
-        self.stats.update(&self.vals);
-        self.seen.mark(codes);
     }
 
     /// The stream `buf` of every code folded, sealed and narrowed like a
@@ -320,68 +347,136 @@ impl<'a> Fold<'a> {
         let mut stream = EncodedStream::from_buf(buf);
         manipulate::narrow(&mut stream);
         let mut stats = self.stats;
-        let mut distinct = self.seen.count();
-        if !self.seen.exact() && distinct <= 1 << DICT_MAX_BITS {
-            // Codes that share a pattern may still differ: count the
-            // values themselves.
-            let mut values = ColumnStats::new();
-            let mut block = Vec::with_capacity(BLOCK_SIZE);
-            for b in 0..stream.block_count() {
-                block.clear();
-                stream.decode_block(b, &mut block);
-                values.update(&block);
+        let count =
+            |words: &[u64]| -> u64 { words.iter().map(|w| u64::from(w.count_ones())).sum() };
+        let distinct = match &self.seen {
+            Seen::Codes(words) => {
+                if stats.count > 0 {
+                    let (lo, hi) = envelope(&self.domain, words);
+                    (stats.min, stats.max) = (value(lo), value(hi));
+                }
+                count(words)
             }
-            distinct = values.cardinality().unwrap_or(u64::MAX);
-        }
+            // Codes that share a bit may still differ: past the dictionary
+            // limit the bound settles it, below it the values are counted.
+            Seen::Hashed(words) => match count(words) {
+                bound if bound > DISTINCT_LIMIT as u64 => bound,
+                bound => recount(&stream, bound as usize),
+            },
+        };
         stats.set_distinct(distinct);
         Spliced { stream, stats }
     }
 }
 
-/// The distinct codes seen, as a bitmap over patterns of at most
-/// [`BITMAP_BITS`] bits: the code itself when it fits, else a
-/// multiplicative hash of it — a function of the code, so its distinct
-/// patterns never outnumber the distinct codes, and a hash, so codes
-/// that differ only in a few bits still spread.
-struct Seen {
-    words: Vec<u64>,
-    /// The shift that hashes a wider code down to the kept bits.
-    hash: Option<u32>,
+/// The least and greatest key among the codes set in `words`.
+fn envelope(domain: &Domain, words: &[u64]) -> (u64, u64) {
+    match domain {
+        // Keys rise with frame offsets: the least and greatest code.
+        &Domain::Frame(at) => {
+            let first = words.iter().position(|&w| w != 0).unwrap_or(0);
+            let last = words.iter().rposition(|&w| w != 0).unwrap_or(0);
+            let lo = first as u64 * 64 + u64::from(words[first].trailing_zeros());
+            let hi = last as u64 * 64 + 63 - u64::from(words[last].leading_zeros());
+            (key(at).wrapping_add(lo), key(at).wrapping_add(hi))
+        }
+        Domain::Entries(keys) => set_bits(words)
+            .map(|c| keys[c as usize])
+            .fold((u64::MAX, 0), |(lo, hi), k| (lo.min(k), hi.max(k))),
+        Domain::Raw => unreachable!("raw codes are hashed"),
+    }
 }
 
 impl Seen {
-    /// For codes of `bits` bits.
-    fn new(bits: u8) -> Seen {
-        let kept = bits.min(BITMAP_BITS);
-        Seen {
-            words: vec![0; (1usize << kept).div_ceil(64)],
-            hash: (bits > BITMAP_BITS).then_some(64 - u32::from(kept)),
+    /// Fold `codes` into `stats`, each standing for the value of key
+    /// `key(c)`, and mark `code(c)`; `WRAPS` as for [`ColumnStats::fold`].
+    #[inline(always)]
+    fn take<C: Copy, const WRAPS: bool>(
+        &mut self,
+        stats: &mut ColumnStats,
+        codes: &[C],
+        key: impl Fn(C) -> u64,
+        code: impl Fn(C) -> u64,
+    ) {
+        match self {
+            // Codes of at most 6 bits: one word, marked in a register.
+            Seen::Codes(words) if words.len() == 1 => {
+                let mut word = words[0];
+                stats.fold::<C, WRAPS, false>(codes, key, |c| word |= 1 << code(c));
+                words[0] = word;
+            }
+            Seen::Codes(words) => stats.fold::<C, WRAPS, false>(codes, key, |c| {
+                let p = code(c) as usize;
+                words[p >> 6] |= 1 << (p & 63);
+            }),
+            Seen::Hashed(words) => stats.fold::<C, WRAPS, true>(codes, key, |c| {
+                let shift = 64 - u32::from(BITMAP_BITS);
+                let p = (code(c).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+                words[p >> 6] |= 1 << (p & 63);
+            }),
         }
     }
+}
 
-    /// Whether every pattern is a code of its own.
-    fn exact(&self) -> bool {
-        self.hash.is_none()
-    }
-
-    fn mark(&mut self, codes: &[u64]) {
-        for &c in codes {
-            let p = match self.hash {
-                Some(shift) => (c.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize,
-                None => c as usize,
-            };
-            self.words[p >> 6] |= 1 << (p & 63);
+impl Tally for CodeStats {
+    fn codes(&mut self, codes: &[u64]) {
+        let CodeStats {
+            domain,
+            stats,
+            seen,
+        } = self;
+        match domain {
+            &mut Domain::Frame(at) => {
+                let at = key(at);
+                match seen {
+                    // A frame's deltas can overflow only at 64 bits.
+                    Seen::Codes(_) => {
+                        seen.take::<u64, false>(stats, codes, |c| c.wrapping_add(at), |c| c)
+                    }
+                    Seen::Hashed(_) => {
+                        seen.take::<u64, true>(stats, codes, |c| c.wrapping_add(at), |c| c)
+                    }
+                }
+            }
+            Domain::Entries(keys) => {
+                seen.take::<u64, true>(stats, codes, |c| keys[c as usize], |c| c)
+            }
+            Domain::Raw => seen.take::<u64, true>(stats, codes, |c| key(c as i64), |c| c),
         }
     }
+}
 
-    fn count(&self) -> u64 {
-        self.words.iter().map(|w| u64::from(w.count_ones())).sum()
+/// The positions of the set bits of `words`, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = u64> + '_ {
+    words.iter().enumerate().flat_map(|(i, &w)| {
+        let rest = std::iter::successors(Some(w), |&w| Some(w & w.wrapping_sub(1)));
+        rest.take_while(|&w| w != 0)
+            .map(move |w| i as u64 * 64 + u64::from(w.trailing_zeros()))
+    })
+}
+
+/// The distinct values of `stream`, at least `at_least` of them, counted
+/// in a set sized for that many, up to one past the dictionary limit.
+fn recount(stream: &EncodedStream, at_least: usize) -> u64 {
+    let mut set = DistinctSet::with_capacity(at_least);
+    let mut block = Vec::with_capacity(BLOCK_SIZE);
+    for b in 0..stream.block_count() {
+        block.clear();
+        stream.decode_block(b, &mut block);
+        let mut prev = None;
+        for &v in &block {
+            if prev != Some(v) && set.insert(v) && set.len() > DISTINCT_LIMIT {
+                return set.len() as u64;
+            }
+            prev = Some(v);
+        }
     }
+    set.len() as u64
 }
 
 /// Raw values move as they are, at the stream's width unless a new row
 /// needs more.
-fn splice_raw(stream: &EncodedStream, dropped: &[u64], tail: &[i64]) -> Spliced {
+fn splice_raw(stream: &EncodedStream, mut dropped: &[u64], tail: &[i64]) -> Spliced {
     let h = stream.header();
     let width = if tail.iter().all(|&v| rle::value_fits(v, h.width, h.signed)) {
         h.width
@@ -389,20 +484,29 @@ fn splice_raw(stream: &EncodedStream, dropped: &[u64], tail: &[i64]) -> Spliced 
         Width::W8
     };
     let mut out = raw::new_stream(width, h.block_size, h.signed);
-    let oh = HeaderView::parse(&out);
-    let mut values = survivors(stream, dropped);
-    values.extend_from_slice(tail);
-    out.reserve(values.len().div_ceil(h.block_size) * h.block_size * width.bytes());
-    let mut fold = Fold::new(Domain::Raw, 64);
-    let mut codes = Vec::with_capacity(h.block_size);
-    for block in values.chunks(h.block_size) {
-        codes.clear();
-        codes.extend(block.iter().map(|&v| v as u64));
-        fold.block(&codes);
-        raw::append_block(&mut out, &oh, block);
+    let data = out.len();
+    let rows = h.logical_size as usize - dropped.len() + tail.len();
+    let block_bytes = h.block_size * width.bytes();
+    out.reserve(rows.div_ceil(h.block_size) * block_bytes);
+    let mut stats = CodeStats::new(Domain::Raw, 64);
+    let mut put = |vals: &[i64]| {
+        stats
+            .seen
+            .take::<i64, true>(&mut stats.stats, vals, key, |v| v as u64);
+        raw::put_values(&mut out, width, vals);
+    };
+    let mut block = Vec::with_capacity(h.block_size);
+    for b in 0..stream.block_count() {
+        block.clear();
+        stream.decode_block(b, &mut block);
+        close_up(&mut block, (b * h.block_size) as u64, &mut dropped);
+        put(&block);
     }
-    header::put_u64(&mut out, header::OFF_LOGICAL_SIZE, values.len() as u64);
-    fold.seal(out)
+    put(tail);
+    // Every block is stored whole.
+    out.resize(data + rows.div_ceil(h.block_size) * block_bytes, 0);
+    header::put_u64(&mut out, header::OFF_LOGICAL_SIZE, rows as u64);
+    stats.seal(out)
 }
 
 /// Offsets move as they are when every new row lies inside the frame's
@@ -423,13 +527,12 @@ fn splice_frame(buf: &[u8], h: &HeaderView, dropped: &[u64], tail: &[i64]) -> Sp
     };
     let rows = h.logical_size as usize - dropped.len() + tail.len();
     let out = frame::new_stream(Width::W8, h.block_size, h.signed, at, bits);
-    let mut fold = Fold::new(Domain::Frame(at), bits);
-    let mut to = Packer::new(out, rows, |codes| fold.block(codes));
+    let mut to = Packer::new(out, rows, CodeStats::new(Domain::Frame(at), bits));
     frame::repack(buf, h, dropped, &mut to);
     let codes: Vec<u64> = tail.iter().map(|&v| v.wrapping_sub(at) as u64).collect();
     to.push(&codes);
-    let out = to.finish().expect("the frame covers every row");
-    fold.seal(out)
+    let (out, stats) = to.finish().expect("the frame covers every row");
+    stats.seal(out)
 }
 
 /// Indexes move as they are (`dict::repack`); a new value gets the next
@@ -458,8 +561,9 @@ fn splice_dict(buf: &[u8], h: &HeaderView, dropped: &[u64], tail: &[i64]) -> Opt
     let bits = h.bits.max(need);
     let rows = h.logical_size as usize - dropped.len() + tail.len();
     let out = dict::new_stream(Width::W8, h.block_size, h.signed, bits);
-    let mut fold = Fold::new(Domain::Entries(&entries), bits);
-    let mut to = Packer::new(out, rows, |codes| fold.block(codes));
+    let keys = entries.iter().map(|&e| key(e)).collect();
+    let stats = CodeStats::new(Domain::Entries(keys), bits);
+    let mut to = Packer::new(out, rows, stats);
     // The stream has room for every entry: the survivors keep theirs.
     dict::repack(buf, h, dropped, &mut to).expect("room for every entry");
     let oh = HeaderView::parse(&to.out);
@@ -468,8 +572,8 @@ fn splice_dict(buf: &[u8], h: &HeaderView, dropped: &[u64], tail: &[i64]) -> Opt
     }
     header::put_u64(&mut to.out, dict::OFF_ENTRY_COUNT, entries.len() as u64);
     to.push(&codes);
-    let out = to.finish().expect("every index has its entry");
-    Some(fold.seal(out))
+    let (out, stats) = to.finish().expect("every index has its entry");
+    Some(stats.seal(out))
 }
 
 /// Tombstones come off the run counts, emptied runs drop out and equal
@@ -625,6 +729,66 @@ mod tests {
         let spliced = check(&s, &[], &[40, 11]).unwrap();
         assert_eq!(frame::frame_value(spliced.stream.as_bytes()), 10);
         assert_eq!(spliced.stream.header().bits, 5); // 10..=40
+    }
+
+    #[test]
+    fn a_frame_wider_than_the_bitmap_counts_every_distinct_value() {
+        // A 20-bit base whose new rows widen it: a lower bound, then a
+        // recount.
+        let vals: Vec<i64> = (0..5000).map(|i| (i * 7919) % (1 << 20)).collect();
+        let s = encode(EncodingSpec::Frame { frame: 0, bits: 20 }, true, &vals);
+        let dropped: Vec<u64> = (0..5000).step_by(3).collect();
+        for tail in [&[1 << 21, 5, 1 << 21][..], &[-7, 3 << 20, 11][..]] {
+            let spliced = check(&s, &dropped, tail).unwrap();
+            assert!(spliced.stream.header().bits > BITMAP_BITS);
+        }
+        // A base wider than the bitmap.
+        let vals: Vec<i64> = (0..5000).map(|i| (i % 1500) << 22).collect();
+        let s = encode(EncodingSpec::Frame { frame: 0, bits: 33 }, true, &vals);
+        let spliced = check(&s, &dropped, &[1 << 22, 7 << 30]).unwrap();
+        assert_eq!(spliced.stats.cardinality(), Some(1001));
+    }
+
+    #[test]
+    fn splices_store_the_bytes_a_block_by_block_build_stores() {
+        // The packer writes blocks one after another; a stream built a
+        // block at a time under the spliced header holds the same bytes.
+        let vals: Vec<i64> = (0..5000).map(|i| (i * 37) % 3001 - 7).collect();
+        let dropped: Vec<u64> = (0..5000).step_by(5).chain(2048..3072).collect();
+        let mut dropped = dropped;
+        dropped.sort_unstable();
+        dropped.dedup();
+        let s = encode(
+            EncodingSpec::Frame {
+                frame: -7,
+                bits: 12,
+            },
+            true,
+            &vals,
+        );
+        for tail in [&[][..], &[9, 40][..], &[-100, 5000, 3][..]] {
+            let spliced = check(&s, &dropped, tail).unwrap();
+            let h = spliced.stream.header();
+            let frame = frame::frame_value(spliced.stream.as_bytes());
+            let mut built = EncodingSpec::Frame {
+                frame,
+                bits: h.bits,
+            }
+            .build(Width::W8, true);
+            for chunk in spliced.stream.decode_all().chunks(BLOCK_SIZE) {
+                built.append_block(chunk).unwrap();
+            }
+            manipulate::narrow(&mut built);
+            assert_eq!(spliced.stream.as_bytes(), built.as_bytes(), "tail {tail:?}");
+        }
+        let s = encode(EncodingSpec::None, true, &vals);
+        let spliced = check(&s, &dropped, &[1, 2]).unwrap();
+        let mut built = EncodingSpec::None.build(Width::W8, true);
+        for chunk in spliced.stream.decode_all().chunks(BLOCK_SIZE) {
+            built.append_block(chunk).unwrap();
+        }
+        manipulate::narrow(&mut built);
+        assert_eq!(spliced.stream.as_bytes(), built.as_bytes());
     }
 
     #[test]

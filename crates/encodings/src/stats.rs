@@ -1,15 +1,51 @@
 //! Streaming column statistics and encoding choice (paper §3.2).
 //!
 //! As values are inserted we continually track simple statistics — the
-//! value range, the delta range, run boundaries and a bounded distinct set.
-//! At any point the statistics determine the best available encoding; the
-//! dynamic encoder consults them whenever an insert fails and once more at
-//! the end for the optional conversion to the optimal format.
+//! value range, the delta range, run boundaries and a bounded distinct
+//! count. At any point the statistics determine the best available
+//! encoding; the dynamic encoder consults them whenever an insert fails
+//! and once more at the end for the optional conversion to the optimal
+//! format.
+//!
+//! The distinct count is the dear one: every other statistic is a
+//! reduction over neighbouring values, but a set of values costs a hash
+//! probe per new value and a rehash each time it grows. So it is kept
+//! the cheapest way that is exact. While a column never changes
+//! direction — it never falls, or it never rises, the NULL sentinel
+//! included — each of its runs holds a value no other run holds, and the
+//! run heads, appended in row order, are its distinct values: sorted
+//! imports, sorted FlowTable builds and the delta and affine rebuilds of
+//! a compaction never hash. The first value that turns back moves the
+//! heads into a [`DistinctSet`] sized for them, and counting goes on
+//! there. Either way counting stops past the dictionary limit (2¹⁵), so
+//! the heads never hold more than that. A caller that can count cheaper
+//! still — a compaction's splice, over a bitmap of packed codes — says
+//! so ([`ColumnStats::uncounted`]).
 
 use crate::bitpack::bits_for_max;
 use crate::{Algorithm, EncodedStream, BLOCK_SIZE, DICT_MAX_BITS};
 use tde_types::sentinel::NULL_I64;
 use tde_types::Width;
+
+/// How many distinct values the statistics count before they stop.
+pub(crate) const DISTINCT_LIMIT: usize = 1 << DICT_MAX_BITS;
+
+/// A value's key: its bits with the sign bit flipped. Keys order as the
+/// values do, NULL — the least value — is key 0, and a difference of
+/// keys is the difference of their values.
+#[inline(always)]
+pub(crate) fn key(v: i64) -> u64 {
+    v as u64 ^ (1 << 63)
+}
+
+/// The value of a key.
+#[inline(always)]
+pub(crate) fn value(k: u64) -> i64 {
+    (k ^ (1 << 63)) as i64
+}
+
+/// NULL's key.
+const NULL_KEY: u64 = NULL_I64 as u64 ^ (1 << 63);
 
 /// A fast open-addressing set of `i64` values, bounded by the dictionary
 /// limit. Statistics run per inserted value on the import hot path, so the
@@ -17,7 +53,7 @@ use tde_types::Width;
 /// array: a free slot holds [`DistinctSet::FREE`], and whether that value
 /// itself is a member is kept beside the table.
 #[derive(Debug, Clone)]
-pub struct DistinctSet {
+pub(crate) struct DistinctSet {
     slots: Vec<i64>,
     holds_free_value: bool,
     shift: u32,
@@ -28,8 +64,9 @@ impl DistinctSet {
     /// Marks a free slot (an arbitrary, unlikely value).
     const FREE: i64 = 0x5A5A_5A5A_A5A5_A5A5_u64 as i64;
 
-    fn new() -> DistinctSet {
-        let cap = 64usize;
+    /// A set that holds `n` values without growing.
+    pub(crate) fn with_capacity(n: usize) -> DistinctSet {
+        let cap = (n * 4 / 3 + 1).next_power_of_two().max(64);
         DistinctSet {
             slots: vec![DistinctSet::FREE; cap],
             holds_free_value: false,
@@ -39,22 +76,8 @@ impl DistinctSet {
     }
 
     /// Number of distinct values inserted.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Iterate the values.
-    pub fn iter(&self) -> impl Iterator<Item = i64> + '_ {
-        self.slots
-            .iter()
-            .copied()
-            .filter(|&v| v != DistinctSet::FREE)
-            .chain(self.holds_free_value.then_some(DistinctSet::FREE))
     }
 
     /// Where the probe for `v` starts.
@@ -65,7 +88,7 @@ impl DistinctSet {
 
     /// Insert `v`; whether it was new.
     #[inline]
-    fn insert(&mut self, v: i64) -> bool {
+    pub(crate) fn insert(&mut self, v: i64) -> bool {
         if v == DistinctSet::FREE {
             let new = !self.holds_free_value;
             self.holds_free_value = true;
@@ -130,13 +153,18 @@ pub struct ColumnStats {
     /// encodings are then ruled out entirely.
     pub delta_overflow: bool,
     distinct: Distinct,
-    last: Option<i64>,
-    current_run: u64,
+    /// The last value seen.
+    pub(crate) last: Option<i64>,
+    /// The length of the run the last value belongs to.
+    pub(crate) current_run: u64,
 }
 
 /// What the statistics know of the distinct values.
 #[derive(Debug, Clone)]
 enum Distinct {
+    /// The column has not changed direction: its run heads, in row
+    /// order, each a distinct value.
+    Heads(Vec<i64>),
     /// Tracked value by value until the dictionary limit is passed.
     Set(DistinctSet),
     /// Counted by the caller ([`ColumnStats::uncounted`]).
@@ -164,7 +192,7 @@ impl ColumnStats {
             max_run: 0,
             null_count: 0,
             delta_overflow: false,
-            distinct: Distinct::Set(DistinctSet::new()),
+            distinct: Distinct::Heads(Vec::new()),
             last: None,
             current_run: 0,
         }
@@ -187,72 +215,112 @@ impl ColumnStats {
         self.distinct = Distinct::Counted(n);
     }
 
-    /// Fold a block of values into the statistics: one pass per family of
-    /// statistics, each a plain reduction over the block with no
-    /// per-value branching on what was seen before.
+    /// Fold a block of values into the statistics: one pass for every
+    /// statistic but the distinct count, and the distinct count.
     pub fn update(&mut self, vals: &[i64]) {
-        let (Some(&first), Some(&last)) = (vals.first(), vals.last()) else {
-            return;
+        self.count_distinct(vals);
+        self.fold::<i64, true, true>(vals, key, |_| {});
+    }
+
+    /// The pass over a block that [`ColumnStats::update`] and a splice
+    /// share: count, NULLs, neighbour deltas — the value before the block
+    /// included — runs and, with `RANGE`, the envelope, over the block's
+    /// `codes`, each standing for the value of key `key(c)` and handed to
+    /// `mark`. `WRAPS`: whether a delta can overflow `i64`; it cannot
+    /// between two values of a frame narrower than 64 bits. The distinct
+    /// count is the caller's.
+    #[inline(always)]
+    pub(crate) fn fold<C: Copy, const WRAPS: bool, const RANGE: bool>(
+        &mut self,
+        mut codes: &[C],
+        key: impl Fn(C) -> u64,
+        mut mark: impl FnMut(C),
+    ) {
+        let mut prev = match self.last {
+            Some(prev) => self::key(prev),
+            None => {
+                let Some((&c, rest)) = codes.split_first() else {
+                    return;
+                };
+                // The very first value opens the first run.
+                let k = key(c);
+                mark(c);
+                let v = value(k);
+                (self.count, self.min, self.max) = (1, v, v);
+                self.null_count = u64::from(v == NULL_I64);
+                (self.runs, self.current_run, self.max_run) = (1, 1, 1);
+                codes = rest;
+                k
+            }
         };
-        self.count += vals.len() as u64;
-
-        // Envelope and NULLs.
-        let (mut min, mut max, mut nulls) = (self.min, self.max, 0u64);
-        for &v in vals {
-            min = min.min(v);
-            max = max.max(v);
-            nulls += u64::from(v == NULL_I64);
-        }
-        (self.min, self.max) = (min, max);
-        self.null_count += nulls;
-
-        // Neighbour pairs, the value before the block included: delta
-        // range, run boundaries.
+        let (mut min, mut max) = (self::key(self.min), self::key(self.max));
         let (mut min_delta, mut max_delta) = (self.min_delta, self.max_delta);
-        let mut overflow = false;
-        let (mut runs, mut run, mut max_run) = match self.last {
-            Some(_) => (self.runs, self.current_run, self.max_run),
-            // The very first value opens the first run.
-            None => (1, 1, 1),
-        };
-        let mut pair = |prev: i64, v: i64| {
-            let d = v.wrapping_sub(prev);
-            // An overflowing delta poisons the delta statistics: no
-            // delta-family encoding can represent it.
-            overflow |= (v >= prev) != (d >= 0);
+        let (mut nulls, mut overflow) = (self.null_count, self.delta_overflow);
+        let (mut runs, mut max_run) = (self.runs, self.max_run);
+        // Where the run of the key at `i` starts, relative to the block:
+        // the run open before it counts.
+        let mut start = -(self.current_run as i64);
+        for (i, &c) in codes.iter().enumerate() {
+            let k = key(c);
+            mark(c);
+            nulls += u64::from(k == NULL_KEY);
+            if RANGE {
+                min = min.min(k);
+                max = max.max(k);
+            }
+            let d = k.wrapping_sub(prev) as i64;
+            if WRAPS {
+                // An overflowing delta poisons the delta statistics: no
+                // delta-family encoding can represent it.
+                overflow |= (k >= prev) != (d >= 0);
+            }
             min_delta = min_delta.min(d);
             max_delta = max_delta.max(d);
-            let same = v == prev;
+            let same = k == prev;
             runs += u64::from(!same);
-            run = if same { run + 1 } else { 1 };
-            max_run = max_run.max(run);
-        };
-        if let Some(prev) = self.last {
-            pair(prev, first);
+            start = if same { start } else { i as i64 };
+            max_run = max_run.max((i as i64 + 1 - start) as u64);
+            prev = k;
         }
-        for w in vals.windows(2) {
-            pair(w[0], w[1]);
-        }
+        self.count += codes.len() as u64;
+        (self.min, self.max) = (value(min), value(max));
         (self.min_delta, self.max_delta) = (min_delta, max_delta);
-        self.delta_overflow |= overflow;
-        (self.runs, self.current_run, self.max_run) = (runs, run, max_run);
+        (self.null_count, self.delta_overflow) = (nulls, overflow);
+        (self.runs, self.max_run) = (runs, max_run);
+        self.current_run = (codes.len() as i64 - start) as u64;
+        self.last = Some(value(prev));
+    }
 
-        // The distinct set, only while it is still tracked.
+    /// Count the distinct values among `vals`, which follow `self.last`:
+    /// as run heads while the column keeps its direction, in the set
+    /// from the first value that turns back.
+    fn count_distinct(&mut self, vals: &[i64]) {
+        let mut prev = self.last;
+        let mut rest = vals;
+        if let Distinct::Heads(heads) = &mut self.distinct {
+            match push_heads(heads, vals) {
+                Ok(()) if heads.len() > DISTINCT_LIMIT => self.distinct = Distinct::Many,
+                Ok(()) => {}
+                Err(at) => {
+                    let mut set = DistinctSet::with_capacity(heads.len() + 1);
+                    for &v in heads.iter() {
+                        set.insert(v);
+                    }
+                    prev = heads.last().copied();
+                    rest = &vals[at..];
+                    self.distinct = Distinct::Set(set);
+                }
+            }
+        }
         if let Distinct::Set(set) = &mut self.distinct {
-            let mut prev = self.last;
-            let mut overfull = false;
-            for &v in vals {
-                if prev != Some(v) && set.insert(v) && set.len() > (1 << DICT_MAX_BITS) {
-                    overfull = true;
-                    break;
+            for &v in rest {
+                if prev != Some(v) && set.insert(v) && set.len() > DISTINCT_LIMIT {
+                    self.distinct = Distinct::Many;
+                    return;
                 }
                 prev = Some(v);
             }
-            if overfull {
-                self.distinct = Distinct::Many;
-            }
         }
-        self.last = Some(last);
     }
 
     /// Fold runs of equal values — `(value, count)` pairs — into the
@@ -287,11 +355,7 @@ impl ColumnStats {
                 self.min_delta = self.min_delta.min(0);
                 self.max_delta = self.max_delta.max(0);
             }
-            if let Distinct::Set(set) = &mut self.distinct {
-                if set.insert(v) && set.len() > (1 << DICT_MAX_BITS) {
-                    self.distinct = Distinct::Many;
-                }
-            }
+            self.count_distinct(&[v]);
             self.last = Some(v);
         }
     }
@@ -299,17 +363,10 @@ impl ColumnStats {
     /// Distinct value count if it is still being tracked (≤ 2¹⁵).
     pub fn cardinality(&self) -> Option<u64> {
         match self.distinct {
+            Distinct::Heads(ref heads) => Some(heads.len() as u64),
             Distinct::Set(ref s) => Some(s.len() as u64),
-            Distinct::Counted(n) => (n <= 1 << DICT_MAX_BITS).then_some(n),
+            Distinct::Counted(n) => (n <= DISTINCT_LIMIT as u64).then_some(n),
             Distinct::Many => None,
-        }
-    }
-
-    /// The distinct values themselves, if still tracked.
-    pub fn distinct_values(&self) -> Option<&DistinctSet> {
-        match &self.distinct {
-            Distinct::Set(s) => Some(s),
-            _ => None,
         }
     }
 
@@ -335,6 +392,53 @@ impl ColumnStats {
     pub fn has_nulls(&self) -> bool {
         self.null_count > 0
     }
+}
+
+/// Append to `heads` — the run heads of a column that has not changed
+/// direction — those of `vals`, which follow them, up to the first value
+/// that turns back; `Err` with its position then. Stops past the
+/// dictionary limit.
+fn push_heads(heads: &mut Vec<i64>, vals: &[i64]) -> Result<(), usize> {
+    let Some(prev) = heads.last().or(vals.first()).copied() else {
+        return Ok(());
+    };
+    if heads.is_empty() {
+        heads.push(prev);
+    }
+    // Whether the column rises: two heads say, or the first value that
+    // differs from the last head.
+    let rising = match heads[..] {
+        [a, b, ..] => b > a,
+        _ => match vals.iter().find(|&&v| v != prev) {
+            Some(&v) => v > prev,
+            None => return Ok(()),
+        },
+    };
+    let back = |a: i64, b: i64| if rising { b < a } else { b > a };
+    let turn = match vals.first() {
+        Some(&v) if back(prev, v) => Some(0),
+        _ => vals
+            .windows(2)
+            .position(|w| back(w[0], w[1]))
+            .map(|at| at + 1),
+    };
+    for block in vals[..turn.unwrap_or(vals.len())].chunks(BLOCK_SIZE) {
+        // Append the block, then close up its repeats in place.
+        let (from, mut to) = (heads.len(), heads.len());
+        heads.extend_from_slice(block);
+        let mut last = heads[from - 1];
+        for at in from..heads.len() {
+            let v = heads[at];
+            heads[to] = v;
+            to += usize::from(v != last);
+            last = v;
+        }
+        heads.truncate(to);
+        if heads.len() > DISTINCT_LIMIT {
+            return Ok(());
+        }
+    }
+    turn.map_or(Ok(()), Err)
 }
 
 /// A concrete encoding choice with its construction parameters.
@@ -605,11 +709,13 @@ mod tests {
         let vals: Vec<i64> = (0..300)
             .map(|i| [DistinctSet::FREE, i % 70, -(i % 70)][i as usize % 3])
             .collect();
-        let s = stats_of(&vals);
         let expect: std::collections::BTreeSet<i64> = vals.iter().copied().collect();
-        assert_eq!(s.cardinality(), Some(expect.len() as u64));
-        let got: std::collections::BTreeSet<i64> = s.distinct_values().unwrap().iter().collect();
-        assert_eq!(got, expect);
+        assert_eq!(stats_of(&vals).cardinality(), Some(expect.len() as u64));
+        // Also as a run head, and when the heads move into the set.
+        let mut ordered = vec![DistinctSet::FREE - 1, DistinctSet::FREE, DistinctSet::FREE];
+        assert_eq!(stats_of(&ordered).cardinality(), Some(2));
+        ordered.push(0);
+        assert_eq!(stats_of(&ordered).cardinality(), Some(3));
     }
 
     #[test]
@@ -642,9 +748,9 @@ mod tests {
         s.update(&[3, 1, 2]);
         s.set_distinct(3);
         assert_eq!(s.cardinality(), Some(3));
-        s.set_distinct(1 << DICT_MAX_BITS);
-        assert_eq!(s.cardinality(), Some(1 << DICT_MAX_BITS));
-        s.set_distinct((1 << DICT_MAX_BITS) + 1);
+        s.set_distinct(DISTINCT_LIMIT as u64);
+        assert_eq!(s.cardinality(), Some(DISTINCT_LIMIT as u64));
+        s.set_distinct(DISTINCT_LIMIT as u64 + 1);
         assert_eq!(s.cardinality(), None);
     }
 

@@ -36,7 +36,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 use tde_encodings::BLOCK_SIZE;
-use tde_exec::flow_table::per_column;
+use tde_exec::flow_table::{heaviest_first, per_column};
 use tde_exec::morsel::build_degree;
 use tde_storage::{BuiltColumn, ColumnBuilder, EncodingPolicy, Table};
 use tde_types::sentinel::{NULL_I64, NULL_REAL_BITS};
@@ -460,8 +460,7 @@ impl Importer<'_> {
         };
         let (ranges, parser) = (&self.ranges, self.parser);
         let (tasks, order) = (&self.tasks, &self.heaviest_first);
-        per_column(self.workers, tasks.len(), |i| {
-            let col = order[i];
+        per_column(self.workers, order, |col| {
             tasks[col]
                 .lock()
                 .parse_chunk(&chunk, ranges.column(col), parser);
@@ -497,7 +496,7 @@ impl RecordSink for Importer<'_> {
 
 /// Relative parse + build cost of a column, for claiming the heaviest
 /// first: strings intern, reals and dates parse, integers barely do.
-fn weight(task: &ColumnTask) -> u32 {
+fn weight(task: &ColumnTask) -> u64 {
     match (task.dtype, task.builder.is_some()) {
         (DataType::Str, true) => 5,
         (DataType::Real, _) => 3,
@@ -552,8 +551,7 @@ fn import_on(data: &[u8], options: &ImportOptions, workers: usize) -> io::Result
             }
         })
         .collect();
-    let mut heaviest_first: Vec<usize> = (0..ncols).collect();
-    heaviest_first.sort_by_key(|&c| std::cmp::Reverse(weight(&tasks[c])));
+    let heaviest_first = heaviest_first(tasks.iter().map(weight));
 
     let mut importer = Importer {
         data,
@@ -576,7 +574,7 @@ fn import_on(data: &[u8], options: &ImportOptions, workers: usize) -> io::Result
     let scanned = Instant::now();
 
     let (tasks, order) = (&importer.tasks, &importer.heaviest_first);
-    per_column(importer.workers, ncols, |i| tasks[order[i]].lock().finish());
+    per_column(importer.workers, order, |col| tasks[col].lock().finish());
     let mut columns = Vec::with_capacity(ncols);
     let mut reencodings = Vec::with_capacity(ncols);
     let mut parse_errors = 0u64;

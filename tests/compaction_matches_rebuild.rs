@@ -416,3 +416,83 @@ fn churn_keeps_packed_widths_near_a_rebuild() {
         }
     }
 }
+
+/// The compactions whose distinct count is the dearest to take, each
+/// against a rebuild: sorted delta columns — more than 2¹⁵ distinct
+/// values, and duplicates — and a descending one, all rebuilt by rule; a
+/// 20-bit frame whose new rows widen it past the splice's code bitmap
+/// while it keeps fewer than 2¹⁵ distinct values; and a frame wider than
+/// the bitmap from the start, with fewer than 2¹⁵ distinct values, whose
+/// count is settled by a recount.
+#[test]
+fn compaction_matches_a_rebuild_where_distinct_values_are_dear() {
+    const N: i64 = 40_000;
+    type Shape<'a> = (&'a str, Algorithm, &'a dyn Fn(i64) -> i64);
+    let shapes: [Shape; 5] = [
+        ("many", Algorithm::Delta, &|i| 1_000 + i * 5 + i % 3),
+        ("dups", Algorithm::Delta, &|i| (i / 2) * 1_000_003),
+        ("falls", Algorithm::Delta, &|i| {
+            1_000_000_000_000 - i * 3 - i % 2
+        }),
+        ("frame20", Algorithm::FrameOfReference, &|i| {
+            ((i % 20_000) * 7919) % (1 << 20)
+        }),
+        ("frame22", Algorithm::FrameOfReference, &|i| {
+            (i * 7919) % 20_000 * 211
+        }),
+    ];
+    let columns = shapes
+        .iter()
+        .map(|(name, algorithm, f)| {
+            let mut b = ColumnBuilder::new(*name, DataType::Integer, EncodingPolicy::default());
+            (0..N).for_each(|i| b.append_i64(f(i)));
+            let col = b.finish().column;
+            assert_eq!(col.data.algorithm(), *algorithm, "{name}");
+            col
+        })
+        .collect();
+    let base = Arc::new(Table::new("dear", columns));
+    assert_eq!(base.columns[3].data.header().bits, 20);
+    assert_eq!(base.columns[4].data.header().bits, 23);
+    // Continue each sequence; push the frame past 20 bits with values it
+    // already holds but one, so it keeps fewer than 2¹⁵ distinct values.
+    let tail: Vec<Vec<Value>> = (0..1500)
+        .map(|j| {
+            let frame = if j == 0 { 1 << 21 } else { shapes[3].2(j) };
+            vec![
+                Value::Int(shapes[0].2(N + j)),
+                Value::Int(shapes[1].2(N + j)),
+                Value::Int(shapes[2].2(N + j)),
+                Value::Int(frame),
+                Value::Int(shapes[4].2(j)),
+            ]
+        })
+        .collect();
+    for dead in [
+        Tombstones::None,
+        Tombstones::Scattered,
+        Tombstones::WholeBlock,
+    ] {
+        let mut dt = DeltaTable::from_eager(Arc::clone(&base));
+        dt.append_rows(&tail).unwrap();
+        dt.delete(&tombstones(dead, N as u64)).unwrap();
+        let snapshot = dt.snapshot().unwrap();
+        let compacted = dt.compact().unwrap();
+        let mismatches = compaction_mismatches(&snapshot, &compacted);
+        assert!(
+            mismatches.is_empty(),
+            "tombstones {dead:?}: {mismatches:#?}"
+        );
+        for (col, (name, algorithm, _)) in compacted.columns.iter().zip(&shapes) {
+            assert_eq!(col.data.algorithm(), *algorithm, "{name}, {dead:?}");
+        }
+        assert_eq!(compacted.columns[3].data.header().bits, 22, "{dead:?}");
+        for frame in &compacted.columns[3..] {
+            let distinct: BTreeSet<i64> = frame.data.decode_all().into_iter().collect();
+            assert!(distinct.len() < 1 << 15);
+            assert_eq!(frame.metadata.cardinality, Some(distinct.len() as u64));
+        }
+        let many = &compacted.columns[0];
+        assert_eq!(many.metadata.cardinality, None, "{dead:?}");
+    }
+}

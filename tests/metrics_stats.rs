@@ -9,7 +9,7 @@
 //! threads — so assertions are `>=` on deltas and spans are matched by
 //! plan digest or row count, never by absolute totals.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use tde::exec::expr::{AggFunc, CmpOp, Expr};
 use tde::obs::{metrics, span};
@@ -187,7 +187,7 @@ fn paged_scans_record_pool_and_segment_metrics() {
 
 #[test]
 fn spans_capture_phases_and_counter_deltas() {
-    let _guard = sink_lock().lock().unwrap();
+    let _guard = sink_lock().lock().unwrap_or_else(PoisonError::into_inner);
     let sink = span::MemorySink::new();
     let prev = span::set_span_sink(Some(sink.clone()));
 
@@ -250,7 +250,7 @@ fn spans_capture_phases_and_counter_deltas() {
 
 #[test]
 fn span_json_lines_sink_writes_parseable_lines() {
-    let _guard = sink_lock().lock().unwrap();
+    let _guard = sink_lock().lock().unwrap_or_else(PoisonError::into_inner);
     let dir = std::env::temp_dir().join(format!("tde_span_lines_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("spans.jsonl");

@@ -10,7 +10,7 @@
 //! so every test here serializes on one lock and matches its own work
 //! by row count / query id, never by absolute ring contents.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use tde::exec::expr::{AggFunc, CmpOp, Expr};
 use tde::obs::{metrics, span, timeline};
@@ -75,7 +75,7 @@ fn failed_queries_delta(
 /// `try_rows`, and `explain_analyze` — emits exactly one span.
 #[test]
 fn every_entry_point_emits_exactly_one_span() {
-    let _guard = trace_lock().lock().unwrap();
+    let _guard = trace_lock().lock().unwrap_or_else(PoisonError::into_inner);
     let t = demo_table();
 
     let run_one = |label: &str, f: &dyn Fn() -> usize| {
@@ -122,7 +122,7 @@ fn every_entry_point_emits_exactly_one_span() {
 /// used to panic in lowering before the observation was settled).
 #[test]
 fn failed_queries_stay_observable() {
-    let _guard = trace_lock().lock().unwrap();
+    let _guard = trace_lock().lock().unwrap_or_else(PoisonError::into_inner);
     use tde::io::{FaultIo, FaultPlan};
 
     let dir = std::env::temp_dir().join(format!("tde_timeline_fail_{}", std::process::id()));
@@ -209,7 +209,7 @@ fn failed_queries_stay_observable() {
 /// sorting time was booked to the scan.)
 #[test]
 fn timeline_spans_and_explain_analyze_report_the_same_measurement() {
-    let _guard = trace_lock().lock().unwrap();
+    let _guard = trace_lock().lock().unwrap_or_else(PoisonError::into_inner);
 
     // 240k rows, an unsorted 60 000-value key: hash group-by territory,
     // with enough groups and aggregates that hashing and folding
@@ -330,7 +330,7 @@ fn timeline_spans_and_explain_analyze_report_the_same_measurement() {
 /// attributable to the query via its plan digest.
 #[test]
 fn parallel_paged_query_produces_a_validated_worker_trace() {
-    let _guard = trace_lock().lock().unwrap();
+    let _guard = trace_lock().lock().unwrap_or_else(PoisonError::into_inner);
 
     let dir = std::env::temp_dir().join(format!("tde_timeline_trace_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -443,7 +443,7 @@ fn parallel_paged_query_produces_a_validated_worker_trace() {
 /// operators by self-time reaches the sink.
 #[test]
 fn slow_queries_are_pinned_and_logged() {
-    let _guard = trace_lock().lock().unwrap();
+    let _guard = trace_lock().lock().unwrap_or_else(PoisonError::into_inner);
     if timeline::slow_threshold_ns() != Some(0) {
         // The threshold is parsed from TDE_SLOW_QUERY_NS once per
         // process; this test only runs under the CI leg that sets it.
@@ -484,7 +484,7 @@ fn slow_queries_are_pinned_and_logged() {
 /// the compaction record and event carry the snapshot's share.
 #[test]
 fn compaction_trace_splits_the_snapshot_from_the_re_encode() {
-    let _guard = trace_lock().lock().unwrap();
+    let _guard = trace_lock().lock().unwrap_or_else(PoisonError::into_inner);
     let mut name = ColumnBuilder::new("name", DataType::Str, EncodingPolicy::default());
     for i in 0..5_000 {
         name.append_str(Some(&format!("base-{}", i % 700)));
@@ -572,7 +572,7 @@ fn compaction_trace_splits_the_snapshot_from_the_re_encode() {
 /// spans to B.)
 #[test]
 fn a_finishing_query_does_not_steal_a_running_querys_spans() {
-    let _guard = trace_lock().lock().unwrap();
+    let _guard = trace_lock().lock().unwrap_or_else(PoisonError::into_inner);
     let table = |name: &str| {
         let mut k = ColumnBuilder::new("k", DataType::Integer, EncodingPolicy::default());
         for i in 0..5_000i64 {
@@ -707,7 +707,7 @@ impl tde::io::StorageIo for GateIo {
 /// as registry deltas around a query gave A every count B made.)
 #[test]
 fn concurrent_spans_count_only_their_own_events() {
-    let _guard = trace_lock().lock().unwrap();
+    let _guard = trace_lock().lock().unwrap_or_else(PoisonError::into_inner);
     let dir = std::env::temp_dir().join(format!("tde_span_interleave_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("a.tde2");
@@ -728,7 +728,11 @@ fn concurrent_spans_count_only_their_own_events() {
     let io = GateIo {
         hook: Arc::new(Hook(Box::new(move || {
             to_b.send(()).unwrap();
-            a_waits.lock().unwrap().recv().unwrap();
+            a_waits
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .recv()
+                .unwrap();
         }))),
     };
     let prev_trace = timeline::set_enabled(true);
